@@ -8,6 +8,7 @@ package correctbench
 // study.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,11 +66,14 @@ func buildAblationCorpus(b *testing.B, nr int, seed int64) *ablationCorpus {
 	return corpus
 }
 
-func (c *ablationCorpus) accuracy(crit validator.Criterion) float64 {
+func (c *ablationCorpus) accuracy(b *testing.B, crit validator.Criterion) float64 {
 	v := &validator.Validator{Criterion: crit}
 	hit := 0
 	for _, e := range c.entries {
-		rep := v.Validate(e.tb, e.group)
+		rep, err := v.ValidateContext(context.Background(), e.tb, e.group)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if rep.Correct == e.correct {
 			hit++
 		}
@@ -86,7 +90,7 @@ func BenchmarkAblationNRGroupSize(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
 				corpus := buildAblationCorpus(b, nr, int64(100+i))
-				acc = corpus.accuracy(validator.Wrong70)
+				acc = corpus.accuracy(b, validator.Wrong70)
 			}
 			b.ReportMetric(acc*100, "val-acc-%")
 		})
@@ -108,7 +112,7 @@ func BenchmarkAblationGreenRowRule(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
 				corpus := buildAblationCorpus(b, 20, int64(200+i))
-				acc = corpus.accuracy(cfg.crit)
+				acc = corpus.accuracy(b, cfg.crit)
 			}
 			b.ReportMetric(acc*100, "val-acc-%")
 		})

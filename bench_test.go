@@ -8,6 +8,7 @@ package correctbench
 // 5 repetitions) and EXPERIMENTS.md records their output.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -24,7 +25,7 @@ import (
 )
 
 // benchProblems is the fixed CMB/SEQ mix used by the experiment-scale
-// benchmarks (shared with cmd/benchjson via dataset.BenchmarkMix).
+// benchmarks (dataset.BenchmarkMix).
 func benchProblems(b *testing.B) []*dataset.Problem {
 	b.Helper()
 	return dataset.BenchmarkMix()
@@ -35,7 +36,7 @@ func benchProblems(b *testing.B) []*dataset.Problem {
 func BenchmarkTable1MainResults(b *testing.B) {
 	probs := benchProblems(b)
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Run(harness.Config{Reps: 1, Seed: int64(i) + 1, Problems: probs})
+		res, err := harness.RunContext(context.Background(), harness.Config{Reps: 1, Seed: int64(i) + 1, Problems: probs})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,14 +47,13 @@ func BenchmarkTable1MainResults(b *testing.B) {
 // BenchmarkTable1Workers regenerates Table I at several worker-pool
 // widths. Results are identical at every width (the harness derives
 // per-cell random streams), so the sub-benchmarks measure pure
-// scheduling gain; cmd/benchjson records the same numbers as JSON for
-// the perf trajectory.
+// scheduling gain.
 func BenchmarkTable1Workers(b *testing.B) {
 	probs := benchProblems(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(harness.Config{
+				res, err := harness.RunContext(context.Background(), harness.Config{
 					Reps: 1, Seed: int64(i) + 1, Problems: probs, Workers: workers,
 				})
 				if err != nil {
@@ -70,7 +70,7 @@ func BenchmarkTable1Workers(b *testing.B) {
 func BenchmarkTable3AttributionParallel(b *testing.B) {
 	probs := benchProblems(b)
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Run(harness.Config{
+		res, err := harness.RunContext(context.Background(), harness.Config{
 			Reps: 1, Seed: int64(i) + 10, Problems: probs, Workers: runtime.GOMAXPROCS(0),
 			Methods: []harness.Method{harness.MethodCorrectBench, harness.MethodAutoBench},
 		})
@@ -86,7 +86,7 @@ func BenchmarkTable3AttributionParallel(b *testing.B) {
 func BenchmarkTable3Attribution(b *testing.B) {
 	probs := benchProblems(b)
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Run(harness.Config{
+		res, err := harness.RunContext(context.Background(), harness.Config{
 			Reps: 1, Seed: int64(i) + 10, Problems: probs,
 			Methods: []harness.Method{harness.MethodCorrectBench, harness.MethodAutoBench},
 		})
@@ -117,7 +117,10 @@ func BenchmarkFig4RSMatrix(b *testing.B) {
 	v := &validator.Validator{Criterion: validator.Wrong70}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, ok := v.BuildMatrix(tb, group)
+		m, ok, err := v.BuildMatrixContext(context.Background(), tb, group)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !ok {
 			b.Fatal("matrix build failed")
 		}
@@ -145,7 +148,7 @@ func BenchmarkFig6aValidatorAccuracy(b *testing.B) {
 func BenchmarkFig6bCriteriaPipeline(b *testing.B) {
 	probs := benchProblems(b)[:6]
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.CriteriaPipeline(harness.Config{Reps: 1, Seed: int64(i) + 30, Problems: probs})
+		rows, err := harness.CriteriaPipelineContext(context.Background(), harness.Config{Reps: 1, Seed: int64(i) + 30, Problems: probs})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +162,7 @@ func BenchmarkFig7LLMComparison(b *testing.B) {
 	probs := benchProblems(b)[:6]
 	for i := 0; i < b.N; i++ {
 		for _, prof := range llm.Profiles() {
-			res, err := harness.Run(harness.Config{
+			res, err := harness.RunContext(context.Background(), harness.Config{
 				Reps: 1, Seed: int64(i) + 40, Problems: probs, Profile: prof,
 			})
 			if err != nil {
@@ -195,7 +198,7 @@ func BenchmarkElaborate(b *testing.B) {
 
 // BenchmarkSimTick measures clocked-simulation throughput on each
 // engine; the compiled/interp ratio is the AOT-compilation gain of the
-// inner loop (cmd/benchjson records the same comparison as JSON).
+// inner loop.
 func BenchmarkSimTick(b *testing.B) {
 	d, err := sim.ElaborateSource(dataset.ByName("cnt8").Source, "cnt8")
 	if err != nil {
@@ -278,12 +281,12 @@ func BenchmarkEval2(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Evaluate(tb); err != nil { // warm fixtures
+	if _, err := e.EvaluateContext(context.Background(), tb); err != nil { // warm fixtures
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Evaluate(tb); err != nil {
+		if _, err := e.EvaluateContext(context.Background(), tb); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,8 +294,9 @@ func BenchmarkEval2(b *testing.B) {
 
 // BenchmarkCorrectBenchTask measures one whole Algorithm 1 task.
 func BenchmarkCorrectBenchTask(b *testing.B) {
+	c := NewClient()
 	for i := 0; i < b.N; i++ {
-		if _, err := GenerateTestbench("cnt8", Options{Seed: int64(i)}); err != nil {
+		if _, err := c.GenerateTestbench(context.Background(), "cnt8", TaskSpec{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

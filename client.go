@@ -390,10 +390,6 @@ func (c *Client) pruneJobsLocked() {
 // successful return, all failures flow through the event stream and
 // Wait.
 func (c *Client) Submit(ctx context.Context, spec ExperimentSpec) (*Job, error) {
-	return c.submit(ctx, spec, nil)
-}
-
-func (c *Client) submit(ctx context.Context, spec ExperimentSpec, progress io.Writer) (*Job, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -401,7 +397,6 @@ func (c *Client) submit(ctx context.Context, spec ExperimentSpec, progress io.Wr
 	if err != nil {
 		return nil, err
 	}
-	hcfg.Progress = progress
 	hcfg.Evaluator = c.evaluator(harness.EvaluatorSeed(spec.Seed))
 	hcfg.Executor = c.executor
 	if !spec.NoStore {

@@ -183,32 +183,6 @@ func TestEventStreamDeterminism(t *testing.T) {
 	}
 }
 
-// TestJobMatchesLegacyFacade pins that the job path reproduces the
-// legacy blocking facade bit for bit (Table I unchanged through the
-// new API).
-func TestJobMatchesLegacyFacade(t *testing.T) {
-	job, err := NewClient().Submit(context.Background(), ExperimentSpec{
-		Seed: 4, Reps: 1, Problems: testProblems,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := RunExperiment(ExperimentConfig{Seed: 4, Reps: 1, ProblemNames: testProblems})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := exp.Table1(), legacy.Table1(); got != want {
-		t.Errorf("Table I differs between Job API and legacy facade:\n%s\n---\n%s", got, want)
-	}
-	if got, want := exp.Table3(), legacy.Table3(); got != want {
-		t.Errorf("Table III differs between Job API and legacy facade")
-	}
-}
-
 func TestSnapshotLifecycle(t *testing.T) {
 	job, err := NewClient().Submit(context.Background(), ExperimentSpec{
 		Seed: 2, Reps: 1, Problems: []string{"halfadd", "dff"},
@@ -240,10 +214,9 @@ func TestSnapshotLifecycle(t *testing.T) {
 	}
 }
 
-// TestExplicitZeroBudgets exercises the pointer-or-sentinel fix: an
-// explicit zero disables corrections/reboots (impossible with the
-// legacy Options struct), while the legacy struct's zero value keeps
-// the paper defaults.
+// TestExplicitZeroBudgets exercises the pointer-valued budgets: an
+// explicit zero disables corrections/reboots, distinct from an unset
+// field, which keeps the paper default.
 func TestExplicitZeroBudgets(t *testing.T) {
 	opt, err := TaskSpec{MaxCorrections: Int(0), MaxReboots: Int(0)}.resolve()
 	if err != nil {
@@ -252,13 +225,13 @@ func TestExplicitZeroBudgets(t *testing.T) {
 	if opt.MaxCorrections != 0 || opt.MaxReboots != 0 {
 		t.Fatalf("explicit zeros not honored: %d/%d", opt.MaxCorrections, opt.MaxReboots)
 	}
-	legacy, err := Options{}.resolve()
+	unset, err := TaskSpec{}.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.MaxCorrections != 3 || legacy.MaxReboots != 10 || legacy.NR != 20 {
-		t.Fatalf("legacy zero values must keep paper defaults, got %d/%d/%d",
-			legacy.MaxCorrections, legacy.MaxReboots, legacy.NR)
+	if unset.MaxCorrections != 3 || unset.MaxReboots != 10 || unset.NR != 20 {
+		t.Fatalf("unset budgets must keep paper defaults, got %d/%d/%d",
+			unset.MaxCorrections, unset.MaxReboots, unset.NR)
 	}
 
 	// A no-correction, no-reboot run can never correct or reboot.

@@ -32,28 +32,19 @@
 //	grade, err := c.Grade(ctx, res.Testbench, 1)
 //
 // cmd/correctbenchd serves the identical contract over HTTP (NDJSON
-// event streams). The blocking helpers GenerateTestbench, Grade and
-// RunExperiment remain as deprecated wrappers over a package-level
-// client.
+// event streams).
 package correctbench
 
 import (
-	"context"
 	"fmt"
-	"io"
 
 	"correctbench/internal/autoeval"
-	"correctbench/internal/core"
 	"correctbench/internal/dataset"
 	"correctbench/internal/harness"
 	"correctbench/internal/llm"
 	"correctbench/internal/testbench"
 	"correctbench/internal/validator"
 )
-
-// defaultClient backs the deprecated blocking facade functions, so
-// even legacy callers share fixture caches across calls.
-var defaultClient = NewClient()
 
 // Problem re-exports the dataset task type.
 type Problem = dataset.Problem
@@ -78,51 +69,6 @@ func Problems() []*Problem { return dataset.All() }
 // ProblemByName looks a task up by name (nil when absent).
 func ProblemByName(name string) *Problem { return dataset.ByName(name) }
 
-// Options configures a single CorrectBench task run.
-//
-// Deprecated: Options cannot express explicit zero budgets — its
-// MaxCorrections/MaxReboots/RTLGroupSize fields treat 0 as "paper
-// default" (the documented legacy behavior, preserved here). New code
-// should use TaskSpec, whose pointer-valued budget fields distinguish
-// "unset" from "explicitly zero".
-type Options struct {
-	// Seed drives every random choice; equal seeds reproduce runs
-	// exactly.
-	Seed int64
-	// LLM selects the model profile by name ("gpt-4o",
-	// "claude-3.5-sonnet", "gpt-4o-mini"); default gpt-4o.
-	LLM string
-	// Criterion selects the validation criterion ("100%-wrong",
-	// "70%-wrong", "50%-wrong"); default the paper's 70%-wrong.
-	Criterion string
-	// MaxCorrections (I_C^max), MaxReboots (I_R^max) and RTLGroupSize
-	// (N_R) default to the paper's 3 / 10 / 20.
-	MaxCorrections int
-	MaxReboots     int
-	RTLGroupSize   int
-}
-
-// taskSpec converts legacy Options to a TaskSpec, preserving the
-// documented `> 0` guard semantics: a zero budget field means "paper
-// default", never "disable".
-func (o Options) taskSpec() TaskSpec {
-	s := TaskSpec{Seed: o.Seed, LLM: o.LLM, Criterion: o.Criterion}
-	if o.MaxCorrections > 0 {
-		s.MaxCorrections = Int(o.MaxCorrections)
-	}
-	if o.MaxReboots > 0 {
-		s.MaxReboots = Int(o.MaxReboots)
-	}
-	if o.RTLGroupSize > 0 {
-		s.RTLGroupSize = Int(o.RTLGroupSize)
-	}
-	return s
-}
-
-func (o Options) resolve() (core.Options, error) {
-	return o.taskSpec().resolve()
-}
-
 // TaskResult is the outcome of one CorrectBench task.
 type TaskResult struct {
 	Testbench *Testbench
@@ -135,36 +81,11 @@ type TaskResult struct {
 	TokensIn, TokensOut int
 }
 
-// GenerateTestbench runs the full CorrectBench workflow (Algorithm 1)
-// on the named dataset problem.
-//
-// Deprecated: use Client.GenerateTestbench, which adds cancellation
-// and shares fixture caches across calls.
-func GenerateTestbench(problem string, o Options) (*TaskResult, error) {
-	return defaultClient.GenerateTestbench(context.Background(), problem, o.taskSpec())
-}
-
-// GenerateTestbenchFor is GenerateTestbench for an explicit problem
-// (including user-defined ones; see NewProblem).
-//
-// Deprecated: use Client.GenerateTestbenchFor.
-func GenerateTestbenchFor(p *Problem, o Options) (*TaskResult, error) {
-	return defaultClient.GenerateTestbenchFor(context.Background(), p, o.taskSpec())
-}
-
-// Grade evaluates a testbench with AutoEval (Table II) and returns its
-// grade. The seed fixes the mutant fixtures.
-//
-// Deprecated: use Client.Grade, which adds cancellation and reuses
-// mutant fixtures across calls with the same seed.
-func Grade(tb *Testbench, seed int64) (GradeLevel, error) {
-	return defaultClient.Grade(context.Background(), tb, seed)
-}
-
 // NewProblem registers nothing globally; it simply builds a custom
-// problem value usable with GenerateTestbenchFor. kind is "CMB" or
-// "SEQ"; for SEQ problems clock must be "clk" and reset names the
-// synchronous reset input ("" when the design is flushed by a load).
+// problem value usable with Client.GenerateTestbenchFor. kind is
+// "CMB" or "SEQ"; for SEQ problems clock must be "clk" and reset names
+// the synchronous reset input ("" when the design is flushed by a
+// load).
 func NewProblem(name, kind, spec, goldenSource, reset string, difficulty int) (*Problem, error) {
 	k := dataset.CMB
 	switch kind {
@@ -187,56 +108,16 @@ func NewProblem(name, kind, spec, goldenSource, reset string, difficulty int) (*
 	return p, nil
 }
 
-// ExperimentConfig configures a whole-dataset experiment.
-//
-// Deprecated: use ExperimentSpec with Client.Submit, which adds
-// per-cell event streams, cancellation and explicit-zero budgets.
-type ExperimentConfig struct {
-	Seed int64
-	Reps int
-	// LLM and Criterion as in Options.
-	LLM       string
-	Criterion string
-	// Problems restricts the task set (default: all 156).
-	ProblemNames []string
-	// Workers bounds how many (method, rep, problem) cells run
-	// concurrently: 0 uses all CPUs, 1 forces a sequential run. Every
-	// setting produces identical results for a given Seed — each cell
-	// draws from its own hierarchically derived random stream.
-	Workers int
-	// Progress receives one line per finished (method, repetition),
-	// in canonical order regardless of Workers.
-	Progress io.Writer
-}
-
 // Experiment wraps harness results with the formatting helpers.
 type Experiment struct {
 	*harness.Results
-}
-
-// RunExperiment runs the three methods over the dataset and returns
-// the aggregated results (Table I / Table III / Fig. 7 panel).
-//
-// Deprecated: use Client.Submit and Job.Wait. This wrapper submits a
-// job on the package-level client, forwards cfg.Progress, and blocks
-// until completion.
-func RunExperiment(cfg ExperimentConfig) (*Experiment, error) {
-	spec := ExperimentSpec{
-		Seed: cfg.Seed, Reps: cfg.Reps, LLM: cfg.LLM, Criterion: cfg.Criterion,
-		Problems: cfg.ProblemNames, Workers: cfg.Workers,
-	}
-	job, err := defaultClient.submit(context.Background(), spec, cfg.Progress)
-	if err != nil {
-		return nil, err
-	}
-	return job.Wait(context.Background())
 }
 
 // LLMNames lists the available model profiles. The order is stable
 // and documented — gpt-4o, claude-3.5-sonnet, gpt-4o-mini (the
 // paper's column order) — so responses built from it (GET /v1/llms)
 // are byte-stable for caching. Every returned name round-trips
-// through the LLM field of Options/TaskSpec/ExperimentSpec.
+// through the LLM field of TaskSpec and ExperimentSpec.
 func LLMNames() []string {
 	var out []string
 	for _, p := range llm.Profiles() {
@@ -249,8 +130,8 @@ func LLMNames() []string {
 // is stable and documented — 100%-wrong, 70%-wrong, 50%-wrong (the
 // paper's study order) — so responses built from it (GET
 // /v1/criteria) are byte-stable for caching. Every returned name
-// round-trips through the Criterion field of
-// Options/TaskSpec/ExperimentSpec.
+// round-trips through the Criterion field of TaskSpec and
+// ExperimentSpec.
 func CriterionNames() []string {
 	var out []string
 	for _, c := range validator.Criteria() {

@@ -1,6 +1,7 @@
 package correctbench
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -15,31 +16,21 @@ func TestProblemsAndLookup(t *testing.T) {
 }
 
 func TestGenerateAndGrade(t *testing.T) {
-	res, err := GenerateTestbench("adder4", Options{Seed: 1})
+	c := NewClient()
+	ctx := context.Background()
+	res, err := c.GenerateTestbench(ctx, "adder4", TaskSpec{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Testbench == nil || res.TokensIn == 0 {
 		t.Fatal("incomplete result")
 	}
-	g, err := Grade(res.Testbench, 1)
+	g, err := c.Grade(ctx, res.Testbench, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g < Eval0 {
 		t.Errorf("grade = %s", g)
-	}
-}
-
-func TestOptionsValidation(t *testing.T) {
-	if _, err := GenerateTestbench("adder4", Options{LLM: "gpt-9"}); err == nil {
-		t.Error("bad LLM accepted")
-	}
-	if _, err := GenerateTestbench("adder4", Options{Criterion: "99%-wrong"}); err == nil {
-		t.Error("bad criterion accepted")
-	}
-	if _, err := GenerateTestbench("nonexistent", Options{}); err == nil {
-		t.Error("bad problem accepted")
 	}
 }
 
@@ -57,7 +48,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := GenerateTestbenchFor(p, Options{Seed: 2, MaxReboots: 3})
+	res, err := NewClient().GenerateTestbenchFor(context.Background(), p, TaskSpec{Seed: 2, MaxReboots: Int(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +64,15 @@ endmodule
 }
 
 func TestRunExperimentSubset(t *testing.T) {
-	exp, err := RunExperiment(ExperimentConfig{
+	ctx := context.Background()
+	job, err := NewClient().Submit(ctx, ExperimentSpec{
 		Seed: 4, Reps: 1,
-		ProblemNames: []string{"mux2_w4", "cnt4", "halfadd", "dff"},
+		Problems: []string{"mux2_w4", "cnt4", "halfadd", "dff"},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := job.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package correctbench
 
 import (
+	"context"
 	"testing"
 
 	"correctbench/internal/dataset"
@@ -24,7 +25,7 @@ func TestTableOutputEngineDifferential(t *testing.T) {
 		prev := sim.DefaultEngine
 		sim.DefaultEngine = e
 		defer func() { sim.DefaultEngine = prev }()
-		res, err := harness.Run(harness.Config{Reps: 1, Seed: 42, Problems: probs, Workers: 2})
+		res, err := harness.RunContext(context.Background(), harness.Config{Reps: 1, Seed: 42, Problems: probs, Workers: 2})
 		if err != nil {
 			t.Fatalf("harness (%s): %v", e, err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -48,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := correctbench.GenerateTestbenchFor(p, correctbench.Options{Seed: 3})
+	res, err := correctbench.NewClient().GenerateTestbenchFor(context.Background(), p, correctbench.TaskSpec{Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

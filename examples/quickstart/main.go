@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,12 +16,14 @@ import (
 
 func main() {
 	const task = "adder8"
+	ctx := context.Background()
+	c := correctbench.NewClient()
 
 	p := correctbench.ProblemByName(task)
 	fmt.Printf("Task %s (%s, difficulty %d)\n", p.Name, p.Kind, p.Difficulty)
 	fmt.Printf("Spec: %s\n\n", p.Spec)
 
-	res, err := correctbench.GenerateTestbench(task, correctbench.Options{Seed: 1})
+	res, err := c.GenerateTestbench(ctx, task, correctbench.TaskSpec{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +33,7 @@ func main() {
 		res.TokensIn, res.TokensOut)
 	fmt.Printf("Testbench: %d scenarios\n\n", res.Testbench.ScenarioCount())
 
-	grade, err := correctbench.Grade(res.Testbench, 1)
+	grade, err := c.Grade(ctx, res.Testbench, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

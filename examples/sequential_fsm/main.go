@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,18 +20,20 @@ import (
 
 func main() {
 	const task = "shift18"
+	ctx := context.Background()
+	c := correctbench.NewClient()
 	p := correctbench.ProblemByName(task)
 	fmt.Printf("Task %s (%s, difficulty %d): %s\n\n", p.Name, p.Kind, p.Difficulty, p.Spec)
 
 	for _, criterion := range correctbench.CriterionNames() {
-		res, err := correctbench.GenerateTestbench(task, correctbench.Options{
+		res, err := c.GenerateTestbench(ctx, task, correctbench.TaskSpec{
 			Seed:      7,
 			Criterion: criterion,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		grade, err := correctbench.Grade(res.Testbench, 7)
+		grade, err := c.Grade(ctx, res.Testbench, 7)
 		if err != nil {
 			log.Fatal(err)
 		}

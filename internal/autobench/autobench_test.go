@@ -1,6 +1,7 @@
 package autobench
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestCleanCheckerPassesGolden(t *testing.T) {
 			continue
 		}
 		foundClean = true
-		res, err := tb.RunAgainstSource(p.Source, p.Top)
+		res, err := tb.RunAgainstSourceContext(context.Background(), p.Source, p.Top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestFaultyCheckerIsObservable(t *testing.T) {
 			continue
 		}
 		faulty++
-		res, err := tb.RunAgainstSource(p.Source, p.Top)
+		res, err := tb.RunAgainstSourceContext(context.Background(), p.Source, p.Top)
 		if err != nil {
 			continue // checker that breaks simulation is observable too
 		}

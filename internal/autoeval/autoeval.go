@@ -85,19 +85,6 @@ type Evaluator struct {
 	// once per Evaluator.
 	designMu sync.Mutex
 	designs  map[string]*sim.Design
-
-	// screenMu guards screenStats, the aggregate of the static mutant
-	// pre-screens run during fixture construction.
-	screenMu    sync.Mutex
-	screenStats mutate.ScreenStats
-}
-
-// ScreenStats returns the aggregate static pre-screen counters over
-// every fixture this evaluator has built.
-func (e *Evaluator) ScreenStats() mutate.ScreenStats {
-	e.screenMu.Lock()
-	defer e.screenMu.Unlock()
-	return e.screenStats
 }
 
 // elaborateCached elaborates Verilog source, memoizing per distinct
@@ -282,9 +269,6 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 			candidates = append(candidates, mutate.DistinctMutantsScreened(golden, rng, e.Mutants*2, 2, differs, screen)...)
 		}
 	}
-	e.screenMu.Lock()
-	e.screenStats.Add(screen.Stats)
-	e.screenMu.Unlock()
 	var subtle, gross []*verilog.Module
 	if batched {
 		for i, o := range batchRun(probe, candidates) {
@@ -396,14 +380,9 @@ func hashName(s string) int64 {
 	return h
 }
 
-// Evaluate grades one testbench.
-func (e *Evaluator) Evaluate(tb *testbench.Testbench) (Grade, error) {
-	return e.EvaluateContext(context.Background(), tb)
-}
-
-// EvaluateContext is Evaluate with cancellation: the mutant runs stop
-// within one simulation step batch of ctx being cancelled and the
-// context's error is returned (never folded into a grade). Fixture
+// EvaluateContext grades one testbench. The mutant runs stop within
+// one simulation step batch of ctx being cancelled and the context's
+// error is returned (never folded into a grade). Fixture
 // construction itself is not cancellable — fixtures are built once and
 // shared across every job using the evaluator, so a cancelled build
 // must never poison the cache.

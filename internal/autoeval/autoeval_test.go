@@ -1,6 +1,7 @@
 package autoeval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestGoldenTestbenchGetsEval2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := e.Evaluate(tb)
+		g, err := e.EvaluateContext(context.Background(), tb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestSyntaxBrokenIsFailed(t *testing.T) {
 	}
 	broken := *tb
 	broken.DriverSource = "module ("
-	g, err := e.Evaluate(&broken)
+	g, err := e.EvaluateContext(context.Background(), &broken)
 	if err != nil || g != GradeFailed {
 		t.Errorf("grade = %s, %v; want Failed", g, err)
 	}
@@ -79,11 +80,11 @@ func TestFaultyCheckerStopsAtEval0(t *testing.T) {
 			CheckerSource: verilog.PrintModule(mod), CheckerTop: p.Top, CheckerSticky: -1,
 		}
 		tb.DriverSource = testbench.EmitDriver(tb)
-		res, err := tb.RunAgainstSource(p.Source, p.Top)
+		res, err := tb.RunAgainstSourceContext(context.Background(), p.Source, p.Top)
 		if err != nil || res.Pass() {
 			continue
 		}
-		g, err := e.Evaluate(tb)
+		g, err := e.EvaluateContext(context.Background(), tb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func TestThinTestbenchMayMissEval2(t *testing.T) {
 			CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1,
 		}
 		tb.DriverSource = testbench.EmitDriver(tb)
-		g, err := e.Evaluate(tb)
+		g, err := e.EvaluateContext(context.Background(), tb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,11 +202,11 @@ func TestBatchGradingMatchesInterp(t *testing.T) {
 			tbI.Engine = sim.EngineInterp
 			tbB := *tc.mk(eB)
 			tbB.Engine = sim.EngineBatched
-			gI, err := eI.Evaluate(&tbI)
+			gI, err := eI.EvaluateContext(context.Background(), &tbI)
 			if err != nil {
 				t.Fatalf("%s/%s interp: %v", name, tc.label, err)
 			}
-			gB, err := eB.Evaluate(&tbB)
+			gB, err := eB.EvaluateContext(context.Background(), &tbB)
 			if err != nil {
 				t.Fatalf("%s/%s batched: %v", name, tc.label, err)
 			}

@@ -1,6 +1,7 @@
 package autoeval
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestConcurrentEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := ref.Evaluate(tb)
+		g, err := ref.EvaluateContext(context.Background(), tb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestConcurrentEvaluate(t *testing.T) {
 					errc <- err
 					return
 				}
-				grade, err := e.Evaluate(tb)
+				grade, err := e.EvaluateContext(context.Background(), tb)
 				if err != nil {
 					errc <- err
 					return
@@ -98,7 +99,7 @@ func TestConcurrentEvaluateDistinctTestbenches(t *testing.T) {
 				tb.DriverSource = "module ("
 				want = GradeFailed
 			}
-			g, err := e.Evaluate(tb)
+			g, err := e.EvaluateContext(context.Background(), tb)
 			if err != nil {
 				t.Errorf("evaluate: %v", err)
 				return

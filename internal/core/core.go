@@ -85,15 +85,10 @@ type Result struct {
 	Trace     *Trace
 }
 
-// Run executes Algorithm 1 for one problem.
-func Run(p *dataset.Problem, opt Options, rng *rand.Rand) (*Result, error) {
-	return RunContext(context.Background(), p, opt, rng)
-}
-
-// RunContext is Run with cancellation: the context is checked at every
-// agent-loop iteration and plumbed into the validator's simulations,
-// so a cancelled task stops within one simulation step batch and
-// returns the context's error.
+// RunContext executes Algorithm 1 for one problem. The context is
+// checked at every agent-loop iteration and plumbed into the
+// validator's simulations, so a cancelled task stops within one
+// simulation step batch and returns the context's error.
 func RunContext(ctx context.Context, p *dataset.Problem, opt Options, rng *rand.Rand) (*Result, error) {
 	if opt.Profile == nil {
 		return nil, fmt.Errorf("core: options missing LLM profile")

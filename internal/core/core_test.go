@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestRunTerminatesWithinBudgets(t *testing.T) {
 	for _, name := range []string{"mux2_w4", "cnt8", "det101"} {
 		p := dataset.ByName(name)
 		rng := rand.New(rand.NewSource(1))
-		res, err := Run(p, opt, rng)
+		res, err := RunContext(context.Background(), p, opt, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -42,7 +43,7 @@ func TestRunTerminatesWithinBudgets(t *testing.T) {
 }
 
 func TestRunRequiresProfile(t *testing.T) {
-	if _, err := Run(dataset.ByName("dff"), Options{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := RunContext(context.Background(), dataset.ByName("dff"), Options{}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("missing profile accepted")
 	}
 }
@@ -56,7 +57,7 @@ func TestValidatedPassesAreUsuallyEval2(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, name := range []string{"adder8", "alu4", "cnt8", "sipo8", "mux4_w4", "parity_even8", "cmp_full4", "edge_rise"} {
 		p := dataset.ByName(name)
-		res, err := Run(p, opt, rng)
+		res, err := RunContext(context.Background(), p, opt, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestValidatedPassesAreUsuallyEval2(t *testing.T) {
 			continue
 		}
 		validated++
-		g, err := eval.Evaluate(res.Testbench)
+		g, err := eval.EvaluateContext(context.Background(), res.Testbench)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestTraceTokensAccumulate(t *testing.T) {
 	opt := DefaultOptions(llm.GPT4o())
 	p := dataset.ByName("det1101") // hard SEQ: likely corrections/reboots
 	rng := rand.New(rand.NewSource(3))
-	res, err := Run(p, opt, rng)
+	res, err := RunContext(context.Background(), p, opt, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,11 @@ func TestTraceTokensAccumulate(t *testing.T) {
 func TestDeterminismUnderSameSeed(t *testing.T) {
 	opt := DefaultOptions(llm.GPT4o())
 	p := dataset.ByName("cnt4")
-	r1, err := Run(p, opt, rand.New(rand.NewSource(5)))
+	r1, err := RunContext(context.Background(), p, opt, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(p, opt, rand.New(rand.NewSource(5)))
+	r2, err := RunContext(context.Background(), p, opt, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestCorrectorShapedImpliesValidated(t *testing.T) {
 	opt := DefaultOptions(llm.GPT4o())
 	rng := rand.New(rand.NewSource(11))
 	for _, p := range dataset.OfKind(dataset.SEQ)[:12] {
-		res, err := Run(p, opt, rng)
+		res, err := RunContext(context.Background(), p, opt, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

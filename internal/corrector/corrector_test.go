@@ -1,6 +1,7 @@
 package corrector
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestCorrectRepairsWithGoodBugInfo(t *testing.T) {
 	}
 	// A fully repaired checker matches golden behaviour.
 	p := fixed.Problem
-	res, err := fixed.RunAgainstSource(p.Source, p.Top)
+	res, err := fixed.RunAgainstSourceContext(context.Background(), p.Source, p.Top)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,8 +185,8 @@ func ByName(name string) *Problem {
 }
 
 // BenchmarkMix returns the fixed 12-problem CMB/SEQ mix used by the
-// repo's experiment-scale benchmarks (bench_test.go) and by
-// cmd/benchjson, so both measure the same workload.
+// repo's experiment-scale benchmarks (bench_test.go) and the engine
+// differential, so both run the same workload.
 func BenchmarkMix() []*Problem {
 	names := []string{
 		"mux4_w4", "adder8", "alu4", "prio_enc8", "sevenseg", "parity_even8",

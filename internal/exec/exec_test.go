@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"correctbench/internal/obs"
 	"correctbench/internal/store"
 )
 
@@ -320,6 +322,49 @@ func TestRemoteSingleNode(t *testing.T) {
 	st := r.Stats()
 	if st[0].Assigned != 24 || st[0].Completed != 24 {
 		t.Fatalf("stats: %+v", st[0])
+	}
+}
+
+// TestRemoteOversizedTracedResult pins that a traced cell whose phase
+// samples outgrow maxFrameBytes still completes on a one-node fleet:
+// the worker resends the result without its phases instead of
+// dropping it, which would re-dispatch the cell to the same node
+// forever.
+func TestRemoteOversizedTracedResult(t *testing.T) {
+	samples := make([]obs.PhaseSample, 20000)
+	for i := range samples {
+		samples[i] = obs.PhaseSample{Phase: obs.PhaseRun, Seq: i, ParentSeq: -1, StartUS: int64(i), DurUS: 1}
+	}
+	if b, _ := json.Marshal(samples); len(b) <= maxFrameBytes {
+		t.Fatalf("samples encode to %d bytes, want > %d", len(b), maxFrameBytes)
+	}
+	runner := func(ctx context.Context, c Cell) (store.Outcome, error) {
+		col := obs.FromContext(ctx)
+		for _, s := range samples {
+			col.Add(s)
+		}
+		return pureRunner(0)(ctx, c)
+	}
+	cells := testCells(3)
+	f := newFleet(t, []string{"w1"}, runner, 2)
+	opt := testRemoteOptions(f)
+	// Encoding the samples is slow under the race detector; the node
+	// must never be declared dead, or the local fallback would finish
+	// the cells and hide a dropped result.
+	opt.MaxMissed = 1000
+	r, err := NewRemote([]string{"w1"}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := newSink()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := r.Execute(ctx, Job{Cells: cells, Workers: 2, Run: runner, Done: sink.done, Trace: true}); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	checkComplete(t, cells, sink)
+	if st := r.Stats(); st[0].Completed != uint64(len(cells)) {
+		t.Fatalf("stats: %+v, want every cell completed on the node", st[0])
 	}
 }
 

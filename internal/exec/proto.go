@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -46,8 +47,14 @@ import (
 const protoVersion = 1
 
 // maxFrameBytes bounds a frame payload; anything larger is a corrupt
-// length prefix, not a real message (specs and outcomes are tiny).
+// length prefix, not a real message (specs and outcomes are tiny —
+// only a traced result's phase samples can outgrow it, see
+// Worker.send).
 const maxFrameBytes = 1 << 20
+
+// errFrameTooLarge is writeFrame's refusal of a payload over
+// maxFrameBytes; nothing has been written when it is returned.
+var errFrameTooLarge = errors.New("exec: frame too large")
 
 // frame is the one wire message shape; which fields are set depends
 // on Op.
@@ -97,7 +104,7 @@ func writeFrame(c net.Conn, f frame) error {
 		return fmt.Errorf("exec: marshal frame: %w", err)
 	}
 	if len(payload) > maxFrameBytes {
-		return fmt.Errorf("exec: frame too large (%d bytes)", len(payload))
+		return fmt.Errorf("%w (%d bytes)", errFrameTooLarge, len(payload))
 	}
 	buf := make([]byte, 4+len(payload))
 	binary.BigEndian.PutUint32(buf, uint32(len(payload)))

@@ -91,7 +91,7 @@ func (o *RemoteOptions) normalize() {
 }
 
 // NodeStats is the cumulative per-node accounting of a Remote
-// executor, for /metrics and BENCH_harness.json.
+// executor, for /metrics.
 type NodeStats struct {
 	Addr string `json:"addr"`
 	// Healthy is the node's state as of the last job that touched it.

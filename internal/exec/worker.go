@@ -164,15 +164,21 @@ func (w *Worker) runCell(conn net.Conn, st *connState, c Cell, trace bool) {
 	w.send(conn, st, res)
 }
 
-// send writes one frame under the connection's write lock. Write
-// errors are swallowed: a dead coordinator connection means the
-// result is lost in transit, and the coordinator's straggler
-// reassignment re-executes the cell elsewhere — outcomes are pure, so
-// the duplicate is invisible.
+// send writes one frame under the connection's write lock. A result
+// whose phase samples (which grow with N_R × validation rounds) push
+// it past maxFrameBytes is resent without them: phases are off-wire
+// metadata, while a dropped result would be re-dispatched forever on
+// a one-node fleet. Other write errors are swallowed: a dead
+// coordinator connection means the result is lost in transit, and the
+// coordinator's straggler reassignment re-executes the cell elsewhere
+// — outcomes are pure, so the duplicate is invisible.
 func (w *Worker) send(conn net.Conn, st *connState, f frame) {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
-	_ = writeFrame(conn, f)
+	if err := writeFrame(conn, f); errors.Is(err, errFrameTooLarge) && f.Phases != nil {
+		f.Phases = nil
+		_ = writeFrame(conn, f)
+	}
 }
 
 // Drain puts the worker into shutdown: it broadcasts a draining frame

@@ -19,9 +19,8 @@
 //     shards, simulating the partial appends a crash leaves behind.
 //
 // The package is production-shaped but test-purposed: nothing in the
-// serving path imports it, while chaos tests and cmd/benchjson use it
-// to prove the robustness guarantees hold under seeded fault
-// schedules.
+// serving path imports it, while chaos tests use it to prove the
+// robustness guarantees hold under seeded fault schedules.
 package faults
 
 import (

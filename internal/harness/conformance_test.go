@@ -137,7 +137,7 @@ func TestCellExecutorConformance(t *testing.T) {
 			events = append(events, ev)
 			mu.Unlock()
 		}
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,12 +247,7 @@ type CriterionPipelineResult struct {
 	TokensOutPerTk float64
 }
 
-// CriteriaPipeline runs the Fig. 6(b) experiment.
-func CriteriaPipeline(cfg Config) ([]CriterionPipelineResult, error) {
-	return CriteriaPipelineContext(context.Background(), cfg)
-}
-
-// CriteriaPipelineContext is CriteriaPipeline with cancellation.
+// CriteriaPipelineContext runs the Fig. 6(b) experiment.
 func CriteriaPipelineContext(ctx context.Context, cfg Config) ([]CriterionPipelineResult, error) {
 	var out []CriterionPipelineResult
 	for _, c := range validator.Criteria() {

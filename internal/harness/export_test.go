@@ -1,13 +1,14 @@
 package harness
 
 import (
+	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
 )
 
 func TestWriteCSV(t *testing.T) {
-	res, err := Run(Config{Reps: 1, Seed: 31, Problems: subset(t)})
+	res, err := RunContext(context.Background(), Config{Reps: 1, Seed: 31, Problems: subset(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestSummaryCSV(t *testing.T) {
-	res, err := Run(Config{Reps: 1, Seed: 33, Problems: subset(t)})
+	res, err := RunContext(context.Background(), Config{Reps: 1, Seed: 33, Problems: subset(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (f *flakyStore) Close() error       { return f.inner.Close() }
 func TestFaultGuardRetriesTransientPuts(t *testing.T) {
 	probs := storeTestProblems(t)
 	fs := newFlakyStore(1)
-	res, err := Run(Config{Seed: 33, Reps: 1, Problems: probs, Store: fs})
+	res, err := RunContext(context.Background(), Config{Seed: 33, Reps: 1, Problems: probs, Store: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func TestFaultGuardRetriesTransientPuts(t *testing.T) {
 
 	// The retried cold run must have produced exactly what a clean run
 	// does, and the now-populated store must serve a fully warm rerun.
-	clean, err := Run(Config{Seed: 33, Reps: 1, Problems: probs})
+	clean, err := RunContext(context.Background(), Config{Seed: 33, Reps: 1, Problems: probs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Outcomes, clean.Outcomes) {
 		t.Error("outcomes under put faults differ from a clean run")
 	}
-	warm, err := Run(Config{Seed: 33, Reps: 1, Problems: probs, Store: fs})
+	warm, err := RunContext(context.Background(), Config{Seed: 33, Reps: 1, Problems: probs, Store: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFaultGuardRetriesTransientPuts(t *testing.T) {
 func TestFaultGuardBreakerOpensOnDeadStore(t *testing.T) {
 	probs := storeTestProblems(t)
 	fs := newFlakyStore(-1)
-	res, err := Run(Config{Seed: 33, Reps: 2, Problems: probs, Store: fs})
+	res, err := RunContext(context.Background(), Config{Seed: 33, Reps: 2, Problems: probs, Store: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFaultGuardBreakerOpensOnDeadStore(t *testing.T) {
 	if res.Store.Bypassed == 0 {
 		t.Error("no operations bypassed despite an open breaker")
 	}
-	clean, err := Run(Config{Seed: 33, Reps: 2, Problems: probs})
+	clean, err := RunContext(context.Background(), Config{Seed: 33, Reps: 2, Problems: probs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestFaultCellHookSeesEverySimulatedCell(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	total := len(AllMethods()) * len(probs)
@@ -227,7 +227,7 @@ func TestFaultCellHookSeesEverySimulatedCell(t *testing.T) {
 
 	// Fully warm rerun: every cell replays, the hook must stay silent.
 	seen = map[int]int{}
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 0 {

@@ -354,21 +354,19 @@ func fromStoreOutcome(so store.Outcome, p *dataset.Problem) (TaskOutcome, bool) 
 	}, true
 }
 
-// Run executes the configured experiment over a bounded worker pool.
+// RunContext executes the configured experiment over a bounded worker
+// pool.
 //
 // Determinism: each cell draws from its own derived stream and writes
 // into its own pre-allocated result slot, so Workers: 1 and
 // Workers: 8 produce identical Results. On failure the error of the
 // canonically earliest failing cell is returned (the same error a
 // sequential run would hit first).
-func Run(cfg Config) (*Results, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cancellation. The context is plumbed into
-// every cell's simulations (core → validator → autoeval →
-// internal/sim), so cancelling stops the workers within one
-// simulation step batch; the run then returns ctx.Err().
+//
+// Cancellation: the context is plumbed into every cell's simulations
+// (core → validator → autoeval → internal/sim), so cancelling stops
+// the workers within one simulation step batch; the run then returns
+// ctx.Err().
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	cfg.Normalize()
 	eval := cfg.Evaluator

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func subset(t *testing.T) []*dataset.Problem {
 }
 
 func TestRunSmallExperiment(t *testing.T) {
-	res, err := Run(Config{Reps: 2, Seed: 7, Problems: subset(t)})
+	res, err := RunContext(context.Background(), Config{Reps: 2, Seed: 7, Problems: subset(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestRunSmallExperiment(t *testing.T) {
 }
 
 func TestTableRenderingsContainKeyRows(t *testing.T) {
-	res, err := Run(Config{Reps: 1, Seed: 3, Problems: subset(t)})
+	res, err := RunContext(context.Background(), Config{Reps: 1, Seed: 3, Problems: subset(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestTableRenderingsContainKeyRows(t *testing.T) {
 }
 
 func TestAttributionConsistency(t *testing.T) {
-	res, err := Run(Config{Reps: 1, Seed: 5, Problems: subset(t)})
+	res, err := RunContext(context.Background(), Config{Reps: 1, Seed: 5, Problems: subset(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestAttributionConsistency(t *testing.T) {
 }
 
 func TestGradeSharesSumToOne(t *testing.T) {
-	res, err := Run(Config{Reps: 1, Seed: 9, Problems: subset(t), Methods: []Method{MethodBaseline}})
+	res, err := RunContext(context.Background(), Config{Reps: 1, Seed: 9, Problems: subset(t), Methods: []Method{MethodBaseline}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestCriteriaAccuracySmall(t *testing.T) {
 }
 
 func TestCriteriaPipelineSmall(t *testing.T) {
-	rows, err := CriteriaPipeline(Config{Reps: 1, Seed: 13, Problems: subset(t)})
+	rows, err := CriteriaPipelineContext(context.Background(), Config{Reps: 1, Seed: 13, Problems: subset(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestCriteriaPipelineSmall(t *testing.T) {
 }
 
 func TestFig7Rendering(t *testing.T) {
-	res, err := Run(Config{Reps: 1, Seed: 15, Problems: subset(t), Profile: llm.GPT4oMini()})
+	res, err := RunContext(context.Background(), Config{Reps: 1, Seed: 15, Problems: subset(t), Profile: llm.GPT4oMini()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestFig7Rendering(t *testing.T) {
 }
 
 func TestAvgTokensPositive(t *testing.T) {
-	res, err := Run(Config{Reps: 1, Seed: 17, Problems: subset(t), Methods: []Method{MethodCorrectBench}})
+	res, err := RunContext(context.Background(), Config{Reps: 1, Seed: 17, Problems: subset(t), Methods: []Method{MethodCorrectBench}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +168,11 @@ func TestAvgTokensPositive(t *testing.T) {
 
 func TestRunSeedDeterminism(t *testing.T) {
 	cfg := Config{Reps: 1, Seed: 21, Problems: subset(t), Methods: []Method{MethodAutoBench}}
-	r1, err := Run(cfg)
+	r1, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg)
+	r2, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

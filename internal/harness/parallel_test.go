@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	probs := subset(t)
 	run := func(workers int) (*Results, string) {
 		var progress bytes.Buffer
-		res, err := Run(Config{
+		res, err := RunContext(context.Background(), Config{
 			Reps: 2, Seed: 33, Problems: probs, Workers: workers, Progress: &progress,
 		})
 		if err != nil {
@@ -48,11 +49,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 // reproduce the surviving cells exactly.
 func TestCellStreamIndependence(t *testing.T) {
 	probs := subset(t)
-	full, err := Run(Config{Reps: 1, Seed: 55, Problems: probs, Methods: []Method{MethodAutoBench}})
+	full, err := RunContext(context.Background(), Config{Reps: 1, Seed: 55, Problems: probs, Methods: []Method{MethodAutoBench}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := Run(Config{Reps: 1, Seed: 55, Problems: probs[3:], Methods: []Method{MethodAutoBench}})
+	part, err := RunContext(context.Background(), Config{Reps: 1, Seed: 55, Problems: probs[3:], Methods: []Method{MethodAutoBench}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestParallelFirstErrorIsDeterministic(t *testing.T) {
 	probs := append(subset(t), bad("zz_bad1"), bad("zz_bad2"))
 	var firstMsg string
 	for _, workers := range []int{1, 4} {
-		_, err := Run(Config{Reps: 1, Seed: 3, Problems: probs, Workers: workers})
+		_, err := RunContext(context.Background(), Config{Reps: 1, Seed: 3, Problems: probs, Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: expected an error", workers)
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestStoreWarmRerun(t *testing.T) {
 	st := store.NewMemory(0)
 	cfg := Config{Seed: 21, Reps: 2, Problems: probs, Store: st}
 
-	cold, err := Run(cfg)
+	cold, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestStoreWarmRerun(t *testing.T) {
 		t.Fatalf("store entries = %d, want %d", s.Entries, total)
 	}
 
-	warm, err := Run(cfg)
+	warm, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestStoreWarmRerun(t *testing.T) {
 		t.Error("warm outcomes differ from cold")
 	}
 
-	plain, err := Run(Config{Seed: 21, Reps: 2, Problems: probs})
+	plain, err := RunContext(context.Background(), Config{Seed: 21, Reps: 2, Problems: probs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestStoreMismatchedRecordIsMiss(t *testing.T) {
 	if err := st.Put(key, store.Outcome{Problem: "someone_else", Grade: 3}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,13 +43,6 @@ type ScreenStats struct {
 	Flagged int `json:"flagged"`
 }
 
-// Add accumulates other into s.
-func (s *ScreenStats) Add(other ScreenStats) {
-	s.Candidates += other.Candidates
-	s.Identical += other.Identical
-	s.Flagged += other.Flagged
-}
-
 // NewScreen builds a screen against golden. The golden's own
 // error-severity diagnostic count is the baseline, so screening a
 // mutant of an already-dirty module flags only what the mutation

@@ -194,37 +194,14 @@ func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *si
 	return out, tb.runBatchPrograms(ctx, progs, idxs, trace, out, earlyExit)
 }
 
-// RunBatchProgram is RunBatchProgramContext without cancellation.
-func (tb *Testbench) RunBatchProgram(prog *sim.BatchProgram, earlyExit bool) []BatchOutcome {
-	out, _ := tb.RunBatchProgramContext(context.Background(), prog, earlyExit)
-	return out
-}
-
-// RunBatchProgramContext is RunBatchAgainstDesignsContext for a
-// precompiled program: callers that run the same DUT set repeatedly
-// (graders, benchmark passes) compile once with sim.CompileBatch and
-// skip the per-call compile. Outcomes are indexed like
-// prog.Variants().
-func (tb *Testbench) RunBatchProgramContext(ctx context.Context, prog *sim.BatchProgram, earlyExit bool) ([]BatchOutcome, error) {
-	idx := make([]int, len(prog.Variants()))
-	for i := range idx {
-		idx[i] = i
-	}
-	return tb.RunBatchProgramsContext(ctx, []*sim.BatchProgram{prog}, [][]int{idx}, earlyExit)
-}
-
-// RunBatchPrograms is RunBatchProgramsContext without cancellation.
-func (tb *Testbench) RunBatchPrograms(progs []*sim.BatchProgram, idx [][]int, earlyExit bool) []BatchOutcome {
-	out, _ := tb.RunBatchProgramsContext(context.Background(), progs, idx, earlyExit)
-	return out
-}
-
-// RunBatchProgramsContext runs a precompiled program set — typically
-// the (programs, index lists) pair from sim.CompileBatchSplit — in one
-// batched pass. idx[k][i] gives the outcome slot of progs[k]'s i-th
-// variant; every program must share the same base design. A variant no
-// program accepted falls back to a scalar run, so outcomes are total
-// over the indexed variants.
+// RunBatchProgramsContext is RunBatchAgainstDesignsContext for a
+// precompiled program set — typically the (programs, index lists)
+// pair from sim.CompileBatchSplit — run in one batched pass: callers
+// that run the same DUT set repeatedly (AutoEval's mutant fixtures)
+// compile once and skip the per-call compile. idx[k][i] gives the
+// outcome slot of progs[k]'s i-th variant; every program must share
+// the same base design. A variant no program accepted falls back to a
+// scalar run, so outcomes are total over the indexed variants.
 func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.BatchProgram, idx [][]int, earlyExit bool) ([]BatchOutcome, error) {
 	if len(progs) == 0 {
 		return nil, nil

@@ -200,17 +200,12 @@ func (tb *Testbench) checkerDesignContext(ctx context.Context) (*sim.Design, err
 	return d, nil
 }
 
-// RunAgainstSource simulates the DUT given as Verilog source against
-// the testbench. A DUT-side parse/elaboration/simulation failure is
-// returned as an error (the caller decides whether that means "discard
-// this RTL" — validator rows — or "testbench failed").
-func (tb *Testbench) RunAgainstSource(dutSrc, dutTop string) (*RunResult, error) {
-	return tb.RunAgainstSourceContext(context.Background(), dutSrc, dutTop)
-}
-
-// RunAgainstSourceContext is RunAgainstSource with cancellation: once
-// ctx is cancelled the simulation stops within one step batch and the
-// context's error is returned (wrapped; test with errors.Is).
+// RunAgainstSourceContext simulates the DUT given as Verilog source
+// against the testbench. A DUT-side parse/elaboration/simulation
+// failure is returned as an error (the caller decides whether that
+// means "discard this RTL" — validator rows — or "testbench failed").
+// Once ctx is cancelled the simulation stops within one step batch and
+// the context's error is returned (wrapped; test with errors.Is).
 func (tb *Testbench) RunAgainstSourceContext(ctx context.Context, dutSrc, dutTop string) (*RunResult, error) {
 	dutDesign, err := sim.ElaborateSourceContext(ctx, dutSrc, dutTop)
 	if err != nil {

@@ -1,6 +1,7 @@
 package testbench
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func golden(t *testing.T, name string) *Testbench {
 func TestGoldenTBPassesGoldenRTL(t *testing.T) {
 	for _, name := range []string{"mux2_w4", "adder8", "cnt8", "det101", "shift18", "fifo2", "sevenseg", "prio_enc8"} {
 		tb := golden(t, name)
-		res, err := tb.RunAgainstSource(tb.Problem.Source, tb.Problem.Top)
+		res, err := tb.RunAgainstSourceContext(context.Background(), tb.Problem.Source, tb.Problem.Top)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -47,7 +48,7 @@ func TestAllGoldenTBsPassGoldenRTL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		res, err := tb.RunAgainstSource(p.Source, p.Top)
+		res, err := tb.RunAgainstSourceContext(context.Background(), p.Source, p.Top)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -70,7 +71,7 @@ func TestMutantFailsGoldenTB(t *testing.T) {
 		if len(muts) == 0 {
 			t.Fatal("no mutation applied")
 		}
-		res, err := tb.RunAgainstSource(verilog.PrintModule(mut), tb.Problem.Top)
+		res, err := tb.RunAgainstSourceContext(context.Background(), verilog.PrintModule(mut), tb.Problem.Top)
 		if err != nil {
 			continue // mutants that break simulation count as caught
 		}
@@ -97,7 +98,7 @@ func TestFaultyCheckerFailsGoldenRTL(t *testing.T) {
 	}
 	tb.CheckerSource = verilog.PrintModule(faulty)
 	tb.CheckerPlan = plan
-	res, err := tb.RunAgainstSource(tb.Problem.Source, tb.Problem.Top)
+	res, err := tb.RunAgainstSourceContext(context.Background(), tb.Problem.Source, tb.Problem.Top)
 	if err != nil {
 		t.Fatal(err)
 	}

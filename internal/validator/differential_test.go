@@ -1,6 +1,7 @@
 package validator
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,10 @@ func TestCompiledEngineDifferential(t *testing.T) {
 				// design cache and engine field are independent.
 				tb := *gtb
 				tb.Engine = engine
-				m, ok := v.BuildMatrix(&tb, group)
+				m, ok, err := v.BuildMatrixContext(context.Background(), &tb, group)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !ok {
 					return "", false
 				}

@@ -203,18 +203,12 @@ type Validator struct {
 	Criterion Criterion
 }
 
-// BuildMatrix simulates every RTL candidate against the testbench.
-// Rows for syntax-broken or unsimulatable RTLs are discarded. A broken
-// testbench (parse/elaboration/checker failure) yields a Report with
-// SimulationBroken set instead of a matrix.
-func (v *Validator) BuildMatrix(tb *testbench.Testbench, group []RTLCandidate) (*Matrix, bool) {
-	m, ok, _ := v.BuildMatrixContext(context.Background(), tb, group)
-	return m, ok
-}
-
-// BuildMatrixContext is BuildMatrix with cancellation. The returned
-// error is non-nil only when ctx was cancelled mid-build; a cancelled
-// candidate simulation is never misread as a discarded RTL row.
+// BuildMatrixContext simulates every RTL candidate against the
+// testbench. Rows for syntax-broken or unsimulatable RTLs are
+// discarded. A broken testbench (parse/elaboration/checker failure)
+// yields ok == false instead of a matrix. The returned error is
+// non-nil only when ctx was cancelled mid-build; a cancelled candidate
+// simulation is never misread as a discarded RTL row.
 func (v *Validator) BuildMatrixContext(ctx context.Context, tb *testbench.Testbench, group []RTLCandidate) (*Matrix, bool, error) {
 	if !tb.SyntaxOK() {
 		return nil, false, nil
@@ -274,14 +268,9 @@ func (v *Validator) Judge(m *Matrix) *Report {
 	return rep
 }
 
-// Validate runs the full validation of one testbench.
-func (v *Validator) Validate(tb *testbench.Testbench, group []RTLCandidate) *Report {
-	rep, _ := v.ValidateContext(context.Background(), tb, group)
-	return rep
-}
-
-// ValidateContext is Validate with cancellation; the error is non-nil
-// only when ctx was cancelled before the verdict was reached.
+// ValidateContext runs the full validation of one testbench. The
+// error is non-nil only when ctx was cancelled before the verdict was
+// reached.
 func (v *Validator) ValidateContext(ctx context.Context, tb *testbench.Testbench, group []RTLCandidate) (*Report, error) {
 	m, ok, err := v.BuildMatrixContext(ctx, tb, group)
 	if err != nil {

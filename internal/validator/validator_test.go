@@ -1,6 +1,7 @@
 package validator
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -208,7 +209,10 @@ func TestEndToEndValidation(t *testing.T) {
 	clean := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
 	clean.DriverSource = testbench.EmitDriver(clean)
 	v := &Validator{Criterion: Wrong70}
-	rep := v.Validate(clean, group)
+	rep, err := v.ValidateContext(context.Background(), clean, group)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !rep.Correct {
 		t.Errorf("clean testbench judged wrong; matrix:\n%s", rep.Matrix.Render())
 	}
@@ -223,7 +227,7 @@ func TestEndToEndValidation(t *testing.T) {
 			continue
 		}
 		cand := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: verilog.PrintModule(mod), CheckerTop: p.Top, CheckerPlan: plan, CheckerSticky: -1}
-		if res, err := cand.RunAgainstSource(p.Source, p.Top); err == nil && !res.Pass() {
+		if res, err := cand.RunAgainstSourceContext(context.Background(), p.Source, p.Top); err == nil && !res.Pass() {
 			faulty = cand
 			break
 		}
@@ -232,7 +236,10 @@ func TestEndToEndValidation(t *testing.T) {
 		t.Fatal("could not build an observably faulty checker")
 	}
 	faulty.DriverSource = testbench.EmitDriver(faulty)
-	rep = v.Validate(faulty, group)
+	rep, err = v.ValidateContext(context.Background(), faulty, group)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Correct {
 		t.Errorf("faulty testbench judged correct; matrix:\n%s", rep.Matrix.Render())
 	}
@@ -246,7 +253,10 @@ func TestSyntaxBrokenTestbench(t *testing.T) {
 	scs, _ := testbench.GenerateScenarios(p, rand.New(rand.NewSource(1)), testbench.Coverage{Scenarios: 2, Steps: 2})
 	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: "module broken(", CheckerTop: p.Top, CheckerSticky: -1}
 	tb.DriverSource = "also broken ("
-	rep := (&Validator{Criterion: Wrong70}).Validate(tb, nil)
+	rep, err := (&Validator{Criterion: Wrong70}).ValidateContext(context.Background(), tb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Correct || !rep.SimulationBroken {
 		t.Error("syntax-broken testbench must be judged wrong/broken")
 	}
