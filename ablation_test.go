@@ -26,7 +26,7 @@ type ablationCorpus struct {
 
 type ablationEntry struct {
 	tb      *testbench.Testbench
-	group   []validator.RTLCandidate
+	group   *validator.Group
 	correct bool
 }
 
@@ -40,7 +40,11 @@ func buildAblationCorpus(b *testing.B, nr int, seed int64) *ablationCorpus {
 		p := dataset.ByName(name)
 		rng := rand.New(rand.NewSource(seed + int64(pi)*31))
 		var acct llm.Accountant
-		group, err := validator.GenerateRTLGroup(p, prof, nr, rng, &acct)
+		cands, err := validator.GenerateRTLGroup(p, prof, nr, rng, &acct)
+		if err != nil {
+			b.Fatal(err)
+		}
+		group, err := validator.NewGroup(context.Background(), p, cands)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +60,7 @@ func buildAblationCorpus(b *testing.B, nr int, seed int64) *ablationCorpus {
 			}
 			e := ablationEntry{tb: tb, group: group}
 			if tb.SyntaxOK() {
-				if res, err := tb.RunAgainstDesign(goldenDesign); err == nil && res.Pass() {
+				if res, err := tb.RunAgainstDesignContext(context.Background(), goldenDesign); err == nil && res.Pass() {
 					e.correct = true
 				}
 			}

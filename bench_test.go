@@ -104,7 +104,11 @@ func BenchmarkFig4RSMatrix(b *testing.B) {
 	prof := llm.GPT4o()
 	rng := rand.New(rand.NewSource(4))
 	var acct llm.Accountant
-	group, err := validator.GenerateRTLGroup(p, prof, 20, rng, &acct)
+	cands, err := validator.GenerateRTLGroup(p, prof, 20, rng, &acct)
+	if err != nil {
+		b.Fatal(err)
+	}
+	group, err := validator.NewGroup(context.Background(), p, cands)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -241,7 +245,7 @@ func BenchmarkTestbenchRunEngines(b *testing.B) {
 			tb.Engine = eng
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := tb.RunAgainstDesign(d)
+				res, err := tb.RunAgainstDesignContext(context.Background(), d)
 				if err != nil {
 					b.Fatalf("run failed: %v", err)
 				}
@@ -266,7 +270,7 @@ func BenchmarkTestbenchRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := tb.RunAgainstDesign(d)
+		res, err := tb.RunAgainstDesignContext(context.Background(), d)
 		if err != nil || !res.Pass() {
 			b.Fatalf("run failed: %v", err)
 		}

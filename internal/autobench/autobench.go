@@ -13,6 +13,7 @@
 package autobench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -49,7 +50,7 @@ func observablyFaulty(p *dataset.Problem, checkerSrc string, scenarios []testben
 		CheckerTop:    p.Top,
 		CheckerSticky: -1,
 	}
-	res, err := tb.RunAgainstDesign(goldenDesign)
+	res, err := tb.RunAgainstDesignContext(context.Background(), goldenDesign)
 	if err != nil {
 		return true
 	}

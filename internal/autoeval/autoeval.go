@@ -192,7 +192,7 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 		if err != nil {
 			return false, fmt.Errorf("dut: %w", err)
 		}
-		res, err := gtb.RunAgainstDesign(d)
+		res, err := gtb.RunAgainstDesignContext(context.Background(), d)
 		if err != nil {
 			return false, err
 		}
@@ -215,7 +215,10 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 			idx = append(idx, i)
 		}
 		if len(designs) > 0 {
-			for j, o := range tb.RunBatchAgainstDesigns(goldenDesign, designs, true) {
+			// Fixture builds are not cancellable, so the run's
+			// (cancellation-only) error is always nil.
+			outs, _ := tb.RunBatchAgainstDesignsContext(context.Background(), goldenDesign, designs, true)
+			for j, o := range outs {
 				out[idx[j]] = o
 			}
 		}
@@ -283,7 +286,7 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 			var res *testbench.RunResult
 			d, err := e.elaborateCached(verilog.PrintModule(m), p.Top)
 			if err == nil {
-				res, err = probe.RunAgainstDesign(d)
+				res, err = probe.RunAgainstDesignContext(context.Background(), d)
 			}
 			if err == nil && res.Pass() {
 				subtle = append(subtle, m)

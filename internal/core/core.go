@@ -104,8 +104,13 @@ func RunContext(ctx context.Context, p *dataset.Problem, opt Options, rng *rand.
 	trait := opt.Profile.SampleTrait(p.Difficulty, p.Kind == dataset.SEQ, rng)
 
 	// The imperfect-RTL group is generated once per task and reused
-	// across validation rounds, as in the paper's experiments.
-	group, err := validator.GenerateRTLGroup(p, opt.Profile, opt.NR, rng, acct)
+	// across validation rounds, as in the paper's experiments; it is
+	// elaborated and batch-compiled once here.
+	cands, err := validator.GenerateRTLGroup(p, opt.Profile, opt.NR, rng, acct)
+	if err != nil {
+		return nil, err
+	}
+	group, err := validator.NewGroup(ctx, p, cands)
 	if err != nil {
 		return nil, err
 	}

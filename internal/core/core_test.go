@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"correctbench/internal/autoeval"
@@ -129,4 +132,58 @@ func TestCorrectorShapedImpliesValidated(t *testing.T) {
 			t.Errorf("%s: corrector credited without validated pass", p.Name)
 		}
 	}
+}
+
+// pollCancel is a context whose Err reports context.Canceled from its
+// n-th poll on, cancelling a run deterministically at a chosen point.
+type pollCancel struct {
+	context.Context
+	done chan struct{} // never closed; non-nil so the simulator polls Err
+	left atomic.Int64
+}
+
+func (c *pollCancel) Done() <-chan struct{} { return c.done }
+
+func (c *pollCancel) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBatchGroupCancellation cancels a task while its RTL group is
+// being elaborated, at the first validation round, and at later
+// points of the run: every cancelled run returns the context's error
+// and no result, and a run the cancellation misses is identical to
+// an uncancelled one.
+func TestBatchGroupCancellation(t *testing.T) {
+	opt := DefaultOptions(llm.GPT4o())
+	p := dataset.ByName("cnt8")
+	ref, err := RunContext(context.Background(), p, opt, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []int64
+	for n := int64(0); n <= int64(opt.NR)+2; n++ {
+		points = append(points, n) // every poll of the group build and the first round
+	}
+	for n := int64(40); n < 1<<20; n *= 3 {
+		points = append(points, n)
+	}
+	for _, n := range points {
+		ctx := &pollCancel{Context: context.Background(), done: make(chan struct{})}
+		ctx.left.Store(n)
+		res, err := RunContext(ctx, p, opt, rand.New(rand.NewSource(3)))
+		if err != nil {
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("cancelled after %d polls: result %v, err %v", n, res, err)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(res.Trace.Events, ref.Trace.Events) {
+			t.Fatalf("run missed by a cancellation after %d polls diverged: %v vs %v", n, res.Trace.Events, ref.Trace.Events)
+		}
+		return
+	}
+	t.Fatal("no run completed; the sweep never passed the end of the task")
 }

@@ -83,8 +83,12 @@ func CriteriaAccuracyContext(ctx context.Context, cfg CriteriaAccuracyConfig) ([
 		r := rng.New(cfg.Seed).Child("criteria", p.Name).Rand()
 		var acct llm.Accountant
 		// One RTL group per task, shared by all criteria (as in the
-		// paper's study).
-		group, err := validator.GenerateRTLGroup(p, cfg.Profile, cfg.NR, r, &acct)
+		// paper's study) and elaborated once for every testbench.
+		cands, err := validator.GenerateRTLGroup(p, cfg.Profile, cfg.NR, r, &acct)
+		if err != nil {
+			return nil, err
+		}
+		group, err := validator.NewGroup(ctx, p, cands)
 		if err != nil {
 			return nil, err
 		}

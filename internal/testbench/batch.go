@@ -70,17 +70,21 @@ type traceSample struct {
 // and the output port list being compared. Only checker elaboration
 // failures are returned as errors; simulation failures are part of the
 // trace (they decide run outcomes, exactly as a live checker would).
-// The build is never bound to a context: trace contents must not
-// depend on a caller's cancellation.
-func (tb *Testbench) batchTrace(outs []string) (*checkerTrace, error) {
+// ctx is used for observation only: a cold build records the checker's
+// sim_elaborate/sim_compile spans and a sim_run span for the recording
+// on ctx's obs collector, but is never cancelled by it — trace
+// contents must not depend on a caller's cancellation.
+func (tb *Testbench) batchTrace(ctx context.Context, outs []string) (*checkerTrace, error) {
 	if tb.cachedTrace != nil && tb.cachedTraceSrc == tb.CheckerSource &&
 		tb.cachedTraceEng == tb.Engine && sameStrings(tb.cachedTrace.outs, outs) {
 		return tb.cachedTrace, nil
 	}
-	cd, err := tb.checkerDesign()
+	ctx = context.WithoutCancel(ctx)
+	cd, err := tb.checkerDesignContext(ctx)
 	if err != nil {
 		return nil, err
 	}
+	defer obs.Time(ctx, obs.PhaseRun)()
 	p := tb.Problem
 	chk := sim.NewInstanceEngine(cd, tb.Engine)
 	tr := &checkerTrace{outs: outs}
@@ -127,7 +131,7 @@ func (tb *Testbench) WarmBatchTrace(base *sim.Design) error {
 	if err := tb.ElaborateChecker(); err != nil {
 		return err
 	}
-	_, err := tb.batchTrace(outputPorts(base))
+	_, err := tb.batchTrace(context.Background(), outputPorts(base))
 	return err
 }
 
@@ -152,13 +156,6 @@ func sameStrings(a, b []string) bool {
 	return true
 }
 
-// RunBatchAgainstDesigns is RunBatchAgainstDesignsContext without
-// cancellation.
-func (tb *Testbench) RunBatchAgainstDesigns(base *sim.Design, duts []*sim.Design, earlyExit bool) []BatchOutcome {
-	out, _ := tb.RunBatchAgainstDesignsContext(context.Background(), base, duts, earlyExit)
-	return out
-}
-
 // RunBatchAgainstDesignsContext runs every DUT design against the
 // testbench in one batched pass. base is the design the batch programs
 // are compiled against (the golden design the duts are mutants of; any
@@ -171,7 +168,7 @@ func (tb *Testbench) RunBatchAgainstDesigns(base *sim.Design, duts []*sim.Design
 // context cancellation.
 func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *sim.Design, duts []*sim.Design, earlyExit bool) ([]BatchOutcome, error) {
 	out := make([]BatchOutcome, len(duts))
-	trace, err := tb.batchTrace(outputPorts(base))
+	trace, err := tb.batchTrace(ctx, outputPorts(base))
 	if err != nil {
 		err = fmt.Errorf("checker: %w", err)
 		for i := range out {
@@ -197,11 +194,12 @@ func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *si
 // RunBatchProgramsContext is RunBatchAgainstDesignsContext for a
 // precompiled program set — typically the (programs, index lists)
 // pair from sim.CompileBatchSplit — run in one batched pass: callers
-// that run the same DUT set repeatedly (AutoEval's mutant fixtures)
-// compile once and skip the per-call compile. idx[k][i] gives the
-// outcome slot of progs[k]'s i-th variant; every program must share
-// the same base design. A variant no program accepted falls back to a
-// scalar run, so outcomes are total over the indexed variants.
+// that run the same DUT set repeatedly (AutoEval's mutant fixtures,
+// the validator's RTL group) compile once and skip the per-call
+// compile. idx[k][i] gives the outcome slot of progs[k]'s i-th
+// variant; every program must share the same base design. A variant
+// no program accepted falls back to a scalar run, so outcomes are
+// total over the indexed variants.
 func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.BatchProgram, idx [][]int, earlyExit bool) ([]BatchOutcome, error) {
 	if len(progs) == 0 {
 		return nil, nil
@@ -215,7 +213,7 @@ func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.B
 		}
 	}
 	out := make([]BatchOutcome, n)
-	trace, err := tb.batchTrace(outputPorts(progs[0].Base()))
+	trace, err := tb.batchTrace(ctx, outputPorts(progs[0].Base()))
 	if err != nil {
 		err = fmt.Errorf("checker: %w", err)
 		for i := range out {

@@ -1,6 +1,7 @@
 package testbench
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -75,10 +76,13 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 			scalarRes := make([]*RunResult, len(duts))
 			scalarErr := make([]error, len(duts))
 			for i, d := range duts {
-				scalarRes[i], scalarErr[i] = tb.RunAgainstDesign(d)
+				scalarRes[i], scalarErr[i] = tb.RunAgainstDesignContext(context.Background(), d)
 			}
 
-			batch := tb.RunBatchAgainstDesigns(base, duts, false)
+			batch, err := tb.RunBatchAgainstDesignsContext(context.Background(), base, duts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range duts {
 				lane := prog.VariantLane(i)
 				if (batch[i].Err != nil) != (scalarErr[i] != nil) {
@@ -97,7 +101,10 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 				}
 			}
 
-			early := tb.RunBatchAgainstDesigns(base, duts, true)
+			early, err := tb.RunBatchAgainstDesignsContext(context.Background(), base, duts, true)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range duts {
 				sKilled := scalarErr[i] != nil || !scalarRes[i].Pass()
 				bKilled := early[i].Err != nil || !early[i].Res.Pass()
@@ -130,9 +137,12 @@ func TestBatchRunWholesaleFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	duts := []*sim.Design{base, golden}
-	batch := tb.RunBatchAgainstDesigns(base, duts, false)
+	batch, err := tb.RunBatchAgainstDesignsContext(context.Background(), base, duts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, d := range duts {
-		res, rerr := tb.RunAgainstDesign(d)
+		res, rerr := tb.RunAgainstDesignContext(context.Background(), d)
 		if (batch[i].Err != nil) != (rerr != nil) {
 			t.Fatalf("dut %d: batch err=%v scalar err=%v", i, batch[i].Err, rerr)
 		}

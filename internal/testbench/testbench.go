@@ -13,12 +13,15 @@
 // stand-in for LLM reasoning about its own code.
 //
 // Substitution note (engine): where AutoBench shells out to Icarus
-// Verilog per run, this framework simulates on internal/sim's compiled
-// slot-indexed engine — the design is compiled once at elaboration and
-// each scenario replays on pooled, Reset instances. The engine is
-// bit-for-bit identical to the reference AST interpreter
-// (sim.EngineInterp), so RS matrices and AutoEval verdicts do not
-// depend on which engine runs them.
+// Verilog per run, this framework simulates on internal/sim. A single
+// DUT runs on the compiled slot-indexed engine: the design is compiled
+// once at elaboration and each scenario replays on pooled, Reset
+// instances. The validator's RS matrix and AutoEval's mutant grading
+// are "one checker, N DUTs" runs (batch.go): the checker is simulated
+// once and recorded, and the DUTs advance as lanes of one compiled
+// sim.BatchProgram. Every engine is bit-for-bit identical to the
+// reference AST interpreter (sim.EngineInterp), so RS matrices and
+// AutoEval verdicts do not depend on which engine runs them.
 package testbench
 
 import (
@@ -170,23 +173,19 @@ func (tb *Testbench) SyntaxOK() bool {
 // time. A testbench is not safe for concurrent runs while the cache
 // is cold (the first run fills it); warming it under the owner's
 // control — e.g. inside autoeval's once-guarded fixture build — makes
-// subsequent concurrent RunAgainstDesign calls read-only on the
+// subsequent concurrent RunAgainstDesignContext calls read-only on the
 // testbench.
 func (tb *Testbench) ElaborateChecker() error {
-	_, err := tb.checkerDesign()
+	_, err := tb.checkerDesignContext(context.Background())
 	return err
 }
 
-// checkerDesign elaborates the checker track, caching the result until
-// CheckerSource changes (the validator simulates the same checker
-// against N_R RTLs).
-func (tb *Testbench) checkerDesign() (*sim.Design, error) {
-	return tb.checkerDesignContext(context.Background())
-}
-
-// checkerDesignContext is checkerDesign with phase timing: a cold
-// cache records sim_elaborate/sim_compile spans on the context's obs
-// collector; a warm cache records nothing.
+// checkerDesignContext elaborates the checker track, caching the
+// result until CheckerSource changes (AutoEval runs the same checker
+// against the golden design and every mutant; the checker trace of
+// batched runs is recorded from it). A cold cache records
+// sim_elaborate/sim_compile spans on the context's obs collector; a
+// warm cache records nothing.
 func (tb *Testbench) checkerDesignContext(ctx context.Context) (*sim.Design, error) {
 	if tb.cachedChecker != nil && tb.cachedCheckerSrc == tb.CheckerSource {
 		return tb.cachedChecker, nil
@@ -214,20 +213,15 @@ func (tb *Testbench) RunAgainstSourceContext(ctx context.Context, dutSrc, dutTop
 	return tb.RunAgainstDesignContext(ctx, dutDesign)
 }
 
-// RunAgainstDesign is RunAgainstSource for a pre-elaborated DUT.
+// RunAgainstDesignContext is RunAgainstSourceContext for a
+// pre-elaborated DUT. The context is bound to both simulator
+// instances, so a cancellation takes effect at the next propagation
+// wave — within one simulation step batch — rather than at scenario or
+// run end.
 //
 // The DUT and checker instances are allocated once and pooled across
 // scenarios: a scenario reset is an in-place Reset (memclear back to
-// all-X), not a reallocation, which matters when the same testbench is
-// run over N_R RTLs × N_S scenarios for the RS matrix.
-func (tb *Testbench) RunAgainstDesign(dutDesign *sim.Design) (*RunResult, error) {
-	return tb.RunAgainstDesignContext(context.Background(), dutDesign)
-}
-
-// RunAgainstDesignContext is RunAgainstDesign with cancellation. The
-// context is bound to both simulator instances, so a cancellation
-// takes effect at the next propagation wave — within one simulation
-// step batch — rather than at scenario or run end.
+// all-X), not a reallocation.
 func (tb *Testbench) RunAgainstDesignContext(ctx context.Context, dutDesign *sim.Design) (*RunResult, error) {
 	checkerDesign, err := tb.checkerDesignContext(ctx)
 	if err != nil {

@@ -1,0 +1,341 @@
+package validator_test
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"correctbench/internal/autobench"
+	"correctbench/internal/corrector"
+	"correctbench/internal/dataset"
+	"correctbench/internal/llm"
+	"correctbench/internal/obs"
+	"correctbench/internal/sim"
+	"correctbench/internal/testbench"
+	"correctbench/internal/validator"
+)
+
+// oracleMatrix is the RS matrix built the straightforward way: every
+// candidate parsed, elaborated and simulated on its own against the
+// testbench on the reference AST interpreter, in group order, with
+// DUT-side failures discarded and any checker-side failure breaking
+// the testbench.
+func oracleMatrix(t *testing.T, tb *testbench.Testbench, cands []validator.RTLCandidate) (string, bool) {
+	t.Helper()
+	if !tb.SyntaxOK() {
+		return "", false
+	}
+	otb := *tb
+	otb.Engine = sim.EngineInterp
+	m := &validator.Matrix{}
+	for _, c := range cands {
+		res, err := otb.RunAgainstSourceContext(context.Background(), c.Source, tb.Problem.Top)
+		if err != nil {
+			if strings.HasPrefix(err.Error(), "checker:") {
+				return "", false
+			}
+			m.Discarded++
+			continue
+		}
+		m.Rows = append(m.Rows, res.ScenarioPass)
+	}
+	return m.Render(), true
+}
+
+// oscillatingChecker returns a copy of tb whose checker carries a
+// combinational loop that oscillates while any bit of the trigger
+// signal is set: the checker simulates fine from reset and then errors
+// mid-scenario, at the first step that makes the trigger nonzero.
+func oscillatingChecker(tb *testbench.Testbench, trigger string) *testbench.Testbench {
+	bad := *tb
+	bad.CheckerSource = strings.Replace(tb.CheckerSource, "endmodule",
+		"wire cb_osc;\nassign cb_osc = (|"+trigger+") ? ~cb_osc : 1'b0;\nendmodule", 1)
+	bad.DriverSource = testbench.EmitDriver(&bad)
+	return &bad
+}
+
+// oscillationTrigger names the problem's first input port that is
+// neither its clock nor its reset (zero at reset, driven by the
+// stimulus) or, for designs without one such as free-running counters,
+// its first output port.
+func oscillationTrigger(t *testing.T, p *dataset.Problem) string {
+	t.Helper()
+	d, err := p.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, port := range d.Ports {
+		if port.Dir == sim.In && port.Name != p.Clock && port.Name != p.Reset {
+			return port.Name
+		}
+	}
+	for _, port := range d.Ports {
+		if port.Dir == sim.Out {
+			return port.Name
+		}
+	}
+	t.Fatalf("%s has no trigger port", p.Name)
+	return ""
+}
+
+// TestBatchedRSMatrixDifferential is the gate for batched RS-matrix
+// validation over real validator traffic: for every problem, an N_R =
+// 20 group, an AutoBench testbench whose checker is faulty, the
+// testbench after one corrector round, and a testbench whose checker
+// errors mid-scenario must each give a *Group matrix whose rendering
+// and viability are byte-identical to the per-candidate interpreter
+// oracle. A group of nothing but syntax-broken candidates must give
+// zero rows, every candidate discarded, and a SimulationBroken verdict.
+func TestBatchedRSMatrixDifferential(t *testing.T) {
+	prof := *llm.GPT4o()
+	prof.CheckerCleanBase = 0 // every understood task gets an observably faulty checker
+	gen := &autobench.AutoBench{Profile: &prof}
+	corr := &corrector.Corrector{Profile: &prof}
+	v := &validator.Validator{Criterion: validator.Wrong70}
+	var checkerErrs atomic.Int32
+	for i, p := range dataset.All() {
+		i, p := i, p
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(int64(9000 + i)))
+			var acct llm.Accountant
+			cands, err := validator.GenerateRTLGroup(p, &prof, 20, rng, &acct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			group, err := validator.NewGroup(ctx, p, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(label string, tb *testbench.Testbench) *validator.Report {
+				t.Helper()
+				want, wantOK := oracleMatrix(t, tb, cands)
+				m, ok, err := v.BuildMatrixContext(ctx, tb, group)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if ok != wantOK {
+					t.Fatalf("%s: batched ok=%v, oracle ok=%v", label, ok, wantOK)
+				}
+				if !ok {
+					return &validator.Report{SimulationBroken: true}
+				}
+				if got := m.Render(); got != want {
+					t.Fatalf("%s: RS matrices differ\nbatched:\n%s\noracle:\n%s", label, got, want)
+				}
+				return v.Judge(m)
+			}
+
+			trait := prof.SampleTrait(p.Difficulty, p.Kind == dataset.SEQ, rng)
+			tb, err := gen.Generate(p, trait, rng, &acct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := check("generated", tb)
+			fixed, _ := corr.Correct(tb, rep, rng, &acct)
+			check("corrected", fixed)
+
+			osc := oscillatingChecker(fixed, oscillationTrigger(t, p))
+			if _, ok := oracleMatrix(t, osc, cands); !ok && osc.SyntaxOK() {
+				checkerErrs.Add(1)
+			}
+			check("oscillating checker", osc)
+
+			bad := make([]validator.RTLCandidate, 20)
+			for k := range bad {
+				bad[k] = validator.RTLCandidate{Source: "module " + p.Top + " (", SyntaxBad: true}
+			}
+			badGroup, err := validator.NewGroup(ctx, p, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err = v.ValidateContext(ctx, fixed, badGroup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fixed.SyntaxOK() && (rep.Matrix == nil || rep.Matrix.NR() != 0 || rep.Matrix.Discarded != len(bad)) {
+				t.Fatalf("all-syntax-bad group: matrix %+v, want 0 rows and %d discarded", rep.Matrix, len(bad))
+			}
+			if rep.Correct || !rep.SimulationBroken {
+				t.Fatalf("all-syntax-bad group: verdict %+v, want broken", rep)
+			}
+		})
+	}
+	t.Cleanup(func() {
+		if n := checkerErrs.Load(); n < 100 {
+			t.Errorf("only %d problems exercised a mid-scenario checker error", n)
+		}
+	})
+}
+
+// cancelAfter is a cancellable context whose Err starts reporting
+// context.Canceled after a fixed number of polls, so a test can cancel
+// deterministically at every point where the code under test looks.
+type cancelAfter struct {
+	context.Context
+	done chan struct{} // never closed; non-nil so the simulator polls Err
+	left atomic.Int64
+}
+
+func newCancelAfter(polls int64) *cancelAfter {
+	c := &cancelAfter{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(polls)
+	return c
+}
+
+func (c *cancelAfter) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// batchCancelGroup builds a small group covering every row kind: the
+// generated candidates (mutated, correct, syntax-broken), one more
+// syntax-broken source and one that elaborates but cannot share the
+// batch program (an extra signal), which runs on the scalar fallback.
+func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate {
+	t.Helper()
+	var acct llm.Accountant
+	cands, err := validator.GenerateRTLGroup(p, llm.GPT4o(), 6, rand.New(rand.NewSource(5)), &acct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(cands,
+		validator.RTLCandidate{Source: "module " + p.Top + " (", SyntaxBad: true},
+		validator.RTLCandidate{Source: strings.Replace(p.Source, "endmodule",
+			"wire cancel_pad;\nassign cancel_pad = 1'b0;\nendmodule", 1)})
+}
+
+// TestBatchCancellation cancels at every context poll of NewGroup and
+// of BuildMatrixContext in turn, on a group that runs as batch lanes
+// plus a scalar fallback (cnt8) and on one whose golden design cannot
+// batch-compile ($display), so every candidate runs on the wholesale
+// scalar fallback. A cancelled call must return the context's error
+// and nothing else — no group, no matrix, no broken verdict and no
+// discarded rows — and a call the cancellation misses must return
+// exactly the uncancelled result.
+func TestBatchCancellation(t *testing.T) {
+	cnt8 := dataset.ByName("cnt8")
+	mux := dataset.ByName("mux2_w4")
+	display := &dataset.Problem{
+		Name: "mux2_w4_display", Kind: mux.Kind, Spec: mux.Spec, Top: mux.Top, Difficulty: mux.Difficulty,
+		Source: strings.Replace(mux.Source, "endmodule",
+			"always @(*) if (sel === 1'bx) $display(\"x-sel\");\nendmodule", 1),
+	}
+	for _, p := range []*dataset.Problem{cnt8, display} {
+		t.Run(p.Name, func(t *testing.T) { testBatchCancellation(t, p) })
+	}
+}
+
+func testBatchCancellation(t *testing.T, p *dataset.Problem) {
+	cands := batchCancelGroup(t, p)
+	v := &validator.Validator{Criterion: validator.Wrong70}
+
+	for polls := int64(0); ; polls++ {
+		g, err := validator.NewGroup(newCancelAfter(polls), p, cands)
+		if err == nil {
+			if polls == 0 {
+				t.Fatal("NewGroup ignored a context cancelled from the start")
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) || g != nil {
+			t.Fatalf("NewGroup cancelled after %d polls: group %v, err %v", polls, g, err)
+		}
+	}
+
+	group, err := validator.NewGroup(context.Background(), p, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, err := testbench.GenerateScenarios(p, rand.New(rand.NewSource(6)), testbench.Coverage{Scenarios: 3, Steps: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
+	tb.DriverSource = testbench.EmitDriver(tb)
+	ref, ok, err := v.BuildMatrixContext(context.Background(), tb, group)
+	if err != nil || !ok {
+		t.Fatalf("uncancelled build: ok=%v err=%v", ok, err)
+	}
+	if ref.Discarded == 0 || ref.NR() == 0 {
+		t.Fatalf("uncancelled build: %d rows, %d discarded; want both kinds", ref.NR(), ref.Discarded)
+	}
+	want := ref.Render()
+
+	for polls := int64(0); ; polls++ {
+		m, ok, err := v.BuildMatrixContext(newCancelAfter(polls), tb, group)
+		if err == nil {
+			if !ok || m.Render() != want {
+				t.Fatalf("build after %d polls: ok=%v matrix\n%v\nwant\n%s", polls, ok, m, want)
+			}
+			if polls < 10 {
+				t.Fatalf("build finished after only %d polls; the sweep tested nothing", polls)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) || m != nil || ok {
+			t.Fatalf("build cancelled after %d polls: matrix %v, ok=%v, err %v", polls, m, ok, err)
+		}
+	}
+}
+
+// TestBatchValidationRoundTrace pins the attribution of a validation
+// round: the group's candidates are elaborated before the round, so
+// the round's direct children are the checker's elaboration, the
+// recording of its trace (a sim_run) and the batched lane run (another
+// sim_run). A second round over the same testbench replays the
+// recorded trace: one sim_run, no elaboration.
+func TestBatchValidationRoundTrace(t *testing.T) {
+	p := dataset.ByName("cnt8")
+	var acct llm.Accountant
+	rng := rand.New(rand.NewSource(8))
+	cands, err := validator.GenerateRTLGroup(p, llm.GPT4o(), 20, rng, &acct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector(time.Time{})
+	ctx := obs.WithCollector(context.Background(), col)
+	group, err := validator.NewGroup(ctx, p, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, err := testbench.GenerateScenarios(p, rng, testbench.Coverage{Scenarios: 6, Steps: 8, Corners: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
+	tb.DriverSource = testbench.EmitDriver(tb)
+	v := &validator.Validator{Criterion: validator.Wrong70}
+
+	round := func() map[string]int {
+		seq := obs.NextSeq(col.Samples())
+		end := col.Start(obs.PhaseSimulate)
+		if _, ok, err := v.BuildMatrixContext(ctx, tb, group); err != nil || !ok {
+			t.Fatalf("build: ok=%v err=%v", ok, err)
+		}
+		end()
+		children := map[string]int{}
+		for _, s := range col.Samples() {
+			if s.ParentSeq == seq {
+				children[s.Phase]++
+			}
+		}
+		return children
+	}
+	if got := round(); got[obs.PhaseElaborate] != 1 || got[obs.PhaseRun] != 2 {
+		t.Errorf("cold round children %v, want 1 %s (checker) and 2 %s (checker trace + lanes)",
+			got, obs.PhaseElaborate, obs.PhaseRun)
+	}
+	if got := round(); got[obs.PhaseElaborate] != 0 || got[obs.PhaseRun] != 1 {
+		t.Errorf("warm round children %v, want no %s and 1 %s", got, obs.PhaseElaborate, obs.PhaseRun)
+	}
+}

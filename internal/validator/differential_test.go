@@ -16,10 +16,11 @@ import (
 // entire dataset: for every problem it builds the golden testbench and
 // an imperfect RTL group (mutated, correct and syntax-broken
 // candidates, exactly as the paper's validator does) and asserts that
-// the RS matrices produced by the interpreter, the compiled engine and
-// the batched engine render identically — same rows, same red/green
-// cells, same discards — and that the same candidates run as lanes of
-// one batch produce the same rows again.
+// the RS matrices produced with the checker (and any scalar fallback)
+// on the interpreter, the compiled engine and the batched engine render
+// identically — same rows, same red/green cells, same discards — and
+// that every candidate run as a batch lane produces exactly the row of
+// its own scalar interpreter run.
 func TestCompiledEngineDifferential(t *testing.T) {
 	prof := llm.GPT4o()
 	v := &Validator{Criterion: Wrong70}
@@ -29,7 +30,11 @@ func TestCompiledEngineDifferential(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(1234))
 			var acct llm.Accountant
-			group, err := GenerateRTLGroup(p, prof, 6, rng, &acct)
+			cands, err := GenerateRTLGroup(p, prof, 6, rng, &acct)
+			if err != nil {
+				t.Fatalf("rtl group: %v", err)
+			}
+			group, err := NewGroup(context.Background(), p, cands)
 			if err != nil {
 				t.Fatalf("rtl group: %v", err)
 			}
@@ -66,29 +71,25 @@ func TestCompiledEngineDifferential(t *testing.T) {
 				t.Fatalf("RS matrices differ between engines\nbatched:\n%s\ninterp:\n%s", batched, interp)
 			}
 
-			// The matrix rows above run each candidate on its own scalar
-			// instance; now run the same candidates as lanes of one
-			// sim.BatchInstance and require identical per-scenario rows.
+			// The matrix rows above run the candidates as batch lanes;
+			// now run each lane's design on its own scalar interpreter
+			// instance and require identical per-scenario rows.
 			goldenDesign, err := p.Elaborate()
 			if err != nil {
 				t.Fatalf("golden design: %v", err)
 			}
-			var duts []*sim.Design
-			for _, cand := range group {
-				d, err := sim.ElaborateSource(cand.Source, p.Top)
-				if err != nil {
-					continue // syntax-broken rows are discarded either way
-				}
-				duts = append(duts, d)
-			}
+			duts := group.duts
 			if len(duts) == 0 {
 				t.Fatalf("no elaborable candidates in RTL group")
 			}
 			btb := *gtb
 			btb.Engine = sim.EngineInterp
-			outs := btb.RunBatchAgainstDesigns(goldenDesign, duts, false)
+			outs, err := btb.RunBatchAgainstDesignsContext(context.Background(), goldenDesign, duts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, d := range duts {
-				res, rerr := btb.RunAgainstDesign(d)
+				res, rerr := btb.RunAgainstDesignContext(context.Background(), d)
 				if (outs[i].Err != nil) != (rerr != nil) {
 					t.Fatalf("candidate %d: batch err=%v scalar err=%v", i, outs[i].Err, rerr)
 				}

@@ -1,11 +1,18 @@
 // Package validator implements CorrectBench's scenario-based testbench
 // self-validator: it asks the LLM for a group of N_R "imperfect" RTL
-// implementations of the same specification, simulates each against the
+// implementations of the same specification, simulates them against the
 // candidate testbench, assembles the RTL-Scenario (RS) boolean matrix,
 // and judges the testbench with a column/row criterion (Section III-B
 // of the paper). Because the imperfect RTLs' faults are (approximately)
 // independent, a column that is red for most RTLs indicts the testbench
 // rather than the RTLs.
+//
+// The group is fixed per task, so NewGroup elaborates it once and
+// compiles its candidates as lanes of sim batch programs over the
+// golden design. Each validation round is then one batched testbench
+// run: the checker is simulated once and every candidate advances as
+// a lane (testbench.RunBatchProgramsContext), with rows bit-identical
+// to simulating each candidate on its own.
 package validator
 
 import (
@@ -17,6 +24,8 @@ import (
 	"correctbench/internal/dataset"
 	"correctbench/internal/llm"
 	"correctbench/internal/mutate"
+	"correctbench/internal/obs"
+	"correctbench/internal/sim"
 	"correctbench/internal/testbench"
 	"correctbench/internal/verilog"
 )
@@ -198,39 +207,118 @@ func GenerateRTLGroup(p *dataset.Problem, prof *llm.Profile, nr int, rng *rand.R
 	return out, nil
 }
 
+// Group is a task's imperfect-RTL group prepared for validation. The
+// group is fixed for the whole task (Algorithm 1 validates every
+// testbench of a task against the same N_R RTLs), so each candidate is
+// parsed and elaborated once, and the elaborable ones are compiled
+// once as lanes of batch programs over the golden design; every
+// validation round then simulates all of them in one batched pass. A
+// Group is immutable after NewGroup.
+type Group struct {
+	// Candidates is the RTL group in generation order, the row order
+	// of every RS matrix built from it.
+	Candidates []RTLCandidate
+
+	designs []*sim.Design // per candidate; nil when elaboration failed (a discarded row)
+	base    *sim.Design   // the golden design the programs are compiled against
+	duts    []*sim.Design // the non-nil designs, in group order
+	// progs/idx are sim.CompileBatchSplit(base, duts); nil when the
+	// base itself cannot batch-compile.
+	progs []*sim.BatchProgram
+	idx   [][]int
+}
+
+// NewGroup elaborates every candidate of an RTL group for problem p and
+// compiles the elaborable ones into batch programs. A candidate that
+// fails to parse or elaborate is kept as a discarded row, never an
+// error; the returned error is non-nil only when p's golden design
+// cannot be elaborated or ctx was cancelled. Elaboration draws no
+// randomness, so building the group leaves the task's rng stream
+// untouched.
+func NewGroup(ctx context.Context, p *dataset.Problem, cands []RTLCandidate) (*Group, error) {
+	base, err := p.Elaborate()
+	if err != nil {
+		return nil, err
+	}
+	g := &Group{Candidates: cands, designs: make([]*sim.Design, len(cands)), base: base}
+	for i, c := range cands {
+		d, err := sim.ElaborateSourceContext(ctx, c.Source, p.Top)
+		if err != nil {
+			continue
+		}
+		g.designs[i] = d
+		g.duts = append(g.duts, d)
+	}
+	// Elaboration does not poll ctx; a cancellation during it is
+	// reported here, before the compile.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(g.duts) > 0 {
+		endCompile := obs.Time(ctx, obs.PhaseCompile)
+		if progs, idx, err := sim.CompileBatchSplit(base, g.duts); err == nil {
+			g.progs, g.idx = progs, idx
+		}
+		endCompile()
+	}
+	return g, nil
+}
+
 // Validator validates testbenches against an RTL group.
 type Validator struct {
 	Criterion Criterion
 }
 
-// BuildMatrixContext simulates every RTL candidate against the
-// testbench. Rows for syntax-broken or unsimulatable RTLs are
-// discarded. A broken testbench (parse/elaboration/checker failure)
-// yields ok == false instead of a matrix. The returned error is
-// non-nil only when ctx was cancelled mid-build; a cancelled candidate
-// simulation is never misread as a discarded RTL row.
-func (v *Validator) BuildMatrixContext(ctx context.Context, tb *testbench.Testbench, group []RTLCandidate) (*Matrix, bool, error) {
+// BuildMatrixContext simulates every candidate of the group against
+// the testbench in one batched pass (the DUT-independent checker runs
+// once, the candidates as lanes). Rows follow group order; rows for
+// syntax-broken or unsimulatable RTLs are discarded. A broken
+// testbench (parse/elaboration/checker failure) yields ok == false
+// instead of a matrix. The returned error is non-nil only when ctx was
+// cancelled; a cancelled simulation is never misread as a discarded
+// RTL row or a broken testbench.
+func (v *Validator) BuildMatrixContext(ctx context.Context, tb *testbench.Testbench, g *Group) (*Matrix, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
 	if !tb.SyntaxOK() {
 		return nil, false, nil
 	}
-	m := &Matrix{}
-	for _, cand := range group {
-		if err := ctx.Err(); err != nil {
+	var outs []testbench.BatchOutcome
+	if len(g.duts) > 0 {
+		var err error
+		if g.progs != nil {
+			outs, err = tb.RunBatchProgramsContext(ctx, g.progs, g.idx, false)
+		} else {
+			outs, err = tb.RunBatchAgainstDesignsContext(ctx, g.base, g.duts, false)
+		}
+		if err == nil {
+			// A scalar fallback run cancelled after the runner's last
+			// check surfaces as that candidate's outcome, not as the
+			// run's error.
+			err = ctx.Err()
+		}
+		if err != nil {
 			return nil, false, err
 		}
-		res, err := tb.RunAgainstSourceContext(ctx, cand.Source, tb.Problem.Top)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, false, cerr
-			}
-			if strings.HasPrefix(err.Error(), "checker:") {
+	}
+	m := &Matrix{}
+	for _, d := range g.designs {
+		if d == nil {
+			m.Discarded++
+			continue
+		}
+		o := outs[0]
+		outs = outs[1:]
+		if o.Err != nil {
+			if strings.HasPrefix(o.Err.Error(), "checker:") {
 				// The testbench's own checker is broken.
 				return nil, false, nil
 			}
 			m.Discarded++
 			continue
 		}
-		m.Rows = append(m.Rows, res.ScenarioPass)
+		m.Rows = append(m.Rows, o.Res.ScenarioPass)
 	}
 	return m, true, nil
 }
@@ -271,8 +359,8 @@ func (v *Validator) Judge(m *Matrix) *Report {
 // ValidateContext runs the full validation of one testbench. The
 // error is non-nil only when ctx was cancelled before the verdict was
 // reached.
-func (v *Validator) ValidateContext(ctx context.Context, tb *testbench.Testbench, group []RTLCandidate) (*Report, error) {
-	m, ok, err := v.BuildMatrixContext(ctx, tb, group)
+func (v *Validator) ValidateContext(ctx context.Context, tb *testbench.Testbench, g *Group) (*Report, error) {
+	m, ok, err := v.BuildMatrixContext(ctx, tb, g)
 	if err != nil {
 		return nil, err
 	}

@@ -197,7 +197,11 @@ func TestEndToEndValidation(t *testing.T) {
 	prof := llm.GPT4o()
 	rng := rand.New(rand.NewSource(21))
 	var acct llm.Accountant
-	group, err := GenerateRTLGroup(p, prof, 20, rng, &acct)
+	cands, err := GenerateRTLGroup(p, prof, 20, rng, &acct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := NewGroup(context.Background(), p, cands)
 	if err != nil {
 		t.Fatal(err)
 	}

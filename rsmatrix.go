@@ -60,7 +60,11 @@ func (c *Client) RSMatrix(ctx context.Context, spec RSMatrixSpec) (*RSMatrixRepo
 	rng := rand.New(rand.NewSource(spec.Seed))
 	prof := llm.GPT4o()
 	var acct llm.Accountant
-	group, err := validator.GenerateRTLGroup(p, prof, nr, rng, &acct)
+	cands, err := validator.GenerateRTLGroup(p, prof, nr, rng, &acct)
+	if err != nil {
+		return nil, err
+	}
+	group, err := validator.NewGroup(ctx, p, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +143,7 @@ func (c *Client) RSMatrix(ctx context.Context, spec RSMatrixSpec) (*RSMatrixRepo
 
 // renderPanel renders one Fig. 4 panel: the RS matrix plus every
 // criterion's verdict.
-func renderPanel(ctx context.Context, title string, tb *testbench.Testbench, group []validator.RTLCandidate) (string, error) {
+func renderPanel(ctx context.Context, title string, tb *testbench.Testbench, group *validator.Group) (string, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s ==\n", title)
 	v := &validator.Validator{Criterion: validator.Wrong70}
