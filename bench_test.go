@@ -24,17 +24,29 @@ import (
 	"correctbench/internal/verilog"
 )
 
-// benchProblems is the fixed CMB/SEQ mix used by the experiment-scale
-// benchmarks (dataset.BenchmarkMix).
-func benchProblems(b *testing.B) []*dataset.Problem {
-	b.Helper()
-	return dataset.BenchmarkMix()
+// benchmarkMix returns the fixed 12-problem CMB/SEQ mix used by the
+// experiment-scale benchmarks and the engine differential, so both run
+// the same workload.
+func benchmarkMix() []*dataset.Problem {
+	names := []string{
+		"mux4_w4", "adder8", "alu4", "prio_enc8", "sevenseg", "parity_even8",
+		"cnt8", "det101", "sipo8", "shift18", "timer8", "lfsr8",
+	}
+	out := make([]*dataset.Problem, 0, len(names))
+	for _, n := range names {
+		p := dataset.ByName(n)
+		if p == nil {
+			panic("benchmark problem " + n + " missing")
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 // BenchmarkTable1MainResults regenerates Table I (three methods,
 // Eval0/1/2 by group) on the benchmark subset.
 func BenchmarkTable1MainResults(b *testing.B) {
-	probs := benchProblems(b)
+	probs := benchmarkMix()
 	for i := 0; i < b.N; i++ {
 		res, err := harness.RunContext(context.Background(), harness.Config{Reps: 1, Seed: int64(i) + 1, Problems: probs})
 		if err != nil {
@@ -49,7 +61,7 @@ func BenchmarkTable1MainResults(b *testing.B) {
 // per-cell random streams), so the sub-benchmarks measure pure
 // scheduling gain.
 func BenchmarkTable1Workers(b *testing.B) {
-	probs := benchProblems(b)
+	probs := benchmarkMix()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -68,7 +80,7 @@ func BenchmarkTable1Workers(b *testing.B) {
 // BenchmarkTable3AttributionParallel is BenchmarkTable3Attribution
 // over a full-width worker pool.
 func BenchmarkTable3AttributionParallel(b *testing.B) {
-	probs := benchProblems(b)
+	probs := benchmarkMix()
 	for i := 0; i < b.N; i++ {
 		res, err := harness.RunContext(context.Background(), harness.Config{
 			Reps: 1, Seed: int64(i) + 10, Problems: probs, Workers: runtime.GOMAXPROCS(0),
@@ -84,7 +96,7 @@ func BenchmarkTable3AttributionParallel(b *testing.B) {
 // BenchmarkTable3Attribution regenerates Table III (validator and
 // corrector contributions).
 func BenchmarkTable3Attribution(b *testing.B) {
-	probs := benchProblems(b)
+	probs := benchmarkMix()
 	for i := 0; i < b.N; i++ {
 		res, err := harness.RunContext(context.Background(), harness.Config{
 			Reps: 1, Seed: int64(i) + 10, Problems: probs,
@@ -135,7 +147,7 @@ func BenchmarkFig4RSMatrix(b *testing.B) {
 // BenchmarkFig6aValidatorAccuracy runs the labeled-corpus criteria
 // study of Fig. 6(a) on the benchmark subset.
 func BenchmarkFig6aValidatorAccuracy(b *testing.B) {
-	probs := benchProblems(b)
+	probs := benchmarkMix()
 	for i := 0; i < b.N; i++ {
 		rows, err := harness.CriteriaAccuracy(harness.CriteriaAccuracyConfig{
 			PerTask: 3, Seed: int64(i) + 20, Problems: probs,
@@ -150,7 +162,7 @@ func BenchmarkFig6aValidatorAccuracy(b *testing.B) {
 // BenchmarkFig6bCriteriaPipeline runs the whole framework under each
 // validation criterion, the experiment of Fig. 6(b).
 func BenchmarkFig6bCriteriaPipeline(b *testing.B) {
-	probs := benchProblems(b)[:6]
+	probs := benchmarkMix()[:6]
 	for i := 0; i < b.N; i++ {
 		rows, err := harness.CriteriaPipelineContext(context.Background(), harness.Config{Reps: 1, Seed: int64(i) + 30, Problems: probs})
 		if err != nil {
@@ -163,7 +175,7 @@ func BenchmarkFig6bCriteriaPipeline(b *testing.B) {
 // BenchmarkFig7LLMComparison runs the three methods under each LLM
 // profile, the experiment of Fig. 7.
 func BenchmarkFig7LLMComparison(b *testing.B) {
-	probs := benchProblems(b)[:6]
+	probs := benchmarkMix()[:6]
 	for i := 0; i < b.N; i++ {
 		for _, prof := range llm.Profiles() {
 			res, err := harness.RunContext(context.Background(), harness.Config{
@@ -194,23 +206,38 @@ func BenchmarkParse(b *testing.B) {
 func BenchmarkElaborate(b *testing.B) {
 	src := dataset.ByName("fifo2").Source
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.ElaborateSource(src, "fifo2"); err != nil {
+		if _, err := sim.ElaborateSourceContext(context.Background(), src, "fifo2"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSimTick measures clocked-simulation throughput on each
-// engine; the compiled/interp ratio is the AOT-compilation gain of the
-// inner loop.
+// BenchmarkSimTick measures clocked-simulation throughput of one
+// design on each engine: a one-lane batch program against the
+// interpreter.
 func BenchmarkSimTick(b *testing.B) {
-	d, err := sim.ElaborateSource(dataset.ByName("cnt8").Source, "cnt8")
+	d, err := sim.ElaborateSourceContext(context.Background(), dataset.ByName("cnt8").Source, "cnt8")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, eng := range []sim.Engine{sim.EngineCompiled, sim.EngineInterp} {
-		b.Run(eng.String(), func(b *testing.B) {
-			in := sim.NewInstanceEngine(d, eng)
+	type ticker interface {
+		ZeroInputs() error
+		SetInputUint(string, uint64) error
+		Tick(string) error
+	}
+	prog, err := sim.CompileBatch(d, []*sim.Design{d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, eng := range []struct {
+		name string
+		mk   func() ticker
+	}{
+		{sim.EngineBatched.String(), func() ticker { return sim.NewBatchInstance(prog) }},
+		{sim.EngineInterp.String(), func() ticker { return sim.NewInstance(d) }},
+	} {
+		b.Run(eng.name, func(b *testing.B) {
+			in := eng.mk()
 			if err := in.ZeroInputs(); err != nil {
 				b.Fatal(err)
 			}
@@ -228,21 +255,23 @@ func BenchmarkSimTick(b *testing.B) {
 }
 
 // BenchmarkTestbenchRunEngines measures a full golden-TB run per
-// engine on a sequential problem (pooled instances, compiled vs
-// interpreted bodies).
+// engine on a sequential problem (a one-lane batch against the
+// recorded checker trace vs the pooled interpreter instances).
 func BenchmarkTestbenchRunEngines(b *testing.B) {
 	p := dataset.ByName("det101")
 	d, err := p.Elaborate()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, eng := range []sim.Engine{sim.EngineCompiled, sim.EngineInterp} {
+	for _, eng := range []sim.Engine{sim.EngineBatched, sim.EngineInterp} {
 		b.Run(eng.String(), func(b *testing.B) {
+			prev := sim.DefaultEngine
+			sim.DefaultEngine = eng
+			defer func() { sim.DefaultEngine = prev }()
 			tb, err := testbench.Golden(p, rand.New(rand.NewSource(1)))
 			if err != nil {
 				b.Fatal(err)
 			}
-			tb.Engine = eng
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := tb.RunAgainstDesignContext(context.Background(), d)

@@ -167,8 +167,9 @@ func render(w io.Writer, cells []obs.CellTrace, top, width int) {
 			name, a.count, fmtUS(a.sum), fmtUS(a.sum/int64(a.count)), fmtUS(a.max))
 	}
 
-	// Critical path of the slowest cell: from the heaviest root span,
-	// descend into the heaviest child at each level.
+	// Critical path of the slowest cell: at each level the span's self
+	// time and its children summed per phase, descending into the
+	// heaviest phase group.
 	sorted := append([]obs.CellTrace(nil), cells...)
 	sort.Slice(sorted, func(i, j int) bool {
 		wi, wj := cellWall(sorted[i]), cellWall(sorted[j])
@@ -181,16 +182,24 @@ func render(w io.Writer, cells []obs.CellTrace, top, width int) {
 	fmt.Fprintf(w, "\ncritical path (slowest cell: #%d %s/%s rep %d, %s):\n",
 		slowest.Index, slowest.Method, slowest.Problem, slowest.Rep, fmtUS(cellWall(slowest)))
 	wall := cellWall(slowest)
-	for _, sp := range criticalPath(slowest) {
-		pct := 0.0
-		if wall > 0 {
-			pct = 100 * float64(sp.DurUS) / float64(wall)
+	pct := func(us int64) float64 {
+		if wall <= 0 {
+			return 0
 		}
+		return 100 * float64(us) / float64(wall)
+	}
+	for depth, st := range criticalPath(slowest) {
+		indent := strings.Repeat("  ", depth)
 		node := ""
-		if sp.Node != "" {
-			node = " @" + sp.Node
+		if st.span.Node != "" {
+			node = " @" + st.span.Node
 		}
-		fmt.Fprintf(w, "  %-16s %12s  %5.1f%%%s\n", sp.Phase, fmtUS(sp.DurUS), pct, node)
+		fmt.Fprintf(w, "  %s%-16s %12s  %5.1f%%  self %s%s\n",
+			indent, st.span.Phase, fmtUS(st.span.DurUS), pct(st.span.DurUS), fmtUS(st.self), node)
+		for _, g := range st.groups {
+			fmt.Fprintf(w, "  %s  · %-14s %12s  %5.1f%%  ×%d\n",
+				indent, g.phase, fmtUS(g.sum), pct(g.sum), g.count)
+		}
 	}
 
 	// Flamegraphs of the top slowest cells.
@@ -203,9 +212,59 @@ func render(w io.Writer, cells []obs.CellTrace, top, width int) {
 	}
 }
 
-// criticalPath walks the span tree from the heaviest root down the
-// heaviest child chain.
-func criticalPath(ct obs.CellTrace) []obs.Span {
+// pathStep is one level of a critical path: a span, its self time
+// (duration not covered by its children) and its children summed per
+// phase, heaviest group first.
+type pathStep struct {
+	span   obs.Span
+	self   int64
+	groups []phaseGroup
+}
+
+// phaseGroup sums the sibling spans of one phase.
+type phaseGroup struct {
+	phase    string
+	count    int
+	sum      int64
+	heaviest obs.Span // the group's longest span, where the path descends
+}
+
+// groupByPhase sums spans per phase, heaviest sum first (ties by
+// phase name, so the report is deterministic).
+func groupByPhase(spans []obs.Span) []phaseGroup {
+	byPhase := map[string]*phaseGroup{}
+	var groups []*phaseGroup
+	for _, sp := range spans {
+		g := byPhase[sp.Phase]
+		if g == nil {
+			g = &phaseGroup{phase: sp.Phase, heaviest: sp}
+			byPhase[sp.Phase] = g
+			groups = append(groups, g)
+		}
+		g.count++
+		g.sum += sp.DurUS
+		if sp.DurUS > g.heaviest.DurUS {
+			g.heaviest = sp
+		}
+	}
+	sort.Slice(groups, func(i, j int) bool {
+		if groups[i].sum != groups[j].sum {
+			return groups[i].sum > groups[j].sum
+		}
+		return groups[i].phase < groups[j].phase
+	})
+	out := make([]phaseGroup, len(groups))
+	for i, g := range groups {
+		out[i] = *g
+	}
+	return out
+}
+
+// criticalPath walks the span tree from the heaviest root phase group
+// down the heaviest child phase group at each level. Grouping by phase
+// before choosing keeps many short spans (hundreds of sim_run calls
+// under one round) from losing to a single longer sibling.
+func criticalPath(ct obs.CellTrace) []pathStep {
 	children := map[string][]obs.Span{}
 	var roots []obs.Span
 	for _, sp := range ct.Spans {
@@ -215,23 +274,19 @@ func criticalPath(ct obs.CellTrace) []obs.Span {
 			children[sp.Parent] = append(children[sp.Parent], sp)
 		}
 	}
-	heaviest := func(spans []obs.Span) (obs.Span, bool) {
-		if len(spans) == 0 {
-			return obs.Span{}, false
+	var path []pathStep
+	level := groupByPhase(roots)
+	for len(level) > 0 && len(path) <= len(ct.Spans) {
+		sp := level[0].heaviest
+		st := pathStep{span: sp, self: sp.DurUS, groups: groupByPhase(children[sp.ID])}
+		for _, g := range st.groups {
+			st.self -= g.sum
 		}
-		best := spans[0]
-		for _, sp := range spans[1:] {
-			if sp.DurUS > best.DurUS {
-				best = sp
-			}
+		if st.self < 0 {
+			st.self = 0 // children overlap (concurrent work)
 		}
-		return best, true
-	}
-	var path []obs.Span
-	cur, ok := heaviest(roots)
-	for ok {
-		path = append(path, cur)
-		cur, ok = heaviest(children[cur.ID])
+		path = append(path, st)
+		level = st.groups
 	}
 	return path
 }

@@ -1,8 +1,6 @@
 // Command vsim is the standalone Verilog simulator built for this
 // reproduction (the Icarus Verilog stand-in): it parses a source file,
-// elaborates the requested top module and executes its initial blocks
-// and delay-driven always blocks under event-driven time, printing
-// $display output.
+// elaborates the requested top module and simulates it.
 //
 // Usage:
 //
@@ -11,18 +9,18 @@
 // Two run modes:
 //
 //   - timed (default): executes initial blocks and delay-driven always
-//     blocks until -maxtime, like a conventional simulator run.
+//     blocks on the interpreter until -maxtime, printing $display
+//     output, like a conventional simulator run.
 //   - cycle (-clock C -cycles N): zeroes the inputs and toggles the
 //     named clock N times, reporting steps/s. This is the mode the
-//     evaluation harness exercises, and the only mode the batched
-//     engine supports (-engine batched -batch L runs L identical lanes
-//     of the design through one sim.BatchInstance).
-//
-// The -engine flag picks the simulation engine (auto|interp|compiled|
-// batched); auto follows sim.DefaultEngine.
+//     evaluation harness exercises. It runs -batch identical lanes of
+//     the design through one batch program, or one interpreter
+//     instance when the design does not batch-compile (e.g. it uses
+//     $display); the report names the engine that ran.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"correctbench/internal/logic"
 	"correctbench/internal/sim"
 	"correctbench/internal/verilog"
 )
@@ -39,19 +38,14 @@ func main() {
 		top     = flag.String("top", "", "top module (default: last module in the input)")
 		maxTime = flag.Uint64("maxtime", 1_000_000, "simulation time limit (timed mode)")
 		dump    = flag.Bool("ports", false, "print final port values after simulation")
-		engine  = flag.String("engine", "auto", "simulation engine: auto|interp|compiled|batched")
 		clock   = flag.String("clock", "", "clock port name (enables cycle mode with -cycles)")
 		cycles  = flag.Int("cycles", 0, "run N clock cycles instead of event-driven time")
-		batch   = flag.Int("batch", 10, "lane count for -engine batched (cycle mode)")
+		batch   = flag.Int("batch", 10, "lane count of the batch engine (cycle mode)")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: vsim [-top name] [-engine E] [-clock C -cycles N] file.v ...")
+		fmt.Fprintln(os.Stderr, "usage: vsim [-top name] [-clock C -cycles N [-batch L]] file.v ...")
 		os.Exit(2)
-	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fail(err)
 	}
 	var srcs []string
 	for _, path := range flag.Args() {
@@ -69,20 +63,17 @@ func main() {
 	if topName == "" {
 		topName = file.Modules[len(file.Modules)-1].Name
 	}
-	design, err := sim.Elaborate(file, topName)
+	design, err := sim.ElaborateContext(context.Background(), file, topName)
 	if err != nil {
 		fail(err)
 	}
 
 	if *cycles > 0 || *clock != "" {
-		runCycles(design, eng, *clock, *cycles, *batch, *dump)
+		runCycles(design, *clock, *cycles, *batch, *dump)
 		return
 	}
-	if eng == sim.EngineBatched {
-		fail(errors.New("the batched engine has no event-driven time; use cycle mode (-clock C -cycles N, optionally -batch L)"))
-	}
 
-	inst := sim.NewInstanceEngine(design, eng)
+	inst := sim.NewInstance(design)
 	inst.Stdout = os.Stdout
 	if err := sim.Run(inst, *maxTime); err != nil {
 		fail(err)
@@ -100,27 +91,24 @@ func main() {
 }
 
 // runCycles zeroes the inputs and drives the named clock for the
-// requested cycle count, printing throughput as steps/s (one step =
-// one cycle of one lane; scalar engines are a single lane).
-func runCycles(design *sim.Design, eng sim.Engine, clock string, cycles, batch int, dump bool) {
+// requested cycle count on the batch engine, or on the interpreter when
+// the design does not batch-compile, printing throughput as steps/s
+// (one step = one cycle of one lane; the interpreter is a single lane).
+func runCycles(design *sim.Design, clock string, cycles, batch int, dump bool) {
 	if clock == "" || cycles <= 0 {
 		fail(errors.New("cycle mode needs both -clock and -cycles"))
 	}
+	if batch < 1 {
+		fail(errors.New("-batch must be at least 1"))
+	}
 	start := time.Now()
-	lanes := 1
-	sched := "event"
-	if eng == sim.EngineBatched {
-		if batch < 1 {
-			fail(errors.New("-batch must be at least 1"))
-		}
-		variants := make([]*sim.Design, batch)
-		for i := range variants {
-			variants[i] = design
-		}
-		prog, err := sim.CompileBatch(design, variants)
-		if err != nil {
-			fail(err)
-		}
+	eng, lanes, sched := sim.EngineBatched, batch, "event"
+	variants := make([]*sim.Design, batch)
+	for i := range variants {
+		variants[i] = design
+	}
+	var get func(name string) (logic.Vector, error)
+	if prog, err := sim.CompileBatch(design, variants); err == nil {
 		b := sim.NewBatchInstance(prog)
 		if err := b.ZeroInputs(); err != nil {
 			fail(err)
@@ -133,41 +121,33 @@ func runCycles(design *sim.Design, eng sim.Engine, clock string, cycles, batch i
 				fail(fmt.Errorf("lane %d: %w", lane, err))
 			}
 		}
-		lanes = prog.Lanes()
 		if prog.Levelized() {
 			sched = "levelized"
 		}
-		if dump {
-			for _, p := range design.Ports {
-				v, err := b.Get(p.Name, 0)
-				if err != nil {
-					continue
-				}
-				fmt.Printf("%s %s = %s\n", p.Dir, p.Name, v)
-			}
-		}
+		get = func(name string) (logic.Vector, error) { return b.Get(name, 0) }
 	} else {
-		inst := sim.NewInstanceEngine(design, eng)
+		fmt.Fprintf(os.Stderr, "vsim: %v; running on the interpreter\n", err)
+		eng, lanes = sim.EngineInterp, 1
+		inst := sim.NewInstance(design)
 		inst.Stdout = os.Stdout
 		if err := inst.ZeroInputs(); err != nil {
 			fail(err)
 		}
-		for i := 0; i < cycles; i++ {
-			if err := inst.Tick(clock); err != nil {
-				fail(err)
-			}
+		if err := inst.TickN(clock, cycles); err != nil {
+			fail(err)
 		}
-		if dump {
-			for _, p := range design.Ports {
-				v, err := inst.Get(p.Name)
-				if err != nil {
-					continue
-				}
-				fmt.Printf("%s %s = %s\n", p.Dir, p.Name, v)
-			}
-		}
+		get = inst.Get
 	}
 	secs := time.Since(start).Seconds()
+	if dump {
+		for _, p := range design.Ports {
+			v, err := get(p.Name)
+			if err != nil {
+				continue
+			}
+			fmt.Printf("%s %s = %s\n", p.Dir, p.Name, v)
+		}
+	}
 	steps := float64(cycles) * float64(lanes)
 	rate := "inf"
 	if secs > 0 {

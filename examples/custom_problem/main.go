@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	design, err := sim.Elaborate(file, "pulsewidth_tb")
+	design, err := sim.ElaborateContext(context.Background(), file, "pulsewidth_tb")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func (e *Evaluator) elaborateCached(src, top string) (*sim.Design, error) {
 	if ok {
 		return d, nil
 	}
-	d, err := sim.ElaborateSource(src, top)
+	d, err := sim.ElaborateSourceContext(context.Background(), src, top)
 	if err != nil {
 		return nil, err
 	}
@@ -121,14 +121,27 @@ type fixture struct {
 	goldenDesign  *sim.Design
 	mutantDesigns []*sim.Design
 	goldenVerdict []bool // golden TB's pass verdict per mutant
-	// batchProgs is the mutant set precompiled for batched grading
-	// (sim.CompileBatchSplit: a levelized program for static mutants
-	// plus an event-driven one for the rest), with batchIdx giving each
-	// program's variant -> mutant index mapping — immutable, shared by
-	// every Eval2 call. Nil when the engine is the interpreter or the
-	// golden design cannot batch-compile.
-	batchProgs []*sim.BatchProgram
-	batchIdx   [][]int
+	// goldenProgs is the golden design as a one-lane program (Eval1)
+	// and mutantProgs the mutant set (Eval2), each precompiled with
+	// sim.CompileBatchSplit over goldenDesign (a levelized program for
+	// static variants plus an event-driven one for the rest; the Idx
+	// lists map each program's variants to DUT indexes). They are
+	// immutable and shared by every grade. Sharing goldenDesign as the
+	// base lets Eval1 and Eval2 replay one recorded checker trace. Nil
+	// when the golden design cannot batch-compile.
+	goldenProgs, mutantProgs []*sim.BatchProgram
+	goldenIdx, mutantIdx     [][]int
+}
+
+// run grades tb against duts (the golden design or the mutant set) in
+// one batched pass: through the precompiled programs when there are
+// any, else compiling (or falling back to the interpreter) per call.
+// The returned error is non-nil only on context cancellation.
+func (f *fixture) run(ctx context.Context, tb *testbench.Testbench, progs []*sim.BatchProgram, idx [][]int, duts []*sim.Design) ([]testbench.BatchOutcome, error) {
+	if progs != nil {
+		return tb.RunBatchProgramsContext(ctx, progs, idx, true)
+	}
+	return tb.RunBatchAgainstDesignsContext(ctx, f.goldenDesign, duts, true)
 }
 
 // fixtureEntry is the per-problem build lock: the entry is installed
@@ -180,24 +193,9 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	// makes them useful Eval2 probes. Candidate mutants are elaborated
 	// through the evaluator's design cache: the same printed source is
 	// simulated again by the subtlety probe and kept as an Eval2 DUT,
-	// and must not be re-elaborated each time.
+	// and must not be re-elaborated each time. The kill checks run
+	// wave-at-a-time as lanes of one batched pass.
 	//
-	// On batch-capable engines the kill checks run wave-at-a-time on
-	// sim.EngineBatched lanes (DistinctMutantsBatch draws the same rng
-	// stream as DistinctMutants, so the fixture is engine-independent);
-	// the interpreter keeps the sequential per-mutant path.
-	batched := resolveEngine(gtb.Engine) != sim.EngineInterp
-	differs := func(m *verilog.Module) (bool, error) {
-		d, err := e.elaborateCached(verilog.PrintModule(m), p.Top)
-		if err != nil {
-			return false, fmt.Errorf("dut: %w", err)
-		}
-		res, err := gtb.RunAgainstDesignContext(context.Background(), d)
-		if err != nil {
-			return false, err
-		}
-		return !res.Pass(), nil
-	}
 	// batchRun elaborates a module set and runs the lanes that
 	// elaborate through one batched pass of tb, returning per-module
 	// outcomes (Err set for elaboration failures).
@@ -259,40 +257,17 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	// reach a simulation lane (the screen is draw-preserving, so the
 	// selected mutants are the same with or without it).
 	screen := mutate.NewScreen(golden)
-	var candidates []*verilog.Module
-	if batched {
-		candidates = mutate.DistinctMutantsBatchScreened(golden, rng, e.Mutants*3, 1, batchDiffers, screen)
-		if len(candidates) < e.Mutants {
-			// Problems with few mutation sites: widen to 2-fault mutants.
-			candidates = append(candidates, mutate.DistinctMutantsBatchScreened(golden, rng, e.Mutants*2, 2, batchDiffers, screen)...)
-		}
-	} else {
-		candidates = mutate.DistinctMutantsScreened(golden, rng, e.Mutants*3, 1, differs, screen)
-		if len(candidates) < e.Mutants {
-			candidates = append(candidates, mutate.DistinctMutantsScreened(golden, rng, e.Mutants*2, 2, differs, screen)...)
-		}
+	candidates := mutate.DistinctMutantsBatchScreened(golden, rng, e.Mutants*3, 1, batchDiffers, screen)
+	if len(candidates) < e.Mutants {
+		// Problems with few mutation sites: widen to 2-fault mutants.
+		candidates = append(candidates, mutate.DistinctMutantsBatchScreened(golden, rng, e.Mutants*2, 2, batchDiffers, screen)...)
 	}
 	var subtle, gross []*verilog.Module
-	if batched {
-		for i, o := range batchRun(probe, candidates) {
-			if o.Err == nil && o.Res.Pass() {
-				subtle = append(subtle, candidates[i])
-			} else {
-				gross = append(gross, candidates[i])
-			}
-		}
-	} else {
-		for _, m := range candidates {
-			var res *testbench.RunResult
-			d, err := e.elaborateCached(verilog.PrintModule(m), p.Top)
-			if err == nil {
-				res, err = probe.RunAgainstDesignContext(context.Background(), d)
-			}
-			if err == nil && res.Pass() {
-				subtle = append(subtle, m)
-			} else {
-				gross = append(gross, m)
-			}
+	for i, o := range batchRun(probe, candidates) {
+		if o.Err == nil && o.Res.Pass() {
+			subtle = append(subtle, candidates[i])
+		} else {
+			gross = append(gross, candidates[i])
 		}
 	}
 	// Up to 70% subtle, the rest gross (mirroring the dataset's mix).
@@ -318,19 +293,12 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 			mutants = append(mutants, m)
 		}
 	}
-	// Warm the golden testbench's checker cache while still inside the
-	// once-guarded build: afterwards the shared golden testbench is
-	// only ever read, so GoldenTestbench callers may run it from many
-	// goroutines.
-	if err := gtb.ElaborateChecker(); err != nil {
+	// Warm the golden testbench's checker design and trace while still
+	// inside the once-guarded build: afterwards the shared golden
+	// testbench is only ever read, so GoldenTestbench callers may run
+	// it from many goroutines.
+	if err := gtb.WarmBatchTrace(goldenDesign); err != nil {
 		return nil, err
-	}
-	if batched {
-		// The batched runner also lazily records a checker trace; warm
-		// it here for the same reason.
-		if err := gtb.WarmBatchTrace(goldenDesign); err != nil {
-			return nil, err
-		}
 	}
 	f := &fixture{golden: gtb, goldenDesign: goldenDesign}
 	for _, m := range mutants {
@@ -344,14 +312,15 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	if len(f.mutantDesigns) == 0 {
 		return nil, fmt.Errorf("autoeval: no usable mutants for %s", p.Name)
 	}
-	if batched {
-		// Precompile the mutant set once: every Eval2 call replays the
-		// same lanes, so the per-call compile would be pure overhead. A
-		// compile failure just leaves batchProgs nil and Eval2 compiling
-		// per call (with its own scalar fallback).
-		if progs, idx, err := sim.CompileBatchSplit(goldenDesign, f.mutantDesigns); err == nil {
-			f.batchProgs, f.batchIdx = progs, idx
-		}
+	// Precompile once: every grade replays the same lanes, so a
+	// per-call compile would be pure overhead. Both compiles fail
+	// exactly when the golden design cannot batch-compile; the programs
+	// then stay nil and every grade runs on the interpreter.
+	if progs, idx, err := sim.CompileBatchSplit(goldenDesign, []*sim.Design{goldenDesign}); err == nil {
+		f.goldenProgs, f.goldenIdx = progs, idx
+	}
+	if progs, idx, err := sim.CompileBatchSplit(goldenDesign, f.mutantDesigns); err == nil {
+		f.mutantProgs, f.mutantIdx = progs, idx
 	}
 	return f, nil
 }
@@ -363,15 +332,6 @@ func containsModule(list []*verilog.Module, m *verilog.Module) bool {
 		}
 	}
 	return false
-}
-
-// resolveEngine maps the testbench's engine selection to the engine
-// that will actually run (EngineAuto follows sim.DefaultEngine).
-func resolveEngine(eng sim.Engine) sim.Engine {
-	if eng == sim.EngineAuto {
-		return sim.DefaultEngine
-	}
-	return eng
 }
 
 func hashName(s string) int64 {
@@ -399,56 +359,34 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, tb *testbench.Testbench
 		return GradeFailed, err
 	}
 
-	// Eval1: the golden RTL must pass.
-	res, err := tb.RunAgainstDesignContext(ctx, f.goldenDesign)
+	// Eval1: the golden RTL must pass. Eval2: verdict agreement on the
+	// mutants. Both run with early exit (a lane stops simulating once a
+	// scenario has failed it — the verdict is already known) and replay
+	// the same recorded checker trace.
+	outs, err := f.run(ctx, tb, f.goldenProgs, f.goldenIdx, []*sim.Design{f.goldenDesign})
 	if err != nil {
+		return GradeFailed, err
+	}
+	if o := outs[0]; o.Err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return GradeFailed, cerr
 		}
 		return GradeEval0, nil
-	}
-	if !res.Pass() {
+	} else if !o.Res.Pass() {
 		return GradeEval0, nil
 	}
-
-	// Eval2: verdict agreement on the mutants. Batch-capable engines
-	// run all mutant DUTs as lanes of one batched pass with early exit
-	// (a lane stops simulating once a scenario has failed it — the
-	// verdict is already known); the interpreter keeps the sequential
-	// per-mutant loop.
+	outs, err = f.run(ctx, tb, f.mutantProgs, f.mutantIdx, f.mutantDesigns)
+	if err != nil {
+		return GradeFailed, err
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return GradeFailed, cerr
+	}
 	agree := 0
-	if resolveEngine(tb.Engine) != sim.EngineInterp {
-		var outs []testbench.BatchOutcome
-		var err error
-		if f.batchProgs != nil {
-			outs, err = tb.RunBatchProgramsContext(ctx, f.batchProgs, f.batchIdx, true)
-		} else {
-			outs, err = tb.RunBatchAgainstDesignsContext(ctx, f.goldenDesign, f.mutantDesigns, true)
-		}
-		if err != nil {
-			return GradeFailed, err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return GradeFailed, cerr
-		}
-		for i, o := range outs {
-			verdict := o.Err == nil && o.Res.Pass()
-			if verdict == f.goldenVerdict[i] {
-				agree++
-			}
-		}
-	} else {
-		for i, md := range f.mutantDesigns {
-			verdict := false
-			mres, err := tb.RunAgainstDesignContext(ctx, md)
-			if err == nil {
-				verdict = mres.Pass()
-			} else if cerr := ctx.Err(); cerr != nil {
-				return GradeFailed, cerr
-			}
-			if verdict == f.goldenVerdict[i] {
-				agree++
-			}
+	for i, o := range outs {
+		verdict := o.Err == nil && o.Res.Pass()
+		if verdict == f.goldenVerdict[i] {
+			agree++
 		}
 	}
 	if float64(agree) >= e.AgreeFrac*float64(len(f.mutantDesigns)) {

@@ -148,10 +148,9 @@ func TestFixtureCachingIsStable(t *testing.T) {
 }
 
 // TestBatchGradingMatchesInterp pins the engine-independence of
-// AutoEval end to end: an evaluator whose fixtures and Eval2 runs go
-// through the batched engine must produce the same fixture (same
-// mutant sources, thanks to DistinctMutantsBatch's rng-exactness) and
-// the same grades as one running everything on the scalar interpreter.
+// AutoEval end to end: an evaluator whose fixtures and grades run on
+// the batched engine must produce the same fixture and the same grades
+// as one running every simulation on the reference interpreter.
 func TestBatchGradingMatchesInterp(t *testing.T) {
 	buildUnder := func(eng sim.Engine, seed int64, p *dataset.Problem) (*Evaluator, *fixture) {
 		old := sim.DefaultEngine
@@ -163,6 +162,12 @@ func TestBatchGradingMatchesInterp(t *testing.T) {
 			t.Fatalf("fixture under %v: %v", eng, err)
 		}
 		return e, f
+	}
+	gradeUnder := func(eng sim.Engine, e *Evaluator, tb *testbench.Testbench) (Grade, error) {
+		old := sim.DefaultEngine
+		sim.DefaultEngine = eng
+		defer func() { sim.DefaultEngine = old }()
+		return e.EvaluateContext(context.Background(), tb)
 	}
 	rng := rand.New(rand.NewSource(17))
 	for _, name := range []string{"adder8", "mux4_w4", "cnt8", "det101", "fifo2"} {
@@ -199,14 +204,12 @@ func TestBatchGradingMatchesInterp(t *testing.T) {
 			{"thin", func(*Evaluator) *testbench.Testbench { return thin }},
 		} {
 			tbI := *tc.mk(eI)
-			tbI.Engine = sim.EngineInterp
 			tbB := *tc.mk(eB)
-			tbB.Engine = sim.EngineBatched
-			gI, err := eI.EvaluateContext(context.Background(), &tbI)
+			gI, err := gradeUnder(sim.EngineInterp, eI, &tbI)
 			if err != nil {
 				t.Fatalf("%s/%s interp: %v", name, tc.label, err)
 			}
-			gB, err := eB.EvaluateContext(context.Background(), &tbB)
+			gB, err := gradeUnder(sim.EngineBatched, eB, &tbB)
 			if err != nil {
 				t.Fatalf("%s/%s batched: %v", name, tc.label, err)
 			}

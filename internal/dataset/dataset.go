@@ -8,6 +8,7 @@
 package dataset
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -115,7 +116,7 @@ func (p *Problem) Module() (*verilog.Module, error) {
 // cached and shared; sim.Design is read-only during simulation.
 func (p *Problem) Elaborate() (*sim.Design, error) {
 	p.designOnce.Do(func() {
-		p.cachedDesign, p.designErr = sim.ElaborateSource(p.Source, p.Top)
+		p.cachedDesign, p.designErr = sim.ElaborateSourceContext(context.Background(), p.Source, p.Top)
 	})
 	return p.cachedDesign, p.designErr
 }
@@ -182,25 +183,6 @@ func All() []*Problem {
 func ByName(name string) *Problem {
 	build()
 	return byName[name]
-}
-
-// BenchmarkMix returns the fixed 12-problem CMB/SEQ mix used by the
-// repo's experiment-scale benchmarks (bench_test.go) and the engine
-// differential, so both run the same workload.
-func BenchmarkMix() []*Problem {
-	names := []string{
-		"mux4_w4", "adder8", "alu4", "prio_enc8", "sevenseg", "parity_even8",
-		"cnt8", "det101", "sipo8", "shift18", "timer8", "lfsr8",
-	}
-	out := make([]*Problem, 0, len(names))
-	for _, n := range names {
-		p := ByName(n)
-		if p == nil {
-			panic("dataset: benchmark problem " + n + " missing")
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // OfKind returns all problems of the given kind.

@@ -408,15 +408,6 @@ func Mutate(m *verilog.Module, rng *rand.Rand, count int) (*verilog.Module, []Mu
 // the simulator).
 type DifferenceChecker func(mutant *verilog.Module) (bool, error)
 
-// DistinctMutants generates up to n mutants that each differ
-// behaviourally from the golden module according to differs, drawing
-// fresh random sites until enough are found or attempts run out.
-// Mutants that fail elaboration are discarded too (differs should
-// report an error for those).
-func DistinctMutants(m *verilog.Module, rng *rand.Rand, n int, mutationsEach int, differs DifferenceChecker) []*verilog.Module {
-	return DistinctMutantsScreened(m, rng, n, mutationsEach, differs, nil)
-}
-
 // DifferenceResult is one candidate's verdict from a
 // BatchDifferenceChecker: Differs plays the role of DifferenceChecker's
 // bool, Err of its error.
@@ -430,18 +421,6 @@ type DifferenceResult struct {
 // candidates against the golden design. It must return one result per
 // candidate, in order.
 type BatchDifferenceChecker func(mutants []*verilog.Module) []DifferenceResult
-
-// DistinctMutantsBatch is DistinctMutants with the difference checks
-// batched into waves. Candidates are drawn from rng in exactly the
-// order and quantity the sequential version would draw them — each
-// wave requests only the outstanding need, capped by the remaining
-// attempt budget, and an empty-mutation draw ends generation just like
-// the sequential break — so with an equivalent checker the returned
-// mutants and the post-call rng state are identical to
-// DistinctMutants; only the number of checker invocations changes.
-func DistinctMutantsBatch(m *verilog.Module, rng *rand.Rand, n int, mutationsEach int, differs BatchDifferenceChecker) []*verilog.Module {
-	return DistinctMutantsBatchScreened(m, rng, n, mutationsEach, differs, nil)
-}
 
 // ---- syntax corruption ----
 

@@ -1,6 +1,7 @@
 package mutate
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -141,7 +142,7 @@ func TestPlanWith(t *testing.T) {
 func simDiffers(t *testing.T, goldenSrc, top string, stimuli []map[string]uint64, outs []string) DifferenceChecker {
 	t.Helper()
 	run := func(m *verilog.Module) ([]logic.Vector, error) {
-		d, err := sim.ElaborateSource(verilog.PrintModule(m), top)
+		d, err := sim.ElaborateSourceContext(context.Background(), verilog.PrintModule(m), top)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +198,7 @@ func TestDistinctMutantsKillable(t *testing.T) {
 	}
 	differs := simDiffers(t, goldenAdder, "add4", stimuli, []string{"s"})
 	rng := rand.New(rand.NewSource(99))
-	mutants := DistinctMutants(m, rng, 10, 1, differs)
+	mutants := DistinctMutantsScreened(m, rng, 10, 1, differs, nil)
 	if len(mutants) < 5 {
 		t.Fatalf("got only %d killable mutants", len(mutants))
 	}
@@ -268,9 +269,10 @@ func TestMutationDescriptions(t *testing.T) {
 }
 
 // TestDistinctMutantsBatchMatchesSequential asserts the rng-exactness
-// contract of DistinctMutantsBatch: with an equivalent checker it must
-// return byte-identical mutants AND leave the rng in the same state as
-// DistinctMutants, so fixtures built either way are interchangeable.
+// contract of DistinctMutantsBatchScreened: with an equivalent checker
+// it must return byte-identical mutants AND leave the rng in the same
+// state as DistinctMutantsScreened, so fixtures built either way are
+// interchangeable.
 var errFakeElab = errors.New("fake elaboration failure")
 
 func TestDistinctMutantsBatchMatchesSequential(t *testing.T) {
@@ -303,8 +305,8 @@ func TestDistinctMutantsBatchMatchesSequential(t *testing.T) {
 				}
 				rngA := rand.New(rand.NewSource(int64(n) * 977))
 				rngB := rand.New(rand.NewSource(int64(n) * 977))
-				a := DistinctMutants(m, rngA, n, 1, seq)
-				b := DistinctMutantsBatch(m, rngB, n, 1, batch)
+				a := DistinctMutantsScreened(m, rngA, n, 1, seq, nil)
+				b := DistinctMutantsBatchScreened(m, rngB, n, 1, batch, nil)
 				if len(a) != len(b) {
 					t.Fatalf("%s n=%d: %d sequential vs %d batched mutants", pname, n, len(a), len(b))
 				}

@@ -69,11 +69,17 @@ func (s *Screen) Reject(mut *verilog.Module) bool {
 	return false
 }
 
-// DistinctMutantsScreened is DistinctMutants with a static pre-screen
-// in front of the difference check. A nil screen disables screening.
-// Rejected candidates consume attempts exactly as a non-differing
-// candidate would, so the rng draw sequence — and therefore the
-// returned mutants — match the unscreened call.
+// DistinctMutantsScreened generates up to n mutants that each differ
+// behaviourally from the golden module according to differs, drawing
+// fresh random sites until enough are found or attempts run out, one
+// difference check per candidate. Mutants that fail elaboration are
+// discarded too (differs should report an error for those). It is the
+// sequential reference DistinctMutantsBatchScreened must reproduce.
+//
+// A static pre-screen sits in front of the difference check; a nil
+// screen disables screening. Rejected candidates consume attempts
+// exactly as a non-differing candidate would, so the rng draw sequence
+// — and therefore the returned mutants — match the unscreened call.
 func DistinctMutantsScreened(m *verilog.Module, rng *rand.Rand, n int, mutationsEach int, differs DifferenceChecker, screen *Screen) []*verilog.Module {
 	var out []*verilog.Module
 	maxAttempts := n*20 + 20
@@ -94,12 +100,20 @@ func DistinctMutantsScreened(m *verilog.Module, rng *rand.Rand, n int, mutations
 	return out
 }
 
-// DistinctMutantsBatchScreened is DistinctMutantsBatch with a static
-// pre-screen applied to each wave before the batched difference
-// check. A nil screen disables screening. Screened-out candidates are
-// drawn and counted exactly like candidates the checker rejects, so
-// draws, returned mutants and rng state match the unscreened call;
-// only the waves handed to differs shrink.
+// DistinctMutantsBatchScreened is DistinctMutantsScreened with the
+// difference checks batched into waves. Candidates are drawn from rng
+// in exactly the order and quantity the sequential version would draw
+// them — each wave requests only the outstanding need, capped by the
+// remaining attempt budget, and an empty-mutation draw ends generation
+// just like the sequential break — so with an equivalent checker the
+// returned mutants and the post-call rng state are identical; only the
+// number of checker invocations changes.
+//
+// The static pre-screen is applied to each wave before the batched
+// difference check; a nil screen disables screening. Screened-out
+// candidates are drawn and counted exactly like candidates the checker
+// rejects, so draws, returned mutants and rng state match the
+// unscreened call; only the waves handed to differs shrink.
 func DistinctMutantsBatchScreened(m *verilog.Module, rng *rand.Rand, n int, mutationsEach int, differs BatchDifferenceChecker, screen *Screen) []*verilog.Module {
 	var out []*verilog.Module
 	maxAttempts := n*20 + 20

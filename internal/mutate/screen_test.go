@@ -90,7 +90,7 @@ endmodule`)
 		r1 := rand.New(rand.NewSource(seed))
 		r2 := rand.New(rand.NewSource(seed))
 		r3 := rand.New(rand.NewSource(seed))
-		plain := DistinctMutants(golden, r1, 4, 1, differs)
+		plain := DistinctMutantsScreened(golden, r1, 4, 1, differs, nil)
 		screened := DistinctMutantsScreened(golden, r2, 4, 1, differs, NewScreen(golden))
 		batch := DistinctMutantsBatchScreened(golden, r3, 4, 1, batchDiffers, NewScreen(golden))
 		if len(plain) != len(screened) || len(plain) != len(batch) {

@@ -52,7 +52,7 @@ const (
 	PhaseGrade     = "grade"           // AutoEval grading of the generated testbench
 	PhaseWriteback = "store_writeback" // persisting the finished cell
 	PhaseElaborate = "sim_elaborate"   // parsing + module elaboration (internal/sim)
-	PhaseCompile   = "sim_compile"     // closure/program compilation (internal/sim)
+	PhaseCompile   = "sim_compile"     // slot resolution + scheduling indexes (internal/sim)
 	PhaseRun       = "sim_run"         // scenario stepping (internal/testbench)
 )
 

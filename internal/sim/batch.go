@@ -84,10 +84,11 @@ var ErrBatchNotStatic = errors.New("sim: batch: variant is not static")
 // CompileBatch compiles base and as many of the variants as can share
 // its program. It fails only when the base itself cannot be fully
 // batch-compiled (dynamic constructs, display tasks, delays) — then
-// the caller should fall back to scalar simulation wholesale.
+// the caller should fall back to the interpreter wholesale.
 // Individual variants that are structurally incompatible or whose
 // changed bodies cannot be compiled are rejected (RejectReason) and
-// simply get no lane; reject-handling callers run those few scalars.
+// simply get no lane; reject-handling callers run those few on the
+// interpreter.
 // One non-static variant drops the whole batch to event-driven mode
 // (no lane is lost); use CompileBatchSplit to keep the static majority
 // levelized instead.
@@ -147,7 +148,7 @@ func CompileBatchSplit(base *Design, variants []*Design) ([]*BatchProgram, [][]i
 }
 
 func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram, error) {
-	bc := &batchCompiler{c: compiler{d: base}}
+	bc := &batchCompiler{c: analyzer{d: base}}
 	prog := &BatchProgram{base: base, variants: variants}
 
 	nComb, nSeq := len(base.combProcs), len(base.seqProcs)
@@ -220,6 +221,9 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 				continue // initial/timed bodies never run under the cycle API
 			}
 			vp := v.Procs[i]
+			if vp.Body == bp.Body {
+				continue // shared AST (the base itself as a lane)
+			}
 			bs, ok := baseBody[i]
 			if !ok {
 				bs = verilog.StmtString(bp.Body)
@@ -243,8 +247,8 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 			prog.rejected[vi] = bad
 			continue
 		}
-		var vs *combStatic
-		if allStatic {
+		vs := baseStatic
+		if allStatic && v != base {
 			var serr error
 			if vs, serr = analyzeStatic(v); serr != nil {
 				if strict {
@@ -827,7 +831,7 @@ func (b *BatchInstance) settleLevel(live []int32) {
 // modes: edge structure (watched slots, sequential sensitivities) is
 // identical across the whole batch by construction, only bodies can
 // be patched. The early return on "nothing changed" leaves the lane's
-// NBA queue untouched, exactly like the scalar engine.
+// NBA queue untouched, exactly like the interpreter.
 func (b *BatchInstance) fireEdgesLane(lane int32) bool {
 	prog := b.prog
 	d := prog.base
@@ -872,7 +876,7 @@ func (b *BatchInstance) fireEdgesLane(lane int32) bool {
 			code = ovs[lane]
 		}
 		if err := code(b, lane); err != nil {
-			// The scalar run dies here with the NBA queue unapplied.
+			// The interpreter dies here with the NBA queue unapplied.
 			b.failLane(lane, fmt.Errorf("sim: in %s: %v", prog.seqNames[ord], err))
 			return fired
 		}

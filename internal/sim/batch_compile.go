@@ -2,22 +2,22 @@ package sim
 
 // Per-lane compilation for the SoA batch engine (EngineBatched).
 //
-// The batch compiler is the scalar compiler (compile.go) with one
-// twist: compiled closures take a (BatchInstance, lane) pair and read
-// and write the flat [slot][lane] state block instead of a scalar
-// instance's slot array. Every case mirrors the corresponding
-// compiler/evalExpr/exec case exactly — same width contexts, same
-// X-propagation, same no-op rules for unknown indices and bounds —
-// so a batch lane is bit-identical to a scalar instance running the
-// same design (TestBatchEngineDifferential and the testbench-level
-// differentials assert this across the dataset).
+// Process bodies compile into closures that take a (BatchInstance,
+// lane) pair and read and write the flat [slot][lane] state block.
+// Every case mirrors the corresponding evalExpr/exec case of the
+// interpreter exactly — same width contexts (folded at compile time
+// by analyzer, compile.go), same X-propagation, same no-op rules for
+// unknown indices and bounds — so a batch lane is bit-identical to an
+// interpreter Instance running the same design
+// (TestBatchDifferentialMicro, FuzzBatchLaneMatchesInterp and the
+// testbench-level differentials assert this across the dataset).
 //
-// Anything the scalar compiler leaves to the AST interpreter is a
-// hard error here (errDynamic): a batch program has no interpreter to
-// fall back to, so the caller falls back to scalar simulation for the
-// whole design (CompileBatch error) or for one variant (lane
-// rejection). Display-family system tasks and $finish/$stop are
-// rejected too — they would need per-lane I/O and finish state.
+// A construct whose widths or spans depend on signal values is a hard
+// error here (errDynamic): a batch program has no interpreter to fall
+// back to, so the caller falls back to the interpreter for the whole
+// design (CompileBatch error) or for one variant (lane rejection).
+// Display-family system tasks and $finish/$stop are rejected too —
+// they would need per-lane I/O and finish state.
 
 import (
 	"fmt"
@@ -29,8 +29,8 @@ import (
 // bStmt executes a statement for one lane of a batch instance.
 type bStmt func(b *BatchInstance, lane int32) error
 
-// bExpr evaluates an expression for one lane; like compiledExpr it
-// cannot fail at runtime.
+// bExpr evaluates an expression for one lane; it cannot fail at
+// runtime (everything fallible is resolved at compile time).
 type bExpr func(b *BatchInstance, lane int32) logic.Vector
 
 // bLV applies an already-evaluated RHS value to an lvalue for one
@@ -39,14 +39,16 @@ type bLV func(b *BatchInstance, lane int32, val logic.Vector, nb bool)
 
 var bNoop bStmt = func(b *BatchInstance, lane int32) error { return nil }
 
-// batchCompiler compiles process bodies into per-lane closures. It
-// embeds the scalar compiler for the shared static analysis
-// (selfWidth, constUint) — those depend only on the design.
+// batchCompiler compiles process bodies into per-lane closures. The
+// embedded analyzer supplies the static analysis (selfWidth,
+// constUint, lhsWidth) — those depend only on the design.
 type batchCompiler struct {
-	c compiler
+	c analyzer
 }
 
-// expr compiles e under context width ctx, mirroring compiler.expr.
+// expr compiles e under context width ctx. The returned closure always
+// yields a vector of width max(ctx, selfWidth(e)), exactly as
+// evalExpr does.
 func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 	self, err := bc.c.selfWidth(e)
 	if err != nil {
@@ -350,7 +352,8 @@ func (bc *batchCompiler) binary(x *verilog.Binary, want int) (bExpr, int, error)
 	}
 }
 
-// lvalue compiles an assignment target, mirroring compiler.lvalue.
+// lvalue compiles an assignment target. The spans and clamping
+// mirror resolveLValue.
 func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
@@ -472,7 +475,7 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 	}
 }
 
-// stmt compiles a statement, mirroring compiler.stmt.
+// stmt compiles a statement, mirroring Instance.exec.
 func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 	switch x := s.(type) {
 	case nil, *verilog.Null:
@@ -662,7 +665,7 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 	case *verilog.SysCall:
 		switch x.Name {
 		case "$time", "$random", "$dumpfile", "$dumpvars", "$timeformat":
-			// Accepted, no effect — exactly the scalar no-op list, and
+			// Accepted, no effect — exactly the interpreter's no-op list, and
 			// those calls never evaluate their arguments.
 			return bNoop, nil
 		default:
@@ -673,7 +676,7 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 
 	case *verilog.Delay:
 		// Delay controls error at runtime under the cycle API; a design
-		// using them in comb/seq processes stays on the scalar engines.
+		// using them in comb/seq processes stays on the interpreter.
 		return nil, errDynamic
 
 	default:
@@ -748,7 +751,7 @@ func unwrapBody(body verilog.Stmt) verilog.Stmt {
 
 // denseKernel matches `y = a OP b` (OP in &,|,^,~^), `y = ~a`,
 // `y = a` and `y = K` with every operand width equal to the target
-// width (so the scalar path has no resizes either) and returns a
+// width (so the general path has no resizes either) and returns a
 // whole-batch word-parallel kernel.
 func (bc *batchCompiler) denseKernel(body verilog.Stmt) *bKernel {
 	a, ok := body.(*verilog.Assign)
@@ -792,7 +795,7 @@ func (bc *batchCompiler) denseKernel(body verilog.Stmt) *bKernel {
 		}}
 
 	case *verilog.Number:
-		// Mirror the compiled path: RHS evaluated at want =
+		// Mirror the general path: RHS evaluated at want =
 		// max(lhsWidth, selfWidth), then the whole write resizes to the
 		// target width.
 		self := 32

@@ -8,8 +8,8 @@ import (
 	"correctbench/internal/logic"
 )
 
-// The batch engine must be bit-for-bit identical, lane by lane, to a
-// scalar interpreter instance of the same design. These tests replay
+// The batch engine must be bit-for-bit identical, lane by lane, to an
+// interpreter instance of the same design. These tests replay
 // the micro-differential suite through BatchInstance, then cover the
 // batch-specific machinery: patch tables for mutated variants, the
 // levelized/event-driven mode split, per-lane bootstrap, per-lane
@@ -80,7 +80,7 @@ endmodule`,
 	{
 		// A latch (read of own target without prior assignment) is not
 		// static: the batch must fall back to event-driven mode and
-		// still match the scalar engine.
+		// still match the interpreter.
 		name: "latch_fallback",
 		src: `
 module m(input en, input [3:0] d, output reg [3:0] q);
@@ -167,7 +167,7 @@ func TestBatchDifferentialMicro(t *testing.T) {
 			for i := range variants {
 				// Separate elaborations: distinct ASTs, identical bodies.
 				variants[i] = mustElab(t, tc.src, tc.top)
-				refs[i] = NewInstanceEngine(variants[i], EngineInterp)
+				refs[i] = NewInstance(variants[i])
 			}
 			prog, err := CompileBatch(d, variants)
 			if err != nil {
@@ -253,7 +253,7 @@ func TestBatchModeSelection(t *testing.T) {
 }
 
 // TestBatchMutantPatches batches hand-written "mutants" against their
-// base design and checks each lane tracks a scalar interpreter run of
+// base design and checks each lane tracks an interpreter run of
 // the corresponding variant.
 func TestBatchMutantPatches(t *testing.T) {
 	cases := []struct {
@@ -346,7 +346,7 @@ endmodule`},
 			refs := make([]*Instance, len(tc.vars))
 			for i, src := range tc.vars {
 				variants[i] = mustElab(t, src, tc.top)
-				refs[i] = NewInstanceEngine(variants[i], EngineInterp)
+				refs[i] = NewInstance(variants[i])
 			}
 			prog, err := CompileBatch(base, variants)
 			if err != nil {
@@ -605,24 +605,4 @@ endmodule`
 		}(int64(g))
 	}
 	wg.Wait()
-}
-
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"auto", EngineAuto, true},
-		{"", EngineAuto, true},
-		{"compiled", EngineCompiled, true},
-		{"interp", EngineInterp, true},
-		{"batched", EngineBatched, true},
-		{"bogus", EngineAuto, false},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v", tc.in, got, err)
-		}
-	}
 }

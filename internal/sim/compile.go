@@ -1,93 +1,50 @@
 package sim
 
-// Ahead-of-time compilation of the elaborated design, Verilator-style.
+// Design finalization and the compile-time static analysis the batch
+// compiler (batch_compile.go) builds on.
 //
 // At the end of Elaborate every signal name is resolved to a dense
-// integer slot and each combinational / edge-triggered process body is
-// compiled into a tree of closures operating directly on the
-// instance's []logic.Vector slot array. The compiled program bakes in
-// everything the interpreter recomputes on every execution: signal
-// slots (no map lookups), IEEE 1364 context widths (no per-node
-// selfWidth walks), constant part-select bounds and replication
-// counts, and resolved lvalue spans.
-//
-// Compilation is semantics-preserving by construction: every compiled
-// node mirrors the corresponding evalExpr / exec case exactly,
-// including X-propagation, width contexts and error messages. A body
-// that cannot be proven static — e.g. a part-select whose bounds read
-// signals — is simply left uncompiled and keeps running on the AST
-// interpreter, so the two engines are interchangeable bit for bit
-// (TestCompiledEngineDifferential asserts this over the dataset).
+// integer slot and the scheduling structures (comb process ordinals,
+// per-slot sensitivity, edge-watch indices) are precomputed, so both
+// engines index state by slot. The analysis helpers fold what the
+// interpreter recomputes on every execution — IEEE 1364 context
+// widths, constant part-select bounds and replication counts — and
+// report errDynamic where the answer depends on signal values; the
+// batch compiler rejects such bodies and the caller falls back to the
+// interpreter for the whole design.
 
 import (
 	"errors"
-	"fmt"
 
 	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
 )
 
-// Engine selects how Instance executes process bodies.
+// Engine selects the simulator the testbench runner uses.
 type Engine int
 
 // Engines.
 const (
-	// EngineAuto resolves to DefaultEngine.
-	EngineAuto Engine = iota
-	// EngineCompiled runs slot-indexed compiled programs (falling back
-	// to the interpreter per process when a body is not compilable).
-	EngineCompiled
-	// EngineInterp always walks the AST, the pre-compilation engine.
+	// EngineBatched compiles designs into structure-of-arrays batch
+	// programs (CompileBatch / BatchInstance) with levelized static
+	// scheduling; a single DUT runs as a one-lane batch.
+	EngineBatched Engine = iota
+	// EngineInterp walks the AST on an Instance, the reference oracle.
 	EngineInterp
-	// EngineBatched advances N design variants per step over one shared
-	// SoA batch program (CompileBatch / BatchInstance) with levelized
-	// static scheduling. A scalar Instance created with this engine
-	// behaves exactly like EngineCompiled; the batching happens in the
-	// layers that run many DUTs against one testbench.
-	EngineBatched
 )
 
-// DefaultEngine is the engine NewInstance uses. The compiled engine is
-// bit-for-bit identical to the interpreter; EngineInterp remains
-// selectable for differential testing.
-var DefaultEngine = EngineCompiled
+// DefaultEngine is the process-wide reference switch. The testbench
+// runner simulates on the batch engine unless DefaultEngine is
+// EngineInterp, which differential tests set to run the whole pipeline
+// on the interpreter.
+var DefaultEngine = EngineBatched
 
 func (e Engine) String() string {
-	switch e {
-	case EngineCompiled:
-		return "compiled"
-	case EngineInterp:
+	if e == EngineInterp {
 		return "interp"
-	case EngineBatched:
-		return "batched"
-	default:
-		return "auto"
 	}
+	return "batched"
 }
-
-// ParseEngine parses an engine name as printed by Engine.String.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "auto", "":
-		return EngineAuto, nil
-	case "compiled":
-		return EngineCompiled, nil
-	case "interp":
-		return EngineInterp, nil
-	case "batched":
-		return EngineBatched, nil
-	default:
-		return EngineAuto, fmt.Errorf("sim: unknown engine %q (want auto|interp|compiled|batched)", s)
-	}
-}
-
-// compiledStmt executes a statement against slot-indexed instance
-// state.
-type compiledStmt func(in *Instance) error
-
-// compiledExpr evaluates an expression; compiled expressions cannot
-// fail at runtime (everything fallible is resolved at compile time).
-type compiledExpr func(in *Instance) logic.Vector
 
 // edgeSens is a pre-resolved edge-sensitivity entry of a sequential
 // process: idx indexes the design's dense edge-watched signal list.
@@ -96,8 +53,8 @@ type edgeSens struct {
 	edge verilog.EdgeKind
 }
 
-// finalize resolves slots, indexes processes and compiles process
-// bodies. Called once at the end of Elaborate.
+// finalize resolves slots and indexes processes. Called once at the
+// end of Elaborate.
 func (d *Design) finalize() {
 	d.slotOf = make(map[string]int, len(d.Order))
 	d.slotWidths = make([]int, len(d.Order))
@@ -140,23 +97,15 @@ func (d *Design) finalize() {
 			p.edgeSens = append(p.edgeSens, edgeSens{idx: edgeIdxOf[s.Sig], edge: s.Edge})
 		}
 	}
-
-	c := &compiler{d: d}
-	for _, p := range d.Procs {
-		if p.Kind != ProcComb && p.Kind != ProcSeq {
-			continue // initial/timed bodies stay on the interpreter
-		}
-		if code, err := c.stmt(p.Body); err == nil {
-			p.code = code
-		}
-	}
 }
 
 // errDynamic marks constructs whose widths or spans depend on runtime
-// signal values; the owning process falls back to the interpreter.
+// signal values; the batch compiler rejects them.
 var errDynamic = errors.New("not statically compilable")
 
-type compiler struct {
+// analyzer evaluates widths and constants of one design's expressions
+// at compile time.
+type analyzer struct {
 	d *Design
 }
 
@@ -173,7 +122,7 @@ func (constOnlyEnv) signalWidth(name string) (int, bool) { return 0, false }
 // constUint at runtime. For genuinely constant expressions the result
 // equals the runtime value (including the interpreter's "0 on X or
 // error" convention); expressions that read signals report dynamic.
-func (c *compiler) constUint(e verilog.Expr) (uint64, error) {
+func (c *analyzer) constUint(e verilog.Expr) (uint64, error) {
 	v, err := evalExpr(e, constOnlyEnv{}, 0)
 	if err != nil {
 		return 0, errDynamic
@@ -188,7 +137,7 @@ func (c *compiler) constUint(e verilog.Expr) (uint64, error) {
 // selfWidth is eval.go's selfWidth evaluated at compile time. It
 // reports errDynamic where the runtime version would consult signal
 // values (replication counts, part-select bounds).
-func (c *compiler) selfWidth(e verilog.Expr) (int, error) {
+func (c *analyzer) selfWidth(e verilog.Expr) (int, error) {
 	switch x := e.(type) {
 	case *verilog.Number:
 		if x.Width == 0 {
@@ -288,312 +237,8 @@ func (c *compiler) selfWidth(e verilog.Expr) (int, error) {
 	}
 }
 
-// expr compiles e under context width ctx. The returned closure always
-// yields a vector of width max(ctx, selfWidth(e)), exactly as
-// evalExpr does.
-func (c *compiler) expr(e verilog.Expr, ctx int) (compiledExpr, int, error) {
-	self, err := c.selfWidth(e)
-	if err != nil {
-		return nil, 0, err
-	}
-	want := self
-	if ctx > want {
-		want = ctx
-	}
-	switch x := e.(type) {
-	case *verilog.Number:
-		v := x.Val.Resize(want)
-		return func(in *Instance) logic.Vector { return v }, want, nil
-
-	case *verilog.StringLit:
-		// The interpreter reports this at runtime; keep its behavior.
-		return nil, 0, errDynamic
-
-	case *verilog.Ident:
-		slot, ok := c.d.slotOf[x.Name]
-		if !ok {
-			return nil, 0, errDynamic
-		}
-		if c.d.slotWidths[slot] == want {
-			return func(in *Instance) logic.Vector { return in.vals[slot] }, want, nil
-		}
-		return func(in *Instance) logic.Vector { return in.vals[slot].Resize(want) }, want, nil
-
-	case *verilog.Unary:
-		switch x.Op {
-		case "~":
-			v, _, err := c.expr(x.X, want)
-			if err != nil {
-				return nil, 0, err
-			}
-			return func(in *Instance) logic.Vector { return logic.NotV(v(in)) }, want, nil
-		case "-":
-			v, _, err := c.expr(x.X, want)
-			if err != nil {
-				return nil, 0, err
-			}
-			return func(in *Instance) logic.Vector { return logic.Neg(v(in)) }, want, nil
-		case "!":
-			v, _, err := c.expr(x.X, 0)
-			if err != nil {
-				return nil, 0, err
-			}
-			return c.resized(func(in *Instance) logic.Vector { return logic.Not(v(in)) }, 1, want), want, nil
-		case "&", "|", "^", "~&", "~|", "~^", "^~":
-			v, _, err := c.expr(x.X, 0)
-			if err != nil {
-				return nil, 0, err
-			}
-			var red func(logic.Vector) logic.Vector
-			switch x.Op {
-			case "&":
-				red = logic.RedAnd
-			case "|":
-				red = logic.RedOr
-			case "^":
-				red = logic.RedXor
-			case "~&":
-				red = logic.RedNand
-			case "~|":
-				red = logic.RedNor
-			default:
-				red = logic.RedXnor
-			}
-			return c.resized(func(in *Instance) logic.Vector { return red(v(in)) }, 1, want), want, nil
-		default:
-			return nil, 0, errDynamic
-		}
-
-	case *verilog.Binary:
-		return c.binary(x, want)
-
-	case *verilog.Ternary:
-		cond, _, err := c.expr(x.Cond, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		th, _, err := c.expr(x.Then, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		el, _, err := c.expr(x.Else, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func(in *Instance) logic.Vector { return logic.Mux(cond(in), th(in), el(in)) }, want, nil
-
-	case *verilog.Concat:
-		parts := make([]compiledExpr, len(x.Parts))
-		for i, p := range x.Parts {
-			pc, _, err := c.expr(p, 0)
-			if err != nil {
-				return nil, 0, err
-			}
-			parts[i] = pc
-		}
-		total := self
-		return c.resized(func(in *Instance) logic.Vector {
-			vals := make([]logic.Vector, len(parts))
-			for i, pc := range parts {
-				vals[i] = pc(in)
-			}
-			return logic.Concat(vals...)
-		}, total, want), want, nil
-
-	case *verilog.Repl:
-		nV, err := evalExpr(x.Count, constOnlyEnv{}, 0)
-		if err != nil {
-			return nil, 0, errDynamic
-		}
-		n, ok := nV.Uint64()
-		if !ok || n < 1 || n > 4096 {
-			// The interpreter fails this assignment at runtime;
-			// preserve that by not compiling the process.
-			return nil, 0, errDynamic
-		}
-		v, vw, err := c.expr(x.Value, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		return c.resized(func(in *Instance) logic.Vector {
-			return logic.Replicate(int(n), v(in))
-		}, int(n)*vw, want), want, nil
-
-	case *verilog.Index:
-		base, _, err := c.expr(x.X, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		idx, _, err := c.expr(x.Index, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		xext := logic.AllX(1).Resize(want)
-		return func(in *Instance) logic.Vector {
-			bv := base(in)
-			iv, ok := idx(in).Uint64()
-			if !ok || iv >= uint64(bv.Width()) {
-				return xext
-			}
-			r := logic.Slice(bv, int(iv), int(iv))
-			if want != 1 {
-				r = r.Resize(want)
-			}
-			return r
-		}, want, nil
-
-	case *verilog.PartSelect:
-		base, _, err := c.expr(x.X, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		hiV, errHi := evalExpr(x.MSB, constOnlyEnv{}, 0)
-		loV, errLo := evalExpr(x.LSB, constOnlyEnv{}, 0)
-		if errHi != nil || errLo != nil {
-			return nil, 0, errDynamic
-		}
-		hi, ok1 := hiV.Uint64()
-		lo, ok2 := loV.Uint64()
-		if !ok1 || !ok2 {
-			allx := logic.AllX(want)
-			return func(in *Instance) logic.Vector { return allx }, want, nil
-		}
-		w := self
-		return c.resized(func(in *Instance) logic.Vector {
-			return logic.Slice(base(in), int(hi), int(lo))
-		}, w, want), want, nil
-
-	default:
-		return nil, 0, errDynamic
-	}
-}
-
-// resized wraps f with a Resize to want when its natural width
-// differs; fresh op results of the right width pass through untouched.
-func (c *compiler) resized(f compiledExpr, natural, want int) compiledExpr {
-	if natural == want {
-		return f
-	}
-	return func(in *Instance) logic.Vector { return f(in).Resize(want) }
-}
-
-func (c *compiler) binary(x *verilog.Binary, want int) (compiledExpr, int, error) {
-	switch x.Op {
-	case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-		l, _, err := c.expr(x.X, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, _, err := c.expr(x.Y, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		var op func(a, b logic.Vector) logic.Vector
-		switch x.Op {
-		case "+":
-			op = logic.Add
-		case "-":
-			op = logic.Sub
-		case "*":
-			op = logic.Mul
-		case "/":
-			op = logic.Div
-		case "%":
-			op = logic.Mod
-		case "&":
-			op = logic.And
-		case "|":
-			op = logic.Or
-		case "^":
-			op = logic.Xor
-		default:
-			op = logic.Xnor
-		}
-		return func(in *Instance) logic.Vector { return op(l(in), r(in)) }, want, nil
-
-	case "<<", ">>", ">>>", "<<<":
-		l, _, err := c.expr(x.X, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		amt, _, err := c.expr(x.Y, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		var op func(a, b logic.Vector) logic.Vector
-		switch x.Op {
-		case "<<", "<<<":
-			op = logic.Shl
-		case ">>":
-			op = logic.Shr
-		default:
-			op = logic.Sshr
-		}
-		return func(in *Instance) logic.Vector { return op(l(in), amt(in)) }, want, nil
-
-	case "**":
-		l, _, err := c.expr(x.X, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, _, err := c.expr(x.Y, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func(in *Instance) logic.Vector {
-			base, ok1 := l(in).Uint64()
-			exp, ok2 := r(in).Uint64()
-			if !ok1 || !ok2 || exp > 64 {
-				return logic.AllX(want)
-			}
-			acc := uint64(1)
-			for i := uint64(0); i < exp; i++ {
-				acc *= base
-			}
-			return logic.FromUint64(want, acc)
-		}, want, nil
-
-	case "==", "!=", "===", "!==", "<", "<=", ">", ">=", "&&", "||":
-		l, _, err := c.expr(x.X, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, _, err := c.expr(x.Y, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		var op func(a, b logic.Vector) logic.Vector
-		switch x.Op {
-		case "==":
-			op = logic.Eq
-		case "!=":
-			op = logic.Neq
-		case "===":
-			op = logic.CaseEq
-		case "!==":
-			op = logic.CaseNeq
-		case "<":
-			op = logic.Lt
-		case "<=":
-			op = logic.Lte
-		case ">":
-			op = logic.Gt
-		case ">=":
-			op = logic.Gte
-		case "&&":
-			op = logic.LAnd
-		default:
-			op = logic.LOr
-		}
-		return c.resized(func(in *Instance) logic.Vector { return op(l(in), r(in)) }, 1, want), want, nil
-
-	default:
-		return nil, 0, errDynamic
-	}
-}
-
 // lhsWidth mirrors Instance.lhsWidth at compile time.
-func (c *compiler) lhsWidth(lhs verilog.Expr) (int, error) {
+func (c *analyzer) lhsWidth(lhs verilog.Expr) (int, error) {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
 		if s, ok := c.d.Signals[x.Name]; ok {
@@ -627,348 +272,5 @@ func (c *compiler) lhsWidth(lhs verilog.Expr) (int, error) {
 		return total, nil
 	default:
 		return 1, nil
-	}
-}
-
-// compiledLV applies an already-evaluated RHS value to an lvalue,
-// either writing through (blocking) or queueing on the NBA list.
-type compiledLV func(in *Instance, val logic.Vector, nonBlocking bool)
-
-// lvalue compiles an assignment target into a resolved writer. The
-// spans and clamping mirror resolveLValue.
-func (c *compiler) lvalue(lhs verilog.Expr) (compiledLV, error) {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		slot, ok := c.d.slotOf[x.Name]
-		if !ok {
-			return nil, errDynamic
-		}
-		width := c.d.slotWidths[slot]
-		s := int32(slot)
-		return func(in *Instance, val logic.Vector, nb bool) {
-			w := resolvedWrite{slot: s, val: val.Resize(width), whole: true}
-			if nb {
-				in.nba = append(in.nba, w)
-			} else {
-				in.applyWrite(w)
-			}
-		}, nil
-
-	case *verilog.Index:
-		id, ok := x.X.(*verilog.Ident)
-		if !ok {
-			return nil, errDynamic
-		}
-		slot, ok2 := c.d.slotOf[id.Name]
-		if !ok2 {
-			return nil, errDynamic
-		}
-		width := c.d.slotWidths[slot]
-		idx, _, err := c.expr(x.Index, 0)
-		if err != nil {
-			return nil, err
-		}
-		s := int32(slot)
-		return func(in *Instance, val logic.Vector, nb bool) {
-			iv, ok := idx(in).Uint64()
-			if !ok || iv >= uint64(width) {
-				return // write through unknown/out-of-range index: no-op
-			}
-			w := resolvedWrite{slot: s, hi: int(iv), lo: int(iv), val: val.Resize(1)}
-			if nb {
-				in.nba = append(in.nba, w)
-			} else {
-				in.applyWrite(w)
-			}
-		}, nil
-
-	case *verilog.PartSelect:
-		id, ok := x.X.(*verilog.Ident)
-		if !ok {
-			return nil, errDynamic
-		}
-		slot, ok2 := c.d.slotOf[id.Name]
-		if !ok2 {
-			return nil, errDynamic
-		}
-		width := c.d.slotWidths[slot]
-		hiV, errHi := evalExpr(x.MSB, constOnlyEnv{}, 0)
-		loV, errLo := evalExpr(x.LSB, constOnlyEnv{}, 0)
-		if errHi != nil || errLo != nil {
-			return nil, errDynamic
-		}
-		hi, ok3 := hiV.Uint64()
-		lo, ok4 := loV.Uint64()
-		if !ok3 || !ok4 {
-			return func(in *Instance, val logic.Vector, nb bool) {}, nil // unknown bounds: no-op
-		}
-		h, l := int(hi), int(lo)
-		if h < l {
-			h, l = l, h
-		}
-		if l >= width {
-			return func(in *Instance, val logic.Vector, nb bool) {}, nil
-		}
-		if h >= width {
-			h = width - 1
-		}
-		s, span := int32(slot), h-l+1
-		return func(in *Instance, val logic.Vector, nb bool) {
-			w := resolvedWrite{slot: s, hi: h, lo: l, val: val.Resize(span)}
-			if nb {
-				in.nba = append(in.nba, w)
-			} else {
-				in.applyWrite(w)
-			}
-		}, nil
-
-	case *verilog.Concat:
-		total, err := c.lhsWidth(lhs)
-		if err != nil {
-			return nil, err
-		}
-		type part struct {
-			lv     compiledLV
-			hi, lo int
-		}
-		parts := make([]part, 0, len(x.Parts))
-		offset := total
-		for _, p := range x.Parts {
-			w, err := c.lhsWidth(p)
-			if err != nil {
-				return nil, err
-			}
-			offset -= w
-			lv, err := c.lvalue(p)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, part{lv: lv, hi: offset + w - 1, lo: offset})
-		}
-		return func(in *Instance, val logic.Vector, nb bool) {
-			vt := val.Resize(total)
-			for _, p := range parts {
-				p.lv(in, logic.Slice(vt, p.hi, p.lo), nb)
-			}
-		}, nil
-
-	default:
-		return nil, errDynamic
-	}
-}
-
-var noopStmt = func(in *Instance) error { return nil }
-
-// stmt compiles a statement, mirroring Instance.exec case by case.
-func (c *compiler) stmt(s verilog.Stmt) (compiledStmt, error) {
-	switch x := s.(type) {
-	case nil, *verilog.Null:
-		return noopStmt, nil
-
-	case *verilog.Block:
-		stmts := make([]compiledStmt, len(x.Stmts))
-		for i, sub := range x.Stmts {
-			cs, err := c.stmt(sub)
-			if err != nil {
-				return nil, err
-			}
-			stmts[i] = cs
-		}
-		return func(in *Instance) error {
-			for _, st := range stmts {
-				if err := st(in); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-
-	case *verilog.Assign:
-		ctx, err := c.lhsWidth(x.LHS)
-		if err != nil {
-			return nil, err
-		}
-		rhs, _, err := c.expr(x.RHS, ctx)
-		if err != nil {
-			return nil, err
-		}
-		lv, err := c.lvalue(x.LHS)
-		if err != nil {
-			return nil, err
-		}
-		nb := x.NonBlocking
-		return func(in *Instance) error {
-			lv(in, rhs(in), nb)
-			return nil
-		}, nil
-
-	case *verilog.If:
-		cond, _, err := c.expr(x.Cond, 0)
-		if err != nil {
-			return nil, err
-		}
-		th, err := c.stmt(x.Then)
-		if err != nil {
-			return nil, err
-		}
-		var el compiledStmt
-		if x.Else != nil {
-			el, err = c.stmt(x.Else)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return func(in *Instance) error {
-			if logic.Truth(cond(in)) == logic.L1 {
-				return th(in)
-			}
-			if el != nil {
-				return el(in)
-			}
-			return nil
-		}, nil
-
-	case *verilog.Case:
-		sel, _, err := c.expr(x.Expr, 0)
-		if err != nil {
-			return nil, err
-		}
-		type caseArm struct {
-			exprs []compiledExpr
-			body  compiledStmt
-		}
-		var arms []caseArm
-		var deflt compiledStmt
-		for _, item := range x.Items {
-			body, err := c.stmt(item.Body)
-			if err != nil {
-				return nil, err
-			}
-			if item.Exprs == nil {
-				deflt = body
-				continue
-			}
-			arm := caseArm{body: body}
-			for _, e := range item.Exprs {
-				ce, _, err := c.expr(e, 0)
-				if err != nil {
-					return nil, err
-				}
-				arm.exprs = append(arm.exprs, ce)
-			}
-			arms = append(arms, arm)
-		}
-		kind := x.Kind
-		return func(in *Instance) error {
-			sv := sel(in)
-			for _, arm := range arms {
-				for _, le := range arm.exprs {
-					lv := le(in)
-					var hit bool
-					switch kind {
-					case verilog.CaseZ:
-						hit = logic.CaseZMatch(sv, lv)
-					case verilog.CaseX:
-						hit = logic.CaseXMatch(sv, lv)
-					default:
-						hit = sv.SameValue(lv)
-					}
-					if hit {
-						return arm.body(in)
-					}
-				}
-			}
-			if deflt != nil {
-				return deflt(in)
-			}
-			return nil
-		}, nil
-
-	case *verilog.For:
-		init, err := c.stmt(x.Init)
-		if err != nil {
-			return nil, err
-		}
-		cond, _, err := c.expr(x.Cond, 0)
-		if err != nil {
-			return nil, err
-		}
-		step, err := c.stmt(x.Step)
-		if err != nil {
-			return nil, err
-		}
-		body, err := c.stmt(x.Body)
-		if err != nil {
-			return nil, err
-		}
-		return func(in *Instance) error {
-			if err := init(in); err != nil {
-				return err
-			}
-			for iter := 0; ; iter++ {
-				if iter > maxLoopIterations {
-					return fmt.Errorf("for loop exceeded %d iterations", maxLoopIterations)
-				}
-				if logic.Truth(cond(in)) != logic.L1 {
-					return nil
-				}
-				if err := body(in); err != nil {
-					return err
-				}
-				if err := step(in); err != nil {
-					return err
-				}
-			}
-		}, nil
-
-	case *verilog.Repeat:
-		cnt, _, err := c.expr(x.Count, 0)
-		if err != nil {
-			return nil, err
-		}
-		body, err := c.stmt(x.Body)
-		if err != nil {
-			return nil, err
-		}
-		return func(in *Instance) error {
-			n, ok := cnt(in).Uint64()
-			if !ok {
-				return nil // repeat (x) runs zero times
-			}
-			if n > maxLoopIterations {
-				return fmt.Errorf("repeat count %d too large", n)
-			}
-			for i := uint64(0); i < n; i++ {
-				if err := body(in); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-
-	case *verilog.Delay:
-		amt, _, err := c.expr(x.Amount, 0)
-		if err != nil {
-			return nil, err
-		}
-		body, err := c.stmt(x.Body)
-		if err != nil {
-			return nil, err
-		}
-		return func(in *Instance) error {
-			if in.wait == nil {
-				return fmt.Errorf("delay control is only allowed in initial/timed processes")
-			}
-			n, _ := amt(in).Uint64()
-			in.wait(n)
-			return body(in)
-		}, nil
-
-	case *verilog.SysCall:
-		call := x
-		return func(in *Instance) error { return in.sysCall(call) }, nil
-
-	default:
-		return nil, errDynamic
 	}
 }

@@ -1,17 +1,20 @@
 // Package sim elaborates parsed Verilog into a flat design and
-// simulates it with four-state, event-driven semantics. Together with
-// internal/verilog it is this repository's stand-in for Icarus Verilog:
-// parse errors and elaboration errors model "syntax failed" (Eval0),
-// and the Instance API supplies cycle-accurate outputs for testbench
-// validation, RS-matrix construction and mutant evaluation.
+// simulates it with four-state semantics. Together with internal/verilog
+// it is this repository's stand-in for Icarus Verilog: parse errors and
+// elaboration errors model "syntax failed" (Eval0).
 //
-// The simulator supports two driving styles:
+// There are two engines over one elaborated Design:
 //
-//   - the cycle API (SetInput / Settle / Tick) used by the testbench
-//     framework, with full edge detection including asynchronous sets
-//     and resets, and
-//   - a timed scheduler (Run) that executes initial blocks and
-//     delay-driven always blocks, used by cmd/vsim.
+//   - the batch engine (CompileBatch / BatchInstance) compiles a base
+//     design and N variants into one structure-of-arrays program and
+//     advances every lane in lockstep under the cycle API (SetInput /
+//     Settle / Tick). Testbench validation, RS-matrix construction and
+//     mutant evaluation run on it; a single DUT is a one-lane batch.
+//   - the interpreter (Instance) walks the AST. It is the reference
+//     oracle the batch engine is tested against, the fallback for
+//     designs the batch compiler rejects, and the only engine with
+//     event time: the timed scheduler (Run) executes initial blocks,
+//     delay-driven always blocks and $display for cmd/vsim.
 package sim
 
 import (
@@ -96,18 +99,10 @@ type Process struct {
 	Body verilog.Stmt
 	Name string // diagnostic label
 
-	// Compiled artifacts, filled by Design.finalize. code is the
-	// slot-indexed compiled program (nil when the body is not
-	// statically compilable and stays on the AST interpreter);
-	// edgeSens is Sens resolved to dense edge-watch indices.
-	code     compiledStmt
+	// edgeSens is Sens resolved to dense edge-watch indices, filled
+	// by Design.finalize.
 	edgeSens []edgeSens
 }
-
-// Compiled reports whether the process body was compiled to a
-// slot-indexed program (false = AST-interpreted even under
-// EngineCompiled).
-func (p *Process) Compiled() bool { return p.code != nil }
 
 // Design is an elaborated, flattened module hierarchy.
 type Design struct {
@@ -140,16 +135,11 @@ func (d *Design) Port(name string) *Port {
 	return nil
 }
 
-// Elaborate flattens the hierarchy rooted at module top.
-func Elaborate(file *verilog.SourceFile, top string) (*Design, error) {
-	return ElaborateContext(context.Background(), file, top)
-}
-
-// ElaborateContext is Elaborate with phase timing: when ctx carries an
-// obs collector (obs.WithCollector), the hierarchy flattening records
-// a sim_elaborate span and the compile step (scheduling structures,
-// levelization inputs) a sim_compile span. Without a collector the
-// timing hooks are no-ops and the function is exactly Elaborate.
+// ElaborateContext flattens the hierarchy rooted at module top. When
+// ctx carries an obs collector (obs.WithCollector), the hierarchy
+// flattening records a sim_elaborate span and the finalize step
+// (slot resolution, scheduling structures) a sim_compile span.
+// Without a collector the timing hooks are no-ops.
 func ElaborateContext(ctx context.Context, file *verilog.SourceFile, top string) (*Design, error) {
 	endElab := obs.Time(ctx, obs.PhaseElaborate)
 	mod := file.Module(top)
@@ -175,13 +165,8 @@ func ElaborateContext(ctx context.Context, file *verilog.SourceFile, top string)
 	return d, nil
 }
 
-// ElaborateSource parses and elaborates in one step.
-func ElaborateSource(src, top string) (*Design, error) {
-	return ElaborateSourceContext(context.Background(), src, top)
-}
-
-// ElaborateSourceContext is ElaborateSource with the phase timing of
-// ElaborateContext.
+// ElaborateSourceContext parses and elaborates in one step, with the
+// phase timing of ElaborateContext.
 func ElaborateSourceContext(ctx context.Context, src, top string) (*Design, error) {
 	f, err := verilog.Parse(src)
 	if err != nil {

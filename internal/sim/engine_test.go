@@ -7,12 +7,15 @@ import (
 	"correctbench/internal/logic"
 )
 
-// The compiled engine must be bit-for-bit interchangeable with the AST
-// interpreter. These micro-differential tests drive the same design on
-// both engines with identical stimuli and compare every signal after
-// every event, covering the constructs the compiler handles specially
-// (width contexts, constant folding, lvalue spans, NBA ordering,
-// loops, case variants, X-propagation).
+// Every single-DUT simulation runs as a one-lane batch program, which
+// must be bit-for-bit interchangeable with the AST interpreter. These
+// micro-differential tests drive the same design as one lane and on an
+// interpreter Instance with identical stimuli and compare every signal
+// after every event, covering the constructs the batch compiler
+// handles specially (width contexts, constant folding, lvalue spans,
+// NBA ordering, loops, case variants, X-propagation).
+// FuzzBatchLaneMatchesInterp extends the same check to the dataset's
+// goldens and their mutants.
 
 var engineDiffModules = []struct {
 	name, src, top string
@@ -119,12 +122,47 @@ func snapshot(t *testing.T, in *Instance) string {
 	return out
 }
 
+// oneLane pairs a one-lane batch instance with an interpreter Instance
+// of the same design and compares their full state after each step.
+type oneLane struct {
+	t  *testing.T
+	b  *BatchInstance
+	in *Instance
+}
+
+func newOneLane(t *testing.T, d *Design) *oneLane {
+	t.Helper()
+	prog, err := CompileBatch(d, []*Design{d})
+	if err != nil {
+		t.Fatalf("CompileBatch: %v", err)
+	}
+	if prog.Lanes() != 1 {
+		t.Fatalf("design rejected from its own program: %v", prog.RejectReason(0))
+	}
+	return &oneLane{t: t, b: NewBatchInstance(prog), in: NewInstance(d)}
+}
+
+func (o *oneLane) step(label string, bf func(b *BatchInstance) error, sf func(in *Instance) error) {
+	o.t.Helper()
+	if err := bf(o.b); err != nil {
+		o.t.Fatalf("%s (batch): %v", label, err)
+	}
+	if err := o.b.LaneErr(0); err != nil {
+		o.t.Fatalf("%s (batch lane): %v", label, err)
+	}
+	if err := sf(o.in); err != nil {
+		o.t.Fatalf("%s (interp): %v", label, err)
+	}
+	if bs, is := batchSnapshot(o.t, o.b, 0), snapshot(o.t, o.in); bs != is {
+		o.t.Fatalf("%s: engines diverge\nbatch:\n%s\ninterp:\n%s", label, bs, is)
+	}
+}
+
 func TestEngineDifferentialMicro(t *testing.T) {
 	for _, tc := range engineDiffModules {
 		t.Run(tc.name, func(t *testing.T) {
 			d := mustElab(t, tc.src, tc.top)
-			ci := NewInstanceEngine(d, EngineCompiled)
-			ii := NewInstanceEngine(d, EngineInterp)
+			o := newOneLane(t, d)
 			rng := rand.New(rand.NewSource(99))
 
 			var inputs []Port
@@ -133,30 +171,20 @@ func TestEngineDifferentialMicro(t *testing.T) {
 					inputs = append(inputs, p)
 				}
 			}
-			step := func(label string, f func(in *Instance) error) {
-				if err := f(ci); err != nil {
-					t.Fatalf("%s (compiled): %v", label, err)
-				}
-				if err := f(ii); err != nil {
-					t.Fatalf("%s (interp): %v", label, err)
-				}
-				cs, is := snapshot(t, ci), snapshot(t, ii)
-				if cs != is {
-					t.Fatalf("%s: engines diverge\ncompiled:\n%s\ninterp:\n%s", label, cs, is)
-				}
-			}
-
-			step("zero", func(in *Instance) error { return in.ZeroInputs() })
+			o.step("zero", (*BatchInstance).ZeroInputs, (*Instance).ZeroInputs)
 			for i := 0; i < 40; i++ {
 				for _, p := range inputs {
 					v := rng.Uint64()
-					p := p
-					step(p.Name, func(in *Instance) error { return in.SetInputUint(p.Name, v) })
+					o.step(p.Name,
+						func(b *BatchInstance) error { return b.SetInputUint(p.Name, v) },
+						func(in *Instance) error { return in.SetInputUint(p.Name, v) })
 				}
 				if tc.clock != "" {
-					step("tick", func(in *Instance) error { return in.Tick(tc.clock) })
+					o.step("tick",
+						func(b *BatchInstance) error { return b.Tick(tc.clock) },
+						func(in *Instance) error { return in.Tick(tc.clock) })
 				} else {
-					step("settle", func(in *Instance) error { return in.Settle() })
+					o.step("settle", (*BatchInstance).Settle, (*Instance).Settle)
 				}
 			}
 		})
@@ -172,8 +200,7 @@ func TestEngineDifferentialXInputs(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			d := mustElab(t, tc.src, tc.top)
-			ci := NewInstanceEngine(d, EngineCompiled)
-			ii := NewInstanceEngine(d, EngineInterp)
+			o := newOneLane(t, d)
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 60; i++ {
 				for _, p := range d.Ports {
@@ -184,15 +211,9 @@ func TestEngineDifferentialXInputs(t *testing.T) {
 					for b := 0; b < p.Width; b++ {
 						v.SetBit(b, logic.Bit(rng.Intn(4)))
 					}
-					if err := ci.SetInput(p.Name, v); err != nil {
-						t.Fatal(err)
-					}
-					if err := ii.SetInput(p.Name, v); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if cs, is := snapshot(t, ci), snapshot(t, ii); cs != is {
-					t.Fatalf("engines diverge on X stimulus\ncompiled:\n%s\ninterp:\n%s", cs, is)
+					o.step(p.Name,
+						func(b *BatchInstance) error { return b.SetInput(p.Name, v) },
+						func(in *Instance) error { return in.SetInput(p.Name, v) })
 				}
 			}
 		})
@@ -237,18 +258,19 @@ func TestInstanceResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestCompiledCoverage asserts the compiler handles every process of
-// the micro corpus (no silent interpreter fallback hiding coverage).
+// TestCompiledCoverage asserts the batch compiler handles every
+// process of the micro corpus as a one-lane program (no silent
+// interpreter fallback hiding coverage).
 func TestCompiledCoverage(t *testing.T) {
 	for _, tc := range engineDiffModules {
 		d := mustElab(t, tc.src, tc.top)
-		for _, p := range d.Procs {
-			if p.Kind != ProcComb && p.Kind != ProcSeq {
-				continue
-			}
-			if !p.Compiled() {
-				t.Errorf("%s: process %s not compiled", tc.name, p.Name)
-			}
+		prog, err := CompileBatch(d, []*Design{d})
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if prog.Lanes() != 1 {
+			t.Errorf("%s: rejected from its own program: %v", tc.name, prog.RejectReason(0))
 		}
 	}
 }

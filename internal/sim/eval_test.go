@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"correctbench/internal/logic"
@@ -11,7 +12,7 @@ import (
 func evalIn(t *testing.T, decl, expr string, width int, inputs map[string]uint64) logic.Vector {
 	t.Helper()
 	src := "module m(" + decl + ", output [" + itoa(width-1) + ":0] y);\n    assign y = " + expr + ";\nendmodule"
-	d, err := ElaborateSource(src, "m")
+	d, err := ElaborateSourceContext(context.Background(), src, "m")
 	if err != nil {
 		t.Fatalf("elaborate %q: %v", expr, err)
 	}

@@ -9,7 +9,7 @@ import (
 	"correctbench/internal/verilog"
 )
 
-// Instance is a simulatable instance of an elaborated design. All
+// Instance is the AST interpreter over an elaborated design. All
 // signals start X; drive inputs with SetInput, propagate with Settle
 // or Tick, and read results with Get.
 //
@@ -19,7 +19,6 @@ import (
 // (SetInput / Get).
 type Instance struct {
 	design *Design
-	engine Engine
 
 	vals []logic.Vector // current value per slot
 	prev []logic.Vector // last seen values, indexed like design.edgeSlots
@@ -65,18 +64,10 @@ type Stats struct {
 	Edges      int
 }
 
-// NewInstance creates a fresh instance with every signal X, running on
-// DefaultEngine.
-func NewInstance(d *Design) *Instance { return NewInstanceEngine(d, EngineAuto) }
-
-// NewInstanceEngine creates a fresh instance on an explicit engine.
-func NewInstanceEngine(d *Design, e Engine) *Instance {
-	if e == EngineAuto {
-		e = DefaultEngine
-	}
+// NewInstance creates a fresh instance with every signal X.
+func NewInstance(d *Design) *Instance {
 	in := &Instance{
 		design:    d,
-		engine:    e,
 		vals:      make([]logic.Vector, len(d.Order)),
 		prev:      make([]logic.Vector, len(d.edgeSlots)),
 		dirty:     make([]bool, len(d.Order)),
@@ -135,9 +126,6 @@ func (in *Instance) BindContext(ctx context.Context) {
 // Design returns the elaborated design this instance simulates.
 func (in *Instance) Design() *Design { return in.design }
 
-// Engine returns the engine this instance executes on.
-func (in *Instance) Engine() Engine { return in.engine }
-
 // env interface ---------------------------------------------------------
 
 func (in *Instance) readSignal(name string) (logic.Vector, error) {
@@ -164,17 +152,6 @@ func (in *Instance) markDirty(slot int32) {
 		in.dirty[slot] = true
 		in.dirtyList = append(in.dirtyList, slot)
 	}
-}
-
-// runProc executes one process body on the instance's engine. Every
-// engine except the reference interpreter runs the compiled program
-// when the body compiled (EngineBatched on a scalar instance is just
-// the compiled engine; batching lives in BatchInstance).
-func (in *Instance) runProc(p *Process) error {
-	if in.engine != EngineInterp && p.code != nil {
-		return p.code(in)
-	}
-	return in.exec(p.Body)
 }
 
 // SetInput drives a top-level input port. The change propagates through
@@ -317,7 +294,7 @@ func (in *Instance) settleComb() error {
 		for _, ord := range run {
 			p := d.combProcs[ord]
 			in.Stats.ProcRuns++
-			if err := in.runProc(p); err != nil {
+			if err := in.exec(p.Body); err != nil {
 				return fmt.Errorf("sim: in %s: %v", p.Name, err)
 			}
 		}
@@ -367,7 +344,7 @@ func (in *Instance) fireEdges() (bool, error) {
 		fired = true
 		in.Stats.ProcRuns++
 		in.Stats.Edges++
-		if err := in.runProc(p); err != nil {
+		if err := in.exec(p.Body); err != nil {
 			return false, fmt.Errorf("sim: in %s: %v", p.Name, err)
 		}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func mustElab(t *testing.T, src, top string) *Design {
 	t.Helper()
-	d, err := ElaborateSource(src, top)
+	d, err := ElaborateSourceContext(context.Background(), src, top)
 	if err != nil {
 		t.Fatalf("elaborate: %v", err)
 	}
@@ -404,7 +405,7 @@ func TestElabErrors(t *testing.T) {
 		{"bad port", "module m(input a, output y); inv u(.zz(a), .out(y)); endmodule\nmodule inv(input in, output out); assign out = ~in; endmodule", "m", "no port"},
 	}
 	for _, c := range cases {
-		_, err := ElaborateSource(c.src, c.top)
+		_, err := ElaborateSourceContext(context.Background(), c.src, c.top)
 		if err == nil {
 			t.Errorf("%s: no error", c.name)
 			continue

@@ -9,6 +9,7 @@ package sim_test
 // two — across every dataset problem and a seeded mutant sweep.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestStaticClassificationAgreesOnMutants(t *testing.T) {
 				break
 			}
 			src := verilog.PrintModule(mut)
-			d, err := sim.ElaborateSource(src, p.Top)
+			d, err := sim.ElaborateSourceContext(context.Background(), src, p.Top)
 			if err != nil {
 				// Mutants the engine rejects are outside the contract.
 				continue
@@ -134,7 +135,7 @@ func TestPreScreenRejectsOnlyUnkillableMutants(t *testing.T) {
 		goldenSrc := verilog.PrintModule(golden)
 
 		screen := mutate.NewScreen(golden)
-		plain := mutate.DistinctMutantsBatch(golden, rand.New(rand.NewSource(7)), 6, 1, differs)
+		plain := mutate.DistinctMutantsBatchScreened(golden, rand.New(rand.NewSource(7)), 6, 1, differs, nil)
 		screened := mutate.DistinctMutantsBatchScreened(golden, rand.New(rand.NewSource(7)), 6, 1, differs, screen)
 
 		if len(plain) != len(screened) {
@@ -161,7 +162,7 @@ func TestPreScreenRejectsOnlyUnkillableMutants(t *testing.T) {
 					// The screen's whole rejection criterion: identical
 					// print ⇒ identical elaboration input ⇒ identical
 					// behavior under every engine.
-					if _, err := sim.ElaborateSource(goldenSrc, p.Top); err != nil {
+					if _, err := sim.ElaborateSourceContext(context.Background(), goldenSrc, p.Top); err != nil {
 						t.Fatalf("%s: golden source stopped elaborating: %v", p.Name, err)
 					}
 				}

@@ -1,22 +1,22 @@
 package testbench
 
 // Batched testbench runs: N DUT variants (typically mutants of one
-// golden design) advance through every scenario together on a single
-// sim.BatchInstance, sharing one checker simulation. The scalar path
-// re-simulates the checker once per DUT even though its trajectory is
-// DUT-independent; here the checker runs once per testbench — its
-// output samples are recorded into a trace (batchTrace) the first
-// time and replayed for every batch — and the DUT side shares one
-// compiled batch program across all lanes.
+// golden design, or a single DUT as one lane) advance through every
+// scenario together on a single sim.BatchInstance, sharing one checker
+// simulation. The checker's trajectory is DUT-independent, so it runs
+// once per testbench on a one-lane batch program — its output samples
+// are recorded into a trace (batchTrace) the first time and replayed
+// for every run — and the DUT side shares one compiled batch program
+// across all lanes.
 //
-// With earlyExit=false a lane's outcome is identical to
-// RunAgainstDesignContext for the same design: the same ScenarioPass
-// vector and an error exactly when the scalar run errors
-// (TestBatchRunMatchesScalar asserts this over mutated DUTs). With
-// earlyExit=true, lanes stop simulating once a scenario has failed;
-// the overall Pass()/error verdict is unchanged but later
-// ScenarioPass entries stay false — the mode AutoEval's kill checks
-// use.
+// With earlyExit=false a lane's outcome is identical to the
+// interpreter runner (runLive) for the same design: the same
+// ScenarioPass vector and an error exactly when the interpreter run
+// errors, with the same text (TestBatchRunMatchesScalar asserts this
+// over mutated DUTs). With earlyExit=true, lanes stop simulating once
+// a scenario has failed; the overall Pass()/error verdict is unchanged
+// but later ScenarioPass entries stay false — the mode AutoEval's kill
+// checks use.
 
 import (
 	"context"
@@ -36,21 +36,25 @@ type BatchOutcome struct {
 }
 
 // checkerTrace is one complete checker simulation, recorded sample by
-// sample in the exact order the scalar runner interleaves the checker
-// with a DUT. Samples hold the live vectors (the engine never mutates
-// a stored vector in place — writes install fresh vectors — so no
-// clone is needed) and are only ever read during replay.
+// sample in the exact order the interpreter runner interleaves the
+// checker with a DUT. Samples hold the live vectors (the engine never
+// mutates a stored vector in place — writes install fresh vectors — so
+// no clone is needed) and are only ever read during replay.
 type checkerTrace struct {
 	outs      []string // output port order of every sample row
 	scenarios []scenarioTrace
+	// live marks a checker that is not recorded: it does not
+	// batch-compile, or sim.DefaultEngine selects the interpreter.
+	// Every run then takes the interpreter runner (runLive).
+	live bool
 }
 
 type scenarioTrace struct {
 	pre  [][]traceSample // [step][output], sampled before the clock edge
 	post [][]traceSample // [step][output], sampled after the edge (SEQ)
 	// fail is the checker-side simulation error that ended this
-	// scenario, if any; every scalar run errors at the same point, so
-	// the trace stops here (later scenarios are unreachable).
+	// scenario, if any; every run errors at the same point, so the
+	// trace stops here (later scenarios are unreachable).
 	fail *traceFail
 }
 
@@ -65,18 +69,28 @@ type traceSample struct {
 	ok  bool // false when the checker had no readable value (Get error)
 }
 
-// batchTrace simulates the checker once over all scenarios and caches
-// the recorded trace on the testbench, keyed on checker source, engine
+// liveTrace is the trace of every checker that is not recorded.
+var liveTrace = &checkerTrace{live: true}
+
+// batchTrace records the checker once over all scenarios as a one-lane
+// batch and caches the trace on the testbench, keyed on checker source
 // and the output port list being compared. Only checker elaboration
 // failures are returned as errors; simulation failures are part of the
 // trace (they decide run outcomes, exactly as a live checker would).
+// A checker the batch compiler rejects yields liveTrace, as does every
+// call while sim.DefaultEngine is sim.EngineInterp — the one place the
+// process-wide reference switch is read.
+//
 // ctx is used for observation only: a cold build records the checker's
 // sim_elaborate/sim_compile spans and a sim_run span for the recording
 // on ctx's obs collector, but is never cancelled by it — trace
 // contents must not depend on a caller's cancellation.
 func (tb *Testbench) batchTrace(ctx context.Context, outs []string) (*checkerTrace, error) {
+	if sim.DefaultEngine == sim.EngineInterp {
+		return liveTrace, nil
+	}
 	if tb.cachedTrace != nil && tb.cachedTraceSrc == tb.CheckerSource &&
-		tb.cachedTraceEng == tb.Engine && sameStrings(tb.cachedTrace.outs, outs) {
+		(tb.cachedTrace.live || sameStrings(tb.cachedTrace.outs, outs)) {
 		return tb.cachedTrace, nil
 	}
 	ctx = context.WithoutCancel(ctx)
@@ -84,28 +98,49 @@ func (tb *Testbench) batchTrace(ctx context.Context, outs []string) (*checkerTra
 	if err != nil {
 		return nil, err
 	}
+	tr := liveTrace
+	if prog, err := sim.CompileBatch(cd, []*sim.Design{cd}); err == nil && prog.Lanes() == 1 {
+		tr = tb.recordTrace(ctx, prog, outs)
+	}
+	tb.cachedTrace = tr
+	tb.cachedTraceSrc = tb.CheckerSource
+	return tr, nil
+}
+
+// recordTrace simulates the checker's one-lane program over every
+// scenario, sampling its outputs where the interpreter runner
+// compares them. A lane error ends the recording at its (step, phase).
+func (tb *Testbench) recordTrace(ctx context.Context, prog *sim.BatchProgram, outs []string) *checkerTrace {
 	defer obs.Time(ctx, obs.PhaseRun)()
 	p := tb.Problem
-	chk := sim.NewInstanceEngine(cd, tb.Engine)
+	chk := sim.NewBatchInstance(prog)
+	// simErr folds the lane's error into a shared one, so each call
+	// site sees the first error the interpreter would have returned.
+	simErr := func(err error) error {
+		if err != nil {
+			return err
+		}
+		return chk.LaneErr(0)
+	}
 	tr := &checkerTrace{outs: outs}
 	for i, sc := range tb.Scenarios {
 		if i > 0 {
 			chk.Reset()
 		}
 		st := scenarioTrace{}
-		if err := tb.initScenario(chk); err != nil {
+		if err := simErr(tb.initScenarioBatch(chk)); err != nil {
 			st.fail = &traceFail{step: -1, phase: 0, err: err}
 			tr.scenarios = append(tr.scenarios, st)
 			break
 		}
 		for si, step := range sc.Steps {
-			if err := applyStep(chk, step); err != nil {
+			if err := simErr(applyStepBatch(chk, step)); err != nil {
 				st.fail = &traceFail{step: si, phase: 1, err: err}
 				break
 			}
 			st.pre = append(st.pre, sampleOutputs(chk, outs))
 			if p.Kind == dataset.SEQ {
-				if err := chk.Tick(p.Clock); err != nil {
+				if err := simErr(chk.Tick(p.Clock)); err != nil {
 					st.fail = &traceFail{step: si, phase: 2, err: err}
 					break
 				}
@@ -117,28 +152,25 @@ func (tb *Testbench) batchTrace(ctx context.Context, outs []string) (*checkerTra
 			break
 		}
 	}
-	tb.cachedTrace = tr
-	tb.cachedTraceSrc = tb.CheckerSource
-	tb.cachedTraceEng = tb.Engine
-	return tr, nil
+	return tr
 }
 
-// WarmBatchTrace records the checker trace for batched runs against
-// DUTs sharing base's port list, so a testbench warmed under its
-// owner's control (like ElaborateChecker) is afterwards read-only and
-// safe for concurrent batched runs.
+// WarmBatchTrace elaborates the checker and records its trace for runs
+// against DUTs sharing base's port list, so a testbench warmed under
+// its owner's control — e.g. inside autoeval's once-guarded fixture
+// build — is afterwards read-only and safe for concurrent runs.
 func (tb *Testbench) WarmBatchTrace(base *sim.Design) error {
-	if err := tb.ElaborateChecker(); err != nil {
+	if _, err := tb.checkerDesignContext(context.Background()); err != nil {
 		return err
 	}
 	_, err := tb.batchTrace(context.Background(), outputPorts(base))
 	return err
 }
 
-func sampleOutputs(chk *sim.Instance, outs []string) []traceSample {
+func sampleOutputs(chk *sim.BatchInstance, outs []string) []traceSample {
 	samples := make([]traceSample, len(outs))
 	for i, o := range outs {
-		v, err := chk.Get(o)
+		v, err := chk.Get(o, 0)
 		samples[i] = traceSample{val: v, ok: err == nil}
 	}
 	return samples
@@ -162,9 +194,9 @@ func sameStrings(a, b []string) bool {
 // dut may alias it). Compilation is split (sim.CompileBatchSplit):
 // static variants share a levelized program, the rest batch under a
 // separate event-driven program. DUTs every program rejects — and
-// every DUT, when the base itself cannot batch-compile — fall back to
-// individual scalar runs, so the result is total: out[i] always
-// corresponds to duts[i]. The returned error is non-nil only on
+// every DUT, when the base or the checker cannot batch-compile — fall
+// back to individual interpreter runs, so the result is total: out[i]
+// always corresponds to duts[i]. The returned error is non-nil only on
 // context cancellation.
 func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *sim.Design, duts []*sim.Design, earlyExit bool) ([]BatchOutcome, error) {
 	out := make([]BatchOutcome, len(duts))
@@ -176,19 +208,20 @@ func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *si
 		}
 		return out, nil
 	}
-	progs, idxs, perr := sim.CompileBatchSplit(base, duts)
-	if perr != nil {
-		// Wholesale fallback: the base itself cannot batch-compile.
-		for i := range duts {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			res, err := tb.RunAgainstDesignContext(ctx, duts[i])
-			out[i] = BatchOutcome{Res: res, Err: err}
+	if !trace.live {
+		if progs, idxs, err := sim.CompileBatchSplit(base, duts); err == nil {
+			return out, tb.runBatchPrograms(ctx, progs, idxs, trace, out, earlyExit)
 		}
-		return out, nil
 	}
-	return out, tb.runBatchPrograms(ctx, progs, idxs, trace, out, earlyExit)
+	// Wholesale fallback: the base or the checker cannot batch-compile.
+	for i := range duts {
+		if err := ctx.Err(); err != nil {
+			return out, err
+		}
+		res, err := tb.runLive(ctx, duts[i])
+		out[i] = BatchOutcome{Res: res, Err: err}
+	}
+	return out, nil
 }
 
 // RunBatchProgramsContext is RunBatchAgainstDesignsContext for a
@@ -198,7 +231,8 @@ func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *si
 // the validator's RTL group) compile once and skip the per-call
 // compile. idx[k][i] gives the outcome slot of progs[k]'s i-th
 // variant; every program must share the same base design. A variant
-// no program accepted falls back to a scalar run, so outcomes are
+// no program accepted — every variant, when the checker does not
+// batch-compile — falls back to an interpreter run, so outcomes are
 // total over the indexed variants.
 func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.BatchProgram, idx [][]int, earlyExit bool) ([]BatchOutcome, error) {
 	if len(progs) == 0 {
@@ -225,14 +259,14 @@ func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.B
 }
 
 // runBatchPrograms fills out by running every program's lanes and, for
-// variants no program accepted, individual scalar fallbacks. The
+// variants no program accepted, individual interpreter fallbacks. The
 // returned error is non-nil only on context cancellation.
 func (tb *Testbench) runBatchPrograms(ctx context.Context, progs []*sim.BatchProgram, idxs [][]int, trace *checkerTrace, out []BatchOutcome, earlyExit bool) error {
 	defer obs.Time(ctx, obs.PhaseRun)()
 	// A variant rejected by one program may hold a lane in another
 	// (CompileBatchSplit routes non-static variants to the second,
-	// event-driven program); only variants no program accepted run
-	// scalar.
+	// event-driven program); only variants no program accepted — or
+	// all of them, against a live checker — run on the interpreter.
 	handled := make([]bool, len(out))
 	dutOf := make([]*sim.Design, len(out))
 	for k, p := range progs {
@@ -242,7 +276,7 @@ func (tb *Testbench) runBatchPrograms(ctx context.Context, progs []*sim.BatchPro
 			if dutOf[vi] == nil {
 				dutOf[vi] = vs[i]
 			}
-			if p.VariantLane(i) >= 0 {
+			if !trace.live && p.VariantLane(i) >= 0 {
 				handled[vi] = true
 			}
 		}
@@ -254,8 +288,11 @@ func (tb *Testbench) runBatchPrograms(ctx context.Context, progs []*sim.BatchPro
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res, err := tb.RunAgainstDesignContext(ctx, d)
+		res, err := tb.runLive(ctx, d)
 		out[vi] = BatchOutcome{Res: res, Err: err}
+	}
+	if trace.live {
+		return nil
 	}
 	for k, p := range progs {
 		if p.Lanes() == 0 {
@@ -282,7 +319,7 @@ func (tb *Testbench) runBatchLanes(ctx context.Context, prog *sim.BatchProgram, 
 	b.BindContext(ctx)
 
 	// recordLaneErrs harvests lanes newly killed by a simulation error,
-	// attributing them like the scalar runner does. The message is
+	// attributing them like the interpreter runner does. The message is
 	// only formatted when a lane actually erred — this runs after
 	// every step.
 	recordLaneErrs := func(format string, args ...interface{}) {
@@ -296,7 +333,7 @@ func (tb *Testbench) runBatchLanes(ctx context.Context, prog *sim.BatchProgram, 
 		}
 	}
 	// failActive gives every still-undecided lane a shared (checker- or
-	// stimulus-side) error, which is what each scalar run would return.
+	// stimulus-side) error, which is what each interpreter run would return.
 	failActive := func(err error) {
 		for lane := 0; lane < n; lane++ {
 			if laneErrs[lane] == nil && b.Active(lane) {
@@ -329,7 +366,7 @@ func (tb *Testbench) runBatchLanes(ctx context.Context, prog *sim.BatchProgram, 
 	for vi := range prog.Variants() {
 		lane := prog.VariantLane(vi)
 		if lane < 0 {
-			continue // scalar fallback or another program covers it
+			continue // interpreter fallback or another program covers it
 		}
 		if laneErrs[lane] != nil {
 			out[idx[vi]] = BatchOutcome{Err: laneErrs[lane]}
@@ -343,9 +380,9 @@ func (tb *Testbench) runBatchLanes(ctx context.Context, prog *sim.BatchProgram, 
 // runScenarioBatch mirrors runScenario with the DUT side batched and
 // the checker side replayed from the recorded trace. Checker failures
 // are re-raised at the exact point of the interleaving where a live
-// checker would have erred, preserving scalar error attribution (DUT
-// errors at the same step win, as the scalar sides order runs the DUT
-// first).
+// checker would have erred, preserving the interpreter's error
+// attribution (DUT errors at the same step win, as runScenario runs
+// the DUT first).
 func (tb *Testbench) runScenarioBatch(
 	ctx context.Context,
 	sc Scenario,
@@ -368,7 +405,7 @@ func (tb *Testbench) runScenarioBatch(
 		return nil
 	}
 
-	// Init, DUT side first like the scalar sides loop.
+	// Init, DUT side first like runScenario.
 	if err := tb.initScenarioBatch(b); err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
@@ -476,7 +513,7 @@ func (tb *Testbench) initScenarioBatch(b *sim.BatchInstance) error {
 }
 
 // applyStepBatch drives one step on every active lane, in the same
-// sorted port order as the scalar applyStep. Deferrable batches
+// sorted port order as the interpreter's applyStep. Deferrable batches
 // (pure-blocking levelized comb, no sequential processes) apply the
 // whole step under a single settle — same final state, one levelized
 // pass instead of one per input.

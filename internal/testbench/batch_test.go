@@ -14,7 +14,7 @@ import (
 
 // batchDiffDUTs builds a DUT set for a problem: the base design itself,
 // a structurally-incompatible clone (extra signal — forces the
-// per-lane scalar fallback), and a set of single/double mutants.
+// per-lane interpreter fallback), and a set of single/double mutants.
 func batchDiffDUTs(t *testing.T, tb *Testbench, base *sim.Design) []*sim.Design {
 	t.Helper()
 	p := tb.Problem
@@ -22,7 +22,7 @@ func batchDiffDUTs(t *testing.T, tb *Testbench, base *sim.Design) []*sim.Design 
 
 	withExtra := strings.Replace(p.Source, "endmodule",
 		"wire batch_diff_pad;\nassign batch_diff_pad = 1'b0;\nendmodule", 1)
-	if d, err := sim.ElaborateSource(withExtra, p.Top); err == nil {
+	if d, err := sim.ElaborateSourceContext(context.Background(), withExtra, p.Top); err == nil {
 		duts = append(duts, d)
 	}
 
@@ -36,7 +36,7 @@ func batchDiffDUTs(t *testing.T, tb *Testbench, base *sim.Design) []*sim.Design 
 		if len(muts) == 0 {
 			continue
 		}
-		d, err := sim.ElaborateSource(verilog.PrintModule(mut), p.Top)
+		d, err := sim.ElaborateSourceContext(context.Background(), verilog.PrintModule(mut), p.Top)
 		if err != nil {
 			continue
 		}
@@ -49,17 +49,17 @@ func batchDiffDUTs(t *testing.T, tb *Testbench, base *sim.Design) []*sim.Design 
 }
 
 // TestBatchRunMatchesScalar is the testbench-layer differential gate:
-// with earlyExit=false every batched lane must reproduce the scalar
-// interpreter run of the same DUT exactly — same ScenarioPass vector,
-// same error text when the run errors — and with earlyExit=true the
+// with earlyExit=false every batched lane — and every one-lane
+// RunAgainstDesignContext run — must reproduce the interpreter run
+// (runLive) of the same DUT exactly — same ScenarioPass vector, same
+// error text when the run errors — and with earlyExit=true the
 // killed/alive verdict must agree.
 func TestBatchRunMatchesScalar(t *testing.T) {
 	for _, name := range []string{"mux2_w4", "adder8", "prio_enc8", "cnt8", "det101", "fifo2"} {
 		t.Run(name, func(t *testing.T) {
 			tb := golden(t, name)
-			tb.Engine = sim.EngineInterp
 			p := tb.Problem
-			base, err := sim.ElaborateSource(p.Source, p.Top)
+			base, err := sim.ElaborateSourceContext(context.Background(), p.Source, p.Top)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,17 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 			scalarRes := make([]*RunResult, len(duts))
 			scalarErr := make([]error, len(duts))
 			for i, d := range duts {
-				scalarRes[i], scalarErr[i] = tb.RunAgainstDesignContext(context.Background(), d)
+				scalarRes[i], scalarErr[i] = tb.runLive(context.Background(), d)
+			}
+			for i, d := range duts {
+				res, err := tb.RunAgainstDesignContext(context.Background(), d)
+				if (err != nil) != (scalarErr[i] != nil) || (err != nil && err.Error() != scalarErr[i].Error()) {
+					t.Errorf("dut %d one-lane: err=%v, interp err=%v", i, err, scalarErr[i])
+					continue
+				}
+				if err == nil && !reflect.DeepEqual(res.ScenarioPass, scalarRes[i].ScenarioPass) {
+					t.Errorf("dut %d one-lane: ScenarioPass diverged\none-lane: %v\n  interp: %v", i, res.ScenarioPass, scalarRes[i].ScenarioPass)
+				}
 			}
 
 			batch, err := tb.RunBatchAgainstDesignsContext(context.Background(), base, duts, false)
@@ -116,38 +126,51 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchRunWholesaleFallback drives the path where the base design
-// itself cannot batch-compile ($display is dynamic): every DUT must
-// still get its exact scalar outcome.
+// TestBatchRunWholesaleFallback drives the paths where the base design
+// or the checker cannot batch-compile ($display is dynamic): every DUT
+// must still get its exact interpreter outcome.
 func TestBatchRunWholesaleFallback(t *testing.T) {
 	tb := golden(t, "mux2_w4")
-	tb.Engine = sim.EngineInterp
 	p := tb.Problem
 	src := strings.Replace(p.Source, "endmodule",
 		"always @(*) if (sel === 1'bx) $display(\"x-sel\");\nendmodule", 1)
-	base, err := sim.ElaborateSource(src, p.Top)
+	base, err := sim.ElaborateSourceContext(context.Background(), src, p.Top)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.CompileBatch(base, []*sim.Design{base}); err == nil {
 		t.Fatal("expected batch compile of $display design to fail")
 	}
-	golden, err := sim.ElaborateSource(p.Source, p.Top)
+	golden, err := sim.ElaborateSourceContext(context.Background(), p.Source, p.Top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	duts := []*sim.Design{base, golden}
-	batch, err := tb.RunBatchAgainstDesignsContext(context.Background(), base, duts, false)
-	if err != nil {
-		t.Fatal(err)
+	liveChecker := *tb
+	liveChecker.CheckerSource = src
+	for _, tc := range []struct {
+		label string
+		tb    *Testbench
+		base  *sim.Design
+	}{
+		{"base", tb, base},
+		{"checker", &liveChecker, golden},
+	} {
+		duts := []*sim.Design{base, golden}
+		batch, err := tc.tb.RunBatchAgainstDesignsContext(context.Background(), tc.base, duts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range duts {
+			res, rerr := tc.tb.runLive(context.Background(), d)
+			if (batch[i].Err != nil) != (rerr != nil) {
+				t.Fatalf("%s dut %d: batch err=%v interp err=%v", tc.label, i, batch[i].Err, rerr)
+			}
+			if rerr == nil && !reflect.DeepEqual(batch[i].Res.ScenarioPass, res.ScenarioPass) {
+				t.Errorf("%s dut %d: ScenarioPass diverged: %v vs %v", tc.label, i, batch[i].Res.ScenarioPass, res.ScenarioPass)
+			}
+		}
 	}
-	for i, d := range duts {
-		res, rerr := tb.RunAgainstDesignContext(context.Background(), d)
-		if (batch[i].Err != nil) != (rerr != nil) {
-			t.Fatalf("dut %d: batch err=%v scalar err=%v", i, batch[i].Err, rerr)
-		}
-		if rerr == nil && !reflect.DeepEqual(batch[i].Res.ScenarioPass, res.ScenarioPass) {
-			t.Errorf("dut %d: ScenarioPass diverged: %v vs %v", i, batch[i].Res.ScenarioPass, res.ScenarioPass)
-		}
+	if tr, err := liveChecker.batchTrace(context.Background(), outputPorts(golden)); err != nil || !tr.live {
+		t.Errorf("$display checker: trace live=%v err=%v, want a live trace", tr != nil && tr.live, err)
 	}
 }

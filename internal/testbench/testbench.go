@@ -13,14 +13,14 @@
 // stand-in for LLM reasoning about its own code.
 //
 // Substitution note (engine): where AutoBench shells out to Icarus
-// Verilog per run, this framework simulates on internal/sim. A single
-// DUT runs on the compiled slot-indexed engine: the design is compiled
-// once at elaboration and each scenario replays on pooled, Reset
-// instances. The validator's RS matrix and AutoEval's mutant grading
-// are "one checker, N DUTs" runs (batch.go): the checker is simulated
-// once and recorded, and the DUTs advance as lanes of one compiled
-// sim.BatchProgram. Every engine is bit-for-bit identical to the
-// reference AST interpreter (sim.EngineInterp), so RS matrices and
+// Verilog per run, this framework simulates on internal/sim. Every run
+// is a "one checker, N DUTs" run (batch.go): the checker is simulated
+// once on a one-lane sim.BatchProgram and its outputs recorded, and
+// the DUTs advance as lanes of one compiled batch program — the
+// validator's RS matrix and AutoEval's mutant grading batch whole
+// candidate sets, a single DUT is a one-lane batch. A checker or DUT
+// the batch compiler rejects runs on the reference AST interpreter
+// (sim.Instance), which is bit-for-bit identical, so RS matrices and
 // AutoEval verdicts do not depend on which engine runs them.
 package testbench
 
@@ -86,12 +86,6 @@ type Testbench struct {
 	Problem   *dataset.Problem
 	Scenarios []Scenario
 
-	// Engine selects the simulation engine for both tracks
-	// (sim.EngineAuto, the zero value, follows sim.DefaultEngine).
-	// The compiled and interpreted engines are bit-for-bit identical;
-	// the knob exists for differential tests and benchmarks.
-	Engine sim.Engine
-
 	// DriverSource is the generated Verilog driver text. It is emitted
 	// from the scenario list (as AutoBench emits its driver) and is
 	// what Eval0 checks for the driver track.
@@ -116,14 +110,12 @@ type Testbench struct {
 	cachedChecker    *sim.Design
 	cachedCheckerSrc string
 
-	// Cached checker trace for batched runs (see batchTrace): the
-	// checker's trajectory depends only on the stimulus, so one
-	// recorded simulation serves every batch of DUTs. Same concurrency
-	// convention as cachedChecker: warm it (WarmBatchTrace) before
-	// sharing the testbench across goroutines.
+	// Cached checker trace (see batchTrace): the checker's trajectory
+	// depends only on the stimulus, so one recorded simulation serves
+	// every run. Same concurrency convention as cachedChecker: warm it
+	// (WarmBatchTrace) before sharing the testbench across goroutines.
 	cachedTrace    *checkerTrace
 	cachedTraceSrc string
-	cachedTraceEng sim.Engine
 }
 
 // ScenarioCount returns the number of scenarios.
@@ -169,17 +161,6 @@ func (tb *Testbench) SyntaxOK() bool {
 	return true
 }
 
-// ElaborateChecker elaborates and caches the checker track ahead of
-// time. A testbench is not safe for concurrent runs while the cache
-// is cold (the first run fills it); warming it under the owner's
-// control — e.g. inside autoeval's once-guarded fixture build — makes
-// subsequent concurrent RunAgainstDesignContext calls read-only on the
-// testbench.
-func (tb *Testbench) ElaborateChecker() error {
-	_, err := tb.checkerDesignContext(context.Background())
-	return err
-}
-
 // checkerDesignContext elaborates the checker track, caching the
 // result until CheckerSource changes (AutoEval runs the same checker
 // against the golden design and every mutant; the checker trace of
@@ -214,15 +195,24 @@ func (tb *Testbench) RunAgainstSourceContext(ctx context.Context, dutSrc, dutTop
 }
 
 // RunAgainstDesignContext is RunAgainstSourceContext for a
-// pre-elaborated DUT. The context is bound to both simulator
-// instances, so a cancellation takes effect at the next propagation
-// wave — within one simulation step batch — rather than at scenario or
-// run end.
-//
-// The DUT and checker instances are allocated once and pooled across
-// scenarios: a scenario reset is an in-place Reset (memclear back to
-// all-X), not a reallocation.
+// pre-elaborated DUT: a one-lane batched run against the recorded
+// checker trace (RunBatchAgainstDesignsContext), falling back to the
+// interpreter when the DUT or the checker does not batch-compile. A
+// cancellation takes effect within one simulation step batch.
 func (tb *Testbench) RunAgainstDesignContext(ctx context.Context, dutDesign *sim.Design) (*RunResult, error) {
+	out, err := tb.RunBatchAgainstDesignsContext(ctx, dutDesign, []*sim.Design{dutDesign}, false)
+	if err != nil {
+		return nil, err
+	}
+	return out[0].Res, out[0].Err
+}
+
+// runLive simulates the DUT and the checker side by side on the
+// interpreter, the reference every batched run must reproduce. The
+// context is bound to both instances, so a cancellation takes effect
+// at the next propagation wave. The instances are allocated once and
+// pooled across scenarios with an in-place Reset.
+func (tb *Testbench) runLive(ctx context.Context, dutDesign *sim.Design) (*RunResult, error) {
 	checkerDesign, err := tb.checkerDesignContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("checker: %w", err)
@@ -230,8 +220,8 @@ func (tb *Testbench) RunAgainstDesignContext(ctx context.Context, dutDesign *sim
 	defer obs.Time(ctx, obs.PhaseRun)()
 	res := &RunResult{ScenarioPass: make([]bool, len(tb.Scenarios))}
 	outs := outputPorts(dutDesign)
-	dut := sim.NewInstanceEngine(dutDesign, tb.Engine)
-	chk := sim.NewInstanceEngine(checkerDesign, tb.Engine)
+	dut := sim.NewInstance(dutDesign)
+	chk := sim.NewInstance(checkerDesign)
 	dut.BindContext(ctx)
 	chk.BindContext(ctx)
 	for i, sc := range tb.Scenarios {

@@ -162,7 +162,7 @@ func TestDriverEmissionParsesAndRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: driver does not parse: %v\n%s", name, err, tb.DriverSource)
 		}
-		d, err := sim.Elaborate(f, tb.Problem.Name+"_tb")
+		d, err := sim.ElaborateContext(context.Background(), f, tb.Problem.Name+"_tb")
 		if err != nil {
 			t.Fatalf("%s: driver does not elaborate: %v", name, err)
 		}

@@ -29,8 +29,10 @@ func oracleMatrix(t *testing.T, tb *testbench.Testbench, cands []validator.RTLCa
 	if !tb.SyntaxOK() {
 		return "", false
 	}
+	prev := sim.DefaultEngine
+	sim.DefaultEngine = sim.EngineInterp
+	defer func() { sim.DefaultEngine = prev }()
 	otb := *tb
-	otb.Engine = sim.EngineInterp
 	m := &validator.Matrix{}
 	for _, c := range cands {
 		res, err := otb.RunAgainstSourceContext(context.Background(), c.Source, tb.Problem.Top)
@@ -90,6 +92,8 @@ func oscillationTrigger(t *testing.T, p *dataset.Problem) string {
 // and viability are byte-identical to the per-candidate interpreter
 // oracle. A group of nothing but syntax-broken candidates must give
 // zero rows, every candidate discarded, and a SimulationBroken verdict.
+// The subtests are sequential because the oracle flips the
+// process-wide sim.DefaultEngine.
 func TestBatchedRSMatrixDifferential(t *testing.T) {
 	prof := *llm.GPT4o()
 	prof.CheckerCleanBase = 0 // every understood task gets an observably faulty checker
@@ -100,7 +104,6 @@ func TestBatchedRSMatrixDifferential(t *testing.T) {
 	for i, p := range dataset.All() {
 		i, p := i, p
 		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
 			ctx := context.Background()
 			rng := rand.New(rand.NewSource(int64(9000 + i)))
 			var acct llm.Accountant
@@ -200,7 +203,7 @@ func (c *cancelAfter) Err() error {
 // batchCancelGroup builds a small group covering every row kind: the
 // generated candidates (mutated, correct, syntax-broken), one more
 // syntax-broken source and one that elaborates but cannot share the
-// batch program (an extra signal), which runs on the scalar fallback.
+// batch program (an extra signal), which runs on the interpreter.
 func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate {
 	t.Helper()
 	var acct llm.Accountant
@@ -216,9 +219,9 @@ func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate
 
 // TestBatchCancellation cancels at every context poll of NewGroup and
 // of BuildMatrixContext in turn, on a group that runs as batch lanes
-// plus a scalar fallback (cnt8) and on one whose golden design cannot
-// batch-compile ($display), so every candidate runs on the wholesale
-// scalar fallback. A cancelled call must return the context's error
+// plus an interpreter fallback (cnt8) and on one whose golden design
+// cannot batch-compile ($display), so every candidate runs on the
+// wholesale interpreter fallback. A cancelled call must return the context's error
 // and nothing else — no group, no matrix, no broken verdict and no
 // discarded rows — and a call the cancellation misses must return
 // exactly the uncancelled result.

@@ -11,23 +11,22 @@ import (
 	"correctbench/internal/testbench"
 )
 
-// TestCompiledEngineDifferential proves the compiled slot-indexed
-// engine is bit-for-bit identical to the AST interpreter over the
-// entire dataset: for every problem it builds the golden testbench and
-// an imperfect RTL group (mutated, correct and syntax-broken
-// candidates, exactly as the paper's validator does) and asserts that
-// the RS matrices produced with the checker (and any scalar fallback)
-// on the interpreter, the compiled engine and the batched engine render
+// TestCompiledEngineDifferential proves the batch engine is bit-for-bit
+// identical to the AST interpreter over the entire dataset: for every
+// problem it builds the golden testbench and an imperfect RTL group
+// (mutated, correct and syntax-broken candidates, exactly as the
+// paper's validator does) and asserts that the RS matrices produced on
+// the batch engine and with every simulation on the interpreter render
 // identically — same rows, same red/green cells, same discards — and
 // that every candidate run as a batch lane produces exactly the row of
-// its own scalar interpreter run.
+// its own interpreter run. The subtests are sequential because the
+// interpreter runs flip the process-wide sim.DefaultEngine.
 func TestCompiledEngineDifferential(t *testing.T) {
 	prof := llm.GPT4o()
 	v := &Validator{Criterion: Wrong70}
 	for _, p := range dataset.All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			t.Parallel()
 			rng := rand.New(rand.NewSource(1234))
 			var acct llm.Accountant
 			cands, err := GenerateRTLGroup(p, prof, 6, rng, &acct)
@@ -44,10 +43,10 @@ func TestCompiledEngineDifferential(t *testing.T) {
 			}
 
 			run := func(engine sim.Engine) (string, bool) {
+				defer withEngine(engine)()
 				// Separate testbench value per engine so the checker
-				// design cache and engine field are independent.
+				// caches are independent.
 				tb := *gtb
-				tb.Engine = engine
 				m, ok, err := v.BuildMatrixContext(context.Background(), &tb, group)
 				if err != nil {
 					t.Fatal(err)
@@ -58,21 +57,17 @@ func TestCompiledEngineDifferential(t *testing.T) {
 				return m.Render(), true
 			}
 
-			compiled, okC := run(sim.EngineCompiled)
 			interp, okI := run(sim.EngineInterp)
 			batched, okB := run(sim.EngineBatched)
-			if okC != okI || okB != okI {
-				t.Fatalf("engines disagree on testbench viability: compiled=%v interp=%v batched=%v", okC, okI, okB)
-			}
-			if compiled != interp {
-				t.Fatalf("RS matrices differ between engines\ncompiled:\n%s\ninterp:\n%s", compiled, interp)
+			if okB != okI {
+				t.Fatalf("engines disagree on testbench viability: interp=%v batched=%v", okI, okB)
 			}
 			if batched != interp {
 				t.Fatalf("RS matrices differ between engines\nbatched:\n%s\ninterp:\n%s", batched, interp)
 			}
 
 			// The matrix rows above run the candidates as batch lanes;
-			// now run each lane's design on its own scalar interpreter
+			// now run each lane's design on its own interpreter
 			// instance and require identical per-scenario rows.
 			goldenDesign, err := p.Elaborate()
 			if err != nil {
@@ -83,26 +78,36 @@ func TestCompiledEngineDifferential(t *testing.T) {
 				t.Fatalf("no elaborable candidates in RTL group")
 			}
 			btb := *gtb
-			btb.Engine = sim.EngineInterp
 			outs, err := btb.RunBatchAgainstDesignsContext(context.Background(), goldenDesign, duts, false)
 			if err != nil {
 				t.Fatal(err)
 			}
+			restore := withEngine(sim.EngineInterp)
+			defer restore()
 			for i, d := range duts {
 				res, rerr := btb.RunAgainstDesignContext(context.Background(), d)
 				if (outs[i].Err != nil) != (rerr != nil) {
-					t.Fatalf("candidate %d: batch err=%v scalar err=%v", i, outs[i].Err, rerr)
+					t.Fatalf("candidate %d: batch err=%v interp err=%v", i, outs[i].Err, rerr)
 				}
 				if rerr != nil {
 					continue
 				}
 				for s := range res.ScenarioPass {
 					if outs[i].Res.ScenarioPass[s] != res.ScenarioPass[s] {
-						t.Fatalf("candidate %d scenario %d: batch %v, scalar %v",
+						t.Fatalf("candidate %d scenario %d: batch %v, interp %v",
 							i, s, outs[i].Res.ScenarioPass[s], res.ScenarioPass[s])
 					}
 				}
 			}
 		})
 	}
+}
+
+// withEngine points the process-wide reference switch at e and returns
+// the function that restores it. Callers must not run in parallel with
+// other simulations.
+func withEngine(e sim.Engine) func() {
+	prev := sim.DefaultEngine
+	sim.DefaultEngine = e
+	return func() { sim.DefaultEngine = prev }
 }

@@ -293,7 +293,7 @@ func (v *Validator) BuildMatrixContext(ctx context.Context, tb *testbench.Testbe
 			outs, err = tb.RunBatchAgainstDesignsContext(ctx, g.base, g.duts, false)
 		}
 		if err == nil {
-			// A scalar fallback run cancelled after the runner's last
+			// An interpreter fallback run cancelled after the runner's last
 			// check surfaces as that candidate's outcome, not as the
 			// run's error.
 			err = ctx.Err()

@@ -280,7 +280,9 @@ func ExprString(e Expr) string {
 		}
 		return x.Val.VerilogLiteral()
 	case *StringLit:
-		return fmt.Sprintf("%q", x.Value)
+		// Value is the raw text between the quotes, escapes undecoded
+		// (the lexer's form), so it prints back verbatim.
+		return "\"" + x.Value + "\""
 	case *Unary:
 		return fmt.Sprintf("%s(%s)", x.Op, ExprString(x.X))
 	case *Binary:
