@@ -149,7 +149,7 @@ func BenchmarkFig4RSMatrix(b *testing.B) {
 func BenchmarkFig6aValidatorAccuracy(b *testing.B) {
 	probs := benchmarkMix()
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.CriteriaAccuracy(harness.CriteriaAccuracyConfig{
+		rows, err := harness.CriteriaAccuracyContext(context.Background(), harness.CriteriaAccuracyConfig{
 			PerTask: 3, Seed: int64(i) + 20, Problems: probs,
 		})
 		if err != nil {

@@ -297,6 +297,11 @@ func UnmarshalEvent(line []byte) (Event, error) {
 		if err := json.Unmarshal(line, &w); err != nil {
 			return nil, err
 		}
+		// MarshalEvent writes a nil method list as []; decode null the
+		// same way so a decoded event re-encodes to itself.
+		if w.Methods == nil {
+			w.Methods = []string{}
+		}
 		return JobStarted{
 			Job: w.Job, Methods: w.Methods, Problems: w.Problems,
 			Reps: w.Reps, TotalCells: w.TotalCells,
@@ -313,15 +318,21 @@ func UnmarshalEvent(line []byte) (Event, error) {
 		// The outcome's problem name lives in the event envelope on
 		// the wire.
 		o.Problem = w.Problem
+		// Round-trip through integer microseconds: the encoder wrote
+		// duration_ms as microseconds/1000, so math.Round(ms*1000)
+		// recovers the exact integer even when the division was not
+		// representable in binary floating point. Multiplying the raw
+		// float by time.Millisecond instead truncates such values by a
+		// nanosecond (decode(encode(d)) != d.Truncate(µs)). A value
+		// that is negative or overflows time.Duration is rejected
+		// rather than wrapped.
+		us := math.Round(w.DurationMS * 1000)
+		if !(us >= 0 && us < math.MaxInt64/float64(time.Microsecond)) {
+			return nil, fmt.Errorf("correctbench: duration_ms %g out of range", w.DurationMS)
+		}
 		return CellFinished{
 			Index: w.Index, Method: w.Method, Rep: w.Rep, Problem: w.Problem,
-			// Round-trip through integer microseconds: the encoder wrote
-			// duration_ms as microseconds/1000, so math.Round(ms*1000)
-			// recovers the exact integer even when the division was not
-			// representable in binary floating point. Multiplying the raw
-			// float by time.Millisecond instead truncates such values by
-			// a nanosecond (decode(encode(d)) != d.Truncate(µs)).
-			Duration: time.Duration(math.Round(w.DurationMS*1000)) * time.Microsecond,
+			Duration: time.Duration(us) * time.Microsecond,
 			Outcome:  o,
 		}, nil
 	case "method_rep_done":

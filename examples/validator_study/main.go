@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 		}
 		probs = append(probs, p)
 	}
-	rows, err := harness.CriteriaAccuracy(harness.CriteriaAccuracyConfig{
+	rows, err := harness.CriteriaAccuracyContext(context.Background(), harness.CriteriaAccuracyConfig{
 		PerTask:  8,
 		Seed:     2025,
 		Problems: probs,

@@ -49,9 +49,9 @@ func TestSyntaxBrokenIsFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := *tb
+	broken := tb.WithChecker(tb.CheckerSource, tb.CheckerPlan, tb.CheckerSticky)
 	broken.DriverSource = "module ("
-	g, err := e.EvaluateContext(context.Background(), &broken)
+	g, err := e.EvaluateContext(context.Background(), broken)
 	if err != nil || g != GradeFailed {
 		t.Errorf("grade = %s, %v; want Failed", g, err)
 	}

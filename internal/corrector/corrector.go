@@ -104,18 +104,7 @@ func (c *Corrector) Correct(tb *testbench.Testbench, rep *validator.Report, rng 
 	if !containsSite(plan, sticky) {
 		sticky = -1
 	}
-	fixed := &testbench.Testbench{
-		Problem:       tb.Problem,
-		Scenarios:     tb.Scenarios,
-		DriverSource:  tb.DriverSource,
-		CheckerSource: verilog.PrintModule(mod),
-		CheckerTop:    tb.CheckerTop,
-		CheckerPlan:   plan,
-		CheckerSticky: sticky,
-		TokensIn:      tb.TokensIn,
-		TokensOut:     tb.TokensOut,
-	}
-	return fixed, out
+	return tb.WithChecker(verilog.PrintModule(mod), plan, sticky), out
 }
 
 func containsSite(p mutate.Plan, site int) bool {

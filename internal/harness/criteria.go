@@ -45,16 +45,11 @@ type CriterionAccuracy struct {
 	NWrong    int
 }
 
-// CriteriaAccuracy runs the Fig. 6(a) experiment. A testbench is
-// labeled "correct" when it parses and the golden RTL passes every
+// CriteriaAccuracyContext runs the Fig. 6(a) experiment. A testbench
+// is labeled "correct" when it parses and the golden RTL passes every
 // scenario (i.e. its checker computes right reference outputs on its
 // own stimuli); the validators never see the label or the golden RTL.
-func CriteriaAccuracy(cfg CriteriaAccuracyConfig) ([]CriterionAccuracy, error) {
-	return CriteriaAccuracyContext(context.Background(), cfg)
-}
-
-// CriteriaAccuracyContext is CriteriaAccuracy with cancellation: a
-// cancelled context stops the per-problem workers within one
+// A cancelled context stops the per-problem workers within one
 // simulation step batch and returns ctx.Err().
 func CriteriaAccuracyContext(ctx context.Context, cfg CriteriaAccuracyConfig) ([]CriterionAccuracy, error) {
 	if cfg.Profile == nil {

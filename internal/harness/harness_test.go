@@ -105,7 +105,7 @@ func TestGradeSharesSumToOne(t *testing.T) {
 }
 
 func TestCriteriaAccuracySmall(t *testing.T) {
-	rows, err := CriteriaAccuracy(CriteriaAccuracyConfig{
+	rows, err := CriteriaAccuracyContext(context.Background(), CriteriaAccuracyConfig{
 		PerTask: 2, NR: 12, Seed: 11, Problems: subset(t),
 	})
 	if err != nil {

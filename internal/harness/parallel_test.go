@@ -111,7 +111,7 @@ func TestParallelFirstErrorIsDeterministic(t *testing.T) {
 func TestCriteriaAccuracyParallelMatchesSequential(t *testing.T) {
 	probs := subset(t)
 	run := func(workers int) []CriterionAccuracy {
-		rows, err := CriteriaAccuracy(CriteriaAccuracyConfig{
+		rows, err := CriteriaAccuracyContext(context.Background(), CriteriaAccuracyConfig{
 			PerTask: 2, NR: 10, Seed: 19, Problems: probs, Workers: workers,
 		})
 		if err != nil {

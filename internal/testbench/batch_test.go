@@ -145,15 +145,14 @@ func TestBatchRunWholesaleFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveChecker := *tb
-	liveChecker.CheckerSource = src
+	liveChecker := tb.WithChecker(src, tb.CheckerPlan, tb.CheckerSticky)
 	for _, tc := range []struct {
 		label string
 		tb    *Testbench
 		base  *sim.Design
 	}{
 		{"base", tb, base},
-		{"checker", &liveChecker, golden},
+		{"checker", liveChecker, golden},
 	} {
 		duts := []*sim.Design{base, golden}
 		batch, err := tc.tb.RunBatchAgainstDesignsContext(context.Background(), tc.base, duts, false)

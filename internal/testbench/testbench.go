@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"correctbench/internal/dataset"
 	"correctbench/internal/logic"
@@ -107,6 +108,13 @@ type Testbench struct {
 	// Tokens spent generating this testbench (filled by generators).
 	TokensIn, TokensOut int
 
+	// Memoized Eval0 verdict per track (see SyntaxOK). Each holds the
+	// source text it judged, so an in-place edit of DriverSource or
+	// CheckerSource re-parses. Atomic, so SyntaxOK is safe on a shared
+	// testbench; the memos make a Testbench non-copyable (use
+	// WithChecker or a field-wise construction).
+	driverSyntax, checkerSyntax atomic.Pointer[syntaxVerdict]
+
 	cachedChecker    *sim.Design
 	cachedCheckerSrc string
 
@@ -150,15 +158,54 @@ func (r *RunResult) FailedScenarios() []int {
 }
 
 // SyntaxOK reports whether both testbench tracks parse, the Eval0
-// criterion for the testbench artifact itself.
+// criterion for the testbench artifact itself. Each track's verdict is
+// memoized with the text it judged: a track is parsed again only when
+// its source differs from the last one checked, so the validation
+// rounds, corrections and grade of one generation parse its driver
+// once. The driver is checked first; a broken driver leaves the
+// checker unparsed.
 func (tb *Testbench) SyntaxOK() bool {
-	if _, err := verilog.Parse(tb.DriverSource); err != nil {
-		return false
+	return trackOK(&tb.driverSyntax, tb.DriverSource) && trackOK(&tb.checkerSyntax, tb.CheckerSource)
+}
+
+// syntaxVerdict is one track's memoized Eval0 verdict on src.
+type syntaxVerdict struct {
+	src string
+	ok  bool
+}
+
+// trackOK returns the Eval0 verdict on src, parsing it only when the
+// memo holds a different text. Concurrent callers may both parse a new
+// text; they store equal verdicts.
+func trackOK(memo *atomic.Pointer[syntaxVerdict], src string) bool {
+	if v := memo.Load(); v != nil && v.src == src {
+		return v.ok
 	}
-	if _, err := verilog.Parse(tb.CheckerSource); err != nil {
-		return false
+	_, err := verilog.Parse(src)
+	ok := err == nil
+	memo.Store(&syntaxVerdict{src: src, ok: ok})
+	return ok
+}
+
+// WithChecker returns a new testbench with tb's stimulus and driver
+// and the given checker track: the corrector's rewrite. The driver's
+// Eval0 verdict carries over, since DriverSource is unchanged; the new
+// checker is judged on the copy's first SyntaxOK. Simulation caches
+// belong to the old checker and are not copied.
+func (tb *Testbench) WithChecker(src string, plan mutate.Plan, sticky int) *Testbench {
+	out := &Testbench{
+		Problem:       tb.Problem,
+		Scenarios:     tb.Scenarios,
+		DriverSource:  tb.DriverSource,
+		CheckerSource: src,
+		CheckerTop:    tb.CheckerTop,
+		CheckerPlan:   plan,
+		CheckerSticky: sticky,
+		TokensIn:      tb.TokensIn,
+		TokensOut:     tb.TokensOut,
 	}
-	return true
+	out.driverSyntax.Store(tb.driverSyntax.Load())
+	return out
 }
 
 // checkerDesignContext elaborates the checker track, caching the

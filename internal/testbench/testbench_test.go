@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"correctbench/internal/dataset"
@@ -186,5 +187,82 @@ func TestSyntaxOK(t *testing.T) {
 	tb.DriverSource = tb.DriverSource[:len(tb.DriverSource)/2]
 	if tb.SyntaxOK() {
 		t.Error("truncated driver reported as OK")
+	}
+}
+
+// TestSyntaxOKMemo pins the per-track Eval0 memo: an in-place edit of
+// either track is re-judged in both directions, a WithChecker copy
+// keeps the driver verdict but judges its own checker, an unchanged
+// testbench is not parsed again (no allocations), and concurrent
+// callers on one shared testbench agree.
+func TestSyntaxOKMemo(t *testing.T) {
+	tb := golden(t, "cnt8")
+	driver, checker := tb.DriverSource, tb.CheckerSource
+	broken := func(src string) string { return src[:len(src)/2] }
+	for _, tc := range []struct {
+		track, good string
+		edit        func(string)
+	}{
+		{"driver", driver, func(s string) { tb.DriverSource = s }},
+		{"checker", checker, func(s string) { tb.CheckerSource = s }},
+	} {
+		for i, want := range []bool{true, false, true, false} {
+			src := tc.good
+			if !want {
+				src = broken(tc.good)
+			}
+			tc.edit(src)
+			if got := tb.SyntaxOK(); got != want {
+				t.Fatalf("%s edit %d: SyntaxOK = %v, want %v", tc.track, i, got, want)
+			}
+		}
+		tc.edit(tc.good)
+	}
+
+	if !tb.SyntaxOK() {
+		t.Fatal("restored testbench reports a syntax error")
+	}
+	fixed := tb.WithChecker(broken(checker), tb.CheckerPlan, tb.CheckerSticky)
+	if v := fixed.driverSyntax.Load(); v == nil || v != tb.driverSyntax.Load() {
+		t.Errorf("WithChecker copy did not keep the driver verdict: %+v", v)
+	}
+	if fixed.SyntaxOK() {
+		t.Error("WithChecker copy with a broken checker reported as OK")
+	}
+	fixed = tb.WithChecker(checker, tb.CheckerPlan, tb.CheckerSticky)
+	if !fixed.SyntaxOK() {
+		t.Error("WithChecker copy with the original checker reported a syntax error")
+	}
+	badDriver := tb.WithChecker(checker, tb.CheckerPlan, tb.CheckerSticky)
+	badDriver.DriverSource = broken(driver)
+	if badDriver.SyntaxOK() {
+		t.Error("WithChecker copy with an edited broken driver reported as OK")
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() { tb.SyntaxOK() }); allocs != 0 {
+		t.Errorf("SyntaxOK on an unchanged testbench allocates %.1f times per call, want 0 (re-parsed)", allocs)
+	}
+
+	// A cold memo on a shared testbench: the goroutines race to parse.
+	shared := golden(t, "det101")
+	shared.CheckerSource = broken(shared.CheckerSource)
+	var wg sync.WaitGroup
+	okCalls := make([]int, 8)
+	for g := range okCalls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				if shared.SyntaxOK() {
+					okCalls[g]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, n := range okCalls {
+		if n != 0 {
+			t.Errorf("goroutine %d: SyntaxOK = true on a broken checker in %d of 20 calls", g, n)
+		}
 	}
 }

@@ -32,7 +32,7 @@ func oracleMatrix(t *testing.T, tb *testbench.Testbench, cands []validator.RTLCa
 	prev := sim.DefaultEngine
 	sim.DefaultEngine = sim.EngineInterp
 	defer func() { sim.DefaultEngine = prev }()
-	otb := *tb
+	otb := tb.WithChecker(tb.CheckerSource, tb.CheckerPlan, tb.CheckerSticky)
 	m := &validator.Matrix{}
 	for _, c := range cands {
 		res, err := otb.RunAgainstSourceContext(context.Background(), c.Source, tb.Problem.Top)
@@ -53,11 +53,11 @@ func oracleMatrix(t *testing.T, tb *testbench.Testbench, cands []validator.RTLCa
 // signal is set: the checker simulates fine from reset and then errors
 // mid-scenario, at the first step that makes the trigger nonzero.
 func oscillatingChecker(tb *testbench.Testbench, trigger string) *testbench.Testbench {
-	bad := *tb
-	bad.CheckerSource = strings.Replace(tb.CheckerSource, "endmodule",
-		"wire cb_osc;\nassign cb_osc = (|"+trigger+") ? ~cb_osc : 1'b0;\nendmodule", 1)
-	bad.DriverSource = testbench.EmitDriver(&bad)
-	return &bad
+	bad := tb.WithChecker(strings.Replace(tb.CheckerSource, "endmodule",
+		"wire cb_osc;\nassign cb_osc = (|"+trigger+") ? ~cb_osc : 1'b0;\nendmodule", 1),
+		tb.CheckerPlan, tb.CheckerSticky)
+	bad.DriverSource = testbench.EmitDriver(bad)
+	return bad
 }
 
 // oscillationTrigger names the problem's first input port that is

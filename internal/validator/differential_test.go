@@ -46,8 +46,8 @@ func TestCompiledEngineDifferential(t *testing.T) {
 				defer withEngine(engine)()
 				// Separate testbench value per engine so the checker
 				// caches are independent.
-				tb := *gtb
-				m, ok, err := v.BuildMatrixContext(context.Background(), &tb, group)
+				tb := gtb.WithChecker(gtb.CheckerSource, gtb.CheckerPlan, gtb.CheckerSticky)
+				m, ok, err := v.BuildMatrixContext(context.Background(), tb, group)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +77,7 @@ func TestCompiledEngineDifferential(t *testing.T) {
 			if len(duts) == 0 {
 				t.Fatalf("no elaborable candidates in RTL group")
 			}
-			btb := *gtb
+			btb := gtb.WithChecker(gtb.CheckerSource, gtb.CheckerPlan, gtb.CheckerSticky)
 			outs, err := btb.RunBatchAgainstDesignsContext(context.Background(), goldenDesign, duts, false)
 			if err != nil {
 				t.Fatal(err)
