@@ -234,8 +234,7 @@ const (
 // for concurrent use; the zero value is not usable, construct with
 // NewClient.
 type Client struct {
-	store    Store        // nil: no result store
-	executor CellExecutor // nil: in-process worker pool
+	store Store // nil: no result store
 
 	// obs aggregates phase latencies and the completion-rate window
 	// across every traced job this client runs; GET /metrics reads it.
@@ -264,17 +263,6 @@ func WithStore(s Store) ClientOption {
 	return func(c *Client) { c.store = s }
 }
 
-// WithExecutor routes every submitted job's cells through e instead
-// of the in-process worker pool — typically a NewRemoteExecutor fleet
-// coordinator. Results, event streams and resume-by-spec semantics
-// are identical to local execution: the executor only decides where
-// cells run, never what they produce or in what order events are
-// released. The spec's Workers field keeps its meaning as the bound
-// on concurrently outstanding cells.
-func WithExecutor(e CellExecutor) ClientOption {
-	return func(c *Client) { c.executor = e }
-}
-
 // NewClient returns an empty client.
 func NewClient(opts ...ClientOption) *Client {
 	c := &Client{
@@ -286,19 +274,6 @@ func NewClient(opts ...ClientOption) *Client {
 		o(c)
 	}
 	return c
-}
-
-// FleetStats reports the per-node counters of the client's executor;
-// ok is false when the client was built without WithExecutor or its
-// executor keeps no per-node accounting (the in-process pool). The
-// GET /metrics fleet gauges come from here.
-func (c *Client) FleetStats() (stats []NodeStats, ok bool) {
-	type statser interface{ Stats() []NodeStats }
-	s, ok := c.executor.(statser)
-	if !ok {
-		return nil, false
-	}
-	return s.Stats(), true
 }
 
 // StoreStats reports the result store's live counters; ok is false
@@ -398,7 +373,6 @@ func (c *Client) Submit(ctx context.Context, spec ExperimentSpec) (*Job, error) 
 		return nil, err
 	}
 	hcfg.Evaluator = c.evaluator(harness.EvaluatorSeed(spec.Seed))
-	hcfg.Executor = c.executor
 	if !spec.NoStore {
 		hcfg.Store = c.store
 	}
@@ -553,7 +527,6 @@ func (c *Client) CriteriaPipeline(ctx context.Context, spec ExperimentSpec, prog
 	}
 	hcfg.Progress = progress
 	hcfg.Evaluator = c.evaluator(harness.EvaluatorSeed(spec.Seed))
-	hcfg.Executor = c.executor
 	// The study runs one experiment per criterion; the criterion is a
 	// cell-key component, so sharing the store across rows is safe and
 	// a rerun of the study is fully warm.

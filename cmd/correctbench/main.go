@@ -51,22 +51,26 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// Every exit path below goes through this drain-aware exitOn or
-	// falls off main, so the client is always closed — including on
-	// Ctrl-C, where Close waits out the workers' in-flight cells and
-	// their store write-backs. That is what makes -store-dir runs
-	// resumable.
+	// Every exit path below goes through this drain-aware exitOn, so
+	// the client is always closed — including on Ctrl-C, where Close
+	// waits out the workers' in-flight cells and their store
+	// write-backs. That is what makes -store-dir runs resumable, and
+	// why a failed close (the store's final flush) fails the run.
 	var client *correctbench.Client
-	drain := func() {
-		if client != nil {
-			_ = client.Close(context.Background())
+	drain := func() error {
+		if client == nil {
+			return nil
 		}
+		c := client
+		client = nil
+		return c.Close(context.Background())
 	}
-	defer drain()
 	exitOn := func(err error) {
 		if err != nil {
-			drain()
 			fmt.Fprintln(os.Stderr, "correctbench:", err)
+			if err := drain(); err != nil {
+				fmt.Fprintln(os.Stderr, "correctbench: close:", err)
+			}
 			os.Exit(1)
 		}
 	}
@@ -130,5 +134,8 @@ func main() {
 	if !*table1 && !*table2 && !*table3 && *task == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err := drain(); err != nil {
+		exitOn(fmt.Errorf("close: %w", err))
 	}
 }

@@ -21,22 +21,10 @@
 // instead of failing it — see the README's "Operations & fault
 // tolerance" section.
 //
-// The daemon also runs as a fleet: worker processes started with
-// -worker serve experiment cells over the fleet protocol instead of
-// HTTP, and a coordinator started with -peers shards every job's
-// cells across them by content address — with health probing, work
-// stealing and reassignment, so a job survives the loss of any worker
-// mid-run with byte-identical output (see the README's "Fleet
-// deployment" section). A worker receiving SIGTERM drains gracefully:
-// it notifies its coordinators, which reassign its in-flight cells
-// immediately instead of waiting for probes to time out.
-//
 // Usage:
 //
 //	correctbenchd -addr :8080
 //	correctbenchd -addr :8080 -store-dir /var/lib/correctbench
-//	correctbenchd -worker -addr :9001            # fleet worker node
-//	correctbenchd -addr :8080 -peers :9001,:9002 # fleet coordinator
 //	correctbenchd -selfcheck        # start, drive one experiment over
 //	                                # HTTP, verify against in-process,
 //	                                # then prove a warm resubmit
@@ -76,7 +64,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -90,10 +77,6 @@ func main() {
 		storeDir  = flag.String("store-dir", "", "directory for the persistent result store (empty: no store; completed cells are then never reused across restarts)")
 		selfcheck = flag.Bool("selfcheck", false, "start an ephemeral server, run a 2-problem experiment over HTTP, compare with the in-process run, prove a warm resubmit replays every cell from the store, and exit")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the same listener (opt-in profiling surface)")
-
-		worker      = flag.Bool("worker", false, "serve experiment cells to fleet coordinators on -addr instead of HTTP; -store-dir then becomes the node's local replay cache (one directory per worker — disk stores are single-writer)")
-		peers       = flag.String("peers", "", "comma-separated fleet worker addresses; when set, every job's cells are sharded across these nodes instead of the in-process pool")
-		cellWorkers = flag.Int("cell-workers", 0, "max concurrently executing cells in -worker mode (0: all CPUs)")
 
 		maxJobs       = flag.Int("max-jobs", 16, "max concurrently running experiments across all clients; over the cap submits get 429 + Retry-After (0: unlimited)")
 		maxJobsClient = flag.Int("max-jobs-per-client", 4, "max concurrently running experiments per client, keyed by X-Client-ID or remote host (0: unlimited)")
@@ -114,30 +97,7 @@ func main() {
 		return
 	}
 
-	if *worker {
-		if err := runWorker(*addr, *storeDir, *cellWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, "correctbenchd:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var opts []correctbench.ClientOption
-	if *peers != "" {
-		var addrs []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				addrs = append(addrs, p)
-			}
-		}
-		rex, err := correctbench.NewRemoteExecutor(addrs, correctbench.RemoteOptions{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "correctbenchd:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "correctbenchd: fleet coordinator over %d workers: %s\n", len(addrs), strings.Join(addrs, ", "))
-		opts = append(opts, correctbench.WithExecutor(rex))
-	}
 	if *storeDir != "" {
 		st, err := correctbench.OpenDiskStore(*storeDir)
 		if err != nil {
@@ -202,7 +162,9 @@ func main() {
 		if err := client.Close(shutCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "correctbenchd: drain:", err)
 		}
-		_ = srv.Shutdown(shutCtx)
+		if err := srv.Shutdown(shutCtx); err != nil {
+			fmt.Fprintln(os.Stderr, "correctbenchd: shutdown:", err)
+		}
 	}()
 	fmt.Fprintf(os.Stderr, "correctbenchd: listening on %s\n", *addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -210,59 +172,6 @@ func main() {
 		os.Exit(1)
 	}
 	<-done // the drain goroutine owns the store; let it finish
-}
-
-// runWorker serves experiment cells to fleet coordinators until
-// SIGTERM/SIGINT, then drains gracefully: the worker broadcasts a
-// draining notice on every coordinator connection — so its in-flight
-// cells are reassigned immediately instead of timing out against
-// health probes — refuses new work, waits out the cells already
-// executing, and closes its store.
-func runWorker(addr, storeDir string, cellWorkers int) error {
-	var st correctbench.Store
-	if storeDir != "" {
-		var err error
-		st, err = correctbench.OpenDiskStore(storeDir)
-		if err != nil {
-			return err
-		}
-		stats := st.Stats()
-		fmt.Fprintf(os.Stderr, "correctbenchd: worker replay cache %s: %d cells\n", storeDir, stats.Entries)
-	}
-	if cellWorkers <= 0 {
-		cellWorkers = runtime.NumCPU()
-	}
-	w := correctbench.NewFleetWorker(st, cellWorkers)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		// Notify coordinators before touching the listener: the draining
-		// frames ride the live connections, so by the time this returns
-		// every coordinator has requeued this node's cells elsewhere.
-		if err := w.Drain(drainCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "correctbenchd: worker drain:", err)
-		}
-		ln.Close()
-		if st != nil {
-			_ = st.Close()
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "correctbenchd: fleet worker on %s (%d concurrent cells)\n", addr, cellWorkers)
-	serveErr := w.Serve(ln)
-	<-done
-	if ctx.Err() != nil {
-		return nil // clean signal-driven shutdown
-	}
-	return serveErr
 }
 
 // runSelfcheck exercises the full service path end to end: it binds a

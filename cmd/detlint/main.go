@@ -4,9 +4,9 @@
 // classic ways Go code breaks such promises are wall-clock reads,
 // the global math/rand source, and iteration over maps.
 //
-// detlint parses the determinism-critical scope (internal/exec,
-// internal/harness, internal/store, events.go by default) with go/ast — no type
-// checker, no external tooling — and flags:
+// detlint parses the determinism-critical scope (internal/harness,
+// internal/obs, internal/store, events.go by default) with go/ast — no
+// type checker, no external tooling — and flags:
 //
 //   - calls to time.Now
 //   - uses of math/rand's global-source API (rand.Intn, rand.Seed,
@@ -42,7 +42,7 @@ import (
 	"strings"
 )
 
-var defaultScope = []string{"internal/exec", "internal/harness", "internal/obs", "internal/store", "events.go"}
+var defaultScope = []string{"internal/harness", "internal/obs", "internal/store", "events.go"}
 
 type finding struct {
 	pos token.Position

@@ -190,12 +190,8 @@ func render(w io.Writer, cells []obs.CellTrace, top, width int) {
 	}
 	for depth, st := range criticalPath(slowest) {
 		indent := strings.Repeat("  ", depth)
-		node := ""
-		if st.span.Node != "" {
-			node = " @" + st.span.Node
-		}
-		fmt.Fprintf(w, "  %s%-16s %12s  %5.1f%%  self %s%s\n",
-			indent, st.span.Phase, fmtUS(st.span.DurUS), pct(st.span.DurUS), fmtUS(st.self), node)
+		fmt.Fprintf(w, "  %s%-16s %12s  %5.1f%%  self %s\n",
+			indent, st.span.Phase, fmtUS(st.span.DurUS), pct(st.span.DurUS), fmtUS(st.self))
 		for _, g := range st.groups {
 			fmt.Fprintf(w, "  %s  · %-14s %12s  %5.1f%%  ×%d\n",
 				indent, g.phase, fmtUS(g.sum), pct(g.sum), g.count)
@@ -298,16 +294,12 @@ func flamegraph(w io.Writer, ct obs.CellTrace, width int) {
 	if width < 8 {
 		width = 8
 	}
-	node := ""
-	if ct.Node != "" {
-		node = " node=" + ct.Node
-	}
 	cachedMark := ""
 	if ct.Cached {
 		cachedMark = " (cached)"
 	}
-	fmt.Fprintf(w, "cell #%d %s/%s rep %d  %s%s%s\n",
-		ct.Index, ct.Method, ct.Problem, ct.Rep, fmtUS(cellWall(ct)), node, cachedMark)
+	fmt.Fprintf(w, "cell #%d %s/%s rep %d  %s%s\n",
+		ct.Index, ct.Method, ct.Problem, ct.Rep, fmtUS(cellWall(ct)), cachedMark)
 	if len(ct.Spans) == 0 {
 		return
 	}

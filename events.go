@@ -68,11 +68,6 @@ type CellFinished struct {
 	// cold run that populated the store — per-job totals surface in
 	// JobDone and Snapshot instead.
 	Cached bool
-	// Node names the fleet worker that executed the cell ("" for
-	// locally executed and store-replayed cells). Operational metadata
-	// like Cached — not serialized, so a fleet-executed job streams the
-	// same bytes as a local one; per-node totals surface in /metrics.
-	Node string
 }
 
 // Type implements Event.

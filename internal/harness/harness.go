@@ -20,7 +20,6 @@ import (
 	"correctbench/internal/autoeval"
 	"correctbench/internal/core"
 	"correctbench/internal/dataset"
-	"correctbench/internal/exec"
 	"correctbench/internal/llm"
 	"correctbench/internal/obs"
 	"correctbench/internal/rng"
@@ -132,20 +131,10 @@ type Config struct {
 	// calls and must not call back into the harness.
 	CellHook func(index int)
 
-	// Executor, when non-nil, replaces the default in-process worker
-	// pool (exec.Local) with another cell executor — notably
-	// exec.NewRemote, which shards cells across a correctbenchd worker
-	// fleet. Cells are pure functions of their content-addressed spec,
-	// so any conforming executor produces identical Results and an
-	// identical event stream; only Workers/placement metadata
-	// (CellEvent.Node, Duration) reflect where cells actually ran.
-	// Store-replayed cells never reach the executor.
-	Executor exec.CellExecutor
-
 	// Trace, when non-nil, collects one span tree per cell — simulated
-	// or store-replayed — covering the full execution path: queue_wait,
-	// store_lookup, dispatch/net_roundtrip (fleet runs), simulate with
-	// its sim_elaborate/sim_compile/sim_run sub-spans, grade, and
+	// or store-replayed — covering the full execution path:
+	// store_lookup, queue_wait, simulate with its
+	// sim_elaborate/sim_compile/sim_run sub-spans, grade, and
 	// store_writeback. Span IDs are deterministic (derived from the
 	// cell's content address via obs.SpanID); the recorded durations
 	// are wall clock. Tracing is operational metadata exactly like
@@ -154,7 +143,7 @@ type Config struct {
 	Trace *obs.JobTrace
 
 	// Observer, when non-nil, receives every traced cell's phase
-	// samples for latency aggregation (per-phase, per-node histograms).
+	// samples for latency aggregation (per-phase histograms).
 	// Setting Observer alone — without Trace — still turns phase
 	// timing on. Same off-wire contract as Trace.
 	Observer *obs.Observer
@@ -181,10 +170,6 @@ type CellEvent struct {
 	// format omits both), so warm and cold event streams stay
 	// byte-identical.
 	Cached bool
-	// Node names the fleet worker that executed the cell ("" for
-	// locally executed and store-replayed cells). Operational metadata
-	// like Cached: off the wire, outside the reproducibility contract.
-	Node string
 }
 
 // Normalize applies the documented defaults in place: gpt-4o profile,
@@ -248,7 +233,7 @@ func CellStream(seed int64, method Method, rep int, problem string) rng.Stream {
 type cell struct {
 	idx        int
 	mi, ri, pi int
-	key        store.Key // content address, derived when a store, remote executor or tracing needs it
+	key        store.Key // content address, derived when a store or tracing needs it
 
 	// store_lookup timing (offsets relative to the run's trace epoch);
 	// populated only on traced runs with a store.
@@ -405,9 +390,8 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	}
 
 	// Phase timing is on when either tracing sink is attached. The
-	// epoch is the run's trace time origin: every sample offset —
-	// including worker-side samples, after the coordinator rebases them
-	// — is microseconds since this instant.
+	// epoch is the run's trace time origin: every sample offset is
+	// microseconds since this instant.
 	traceOn := cfg.Trace != nil || cfg.Observer != nil
 	var epoch time.Time
 	if traceOn {
@@ -453,7 +437,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 							if traceOn {
 								// A replayed cell's whole execution is its
 								// store lookup: a one-span trace.
-								recordCellTrace(&cfg, c, m, p.Name, true, "", []obs.PhaseSample{{
+								recordCellTrace(&cfg, c, m, p.Name, true, []obs.PhaseSample{{
 									Phase: obs.PhaseLookup, Seq: 0, ParentSeq: -1,
 									StartUS: c.lookStartUS, DurUS: c.lookDurUS,
 								}})
@@ -484,36 +468,15 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		workers = len(pending)
 	}
 
-	// Hand the missing cells to the executor (the in-process pool by
-	// default, a worker fleet via Config.Executor). The executor owes
-	// completion, never order: Done lands each result slot, write-back
-	// and ordered release exactly as the inline pool did, and the
-	// emitter re-sequences completions, so the event stream is
-	// byte-identical whichever executor ran the cells.
-	executor := cfg.Executor
-	if executor == nil {
-		executor = exec.Local()
-	}
-	if guard == nil && (cfg.Executor != nil || traceOn) {
-		// Remote executors shard and verify cells by content address,
-		// and traces derive their deterministic span IDs from it;
-		// derive keys even when no store is attached.
+	if guard == nil && traceOn {
+		// Traces derive their deterministic span IDs from the content
+		// address; derive keys even when no store is attached.
 		for i := range pending {
 			c := &pending[i]
 			c.key = CellKey(&cfg, cfg.Methods[c.mi], c.ri, cfg.Problems[c.pi])
 		}
 	}
-	derr := newErrorCollector()
-	job := execJob(ctx, &cfg, pending, eval, guard, emit, res, workers, derr, epoch)
-	execErr := executor.Execute(ctx, job)
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if execErr != nil {
-		return nil, execErr
-	}
-	if err := derr.first(); err != nil {
+	if err := runPending(ctx, &cfg, pending, workers, eval, guard, emit, res, epoch); err != nil {
 		return nil, err
 	}
 	return finish(), nil

@@ -100,18 +100,10 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	return 0
 }
 
-// PhaseKey identifies one histogram: a phase name plus the node that
-// executed it ("" for this process).
-type PhaseKey struct {
-	Phase string
-	Node  string
-}
-
-// PhaseStats is one row of an Observer snapshot: a (phase, node)
-// histogram rendered to the percentiles /metrics exposes.
+// PhaseStats is one row of an Observer snapshot: a phase's histogram
+// rendered to the percentiles /metrics exposes.
 type PhaseStats struct {
 	Phase string
-	Node  string
 	Count uint64
 	SumUS uint64
 	P50   float64 // microseconds
@@ -120,49 +112,46 @@ type PhaseStats struct {
 }
 
 // Observer is the process-level aggregation point: one histogram per
-// (phase, node) fed by every traced run of a client, plus a sliding
+// phase fed by every traced run of a client, plus a sliding
 // one-minute completion-rate window for /metrics. Histogram updates
 // are lock-free; the map of histograms takes a read lock on the fast
-// path and a write lock only when a new (phase, node) pair first
-// appears.
+// path and a write lock only when a phase first appears.
 type Observer struct {
 	mu    sync.RWMutex
-	hists map[PhaseKey]*Histogram
+	hists map[string]*Histogram
 	rate  RateWindow
 }
 
 // NewObserver returns an empty observer.
 func NewObserver() *Observer {
-	return &Observer{hists: map[PhaseKey]*Histogram{}}
+	return &Observer{hists: map[string]*Histogram{}}
 }
 
-// Hist returns the histogram for a (phase, node) pair, creating it on
-// first use.
-func (o *Observer) Hist(phase, node string) *Histogram {
-	key := PhaseKey{Phase: phase, Node: node}
+// Hist returns the histogram for a phase, creating it on first use.
+func (o *Observer) Hist(phase string) *Histogram {
 	o.mu.RLock()
-	h := o.hists[key]
+	h := o.hists[phase]
 	o.mu.RUnlock()
 	if h != nil {
 		return h
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if h = o.hists[key]; h == nil {
+	if h = o.hists[phase]; h == nil {
 		h = &Histogram{}
-		o.hists[key] = h
+		o.hists[phase] = h
 	}
 	return h
 }
 
-// ObserveSamples records every sample's duration into its (phase,
-// node) histogram. Nil-safe.
+// ObserveSamples records every sample's duration into its phase's
+// histogram. Nil-safe.
 func (o *Observer) ObserveSamples(samples []PhaseSample) {
 	if o == nil {
 		return
 	}
 	for _, s := range samples {
-		o.Hist(s.Phase, s.Node).Observe(time.Duration(s.DurUS) * time.Microsecond)
+		o.Hist(s.Phase).Observe(time.Duration(s.DurUS) * time.Microsecond)
 	}
 }
 
@@ -183,32 +172,26 @@ func (o *Observer) Rate(now time.Time) float64 {
 }
 
 // Snapshot renders every histogram to its percentile row, sorted by
-// (phase, node) so /metrics output is stable.
+// phase so /metrics output is stable.
 func (o *Observer) Snapshot() []PhaseStats {
 	if o == nil {
 		return nil
 	}
 	o.mu.RLock()
-	keys := make([]PhaseKey, 0, len(o.hists))
-	for k := range o.hists {
-		keys = append(keys, k)
+	phases := make([]string, 0, len(o.hists))
+	for phase := range o.hists {
+		phases = append(phases, phase)
 	}
 	o.mu.RUnlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Phase != keys[j].Phase {
-			return keys[i].Phase < keys[j].Phase
-		}
-		return keys[i].Node < keys[j].Node
-	})
-	out := make([]PhaseStats, 0, len(keys))
-	for _, k := range keys {
-		s := o.Hist(k.Phase, k.Node).Snapshot()
+	sort.Strings(phases)
+	out := make([]PhaseStats, 0, len(phases))
+	for _, phase := range phases {
+		s := o.Hist(phase).Snapshot()
 		if s.Count == 0 {
 			continue
 		}
 		out = append(out, PhaseStats{
-			Phase: k.Phase,
-			Node:  k.Node,
+			Phase: phase,
 			Count: s.Count,
 			SumUS: s.SumUS,
 			P50:   s.Quantile(0.50),

@@ -1,6 +1,6 @@
 // Package obs is the harness's zero-dependency observability layer:
 // per-cell phase tracing (span trees with deterministic span IDs) and
-// lock-free latency histograms aggregated per phase and per node.
+// lock-free latency histograms aggregated per phase.
 //
 // Everything in this package is operational metadata — the same class
 // of data as CellFinished.Duration: wall-clock timings recorded off
@@ -15,10 +15,7 @@
 // The pieces, bottom to top:
 //
 //   - PhaseSample: one timed phase occurrence inside a cell, with
-//     offsets relative to a trace epoch. This is the portable form —
-//     fleet workers time their phases locally and ship samples back in
-//     the result frame; the coordinator rebases them onto its own
-//     timeline (Rebase).
+//     offsets relative to a trace epoch.
 //   - Collector: accumulates a cell's samples as the cell executes,
 //     carried through the execution path inside a context.Context
 //     (WithCollector / FromContext / Time). All methods are nil-safe,
@@ -40,14 +37,12 @@ import (
 	"time"
 )
 
-// Phase names used across the execution path. Executors and the
-// harness agree on these so histograms aggregate correctly; sub-phases
-// (sim_*) nest under whichever phase is current when they run.
+// Phase names used across the execution path, so histograms aggregate
+// correctly; sub-phases (sim_*) nest under whichever phase is current
+// when they run.
 const (
-	PhaseQueueWait = "queue_wait"      // executor accepted the cell -> dispatched it
+	PhaseQueueWait = "queue_wait"      // cell queued for the pool -> a worker picked it up
 	PhaseLookup    = "store_lookup"    // result-store resolution before scheduling
-	PhaseDispatch  = "dispatch"        // writing the run frame to a worker
-	PhaseRoundtrip = "net_roundtrip"   // dispatch -> result frame received
 	PhaseSimulate  = "simulate"        // testbench generation (method-specific)
 	PhaseGrade     = "grade"           // AutoEval grading of the generated testbench
 	PhaseWriteback = "store_writeback" // persisting the finished cell
@@ -58,51 +53,14 @@ const (
 
 // PhaseSample is one timed phase occurrence within a cell. StartUS and
 // DurUS are microsecond offsets relative to the trace epoch (the run
-// start on a coordinator, the execution start on a fleet worker — see
-// Rebase). Seq numbers samples within their origin; ParentSeq links a
+// start). Seq numbers samples within their cell; ParentSeq links a
 // nested sample to its enclosing one (-1: a root).
 type PhaseSample struct {
-	Phase     string `json:"phase"`
-	Seq       int    `json:"seq"`
-	ParentSeq int    `json:"parent_seq"`
-	Node      string `json:"node,omitempty"`
-	StartUS   int64  `json:"start_us"`
-	DurUS     int64  `json:"dur_us"`
-}
-
-// Rebase shifts samples onto an enclosing timeline: sequence numbers
-// move up by seqBase, roots are re-parented to parent (pass -1 to keep
-// them roots), start offsets move by startUS, and samples without a
-// node inherit node. The input is not modified. This is how a fleet
-// worker's locally-timed samples graft under the coordinator's
-// net_roundtrip span.
-func Rebase(samples []PhaseSample, seqBase, parent int, startUS int64, node string) []PhaseSample {
-	out := make([]PhaseSample, len(samples))
-	for i, s := range samples {
-		s.Seq += seqBase
-		if s.ParentSeq < 0 {
-			s.ParentSeq = parent
-		} else {
-			s.ParentSeq += seqBase
-		}
-		s.StartUS += startUS
-		if s.Node == "" {
-			s.Node = node
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// NextSeq returns the first unused sequence number after samples.
-func NextSeq(samples []PhaseSample) int {
-	next := 0
-	for _, s := range samples {
-		if s.Seq >= next {
-			next = s.Seq + 1
-		}
-	}
-	return next
+	Phase     string
+	Seq       int
+	ParentSeq int
+	StartUS   int64
+	DurUS     int64
 }
 
 // Collector accumulates one cell's phase samples. It is carried
@@ -161,7 +119,7 @@ func (c *Collector) Start(phase string) func() {
 }
 
 // Add records an externally timed sample (e.g. queue_wait measured by
-// an executor) verbatim, claiming its Seq as used.
+// the cell pool) verbatim, claiming its Seq as used.
 func (c *Collector) Add(s PhaseSample) {
 	if c == nil {
 		return
@@ -230,7 +188,6 @@ type Span struct {
 	ID      string `json:"id"`
 	Parent  string `json:"parent,omitempty"`
 	Phase   string `json:"phase"`
-	Node    string `json:"node,omitempty"`
 	StartUS int64  `json:"start_us"`
 	DurUS   int64  `json:"dur_us"`
 }
@@ -244,7 +201,6 @@ type CellTrace struct {
 	Rep     int    `json:"rep"`
 	Problem string `json:"problem"`
 	Key     string `json:"key"`
-	Node    string `json:"node,omitempty"`
 	Cached  bool   `json:"cached,omitempty"`
 	Spans   []Span `json:"spans"`
 }
@@ -274,7 +230,6 @@ func BuildSpans(traceID string, samples []PhaseSample) []Span {
 		sp := Span{
 			ID:      SpanID(traceID, s.Phase, s.Seq),
 			Phase:   s.Phase,
-			Node:    s.Node,
 			StartUS: s.StartUS,
 			DurUS:   s.DurUS,
 		}

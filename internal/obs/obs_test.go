@@ -45,26 +45,6 @@ func TestCollectorNilSafe(t *testing.T) {
 	Time(context.Background(), "y")()
 }
 
-func TestRebase(t *testing.T) {
-	in := []PhaseSample{
-		{Phase: "simulate", Seq: 0, ParentSeq: -1, StartUS: 10, DurUS: 5},
-		{Phase: "sim_run", Seq: 1, ParentSeq: 0, StartUS: 12, DurUS: 2},
-	}
-	out := Rebase(in, 3, 2, 100, "w1")
-	if out[0].Seq != 3 || out[0].ParentSeq != 2 || out[0].StartUS != 110 || out[0].Node != "w1" {
-		t.Fatalf("root rebased to %+v", out[0])
-	}
-	if out[1].Seq != 4 || out[1].ParentSeq != 3 || out[1].StartUS != 112 {
-		t.Fatalf("child rebased to %+v", out[1])
-	}
-	if in[0].Seq != 0 {
-		t.Fatal("Rebase modified its input")
-	}
-	if got := NextSeq(out); got != 5 {
-		t.Fatalf("NextSeq = %d, want 5", got)
-	}
-}
-
 func TestSpanIDDeterministic(t *testing.T) {
 	a := SpanID("trace1", "simulate", 3)
 	b := SpanID("trace1", "simulate", 3)
@@ -190,14 +170,14 @@ func TestObserverSnapshot(t *testing.T) {
 	o.ObserveSamples([]PhaseSample{
 		{Phase: "simulate", DurUS: 1000},
 		{Phase: "simulate", DurUS: 1000},
-		{Phase: "grade", Node: "w1", DurUS: 500},
+		{Phase: "grade", DurUS: 500},
 	})
 	rows := o.Snapshot()
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
-	// Sorted by phase then node.
-	if rows[0].Phase != "grade" || rows[0].Node != "w1" || rows[0].Count != 1 {
+	// Sorted by phase.
+	if rows[0].Phase != "grade" || rows[0].Count != 1 {
 		t.Fatalf("rows[0] = %+v", rows[0])
 	}
 	if rows[1].Phase != "simulate" || rows[1].Count != 2 || rows[1].SumUS != 2000 {

@@ -40,26 +40,24 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // Outcome is the stored result of one evaluation cell. It mirrors
 // harness.TaskOutcome field for field but stays free of internal
 // package dependencies so the persistence layer has a frozen,
-// self-contained schema (guarded by recordVersion on disk). The JSON
-// tags are the fleet wire form (internal/exec result frames); like
-// the binary layout below, renaming them is a protocol change.
+// self-contained schema (guarded by recordVersion on disk).
 type Outcome struct {
 	// Problem is the dataset problem name; it selects the on-disk
 	// shard and double-checks a looked-up record against the cell that
 	// requested it.
-	Problem string `json:"problem"`
-	Kind    uint8  `json:"kind"`  // dataset.Kind
-	Grade   uint8  `json:"grade"` // autoeval.Grade
+	Problem string
+	Kind    uint8 // dataset.Kind
+	Grade   uint8 // autoeval.Grade
 
 	// CorrectBench-only trace bits.
-	ValidatorIntervened bool   `json:"validator_intervened,omitempty"`
-	CorrectorShaped     bool   `json:"corrector_shaped,omitempty"`
-	FinalValidated      bool   `json:"final_validated,omitempty"`
-	Corrections         uint32 `json:"corrections,omitempty"`
-	Reboots             uint32 `json:"reboots,omitempty"`
+	ValidatorIntervened bool
+	CorrectorShaped     bool
+	FinalValidated      bool
+	Corrections         uint32
+	Reboots             uint32
 
-	TokensIn  uint64 `json:"tokens_in,omitempty"`
-	TokensOut uint64 `json:"tokens_out,omitempty"`
+	TokensIn  uint64
+	TokensOut uint64
 }
 
 // Stats is a point-in-time view of a store's counters. Hits and

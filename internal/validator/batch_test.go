@@ -320,14 +320,15 @@ func TestBatchValidationRoundTrace(t *testing.T) {
 	v := &validator.Validator{Criterion: validator.Wrong70}
 
 	round := func() map[string]int {
-		seq := obs.NextSeq(col.Samples())
 		end := col.Start(obs.PhaseSimulate)
 		if _, ok, err := v.BuildMatrixContext(ctx, tb, group); err != nil || !ok {
 			t.Fatalf("build: ok=%v err=%v", ok, err)
 		}
 		end()
+		samples := col.Samples()
+		seq := samples[len(samples)-1].Seq // the round's simulate phase closes last
 		children := map[string]int{}
-		for _, s := range col.Samples() {
+		for _, s := range samples {
 			if s.ParentSeq == seq {
 				children[s.Phase]++
 			}

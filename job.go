@@ -259,7 +259,7 @@ func (j *Job) run(ctx context.Context, hcfg harness.Config) {
 		j.publish(CellFinished{
 			Index: ev.Index, Method: string(ev.Method), Rep: ev.Rep,
 			Problem: ev.Problem, Outcome: ev.Outcome, Duration: ev.Duration,
-			Cached: ev.Cached, Node: ev.Node,
+			Cached: ev.Cached,
 		})
 	}
 	hcfg.OnGroup = func(m harness.Method, rep int) {

@@ -86,9 +86,8 @@ func postStream(base string, spec ExperimentSpec) (*http.Response, error) {
 }
 
 // TestLoadConcurrentStreamingJobs is the CI load harness: N concurrent
-// streaming jobs against one server sharing one result store, run once
-// over the in-process pool and once over an in-process remote fleet.
-// Every job must receive exactly its own cells in canonical order
+// streaming jobs against one server sharing one result store. Every
+// job must receive exactly its own cells in canonical order
 // (zero lost, zero duplicated, zero cross-talk), no job may starve
 // while others finish, the shared store must end up holding every
 // simulated cell, and a warm resubmit must replay entirely from it.
@@ -102,9 +101,9 @@ func TestLoadConcurrentStreamingJobs(t *testing.T) {
 	}
 	const cellsPerJob = 2 * 3
 
-	run := func(t *testing.T, extra ...ClientOption) {
+	run := func(t *testing.T) {
 		st := NewMemoryStore(0)
-		c := NewClient(append([]ClientOption{WithStore(st)}, extra...)...)
+		c := NewClient(WithStore(st))
 		ts := httptest.NewServer(NewServer(c))
 		t.Cleanup(ts.Close)
 
@@ -160,17 +159,12 @@ func TestLoadConcurrentStreamingJobs(t *testing.T) {
 			t.Errorf("store holds %d entries after %d puts, want %d/%d", stats.Entries, stats.Puts, jobs*cellsPerJob, want)
 		}
 
-		// Resume-by-spec through the same executor: a warm resubmit
-		// replays every cell.
+		// Resume-by-spec: a warm resubmit replays every cell.
 		job, _, _ := drainJob(t, c, specFor(0))
 		if snap := job.Snapshot(); snap.StoreHits != cellsPerJob || snap.StoreMisses != 0 {
 			t.Errorf("warm resubmit: hits=%d misses=%d, want %d/0", snap.StoreHits, snap.StoreMisses, cellsPerJob)
 		}
 	}
 
-	t.Run("local-pool", func(t *testing.T) { run(t) })
-	t.Run("remote-fleet", func(t *testing.T) {
-		fleet := startFleet(t, 2, nil)
-		run(t, WithExecutor(fleet.executor(t)))
-	})
+	t.Run("local-pool", run)
 }

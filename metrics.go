@@ -3,7 +3,6 @@ package correctbench
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 )
@@ -29,23 +28,15 @@ import (
 //	store_hits              result-store lookups that found a cell
 //	store_misses            lookups that simulated instead
 //	store_hit_ratio         hits / (hits + misses), 0 when idle
-//	fleet_nodes             worker nodes known to the coordinator
-//	fleet_node_healthy{node="addr"}    1 healthy, 0 dead/draining
-//	fleet_node_assigned{node="addr"}   cells hashed to the node
-//	fleet_node_completed{node="addr"}  results accepted from it
-//	fleet_node_stolen{node="addr"}     cells it took from peers
-//	fleet_node_requeued{node="addr"}   cells moved off it after failure
-//	phase_latency_us{phase,node,quantile}  p50/p90/p99 execution
-//	                        latency per phase (queue_wait, store_lookup,
-//	                        dispatch, net_roundtrip, simulate,
-//	                        sim_elaborate, sim_compile, sim_run, grade,
-//	                        store_writeback), per node for fleet-executed
-//	                        phases, plus _sum/_count series — a
-//	                        Prometheus summary fed by every traced cell
+//	phase_latency_us{phase,quantile}  p50/p90/p99 execution latency
+//	                        per phase (store_lookup, queue_wait,
+//	                        simulate, sim_elaborate, sim_compile,
+//	                        sim_run, grade, store_writeback), plus
+//	                        _sum/_count series — a Prometheus summary
+//	                        fed by every traced cell
 //
-// Store lines appear only on store-backed clients; fleet lines only
-// with a WithExecutor coordinator that keeps per-node accounting;
-// phase_latency_us series only once a traced cell has completed.
+// Store lines appear only on store-backed clients; phase_latency_us
+// series only once a traced cell has completed.
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	// head emits the # HELP / # TYPE header for a metric name, exactly
@@ -119,34 +110,11 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 		single("store_hit_ratio", "gauge", "store_hits / (store_hits + store_misses), 0 when idle.", ratio)
 	}
 
-	if nodes, ok := s.client.FleetStats(); ok {
-		single("fleet_nodes", "gauge", "Worker nodes known to the coordinator.", len(nodes))
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].Addr < nodes[j].Addr })
-		for _, m := range []struct {
-			name, typ, help string
-			get             func(NodeStats) any
-		}{
-			{"fleet_node_healthy", "gauge", "1 when the node answers probes, 0 dead or draining.", func(n NodeStats) any { return n.Healthy }},
-			{"fleet_node_assigned", "counter", "Cells consistent-hashed to the node.", func(n NodeStats) any { return n.Assigned }},
-			{"fleet_node_completed", "counter", "Results accepted from the node.", func(n NodeStats) any { return n.Completed }},
-			{"fleet_node_stolen", "counter", "Cells the node took from peers.", func(n NodeStats) any { return n.Stolen }},
-			{"fleet_node_requeued", "counter", "Cells moved off the node after failure.", func(n NodeStats) any { return n.Requeued }},
-		} {
-			head(m.name, m.typ, m.help)
-			for _, n := range nodes {
-				line(fmt.Sprintf("%s{node=%q}", m.name, n.Addr), m.get(n))
-			}
-		}
-	}
-
 	if rows := s.client.PhaseLatencies(); len(rows) > 0 {
 		head("phase_latency_us", "summary",
 			"Execution latency per phase in microseconds, from traced cells (p50/p90/p99 interpolated from power-of-two buckets).")
 		series := func(row PhaseStats, extra string) string {
 			labels := fmt.Sprintf("phase=%q", row.Phase)
-			if row.Node != "" {
-				labels += fmt.Sprintf(",node=%q", row.Node)
-			}
 			if extra != "" {
 				labels += "," + extra
 			}

@@ -111,41 +111,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metric %q missing", key)
 		}
 	}
-	// No fleet executor: no fleet gauges.
-	if _, ok := m["fleet_nodes"]; ok {
-		t.Error("fleet_nodes present without a fleet executor")
-	}
-}
-
-func TestMetricsFleetGauges(t *testing.T) {
-	// TEST-NET addresses; the executor is never exercised, only its
-	// per-node accounting is scraped.
-	rex, err := NewRemoteExecutor([]string{"192.0.2.1:9", "192.0.2.2:9"}, RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(WithExecutor(rex))
-	ts := httptest.NewServer(NewServer(c))
-	t.Cleanup(ts.Close)
-
-	if _, ok := c.FleetStats(); !ok {
-		t.Fatal("FleetStats not available on a remote-executor client")
-	}
-
-	m := scrapeMetrics(t, ts.URL)
-	if got := metricInt(t, m, "fleet_nodes"); got != 2 {
-		t.Fatalf("fleet_nodes = %d, want 2", got)
-	}
-	for _, addr := range []string{"192.0.2.1:9", "192.0.2.2:9"} {
-		for _, gauge := range []string{"healthy", "assigned", "completed", "stolen", "requeued"} {
-			key := "fleet_node_" + gauge + `{node="` + addr + `"}`
-			if got := metricInt(t, m, key); got != 0 {
-				t.Errorf("%s = %d, want 0 on an idle fleet", key, got)
-			}
-		}
-	}
-	// No store: no store gauges.
-	if _, ok := m["store_hits"]; ok {
+	// Storeless client: no store gauges.
+	bare := httptest.NewServer(NewServer(NewClient()))
+	t.Cleanup(bare.Close)
+	if _, ok := scrapeMetrics(t, bare.URL)["store_hits"]; ok {
 		t.Error("store_hits present without a store")
 	}
 }

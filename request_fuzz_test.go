@@ -1,0 +1,91 @@
+package correctbench
+
+import (
+	"encoding/json"
+	"testing"
+
+	"correctbench/internal/dataset"
+)
+
+// FuzzSubmitRequest feeds arbitrary bodies to the POST /v1/experiments
+// decoder: JSON into submitRequest, then ExperimentSpec.resolve, which
+// names every user error before a job exists. Neither may panic. The
+// corpus is seeded with the bodies the benchmark driver and the
+// service tests send.
+func FuzzSubmitRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"seed":42,"reps":1,"workers":2,"stream":true}`,
+		`{"seed":31,"reps":1,"problems":["mux2_w4","cnt4","halfadd","dff"]}`,
+		`{"seed":7,"reps":1,"problems":["halfadd","dff"],"stream":true}`,
+		`{"seed":3,"reps":2,"llm":"gpt-4o-mini","criterion":"50%-wrong","methods":["CorrectBench","Baseline"]}`,
+		`{"seed":1,"max_corrections":0,"max_reboots":0,"rtl_group_size":1,"no_store":true,"no_trace":true}`,
+		`{"seed":1,"rtl_group_size":0}`,
+		`{"seed":1,"max_corrections":-1}`,
+		`{"seed":1,"problems":["nope"]}`,
+		`{"seed":1,"methods":["Nope"]}`,
+		`{"seed":1,"llm":"gpt-9"}`,
+		`{"seed":1,"problems":null,"methods":null}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req submitRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return
+		}
+		hcfg, err := req.ExperimentSpec.resolve()
+		if err != nil {
+			return
+		}
+		// A resolved spec names only known problems and methods.
+		for _, p := range hcfg.Problems {
+			if p == nil {
+				t.Fatalf("resolve admitted a nil problem for %s", body)
+			}
+		}
+	})
+}
+
+// FuzzGradeRequest feeds arbitrary bodies to the POST /v1/grade
+// decoder: JSON into gradeRequest, then TaskSpec.resolve, then — for a
+// known problem carrying a testbench — wireToTestbench, which emits
+// the driver track from the untrusted stimulus steps. None may panic.
+// The corpus is seeded with the bodies the benchmark driver and the
+// service tests send.
+func FuzzGradeRequest(f *testing.F) {
+	halfadd, err := json.Marshal(ProblemByName("halfadd").Source)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"problem":"adder4","seed":1}`,
+		`{"problem":"halfadd","seed":1}`,
+		`{"problem":"nope"}`,
+		`{"problem":"adder4","llm":"gpt-9"}`,
+		`{"problem":"cnt8","seed":2,"criterion":"70%-wrong","max_corrections":1,"max_reboots":0,"rtl_group_size":3}`,
+		`{"problem":"halfadd","seed":1,"testbench":{"checker_source":` + string(halfadd) +
+			`,"scenarios":[{"name":"s1","steps":[{"a":0,"b":0},{"a":1,"b":1},{"a":1,"b":0}]}]}}`,
+		`{"problem":"cnt8","seed":24301,"testbench":{"scenarios":[{"steps":[{"rst":1},{"rst":0,"en":1}]},{"name":"","steps":[]}],"checker_source":"","checker_top":"top_module"}}`,
+		`{"problem":"mux2_w4","testbench":{"scenarios":[{"steps":[{"sel":18446744073709551615,"a":15,"b":0,"nope":1}]}],"checker_source":"module m; endmodule"}}`,
+		`{"problem":"dff","testbench":{"scenarios":null}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req gradeRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return
+		}
+		if _, err := req.TaskSpec.resolve(); err != nil {
+			return
+		}
+		p := dataset.ByName(req.Problem)
+		if p == nil || req.Testbench == nil {
+			return
+		}
+		tb := wireToTestbench(p, req.Testbench)
+		if tb.ScenarioCount() != len(req.Testbench.Scenarios) {
+			t.Fatalf("wire testbench with %d scenarios rebuilt with %d", len(req.Testbench.Scenarios), tb.ScenarioCount())
+		}
+	})
+}

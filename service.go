@@ -40,8 +40,8 @@ import (
 //	GET    /metrics               operational gauges in Prometheus
 //	                              text exposition format (store hit
 //	                              ratio, cells/s, active jobs,
-//	                              refusals, per-node fleet counters,
-//	                              per-phase latency summaries)
+//	                              refusals, per-phase latency
+//	                              summaries)
 //
 // When the client carries a result store (correctbenchd -store-dir),
 // POST /v1/experiments has resume-by-spec semantics: resubmitting an

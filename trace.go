@@ -3,10 +3,9 @@ package correctbench
 import "correctbench/internal/obs"
 
 // Tracing surface: every job collects, by default, one span tree per
-// experiment cell covering its whole execution path — queue_wait,
-// store_lookup, dispatch and net_roundtrip (fleet runs), simulate with
-// sim_elaborate/sim_compile/sim_run sub-spans, grade, and
-// store_writeback. Span IDs are deterministic (derived from the cell's
+// experiment cell covering its whole execution path — store_lookup,
+// queue_wait, simulate with sim_elaborate/sim_compile/sim_run
+// sub-spans, grade, and store_writeback. Span IDs are deterministic (derived from the cell's
 // content address, harness.CellKey); the durations are wall clock.
 //
 // Traces are operational metadata in exactly the sense of
@@ -17,8 +16,8 @@ import "correctbench/internal/obs"
 // (NDJSON, one CellTrace per line), or cmd/traceview.
 
 // CellTrace is one cell's span tree: identity (canonical index,
-// method, rep, problem, content address), placement (Node, Cached),
-// and the spans in start order.
+// method, rep, problem, content address), whether it was replayed
+// from the store (Cached), and the spans in start order.
 type CellTrace = obs.CellTrace
 
 // TraceSpan is one phase span of a CellTrace: a deterministic ID,
@@ -27,7 +26,7 @@ type CellTrace = obs.CellTrace
 // trace epoch.
 type TraceSpan = obs.Span
 
-// PhaseStats is one per-(phase, node) latency summary: observation
+// PhaseStats is one per-phase latency summary: observation
 // count, total microseconds, and interpolated p50/p90/p99. The
 // /metrics phase_latency_us summaries are rendered from these rows.
 type PhaseStats = obs.PhaseStats
@@ -45,7 +44,7 @@ func (j *Job) traced() bool { return j.trace != nil }
 
 // PhaseLatencies returns the client's aggregated phase-latency
 // summary rows — every traced cell of every job this client ran,
-// keyed by (phase, node) and sorted — the same data /metrics exposes
+// one row per phase, sorted — the same data /metrics exposes
 // as phase_latency_us.
 func (c *Client) PhaseLatencies() []PhaseStats {
 	return c.obs.Snapshot()

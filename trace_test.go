@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"correctbench/internal/obs"
 )
 
 // phaseSet collects the distinct phase names of one cell's span tree.
@@ -21,11 +23,22 @@ func phaseSet(ct CellTrace) map[string]bool {
 	return out
 }
 
+// spanIDOf returns the ID of the cell's first span of a phase, or "".
+func spanIDOf(ct CellTrace, phase string) string {
+	for _, sp := range ct.Spans {
+		if sp.Phase == phase {
+			return sp.ID
+		}
+	}
+	return ""
+}
+
 // TestJobTrace pins the Job.Trace surface on a store-backed local
 // run: one span tree per cell in canonical order, the documented
-// phases present, IDs unique and parents resolvable — and on a warm
+// phases present, IDs unique and parents resolvable, and span IDs
+// numbered store_lookup (seq 0) before queue_wait (seq 1). On a warm
 // resubmit every cell degenerates to a single cached store_lookup
-// span.
+// span; on a storeless run queue_wait takes seq 0.
 func TestJobTrace(t *testing.T) {
 	c := NewClient(WithStore(NewMemoryStore(0)))
 	spec := ExperimentSpec{Seed: 31, Reps: 1, Problems: testProblems, Workers: 4}
@@ -49,6 +62,14 @@ func TestJobTrace(t *testing.T) {
 		for _, want := range []string{"queue_wait", "store_lookup", "simulate", "grade", "store_writeback"} {
 			if !phaseSet(ct)[want] {
 				t.Errorf("cell %d (%s/%s) has no %s span: %+v", i, ct.Method, ct.Problem, want, ct.Spans)
+			}
+		}
+		for _, want := range []struct {
+			phase string
+			seq   int
+		}{{"store_lookup", 0}, {"queue_wait", 1}} {
+			if got := spanIDOf(ct, want.phase); got != obs.SpanID(ct.Key, want.phase, want.seq) {
+				t.Errorf("cell %d %s span ID %q, want seq %d's %q", i, want.phase, got, want.seq, obs.SpanID(ct.Key, want.phase, want.seq))
 			}
 		}
 		ids := map[string]bool{}
@@ -99,6 +120,21 @@ func TestJobTrace(t *testing.T) {
 		}
 		if len(ct.Spans) != 1 || ct.Spans[0].Phase != "store_lookup" {
 			t.Errorf("warm cell %d spans = %+v, want a single store_lookup", i, ct.Spans)
+		}
+	}
+
+	// Storeless traced run: no store_lookup, so queue_wait leads.
+	bare, _, _ := drainJob(t, NewClient(), spec)
+	btraces := bare.Trace()
+	if len(btraces) != total {
+		t.Fatalf("storeless Trace() returned %d cells, want %d", len(btraces), total)
+	}
+	for i, ct := range btraces {
+		if phaseSet(ct)["store_lookup"] {
+			t.Errorf("storeless cell %d has a store_lookup span", i)
+		}
+		if got, want := spanIDOf(ct, "queue_wait"), obs.SpanID(ct.Key, "queue_wait", 0); got != want {
+			t.Errorf("storeless cell %d queue_wait span ID %q, want seq 0's %q", i, got, want)
 		}
 	}
 }
@@ -343,89 +379,30 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsExpositionFleet validates the fleet view: per-node
-// gauges match FleetStats and fleet-executed phases show node-labeled
-// latency series.
-func TestMetricsExpositionFleet(t *testing.T) {
-	f := startFleet(t, 2, nil)
-	c := NewClient(WithExecutor(f.executor(t)))
-	ts := httptest.NewServer(NewServer(c))
-	t.Cleanup(ts.Close)
-
-	drainJob(t, c, fleetSpec(4))
-
-	raw := scrapeRaw(t, ts.URL)
-	types, series := parseExposition(t, raw)
-	if types["fleet_nodes"] != "gauge" {
-		t.Fatalf("fleet_nodes typed %q, want gauge", types["fleet_nodes"])
-	}
-	nodes, ok := c.FleetStats()
-	if !ok {
-		t.Fatal("FleetStats unavailable on a fleet-backed client")
-	}
-	m := scrapeMetrics(t, ts.URL)
-	if got := metricInt(t, m, "fleet_nodes"); got != len(nodes) {
-		t.Errorf("fleet_nodes = %d, want %d", got, len(nodes))
-	}
-	completed := 0
-	for _, n := range nodes {
-		key := `fleet_node_completed{node="` + n.Addr + `"}`
-		got := metricInt(t, m, key)
-		completed += got
-		// The scrape and FleetStats race only against a finished fleet,
-		// so the values must agree exactly.
-		if uint64(got) != n.Completed {
-			t.Errorf("%s = %d, FleetStats says %d", key, got, n.Completed)
-		}
-	}
-	if wantCells := 3 * len(testProblems); completed != wantCells {
-		t.Errorf("fleet completed %d cells across nodes, want %d", completed, wantCells)
-	}
-	// Fleet-executed phases carry the worker address as a node label.
-	nodeLabeled := false
-	for s := range series {
-		if strings.HasPrefix(s, `phase_latency_us{phase="net_roundtrip",node="`) {
-			nodeLabeled = true
-		}
-	}
-	if !nodeLabeled {
-		t.Errorf("no node-labeled net_roundtrip latency series after a fleet run:\n%s", raw)
-	}
-}
-
-// TestTracingDifferentialEventStreams is the tentpole acceptance
-// criterion for the observability PR: tracing is operational metadata
-// only, so a traced run and a no_trace run of the same spec must
+// TestTracingDifferentialEventStreams pins tracing as operational
+// metadata only: a traced run and a no_trace run of the same spec must
 // stream byte-identical events (after the two documented wall-clock
-// normalizations) and render byte-identical tables — at Workers 1 and
-// 8, on the local pool and on a 4-node fleet.
+// normalizations) and render byte-identical tables, at Workers 1 and
+// 8.
 func TestTracingDifferentialEventStreams(t *testing.T) {
-	_, baseEvents, baseExp := drainJob(t, NewClient(), withNoTrace(fleetSpec(1)))
+	spec := func(workers int, noTrace bool) ExperimentSpec {
+		return ExperimentSpec{Seed: 47, Reps: 1, Workers: workers, NoTrace: noTrace, Problems: testProblems}
+	}
+	_, baseEvents, baseExp := drainJob(t, NewClient(), spec(1, true))
 	baseline := marshalNormalized(t, baseEvents)
 	t1, t3 := baseExp.Table1(), baseExp.Table3()
 
-	fleet := startFleet(t, 4, nil)
 	runs := []struct {
 		name    string
-		fleet   bool
 		workers int
 		noTrace bool
 	}{
-		{"local_traced_w1", false, 1, false},
-		{"local_traced_w8", false, 8, false},
-		{"local_no_trace_w8", false, 8, true},
-		{"fleet_no_trace_w8", true, 8, true},
-		{"fleet_traced_w1", true, 1, false},
-		{"fleet_traced_w8", true, 8, false},
+		{"local_traced_w1", 1, false},
+		{"local_traced_w8", 8, false},
+		{"local_no_trace_w8", 8, true},
 	}
 	for _, run := range runs {
-		var opts []ClientOption
-		if run.fleet {
-			opts = append(opts, WithExecutor(fleet.executor(t)))
-		}
-		spec := fleetSpec(run.workers)
-		spec.NoTrace = run.noTrace
-		job, events, exp := drainJob(t, NewClient(opts...), spec)
+		job, events, exp := drainJob(t, NewClient(), spec(run.workers, run.noTrace))
 		if got := marshalNormalized(t, events); string(got) != string(baseline) {
 			t.Errorf("%s: event stream differs from the no_trace baseline", run.name)
 		}
@@ -443,9 +420,4 @@ func TestTracingDifferentialEventStreams(t *testing.T) {
 			t.Errorf("%s: traced %d cells, want %d", run.name, got, 3*len(testProblems))
 		}
 	}
-}
-
-func withNoTrace(spec ExperimentSpec) ExperimentSpec {
-	spec.NoTrace = true
-	return spec
 }
