@@ -35,8 +35,23 @@ func resolveProfile(name string) (*llm.Profile, error) {
 	return prof, nil
 }
 
-// resolveProblems resolves dataset problem names.
+// Per-request work bounds. Each is at least five times the paper's own
+// setting (5 reps, N_R = 20, 3 corrections, 10 reboots); past them a
+// single request could ask for more work, or more memory, than one
+// process can hold. A request over a bound is a spec error.
+const (
+	maxReps           = 100
+	maxRTLGroupSize   = 100
+	maxCorrectionsCap = 50
+	maxRebootsCap     = 50
+)
+
+// resolveProblems resolves dataset problem names; a list may name at
+// most as many problems as the dataset holds.
 func resolveProblems(names []string) ([]*dataset.Problem, error) {
+	if n := len(dataset.All()); len(names) > n {
+		return nil, fmt.Errorf("correctbench: problems names %d problems, at most %d allowed", len(names), n)
+	}
 	var out []*dataset.Problem
 	for _, n := range names {
 		p := dataset.ByName(n)
@@ -53,6 +68,30 @@ func checkNR(v *int) error {
 	if v != nil && *v < 1 {
 		return fmt.Errorf("correctbench: rtl_group_size must be >= 1 (the validator needs at least one RTL)")
 	}
+	if v != nil && *v > maxRTLGroupSize {
+		return fmt.Errorf("correctbench: rtl_group_size must be <= %d, got %d", maxRTLGroupSize, *v)
+	}
+	return nil
+}
+
+// checkBudgets validates the optional Algorithm 1 budget overrides:
+// each is nil or in [0, its cap].
+func checkBudgets(maxCorrections, maxReboots *int) error {
+	for _, b := range []struct {
+		name string
+		v    *int
+		hi   int
+	}{
+		{"max_corrections", maxCorrections, maxCorrectionsCap},
+		{"max_reboots", maxReboots, maxRebootsCap},
+	} {
+		if b.v != nil && *b.v < 0 {
+			return fmt.Errorf("correctbench: %s must be >= 0, got %d", b.name, *b.v)
+		}
+		if b.v != nil && *b.v > b.hi {
+			return fmt.Errorf("correctbench: %s must be <= %d, got %d", b.name, b.hi, *b.v)
+		}
+	}
 	return nil
 }
 
@@ -68,13 +107,15 @@ type ExperimentSpec struct {
 	// Seed drives every random choice; equal seeds reproduce the full
 	// event stream bit for bit.
 	Seed int64 `json:"seed"`
-	// Reps is the number of repetitions (paper: 5); minimum 1.
+	// Reps is the number of repetitions (paper: 5); minimum 1, at
+	// most 100.
 	Reps int `json:"reps,omitempty"`
 	// LLM and Criterion as in Options; empty selects gpt-4o and
 	// 70%-wrong.
 	LLM       string `json:"llm,omitempty"`
 	Criterion string `json:"criterion,omitempty"`
-	// Problems restricts the task set by name (default: all 156).
+	// Problems restricts the task set by name (default: all 156); it
+	// names at most 156 problems.
 	Problems []string `json:"problems,omitempty"`
 	// Methods restricts the compared methods ("CorrectBench",
 	// "AutoBench", "Baseline"; default: all three).
@@ -84,8 +125,9 @@ type ExperimentSpec struct {
 	Workers int `json:"workers,omitempty"`
 	// MaxCorrections (I_C^max) and MaxReboots (I_R^max): nil keeps
 	// the paper defaults, explicit 0 is honored (disables the
-	// action). RTLGroupSize (N_R): nil keeps the paper's 20; explicit
-	// values must be >= 1 — the validator needs at least one RTL.
+	// action); explicit values are at most 50. RTLGroupSize (N_R): nil
+	// keeps the paper's 20; explicit values must be >= 1 — the
+	// validator needs at least one RTL — and at most 100.
 	MaxCorrections *int `json:"max_corrections,omitempty"`
 	MaxReboots     *int `json:"max_reboots,omitempty"`
 	RTLGroupSize   *int `json:"rtl_group_size,omitempty"`
@@ -110,6 +152,9 @@ type ExperimentSpec struct {
 // All user errors (unknown LLM, criterion, problem, method; negative
 // budgets) surface here, before a Job is created.
 func (s ExperimentSpec) resolve() (harness.Config, error) {
+	if s.Reps > maxReps {
+		return harness.Config{}, fmt.Errorf("correctbench: reps must be <= %d, got %d", maxReps, s.Reps)
+	}
 	hcfg := harness.Config{Seed: s.Seed, Reps: s.Reps, Workers: s.Workers}
 	prof, err := resolveProfile(s.LLM)
 	if err != nil {
@@ -139,16 +184,8 @@ func (s ExperimentSpec) resolve() (harness.Config, error) {
 			return harness.Config{}, fmt.Errorf("correctbench: unknown method %q", m)
 		}
 	}
-	for _, b := range []struct {
-		name string
-		v    *int
-	}{
-		{"max_corrections", s.MaxCorrections},
-		{"max_reboots", s.MaxReboots},
-	} {
-		if b.v != nil && *b.v < 0 {
-			return harness.Config{}, fmt.Errorf("correctbench: %s must be >= 0, got %d", b.name, *b.v)
-		}
+	if err := checkBudgets(s.MaxCorrections, s.MaxReboots); err != nil {
+		return harness.Config{}, err
 	}
 	if err := checkNR(s.RTLGroupSize); err != nil {
 		return harness.Config{}, err
@@ -162,7 +199,7 @@ func (s ExperimentSpec) resolve() (harness.Config, error) {
 // TaskSpec configures a single CorrectBench task run through a
 // Client. Budget semantics match ExperimentSpec: nil = paper
 // default; explicit zero is honored for MaxCorrections/MaxReboots,
-// while RTLGroupSize must be >= 1 when set.
+// while RTLGroupSize must be >= 1 when set. The same caps apply.
 type TaskSpec struct {
 	Seed           int64  `json:"seed"`
 	LLM            string `json:"llm,omitempty"`
@@ -185,16 +222,13 @@ func (s TaskSpec) resolve() (core.Options, error) {
 		}
 		opt.Criterion = c
 	}
+	if err := checkBudgets(s.MaxCorrections, s.MaxReboots); err != nil {
+		return core.Options{}, err
+	}
 	if s.MaxCorrections != nil {
-		if *s.MaxCorrections < 0 {
-			return core.Options{}, fmt.Errorf("correctbench: max_corrections must be >= 0")
-		}
 		opt.MaxCorrections = *s.MaxCorrections
 	}
 	if s.MaxReboots != nil {
-		if *s.MaxReboots < 0 {
-			return core.Options{}, fmt.Errorf("correctbench: max_reboots must be >= 0")
-		}
 		opt.MaxReboots = *s.MaxReboots
 	}
 	if err := checkNR(s.RTLGroupSize); err != nil {

@@ -24,6 +24,14 @@ func TestSubmitSpecErrors(t *testing.T) {
 		{"unknown method", ExperimentSpec{Methods: []string{"GuessBench"}}},
 		{"negative budget", ExperimentSpec{MaxReboots: Int(-1)}},
 		{"zero rtl group", ExperimentSpec{RTLGroupSize: Int(0)}},
+		// Out-of-range work: each of these once ran the process out of
+		// memory or would run for days.
+		{"reps 2^40", ExperimentSpec{Reps: 1 << 40, Problems: []string{"halfadd"}}},
+		{"reps over cap", ExperimentSpec{Reps: maxReps + 1, Problems: []string{"halfadd"}}},
+		{"rtl group over cap", ExperimentSpec{RTLGroupSize: Int(maxRTLGroupSize + 1)}},
+		{"corrections over cap", ExperimentSpec{MaxCorrections: Int(maxCorrectionsCap + 1)}},
+		{"reboots over cap", ExperimentSpec{MaxReboots: Int(maxRebootsCap + 1)}},
+		{"too many problems", ExperimentSpec{Problems: append(allProblemNames(), "halfadd")}},
 	}
 	for _, tc := range cases {
 		if _, err := c.Submit(ctx, tc.spec); err == nil {
@@ -32,6 +40,28 @@ func TestSubmitSpecErrors(t *testing.T) {
 	}
 	if len(c.Jobs()) != 0 {
 		t.Errorf("failed submissions registered jobs: %d", len(c.Jobs()))
+	}
+}
+
+// TestSpecLimitsAdmitTheirBounds resolves specs at every work bound:
+// the caps themselves are legal.
+func TestSpecLimitsAdmitTheirBounds(t *testing.T) {
+	hcfg, err := ExperimentSpec{
+		Reps: maxReps, Problems: allProblemNames(), RTLGroupSize: Int(maxRTLGroupSize),
+		MaxCorrections: Int(maxCorrectionsCap), MaxReboots: Int(maxRebootsCap),
+	}.resolve()
+	if err != nil {
+		t.Fatalf("experiment spec at the caps: %v", err)
+	}
+	if hcfg.Reps != maxReps || len(hcfg.Problems) != len(allProblemNames()) {
+		t.Errorf("resolved reps %d, %d problems", hcfg.Reps, len(hcfg.Problems))
+	}
+	opt, err := TaskSpec{RTLGroupSize: Int(maxRTLGroupSize), MaxCorrections: Int(maxCorrectionsCap), MaxReboots: Int(maxRebootsCap)}.resolve()
+	if err != nil {
+		t.Fatalf("task spec at the caps: %v", err)
+	}
+	if opt.NR != maxRTLGroupSize || opt.MaxCorrections != maxCorrectionsCap || opt.MaxReboots != maxRebootsCap {
+		t.Errorf("resolved task options %+v", opt)
 	}
 }
 
@@ -58,6 +88,16 @@ func TestTaskSpecErrors(t *testing.T) {
 	}
 	if _, err := c.GenerateTestbench(ctx, "adder4", TaskSpec{RTLGroupSize: Int(0)}); err == nil {
 		t.Error("zero RTL group accepted")
+	}
+	for _, spec := range []TaskSpec{
+		{RTLGroupSize: Int(maxRTLGroupSize + 1)},
+		{RTLGroupSize: Int(1 << 40)},
+		{MaxCorrections: Int(maxCorrectionsCap + 1)},
+		{MaxReboots: Int(maxRebootsCap + 1)},
+	} {
+		if _, err := c.GenerateTestbench(ctx, "adder4", spec); err == nil {
+			t.Errorf("over-cap task spec %+v accepted", spec)
+		}
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
@@ -353,4 +393,13 @@ func TestEventWireRoundTrip(t *testing.T) {
 	if cf.Outcome.Grade != Eval1 || cf.Outcome.TokensIn != 7 {
 		t.Errorf("outcome lost in round trip: %+v", cf.Outcome)
 	}
+}
+
+// allProblemNames lists every dataset problem by name.
+func allProblemNames() []string {
+	var names []string
+	for _, p := range Problems() {
+		names = append(names, p.Name)
+	}
+	return names
 }

@@ -139,7 +139,7 @@ type fixture struct {
 // The returned error is non-nil only on context cancellation.
 func (f *fixture) run(ctx context.Context, tb *testbench.Testbench, progs []*sim.BatchProgram, idx [][]int, duts []*sim.Design) ([]testbench.BatchOutcome, error) {
 	if progs != nil {
-		return tb.RunBatchProgramsContext(ctx, progs, idx, true)
+		return tb.RunBatchProgramsContext(ctx, progs, idx, true, nil)
 	}
 	return tb.RunBatchAgainstDesignsContext(ctx, f.goldenDesign, duts, true)
 }

@@ -404,6 +404,11 @@ func (v Vector) SameValue(o Vector) bool {
 	return v.Resize(w).Equal(o.Resize(w))
 }
 
+// LowWord returns the two bit planes of v's low 64 bits. For a vector
+// at most 64 bits wide that is its whole value: two such vectors have
+// the same value (SameValue) exactly when their low words are equal.
+func (v Vector) LowWord() (a, b uint64) { return v.aword(0), v.bword(0) }
+
 // String renders the vector MSB-first, e.g. "1010", "1xz0".
 func (v Vector) String() string {
 	var sb strings.Builder

@@ -2,25 +2,34 @@ package testbench
 
 // Batched testbench runs: N DUT variants (typically mutants of one
 // golden design, or a single DUT as one lane) advance through every
-// scenario together on a single sim.BatchInstance, sharing one checker
-// simulation. The checker's trajectory is DUT-independent, so it runs
-// once per testbench on a one-lane batch program — its output samples
-// are recorded into a trace (batchTrace) the first time and replayed
-// for every run — and the DUT side shares one compiled batch program
-// across all lanes.
+// scenario together on a single sim.BatchInstance. Every batched run
+// is record-then-compare. One recorder (record) simulates the lanes of
+// a batch program over the stimulus and keeps each lane's output
+// samples and first error: a trace. One compare (compareLane) turns a
+// DUT lane's trace and the checker's trace into the lane's outcome.
+//
+// The checker's trajectory is DUT-independent, so it is recorded once
+// per checker source and stimulus as a one-lane trace (batchTrace) and
+// reused by every run. The DUT side is recorded per run, or — for a
+// caller holding a LaneMemo, like the validator's RTL group — once per
+// stimulus: a corrected checker is then judged against the recorded
+// DUT lanes without simulating them again.
 //
 // With earlyExit=false a lane's outcome is identical to the
 // interpreter runner (runLive) for the same design: the same
 // ScenarioPass vector and an error exactly when the interpreter run
 // errors, with the same text (TestBatchRunMatchesScalar asserts this
-// over mutated DUTs). With earlyExit=true, lanes stop simulating once
-// a scenario has failed; the overall Pass()/error verdict is unchanged
-// but later ScenarioPass entries stay false — the mode AutoEval's kill
-// checks use.
+// over mutated DUTs). With earlyExit=true, a lane's outcome stops at
+// its first failing scenario; the overall Pass()/error verdict is
+// unchanged but later ScenarioPass entries stay false — the mode
+// AutoEval's kill checks use. A run that records for itself stops
+// simulating a lane once its outcome is settled.
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"correctbench/internal/dataset"
 	"correctbench/internal/logic"
@@ -35,62 +44,184 @@ type BatchOutcome struct {
 	Err error
 }
 
-// checkerTrace is one complete checker simulation, recorded sample by
-// sample in the exact order the interpreter runner interleaves the
-// checker with a DUT. Samples hold the live vectors (the engine never
-// mutates a stored vector in place — writes install fresh vectors — so
-// no clone is needed) and are only ever read during replay.
-type checkerTrace struct {
-	outs      []string // output port order of every sample row
+// trace is one recorded simulation of a batch program's lanes over a
+// stimulus: every lane's output samples at the points where the
+// interpreter runner compares them, and each lane's first error. A
+// trace is immutable once recorded.
+type trace struct {
+	stim *stimulus
+	// readable[o] is false when output o is not a signal of the
+	// recorded design: it never matches.
+	readable  []bool
 	scenarios []scenarioTrace
+	// fails[lane] is the error that ended the lane, nil for a lane that
+	// simulated every recorded point; it has one entry per lane.
+	fails []*traceFail
 	// live marks a checker that is not recorded: it does not
 	// batch-compile, or sim.DefaultEngine selects the interpreter.
 	// Every run then takes the interpreter runner (runLive).
 	live bool
 }
 
+// scenarioTrace holds one scenario's samples as rows, in the order they
+// were taken: per step the pre-edge row and, for SEQ problems, the
+// post-edge row. A row holds every lane's outputs, lane-major:
+// samples[row*lanes*len(outs) + lane*len(outs) + o].
 type scenarioTrace struct {
-	pre  [][]traceSample // [step][output], sampled before the clock edge
-	post [][]traceSample // [step][output], sampled after the edge (SEQ)
-	// fail is the checker-side simulation error that ended this
-	// scenario, if any; every run errors at the same point, so the
-	// trace stops here (later scenarios are unreachable).
-	fail *traceFail
+	samples []traceSample
+	rows    int
 }
 
+// Phases of a scenario at which a simulation error can occur, in the
+// order the runner reaches them.
+const (
+	phaseInit = iota // scenario init (step -1)
+	phaseStep        // driving a step's inputs
+	phaseTick        // the step's clock edge
+)
+
+// traceFail is a lane's first simulation error and where it occurred.
 type traceFail struct {
-	step  int // step index, -1 for scenario init
-	phase int // 0 init, 1 step, 2 tick
-	err   error
+	scenario, step, phase int // step is -1 for phaseInit
+	err                   error
 }
 
+// before reports whether f occurred strictly before g.
+func (f *traceFail) before(g *traceFail) bool {
+	if f.scenario != g.scenario {
+		return f.scenario < g.scenario
+	}
+	if f.step != g.step {
+		return f.step < g.step
+	}
+	return f.phase < g.phase
+}
+
+// traceSample is one sampled output value: the bit planes of its low
+// 64 bits and, only for a value wider than 64 bits, the value itself
+// (the engine never mutates a stored vector in place — writes install
+// fresh vectors — so no clone is needed).
 type traceSample struct {
-	val logic.Vector
-	ok  bool // false when the checker had no readable value (Get error)
+	a, b uint64
+	wide *logic.Vector
+}
+
+func sampleOf(v logic.Vector) traceSample {
+	a, b := v.LowWord()
+	if v.Width() <= 64 {
+		return traceSample{a: a, b: b}
+	}
+	wide := v
+	return traceSample{a: a, b: b, wide: &wide}
+}
+
+// same reports whether two samples hold the same value (SameValue).
+func (s traceSample) same(o traceSample) bool {
+	if s.a != o.a || s.b != o.b {
+		return false
+	}
+	switch {
+	case s.wide == nil && o.wide == nil:
+		return true
+	case s.wide != nil && o.wide != nil:
+		return s.wide.SameValue(*o.wide)
+	// A wide value equals a narrow one with the same low word exactly
+	// when its bits above 63 are zero.
+	case s.wide != nil:
+		return s.wide.SameValue(s.wide.Resize(64))
+	}
+	return o.wide.SameValue(o.wide.Resize(64))
 }
 
 // liveTrace is the trace of every checker that is not recorded.
-var liveTrace = &checkerTrace{live: true}
+var liveTrace = &trace{live: true}
+
+// stimulus is a copy of everything a recording reads from its
+// testbench besides the simulated designs: the problem's clocking, the
+// output ports sampled, and each scenario's index and drive lists. A
+// trace serves a testbench only while reads reports its stimulus
+// unchanged, so an in-place edit of Scenarios is recorded again.
+type stimulus struct {
+	kind         dataset.Kind
+	clock, reset string
+	outs         []string
+	index        []int   // per scenario: Scenario.Index
+	steps        []int   // per scenario: step count
+	ends         []int   // per step: end offset of its drives
+	drives       []drive // every step's inputs in drive order
+}
+
+type drive struct {
+	name string
+	val  uint64
+}
+
+func newStimulus(tb *Testbench, outs []string) *stimulus {
+	p := tb.Problem
+	s := &stimulus{kind: p.Kind, clock: p.Clock, reset: p.Reset, outs: outs}
+	for _, sc := range tb.Scenarios {
+		s.index = append(s.index, sc.Index)
+		s.steps = append(s.steps, len(sc.Steps))
+		for _, st := range sc.Steps {
+			for _, name := range st.SortedNames() {
+				s.drives = append(s.drives, drive{name, st.Inputs[name]})
+			}
+			s.ends = append(s.ends, len(s.drives))
+		}
+	}
+	return s
+}
+
+// reads reports whether a run of tb sampling outs reads exactly this
+// stimulus.
+func (s *stimulus) reads(tb *Testbench, outs []string) bool {
+	p := tb.Problem
+	if s == nil || p.Kind != s.kind || p.Clock != s.clock || p.Reset != s.reset ||
+		!slices.Equal(s.outs, outs) || len(tb.Scenarios) != len(s.index) {
+		return false
+	}
+	k, d := 0, 0 // step and drive cursors
+	for i, sc := range tb.Scenarios {
+		if sc.Index != s.index[i] || len(sc.Steps) != s.steps[i] {
+			return false
+		}
+		for _, st := range sc.Steps {
+			names := st.SortedNames()
+			if len(names) != s.ends[k]-d {
+				return false
+			}
+			for _, name := range names {
+				if dr := s.drives[d]; name != dr.name || st.Inputs[name] != dr.val {
+					return false
+				}
+				d++
+			}
+			k++
+		}
+	}
+	return true
+}
 
 // batchTrace records the checker once over all scenarios as a one-lane
 // batch and caches the trace on the testbench, keyed on checker source
-// and the output port list being compared. Only checker elaboration
-// failures are returned as errors; simulation failures are part of the
-// trace (they decide run outcomes, exactly as a live checker would).
-// A checker the batch compiler rejects yields liveTrace, as does every
-// call while sim.DefaultEngine is sim.EngineInterp — the one place the
-// process-wide reference switch is read.
+// and the stimulus it read (including the output port list being
+// compared). Only checker elaboration failures are returned as errors;
+// simulation failures are part of the trace (they decide run outcomes,
+// exactly as a live checker would). A checker the batch compiler
+// rejects yields liveTrace, as does every call while sim.DefaultEngine
+// is sim.EngineInterp — the one place the process-wide reference
+// switch is read.
 //
 // ctx is used for observation only: a cold build records the checker's
 // sim_elaborate/sim_compile spans and a sim_run span for the recording
 // on ctx's obs collector, but is never cancelled by it — trace
 // contents must not depend on a caller's cancellation.
-func (tb *Testbench) batchTrace(ctx context.Context, outs []string) (*checkerTrace, error) {
+func (tb *Testbench) batchTrace(ctx context.Context, outs []string) (*trace, error) {
 	if sim.DefaultEngine == sim.EngineInterp {
 		return liveTrace, nil
 	}
 	if tb.cachedTrace != nil && tb.cachedTraceSrc == tb.CheckerSource &&
-		(tb.cachedTrace.live || sameStrings(tb.cachedTrace.outs, outs)) {
+		(tb.cachedTrace.live || tb.cachedTrace.stim.reads(tb, outs)) {
 		return tb.cachedTrace, nil
 	}
 	ctx = context.WithoutCancel(ctx)
@@ -100,59 +231,203 @@ func (tb *Testbench) batchTrace(ctx context.Context, outs []string) (*checkerTra
 	}
 	tr := liveTrace
 	if prog, err := sim.CompileBatch(cd, []*sim.Design{cd}); err == nil && prog.Lanes() == 1 {
-		tr = tb.recordTrace(ctx, prog, outs)
+		end := obs.Time(ctx, obs.PhaseRun)
+		// Never cancelled, so the recording cannot fail.
+		tr, _ = tb.record(ctx, sim.NewBatchInstance(prog), newStimulus(tb, outs), "checker", nil)
+		end()
 	}
 	tb.cachedTrace = tr
 	tb.cachedTraceSrc = tb.CheckerSource
 	return tr, nil
 }
 
-// recordTrace simulates the checker's one-lane program over every
-// scenario, sampling its outputs where the interpreter runner
-// compares them. A lane error ends the recording at its (step, phase).
-func (tb *Testbench) recordTrace(ctx context.Context, prog *sim.BatchProgram, outs []string) *checkerTrace {
-	defer obs.Time(ctx, obs.PhaseRun)()
+// record simulates every lane of b over the stimulus, sampling the
+// outputs stim.outs where the interpreter runner compares them. A
+// lane's first simulation error — its own, or a stimulus-side error of
+// the shared drive, which ends every lane still running — ends the
+// lane at its (scenario, step, phase); side ("dut" or "checker")
+// prefixes the error text as the interpreter runner does. After each
+// scenario, settled (when non-nil) is asked about every lane still
+// running and the lanes it reports are no longer simulated. The
+// returned error is non-nil only on cancellation of ctx, and then no
+// trace is returned.
+func (tb *Testbench) record(ctx context.Context, b *sim.BatchInstance, stim *stimulus, side string, settled func(tr *trace, lane, s int) bool) (*trace, error) {
 	p := tb.Problem
-	chk := sim.NewBatchInstance(prog)
-	// simErr folds the lane's error into a shared one, so each call
-	// site sees the first error the interpreter would have returned.
-	simErr := func(err error) error {
-		if err != nil {
-			return err
-		}
-		return chk.LaneErr(0)
+	n := b.Lanes()
+	b.BindContext(ctx)
+	w := len(stim.outs)
+	slots := make([]int, w)
+	readable := make([]bool, w)
+	for i, o := range stim.outs {
+		slots[i], readable[i] = b.SlotOf(o)
 	}
-	tr := &checkerTrace{outs: outs}
-	for i, sc := range tb.Scenarios {
-		if i > 0 {
-			chk.Reset()
+	perStep := 1
+	if p.Kind == dataset.SEQ {
+		perStep = 2
+	}
+	tr := &trace{stim: stim, readable: readable, fails: make([]*traceFail, n)}
+	for s, sc := range tb.Scenarios {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		st := scenarioTrace{}
-		if err := simErr(tb.initScenarioBatch(chk)); err != nil {
-			st.fail = &traceFail{step: -1, phase: 0, err: err}
-			tr.scenarios = append(tr.scenarios, st)
+		if b.ActiveCount() == 0 {
 			break
 		}
-		for si, step := range sc.Steps {
-			if err := simErr(applyStepBatch(chk, step)); err != nil {
-				st.fail = &traceFail{step: si, phase: 1, err: err}
+		if s > 0 {
+			b.Reset()
+		}
+		// end harvests the lanes that erred at (step, phase), each lane's
+		// own error before a shared one, and reports whether the scenario
+		// goes on. The message is only formatted when a lane actually
+		// erred — this runs after every step.
+		end := func(step, phase int, shared error) (bool, error) {
+			if shared != nil {
+				if err := ctx.Err(); err != nil {
+					return false, err
+				}
+			}
+			for lane := 0; lane < n; lane++ {
+				if tr.fails[lane] != nil {
+					continue
+				}
+				err := b.LaneErr(lane)
+				if err == nil && shared != nil && b.Active(lane) {
+					err = shared
+					b.Deactivate(lane)
+				}
+				if err != nil {
+					tr.fails[lane] = &traceFail{s, step, phase, fmt.Errorf("%s: %w", failSite(side, sc.Index, step, phase), err)}
+				}
+			}
+			return b.ActiveCount() > 0, nil
+		}
+		st := scenarioTrace{samples: make([]traceSample, 0, len(sc.Steps)*perStep*n*w)}
+		sample := func() {
+			row := st.samples[len(st.samples) : len(st.samples)+n*w]
+			for lane := 0; lane < n; lane++ {
+				if !b.Active(lane) {
+					continue
+				}
+				for o, slot := range slots {
+					if readable[o] {
+						row[lane*w+o] = sampleOf(b.GetSlot(slot, lane))
+					}
+				}
+			}
+			st.samples = st.samples[:len(st.samples)+n*w]
+			st.rows++
+		}
+		more, err := end(-1, phaseInit, tb.initScenarioBatch(b))
+		for si := 0; more && err == nil && si < len(sc.Steps); si++ {
+			if more, err = end(si, phaseStep, applyStepBatch(b, sc.Steps[si])); !more || err != nil {
 				break
 			}
-			st.pre = append(st.pre, sampleOutputs(chk, outs))
+			// Sample combinational/Mealy outputs before the clock edge.
+			sample()
 			if p.Kind == dataset.SEQ {
-				if err := simErr(chk.Tick(p.Clock)); err != nil {
-					st.fail = &traceFail{step: si, phase: 2, err: err}
+				if more, err = end(si, phaseTick, b.Tick(p.Clock)); !more || err != nil {
 					break
 				}
-				st.post = append(st.post, sampleOutputs(chk, outs))
+				// Sample registered outputs after the edge as well.
+				sample()
 			}
 		}
+		if err != nil {
+			return nil, err
+		}
 		tr.scenarios = append(tr.scenarios, st)
-		if st.fail != nil {
+		if settled != nil {
+			for lane := 0; lane < n; lane++ {
+				if b.Active(lane) && settled(tr, lane, s) {
+					b.Deactivate(lane)
+				}
+			}
+		}
+	}
+	return tr, nil
+}
+
+// failSite names where a run stopped, in the interpreter runner's words.
+func failSite(side string, scenario, step, phase int) string {
+	switch phase {
+	case phaseInit:
+		return fmt.Sprintf("%s: scenario %d init", side, scenario)
+	case phaseStep:
+		return fmt.Sprintf("%s: scenario %d step %d", side, scenario, step)
+	}
+	return fmt.Sprintf("%s: scenario %d step %d tick", side, scenario, step)
+}
+
+// laneFail returns the error that ends a DUT lane's run against the
+// checker, nil when neither side errs: the earlier of the lane's own
+// error and the checker's. A DUT error wins a tie at the same
+// (scenario, step, phase), because the interpreter runner drives the
+// DUT side first.
+func laneFail(dut, chk *trace, lane int) *traceFail {
+	f, c := dut.fails[lane], chk.fails[0]
+	if c != nil && (f == nil || c.before(f)) {
+		return c
+	}
+	return f
+}
+
+// lanePass reports whether a DUT lane's outputs equal the checker's at
+// every sample of scenario s. Both traces must hold the whole scenario.
+func lanePass(dut, chk *trace, lane, s int) bool {
+	w, rows := len(chk.readable), chk.scenarios[s].rows
+	for o := 0; o < w && rows > 0; o++ {
+		if !chk.readable[o] || !dut.readable[o] {
+			return false
+		}
+	}
+	ds, cs := dut.scenarios[s].samples, chk.scenarios[s].samples
+	for r := 0; r < rows; r++ {
+		drow := ds[(r*len(dut.fails)+lane)*w:][:w]
+		for o, c := range cs[r*w : (r+1)*w] {
+			if !drow[o].same(c) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// compareLane is a DUT lane's outcome against the checker: the error
+// that ends its run if the run reaches one, else its per-scenario
+// verdicts. With earlyExit the run ends after the first failing
+// scenario.
+func compareLane(dut, chk *trace, lane int, earlyExit bool) BatchOutcome {
+	f := laneFail(dut, chk, lane)
+	res := &RunResult{ScenarioPass: make([]bool, len(dut.stim.index))}
+	for s := range res.ScenarioPass {
+		if f != nil && f.scenario == s {
+			return BatchOutcome{Err: f.err}
+		}
+		res.ScenarioPass[s] = lanePass(dut, chk, lane, s)
+		if earlyExit && !res.ScenarioPass[s] {
 			break
 		}
 	}
-	return tr
+	return BatchOutcome{Res: res}
+}
+
+// laneTrace is the DUT side of a run of a program set: one trace per
+// program (nil for a program without lanes), all over one stimulus.
+type laneTrace struct {
+	stim   *stimulus
+	progs  []*sim.BatchProgram
+	traces []*trace
+}
+
+// A LaneMemo holds the DUT side of one batched run of a program set,
+// recorded over every scenario, so that RunBatchProgramsContext can
+// judge further checkers over the same stimulus by comparing traces,
+// without simulating the DUTs again. It holds one recording, replaced
+// when a run reads a different stimulus or program set. The zero value
+// is empty and ready to use; a LaneMemo is safe for concurrent use:
+// racing runs may both record, and they store equal recordings.
+type LaneMemo struct {
+	p atomic.Pointer[laneTrace]
 }
 
 // WarmBatchTrace elaborates the checker and records its trace for runs
@@ -167,27 +442,6 @@ func (tb *Testbench) WarmBatchTrace(base *sim.Design) error {
 	return err
 }
 
-func sampleOutputs(chk *sim.BatchInstance, outs []string) []traceSample {
-	samples := make([]traceSample, len(outs))
-	for i, o := range outs {
-		v, err := chk.Get(o, 0)
-		samples[i] = traceSample{val: v, ok: err == nil}
-	}
-	return samples
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // RunBatchAgainstDesignsContext runs every DUT design against the
 // testbench in one batched pass. base is the design the batch programs
 // are compiled against (the golden design the duts are mutants of; any
@@ -200,7 +454,7 @@ func sameStrings(a, b []string) bool {
 // context cancellation.
 func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *sim.Design, duts []*sim.Design, earlyExit bool) ([]BatchOutcome, error) {
 	out := make([]BatchOutcome, len(duts))
-	trace, err := tb.batchTrace(ctx, outputPorts(base))
+	chk, err := tb.batchTrace(ctx, outputPorts(base))
 	if err != nil {
 		err = fmt.Errorf("checker: %w", err)
 		for i := range out {
@@ -208,9 +462,9 @@ func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *si
 		}
 		return out, nil
 	}
-	if !trace.live {
+	if !chk.live {
 		if progs, idxs, err := sim.CompileBatchSplit(base, duts); err == nil {
-			return out, tb.runBatchPrograms(ctx, progs, idxs, trace, out, earlyExit)
+			return out, tb.runBatchPrograms(ctx, progs, idxs, chk, out, earlyExit, nil)
 		}
 	}
 	// Wholesale fallback: the base or the checker cannot batch-compile.
@@ -234,7 +488,12 @@ func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *si
 // no program accepted — every variant, when the checker does not
 // batch-compile — falls back to an interpreter run, so outcomes are
 // total over the indexed variants.
-func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.BatchProgram, idx [][]int, earlyExit bool) ([]BatchOutcome, error) {
+//
+// With a nil memo the DUT lanes are recorded for this call only. With
+// a memo, a run whose stimulus and program set match its recording
+// simulates no lane and only compares traces; any other run records
+// every scenario and stores the recording in memo.
+func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.BatchProgram, idx [][]int, earlyExit bool, memo *LaneMemo) ([]BatchOutcome, error) {
 	if len(progs) == 0 {
 		return nil, nil
 	}
@@ -247,7 +506,7 @@ func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.B
 		}
 	}
 	out := make([]BatchOutcome, n)
-	trace, err := tb.batchTrace(ctx, outputPorts(progs[0].Base()))
+	chk, err := tb.batchTrace(ctx, outputPorts(progs[0].Base()))
 	if err != nil {
 		err = fmt.Errorf("checker: %w", err)
 		for i := range out {
@@ -255,14 +514,14 @@ func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.B
 		}
 		return out, nil
 	}
-	return out, tb.runBatchPrograms(ctx, progs, idx, trace, out, earlyExit)
+	return out, tb.runBatchPrograms(ctx, progs, idx, chk, out, earlyExit, memo)
 }
 
-// runBatchPrograms fills out by running every program's lanes and, for
-// variants no program accepted, individual interpreter fallbacks. The
-// returned error is non-nil only on context cancellation.
-func (tb *Testbench) runBatchPrograms(ctx context.Context, progs []*sim.BatchProgram, idxs [][]int, trace *checkerTrace, out []BatchOutcome, earlyExit bool) error {
-	defer obs.Time(ctx, obs.PhaseRun)()
+// runBatchPrograms fills out by comparing every program's recorded
+// lanes with the checker trace chk and, for variants no program
+// accepted, running individual interpreter fallbacks. The returned
+// error is non-nil only on context cancellation.
+func (tb *Testbench) runBatchPrograms(ctx context.Context, progs []*sim.BatchProgram, idxs [][]int, chk *trace, out []BatchOutcome, earlyExit bool, memo *LaneMemo) error {
 	// A variant rejected by one program may hold a lane in another
 	// (CompileBatchSplit routes non-static variants to the second,
 	// event-driven program); only variants no program accepted — or
@@ -276,7 +535,7 @@ func (tb *Testbench) runBatchPrograms(ctx context.Context, progs []*sim.BatchPro
 			if dutOf[vi] == nil {
 				dutOf[vi] = vs[i]
 			}
-			if !trace.live && p.VariantLane(i) >= 0 {
+			if !chk.live && p.VariantLane(i) >= 0 {
 				handled[vi] = true
 			}
 		}
@@ -291,206 +550,62 @@ func (tb *Testbench) runBatchPrograms(ctx context.Context, progs []*sim.BatchPro
 		res, err := tb.runLive(ctx, d)
 		out[vi] = BatchOutcome{Res: res, Err: err}
 	}
-	if trace.live {
+	if chk.live {
 		return nil
 	}
+
+	var lt *laneTrace
+	if memo != nil {
+		if m := memo.p.Load(); m != nil && slices.Equal(m.progs, progs) && m.stim.reads(tb, chk.stim.outs) {
+			lt = m
+		}
+	}
+	if lt == nil {
+		// A run recording for itself stops each lane once its outcome
+		// is settled; a memo's recording is for every later checker, so
+		// it records every lane through every scenario.
+		var settled func(tr *trace, lane, s int) bool
+		if memo == nil {
+			settled = func(tr *trace, lane, s int) bool {
+				if f := laneFail(tr, chk, lane); f != nil && f.scenario <= s {
+					return true
+				}
+				return earlyExit && !lanePass(tr, chk, lane, s)
+			}
+		}
+		var err error
+		if lt, err = tb.recordLanes(ctx, progs, chk.stim, settled); err != nil {
+			return err
+		}
+		if memo != nil {
+			memo.p.Store(lt)
+		}
+	}
+	for k, p := range progs {
+		for vi := range p.Variants() {
+			if lane := p.VariantLane(vi); lane >= 0 {
+				out[idxs[k][vi]] = compareLane(lt.traces[k], chk, lane, earlyExit)
+			}
+		}
+	}
+	return nil
+}
+
+// recordLanes records every program's lanes over stim as one sim_run.
+func (tb *Testbench) recordLanes(ctx context.Context, progs []*sim.BatchProgram, stim *stimulus, settled func(tr *trace, lane, s int) bool) (*laneTrace, error) {
+	defer obs.Time(ctx, obs.PhaseRun)()
+	lt := &laneTrace{stim: stim, progs: progs, traces: make([]*trace, len(progs))}
 	for k, p := range progs {
 		if p.Lanes() == 0 {
 			continue
 		}
-		if err := tb.runBatchLanes(ctx, p, idxs[k], trace, out, earlyExit); err != nil {
-			return err
+		tr, err := tb.record(ctx, sim.NewBatchInstance(p), stim, "dut", settled)
+		if err != nil {
+			return nil, err
 		}
+		lt.traces[k] = tr
 	}
-	return nil
-}
-
-// runBatchLanes runs one program's accepted lanes together and
-// scatters their outcomes to out via idx. The returned error is
-// non-nil only on context cancellation.
-func (tb *Testbench) runBatchLanes(ctx context.Context, prog *sim.BatchProgram, idx []int, trace *checkerTrace, out []BatchOutcome, earlyExit bool) error {
-	n := prog.Lanes()
-	results := make([]*RunResult, n)
-	laneErrs := make([]error, n)
-	for lane := 0; lane < n; lane++ {
-		results[lane] = &RunResult{ScenarioPass: make([]bool, len(tb.Scenarios))}
-	}
-	b := sim.NewBatchInstance(prog)
-	b.BindContext(ctx)
-
-	// recordLaneErrs harvests lanes newly killed by a simulation error,
-	// attributing them like the interpreter runner does. The message is
-	// only formatted when a lane actually erred — this runs after
-	// every step.
-	recordLaneErrs := func(format string, args ...interface{}) {
-		for lane := 0; lane < n; lane++ {
-			if laneErrs[lane] != nil {
-				continue
-			}
-			if le := b.LaneErr(lane); le != nil {
-				laneErrs[lane] = fmt.Errorf("dut: "+fmt.Sprintf(format, args...)+": %w", le)
-			}
-		}
-	}
-	// failActive gives every still-undecided lane a shared (checker- or
-	// stimulus-side) error, which is what each interpreter run would return.
-	failActive := func(err error) {
-		for lane := 0; lane < n; lane++ {
-			if laneErrs[lane] == nil && b.Active(lane) {
-				laneErrs[lane] = err
-				b.Deactivate(lane)
-			}
-		}
-	}
-
-	for i, sc := range tb.Scenarios {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if b.ActiveCount() == 0 {
-			break
-		}
-		if i >= len(trace.scenarios) {
-			// Unreachable: the trace only stops early after a checker
-			// failure, which deactivates every lane below.
-			break
-		}
-		if i > 0 {
-			b.Reset()
-		}
-		if err := tb.runScenarioBatch(ctx, sc, i, b, trace, results, laneErrs, recordLaneErrs, failActive, earlyExit); err != nil {
-			return err
-		}
-	}
-
-	for vi := range prog.Variants() {
-		lane := prog.VariantLane(vi)
-		if lane < 0 {
-			continue // interpreter fallback or another program covers it
-		}
-		if laneErrs[lane] != nil {
-			out[idx[vi]] = BatchOutcome{Err: laneErrs[lane]}
-		} else {
-			out[idx[vi]] = BatchOutcome{Res: results[lane]}
-		}
-	}
-	return nil
-}
-
-// runScenarioBatch mirrors runScenario with the DUT side batched and
-// the checker side replayed from the recorded trace. Checker failures
-// are re-raised at the exact point of the interleaving where a live
-// checker would have erred, preserving the interpreter's error
-// attribution (DUT errors at the same step win, as runScenario runs
-// the DUT first).
-func (tb *Testbench) runScenarioBatch(
-	ctx context.Context,
-	sc Scenario,
-	scIdx int,
-	b *sim.BatchInstance,
-	trace *checkerTrace,
-	results []*RunResult,
-	laneErrs []error,
-	recordLaneErrs func(string, ...interface{}),
-	failActive func(error),
-	earlyExit bool,
-) error {
-	p := tb.Problem
-	n := b.Lanes()
-	st := &trace.scenarios[scIdx]
-	chkFail := func(step, phase int) *traceFail {
-		if st.fail != nil && st.fail.step == step && st.fail.phase == phase {
-			return st.fail
-		}
-		return nil
-	}
-
-	// Init, DUT side first like runScenario.
-	if err := tb.initScenarioBatch(b); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		failActive(fmt.Errorf("dut: scenario %d init: %w", sc.Index, err))
-		return nil
-	}
-	recordLaneErrs("scenario %d init", sc.Index)
-	if f := chkFail(-1, 0); f != nil {
-		failActive(fmt.Errorf("checker: scenario %d init: %w", sc.Index, f.err))
-		return nil
-	}
-
-	pass := make([]bool, n)
-	for lane := range pass {
-		pass[lane] = true
-	}
-	outSlots := make([]int, len(trace.outs))
-	for oi, o := range trace.outs {
-		slot, ok := b.SlotOf(o)
-		if !ok {
-			slot = -1
-		}
-		outSlots[oi] = slot
-	}
-	compare := func(samples []traceSample) {
-		for oi := range trace.outs {
-			s := samples[oi]
-			slot := outSlots[oi]
-			for lane := 0; lane < n; lane++ {
-				if !b.Active(lane) || !pass[lane] {
-					continue
-				}
-				if !s.ok || slot < 0 || !b.GetSlot(slot, lane).SameValue(s.val) {
-					pass[lane] = false
-				}
-			}
-		}
-	}
-
-	for si, step := range sc.Steps {
-		if b.ActiveCount() == 0 {
-			return nil
-		}
-		if err := applyStepBatch(b, step); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			failActive(fmt.Errorf("dut: scenario %d step %d: %w", sc.Index, si, err))
-			return nil
-		}
-		recordLaneErrs("scenario %d step %d", sc.Index, si)
-		if f := chkFail(si, 1); f != nil {
-			failActive(fmt.Errorf("checker: scenario %d step %d: %w", sc.Index, si, f.err))
-			return nil
-		}
-		// Sample combinational/Mealy outputs before the clock edge.
-		compare(st.pre[si])
-		if p.Kind == dataset.SEQ {
-			if err := b.Tick(p.Clock); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				failActive(fmt.Errorf("dut: scenario %d step %d tick: %w", sc.Index, si, err))
-				return nil
-			}
-			recordLaneErrs("scenario %d step %d tick", sc.Index, si)
-			if f := chkFail(si, 2); f != nil {
-				failActive(fmt.Errorf("checker: scenario %d step %d tick: %w", sc.Index, si, f.err))
-				return nil
-			}
-			// Sample registered outputs after the edge as well.
-			compare(st.post[si])
-		}
-	}
-	for lane := 0; lane < n; lane++ {
-		if laneErrs[lane] != nil || !b.Active(lane) {
-			continue
-		}
-		results[lane].ScenarioPass[scIdx] = pass[lane]
-		if earlyExit && !pass[lane] {
-			b.Deactivate(lane)
-		}
-	}
-	return nil
+	return lt, nil
 }
 
 func (tb *Testbench) initScenarioBatch(b *sim.BatchInstance) error {

@@ -2,11 +2,14 @@ package testbench
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"correctbench/internal/logic"
 	"correctbench/internal/mutate"
 	"correctbench/internal/sim"
 	"correctbench/internal/verilog"
@@ -171,5 +174,138 @@ func TestBatchRunWholesaleFallback(t *testing.T) {
 	}
 	if tr, err := liveChecker.batchTrace(context.Background(), outputPorts(golden)); err != nil || !tr.live {
 		t.Errorf("$display checker: trace live=%v err=%v, want a live trace", tr != nil && tr.live, err)
+	}
+}
+
+// TestBatchTraceSampleSameValue checks the compact trace sample against
+// logic's SameValue over narrow, wide and mixed-width pairs, with
+// unknown bits and values that differ only above bit 63.
+func TestBatchTraceSampleSameValue(t *testing.T) {
+	vals := []logic.Vector{
+		logic.FromUint64(1, 1), logic.FromUint64(8, 1), logic.FromUint64(64, 1),
+		logic.FromUint64(64, ^uint64(0)), logic.AllX(8), logic.AllX(64), logic.AllZ(4),
+		logic.FromUint64(65, 1), logic.FromUint64(96, ^uint64(0)), logic.AllX(70),
+		logic.MustParse("1" + strings.Repeat("0", 63) + "1"), // bit 64 set, low word 1
+		logic.MustParse(strings.Repeat("0", 60) + "1x0z"),
+	}
+	for _, x := range vals {
+		for _, y := range vals {
+			if got, want := sampleOf(x).same(sampleOf(y)), x.SameValue(y); got != want {
+				t.Errorf("%d'b%s vs %d'b%s: same=%v, SameValue=%v", x.Width(), x, y.Width(), y, got, want)
+			}
+		}
+	}
+}
+
+// TestBatchMemoKeepsNoCancelledRecording cancels a memoized run at every
+// context poll: a cancelled run returns the context's error and leaves
+// the memo empty, and the first run the cancellation misses stores a
+// recording that the next run replays to the same outcomes.
+func TestBatchMemoKeepsNoCancelledRecording(t *testing.T) {
+	tb := golden(t, "cnt8")
+	p := tb.Problem
+	base, err := sim.ElaborateSourceContext(context.Background(), p.Source, p.Top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, idx, err := sim.CompileBatchSplit(base, batchDiffDUTs(t, tb, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tb.RunBatchProgramsContext(context.Background(), progs, idx, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for polls := int64(0); ; polls++ {
+		var memo LaneMemo
+		got, err := tb.RunBatchProgramsContext(newCancelAfter(polls), progs, idx, false, &memo)
+		if err != nil {
+			if !errors.Is(err, context.Canceled) || memo.p.Load() != nil {
+				t.Fatalf("cancelled after %d polls: err %v, memo stored %v", polls, err, memo.p.Load() != nil)
+			}
+			continue
+		}
+		if memo.p.Load() == nil {
+			t.Fatalf("run after %d polls stored no recording", polls)
+		}
+		again, err := tb.RunBatchProgramsContext(context.Background(), progs, idx, false, &memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !sameOutcome(got[i], want[i]) || !sameOutcome(again[i], want[i]) {
+				t.Fatalf("variant %d: recorded %v, replayed %v, want %v", i, got[i], again[i], want[i])
+			}
+		}
+		if polls < 10 {
+			t.Fatalf("run finished after only %d polls; the sweep tested nothing", polls)
+		}
+		return
+	}
+}
+
+func sameOutcome(a, b BatchOutcome) bool {
+	if (a.Err != nil) != (b.Err != nil) {
+		return false
+	}
+	if a.Err != nil {
+		return a.Err.Error() == b.Err.Error()
+	}
+	return reflect.DeepEqual(a.Res.ScenarioPass, b.Res.ScenarioPass)
+}
+
+// cancelAfter is a cancellable context whose Err starts reporting
+// context.Canceled after a fixed number of polls.
+type cancelAfter struct {
+	context.Context
+	done chan struct{} // never closed; non-nil so the simulator polls Err
+	left atomic.Int64
+}
+
+func newCancelAfter(polls int64) *cancelAfter {
+	c := &cancelAfter{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(polls)
+	return c
+}
+
+func (c *cancelAfter) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBatchLaneFailOrder pins the one error-ordering rule of trace
+// compares: the earlier of a lane's own error and the checker's ends the
+// run, and at the same (scenario, step, phase) the DUT's error wins, as
+// in the interpreter runner, which drives the DUT side first.
+func TestBatchLaneFailOrder(t *testing.T) {
+	at := func(side string, scenario, step, phase int) *traceFail {
+		return &traceFail{scenario, step, phase, errors.New(side)}
+	}
+	for _, tc := range []struct {
+		dut, chk *traceFail
+		want     string
+	}{
+		{nil, nil, ""},
+		{at("dut", 1, 2, phaseStep), nil, "dut"},
+		{nil, at("checker", 0, -1, phaseInit), "checker"},
+		{at("dut", 1, 2, phaseTick), at("checker", 1, 2, phaseTick), "dut"},
+		{at("dut", 0, -1, phaseInit), at("checker", 0, -1, phaseInit), "dut"},
+		{at("dut", 1, 2, phaseTick), at("checker", 1, 2, phaseStep), "checker"},
+		{at("dut", 1, 3, phaseStep), at("checker", 1, 2, phaseTick), "checker"},
+		{at("dut", 1, -1, phaseInit), at("checker", 0, 7, phaseTick), "checker"},
+		{at("dut", 0, 7, phaseTick), at("checker", 1, -1, phaseInit), "dut"},
+	} {
+		f := laneFail(&trace{fails: []*traceFail{tc.dut}}, &trace{fails: []*traceFail{tc.chk}}, 0)
+		got := ""
+		if f != nil {
+			got = f.err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("dut %+v, checker %+v: %q ends the run, want %q", tc.dut, tc.chk, got, tc.want)
+		}
 	}
 }

@@ -16,7 +16,8 @@
 // Verilog per run, this framework simulates on internal/sim. Every run
 // is a "one checker, N DUTs" run (batch.go): the checker is simulated
 // once on a one-lane sim.BatchProgram and its outputs recorded, and
-// the DUTs advance as lanes of one compiled batch program — the
+// the DUTs advance as lanes of one compiled batch program, whose
+// recorded outputs are compared with the checker's — the
 // validator's RS matrix and AutoEval's mutant grading batch whole
 // candidate sets, a single DUT is a one-lane batch. A checker or DUT
 // the batch compiler rejects runs on the reference AST interpreter
@@ -120,9 +121,10 @@ type Testbench struct {
 
 	// Cached checker trace (see batchTrace): the checker's trajectory
 	// depends only on the stimulus, so one recorded simulation serves
-	// every run. Same concurrency convention as cachedChecker: warm it
-	// (WarmBatchTrace) before sharing the testbench across goroutines.
-	cachedTrace    *checkerTrace
+	// every run over that stimulus. Same concurrency convention as
+	// cachedChecker: warm it (WarmBatchTrace) before sharing the
+	// testbench across goroutines.
+	cachedTrace    *trace
 	cachedTraceSrc string
 }
 

@@ -3,8 +3,10 @@ package validator_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"correctbench/internal/corrector"
 	"correctbench/internal/dataset"
 	"correctbench/internal/llm"
+	"correctbench/internal/mutate"
 	"correctbench/internal/obs"
 	"correctbench/internal/sim"
 	"correctbench/internal/testbench"
@@ -221,10 +224,15 @@ func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate
 // of BuildMatrixContext in turn, on a group that runs as batch lanes
 // plus an interpreter fallback (cnt8) and on one whose golden design
 // cannot batch-compile ($display), so every candidate runs on the
-// wholesale interpreter fallback. A cancelled call must return the context's error
-// and nothing else — no group, no matrix, no broken verdict and no
-// discarded rows — and a call the cancellation misses must return
-// exactly the uncancelled result.
+// wholesale interpreter fallback. A cancelled call must return the
+// context's error and nothing else — no group, no matrix, no broken
+// verdict and no discarded rows — and a call the cancellation misses
+// must return exactly the uncancelled result. The build is swept
+// twice: on a fresh group per cancellation point, so the cancellation
+// lands in the recording of the candidates' lanes (after which the
+// same group must still build the uncancelled matrix: a cancelled
+// recording keeps nothing), and on a warm group, whose rounds replay
+// the recorded lanes.
 func TestBatchCancellation(t *testing.T) {
 	cnt8 := dataset.ByName("cnt8")
 	mux := dataset.ByName("mux2_w4")
@@ -255,9 +263,13 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 		}
 	}
 
-	group, err := validator.NewGroup(context.Background(), p, cands)
-	if err != nil {
-		t.Fatal(err)
+	newGroup := func() *validator.Group {
+		t.Helper()
+		group, err := validator.NewGroup(context.Background(), p, cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return group
 	}
 	scs, err := testbench.GenerateScenarios(p, rand.New(rand.NewSource(6)), testbench.Coverage{Scenarios: 3, Steps: 4})
 	if err != nil {
@@ -265,7 +277,8 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 	}
 	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
 	tb.DriverSource = testbench.EmitDriver(tb)
-	ref, ok, err := v.BuildMatrixContext(context.Background(), tb, group)
+	warm := newGroup()
+	ref, ok, err := v.BuildMatrixContext(context.Background(), tb, warm)
 	if err != nil || !ok {
 		t.Fatalf("uncancelled build: ok=%v err=%v", ok, err)
 	}
@@ -274,19 +287,31 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 	}
 	want := ref.Render()
 
-	for polls := int64(0); ; polls++ {
-		m, ok, err := v.BuildMatrixContext(newCancelAfter(polls), tb, group)
-		if err == nil {
-			if !ok || m.Render() != want {
-				t.Fatalf("build after %d polls: ok=%v matrix\n%v\nwant\n%s", polls, ok, m, want)
+	for _, sweep := range []struct {
+		name  string
+		group func() *validator.Group
+	}{
+		{"recording", newGroup},
+		{"replay", func() *validator.Group { return warm }},
+	} {
+		for polls := int64(0); ; polls++ {
+			group := sweep.group()
+			m, ok, err := v.BuildMatrixContext(newCancelAfter(polls), tb, group)
+			if err == nil {
+				if !ok || m.Render() != want {
+					t.Fatalf("%s: build after %d polls: ok=%v matrix\n%v\nwant\n%s", sweep.name, polls, ok, m, want)
+				}
+				if polls < 10 {
+					t.Fatalf("%s: build finished after only %d polls; the sweep tested nothing", sweep.name, polls)
+				}
+				break
 			}
-			if polls < 10 {
-				t.Fatalf("build finished after only %d polls; the sweep tested nothing", polls)
+			if !errors.Is(err, context.Canceled) || m != nil || ok {
+				t.Fatalf("%s: build cancelled after %d polls: matrix %v, ok=%v, err %v", sweep.name, polls, m, ok, err)
 			}
-			break
-		}
-		if !errors.Is(err, context.Canceled) || m != nil || ok {
-			t.Fatalf("build cancelled after %d polls: matrix %v, ok=%v, err %v", polls, m, ok, err)
+			if m, ok, err := v.BuildMatrixContext(context.Background(), tb, group); err != nil || !ok || m.Render() != want {
+				t.Fatalf("%s: build after a cancellation at %d polls: ok=%v err=%v matrix\n%v\nwant\n%s", sweep.name, polls, ok, err, m, want)
+			}
 		}
 	}
 }
@@ -294,9 +319,12 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 // TestBatchValidationRoundTrace pins the attribution of a validation
 // round: the group's candidates are elaborated before the round, so
 // the round's direct children are the checker's elaboration, the
-// recording of its trace (a sim_run) and the batched lane run (another
-// sim_run). A second round over the same testbench replays the
-// recorded trace: one sim_run, no elaboration.
+// recording of its trace (a sim_run) and the recording of the
+// candidates' lanes (another sim_run). A second round over the same
+// testbench replays both recordings: no elaboration and no sim_run. A
+// round over a corrected checker (same stimulus, new checker source)
+// elaborates and records the new checker — exactly one sim_run — and
+// replays the recorded lanes.
 func TestBatchValidationRoundTrace(t *testing.T) {
 	p := dataset.ByName("cnt8")
 	var acct llm.Accountant
@@ -319,7 +347,7 @@ func TestBatchValidationRoundTrace(t *testing.T) {
 	tb.DriverSource = testbench.EmitDriver(tb)
 	v := &validator.Validator{Criterion: validator.Wrong70}
 
-	round := func() map[string]int {
+	round := func(tb *testbench.Testbench) map[string]int {
 		end := col.Start(obs.PhaseSimulate)
 		if _, ok, err := v.BuildMatrixContext(ctx, tb, group); err != nil || !ok {
 			t.Fatalf("build: ok=%v err=%v", ok, err)
@@ -335,11 +363,223 @@ func TestBatchValidationRoundTrace(t *testing.T) {
 		}
 		return children
 	}
-	if got := round(); got[obs.PhaseElaborate] != 1 || got[obs.PhaseRun] != 2 {
+	if got := round(tb); got[obs.PhaseElaborate] != 1 || got[obs.PhaseRun] != 2 {
 		t.Errorf("cold round children %v, want 1 %s (checker) and 2 %s (checker trace + lanes)",
 			got, obs.PhaseElaborate, obs.PhaseRun)
 	}
-	if got := round(); got[obs.PhaseElaborate] != 0 || got[obs.PhaseRun] != 1 {
-		t.Errorf("warm round children %v, want no %s and 1 %s", got, obs.PhaseElaborate, obs.PhaseRun)
+	if got := round(tb); got[obs.PhaseElaborate] != 0 || got[obs.PhaseRun] != 0 {
+		t.Errorf("warm round children %v, want no %s and no %s", got, obs.PhaseElaborate, obs.PhaseRun)
+	}
+	fixed := tb.WithChecker(strings.Replace(p.Source, "endmodule", "wire corrected_pad;\nendmodule", 1), tb.CheckerPlan, tb.CheckerSticky)
+	if got := round(fixed); got[obs.PhaseElaborate] != 1 || got[obs.PhaseRun] != 1 {
+		t.Errorf("corrected-checker round children %v, want 1 %s and 1 %s (the checker trace; lanes replayed)",
+			got, obs.PhaseElaborate, obs.PhaseRun)
+	}
+}
+
+// replayCase is one problem's fixture for the replay tests: an N_R = 20
+// group and a generated testbench whose driver the group has not yet
+// seen.
+type replayCase struct {
+	p     *dataset.Problem
+	cands []validator.RTLCandidate
+	group *validator.Group
+	tb    *testbench.Testbench
+	rng   *rand.Rand
+}
+
+// replayProblems covers combinational and sequential problems, with and
+// without a reset.
+var replayProblems = []string{"mux2_w4", "adder8", "prio_enc8", "cnt8", "det101", "fifo2", "shift18"}
+
+func newReplayCase(t *testing.T, name string, seed int64) *replayCase {
+	t.Helper()
+	p := dataset.ByName(name)
+	prof := *llm.GPT4o()
+	prof.CheckerCleanBase = 0
+	rng := rand.New(rand.NewSource(seed))
+	var acct llm.Accountant
+	cands, err := validator.GenerateRTLGroup(p, &prof, 20, rng, &acct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := validator.NewGroup(context.Background(), p, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := &autobench.AutoBench{Profile: &prof}
+	tb, err := gen.Generate(p, prof.SampleTrait(p.Difficulty, p.Kind == dataset.SEQ, rng), rng, &acct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tb.SyntaxOK() {
+		t.Fatalf("%s: generated testbench does not parse", name)
+	}
+	return &replayCase{p: p, cands: cands, group: group, tb: tb, rng: rng}
+}
+
+// round builds tb's matrix on the case's group and requires it to be
+// byte-identical to the oracle, returning the number of sim_run spans
+// the round recorded.
+func (c *replayCase) round(t *testing.T, label string, tb *testbench.Testbench) int {
+	t.Helper()
+	want, wantOK := oracleMatrix(t, tb, c.cands)
+	col := obs.NewCollector(time.Time{})
+	v := &validator.Validator{Criterion: validator.Wrong70}
+	m, ok, err := v.BuildMatrixContext(obs.WithCollector(context.Background(), col), tb, c.group)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if ok != wantOK {
+		t.Fatalf("%s: batched ok=%v, oracle ok=%v", label, ok, wantOK)
+	}
+	if ok && m.Render() != want {
+		t.Fatalf("%s: RS matrices differ\nbatched:\n%s\noracle:\n%s", label, m.Render(), want)
+	}
+	runs := 0
+	for _, s := range col.Samples() {
+		if s.Phase == obs.PhaseRun {
+			runs++
+		}
+	}
+	return runs
+}
+
+// TestBatchReplayAfterEarlyFailingChecker opens a fresh group with a
+// checker that errors mid-scenario and then judges the clean checker
+// over the same driver. The first round must record the lanes through
+// every scenario although its checker stops early, so the second round
+// replays them (its only sim_run is the new checker's trace) and still
+// matches the oracle on every scenario.
+func TestBatchReplayAfterEarlyFailingChecker(t *testing.T) {
+	for i, name := range replayProblems {
+		t.Run(name, func(t *testing.T) {
+			c := newReplayCase(t, name, int64(700+i))
+			clean := c.tb.WithChecker(c.p.Source, mutate.Plan{}, -1)
+			osc := oscillatingChecker(clean, oscillationTrigger(t, c.p))
+			osc.DriverSource = clean.DriverSource
+			if _, ok := oracleMatrix(t, osc, c.cands); ok {
+				t.Fatalf("oscillating checker does not break the testbench")
+			}
+			if runs := c.round(t, "oscillating checker", osc); runs != 2 {
+				t.Errorf("first round: %d sim_run, want 2 (checker trace + lanes)", runs)
+			}
+			if runs := c.round(t, "clean checker", clean); runs != 1 {
+				t.Errorf("clean round: %d sim_run, want 1 (checker trace; lanes replayed)", runs)
+			}
+		})
+	}
+}
+
+// TestBatchReplayInPlaceStimulusEdit edits the testbench's scenarios
+// in place between two rounds over the same testbench value — one input
+// of every step of the last scenario that drives any, or one more step
+// for a design without data inputs — and the group and the checker
+// trace must both notice and record again.
+func TestBatchReplayInPlaceStimulusEdit(t *testing.T) {
+	changed := 0
+	for i, name := range replayProblems {
+		t.Run(name, func(t *testing.T) {
+			c := newReplayCase(t, name, int64(800+i))
+			c.round(t, "before edit", c.tb)
+			before, _ := oracleMatrix(t, c.tb, c.cands)
+			edited := false
+			for s := len(c.tb.Scenarios) - 1; s >= 0 && !edited; s-- {
+				for _, st := range c.tb.Scenarios[s].Steps {
+					if names := st.SortedNames(); len(names) > 0 {
+						st.Inputs[names[len(names)-1]] ^= 1
+						edited = true
+					}
+				}
+			}
+			if !edited {
+				// A free-running design has no data input: lengthen the
+				// last scenario instead.
+				last := &c.tb.Scenarios[len(c.tb.Scenarios)-1]
+				last.Steps = append(last.Steps, testbench.Step{Inputs: map[string]uint64{}})
+			}
+			if runs := c.round(t, "after edit", c.tb); runs != 2 {
+				t.Errorf("edited round: %d sim_run, want 2 (checker trace + lanes recorded again)", runs)
+			}
+			if after, _ := oracleMatrix(t, c.tb, c.cands); after != before {
+				changed++
+			}
+		})
+	}
+	if changed == 0 {
+		t.Error("no edit changed an RS matrix; the test cannot tell a replayed stale recording from a fresh one")
+	}
+}
+
+// TestBatchReplayReboot judges a testbench with new scenarios on the
+// same group, as Algorithm 1 does after a reboot: the new driver is
+// recorded, replacing the old one, and a correction after the reboot
+// replays the new recording.
+func TestBatchReplayReboot(t *testing.T) {
+	for i, name := range replayProblems {
+		t.Run(name, func(t *testing.T) {
+			c := newReplayCase(t, name, int64(900+i))
+			c.round(t, "first driver", c.tb)
+			scs, err := testbench.GenerateScenarios(c.p, c.rng, testbench.Coverage{Scenarios: 5, Steps: 6, Corners: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := &testbench.Testbench{Problem: c.p, Scenarios: scs, CheckerSource: c.tb.CheckerSource, CheckerTop: c.tb.CheckerTop, CheckerSticky: -1}
+			next.DriverSource = testbench.EmitDriver(next)
+			if runs := c.round(t, "rebooted driver", next); runs != 2 {
+				t.Errorf("rebooted round: %d sim_run, want 2 (checker trace + lanes)", runs)
+			}
+			if runs := c.round(t, "corrected after reboot", next.WithChecker(c.p.Source, mutate.Plan{}, -1)); runs != 1 {
+				t.Errorf("corrected round: %d sim_run, want 1 (checker trace; lanes replayed)", runs)
+			}
+		})
+	}
+}
+
+// TestBatchReplayConcurrent runs BuildMatrixContext from 8 goroutines
+// on one shared group, alternating two drivers and two checkers so
+// that recordings race each other and replace one another. Every
+// matrix must equal the oracle's; run under -race it also checks that
+// the group's recording is published safely.
+func TestBatchReplayConcurrent(t *testing.T) {
+	c := newReplayCase(t, "cnt8", 1000)
+	other := newReplayCase(t, "cnt8", 1001).tb
+	tbs := []*testbench.Testbench{
+		c.tb, c.tb.WithChecker(c.p.Source, mutate.Plan{}, -1),
+		other, other.WithChecker(c.p.Source, mutate.Plan{}, -1),
+	}
+	want := make([]string, len(tbs))
+	wantOK := make([]bool, len(tbs))
+	for i, tb := range tbs {
+		want[i], wantOK[i] = oracleMatrix(t, tb, c.cands)
+	}
+	v := &validator.Validator{Criterion: validator.Wrong70}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				i := (g + r/2) % len(tbs)
+				// A testbench copy per goroutine: its checker trace cache
+				// is not shared; the group is.
+				tb := tbs[i].WithChecker(tbs[i].CheckerSource, tbs[i].CheckerPlan, tbs[i].CheckerSticky)
+				m, ok, err := v.BuildMatrixContext(context.Background(), tb, c.group)
+				switch {
+				case err != nil:
+					errs <- err
+					return
+				case ok != wantOK[i] || ok && m.Render() != want[i]:
+					errs <- fmt.Errorf("goroutine %d round %d: testbench %d differs from the oracle", g, r, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

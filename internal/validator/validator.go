@@ -9,10 +9,13 @@
 //
 // The group is fixed per task, so NewGroup elaborates it once and
 // compiles its candidates as lanes of sim batch programs over the
-// golden design. Each validation round is then one batched testbench
-// run: the checker is simulated once and every candidate advances as
-// a lane (testbench.RunBatchProgramsContext), with rows bit-identical
-// to simulating each candidate on its own.
+// golden design. Validation is record-then-compare
+// (testbench.RunBatchProgramsContext): the checker is recorded once
+// per checker, and the candidates are recorded as lanes once per
+// driver — Algorithm 1's corrector rewrites only the checker, so every
+// round after a correction compares the new checker's trace with the
+// group's recorded lanes and simulates no candidate. Rows are
+// bit-identical to simulating each candidate on its own.
 package validator
 
 import (
@@ -211,9 +214,13 @@ func GenerateRTLGroup(p *dataset.Problem, prof *llm.Profile, nr int, rng *rand.R
 // group is fixed for the whole task (Algorithm 1 validates every
 // testbench of a task against the same N_R RTLs), so each candidate is
 // parsed and elaborated once, and the elaborable ones are compiled
-// once as lanes of batch programs over the golden design; every
-// validation round then simulates all of them in one batched pass. A
-// Group is immutable after NewGroup.
+// once as lanes of batch programs over the golden design. The first
+// round over a driver simulates all of them in one batched pass and
+// records their outputs; later rounds over the same stimulus replay
+// that recording. The candidates and programs are fixed by NewGroup;
+// the recording is the one thing a round changes — it holds the last
+// driver's lanes and is replaced on a reboot — and it is an atomic
+// memo, so a Group is safe for concurrent BuildMatrixContext calls.
 type Group struct {
 	// Candidates is the RTL group in generation order, the row order
 	// of every RS matrix built from it.
@@ -226,6 +233,8 @@ type Group struct {
 	// base itself cannot batch-compile.
 	progs []*sim.BatchProgram
 	idx   [][]int
+	// lanes is the recorded DUT side of the last driver run on progs.
+	lanes testbench.LaneMemo
 }
 
 // NewGroup elaborates every candidate of an RTL group for problem p and
@@ -269,10 +278,11 @@ type Validator struct {
 	Criterion Criterion
 }
 
-// BuildMatrixContext simulates every candidate of the group against
-// the testbench in one batched pass (the DUT-independent checker runs
-// once, the candidates as lanes). Rows follow group order; rows for
-// syntax-broken or unsimulatable RTLs are discarded. A broken
+// BuildMatrixContext judges every candidate of the group against the
+// testbench in one batched pass: the DUT-independent checker is
+// recorded once, the candidates as lanes once per driver, and each row
+// compares a lane's trace with the checker's. Rows follow group order;
+// rows for syntax-broken or unsimulatable RTLs are discarded. A broken
 // testbench (parse/elaboration/checker failure) yields ok == false
 // instead of a matrix. The returned error is non-nil only when ctx was
 // cancelled; a cancelled simulation is never misread as a discarded
@@ -288,7 +298,7 @@ func (v *Validator) BuildMatrixContext(ctx context.Context, tb *testbench.Testbe
 	if len(g.duts) > 0 {
 		var err error
 		if g.progs != nil {
-			outs, err = tb.RunBatchProgramsContext(ctx, g.progs, g.idx, false)
+			outs, err = tb.RunBatchProgramsContext(ctx, g.progs, g.idx, false, &g.lanes)
 		} else {
 			outs, err = tb.RunBatchAgainstDesignsContext(ctx, g.base, g.duts, false)
 		}

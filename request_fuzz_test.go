@@ -25,6 +25,9 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"seed":1,"methods":["Nope"]}`,
 		`{"seed":1,"llm":"gpt-9"}`,
 		`{"seed":1,"problems":null,"methods":null}`,
+		`{"seed":1,"reps":1099511627776,"problems":["halfadd"]}`,
+		`{"seed":1,"reps":100,"max_corrections":50,"max_reboots":50,"rtl_group_size":100}`,
+		`{"seed":1,"max_corrections":51,"max_reboots":51,"rtl_group_size":101}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -42,6 +45,12 @@ func FuzzSubmitRequest(f *testing.F) {
 			if p == nil {
 				t.Fatalf("resolve admitted a nil problem for %s", body)
 			}
+		}
+		// ... and asks for bounded work.
+		if hcfg.Reps > maxReps || len(hcfg.Problems) > len(dataset.All()) ||
+			!inRange(hcfg.MaxCorrections, 0, maxCorrectionsCap) || !inRange(hcfg.MaxReboots, 0, maxRebootsCap) ||
+			!inRange(hcfg.NR, 1, maxRTLGroupSize) {
+			t.Fatalf("resolve admitted out-of-range work for %s: reps %d, %d problems", body, hcfg.Reps, len(hcfg.Problems))
 		}
 	})
 }
@@ -68,6 +77,8 @@ func FuzzGradeRequest(f *testing.F) {
 		`{"problem":"cnt8","seed":24301,"testbench":{"scenarios":[{"steps":[{"rst":1},{"rst":0,"en":1}]},{"name":"","steps":[]}],"checker_source":"","checker_top":"top_module"}}`,
 		`{"problem":"mux2_w4","testbench":{"scenarios":[{"steps":[{"sel":18446744073709551615,"a":15,"b":0,"nope":1}]}],"checker_source":"module m; endmodule"}}`,
 		`{"problem":"dff","testbench":{"scenarios":null}}`,
+		`{"problem":"adder4","rtl_group_size":1099511627776}`,
+		`{"problem":"adder4","max_corrections":51,"max_reboots":50,"rtl_group_size":100}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -76,8 +87,13 @@ func FuzzGradeRequest(f *testing.F) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return
 		}
-		if _, err := req.TaskSpec.resolve(); err != nil {
+		opt, err := req.TaskSpec.resolve()
+		if err != nil {
 			return
+		}
+		if opt.NR < 1 || opt.NR > maxRTLGroupSize || opt.MaxCorrections < 0 || opt.MaxCorrections > maxCorrectionsCap ||
+			opt.MaxReboots < 0 || opt.MaxReboots > maxRebootsCap {
+			t.Fatalf("resolve admitted out-of-range work for %s: %+v", body, opt)
 		}
 		p := dataset.ByName(req.Problem)
 		if p == nil || req.Testbench == nil {
@@ -88,4 +104,9 @@ func FuzzGradeRequest(f *testing.F) {
 			t.Fatalf("wire testbench with %d scenarios rebuilt with %d", len(req.Testbench.Scenarios), tb.ScenarioCount())
 		}
 	})
+}
+
+// inRange reports whether an optional override is unset or in [lo, hi].
+func inRange(v *int, lo, hi int) bool {
+	return v == nil || *v >= lo && *v <= hi
 }

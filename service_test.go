@@ -341,6 +341,46 @@ func TestServiceGrade(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsOutOfRangeWork sends specs over the per-request
+// work bounds to both endpoints: each is a 400 spec error, answered
+// before any job or grade runs, and the server keeps serving.
+func TestServiceRejectsOutOfRangeWork(t *testing.T) {
+	ts, c := newTestServer(t)
+	for _, body := range []map[string]any{
+		{"seed": 1, "reps": 1 << 40, "problems": []string{"halfadd"}},
+		{"seed": 1, "reps": maxReps + 1, "problems": []string{"halfadd"}},
+		{"seed": 1, "rtl_group_size": maxRTLGroupSize + 1},
+		{"seed": 1, "max_corrections": maxCorrectionsCap + 1},
+		{"seed": 1, "max_reboots": maxRebootsCap + 1},
+		{"seed": 1, "problems": append(allProblemNames(), "halfadd")},
+	} {
+		r := postJSON(t, ts.URL+"/v1/experiments", body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %v: %s, want 400", body, r.Status)
+		}
+	}
+	for _, body := range []map[string]any{
+		{"problem": "adder4", "rtl_group_size": 1 << 40},
+		{"problem": "adder4", "max_corrections": maxCorrectionsCap + 1},
+		{"problem": "adder4", "max_reboots": maxRebootsCap + 1},
+	} {
+		r := postJSON(t, ts.URL+"/v1/grade", body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("grade %v: %s, want 400", body, r.Status)
+		}
+	}
+	if n := len(c.Jobs()); n != 0 {
+		t.Errorf("rejected submits registered %d jobs", n)
+	}
+	r := postJSON(t, ts.URL+"/v1/grade", map[string]any{"problem": "halfadd", "seed": 1})
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Errorf("grade after the rejections: %s", r.Status)
+	}
+}
+
 // TestServiceStoreStats covers GET /v1/store/stats and the snapshot
 // counters on a store-backed server: 404 without a store, live
 // counters with one, and resume-by-spec visible as a fully warm
