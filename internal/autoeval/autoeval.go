@@ -118,30 +118,14 @@ func NewEvaluator(seed int64) *Evaluator {
 
 type fixture struct {
 	golden        *testbench.Testbench
-	goldenDesign  *sim.Design
 	mutantDesigns []*sim.Design
 	goldenVerdict []bool // golden TB's pass verdict per mutant
-	// goldenProgs is the golden design as a one-lane program (Eval1)
-	// and mutantProgs the mutant set (Eval2), each precompiled with
-	// sim.CompileBatchSplit over goldenDesign (a levelized program for
-	// static variants plus an event-driven one for the rest; the Idx
-	// lists map each program's variants to DUT indexes). They are
-	// immutable and shared by every grade. Sharing goldenDesign as the
-	// base lets Eval1 and Eval2 replay one recorded checker trace. Nil
-	// when the golden design cannot batch-compile.
-	goldenProgs, mutantProgs []*sim.BatchProgram
-	goldenIdx, mutantIdx     [][]int
-}
-
-// run grades tb against duts (the golden design or the mutant set) in
-// one batched pass: through the precompiled programs when there are
-// any, else compiling (or falling back to the interpreter) per call.
-// The returned error is non-nil only on context cancellation.
-func (f *fixture) run(ctx context.Context, tb *testbench.Testbench, progs []*sim.BatchProgram, idx [][]int, duts []*sim.Design) ([]testbench.BatchOutcome, error) {
-	if progs != nil {
-		return tb.RunBatchProgramsContext(ctx, progs, idx, true, nil)
-	}
-	return tb.RunBatchAgainstDesignsContext(ctx, f.goldenDesign, duts, true)
+	// goldenSet is the golden design as a one-DUT set (Eval1) and
+	// mutantSet the mutant set (Eval2), each compiled once over the
+	// golden design. They are immutable and shared by every grade.
+	// Sharing the golden design as the base lets Eval1 and Eval2 replay
+	// one recorded checker trace.
+	goldenSet, mutantSet *testbench.DUTSet
 }
 
 // fixtureEntry is the per-problem build lock: the entry is installed
@@ -215,7 +199,7 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 		if len(designs) > 0 {
 			// Fixture builds are not cancellable, so the run's
 			// (cancellation-only) error is always nil.
-			outs, _ := tb.RunBatchAgainstDesignsContext(context.Background(), goldenDesign, designs, true)
+			outs, _ := tb.RunBatchContext(context.Background(), testbench.NewDUTSet(goldenDesign, designs), true, nil)
 			for j, o := range outs {
 				out[idx[j]] = o
 			}
@@ -300,7 +284,7 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	if err := gtb.WarmBatchTrace(goldenDesign); err != nil {
 		return nil, err
 	}
-	f := &fixture{golden: gtb, goldenDesign: goldenDesign}
+	f := &fixture{golden: gtb}
 	for _, m := range mutants {
 		d, err := e.elaborateCached(verilog.PrintModule(m), p.Top)
 		if err != nil {
@@ -312,16 +296,10 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	if len(f.mutantDesigns) == 0 {
 		return nil, fmt.Errorf("autoeval: no usable mutants for %s", p.Name)
 	}
-	// Precompile once: every grade replays the same lanes, so a
-	// per-call compile would be pure overhead. Both compiles fail
-	// exactly when the golden design cannot batch-compile; the programs
-	// then stay nil and every grade runs on the interpreter.
-	if progs, idx, err := sim.CompileBatchSplit(goldenDesign, []*sim.Design{goldenDesign}); err == nil {
-		f.goldenProgs, f.goldenIdx = progs, idx
-	}
-	if progs, idx, err := sim.CompileBatchSplit(goldenDesign, f.mutantDesigns); err == nil {
-		f.mutantProgs, f.mutantIdx = progs, idx
-	}
+	// Compile once: every grade replays the same lanes, so a per-call
+	// compile would be pure overhead.
+	f.goldenSet = testbench.NewDUTSet(goldenDesign, []*sim.Design{goldenDesign})
+	f.mutantSet = testbench.NewDUTSet(goldenDesign, f.mutantDesigns)
 	return f, nil
 }
 
@@ -363,24 +341,16 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, tb *testbench.Testbench
 	// mutants. Both run with early exit (a lane stops simulating once a
 	// scenario has failed it — the verdict is already known) and replay
 	// the same recorded checker trace.
-	outs, err := f.run(ctx, tb, f.goldenProgs, f.goldenIdx, []*sim.Design{f.goldenDesign})
+	outs, err := tb.RunBatchContext(ctx, f.goldenSet, true, nil)
 	if err != nil {
 		return GradeFailed, err
 	}
-	if o := outs[0]; o.Err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return GradeFailed, cerr
-		}
-		return GradeEval0, nil
-	} else if !o.Res.Pass() {
+	if o := outs[0]; o.Err != nil || !o.Res.Pass() {
 		return GradeEval0, nil
 	}
-	outs, err = f.run(ctx, tb, f.mutantProgs, f.mutantIdx, f.mutantDesigns)
+	outs, err = tb.RunBatchContext(ctx, f.mutantSet, true, nil)
 	if err != nil {
 		return GradeFailed, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return GradeFailed, cerr
 	}
 	agree := 0
 	for i, o := range outs {

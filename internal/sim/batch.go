@@ -84,11 +84,10 @@ var ErrBatchNotStatic = errors.New("sim: batch: variant is not static")
 // CompileBatch compiles base and as many of the variants as can share
 // its program. It fails only when the base itself cannot be fully
 // batch-compiled (dynamic constructs, display tasks, delays) — then
-// the caller should fall back to the interpreter wholesale.
-// Individual variants that are structurally incompatible or whose
-// changed bodies cannot be compiled are rejected (RejectReason) and
-// simply get no lane; reject-handling callers run those few on the
-// interpreter.
+// the caller simulates every design on the interpreter. Individual
+// variants that are structurally incompatible or whose changed bodies
+// cannot be compiled are rejected (RejectReason) and simply get no
+// lane; the caller simulates those few on the interpreter.
 // One non-static variant drops the whole batch to event-driven mode
 // (no lane is lost); use CompileBatchSplit to keep the static majority
 // levelized instead.
@@ -137,12 +136,7 @@ func CompileBatchSplit(base *Design, variants []*Design) ([]*BatchProgram, [][]i
 	}
 	p2, err := compileBatch(base, sub, false)
 	if err != nil {
-		// Unreachable (the base compiled for p1), but degrade safely.
-		p, err2 := compileBatch(base, variants, false)
-		if err2 != nil {
-			return nil, nil, err2
-		}
-		return []*BatchProgram{p}, [][]int{all}, nil
+		return nil, nil, err
 	}
 	return []*BatchProgram{p1, p2}, [][]int{all, ev}, nil
 }

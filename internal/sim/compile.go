@@ -10,8 +10,8 @@ package sim
 // interpreter recomputes on every execution — IEEE 1364 context
 // widths, constant part-select bounds and replication counts — and
 // report errDynamic where the answer depends on signal values; the
-// batch compiler rejects such bodies and the caller falls back to the
-// interpreter for the whole design.
+// batch compiler rejects such bodies, and the testbench recorder
+// simulates a rejected design on the interpreter.
 
 import (
 	"errors"
@@ -34,9 +34,10 @@ const (
 )
 
 // DefaultEngine is the process-wide reference switch. The testbench
-// runner simulates on the batch engine unless DefaultEngine is
-// EngineInterp, which differential tests set to run the whole pipeline
-// on the interpreter.
+// recorder simulates on the batch engine (the interpreter for designs
+// the batch compiler rejects) unless DefaultEngine is EngineInterp,
+// which differential tests set to run the whole pipeline on the
+// interpreter.
 var DefaultEngine = EngineBatched
 
 func (e Engine) String() string {

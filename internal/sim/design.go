@@ -11,10 +11,12 @@
 //     Settle / Tick). Testbench validation, RS-matrix construction and
 //     mutant evaluation run on it; a single DUT is a one-lane batch.
 //   - the interpreter (Instance) walks the AST. It is the reference
-//     oracle the batch engine is tested against, the fallback for
-//     designs the batch compiler rejects, and the only engine with
-//     event time: the timed scheduler (Run) executes initial blocks,
-//     delay-driven always blocks and $display for cmd/vsim.
+//     oracle the batch engine is tested against, the engine of every
+//     design the batch compiler rejects (recorded as a one-lane
+//     simulation by the same testbench recorder as batch lanes), and
+//     the only engine with event time: the timed scheduler (Run)
+//     executes initial blocks, delay-driven always blocks and $display
+//     for cmd/vsim.
 package sim
 
 import (

@@ -1,29 +1,33 @@
 package testbench
 
-// Batched testbench runs: N DUT variants (typically mutants of one
-// golden design, or a single DUT as one lane) advance through every
-// scenario together on a single sim.BatchInstance. Every batched run
-// is record-then-compare. One recorder (record) simulates the lanes of
-// a batch program over the stimulus and keeps each lane's output
-// samples and first error: a trace. One compare (compareLane) turns a
-// DUT lane's trace and the checker's trace into the lane's outcome.
+// Batched testbench runs: a DUT set (typically mutants of one golden
+// design, or a single DUT) is judged against the testbench's checker in
+// one pass. Every run is record-then-compare. One recorder (record)
+// simulates lanes over the stimulus and keeps each lane's output
+// samples and first error: a trace. It drives two engines: the lanes
+// of a compiled sim.BatchProgram, or one design on the interpreter
+// (sim.Instance) as a one-lane simulation — the engine of every design
+// the batch compiler rejects, and of every design while
+// sim.DefaultEngine is sim.EngineInterp. One compare (compareLane)
+// turns a DUT lane's trace and the checker's trace into the lane's
+// outcome, whichever engine recorded them.
 //
 // The checker's trajectory is DUT-independent, so it is recorded once
-// per checker source and stimulus as a one-lane trace (batchTrace) and
-// reused by every run. The DUT side is recorded per run, or — for a
-// caller holding a LaneMemo, like the validator's RTL group — once per
+// per checker source, stimulus and port list (batchTrace) and reused by
+// every run. The DUT side is recorded per run, or — for a caller
+// holding a LaneMemo, like the validator's RTL group — once per
 // stimulus: a corrected checker is then judged against the recorded
 // DUT lanes without simulating them again.
 //
-// With earlyExit=false a lane's outcome is identical to the
-// interpreter runner (runLive) for the same design: the same
-// ScenarioPass vector and an error exactly when the interpreter run
-// errors, with the same text (TestBatchRunMatchesScalar asserts this
-// over mutated DUTs). With earlyExit=true, a lane's outcome stops at
-// its first failing scenario; the overall Pass()/error verdict is
-// unchanged but later ScenarioPass entries stay false — the mode
-// AutoEval's kill checks use. A run that records for itself stops
-// simulating a lane once its outcome is settled.
+// With earlyExit=false a lane's outcome is identical to simulating the
+// DUT and the checker side by side on the interpreter: the same
+// ScenarioPass vector and an error exactly when that run errors, with
+// the same text (TestBatchRunMatchesScalar asserts this over mutated
+// DUTs against the interleaved oracle). With earlyExit=true, a lane's
+// outcome stops at its first failing scenario; the overall
+// Pass()/error verdict is unchanged but later ScenarioPass entries
+// stay false — the mode AutoEval's kill checks use. A run that records
+// for itself stops simulating a lane once its outcome is settled.
 
 import (
 	"context"
@@ -44,10 +48,9 @@ type BatchOutcome struct {
 	Err error
 }
 
-// trace is one recorded simulation of a batch program's lanes over a
-// stimulus: every lane's output samples at the points where the
-// interpreter runner compares them, and each lane's first error. A
-// trace is immutable once recorded.
+// trace is one recorded simulation of some lanes over a stimulus: every
+// lane's output samples at the points where a run compares them, and
+// each lane's first error. A trace is immutable once recorded.
 type trace struct {
 	stim *stimulus
 	// readable[o] is false when output o is not a signal of the
@@ -57,10 +60,9 @@ type trace struct {
 	// fails[lane] is the error that ended the lane, nil for a lane that
 	// simulated every recorded point; it has one entry per lane.
 	fails []*traceFail
-	// live marks a checker that is not recorded: it does not
-	// batch-compile, or sim.DefaultEngine selects the interpreter.
-	// Every run then takes the interpreter runner (runLive).
-	live bool
+	// engine is the sim.DefaultEngine setting a checker trace was
+	// recorded under; a run records its DUTs under the same setting.
+	engine sim.Engine
 }
 
 // scenarioTrace holds one scenario's samples as rows, in the order they
@@ -73,7 +75,7 @@ type scenarioTrace struct {
 }
 
 // Phases of a scenario at which a simulation error can occur, in the
-// order the runner reaches them.
+// order the recorder reaches them.
 const (
 	phaseInit = iota // scenario init (step -1)
 	phaseStep        // driving a step's inputs
@@ -132,9 +134,6 @@ func (s traceSample) same(o traceSample) bool {
 	}
 	return o.wide.SameValue(o.wide.Resize(64))
 }
-
-// liveTrace is the trace of every checker that is not recorded.
-var liveTrace = &trace{live: true}
 
 // stimulus is a copy of everything a recording reads from its
 // testbench besides the simulated designs: the problem's clocking, the
@@ -202,64 +201,254 @@ func (s *stimulus) reads(tb *Testbench, outs []string) bool {
 	return true
 }
 
-// batchTrace records the checker once over all scenarios as a one-lane
-// batch and caches the trace on the testbench, keyed on checker source
-// and the stimulus it read (including the output port list being
-// compared). Only checker elaboration failures are returned as errors;
-// simulation failures are part of the trace (they decide run outcomes,
-// exactly as a live checker would). A checker the batch compiler
-// rejects yields liveTrace, as does every call while sim.DefaultEngine
-// is sim.EngineInterp — the one place the process-wide reference
-// switch is read.
-//
-// ctx is used for observation only: a cold build records the checker's
-// sim_elaborate/sim_compile spans and a sim_run span for the recording
-// on ctx's obs collector, but is never cancelled by it — trace
-// contents must not depend on a caller's cancellation.
-func (tb *Testbench) batchTrace(ctx context.Context, outs []string) (*trace, error) {
-	if sim.DefaultEngine == sim.EngineInterp {
-		return liveTrace, nil
-	}
-	if tb.cachedTrace != nil && tb.cachedTraceSrc == tb.CheckerSource &&
-		(tb.cachedTrace.live || tb.cachedTrace.stim.reads(tb, outs)) {
-		return tb.cachedTrace, nil
-	}
-	ctx = context.WithoutCancel(ctx)
-	cd, err := tb.checkerDesignContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	tr := liveTrace
-	if prog, err := sim.CompileBatch(cd, []*sim.Design{cd}); err == nil && prog.Lanes() == 1 {
-		end := obs.Time(ctx, obs.PhaseRun)
-		// Never cancelled, so the recording cannot fail.
-		tr, _ = tb.record(ctx, sim.NewBatchInstance(prog), newStimulus(tb, outs), "checker", nil)
-		end()
-	}
-	tb.cachedTrace = tr
-	tb.cachedTraceSrc = tb.CheckerSource
-	return tr, nil
+// over returns the stimulus sampling outs instead of s.outs.
+func (s *stimulus) over(outs []string) *stimulus {
+	c := *s
+	c.outs = outs
+	return &c
 }
 
-// record simulates every lane of b over the stimulus, sampling the
-// outputs stim.outs where the interpreter runner compares them. A
-// lane's first simulation error — its own, or a stimulus-side error of
-// the shared drive, which ends every lane still running — ends the
-// lane at its (scenario, step, phase); side ("dut" or "checker")
-// prefixes the error text as the interpreter runner does. After each
-// scenario, settled (when non-nil) is asked about every lane still
-// running and the lanes it reports are no longer simulated. The
-// returned error is non-nil only on cancellation of ctx, and then no
-// trace is returned.
-func (tb *Testbench) record(ctx context.Context, b *sim.BatchInstance, stim *stimulus, side string, settled func(tr *trace, lane, s int) bool) (*trace, error) {
+// A DUTSet is a set of DUT designs prepared for batched runs: the batch
+// programs sim.CompileBatchSplit compiles for them over base, the
+// design whose output ports a run compares (the golden design the DUTs
+// are mutants of; a DUT may alias it). Static variants share a
+// levelized program, the rest batch under a separate event-driven
+// program. A DUT no program gives a lane — every DUT, when base does
+// not batch-compile — is recorded on the interpreter. A DUTSet is
+// immutable and safe to share across concurrent runs.
+type DUTSet struct {
+	base  *sim.Design
+	duts  []*sim.Design
+	progs []*sim.BatchProgram
+	// laneDUT[k][lane] is the DUT index of progs[k]'s lane.
+	laneDUT [][]int
+	// at[i] is DUT i's program lane; prog is -1 when it has none.
+	at []laneRef
+	// outs[i] is DUT i's output port list when it differs from base's
+	// (only a DUT without a lane can differ), else nil.
+	outs [][]string
+}
+
+type laneRef struct{ prog, lane int }
+
+// NewDUTSet compiles duts into batch programs over base. out[i] of
+// every run of the set is duts[i]'s outcome.
+func NewDUTSet(base *sim.Design, duts []*sim.Design) *DUTSet {
+	s := &DUTSet{base: base, duts: duts, at: make([]laneRef, len(duts)), outs: make([][]string, len(duts))}
+	baseOuts := outputPorts(base)
+	for i, d := range duts {
+		s.at[i].prog = -1
+		if outs := outputPorts(d); !slices.Equal(outs, baseOuts) {
+			s.outs[i] = outs
+		}
+	}
+	// A base the batch compiler rejects yields no programs, and every
+	// DUT is recorded on the interpreter.
+	progs, idx, _ := sim.CompileBatchSplit(base, duts)
+	s.progs = progs
+	s.laneDUT = make([][]int, len(progs))
+	for k, p := range progs {
+		s.laneDUT[k] = make([]int, p.Lanes())
+		for vi := range p.Variants() {
+			if lane := p.VariantLane(vi); lane >= 0 {
+				s.laneDUT[k][lane] = idx[k][vi]
+				s.at[idx[k][vi]] = laneRef{k, lane}
+			}
+		}
+	}
+	return s
+}
+
+// setTrace is one recording of a DUT set over a stimulus: a trace per
+// program (nil for a program without lanes, and for every program
+// under the interpreter engine) and a one-lane trace per DUT recorded
+// on the interpreter.
+type setTrace struct {
+	set    *DUTSet
+	stim   *stimulus
+	engine sim.Engine
+	progs  []*trace
+	interp []*trace // per DUT; nil for a DUT recorded as a program lane
+}
+
+// lane returns the trace that holds DUT i and its lane in it.
+func (r *setTrace) lane(i int) (*trace, int) {
+	if tr := r.interp[i]; tr != nil {
+		return tr, 0
+	}
+	at := r.set.at[i]
+	return r.progs[at.prog], at.lane
+}
+
+// A LaneMemo holds the DUT side of one batched run of a DUT set,
+// recorded over every scenario, so that RunBatchContext can judge
+// further checkers over the same stimulus by comparing traces, without
+// simulating the DUTs again — program lanes and interpreter-recorded
+// DUTs alike. It holds one recording, replaced when a run reads a
+// different stimulus, DUT set or engine. The zero value is empty and
+// ready to use; a LaneMemo is safe for concurrent use: racing runs may
+// both record, and they store equal recordings.
+type LaneMemo struct {
+	p atomic.Pointer[setTrace]
+}
+
+// batchTrace returns the checker's trace over the output ports outs,
+// recorded once per checker source, stimulus, port list and engine and
+// cached on the testbench. The checker is recorded as a one-design
+// DUTSet: a one-lane batch program, or on the interpreter when the
+// batch compiler rejects it. It reads sim.DefaultEngine, the one place
+// the process-wide reference switch is read; every run starts here.
+//
+// ctx is used for observation only: a cold build records a sim_run
+// span for the recording on ctx's obs collector, but is never
+// cancelled by it — trace contents must not depend on a caller's
+// cancellation.
+func (tb *Testbench) batchTrace(ctx context.Context, cd *sim.Design, outs []string) *trace {
+	engine := sim.DefaultEngine
+	if tb.cachedTraceSrc != tb.CheckerSource {
+		tb.cachedTraces, tb.cachedTraceSrc = nil, tb.CheckerSource
+	}
+	for _, tr := range tb.cachedTraces {
+		if tr.engine == engine && tr.stim.reads(tb, outs) {
+			return tr
+		}
+	}
+	// Never cancelled, so the recording cannot fail.
+	rec, _ := tb.recordSet(context.WithoutCancel(ctx), NewDUTSet(cd, []*sim.Design{cd}), engine, newStimulus(tb, outs), "checker", nil, false)
+	tr, _ := rec.lane(0)
+	tr.engine = engine
+	// Replace a stale recording over the same ports and engine.
+	i := slices.IndexFunc(tb.cachedTraces, func(c *trace) bool {
+		return c.engine == engine && slices.Equal(c.stim.outs, outs)
+	})
+	if i < 0 {
+		tb.cachedTraces = append(tb.cachedTraces, tr)
+	} else {
+		tb.cachedTraces[i] = tr
+	}
+	return tr
+}
+
+// lanes is what the recorder simulates: the lanes of a batch program,
+// or one design on the interpreter as a single lane. Exactly one of b
+// and in is set; sim is whichever is. The recorder dispatches on it
+// per step and per sampled row, so batch lanes keep a concrete
+// *sim.BatchInstance in the sampling loop. Every interpreter error is
+// returned by the call that met it, like a shared batch error: with
+// one lane, ending every lane and ending that lane coincide.
+type lanes struct {
+	sim  cycleSim
+	b    *sim.BatchInstance
+	in   *sim.Instance
+	done bool // the interpreter lane was deactivated
+}
+
+// cycleSim is the cycle API both engines share.
+type cycleSim interface {
+	BindContext(ctx context.Context)
+	Design() *sim.Design
+	Reset()
+	SlotOf(name string) (int, bool)
+	ZeroInputs() error
+	SetInput(name string, v logic.Vector) error
+	SetInputUint(name string, v uint64) error
+	Settle() error
+	Tick(clk string) error
+}
+
+func batchLanes(p *sim.BatchProgram) *lanes {
+	b := sim.NewBatchInstance(p)
+	return &lanes{sim: b, b: b}
+}
+
+func interpLane(d *sim.Design) *lanes {
+	in := sim.NewInstance(d)
+	return &lanes{sim: in, in: in}
+}
+
+func (l *lanes) count() int {
+	if l.b != nil {
+		return l.b.Lanes()
+	}
+	return 1
+}
+
+func (l *lanes) running() int {
+	if l.b != nil {
+		return l.b.ActiveCount()
+	}
+	if l.done {
+		return 0
+	}
+	return 1
+}
+
+func (l *lanes) active(lane int) bool {
+	if l.b != nil {
+		return l.b.Active(lane)
+	}
+	return !l.done
+}
+
+func (l *lanes) laneErr(lane int) error {
+	if l.b != nil {
+		return l.b.LaneErr(lane)
+	}
+	return nil
+}
+
+func (l *lanes) deactivate(lane int) {
+	if l.b != nil {
+		l.b.Deactivate(lane)
+		return
+	}
+	l.done = true
+}
+
+// sample fills row, lane-major, with every active lane's values of the
+// readable slots.
+func (l *lanes) sample(row []traceSample, slots []int, readable []bool) {
+	if l.b == nil {
+		if !l.done {
+			for o, slot := range slots {
+				if readable[o] {
+					row[o] = sampleOf(l.in.GetSlot(slot))
+				}
+			}
+		}
+		return
+	}
+	w := len(slots)
+	for lane := 0; lane < l.b.Lanes(); lane++ {
+		if !l.b.Active(lane) {
+			continue
+		}
+		for o, slot := range slots {
+			if readable[o] {
+				row[lane*w+o] = sampleOf(l.b.GetSlot(slot, lane))
+			}
+		}
+	}
+}
+
+// record simulates every lane of l over the stimulus, sampling the
+// outputs stim.outs before each clock edge and, for SEQ problems,
+// after it. A lane's first simulation error — its own, or a
+// stimulus-side error of the shared drive, which ends every lane still
+// running — ends the lane at its (scenario, step, phase); side ("dut"
+// or "checker") prefixes the error text. After each scenario, settled
+// (when non-nil) is asked about every lane still running and the lanes
+// it reports are no longer simulated. The returned error is non-nil
+// only on cancellation of ctx, and then no trace is returned.
+func (tb *Testbench) record(ctx context.Context, l *lanes, stim *stimulus, side string, settled func(tr *trace, lane, s int) bool) (*trace, error) {
 	p := tb.Problem
-	n := b.Lanes()
-	b.BindContext(ctx)
+	n := l.count()
+	l.sim.BindContext(ctx)
 	w := len(stim.outs)
 	slots := make([]int, w)
 	readable := make([]bool, w)
 	for i, o := range stim.outs {
-		slots[i], readable[i] = b.SlotOf(o)
+		slots[i], readable[i] = l.sim.SlotOf(o)
 	}
 	perStep := 1
 	if p.Kind == dataset.SEQ {
@@ -270,11 +459,11 @@ func (tb *Testbench) record(ctx context.Context, b *sim.BatchInstance, stim *sti
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if b.ActiveCount() == 0 {
+		if l.running() == 0 {
 			break
 		}
 		if s > 0 {
-			b.Reset()
+			l.sim.Reset()
 		}
 		// end harvests the lanes that erred at (step, phase), each lane's
 		// own error before a shared one, and reports whether the scenario
@@ -290,42 +479,32 @@ func (tb *Testbench) record(ctx context.Context, b *sim.BatchInstance, stim *sti
 				if tr.fails[lane] != nil {
 					continue
 				}
-				err := b.LaneErr(lane)
-				if err == nil && shared != nil && b.Active(lane) {
+				err := l.laneErr(lane)
+				if err == nil && shared != nil && l.active(lane) {
 					err = shared
-					b.Deactivate(lane)
+					l.deactivate(lane)
 				}
 				if err != nil {
 					tr.fails[lane] = &traceFail{s, step, phase, fmt.Errorf("%s: %w", failSite(side, sc.Index, step, phase), err)}
 				}
 			}
-			return b.ActiveCount() > 0, nil
+			return l.running() > 0, nil
 		}
 		st := scenarioTrace{samples: make([]traceSample, 0, len(sc.Steps)*perStep*n*w)}
 		sample := func() {
-			row := st.samples[len(st.samples) : len(st.samples)+n*w]
-			for lane := 0; lane < n; lane++ {
-				if !b.Active(lane) {
-					continue
-				}
-				for o, slot := range slots {
-					if readable[o] {
-						row[lane*w+o] = sampleOf(b.GetSlot(slot, lane))
-					}
-				}
-			}
+			l.sample(st.samples[len(st.samples):len(st.samples)+n*w], slots, readable)
 			st.samples = st.samples[:len(st.samples)+n*w]
 			st.rows++
 		}
-		more, err := end(-1, phaseInit, tb.initScenarioBatch(b))
+		more, err := end(-1, phaseInit, tb.initLanes(l.sim))
 		for si := 0; more && err == nil && si < len(sc.Steps); si++ {
-			if more, err = end(si, phaseStep, applyStepBatch(b, sc.Steps[si])); !more || err != nil {
+			if more, err = end(si, phaseStep, driveStep(l.sim, sc.Steps[si])); !more || err != nil {
 				break
 			}
 			// Sample combinational/Mealy outputs before the clock edge.
 			sample()
 			if p.Kind == dataset.SEQ {
-				if more, err = end(si, phaseTick, b.Tick(p.Clock)); !more || err != nil {
+				if more, err = end(si, phaseTick, l.sim.Tick(p.Clock)); !more || err != nil {
 					break
 				}
 				// Sample registered outputs after the edge as well.
@@ -338,8 +517,8 @@ func (tb *Testbench) record(ctx context.Context, b *sim.BatchInstance, stim *sti
 		tr.scenarios = append(tr.scenarios, st)
 		if settled != nil {
 			for lane := 0; lane < n; lane++ {
-				if b.Active(lane) && settled(tr, lane, s) {
-					b.Deactivate(lane)
+				if l.active(lane) && settled(tr, lane, s) {
+					l.deactivate(lane)
 				}
 			}
 		}
@@ -347,7 +526,7 @@ func (tb *Testbench) record(ctx context.Context, b *sim.BatchInstance, stim *sti
 	return tr, nil
 }
 
-// failSite names where a run stopped, in the interpreter runner's words.
+// failSite names where a run stopped: side, scenario, step and phase.
 func failSite(side string, scenario, step, phase int) string {
 	switch phase {
 	case phaseInit:
@@ -361,8 +540,8 @@ func failSite(side string, scenario, step, phase int) string {
 // laneFail returns the error that ends a DUT lane's run against the
 // checker, nil when neither side errs: the earlier of the lane's own
 // error and the checker's. A DUT error wins a tie at the same
-// (scenario, step, phase), because the interpreter runner drives the
-// DUT side first.
+// (scenario, step, phase), as when the two are simulated side by side
+// with the DUT driven first.
 func laneFail(dut, chk *trace, lane int) *traceFail {
 	f, c := dut.fails[lane], chk.fails[0]
 	if c != nil && (f == nil || c.before(f)) {
@@ -411,50 +590,39 @@ func compareLane(dut, chk *trace, lane int, earlyExit bool) BatchOutcome {
 	return BatchOutcome{Res: res}
 }
 
-// laneTrace is the DUT side of a run of a program set: one trace per
-// program (nil for a program without lanes), all over one stimulus.
-type laneTrace struct {
-	stim   *stimulus
-	progs  []*sim.BatchProgram
-	traces []*trace
-}
-
-// A LaneMemo holds the DUT side of one batched run of a program set,
-// recorded over every scenario, so that RunBatchProgramsContext can
-// judge further checkers over the same stimulus by comparing traces,
-// without simulating the DUTs again. It holds one recording, replaced
-// when a run reads a different stimulus or program set. The zero value
-// is empty and ready to use; a LaneMemo is safe for concurrent use:
-// racing runs may both record, and they store equal recordings.
-type LaneMemo struct {
-	p atomic.Pointer[laneTrace]
-}
-
 // WarmBatchTrace elaborates the checker and records its trace for runs
 // against DUTs sharing base's port list, so a testbench warmed under
 // its owner's control — e.g. inside autoeval's once-guarded fixture
 // build — is afterwards read-only and safe for concurrent runs.
 func (tb *Testbench) WarmBatchTrace(base *sim.Design) error {
-	if _, err := tb.checkerDesignContext(context.Background()); err != nil {
+	cd, err := tb.checkerDesignContext(context.Background())
+	if err != nil {
 		return err
 	}
-	_, err := tb.batchTrace(context.Background(), outputPorts(base))
-	return err
+	tb.batchTrace(context.Background(), cd, outputPorts(base))
+	return nil
 }
 
-// RunBatchAgainstDesignsContext runs every DUT design against the
-// testbench in one batched pass. base is the design the batch programs
-// are compiled against (the golden design the duts are mutants of; any
-// dut may alias it). Compilation is split (sim.CompileBatchSplit):
-// static variants share a levelized program, the rest batch under a
-// separate event-driven program. DUTs every program rejects — and
-// every DUT, when the base or the checker cannot batch-compile — fall
-// back to individual interpreter runs, so the result is total: out[i]
-// always corresponds to duts[i]. The returned error is non-nil only on
-// context cancellation.
-func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *sim.Design, duts []*sim.Design, earlyExit bool) ([]BatchOutcome, error) {
-	out := make([]BatchOutcome, len(duts))
-	chk, err := tb.batchTrace(ctx, outputPorts(base))
+// RunBatchContext runs every DUT of set against the testbench in one
+// batched pass and returns one outcome per DUT, in set order. The
+// checker is recorded once (batchTrace); the DUTs are recorded as
+// program lanes and, for DUTs without a lane, on the interpreter, each
+// compared on its own output ports. A checker that does not elaborate
+// is every DUT's "checker:" error.
+//
+// With a nil memo the DUTs are recorded for this call only, and a lane
+// stops simulating once its outcome is settled. With a memo, a run
+// whose stimulus, DUT set and engine match its recording simulates no
+// DUT and only compares traces; any other run records every DUT through
+// every scenario and stores the recording in memo. The returned error
+// is non-nil only on cancellation of ctx, and then no recording is
+// stored.
+func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit bool, memo *LaneMemo) ([]BatchOutcome, error) {
+	out := make([]BatchOutcome, len(set.duts))
+	if len(out) == 0 {
+		return out, nil
+	}
+	cd, err := tb.checkerDesignContext(ctx)
 	if err != nil {
 		err = fmt.Errorf("checker: %w", err)
 		for i := range out {
@@ -462,180 +630,127 @@ func (tb *Testbench) RunBatchAgainstDesignsContext(ctx context.Context, base *si
 		}
 		return out, nil
 	}
-	if !chk.live {
-		if progs, idxs, err := sim.CompileBatchSplit(base, duts); err == nil {
-			return out, tb.runBatchPrograms(ctx, progs, idxs, chk, out, earlyExit, nil)
+	// chks[i] is the checker trace DUT i is compared with, over its own
+	// output ports.
+	chk := tb.batchTrace(ctx, cd, outputPorts(set.base))
+	chks := make([]*trace, len(out))
+	for i, outs := range set.outs {
+		chks[i] = chk
+		if outs != nil {
+			chks[i] = tb.batchTrace(ctx, cd, outs)
 		}
 	}
-	// Wholesale fallback: the base or the checker cannot batch-compile.
-	for i := range duts {
-		if err := ctx.Err(); err != nil {
-			return out, err
+	var rec *setTrace
+	if memo != nil {
+		if m := memo.p.Load(); m != nil && m.set == set && m.engine == chk.engine && m.stim.reads(tb, chk.stim.outs) {
+			rec = m
 		}
-		res, err := tb.runLive(ctx, duts[i])
-		out[i] = BatchOutcome{Res: res, Err: err}
+	}
+	if rec == nil {
+		// A memo's recording is for every later checker, so it records
+		// every lane through every scenario.
+		judge := chks
+		if memo != nil {
+			judge = nil
+		}
+		if rec, err = tb.recordSet(ctx, set, chk.engine, chk.stim, "dut", judge, earlyExit); err != nil {
+			return nil, err
+		}
+		if memo != nil {
+			memo.p.Store(rec)
+		}
+	}
+	for i := range out {
+		tr, lane := rec.lane(i)
+		out[i] = compareLane(tr, chks[i], lane, earlyExit)
 	}
 	return out, nil
 }
 
-// RunBatchProgramsContext is RunBatchAgainstDesignsContext for a
-// precompiled program set — typically the (programs, index lists)
-// pair from sim.CompileBatchSplit — run in one batched pass: callers
-// that run the same DUT set repeatedly (AutoEval's mutant fixtures,
-// the validator's RTL group) compile once and skip the per-call
-// compile. idx[k][i] gives the outcome slot of progs[k]'s i-th
-// variant; every program must share the same base design. A variant
-// no program accepted — every variant, when the checker does not
-// batch-compile — falls back to an interpreter run, so outcomes are
-// total over the indexed variants.
-//
-// With a nil memo the DUT lanes are recorded for this call only. With
-// a memo, a run whose stimulus and program set match its recording
-// simulates no lane and only compares traces; any other run records
-// every scenario and stores the recording in memo.
-func (tb *Testbench) RunBatchProgramsContext(ctx context.Context, progs []*sim.BatchProgram, idx [][]int, earlyExit bool, memo *LaneMemo) ([]BatchOutcome, error) {
-	if len(progs) == 0 {
-		return nil, nil
-	}
-	n := 0
-	for _, ix := range idx {
-		for _, vi := range ix {
-			if vi >= n {
-				n = vi + 1
-			}
-		}
-	}
-	out := make([]BatchOutcome, n)
-	chk, err := tb.batchTrace(ctx, outputPorts(progs[0].Base()))
-	if err != nil {
-		err = fmt.Errorf("checker: %w", err)
-		for i := range out {
-			out[i].Err = err
-		}
-		return out, nil
-	}
-	return out, tb.runBatchPrograms(ctx, progs, idx, chk, out, earlyExit, memo)
-}
-
-// runBatchPrograms fills out by comparing every program's recorded
-// lanes with the checker trace chk and, for variants no program
-// accepted, running individual interpreter fallbacks. The returned
-// error is non-nil only on context cancellation.
-func (tb *Testbench) runBatchPrograms(ctx context.Context, progs []*sim.BatchProgram, idxs [][]int, chk *trace, out []BatchOutcome, earlyExit bool, memo *LaneMemo) error {
-	// A variant rejected by one program may hold a lane in another
-	// (CompileBatchSplit routes non-static variants to the second,
-	// event-driven program); only variants no program accepted — or
-	// all of them, against a live checker — run on the interpreter.
-	handled := make([]bool, len(out))
-	dutOf := make([]*sim.Design, len(out))
-	for k, p := range progs {
-		vs := p.Variants()
-		for i := range vs {
-			vi := idxs[k][i]
-			if dutOf[vi] == nil {
-				dutOf[vi] = vs[i]
-			}
-			if !chk.live && p.VariantLane(i) >= 0 {
-				handled[vi] = true
-			}
-		}
-	}
-	for vi, d := range dutOf {
-		if handled[vi] || d == nil {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := tb.runLive(ctx, d)
-		out[vi] = BatchOutcome{Res: res, Err: err}
-	}
-	if chk.live {
-		return nil
-	}
-
-	var lt *laneTrace
-	if memo != nil {
-		if m := memo.p.Load(); m != nil && slices.Equal(m.progs, progs) && m.stim.reads(tb, chk.stim.outs) {
-			lt = m
-		}
-	}
-	if lt == nil {
-		// A run recording for itself stops each lane once its outcome
-		// is settled; a memo's recording is for every later checker, so
-		// it records every lane through every scenario.
-		var settled func(tr *trace, lane, s int) bool
-		if memo == nil {
-			settled = func(tr *trace, lane, s int) bool {
-				if f := laneFail(tr, chk, lane); f != nil && f.scenario <= s {
-					return true
-				}
-				return earlyExit && !lanePass(tr, chk, lane, s)
-			}
-		}
-		var err error
-		if lt, err = tb.recordLanes(ctx, progs, chk.stim, settled); err != nil {
-			return err
-		}
-		if memo != nil {
-			memo.p.Store(lt)
-		}
-	}
-	for k, p := range progs {
-		for vi := range p.Variants() {
-			if lane := p.VariantLane(vi); lane >= 0 {
-				out[idxs[k][vi]] = compareLane(lt.traces[k], chk, lane, earlyExit)
-			}
-		}
-	}
-	return nil
-}
-
-// recordLanes records every program's lanes over stim as one sim_run.
-func (tb *Testbench) recordLanes(ctx context.Context, progs []*sim.BatchProgram, stim *stimulus, settled func(tr *trace, lane, s int) bool) (*laneTrace, error) {
+// recordSet records every DUT of set over stim as one sim_run. Under
+// the batched engine each program records its lanes; every other DUT —
+// every DUT under the interpreter engine — is recorded on the
+// interpreter as one lane, over its own output ports when they differ
+// from the base's. With chks (per DUT, the checker trace it is
+// compared with) a lane stops once its outcome is settled; with nil
+// chks every lane is recorded through every scenario. The returned
+// error is non-nil only on cancellation of ctx.
+func (tb *Testbench) recordSet(ctx context.Context, set *DUTSet, engine sim.Engine, stim *stimulus, side string, chks []*trace, earlyExit bool) (*setTrace, error) {
 	defer obs.Time(ctx, obs.PhaseRun)()
-	lt := &laneTrace{stim: stim, progs: progs, traces: make([]*trace, len(progs))}
-	for k, p := range progs {
-		if p.Lanes() == 0 {
+	rec := &setTrace{set: set, stim: stim, engine: engine, progs: make([]*trace, len(set.progs)), interp: make([]*trace, len(set.duts))}
+	// settled stops the lane of DUT dut(lane) once its outcome is known.
+	settled := func(dut func(lane int) int) func(tr *trace, lane, s int) bool {
+		if chks == nil {
+			return nil
+		}
+		return func(tr *trace, lane, s int) bool {
+			chk := chks[dut(lane)]
+			if f := laneFail(tr, chk, lane); f != nil && f.scenario <= s {
+				return true
+			}
+			return earlyExit && !lanePass(tr, chk, lane, s)
+		}
+	}
+	batched := engine == sim.EngineBatched
+	var err error
+	for k, p := range set.progs {
+		if !batched || p.Lanes() == 0 {
 			continue
 		}
-		tr, err := tb.record(ctx, sim.NewBatchInstance(p), stim, "dut", settled)
-		if err != nil {
+		laneDUT := set.laneDUT[k]
+		if rec.progs[k], err = tb.record(ctx, batchLanes(p), stim, side, settled(func(lane int) int { return laneDUT[lane] })); err != nil {
 			return nil, err
 		}
-		lt.traces[k] = tr
 	}
-	return lt, nil
+	for i, d := range set.duts {
+		if batched && set.at[i].prog >= 0 {
+			continue
+		}
+		s := stim
+		if outs := set.outs[i]; outs != nil {
+			s = stim.over(outs)
+		}
+		if rec.interp[i], err = tb.record(ctx, interpLane(d), s, side, settled(func(int) int { return i })); err != nil {
+			return nil, err
+		}
+	}
+	return rec, nil
 }
 
-func (tb *Testbench) initScenarioBatch(b *sim.BatchInstance) error {
+// initLanes starts a scenario: every input zero and, for SEQ problems
+// with a reset, one clock cycle with the reset asserted.
+func (tb *Testbench) initLanes(s cycleSim) error {
 	p := tb.Problem
-	if err := b.ZeroInputs(); err != nil {
+	if err := s.ZeroInputs(); err != nil {
 		return err
 	}
 	if p.Kind == dataset.SEQ && p.Reset != "" {
-		if err := b.SetInputUint(p.Reset, 1); err != nil {
+		if err := s.SetInputUint(p.Reset, 1); err != nil {
 			return err
 		}
-		if err := b.Tick(p.Clock); err != nil {
+		if err := s.Tick(p.Clock); err != nil {
 			return err
 		}
-		if err := b.SetInputUint(p.Reset, 0); err != nil {
+		if err := s.SetInputUint(p.Reset, 0); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// applyStepBatch drives one step on every active lane, in the same
-// sorted port order as the interpreter's applyStep. Deferrable batches
-// (pure-blocking levelized comb, no sequential processes) apply the
-// whole step under a single settle — same final state, one levelized
-// pass instead of one per input.
-func applyStepBatch(b *sim.BatchInstance, st Step) error {
-	deferred := b.InputsDeferrable()
+// driveStep drives one step's inputs on every active lane in sorted
+// port-name order and settles. The order matters: SetInput propagates
+// after every input, and designs with internal feedback (notably
+// mutated RTLs, which can latch) can settle differently depending on
+// which input moves first. Deferrable batches (pure-blocking levelized
+// comb, no sequential processes) apply the whole step under a single
+// settle — same final state, one levelized pass instead of one per
+// input.
+func driveStep(s cycleSim, st Step) error {
+	b, _ := s.(*sim.BatchInstance)
+	deferred := b != nil && b.InputsDeferrable()
 	for _, name := range st.SortedNames() {
-		port := b.Design().Port(name)
+		port := s.Design().Port(name)
 		if port == nil {
 			return fmt.Errorf("stimulus for unknown port %q", name)
 		}
@@ -646,9 +761,9 @@ func applyStepBatch(b *sim.BatchInstance, st Step) error {
 			}
 			continue
 		}
-		if err := b.SetInput(name, v); err != nil {
+		if err := s.SetInput(name, v); err != nil {
 			return err
 		}
 	}
-	return b.Settle()
+	return s.Settle()
 }

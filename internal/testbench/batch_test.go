@@ -8,16 +8,20 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"correctbench/internal/logic"
 	"correctbench/internal/mutate"
+	"correctbench/internal/obs"
 	"correctbench/internal/sim"
 	"correctbench/internal/verilog"
 )
 
 // batchDiffDUTs builds a DUT set for a problem: the base design itself,
-// a structurally-incompatible clone (extra signal — forces the
-// per-lane interpreter fallback), and a set of single/double mutants.
+// two structurally-incompatible clones that no batch program accepts,
+// so they are recorded on the interpreter — one with an extra signal,
+// one with an extra output port, compared on its own port list — and a
+// set of single/double mutants.
 func batchDiffDUTs(t *testing.T, tb *Testbench, base *sim.Design) []*sim.Design {
 	t.Helper()
 	p := tb.Problem
@@ -26,6 +30,11 @@ func batchDiffDUTs(t *testing.T, tb *Testbench, base *sim.Design) []*sim.Design 
 	withExtra := strings.Replace(p.Source, "endmodule",
 		"wire batch_diff_pad;\nassign batch_diff_pad = 1'b0;\nendmodule", 1)
 	if d, err := sim.ElaborateSourceContext(context.Background(), withExtra, p.Top); err == nil {
+		duts = append(duts, d)
+	}
+	withPort := strings.Replace(strings.Replace(p.Source, "\n);", ",\n    output batch_diff_out\n);", 1),
+		"endmodule", "assign batch_diff_out = 1'b0;\nendmodule", 1)
+	if d, err := sim.ElaborateSourceContext(context.Background(), withPort, p.Top); err == nil {
 		duts = append(duts, d)
 	}
 
@@ -92,7 +101,7 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 				}
 			}
 
-			batch, err := tb.RunBatchAgainstDesignsContext(context.Background(), base, duts, false)
+			batch, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, duts), false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +123,7 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 				}
 			}
 
-			early, err := tb.RunBatchAgainstDesignsContext(context.Background(), base, duts, true)
+			early, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, duts), true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,8 +139,10 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 }
 
 // TestBatchRunWholesaleFallback drives the paths where the base design
-// or the checker cannot batch-compile ($display is dynamic): every DUT
-// must still get its exact interpreter outcome.
+// or the checker cannot batch-compile ($display is dynamic), so they
+// are recorded on the interpreter: every DUT must still get its exact
+// interpreter outcome, and the recordings must be replayed — a second
+// memoized run records nothing, neither the checker nor the DUTs.
 func TestBatchRunWholesaleFallback(t *testing.T) {
 	tb := golden(t, "mux2_w4")
 	p := tb.Problem
@@ -157,23 +168,32 @@ func TestBatchRunWholesaleFallback(t *testing.T) {
 		{"base", tb, base},
 		{"checker", liveChecker, golden},
 	} {
-		duts := []*sim.Design{base, golden}
-		batch, err := tc.tb.RunBatchAgainstDesignsContext(context.Background(), tc.base, duts, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, d := range duts {
-			res, rerr := tc.tb.runLive(context.Background(), d)
-			if (batch[i].Err != nil) != (rerr != nil) {
-				t.Fatalf("%s dut %d: batch err=%v interp err=%v", tc.label, i, batch[i].Err, rerr)
+		set := NewDUTSet(tc.base, []*sim.Design{base, golden})
+		var memo LaneMemo
+		for round := 0; round < 2; round++ {
+			col := obs.NewCollector(time.Time{})
+			batch, err := tc.tb.RunBatchContext(obs.WithCollector(context.Background(), col), set, false, &memo)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if rerr == nil && !reflect.DeepEqual(batch[i].Res.ScenarioPass, res.ScenarioPass) {
-				t.Errorf("%s dut %d: ScenarioPass diverged: %v vs %v", tc.label, i, batch[i].Res.ScenarioPass, res.ScenarioPass)
+			for i, d := range set.duts {
+				res, rerr := tc.tb.runLive(context.Background(), d)
+				if (batch[i].Err != nil) != (rerr != nil) {
+					t.Fatalf("%s dut %d: batch err=%v interp err=%v", tc.label, i, batch[i].Err, rerr)
+				}
+				if rerr == nil && !reflect.DeepEqual(batch[i].Res.ScenarioPass, res.ScenarioPass) {
+					t.Errorf("%s dut %d: ScenarioPass diverged: %v vs %v", tc.label, i, batch[i].Res.ScenarioPass, res.ScenarioPass)
+				}
+			}
+			if round == 0 {
+				continue
+			}
+			for _, s := range col.Samples() {
+				if s.Phase == obs.PhaseRun {
+					t.Errorf("%s: second run opened a %s span; the recordings were not replayed", tc.label, obs.PhaseRun)
+				}
 			}
 		}
-	}
-	if tr, err := liveChecker.batchTrace(context.Background(), outputPorts(golden)); err != nil || !tr.live {
-		t.Errorf("$display checker: trace live=%v err=%v, want a live trace", tr != nil && tr.live, err)
 	}
 }
 
@@ -208,17 +228,14 @@ func TestBatchMemoKeepsNoCancelledRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs, idx, err := sim.CompileBatchSplit(base, batchDiffDUTs(t, tb, base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := tb.RunBatchProgramsContext(context.Background(), progs, idx, false, nil)
+	set := NewDUTSet(base, batchDiffDUTs(t, tb, base))
+	want, err := tb.RunBatchContext(context.Background(), set, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for polls := int64(0); ; polls++ {
 		var memo LaneMemo
-		got, err := tb.RunBatchProgramsContext(newCancelAfter(polls), progs, idx, false, &memo)
+		got, err := tb.RunBatchContext(newCancelAfter(polls), set, false, &memo)
 		if err != nil {
 			if !errors.Is(err, context.Canceled) || memo.p.Load() != nil {
 				t.Fatalf("cancelled after %d polls: err %v, memo stored %v", polls, err, memo.p.Load() != nil)
@@ -228,7 +245,7 @@ func TestBatchMemoKeepsNoCancelledRecording(t *testing.T) {
 		if memo.p.Load() == nil {
 			t.Fatalf("run after %d polls stored no recording", polls)
 		}
-		again, err := tb.RunBatchProgramsContext(context.Background(), progs, idx, false, &memo)
+		again, err := tb.RunBatchContext(context.Background(), set, false, &memo)
 		if err != nil {
 			t.Fatal(err)
 		}

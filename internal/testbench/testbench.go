@@ -14,15 +14,16 @@
 //
 // Substitution note (engine): where AutoBench shells out to Icarus
 // Verilog per run, this framework simulates on internal/sim. Every run
-// is a "one checker, N DUTs" run (batch.go): the checker is simulated
-// once on a one-lane sim.BatchProgram and its outputs recorded, and
-// the DUTs advance as lanes of one compiled batch program, whose
-// recorded outputs are compared with the checker's — the
-// validator's RS matrix and AutoEval's mutant grading batch whole
-// candidate sets, a single DUT is a one-lane batch. A checker or DUT
-// the batch compiler rejects runs on the reference AST interpreter
-// (sim.Instance), which is bit-for-bit identical, so RS matrices and
-// AutoEval verdicts do not depend on which engine runs them.
+// is a "one checker, N DUTs" run (batch.go) through one recorder with
+// two engines: the checker is recorded once as a one-lane simulation,
+// the DUTs as lanes of compiled batch programs — the validator's RS
+// matrix and AutoEval's mutant grading batch whole candidate sets, a
+// single DUT is a one-lane batch — and each DUT's recorded outputs are
+// compared with the checker's. A checker or DUT the batch compiler
+// rejects is recorded as a one-lane simulation on the reference AST
+// interpreter (sim.Instance), which is bit-for-bit identical, so RS
+// matrices and AutoEval verdicts do not depend on which engine
+// records them.
 package testbench
 
 import (
@@ -33,9 +34,7 @@ import (
 	"sync/atomic"
 
 	"correctbench/internal/dataset"
-	"correctbench/internal/logic"
 	"correctbench/internal/mutate"
-	"correctbench/internal/obs"
 	"correctbench/internal/sim"
 	"correctbench/internal/verilog"
 )
@@ -53,7 +52,7 @@ type Step struct {
 }
 
 // SortedNames returns the step's port names in sorted order, the
-// deterministic drive order of applyStep. Hand-built steps (nil cache)
+// deterministic drive order of driveStep. Hand-built steps (nil cache)
 // get a freshly sorted list; the method never mutates the step, so a
 // shared testbench stays safe for concurrent runs.
 func (st Step) SortedNames() []string {
@@ -119,12 +118,12 @@ type Testbench struct {
 	cachedChecker    *sim.Design
 	cachedCheckerSrc string
 
-	// Cached checker trace (see batchTrace): the checker's trajectory
-	// depends only on the stimulus, so one recorded simulation serves
-	// every run over that stimulus. Same concurrency convention as
-	// cachedChecker: warm it (WarmBatchTrace) before sharing the
-	// testbench across goroutines.
-	cachedTrace    *trace
+	// Cached checker traces (see batchTrace), one per port list and
+	// engine: the checker's trajectory depends only on the stimulus, so
+	// one recorded simulation serves every run over that stimulus. Same
+	// concurrency convention as cachedChecker: warm it (WarmBatchTrace)
+	// before sharing the testbench across goroutines.
+	cachedTraces   []*trace
 	cachedTraceSrc string
 }
 
@@ -244,50 +243,15 @@ func (tb *Testbench) RunAgainstSourceContext(ctx context.Context, dutSrc, dutTop
 }
 
 // RunAgainstDesignContext is RunAgainstSourceContext for a
-// pre-elaborated DUT: a one-lane batched run against the recorded
-// checker trace (RunBatchAgainstDesignsContext), falling back to the
-// interpreter when the DUT or the checker does not batch-compile. A
-// cancellation takes effect within one simulation step batch.
+// pre-elaborated DUT: a one-DUT batched run against the recorded
+// checker trace (RunBatchContext). A cancellation takes effect within
+// one simulation step batch.
 func (tb *Testbench) RunAgainstDesignContext(ctx context.Context, dutDesign *sim.Design) (*RunResult, error) {
-	out, err := tb.RunBatchAgainstDesignsContext(ctx, dutDesign, []*sim.Design{dutDesign}, false)
+	out, err := tb.RunBatchContext(ctx, NewDUTSet(dutDesign, []*sim.Design{dutDesign}), false, nil)
 	if err != nil {
 		return nil, err
 	}
 	return out[0].Res, out[0].Err
-}
-
-// runLive simulates the DUT and the checker side by side on the
-// interpreter, the reference every batched run must reproduce. The
-// context is bound to both instances, so a cancellation takes effect
-// at the next propagation wave. The instances are allocated once and
-// pooled across scenarios with an in-place Reset.
-func (tb *Testbench) runLive(ctx context.Context, dutDesign *sim.Design) (*RunResult, error) {
-	checkerDesign, err := tb.checkerDesignContext(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("checker: %w", err)
-	}
-	defer obs.Time(ctx, obs.PhaseRun)()
-	res := &RunResult{ScenarioPass: make([]bool, len(tb.Scenarios))}
-	outs := outputPorts(dutDesign)
-	dut := sim.NewInstance(dutDesign)
-	chk := sim.NewInstance(checkerDesign)
-	dut.BindContext(ctx)
-	chk.BindContext(ctx)
-	for i, sc := range tb.Scenarios {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if i > 0 {
-			dut.Reset()
-			chk.Reset()
-		}
-		pass, err := tb.runScenario(sc, dut, chk, outs)
-		if err != nil {
-			return nil, err
-		}
-		res.ScenarioPass[i] = pass
-	}
-	return res, nil
 }
 
 func outputPorts(d *sim.Design) []string {
@@ -298,102 +262,6 @@ func outputPorts(d *sim.Design) []string {
 		}
 	}
 	return out
-}
-
-// runScenario runs one scenario on freshly reset DUT and checker
-// instances and compares sampled outputs step by step. Errors are
-// prefixed "dut:" or "checker:" so the validator can attribute
-// simulation failures to the right side.
-func (tb *Testbench) runScenario(sc Scenario, dut, chk *sim.Instance, outs []string) (bool, error) {
-	p := tb.Problem
-	sides := []struct {
-		label string
-		inst  *sim.Instance
-	}{{"dut", dut}, {"checker", chk}}
-
-	for _, side := range sides {
-		if err := tb.initScenario(side.inst); err != nil {
-			return false, fmt.Errorf("%s: scenario %d init: %w", side.label, sc.Index, err)
-		}
-	}
-	pass := true
-	for si, st := range sc.Steps {
-		for _, side := range sides {
-			if err := applyStep(side.inst, st); err != nil {
-				return false, fmt.Errorf("%s: scenario %d step %d: %w", side.label, sc.Index, si, err)
-			}
-		}
-		// Sample combinational/Mealy outputs before the clock edge.
-		if !sameOutputs(dut, chk, outs) {
-			pass = false
-		}
-		if p.Kind == dataset.SEQ {
-			for _, side := range sides {
-				if err := side.inst.Tick(p.Clock); err != nil {
-					return false, fmt.Errorf("%s: scenario %d step %d tick: %w", side.label, sc.Index, si, err)
-				}
-			}
-			// Sample registered outputs after the edge as well.
-			if !sameOutputs(dut, chk, outs) {
-				pass = false
-			}
-		}
-	}
-	return pass, nil
-}
-
-func (tb *Testbench) initScenario(inst *sim.Instance) error {
-	p := tb.Problem
-	if err := inst.ZeroInputs(); err != nil {
-		return err
-	}
-	if p.Kind == dataset.SEQ && p.Reset != "" {
-		if err := inst.SetInputUint(p.Reset, 1); err != nil {
-			return err
-		}
-		if err := inst.Tick(p.Clock); err != nil {
-			return err
-		}
-		if err := inst.SetInputUint(p.Reset, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyStep drives a step's stimuli in sorted port-name order. The
-// order matters: SetInput propagates after every input, and designs
-// with internal feedback (notably mutated RTLs, which can latch) can
-// settle differently depending on which input moves first. Iterating
-// the Inputs map directly would inherit Go's randomized map order and
-// make such rows of the RS matrix flicker between runs. The sorted
-// list is precomputed per step at generation time (SortedNames), not
-// re-sorted on every application.
-func applyStep(inst *sim.Instance, st Step) error {
-	for _, name := range st.SortedNames() {
-		port := inst.Design().Port(name)
-		if port == nil {
-			return fmt.Errorf("stimulus for unknown port %q", name)
-		}
-		if err := inst.SetInput(name, logic.FromUint64(port.Width, st.Inputs[name])); err != nil {
-			return err
-		}
-	}
-	return inst.Settle()
-}
-
-func sameOutputs(dut, chk *sim.Instance, outs []string) bool {
-	for _, o := range outs {
-		dv, err1 := dut.Get(o)
-		cv, err2 := chk.Get(o)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if !dv.SameValue(cv) {
-			return false
-		}
-	}
-	return true
 }
 
 // ---- golden testbench ----

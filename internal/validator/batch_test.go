@@ -20,6 +20,7 @@ import (
 	"correctbench/internal/sim"
 	"correctbench/internal/testbench"
 	"correctbench/internal/validator"
+	"correctbench/internal/verilog"
 )
 
 // oracleMatrix is the RS matrix built the straightforward way: every
@@ -206,7 +207,8 @@ func (c *cancelAfter) Err() error {
 // batchCancelGroup builds a small group covering every row kind: the
 // generated candidates (mutated, correct, syntax-broken), one more
 // syntax-broken source and one that elaborates but cannot share the
-// batch program (an extra signal), which runs on the interpreter.
+// batch program (an extra signal), which is recorded on the
+// interpreter.
 func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate {
 	t.Helper()
 	var acct llm.Accountant
@@ -222,9 +224,9 @@ func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate
 
 // TestBatchCancellation cancels at every context poll of NewGroup and
 // of BuildMatrixContext in turn, on a group that runs as batch lanes
-// plus an interpreter fallback (cnt8) and on one whose golden design
-// cannot batch-compile ($display), so every candidate runs on the
-// wholesale interpreter fallback. A cancelled call must return the
+// plus an interpreter-recorded row (cnt8) and on one whose golden
+// design cannot batch-compile ($display), so every candidate is
+// recorded on the interpreter. A cancelled call must return the
 // context's error and nothing else — no group, no matrix, no broken
 // verdict and no discarded rows — and a call the cancellation misses
 // must return exactly the uncancelled result. The build is swept
@@ -232,7 +234,7 @@ func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate
 // lands in the recording of the candidates' lanes (after which the
 // same group must still build the uncancelled matrix: a cancelled
 // recording keeps nothing), and on a warm group, whose rounds replay
-// the recorded lanes.
+// the recorded lanes, polling only at entry, and simulate nothing.
 func TestBatchCancellation(t *testing.T) {
 	cnt8 := dataset.ByName("cnt8")
 	mux := dataset.ByName("mux2_w4")
@@ -301,7 +303,7 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 				if !ok || m.Render() != want {
 					t.Fatalf("%s: build after %d polls: ok=%v matrix\n%v\nwant\n%s", sweep.name, polls, ok, m, want)
 				}
-				if polls < 10 {
+				if sweep.name == "recording" && polls < 10 {
 					t.Fatalf("%s: build finished after only %d polls; the sweep tested nothing", sweep.name, polls)
 				}
 				break
@@ -312,6 +314,15 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 			if m, ok, err := v.BuildMatrixContext(context.Background(), tb, group); err != nil || !ok || m.Render() != want {
 				t.Fatalf("%s: build after a cancellation at %d polls: ok=%v err=%v matrix\n%v\nwant\n%s", sweep.name, polls, ok, err, m, want)
 			}
+		}
+	}
+	col := obs.NewCollector(time.Time{})
+	if _, ok, err := v.BuildMatrixContext(obs.WithCollector(context.Background(), col), tb, warm); err != nil || !ok {
+		t.Fatalf("warm build: ok=%v err=%v", ok, err)
+	}
+	for _, s := range col.Samples() {
+		if s.Phase == obs.PhaseRun || s.Phase == obs.PhaseElaborate {
+			t.Errorf("warm round opened a %s span; it must replay every recording", s.Phase)
 		}
 	}
 }
@@ -466,6 +477,63 @@ func TestBatchReplayAfterEarlyFailingChecker(t *testing.T) {
 			}
 			if runs := c.round(t, "clean checker", clean); runs != 1 {
 				t.Errorf("clean round: %d sim_run, want 1 (checker trace; lanes replayed)", runs)
+			}
+		})
+	}
+}
+
+// TestBatchReplayInterpreterRow replays rows recorded on the
+// interpreter: on cnt8 with an extra-signal candidate that no batch
+// program accepts, and on a problem whose golden design cannot
+// batch-compile ($display), where every candidate and the checker are
+// recorded on the interpreter. A first round with a faulty checker
+// records the checker and the candidates; a second round with the
+// corrected checker records only the checker — exactly one sim_run —
+// and both rounds match the oracle byte for byte.
+func TestBatchReplayInterpreterRow(t *testing.T) {
+	mux := dataset.ByName("mux2_w4")
+	display := &dataset.Problem{
+		Name: "mux2_w4_display", Kind: mux.Kind, Spec: mux.Spec, Top: mux.Top, Difficulty: mux.Difficulty,
+		Source: strings.Replace(mux.Source, "endmodule",
+			"always @(*) if (sel === 1'bx) $display(\"x-sel\");\nendmodule", 1),
+	}
+	for _, p := range []*dataset.Problem{dataset.ByName("cnt8"), display} {
+		t.Run(p.Name, func(t *testing.T) {
+			cands := batchCancelGroup(t, p)
+			group, err := validator.NewGroup(context.Background(), p, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(12))
+			scs, err := testbench.GenerateScenarios(p, rng, testbench.Coverage{Scenarios: 5, Steps: 6, Corners: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := p.Module()
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
+			clean.DriverSource = testbench.EmitDriver(clean)
+			want, _ := oracleMatrix(t, clean, cands)
+			// The first mutant checker that changes the matrix.
+			var tb *testbench.Testbench
+			for i := 0; tb == nil; i++ {
+				if i == 20 {
+					t.Fatal("no checker mutation changes the matrix")
+				}
+				mut, _ := mutate.Mutate(golden, rng, 1)
+				faulty := clean.WithChecker(verilog.PrintModule(mut), mutate.Plan{}, -1)
+				if got, ok := oracleMatrix(t, faulty, cands); ok && got != want {
+					tb = faulty
+				}
+			}
+			c := &replayCase{p: p, cands: cands, group: group}
+			if runs := c.round(t, "faulty checker", tb); runs != 2 {
+				t.Errorf("first round: %d sim_run, want 2 (checker trace + lanes)", runs)
+			}
+			if runs := c.round(t, "corrected checker", clean); runs != 1 {
+				t.Errorf("corrected round: %d sim_run, want 1 (checker trace; interpreter rows replayed)", runs)
 			}
 		})
 	}

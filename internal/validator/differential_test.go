@@ -78,7 +78,7 @@ func TestCompiledEngineDifferential(t *testing.T) {
 				t.Fatalf("no elaborable candidates in RTL group")
 			}
 			btb := gtb.WithChecker(gtb.CheckerSource, gtb.CheckerPlan, gtb.CheckerSticky)
-			outs, err := btb.RunBatchAgainstDesignsContext(context.Background(), goldenDesign, duts, false)
+			outs, err := btb.RunBatchContext(context.Background(), testbench.NewDUTSet(goldenDesign, duts), false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,14 +8,16 @@
 // rather than the RTLs.
 //
 // The group is fixed per task, so NewGroup elaborates it once and
-// compiles its candidates as lanes of sim batch programs over the
-// golden design. Validation is record-then-compare
-// (testbench.RunBatchProgramsContext): the checker is recorded once
-// per checker, and the candidates are recorded as lanes once per
-// driver — Algorithm 1's corrector rewrites only the checker, so every
-// round after a correction compares the new checker's trace with the
-// group's recorded lanes and simulates no candidate. Rows are
-// bit-identical to simulating each candidate on its own.
+// compiles its candidates into a testbench.DUTSet over the golden
+// design: lanes of sim batch programs, and a one-lane interpreter
+// simulation for a candidate no program accepts (every candidate, when
+// the golden design does not batch-compile). Validation is
+// record-then-compare (testbench.RunBatchContext): the checker is
+// recorded once per checker, and the candidates once per driver —
+// Algorithm 1's corrector rewrites only the checker, so every round
+// after a correction compares the new checker's trace with the group's
+// recorded lanes and simulates no candidate, whichever engine recorded
+// it. Rows are bit-identical to simulating each candidate on its own.
 package validator
 
 import (
@@ -227,13 +229,10 @@ type Group struct {
 	Candidates []RTLCandidate
 
 	designs []*sim.Design // per candidate; nil when elaboration failed (a discarded row)
-	base    *sim.Design   // the golden design the programs are compiled against
 	duts    []*sim.Design // the non-nil designs, in group order
-	// progs/idx are sim.CompileBatchSplit(base, duts); nil when the
-	// base itself cannot batch-compile.
-	progs []*sim.BatchProgram
-	idx   [][]int
-	// lanes is the recorded DUT side of the last driver run on progs.
+	// set is duts compiled over the golden design.
+	set *testbench.DUTSet
+	// lanes is the recorded DUT side of the last driver run on set.
 	lanes testbench.LaneMemo
 }
 
@@ -249,7 +248,7 @@ func NewGroup(ctx context.Context, p *dataset.Problem, cands []RTLCandidate) (*G
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{Candidates: cands, designs: make([]*sim.Design, len(cands)), base: base}
+	g := &Group{Candidates: cands, designs: make([]*sim.Design, len(cands))}
 	for i, c := range cands {
 		d, err := sim.ElaborateSourceContext(ctx, c.Source, p.Top)
 		if err != nil {
@@ -263,13 +262,9 @@ func NewGroup(ctx context.Context, p *dataset.Problem, cands []RTLCandidate) (*G
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(g.duts) > 0 {
-		endCompile := obs.Time(ctx, obs.PhaseCompile)
-		if progs, idx, err := sim.CompileBatchSplit(base, g.duts); err == nil {
-			g.progs, g.idx = progs, idx
-		}
-		endCompile()
-	}
+	endCompile := obs.Time(ctx, obs.PhaseCompile)
+	g.set = testbench.NewDUTSet(base, g.duts)
+	endCompile()
 	return g, nil
 }
 
@@ -294,23 +289,9 @@ func (v *Validator) BuildMatrixContext(ctx context.Context, tb *testbench.Testbe
 	if !tb.SyntaxOK() {
 		return nil, false, nil
 	}
-	var outs []testbench.BatchOutcome
-	if len(g.duts) > 0 {
-		var err error
-		if g.progs != nil {
-			outs, err = tb.RunBatchProgramsContext(ctx, g.progs, g.idx, false, &g.lanes)
-		} else {
-			outs, err = tb.RunBatchAgainstDesignsContext(ctx, g.base, g.duts, false)
-		}
-		if err == nil {
-			// An interpreter fallback run cancelled after the runner's last
-			// check surfaces as that candidate's outcome, not as the
-			// run's error.
-			err = ctx.Err()
-		}
-		if err != nil {
-			return nil, false, err
-		}
+	outs, err := tb.RunBatchContext(ctx, g.set, false, &g.lanes)
+	if err != nil {
+		return nil, false, err
 	}
 	m := &Matrix{}
 	for _, d := range g.designs {
