@@ -4,12 +4,11 @@ import (
 	"testing"
 )
 
-// Native fuzz targets for the word-parallel four-state kernels: the
-// scalar entry points (And/Or/Xor/Xnor/NotV and the reductions) and
-// the lane-batched entry points used by sim.EngineBatched are checked
-// against a bit-at-a-time reference built directly from the IEEE 1364
-// truth tables. The seed corpus keeps these running as ordinary unit
-// tests under `go test`.
+// Native fuzz target for the word-parallel four-state kernels: the
+// scalar entry points (And/Or/Xor/Xnor/NotV and the reductions) are
+// checked against a bit-at-a-time reference built directly from the
+// IEEE 1364 truth tables. The seed corpus keeps it running as an
+// ordinary unit test under `go test`.
 
 // refBit decodes two bits of fuzz data into a four-state Bit.
 func refBit(code byte) Bit {
@@ -148,60 +147,6 @@ func FuzzWordKernels(f *testing.F) {
 		}
 		if got := RedXor(x); got.Bit(0) != redXor {
 			t.Fatalf("redxor(%s) = %v, reference %v", x, got.Bit(0), redXor)
-		}
-	})
-}
-
-func FuzzLaneKernels(f *testing.F) {
-	f.Add(uint16(4), uint8(1), []byte{0x1b}, []byte{0xe4})
-	f.Add(uint16(8), uint8(3), []byte{0x00, 0xff, 0x3c}, []byte{0x55, 0xaa, 0x99})
-	f.Add(uint16(64), uint8(5), []byte{0xde, 0xad, 0x01}, []byte{0xbe, 0xef, 0x02})
-	f.Add(uint16(100), uint8(4), []byte{0xc3, 0x3c}, []byte{0x0f, 0xf0})
-	f.Fuzz(func(t *testing.T, ww uint16, nn uint8, xd, yd []byte) {
-		w := clampWidth(ww)
-		n := 1 + int(nn)%12
-		x := make([]Vector, n)
-		y := make([]Vector, n)
-		for i := range x {
-			x[i] = vecFromData(w, append([]byte{byte(i)}, xd...))
-			y[i] = vecFromData(w, append([]byte{byte(3 * i)}, yd...))
-		}
-
-		kernels := []struct {
-			name string
-			run  func(dst []Vector, chg []bool)
-			ref  func(i int) Vector
-		}{
-			{"and", func(d []Vector, c []bool) { AndLanes(d, x, y, c) }, func(i int) Vector { return And(x[i], y[i]) }},
-			{"or", func(d []Vector, c []bool) { OrLanes(d, x, y, c) }, func(i int) Vector { return Or(x[i], y[i]) }},
-			{"xor", func(d []Vector, c []bool) { XorLanes(d, x, y, c) }, func(i int) Vector { return Xor(x[i], y[i]) }},
-			{"xnor", func(d []Vector, c []bool) { XnorLanes(d, x, y, c) }, func(i int) Vector { return Xnor(x[i], y[i]) }},
-			{"not", func(d []Vector, c []bool) { NotLanes(d, x, c) }, func(i int) Vector { return NotV(x[i]) }},
-			{"copy", func(d []Vector, c []bool) { CopyLanes(d, x, c) }, func(i int) Vector { return x[i].Resize(w) }},
-			{"broadcast", func(d []Vector, c []bool) { BroadcastLanes(d, x[0], c) }, func(i int) Vector { return x[0] }},
-		}
-		for _, k := range kernels {
-			dst := make([]Vector, n)
-			FillXLanes(dst, w)
-			chg := make([]bool, n)
-			k.run(dst, chg)
-			for i := 0; i < n; i++ {
-				want := k.ref(i)
-				if !dst[i].Equal(want) {
-					t.Fatalf("%s lane %d: got %s, scalar reference %s", k.name, i, dst[i], want)
-				}
-				if wantChg := !want.Equal(AllX(w)); chg[i] != wantChg {
-					t.Fatalf("%s lane %d: chg=%v, want %v", k.name, i, chg[i], wantChg)
-				}
-			}
-			// Re-running over settled lanes must be a no-op.
-			chg2 := make([]bool, n)
-			k.run(dst, chg2)
-			for i, c := range chg2 {
-				if c {
-					t.Fatalf("%s lane %d: change reported on settled re-run", k.name, i)
-				}
-			}
 		}
 	})
 }

@@ -14,11 +14,11 @@ package sim
 //
 // Scheduling is levelized when the whole batch's combinational region
 // is provably static (see batch_sched.go): one topological pass per
-// settle, with dense whole-batch kernels (logic.AndLanes and friends)
-// for single-assignment processes. Otherwise every lane runs a
-// replica of the scalar event-driven scheduler over the shared state
-// block — still amortizing compilation, elaboration and the
-// testbench/checker side of every run.
+// settle, running each process's compiled closure on its due lanes
+// only. Otherwise every lane runs a replica of the scalar
+// event-driven scheduler over the shared state block — still
+// amortizing compilation, elaboration and the testbench/checker side
+// of every run. Either schedule runs one compiled form per process.
 //
 // Either way each lane is bit-identical to a scalar Instance of the
 // same design: per-lane dirty sets, per-lane bootstrap, per-lane NBA
@@ -60,8 +60,7 @@ type BatchProgram struct {
 	combSensLane [][][]int32 // sensitivity override for patched comb procs
 
 	levelized  bool
-	levelOrder []int32    // comb ordinals sorted by (level, ordinal)
-	kernels    []*bKernel // per comb ordinal: dense fast path or nil
+	levelOrder []int32 // comb ordinals sorted by (level, ordinal)
 
 	// deferInputs marks batches whose settled state is a pure function
 	// of the final input values: levelized, no sequential processes,
@@ -293,14 +292,6 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 		if order, ok := levelize(nComb, statics); ok {
 			prog.levelized = true
 			prog.levelOrder = order
-			prog.kernels = make([]*bKernel, nComb)
-			for ord, p := range base.combProcs {
-				if prog.combPatch[ord] == nil {
-					prog.kernels[ord] = bc.kernel(p)
-				} else {
-					prog.kernels[ord] = bc.maskedKernel(p, prog.combPatch[ord])
-				}
-			}
 		}
 	}
 	if prog.levelized && nSeq == 0 {
@@ -360,9 +351,6 @@ func (p *BatchProgram) VariantLane(vi int) int { return p.variantLane[vi] }
 // RejectReason returns why a variant got no lane (nil when accepted).
 func (p *BatchProgram) RejectReason(vi int) error { return p.rejected[vi] }
 
-// LaneDesign returns the design simulated by a lane.
-func (p *BatchProgram) LaneDesign(lane int) *Design { return p.laneDesign[lane] }
-
 // BatchInstance simulates every lane of a BatchProgram in lockstep
 // under the cycle API (SetInput / Settle / Tick). Per-lane failures
 // (simulation errors in one mutant) deactivate that lane and are
@@ -387,7 +375,6 @@ type BatchInstance struct {
 	nActive int
 
 	// Scratch. A BatchInstance is single-goroutine, like Instance.
-	chgBuf   []bool // per lane, for dense kernels
 	pending  []bool // per comb ordinal, event-driven mode
 	npending int
 	runBuf   []int32
@@ -421,7 +408,6 @@ func NewBatchInstance(prog *BatchProgram) *BatchInstance {
 		nba:       make([][]resolvedWrite, n),
 		active:    make([]bool, n),
 		laneErr:   make([]error, n),
-		chgBuf:    make([]bool, n),
 		pending:   make([]bool, len(d.combProcs)),
 		runBuf:    make([]int32, 0, len(d.combProcs)),
 		liveBuf:   make([]int32, 0, n),
@@ -486,9 +472,6 @@ func (b *BatchInstance) Lanes() int { return b.n }
 
 // Design returns the base design the batch was compiled against.
 func (b *BatchInstance) Design() *Design { return b.prog.base }
-
-// Program returns the shared batch program.
-func (b *BatchInstance) Program() *BatchProgram { return b.prog }
 
 // Active reports whether a lane is still simulating.
 func (b *BatchInstance) Active(lane int) bool { return b.active[lane] }
@@ -728,12 +711,14 @@ func (b *BatchInstance) propagateLevel() error {
 	return nil
 }
 
-// settleLevel runs one topological pass over the comb processes. For
-// each process, the set of lanes to run replicates the scalar
-// scheduler's pending test exactly: bootstrap (nothing dirty, nothing
-// ever ran) or a dirty sensitivity slot. Because every combinational
-// writer of a sensitivity slot is scheduled at a lower level, one run
-// per process reaches the same fixpoint as the scalar iteration.
+// settleLevel runs one topological pass over the comb processes. Each
+// process runs on the lanes the scalar scheduler's pending test
+// selects: bootstrap (nothing dirty, nothing ever ran) or a dirty
+// sensitivity slot. Because every combinational writer of a
+// sensitivity slot is scheduled at a lower level, one run per process
+// reaches the same fixpoint as the scalar iteration. A lane's run
+// touches only that lane's state, so each lane is tested and run in
+// one step.
 func (b *BatchInstance) settleLevel(live []int32) {
 	prog := b.prog
 	n := b.n
@@ -741,63 +726,29 @@ func (b *BatchInstance) settleLevel(live []int32) {
 		b.boot[lane] = len(b.dirtyList[lane]) == 0 && !b.ranAny[lane]
 	}
 	for _, ord := range prog.levelOrder {
-		run := b.runBuf[:0]
+		code := prog.combCode[ord]
+		ovs := prog.combPatch[ord]
+		sensOvs := prog.combSensLane[ord]
 		for _, lane := range live {
 			if b.laneErr[lane] != nil {
 				continue
 			}
-			ok := b.boot[lane]
-			if !ok {
+			due := b.boot[lane]
+			if !due {
 				sens := prog.combSens[ord]
-				if ovs := prog.combSensLane[ord]; ovs != nil && ovs[lane] != nil {
-					sens = ovs[lane]
+				if sensOvs != nil && sensOvs[lane] != nil {
+					sens = sensOvs[lane]
 				}
 				for _, s := range sens {
 					if b.dirty[int(s)*n+int(lane)] {
-						ok = true
+						due = true
 						break
 					}
 				}
 			}
-			if ok {
-				run = append(run, lane)
+			if !due {
+				continue
 			}
-		}
-		if len(run) == 0 {
-			b.runBuf = run[:0]
-			continue
-		}
-		if k := prog.kernels[ord]; k != nil {
-			// Dense fast path: compute the base body for all (unpatched)
-			// lanes at once. Kernels exist only for static processes, so
-			// recomputing a lane whose inputs are unchanged is idempotent
-			// (chgBuf stays false) — running the whole batch is safe even
-			// when only some lanes are due. Inactive lanes are computed
-			// too but never read again. Patched lanes are skipped by the
-			// masked kernel and interpreted below, due lanes only.
-			k.run(b)
-			for lane := 0; lane < n; lane++ {
-				if b.chgBuf[lane] {
-					b.chgBuf[lane] = false
-					b.markDirty(int32(lane), k.dst)
-				}
-			}
-			ovs := prog.combPatch[ord]
-			for _, lane := range run {
-				b.ranAny[lane] = true
-				if ovs == nil || ovs[lane] == nil {
-					continue
-				}
-				if err := ovs[lane](b, lane); err != nil {
-					b.failLane(lane, fmt.Errorf("sim: in %s: %v", prog.combNames[ord], err))
-				}
-			}
-			b.runBuf = run[:0]
-			continue
-		}
-		code := prog.combCode[ord]
-		ovs := prog.combPatch[ord]
-		for _, lane := range run {
 			c := code
 			if ovs != nil && ovs[lane] != nil {
 				c = ovs[lane]
@@ -807,7 +758,6 @@ func (b *BatchInstance) settleLevel(live []int32) {
 				b.failLane(lane, fmt.Errorf("sim: in %s: %v", prog.combNames[ord], err))
 			}
 		}
-		b.runBuf = run[:0]
 	}
 	// The schedule consumed the whole dirty set; clear it per lane.
 	for _, lane := range live {

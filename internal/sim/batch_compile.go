@@ -683,370 +683,3 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 		return nil, errDynamic
 	}
 }
-
-// kernel recognizes processes whose whole evaluation collapses to one
-// dense lane-batched fast path. Two tiers: denseKernel runs a whole
-// batch through a word-parallel logic kernel (`assign y = a OP b`
-// shapes), selectKernel covers any single-destination decision tree
-// (case/if chains ending in `y = expr`) with per-lane expression
-// closures that skip statement dispatch and the lvalue/applyWrite
-// machinery. Used only in levelized mode for procs that are unpatched
-// in every lane.
-func (bc *batchCompiler) kernel(p *Process) *bKernel {
-	body := unwrapBody(p.Body)
-	if k := bc.denseKernel(body); k != nil {
-		return k
-	}
-	dst, val, ok := bc.selectVal(body)
-	if !ok {
-		return nil
-	}
-	return &bKernel{dst: dst, run: func(b *BatchInstance) {
-		n := b.n
-		lanes := b.vals[int(dst)*n : (int(dst)+1)*n]
-		for lane := 0; lane < n; lane++ {
-			if next, wrote := val(b, int32(lane)); wrote && !next.Equal(lanes[lane]) {
-				lanes[lane] = next
-				b.chgBuf[lane] = true
-			}
-		}
-	}}
-}
-
-// maskedKernel is the select kernel for a process patched in some
-// lanes: the base body runs densely for every unpatched lane while
-// patched lanes are skipped, left to the per-lane interpreter
-// (settleLevel runs them right after the kernel).
-func (bc *batchCompiler) maskedKernel(p *Process, patched []bStmt) *bKernel {
-	dst, val, ok := bc.selectVal(unwrapBody(p.Body))
-	if !ok {
-		return nil
-	}
-	return &bKernel{dst: dst, run: func(b *BatchInstance) {
-		n := b.n
-		lanes := b.vals[int(dst)*n : (int(dst)+1)*n]
-		for lane := 0; lane < n; lane++ {
-			if patched[lane] != nil {
-				continue
-			}
-			if next, wrote := val(b, int32(lane)); wrote && !next.Equal(lanes[lane]) {
-				lanes[lane] = next
-				b.chgBuf[lane] = true
-			}
-		}
-	}}
-}
-
-// unwrapBody strips single-statement begin/end nesting, so always
-// blocks and bare continuous assigns kernel-match alike.
-func unwrapBody(body verilog.Stmt) verilog.Stmt {
-	for {
-		blk, ok := body.(*verilog.Block)
-		if !ok || len(blk.Stmts) != 1 {
-			return body
-		}
-		body = blk.Stmts[0]
-	}
-}
-
-// denseKernel matches `y = a OP b` (OP in &,|,^,~^), `y = ~a`,
-// `y = a` and `y = K` with every operand width equal to the target
-// width (so the general path has no resizes either) and returns a
-// whole-batch word-parallel kernel.
-func (bc *batchCompiler) denseKernel(body verilog.Stmt) *bKernel {
-	a, ok := body.(*verilog.Assign)
-	if !ok || a.NonBlocking {
-		return nil
-	}
-	lhs, ok := a.LHS.(*verilog.Ident)
-	if !ok {
-		return nil
-	}
-	d := bc.c.d
-	slot, ok := d.slotOf[lhs.Name]
-	if !ok {
-		return nil
-	}
-	w := d.slotWidths[slot]
-	dst := int32(slot)
-	slotLanes := func(b *BatchInstance, s int32) []logic.Vector {
-		return b.vals[int(s)*b.n : (int(s)+1)*b.n]
-	}
-	identSlot := func(e verilog.Expr) (int32, bool) {
-		id, ok := e.(*verilog.Ident)
-		if !ok {
-			return 0, false
-		}
-		s, ok := d.slotOf[id.Name]
-		if !ok || d.slotWidths[s] != w {
-			return 0, false
-		}
-		return int32(s), true
-	}
-
-	switch r := a.RHS.(type) {
-	case *verilog.Ident:
-		src, ok := identSlot(r)
-		if !ok {
-			return nil
-		}
-		return &bKernel{dst: dst, run: func(b *BatchInstance) {
-			logic.CopyLanes(slotLanes(b, dst), slotLanes(b, src), b.chgBuf)
-		}}
-
-	case *verilog.Number:
-		// Mirror the general path: RHS evaluated at want =
-		// max(lhsWidth, selfWidth), then the whole write resizes to the
-		// target width.
-		self := 32
-		if r.Width != 0 {
-			self = r.Width
-		}
-		want := w
-		if self > want {
-			want = self
-		}
-		v := r.Val.Resize(want).Resize(w)
-		return &bKernel{dst: dst, run: func(b *BatchInstance) {
-			logic.BroadcastLanes(slotLanes(b, dst), v, b.chgBuf)
-		}}
-
-	case *verilog.Unary:
-		if r.Op != "~" {
-			return nil
-		}
-		src, ok := identSlot(r.X)
-		if !ok {
-			return nil
-		}
-		return &bKernel{dst: dst, run: func(b *BatchInstance) {
-			logic.NotLanes(slotLanes(b, dst), slotLanes(b, src), b.chgBuf)
-		}}
-
-	case *verilog.Binary:
-		var fn func(dst, x, y []logic.Vector, chg []bool)
-		switch r.Op {
-		case "&":
-			fn = logic.AndLanes
-		case "|":
-			fn = logic.OrLanes
-		case "^":
-			fn = logic.XorLanes
-		case "~^", "^~":
-			fn = logic.XnorLanes
-		default:
-			return nil
-		}
-		sx, ok1 := identSlot(r.X)
-		sy, ok2 := identSlot(r.Y)
-		if !ok1 || !ok2 {
-			return nil
-		}
-		return &bKernel{dst: dst, run: func(b *BatchInstance) {
-			fn(slotLanes(b, dst), slotLanes(b, sx), slotLanes(b, sy), b.chgBuf)
-		}}
-	}
-	return nil
-}
-
-// bVal evaluates a single-destination process body for one lane: the
-// value the body assigns and whether the taken path assigned at all
-// (a case with no matching arm and no default writes nothing).
-type bVal func(b *BatchInstance, lane int32) (logic.Vector, bool)
-
-// selectVal matches process bodies that are a decision tree — if/else
-// chains and case statements, each leaf a single blocking
-// whole-identifier assignment to one shared destination (the classic
-// mux/ALU/decoder shape) — and compiles them to a per-lane value
-// closure plus the destination slot. The RHS leaves compile through
-// bc.expr, so width contexts and X-propagation are exactly the
-// interpreted path's; a kernel built on the closure only skips
-// per-statement dispatch, lvalue resolution and applyWrite
-// bookkeeping, writing the destination lane directly.
-func (bc *batchCompiler) selectVal(body verilog.Stmt) (int32, bVal, bool) {
-	name, ok := singleAssignTarget(body)
-	if !ok {
-		return 0, nil, false
-	}
-	d := bc.c.d
-	slot, ok := d.slotOf[name]
-	if !ok {
-		return 0, nil, false
-	}
-	val, err := bc.valueStmt(body, d.slotWidths[slot])
-	if err != nil {
-		return 0, nil, false
-	}
-	return int32(slot), val, true
-}
-
-// singleAssignTarget reports the destination identifier when every
-// statement in the tree is a decision construct (if/case/single-stmt
-// block/null) whose leaves are blocking whole-identifier assignments
-// to one shared name. Multi-statement blocks are rejected: a second
-// write could transiently dirty the slot in ways a final-value kernel
-// would not replicate.
-func singleAssignTarget(s verilog.Stmt) (string, bool) {
-	name, ok := "", true
-	var walk func(verilog.Stmt)
-	walk = func(s verilog.Stmt) {
-		if !ok {
-			return
-		}
-		switch x := s.(type) {
-		case nil, *verilog.Null:
-		case *verilog.Block:
-			if len(x.Stmts) > 1 {
-				ok = false
-				return
-			}
-			for _, sub := range x.Stmts {
-				walk(sub)
-			}
-		case *verilog.Assign:
-			id, isID := x.LHS.(*verilog.Ident)
-			if x.NonBlocking || !isID {
-				ok = false
-				return
-			}
-			if name == "" {
-				name = id.Name
-			} else if name != id.Name {
-				ok = false
-			}
-		case *verilog.If:
-			walk(x.Then)
-			walk(x.Else)
-		case *verilog.Case:
-			for _, it := range x.Items {
-				walk(it.Body)
-			}
-		default:
-			ok = false
-		}
-	}
-	walk(s)
-	return name, ok && name != ""
-}
-
-// valueStmt compiles a singleAssignTarget-shaped tree into a bVal.
-// Each case mirrors the corresponding bc.stmt case with the write
-// replaced by a value return, preserving evaluation order, width
-// contexts and match semantics exactly.
-func (bc *batchCompiler) valueStmt(s verilog.Stmt, width int) (bVal, error) {
-	noWrite := func(b *BatchInstance, lane int32) (logic.Vector, bool) { return logic.Vector{}, false }
-	switch x := s.(type) {
-	case nil, *verilog.Null:
-		return noWrite, nil
-
-	case *verilog.Block:
-		if len(x.Stmts) == 0 {
-			return noWrite, nil
-		}
-		return bc.valueStmt(x.Stmts[0], width)
-
-	case *verilog.Assign:
-		ctx, err := bc.c.lhsWidth(x.LHS)
-		if err != nil {
-			return nil, err
-		}
-		rhs, want, err := bc.expr(x.RHS, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if want == width {
-			return func(b *BatchInstance, lane int32) (logic.Vector, bool) {
-				return rhs(b, lane), true
-			}, nil
-		}
-		return func(b *BatchInstance, lane int32) (logic.Vector, bool) {
-			return rhs(b, lane).Resize(width), true
-		}, nil
-
-	case *verilog.If:
-		cond, _, err := bc.expr(x.Cond, 0)
-		if err != nil {
-			return nil, err
-		}
-		th, err := bc.valueStmt(x.Then, width)
-		if err != nil {
-			return nil, err
-		}
-		el := noWrite
-		if x.Else != nil {
-			if el, err = bc.valueStmt(x.Else, width); err != nil {
-				return nil, err
-			}
-		}
-		return func(b *BatchInstance, lane int32) (logic.Vector, bool) {
-			if logic.Truth(cond(b, lane)) == logic.L1 {
-				return th(b, lane)
-			}
-			return el(b, lane)
-		}, nil
-
-	case *verilog.Case:
-		sel, _, err := bc.expr(x.Expr, 0)
-		if err != nil {
-			return nil, err
-		}
-		type caseArm struct {
-			exprs []bExpr
-			body  bVal
-		}
-		var arms []caseArm
-		deflt := noWrite
-		for _, item := range x.Items {
-			body, err := bc.valueStmt(item.Body, width)
-			if err != nil {
-				return nil, err
-			}
-			if item.Exprs == nil {
-				deflt = body
-				continue
-			}
-			arm := caseArm{body: body}
-			for _, e := range item.Exprs {
-				ce, _, err := bc.expr(e, 0)
-				if err != nil {
-					return nil, err
-				}
-				arm.exprs = append(arm.exprs, ce)
-			}
-			arms = append(arms, arm)
-		}
-		kind := x.Kind
-		return func(b *BatchInstance, lane int32) (logic.Vector, bool) {
-			sv := sel(b, lane)
-			for _, arm := range arms {
-				for _, le := range arm.exprs {
-					lv := le(b, lane)
-					var hit bool
-					switch kind {
-					case verilog.CaseZ:
-						hit = logic.CaseZMatch(sv, lv)
-					case verilog.CaseX:
-						hit = logic.CaseXMatch(sv, lv)
-					default:
-						hit = sv.SameValue(lv)
-					}
-					if hit {
-						return arm.body(b, lane)
-					}
-				}
-			}
-			return deflt(b, lane)
-		}, nil
-
-	default:
-		return nil, errDynamic
-	}
-}
-
-// bKernel is a dense SoA fast path for one process: run computes every
-// lane of the destination slot in one pass, reporting per-lane changes
-// through the instance's chgBuf scratch.
-type bKernel struct {
-	dst int32
-	run func(b *BatchInstance)
-}

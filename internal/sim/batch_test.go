@@ -37,7 +37,8 @@ var batchExtraModules = []struct {
 	wantLevelized  bool
 }{
 	{
-		// Dense kernel shapes: copy, not, and/or/xor/xnor, constant.
+		// Single-assignment shapes on the levelized schedule: copy,
+		// not, and/or/xor/xnor, constant.
 		name: "kernel_shapes",
 		src: `
 module m(input [7:0] a, input [7:0] b, output [7:0] w, output [7:0] x, output [7:0] y, output [7:0] z, output [7:0] k, output [7:0] c);

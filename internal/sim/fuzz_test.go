@@ -13,15 +13,19 @@ import (
 	"correctbench/internal/verilog"
 )
 
-// FuzzBatchLaneMatchesInterp is the single-DUT differential: every
+// FuzzBatchLaneMatchesInterp is the lane differential. Every
 // single-DUT simulation runs as a one-lane batch program, so a
 // one-lane BatchInstance must read equal to an interpreter Instance on
 // every port after every step, and the two must agree on whether a
-// step errors. The problem index picks a dataset golden; the fuzz
-// bytes pick a mutant of it (byte 0: mutation count 0-2, bytes 1-8:
-// mutation seed) and then the stimulus, one input port value at a
-// time (see stimulus). Designs the batch compiler rejects are skipped:
-// they run on the interpreter wholesale.
+// step errors. Mutant sets run as patched lanes over the golden, so a
+// two-lane [golden, mutant] program over the golden base must match
+// two interpreter Instances lane by lane: every port after every step,
+// and each lane's error, text included, at the step it occurs. The
+// problem index picks a dataset golden; the fuzz bytes pick a mutant
+// of it (byte 0: mutation count 0-2, bytes 1-8: mutation seed) and
+// then the stimulus, one input port value at a time (see stimulus).
+// Designs the batch compiler rejects are skipped: they run on the
+// interpreter wholesale.
 func FuzzBatchLaneMatchesInterp(f *testing.F) {
 	probs := dataset.All()
 	for i := range probs {
@@ -43,68 +47,139 @@ func FuzzBatchLaneMatchesInterp(f *testing.F) {
 		if d == nil {
 			return
 		}
-		prog, err := sim.CompileBatch(d, []*sim.Design{d})
-		if err != nil || prog.Lanes() != 1 {
+		ops := fuzzOps(p, d.Ports, data[9:])
+		checkOneLane(t, p, d, ops)
+		checkTwoLanes(t, p, d, ops)
+	})
+}
+
+// cycleSim is the cycle API shared by BatchInstance and Instance.
+type cycleSim interface {
+	ZeroInputs() error
+	SetInput(name string, v logic.Vector) error
+	Settle() error
+	Tick(clk string) error
+}
+
+// fuzzOp is one stimulus operation, replayed on every engine.
+type fuzzOp struct {
+	label string
+	run   func(cycleSim) error
+}
+
+// fuzzOps decodes stimulus bytes into operations: zero the inputs,
+// then up to 64 cycles of one value per non-clock input followed by a
+// tick (sequential problems) or a settle. The sequence ends where the
+// bytes run out.
+func fuzzOps(p *dataset.Problem, ports []sim.Port, data []byte) []fuzzOp {
+	ops := []fuzzOp{{"zero", cycleSim.ZeroInputs}}
+	stim := &stimulus{data: data}
+	for si := 0; si < 64; si++ {
+		for _, port := range ports {
+			if port.Dir == sim.Out || port.Name == p.Clock {
+				continue
+			}
+			v, ok := stim.next(port.Width)
+			if !ok {
+				return ops
+			}
+			name := port.Name
+			ops = append(ops, fuzzOp{name, func(s cycleSim) error { return s.SetInput(name, v) }})
+		}
+		if p.Kind == dataset.SEQ {
+			ops = append(ops, fuzzOp{"tick", func(s cycleSim) error { return s.Tick(p.Clock) }})
+		} else {
+			ops = append(ops, fuzzOp{"settle", cycleSim.Settle})
+		}
+	}
+	return ops
+}
+
+// checkOneLane runs d as a one-lane program of its own against the
+// interpreter.
+func checkOneLane(t *testing.T, p *dataset.Problem, d *sim.Design, ops []fuzzOp) {
+	t.Helper()
+	prog, err := sim.CompileBatch(d, []*sim.Design{d})
+	if err != nil || prog.Lanes() != 1 {
+		return
+	}
+	b := sim.NewBatchInstance(prog)
+	in := sim.NewInstance(d)
+	for _, op := range ops {
+		berr := op.run(b)
+		if berr == nil {
+			berr = b.LaneErr(0)
+		}
+		ierr := op.run(in)
+		if (berr != nil) != (ierr != nil) {
+			t.Fatalf("%s: %s: batch err=%v, interp err=%v", p.Name, op.label, berr, ierr)
+		}
+		if ierr != nil {
 			return
 		}
-		b := sim.NewBatchInstance(prog)
-		in := sim.NewInstance(d)
-		stim := &stimulus{data: data[9:]}
-
-		// step applies one operation to both engines and reports
-		// whether simulation may continue.
-		step := func(label string, bf func() error, sf func() error) bool {
-			t.Helper()
-			berr := bf()
-			if berr == nil {
-				berr = b.LaneErr(0)
+		for _, port := range d.Ports {
+			bv, err1 := b.Get(port.Name, 0)
+			iv, err2 := in.Get(port.Name)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s: %s: read %s: %v / %v", p.Name, op.label, port.Name, err1, err2)
 			}
-			ierr := sf()
-			if (berr != nil) != (ierr != nil) {
-				t.Fatalf("%s: %s: batch err=%v, interp err=%v", p.Name, label, berr, ierr)
+			if bv.String() != iv.String() {
+				t.Fatalf("%s: %s: port %s: batch %s, interp %s", p.Name, op.label, port.Name, bv, iv)
+			}
+		}
+	}
+}
+
+// checkTwoLanes runs [golden, d] as patched lanes over the golden base
+// against two interpreter Instances, whenever d gets a lane. A lane
+// that errs is dead from then on; the other keeps being compared.
+func checkTwoLanes(t *testing.T, p *dataset.Problem, d *sim.Design, ops []fuzzOp) {
+	t.Helper()
+	g, err := p.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := sim.CompileBatch(g, []*sim.Design{g, d})
+	if err != nil || prog.VariantLane(0) < 0 || prog.VariantLane(1) < 0 {
+		return
+	}
+	lanes := []int{prog.VariantLane(0), prog.VariantLane(1)}
+	b := sim.NewBatchInstance(prog)
+	ins := []*sim.Instance{sim.NewInstance(g), sim.NewInstance(d)}
+	dead := []bool{false, false}
+	for _, op := range ops {
+		gerr := op.run(b)
+		for i, lane := range lanes {
+			if dead[i] {
+				continue
+			}
+			berr := gerr
+			if berr == nil {
+				berr = b.LaneErr(lane)
+			}
+			ierr := op.run(ins[i])
+			if (berr != nil) != (ierr != nil) || (ierr != nil && berr.Error() != ierr.Error()) {
+				t.Fatalf("%s: %s: lane %d: batch err=%v, interp err=%v", p.Name, op.label, lane, berr, ierr)
 			}
 			if ierr != nil {
-				return false
+				dead[i] = true
+				continue
 			}
-			for _, port := range d.Ports {
-				bv, err1 := b.Get(port.Name, 0)
-				iv, err2 := in.Get(port.Name)
+			for _, port := range g.Ports {
+				bv, err1 := b.Get(port.Name, lane)
+				iv, err2 := ins[i].Get(port.Name)
 				if err1 != nil || err2 != nil {
-					t.Fatalf("%s: %s: read %s: %v / %v", p.Name, label, port.Name, err1, err2)
+					t.Fatalf("%s: %s: lane %d: read %s: %v / %v", p.Name, op.label, lane, port.Name, err1, err2)
 				}
 				if bv.String() != iv.String() {
-					t.Fatalf("%s: %s: port %s: batch %s, interp %s", p.Name, label, port.Name, bv, iv)
+					t.Fatalf("%s: %s: lane %d: port %s: batch %s, interp %s", p.Name, op.label, lane, port.Name, bv, iv)
 				}
 			}
-			return true
 		}
-
-		if !step("zero", b.ZeroInputs, in.ZeroInputs) {
+		if dead[0] && dead[1] {
 			return
 		}
-		for si := 0; si < 64; si++ {
-			for _, port := range d.Ports {
-				if port.Dir == sim.Out || port.Name == p.Clock {
-					continue
-				}
-				v, ok := stim.next(port.Width)
-				if !ok {
-					return
-				}
-				name := port.Name
-				if !step(name, func() error { return b.SetInput(name, v) }, func() error { return in.SetInput(name, v) }) {
-					return
-				}
-			}
-			if p.Kind == dataset.SEQ {
-				if !step("tick", func() error { return b.Tick(p.Clock) }, func() error { return in.Tick(p.Clock) }) {
-					return
-				}
-			} else if !step("settle", b.Settle, in.Settle) {
-				return
-			}
-		}
-	})
+	}
 }
 
 // fuzzDesign elaborates p's golden design (count 0) or a count-fault
