@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -463,18 +465,78 @@ endmodule`, "m")
 	}
 }
 
-// TestBatchDisplayFallsBackWholesale: a base design with $display
-// cannot batch-compile at all.
+// TestBatchDisplayFallsBackWholesale pins what the batch compiler
+// refuses: a display task, and widths that depend on a signal value (a
+// part-select bound, a replication count, a part-select target). Such
+// a base cannot batch-compile at all; as a variant of a same-layout
+// static base it gets no lane while the base keeps its own. The
+// interpreter still simulates every body (a=5, s=2 gives want, as does
+// the static base's lane).
 func TestBatchDisplayFallsBackWholesale(t *testing.T) {
-	d := mustElab(t, `
-module m(input [3:0] a, output reg [3:0] y);
-    always @(*) begin
-        y = a + 4'd1;
-        $display("y=%d", y);
-    end
-endmodule`, "m")
-	if _, err := CompileBatch(d, nil); err == nil {
-		t.Fatal("CompileBatch accepted a $display body")
+	cases := []struct {
+		name, ports, body, static, want string
+	}{
+		{"display", "input [3:0] a, input [1:0] s, output reg [3:0] y",
+			`always @(*) begin y = a + 4'd1; $display("y=%d", y); end`,
+			`always @(*) begin y = a + 4'd1; end`, "0110"},
+		{"part_select_bound", "input [3:0] a, input [1:0] s, output [3:0] y",
+			`assign y = a[s:0];`, `assign y = a[2:0];`, "0101"},
+		{"replication_count", "input [3:0] a, input [1:0] s, output [7:0] y",
+			`assign y = {s{a}};`, `assign y = {2{a}};`, "01010101"},
+		{"part_select_target", "input [3:0] a, input [1:0] s, output reg [3:0] y",
+			`always @(*) begin y = 0; y[s:0] = a; end`,
+			`always @(*) begin y = 0; y[2:0] = a; end`, "0101"},
+	}
+	elab := func(t *testing.T, ports, body string) *Design {
+		return mustElab(t, fmt.Sprintf("module m(%s);\n    %s\nendmodule", ports, body), "m")
+	}
+	// s first: {0{a}} is an invalid replication count.
+	drive := func(t *testing.T, in interface {
+		SetInputUint(name string, v uint64) error
+	}) {
+		t.Helper()
+		for _, p := range []struct {
+			name string
+			v    uint64
+		}{{"s", 2}, {"a", 5}} {
+			if err := in.SetInputUint(p.name, p.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dyn := elab(t, tc.ports, tc.body)
+			if _, err := CompileBatch(dyn, nil); err == nil || !strings.Contains(err.Error(), "not statically compilable") {
+				t.Fatalf("CompileBatch(%s) = %v, want not statically compilable", tc.body, err)
+			}
+			in := NewInstance(dyn)
+			drive(t, in)
+			if got := in.MustGet("y").String(); got != tc.want {
+				t.Errorf("interpreter y = %s, want %s", got, tc.want)
+			}
+
+			base := elab(t, tc.ports, tc.static)
+			prog, err := CompileBatch(base, []*Design{base, dyn})
+			if err != nil {
+				t.Fatalf("CompileBatch(static base): %v", err)
+			}
+			if prog.Lanes() != 1 || prog.VariantLane(0) != 0 || prog.RejectReason(0) != nil {
+				t.Fatalf("base: lanes = %d, lane = %d, reason = %v", prog.Lanes(), prog.VariantLane(0), prog.RejectReason(0))
+			}
+			if prog.VariantLane(1) != -1 || prog.RejectReason(1) == nil {
+				t.Fatalf("dynamic variant got lane %d (reason %v)", prog.VariantLane(1), prog.RejectReason(1))
+			}
+			b := NewBatchInstance(prog)
+			drive(t, b)
+			v, err := b.Get("y", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := v.String(); got != tc.want {
+				t.Errorf("base lane y = %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
 
