@@ -18,8 +18,7 @@ import (
 
 // Int returns a pointer to v, for the explicit-value budget fields of
 // ExperimentSpec and TaskSpec (e.g. MaxCorrections: correctbench.Int(0)
-// disables corrections — something the legacy Options struct cannot
-// express because its zero value means "paper default").
+// disables corrections, while nil means "paper default").
 func Int(v int) *int { return &v }
 
 // resolveProfile resolves an LLM profile name ("" selects the paper's
@@ -99,10 +98,10 @@ func checkBudgets(maxCorrections, maxReboots *int) error {
 // service wire format of POST /v1/experiments, so every field is
 // JSON-tagged.
 //
-// Unlike the legacy Options/ExperimentConfig, the Algorithm 1 budgets
-// are pointer-valued: nil means "paper default" (3 corrections, 10
-// reboots, 20 RTLs) while an explicit zero correction/reboot budget
-// is honored, enabling no-correction and no-reboot ablations.
+// The Algorithm 1 budgets are pointer-valued: nil means "paper
+// default" (3 corrections, 10 reboots, 20 RTLs) while an explicit zero
+// correction/reboot budget is honored, enabling no-correction and
+// no-reboot ablations.
 type ExperimentSpec struct {
 	// Seed drives every random choice; equal seeds reproduce the full
 	// event stream bit for bit.
@@ -110,8 +109,8 @@ type ExperimentSpec struct {
 	// Reps is the number of repetitions (paper: 5); minimum 1, at
 	// most 100.
 	Reps int `json:"reps,omitempty"`
-	// LLM and Criterion as in Options; empty selects gpt-4o and
-	// 70%-wrong.
+	// LLM names an LLM profile and Criterion a validation criterion;
+	// empty selects gpt-4o and 70%-wrong.
 	LLM       string `json:"llm,omitempty"`
 	Criterion string `json:"criterion,omitempty"`
 	// Problems restricts the task set by name (default: all 156); it

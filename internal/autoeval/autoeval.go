@@ -119,7 +119,6 @@ func NewEvaluator(seed int64) *Evaluator {
 type fixture struct {
 	golden        *testbench.Testbench
 	mutantDesigns []*sim.Design
-	goldenVerdict []bool // golden TB's pass verdict per mutant
 	// goldenSet is the golden design as a one-DUT set (Eval1) and
 	// mutantSet the mutant set (Eval2), each compiled once over the
 	// golden design. They are immutable and shared by every grade.
@@ -291,7 +290,6 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 			continue
 		}
 		f.mutantDesigns = append(f.mutantDesigns, d)
-		f.goldenVerdict = append(f.goldenVerdict, false) // killable by construction
 	}
 	if len(f.mutantDesigns) == 0 {
 		return nil, fmt.Errorf("autoeval: no usable mutants for %s", p.Name)
@@ -352,10 +350,12 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, tb *testbench.Testbench
 	if err != nil {
 		return GradeFailed, err
 	}
+	// The golden testbench fails every mutant (each is drawn for being
+	// killed), so agreeing with it means failing the mutant.
 	agree := 0
-	for i, o := range outs {
+	for _, o := range outs {
 		verdict := o.Err == nil && o.Res.Pass()
-		if verdict == f.goldenVerdict[i] {
+		if !verdict {
 			agree++
 		}
 	}

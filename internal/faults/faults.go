@@ -131,9 +131,6 @@ func Wrap(inner store.Store, plan Plan) *Store {
 	return &Store{inner: inner, plan: plan}
 }
 
-// Ops returns the number of store operations seen so far.
-func (s *Store) Ops() int64 { return s.ops.Load() }
-
 // Counts returns the injected-fault totals.
 func (s *Store) Counts() Counts {
 	s.mu.Lock()

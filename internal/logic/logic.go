@@ -151,15 +151,6 @@ func FromUint64(width int, val uint64) Vector {
 	return v
 }
 
-// FromBits builds a vector from bits listed most-significant first.
-func FromBits(bits ...Bit) Vector {
-	v := New(len(bits))
-	for i, b := range bits {
-		v.SetBit(len(bits)-1-i, b)
-	}
-	return v
-}
-
 // FromString parses a binary string such as "1010", "1x0z" or
 // "0b_1010" (underscores ignored). The first character is the MSB.
 func FromString(s string) (Vector, error) {
@@ -198,17 +189,6 @@ func MustParse(s string) Vector {
 
 // Width reports the number of bits in the vector.
 func (v Vector) Width() int { return v.width }
-
-// IsValid reports whether the vector was properly constructed.
-func (v Vector) IsValid() bool {
-	if v.width <= 0 {
-		return false
-	}
-	if v.small() {
-		return true
-	}
-	return len(v.wa) == words(v.width)
-}
 
 // clone returns a copy of v that shares no mutable state with it.
 // Narrow vectors are plain value copies.

@@ -81,7 +81,10 @@ var opSwapTable = map[string][]string{
 
 // enumerate lists every mutation site of module m. The order is
 // deterministic (syntactic pre-order), which makes (seed, count)
-// reproducible.
+// reproducible. It only reads m: a site's apply closure is the one
+// thing that writes, and only Plan.Build runs it, on a clone. Counting
+// callers pass the golden module itself, which goroutines share
+// (dataset.Problem.Module), so enumerate must stay read-only.
 func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 	var sites []site
 	widths := declWidths(m)
@@ -316,12 +319,6 @@ func sortStrings(ss []string) {
 	}
 }
 
-// SiteCount reports how many mutation sites the module exposes with a
-// fixed enumeration seed. Useful for tests and diagnostics.
-func SiteCount(m *verilog.Module) int {
-	return len(enumerate(verilog.CloneModule(m), rand.New(rand.NewSource(0))))
-}
-
 // Plan is a reproducible mutation recipe: an enumeration seed (which
 // fixes the per-site random choices such as replacement operators) and
 // the site indices to apply. Removing indices from Sites and rebuilding
@@ -339,7 +336,7 @@ func NewPlan(m *verilog.Module, rng *rand.Rand, count int) Plan {
 	if count <= 0 {
 		return p
 	}
-	n := len(enumerate(verilog.CloneModule(m), rand.New(rand.NewSource(p.EnumSeed))))
+	n := p.SiteCountIn(m)
 	if n == 0 {
 		return p
 	}
@@ -390,9 +387,10 @@ func (p Plan) Build(m *verilog.Module) (*verilog.Module, []Mutation) {
 	return clone, muts
 }
 
-// SiteCountIn reports the number of sites under this plan's seed.
+// SiteCountIn reports the number of sites m exposes under this plan's
+// seed; it reads m without cloning it.
 func (p Plan) SiteCountIn(m *verilog.Module) int {
-	return len(enumerate(verilog.CloneModule(m), rand.New(rand.NewSource(p.EnumSeed))))
+	return len(enumerate(m, rand.New(rand.NewSource(p.EnumSeed))))
 }
 
 // Mutate clones module m and applies count distinct random mutations.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"correctbench/internal/dataset"
 	"correctbench/internal/logic"
 	"correctbench/internal/sim"
 	"correctbench/internal/verilog"
@@ -47,10 +48,25 @@ func parse(t *testing.T, src string) *verilog.Module {
 
 func TestSiteEnumerationIsDeterministic(t *testing.T) {
 	m := parse(t, goldenCounter)
-	n1 := SiteCount(m)
-	n2 := SiteCount(m)
+	n1 := Plan{}.SiteCountIn(m)
+	n2 := Plan{}.SiteCountIn(m)
 	if n1 == 0 || n1 != n2 {
 		t.Fatalf("site counts: %d vs %d", n1, n2)
+	}
+	// Counting reads the module in place; Plan.Build enumerates a
+	// clone. Both must see the same sites.
+	for _, p := range dataset.All() {
+		g, err := p.Module()
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		clone := verilog.CloneModule(g)
+		for _, seed := range []int64{0, 42} {
+			plan := Plan{EnumSeed: seed}
+			if a, b := plan.SiteCountIn(g), plan.SiteCountIn(clone); a != b {
+				t.Errorf("%s seed %d: %d sites in place, %d on a clone", p.Name, seed, a, b)
+			}
+		}
 	}
 }
 
@@ -77,6 +93,9 @@ func TestMutationDoesNotTouchOriginal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
 		Mutate(m, rng, 2)
+		plan := NewPlan(m, rng, 2)
+		plan.SiteCountIn(m)
+		plan.Build(m)
 	}
 	if verilog.PrintModule(m) != before {
 		t.Fatal("original module modified by mutation")

@@ -4,31 +4,21 @@ import (
 	"math/rand"
 
 	"correctbench/internal/verilog"
-	"correctbench/internal/vstatic"
 )
 
 // Screen statically pre-screens candidate mutants before any
-// simulation. Two kinds of findings:
-//
-//   - identity candidates — mutants whose printed source equals the
-//     golden's — are rejected outright: byte-identical RTL elaborates
-//     to identical behavior, so no engine can ever kill them and the
-//     difference check would waste a simulation lane;
-//   - candidates that introduce a new error-severity static finding
-//     (multiple drivers, unreachable arms from a perturbed constant)
-//     are counted as flagged. They stay in the pool — a statically
-//     suspicious mutant may still be killable, and rejecting it would
-//     change which mutants surveys select — but the count feeds the
-//     benchmark report.
+// simulation. It rejects identity candidates — mutants whose printed
+// source equals the golden's: byte-identical RTL elaborates to
+// identical behavior, so no engine can ever kill them and the
+// difference check would waste a simulation lane.
 //
 // Screening never alters the candidate stream: every draw happens
 // whether or not it is screened out, so the mutants returned by the
 // screened generators (and the post-call rng state) are identical to
 // the unscreened ones.
 type Screen struct {
-	golden       string
-	baselineErrs int
-	Stats        ScreenStats
+	golden string
+	Stats  ScreenStats
 }
 
 // ScreenStats aggregates what a Screen saw.
@@ -38,33 +28,20 @@ type ScreenStats struct {
 	// Identical counts candidates rejected as print-identical to the
 	// golden (provably unkillable).
 	Identical int `json:"identical"`
-	// Flagged counts candidates carrying more error-severity static
-	// diagnostics than the golden.
-	Flagged int `json:"flagged"`
 }
 
-// NewScreen builds a screen against golden. The golden's own
-// error-severity diagnostic count is the baseline, so screening a
-// mutant of an already-dirty module flags only what the mutation
-// introduced.
+// NewScreen builds a screen against golden.
 func NewScreen(golden *verilog.Module) *Screen {
-	return &Screen{
-		golden:       verilog.PrintModule(golden),
-		baselineErrs: vstatic.AnalyzeModule(golden).Count(vstatic.SevError),
-	}
+	return &Screen{golden: verilog.PrintModule(golden)}
 }
 
 // Reject inspects one candidate and reports whether it is provably
-// unkillable (identity). Non-rejected candidates may still bump the
-// flagged count.
+// unkillable (identity).
 func (s *Screen) Reject(mut *verilog.Module) bool {
 	s.Stats.Candidates++
 	if verilog.PrintModule(mut) == s.golden {
 		s.Stats.Identical++
 		return true
-	}
-	if vstatic.AnalyzeModule(mut).Count(vstatic.SevError) > s.baselineErrs {
-		s.Stats.Flagged++
 	}
 	return false
 }

@@ -142,14 +142,6 @@ func (c *Collector) Samples() []PhaseSample {
 	return append([]PhaseSample(nil), c.out...)
 }
 
-// Epoch returns the collector's time origin.
-func (c *Collector) Epoch() time.Time {
-	if c == nil {
-		return time.Time{}
-	}
-	return c.epoch
-}
-
 var noop = func() {}
 
 type ctxKey struct{}

@@ -141,7 +141,7 @@ func CompileBatchSplit(base *Design, variants []*Design) ([]*BatchProgram, [][]i
 }
 
 func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram, error) {
-	bc := &batchCompiler{c: analyzer{d: base}}
+	bc := &batchCompiler{d: base, env: staticEnv{base}}
 	prog := &BatchProgram{base: base, variants: variants}
 
 	nComb, nSeq := len(base.combProcs), len(base.seqProcs)

@@ -5,9 +5,10 @@ package sim
 // Process bodies compile into closures that take a (BatchInstance,
 // lane) pair and read and write the flat [slot][lane] state block.
 // Every case mirrors the corresponding evalExpr/exec case of the
-// interpreter exactly — same width contexts (folded at compile time
-// by analyzer, compile.go), same X-propagation, same no-op rules for
-// unknown indices and bounds — so a batch lane is bit-identical to an
+// interpreter exactly — same width contexts (the interpreter's own
+// selfWidth/lhsWidth/constUint, folded at compile time over staticEnv,
+// compile.go), same X-propagation, same no-op rules for unknown
+// indices and bounds — so a batch lane is bit-identical to an
 // interpreter Instance running the same design
 // (TestBatchDifferentialMicro, FuzzBatchLaneMatchesInterp and the
 // testbench-level differentials assert this across the dataset).
@@ -39,20 +40,22 @@ type bLV func(b *BatchInstance, lane int32, val logic.Vector, nb bool)
 
 var bNoop bStmt = func(b *BatchInstance, lane int32) error { return nil }
 
-// batchCompiler compiles process bodies into per-lane closures. The
-// embedded analyzer supplies the static analysis (selfWidth,
-// constUint, lhsWidth) — those depend only on the design.
+// batchCompiler compiles process bodies into per-lane closures against
+// one base design. env folds the interpreter's width rules and constant
+// bounds at compile time; where they depend on a signal value the body
+// is errDynamic.
 type batchCompiler struct {
-	c analyzer
+	d   *Design
+	env staticEnv
 }
 
 // expr compiles e under context width ctx. The returned closure always
 // yields a vector of width max(ctx, selfWidth(e)), exactly as
 // evalExpr does.
 func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
-	self, err := bc.c.selfWidth(e)
-	if err != nil {
-		return nil, 0, err
+	self, static := selfWidth(e, bc.env)
+	if !static {
+		return nil, 0, errDynamic
 	}
 	want := self
 	if ctx > want {
@@ -67,12 +70,12 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		return nil, 0, errDynamic
 
 	case *verilog.Ident:
-		slot, ok := bc.c.d.slotOf[x.Name]
+		slot, ok := bc.d.slotOf[x.Name]
 		if !ok {
 			return nil, 0, errDynamic
 		}
 		s := int32(slot)
-		if bc.c.d.slotWidths[slot] == want {
+		if bc.d.slotWidths[slot] == want {
 			return func(b *BatchInstance, lane int32) logic.Vector {
 				return b.vals[int(s)*b.n+int(lane)]
 			}, want, nil
@@ -165,7 +168,7 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		}, total, want), want, nil
 
 	case *verilog.Repl:
-		nV, err := evalExpr(x.Count, constOnlyEnv{}, 0)
+		nV, err := evalExpr(x.Count, bc.env, 0)
 		if err != nil {
 			return nil, 0, errDynamic
 		}
@@ -209,8 +212,8 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		hiV, errHi := evalExpr(x.MSB, constOnlyEnv{}, 0)
-		loV, errLo := evalExpr(x.LSB, constOnlyEnv{}, 0)
+		hiV, errHi := evalExpr(x.MSB, bc.env, 0)
+		loV, errLo := evalExpr(x.LSB, bc.env, 0)
 		if errHi != nil || errLo != nil {
 			return nil, 0, errDynamic
 		}
@@ -357,11 +360,11 @@ func (bc *batchCompiler) binary(x *verilog.Binary, want int) (bExpr, int, error)
 func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
-		slot, ok := bc.c.d.slotOf[x.Name]
+		slot, ok := bc.d.slotOf[x.Name]
 		if !ok {
 			return nil, errDynamic
 		}
-		width := bc.c.d.slotWidths[slot]
+		width := bc.d.slotWidths[slot]
 		s := int32(slot)
 		return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
 			w := resolvedWrite{slot: s, val: val.Resize(width), whole: true}
@@ -377,11 +380,11 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 		if !ok {
 			return nil, errDynamic
 		}
-		slot, ok2 := bc.c.d.slotOf[id.Name]
+		slot, ok2 := bc.d.slotOf[id.Name]
 		if !ok2 {
 			return nil, errDynamic
 		}
-		width := bc.c.d.slotWidths[slot]
+		width := bc.d.slotWidths[slot]
 		idx, _, err := bc.expr(x.Index, 0)
 		if err != nil {
 			return nil, err
@@ -405,13 +408,13 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 		if !ok {
 			return nil, errDynamic
 		}
-		slot, ok2 := bc.c.d.slotOf[id.Name]
+		slot, ok2 := bc.d.slotOf[id.Name]
 		if !ok2 {
 			return nil, errDynamic
 		}
-		width := bc.c.d.slotWidths[slot]
-		hiV, errHi := evalExpr(x.MSB, constOnlyEnv{}, 0)
-		loV, errLo := evalExpr(x.LSB, constOnlyEnv{}, 0)
+		width := bc.d.slotWidths[slot]
+		hiV, errHi := evalExpr(x.MSB, bc.env, 0)
+		loV, errLo := evalExpr(x.LSB, bc.env, 0)
 		if errHi != nil || errLo != nil {
 			return nil, errDynamic
 		}
@@ -441,9 +444,9 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 		}, nil
 
 	case *verilog.Concat:
-		total, err := bc.c.lhsWidth(lhs)
-		if err != nil {
-			return nil, err
+		total, static := lhsWidth(lhs, bc.env)
+		if !static {
+			return nil, errDynamic
 		}
 		type part struct {
 			lv     bLV
@@ -452,10 +455,7 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 		parts := make([]part, 0, len(x.Parts))
 		offset := total
 		for _, p := range x.Parts {
-			w, err := bc.c.lhsWidth(p)
-			if err != nil {
-				return nil, err
-			}
+			w, _ := lhsWidth(p, bc.env) // static, since total is
 			offset -= w
 			lv, err := bc.lvalue(p)
 			if err != nil {
@@ -500,9 +500,9 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 		}, nil
 
 	case *verilog.Assign:
-		ctx, err := bc.c.lhsWidth(x.LHS)
-		if err != nil {
-			return nil, err
+		ctx, static := lhsWidth(x.LHS, bc.env)
+		if !static {
+			return nil, errDynamic
 		}
 		rhs, _, err := bc.expr(x.RHS, ctx)
 		if err != nil {

@@ -1,17 +1,18 @@
 package sim
 
-// Design finalization and the compile-time static analysis the batch
+// Design finalization and the compile-time environment the batch
 // compiler (batch_compile.go) builds on.
 //
 // At the end of Elaborate every signal name is resolved to a dense
 // integer slot and the scheduling structures (comb process ordinals,
 // per-slot sensitivity, edge-watch indices) are precomputed, so both
-// engines index state by slot. The analysis helpers fold what the
-// interpreter recomputes on every execution — IEEE 1364 context
-// widths, constant part-select bounds and replication counts — and
-// report errDynamic where the answer depends on signal values; the
-// batch compiler rejects such bodies, and the testbench recorder
-// simulates a rejected design on the interpreter.
+// engines index state by slot. staticEnv lets the batch compiler fold
+// what the interpreter recomputes on every execution — IEEE 1364
+// context widths, constant part-select bounds and replication counts —
+// with the interpreter's own rules (selfWidth, lhsWidth, constUint in
+// eval.go). Where the answer depends on signal values those rules
+// report not static and the compiler returns errDynamic; the testbench
+// recorder simulates a rejected design on the interpreter.
 
 import (
 	"errors"
@@ -100,178 +101,28 @@ func (d *Design) finalize() {
 	}
 }
 
+// signalWidth is a signal's declared width; ok is false for unknown
+// names.
+func (d *Design) signalWidth(name string) (w int, ok bool) {
+	s, ok := d.Signals[name]
+	if !ok {
+		return 0, false
+	}
+	return s.Width, true
+}
+
 // errDynamic marks constructs whose widths or spans depend on runtime
 // signal values; the batch compiler rejects them.
 var errDynamic = errors.New("not statically compilable")
 
-// analyzer evaluates widths and constants of one design's expressions
-// at compile time.
-type analyzer struct {
-	d *Design
-}
+// staticEnv evaluates the interpreter's width rules (selfWidth,
+// lhsWidth, constUint) at compile time: signal widths come from the
+// design, and every signal read fails, so a width or bound that depends
+// on a signal value reports not static.
+type staticEnv struct{ d *Design }
 
-// constOnlyEnv makes evalExpr usable as a compile-time constant
-// evaluator: any signal read aborts the fold.
-type constOnlyEnv struct{}
-
-func (constOnlyEnv) readSignal(name string) (logic.Vector, error) {
+func (staticEnv) readSignal(name string) (logic.Vector, error) {
 	return logic.Vector{}, errDynamic
 }
-func (constOnlyEnv) signalWidth(name string) (int, bool) { return 0, false }
 
-// constUint folds an expression that the interpreter evaluates with
-// constUint at runtime. For genuinely constant expressions the result
-// equals the runtime value (including the interpreter's "0 on X or
-// error" convention); expressions that read signals report dynamic.
-func (c *analyzer) constUint(e verilog.Expr) (uint64, error) {
-	v, err := evalExpr(e, constOnlyEnv{}, 0)
-	if err != nil {
-		return 0, errDynamic
-	}
-	u, ok := v.Uint64()
-	if !ok {
-		return 0, nil // interpreter's constUint yields 0 for unknowns
-	}
-	return u, nil
-}
-
-// selfWidth is eval.go's selfWidth evaluated at compile time. It
-// reports errDynamic where the runtime version would consult signal
-// values (replication counts, part-select bounds).
-func (c *analyzer) selfWidth(e verilog.Expr) (int, error) {
-	switch x := e.(type) {
-	case *verilog.Number:
-		if x.Width == 0 {
-			return 32, nil
-		}
-		return x.Width, nil
-	case *verilog.StringLit:
-		return 8 * len(x.Value), nil
-	case *verilog.Ident:
-		if s, ok := c.d.Signals[x.Name]; ok {
-			return s.Width, nil
-		}
-		return 1, nil
-	case *verilog.Unary:
-		switch x.Op {
-		case "~", "-":
-			return c.selfWidth(x.X)
-		default:
-			return 1, nil
-		}
-	case *verilog.Binary:
-		switch x.Op {
-		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-			l, err := c.selfWidth(x.X)
-			if err != nil {
-				return 0, err
-			}
-			r, err := c.selfWidth(x.Y)
-			if err != nil {
-				return 0, err
-			}
-			if r > l {
-				return r, nil
-			}
-			return l, nil
-		case "<<", ">>", ">>>", "<<<", "**":
-			return c.selfWidth(x.X)
-		default:
-			return 1, nil
-		}
-	case *verilog.Ternary:
-		l, err := c.selfWidth(x.Then)
-		if err != nil {
-			return 0, err
-		}
-		r, err := c.selfWidth(x.Else)
-		if err != nil {
-			return 0, err
-		}
-		if r > l {
-			return r, nil
-		}
-		return l, nil
-	case *verilog.Concat:
-		total := 0
-		for _, p := range x.Parts {
-			w, err := c.selfWidth(p)
-			if err != nil {
-				return 0, err
-			}
-			total += w
-		}
-		if total == 0 {
-			return 1, nil
-		}
-		return total, nil
-	case *verilog.Repl:
-		n, err := c.constUint(x.Count)
-		if err != nil {
-			return 0, err
-		}
-		if n < 1 {
-			n = 1
-		}
-		w, err := c.selfWidth(x.Value)
-		if err != nil {
-			return 0, err
-		}
-		return int(n) * w, nil
-	case *verilog.Index:
-		return 1, nil
-	case *verilog.PartSelect:
-		hi, err := c.constUint(x.MSB)
-		if err != nil {
-			return 0, err
-		}
-		lo, err := c.constUint(x.LSB)
-		if err != nil {
-			return 0, err
-		}
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		return int(hi-lo) + 1, nil
-	default:
-		return 1, nil
-	}
-}
-
-// lhsWidth mirrors Instance.lhsWidth at compile time.
-func (c *analyzer) lhsWidth(lhs verilog.Expr) (int, error) {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		if s, ok := c.d.Signals[x.Name]; ok {
-			return s.Width, nil
-		}
-		return 1, nil
-	case *verilog.Index:
-		return 1, nil
-	case *verilog.PartSelect:
-		hi, err := c.constUint(x.MSB)
-		if err != nil {
-			return 0, err
-		}
-		lo, err := c.constUint(x.LSB)
-		if err != nil {
-			return 0, err
-		}
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		return int(hi-lo) + 1, nil
-	case *verilog.Concat:
-		total := 0
-		for _, p := range x.Parts {
-			w, err := c.lhsWidth(p)
-			if err != nil {
-				return 0, err
-			}
-			total += w
-		}
-		return total, nil
-	default:
-		return 1, nil
-	}
-}
+func (e staticEnv) signalWidth(name string) (int, bool) { return e.d.signalWidth(name) }

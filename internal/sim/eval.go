@@ -15,95 +15,122 @@ type env interface {
 
 // selfWidth computes the self-determined width of an expression,
 // following IEEE 1364 table 5-22. Unknown identifiers report width 1;
-// evaluation will fail on them with a proper error.
-func selfWidth(e verilog.Expr, en env) int {
+// evaluation will fail on them with a proper error. static reports
+// whether every replication count and part-select bound met could be
+// evaluated (constUint); one that could not counts as 0.
+func selfWidth(e verilog.Expr, en env) (w int, static bool) {
 	switch x := e.(type) {
 	case *verilog.Number:
 		if x.Width == 0 {
-			return 32
+			return 32, true
 		}
-		return x.Width
+		return x.Width, true
 	case *verilog.StringLit:
-		return 8 * len(x.Value)
+		return 8 * len(x.Value), true
 	case *verilog.Ident:
 		if w, ok := en.signalWidth(x.Name); ok {
-			return w
+			return w, true
 		}
-		return 1
+		return 1, true
 	case *verilog.Unary:
 		switch x.Op {
 		case "~", "-":
 			return selfWidth(x.X, en)
 		default: // reductions and !
-			return 1
+			return 1, true
 		}
 	case *verilog.Binary:
 		switch x.Op {
 		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-			l, r := selfWidth(x.X, en), selfWidth(x.Y, en)
-			if r > l {
-				return r
-			}
-			return l
+			return maxWidth(x.X, x.Y, en)
 		case "<<", ">>", ">>>", "<<<", "**":
 			return selfWidth(x.X, en)
 		default: // comparisons and logical ops
-			return 1
+			return 1, true
 		}
 	case *verilog.Ternary:
-		l, r := selfWidth(x.Then, en), selfWidth(x.Else, en)
-		if r > l {
-			return r
-		}
-		return l
+		return maxWidth(x.Then, x.Else, en)
 	case *verilog.Concat:
-		total := 0
+		total, static := 0, true
 		for _, p := range x.Parts {
-			total += selfWidth(p, en)
+			w, ok := selfWidth(p, en)
+			total += w
+			static = static && ok
 		}
 		if total == 0 {
-			return 1
+			return 1, static
 		}
-		return total
+		return total, static
 	case *verilog.Repl:
-		n := constUint(x.Count, en)
+		n, ok1 := constUint(x.Count, en)
 		if n < 1 {
 			n = 1
 		}
-		return int(n) * selfWidth(x.Value, en)
+		w, ok2 := selfWidth(x.Value, en)
+		return int(n) * w, ok1 && ok2
 	case *verilog.Index:
-		return 1
+		return 1, true
 	case *verilog.PartSelect:
-		hi, lo := constUint(x.MSB, en), constUint(x.LSB, en)
+		hi, ok1 := constUint(x.MSB, en)
+		lo, ok2 := constUint(x.LSB, en)
 		if hi < lo {
 			hi, lo = lo, hi
 		}
-		return int(hi-lo) + 1
+		return int(hi-lo) + 1, ok1 && ok2
 	default:
-		return 1
+		return 1, true
+	}
+}
+
+// maxWidth is the wider of two operands' self-determined widths.
+func maxWidth(a, b verilog.Expr, en env) (int, bool) {
+	l, ok1 := selfWidth(a, en)
+	r, ok2 := selfWidth(b, en)
+	if r > l {
+		l = r
+	}
+	return l, ok1 && ok2
+}
+
+// lhsWidth computes the width of an assignment target, used as context
+// width of the RHS; static as for selfWidth.
+func lhsWidth(lhs verilog.Expr, en env) (w int, static bool) {
+	switch x := lhs.(type) {
+	case *verilog.Ident, *verilog.PartSelect:
+		return selfWidth(lhs, en)
+	case *verilog.Concat:
+		total, static := 0, true
+		for _, p := range x.Parts {
+			w, ok := lhsWidth(p, en)
+			total += w
+			static = static && ok
+		}
+		return total, static
+	default: // bit selects and invalid targets
+		return 1, true
 	}
 }
 
 // constUint evaluates an expression that should be constant in context
 // (replication counts, part-select bounds); 0 on failure — the caller
-// reports the error during real evaluation.
-func constUint(e verilog.Expr, en env) uint64 {
+// reports the error during real evaluation. ok reports whether the
+// evaluation succeeded; an unknown value is 0 but still ok.
+func constUint(e verilog.Expr, en env) (u uint64, ok bool) {
 	v, err := evalExpr(e, en, 0)
 	if err != nil {
-		return 0
+		return 0, false
 	}
-	u, ok := v.Uint64()
-	if !ok {
-		return 0
+	if u, known := v.Uint64(); known {
+		return u, true
 	}
-	return u
+	return 0, true
 }
 
 // evalExpr evaluates e. ctx is the context width imposed by the
 // surrounding assignment or operation; 0 means self-determined. The
 // result always has width max(ctx, selfWidth).
 func evalExpr(e verilog.Expr, en env, ctx int) (logic.Vector, error) {
-	want := selfWidth(e, en)
+	want, _ := selfWidth(e, en)
 	if ctx > want {
 		want = ctx
 	}

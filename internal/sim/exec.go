@@ -33,7 +33,8 @@ func (in *Instance) exec(s verilog.Stmt) error {
 		return nil
 
 	case *verilog.Assign:
-		val, err := evalExpr(x.RHS, in, in.lhsWidth(x.LHS))
+		ctx, _ := lhsWidth(x.LHS, in)
+		val, err := evalExpr(x.RHS, in, ctx)
 		if err != nil {
 			return fmt.Errorf("%s: %v", x.Pos, err)
 		}
@@ -154,34 +155,6 @@ func (in *Instance) exec(s verilog.Stmt) error {
 	}
 }
 
-// lhsWidth computes the width of an assignment target, used as context
-// width of the RHS.
-func (in *Instance) lhsWidth(lhs verilog.Expr) int {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		if w, ok := in.signalWidth(x.Name); ok {
-			return w
-		}
-		return 1
-	case *verilog.Index:
-		return 1
-	case *verilog.PartSelect:
-		hi, lo := constUint(x.MSB, in), constUint(x.LSB, in)
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		return int(hi-lo) + 1
-	case *verilog.Concat:
-		total := 0
-		for _, p := range x.Parts {
-			total += in.lhsWidth(p)
-		}
-		return total
-	default:
-		return 1
-	}
-}
-
 // resolvedWrite is a fully resolved assignment target span.
 type resolvedWrite struct {
 	slot   int32
@@ -260,11 +233,12 @@ func (in *Instance) resolveLValue(lhs verilog.Expr, val logic.Vector, pos verilo
 	case *verilog.Concat:
 		// {a, b} = val assigns the top bits to a, the low bits to b.
 		var out []resolvedWrite
-		offset := in.lhsWidth(lhs)
+		offset, _ := lhsWidth(lhs, in)
+		val = val.Resize(offset)
 		for _, p := range x.Parts {
-			w := in.lhsWidth(p)
+			w, _ := lhsWidth(p, in)
 			offset -= w
-			part := logic.Slice(val.Resize(in.lhsWidth(lhs)), offset+w-1, offset)
+			part := logic.Slice(val, offset+w-1, offset)
 			ws, err := in.resolveLValue(p, part, pos)
 			if err != nil {
 				return nil, err

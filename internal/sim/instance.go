@@ -136,13 +136,7 @@ func (in *Instance) readSignal(name string) (logic.Vector, error) {
 	return in.vals[slot], nil
 }
 
-func (in *Instance) signalWidth(name string) (int, bool) {
-	s, ok := in.design.Signals[name]
-	if !ok {
-		return 0, false
-	}
-	return s.Width, true
-}
+func (in *Instance) signalWidth(name string) (int, bool) { return in.design.signalWidth(name) }
 
 // ------------------------------------------------------------------------
 

@@ -1,10 +1,6 @@
 package verilog
 
-import (
-	"strings"
-
-	"correctbench/internal/logic"
-)
+import "correctbench/internal/logic"
 
 // SourceFile is a parsed Verilog source unit.
 type SourceFile struct {
@@ -533,6 +529,3 @@ func DumpKind(e Expr) string {
 		return "?"
 	}
 }
-
-// JoinNames renders a name list for diagnostics.
-func JoinNames(names []string) string { return strings.Join(names, ", ") }

@@ -67,16 +67,6 @@ type ProcFacts struct {
 	NBA []string
 }
 
-// BlockingTargets returns the sorted blocking-write target names.
-func (f ProcFacts) BlockingTargets() []string {
-	out := make([]string, 0, len(f.Writes))
-	for n := range f.Writes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AnalyzeProc proves a combinational process body a pure function of
 // its level sensitivity list. sens reports sensitivity-list
 // membership (for an @(*) process pass the elaborated auto-list:

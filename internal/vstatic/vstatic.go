@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 
-	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
 )
 
@@ -450,11 +449,4 @@ func (v *modView) checkUndeclared() {
 			}
 		}
 	}
-}
-
-// ExprConst exposes constant evaluation of an expression under a
-// parameter environment (used by tests and external screens); ok is
-// false for non-constant expressions.
-func ExprConst(e verilog.Expr, params ConstEnv) (logic.Vector, bool) {
-	return constEval(e, params, func(string) (int, bool) { return 0, false }, 0)
 }
