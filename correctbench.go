@@ -37,11 +37,13 @@ package correctbench
 
 import (
 	"fmt"
+	"slices"
 
 	"correctbench/internal/autoeval"
 	"correctbench/internal/dataset"
 	"correctbench/internal/harness"
 	"correctbench/internal/llm"
+	"correctbench/internal/sim"
 	"correctbench/internal/testbench"
 	"correctbench/internal/validator"
 )
@@ -85,7 +87,8 @@ type TaskResult struct {
 // problem value usable with Client.GenerateTestbenchFor. kind is
 // "CMB" or "SEQ"; for SEQ problems clock must be "clk" and reset names
 // the synchronous reset input ("" when the design is flushed by a
-// load).
+// load). A reset that is not an input port of the golden top is an
+// error.
 func NewProblem(name, kind, spec, goldenSource, reset string, difficulty int) (*Problem, error) {
 	k := dataset.CMB
 	switch kind {
@@ -102,8 +105,12 @@ func NewProblem(name, kind, spec, goldenSource, reset string, difficulty int) (*
 	if k == dataset.SEQ {
 		p.Clock = "clk"
 	}
-	if _, err := p.Elaborate(); err != nil {
+	d, err := p.Elaborate()
+	if err != nil {
 		return nil, fmt.Errorf("correctbench: golden source invalid: %w", err)
+	}
+	if reset != "" && !slices.ContainsFunc(d.Ports, func(pt sim.Port) bool { return pt.Dir == sim.In && pt.Name == reset }) {
+		return nil, fmt.Errorf("correctbench: reset %q is not an input port of %s", reset, name)
 	}
 	return p, nil
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"correctbench/internal/testbench"
+	"correctbench/internal/verilog"
 )
 
 func TestProblemsAndLookup(t *testing.T) {
@@ -60,6 +63,43 @@ endmodule
 	}
 	if _, err := NewProblem("bad", "XYZ", "spec", src, "", 1); err == nil {
 		t.Error("invalid kind accepted")
+	}
+}
+
+// TestNewProblemRejectsResetThatIsNoInput pins NewProblem's reset
+// check: the reset is written into every emitted driver as a signal
+// name, so a name that is not an input port of the golden top is an
+// error, and an accepted one yields a driver that parses.
+func TestNewProblemRejectsResetThatIsNoInput(t *testing.T) {
+	src := `module tff(
+    input clk,
+    input rst,
+    input t,
+    output reg q
+);
+    always @(posedge clk) begin
+        if (rst) q <= 1'b0;
+        else if (t) q <= ~q;
+    end
+endmodule
+`
+	for _, reset := range []string{"r st", "rst;\nendmodule", "nope", "q"} {
+		if _, err := NewProblem("tff", "SEQ", "A toggle flip-flop.", src, reset, 1); err == nil {
+			t.Errorf("reset %q accepted", reset)
+		}
+	}
+	for _, reset := range []string{"rst", ""} {
+		p, err := NewProblem("tff", "SEQ", "A toggle flip-flop.", src, reset, 1)
+		if err != nil {
+			t.Fatalf("reset %q: %v", reset, err)
+		}
+		tb := &Testbench{Problem: p, Scenarios: []testbench.Scenario{{Index: 1, Name: "toggle", Steps: []testbench.Step{
+			{Inputs: map[string]uint64{"t": 1}},
+		}}}, CheckerSource: src, CheckerTop: "tff", CheckerSticky: -1}
+		tb.DriverSource = testbench.EmitDriver(tb)
+		if _, err := verilog.Parse(tb.DriverSource); err != nil {
+			t.Errorf("reset %q: emitted driver does not parse: %v\n%s", reset, err, tb.DriverSource)
+		}
 	}
 }
 

@@ -23,16 +23,23 @@ func freshSyntaxOK(tb *testbench.Testbench) bool {
 }
 
 // TestSyntaxOKMatchesFreshParse is the Eval0 differential for the
-// memoized SyntaxOK: on every problem, for AutoBench and Baseline
-// testbenches, with each track corrupted in place after the memo was
-// warmed (as corruptTestbench corrupts one track), restored, and
-// rewritten by the corrector, the memoized verdict must equal a fresh
-// parse of both tracks.
+// memoized SyntaxOK: on every problem, for the golden testbench and
+// for AutoBench and Baseline testbenches, with each track corrupted in
+// place after the memo was warmed (as corruptTestbench corrupts one
+// track), restored, and rewritten by the corrector, the memoized
+// verdict must equal a fresh parse of both tracks.
 func TestSyntaxOKMatchesFreshParse(t *testing.T) {
 	prof := llm.GPT4o()
 	corr := &corrector.Corrector{Profile: prof}
 	gens := []Generator{&AutoBench{Profile: prof}, &Baseline{Profile: prof}}
 	for i, p := range dataset.All() {
+		gold, err := testbench.Golden(p, rand.New(rand.NewSource(int64(i))))
+		if err != nil {
+			t.Fatalf("%s: golden: %v", p.Name, err)
+		}
+		if got, want := gold.SyntaxOK(), freshSyntaxOK(gold); got != want {
+			t.Errorf("%s golden: SyntaxOK = %v, fresh parse = %v", p.Name, got, want)
+		}
 		for j, gen := range gens {
 			rng := rand.New(rand.NewSource(int64(2*i + j)))
 			var acct llm.Accountant

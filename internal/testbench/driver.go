@@ -2,7 +2,9 @@ package testbench
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"correctbench/internal/dataset"
 	"correctbench/internal/sim"
@@ -11,9 +13,17 @@ import (
 // EmitDriver renders the Verilog driver track from the scenario list,
 // in the style of AutoBench's generated drivers (Fig. 3 of the paper):
 // a testbench module that instantiates the DUT, applies each scenario's
-// stimuli and $displays the sampled signals. The emitted text is what
-// Eval0 parses for the driver track, and it runs under cmd/vsim's timed
-// scheduler.
+// stimuli and $displays the sampled signals. The text runs under
+// cmd/vsim's timed scheduler.
+//
+// The emitted text always parses, given a problem whose name is an
+// identifier and whose reset is "" or an input port, as the dataset
+// and NewProblem guarantee: every other name it writes is a port of
+// the elaborated design, and a scenario name holding a control
+// character is quoted so it cannot end its comment line. EmitDriver
+// therefore records on tb that the returned text parses: SyntaxOK
+// does not parse it again while DriverSource holds it, and judges any
+// other driver text (a corrupted or edited one) by parsing.
 func EmitDriver(tb *Testbench) string {
 	p := tb.Problem
 	d, err := p.Elaborate()
@@ -59,7 +69,7 @@ func EmitDriver(tb *Testbench) string {
 	}
 	display := displayStatement(p, ins, outs)
 	for _, sc := range tb.Scenarios {
-		fmt.Fprintf(&sb, "        // Scenario %d: %s\n", sc.Index, sc.Name)
+		fmt.Fprintf(&sb, "        // Scenario %d: %s\n", sc.Index, commentSafe(sc.Name))
 		fmt.Fprintf(&sb, "        scenario = %d;\n", sc.Index)
 		if p.Kind == dataset.SEQ && p.Reset != "" {
 			fmt.Fprintf(&sb, "        %s = 1; #10 %s = 0;\n", p.Reset, p.Reset)
@@ -84,7 +94,20 @@ func EmitDriver(tb *Testbench) string {
 	}
 	sb.WriteString("        $finish;\n")
 	sb.WriteString("    end\nendmodule\n")
-	return sb.String()
+	src := sb.String()
+	tb.driverSyntax.Store(&syntaxVerdict{src: src, ok: true})
+	return src
+}
+
+// commentSafe returns a scenario name fit for a line comment. Only a
+// newline ends a // comment, but a name from the wire may hold any
+// control character, so such a name is written Go-quoted (escaped);
+// generated names have none and are written as they are.
+func commentSafe(name string) string {
+	if strings.ContainsFunc(name, unicode.IsControl) {
+		return strconv.Quote(name)
+	}
+	return name
 }
 
 func widthPrefix(w int) string {

@@ -87,9 +87,10 @@ type Testbench struct {
 	Problem   *dataset.Problem
 	Scenarios []Scenario
 
-	// DriverSource is the generated Verilog driver text. It is emitted
-	// from the scenario list (as AutoBench emits its driver) and is
-	// what Eval0 checks for the driver track.
+	// DriverSource is the Verilog driver text (Eval0's driver track).
+	// It is emitted from the scenario list by EmitDriver (as AutoBench
+	// emits its driver), which records that the text parses; a text
+	// edited or corrupted afterwards is judged by parsing it.
 	DriverSource string
 
 	// CheckerSource is the checker module text (Eval0's checker track
@@ -110,7 +111,8 @@ type Testbench struct {
 
 	// Memoized Eval0 verdict per track (see SyntaxOK). Each holds the
 	// source text it judged, so an in-place edit of DriverSource or
-	// CheckerSource re-parses. Atomic, so SyntaxOK is safe on a shared
+	// CheckerSource re-parses. EmitDriver stores the driver's verdict
+	// on the text it emits. Atomic, so SyntaxOK is safe on a shared
 	// testbench; the memos make a Testbench non-copyable (use
 	// WithChecker or a field-wise construction).
 	driverSyntax, checkerSyntax atomic.Pointer[syntaxVerdict]
@@ -161,10 +163,11 @@ func (r *RunResult) FailedScenarios() []int {
 // SyntaxOK reports whether both testbench tracks parse, the Eval0
 // criterion for the testbench artifact itself. Each track's verdict is
 // memoized with the text it judged: a track is parsed again only when
-// its source differs from the last one checked, so the validation
-// rounds, corrections and grade of one generation parse its driver
-// once. The driver is checked first; a broken driver leaves the
-// checker unparsed.
+// its source differs from the last one checked. A driver that
+// EmitDriver emitted on tb is already judged, so of a generation's
+// driver only a corrupted text is ever parsed, and only once. The
+// driver is checked first; a broken driver leaves the checker
+// unparsed.
 func (tb *Testbench) SyntaxOK() bool {
 	return trackOK(&tb.driverSyntax, tb.DriverSource) && trackOK(&tb.checkerSyntax, tb.CheckerSource)
 }

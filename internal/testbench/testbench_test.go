@@ -190,14 +190,18 @@ func TestSyntaxOK(t *testing.T) {
 	}
 }
 
-// TestSyntaxOKMemo pins the per-track Eval0 memo: an in-place edit of
-// either track is re-judged in both directions, a WithChecker copy
-// keeps the driver verdict but judges its own checker, an unchanged
-// testbench is not parsed again (no allocations), and concurrent
-// callers on one shared testbench agree.
+// TestSyntaxOKMemo pins the per-track Eval0 memo: a freshly emitted
+// driver is already judged, an in-place edit of either track is
+// re-judged in both directions, a WithChecker copy keeps the driver
+// verdict but judges its own checker, an unchanged testbench is not
+// parsed again (no allocations), and concurrent callers on one shared
+// testbench agree.
 func TestSyntaxOKMemo(t *testing.T) {
 	tb := golden(t, "cnt8")
 	driver, checker := tb.DriverSource, tb.CheckerSource
+	if v := tb.driverSyntax.Load(); v == nil || v.src != driver || !v.ok {
+		t.Fatalf("freshly emitted driver's memo = %+v, want (DriverSource, true)", v)
+	}
 	broken := func(src string) string { return src[:len(src)/2] }
 	for _, tc := range []struct {
 		track, good string

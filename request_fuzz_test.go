@@ -4,7 +4,11 @@ import (
 	"encoding/json"
 	"testing"
 
+	"correctbench/internal/autobench"
 	"correctbench/internal/dataset"
+	"correctbench/internal/harness"
+	"correctbench/internal/llm"
+	"correctbench/internal/verilog"
 )
 
 // FuzzSubmitRequest feeds arbitrary bodies to the POST /v1/experiments
@@ -58,9 +62,11 @@ func FuzzSubmitRequest(f *testing.F) {
 // FuzzGradeRequest feeds arbitrary bodies to the POST /v1/grade
 // decoder: JSON into gradeRequest, then TaskSpec.resolve, then — for a
 // known problem carrying a testbench — wireToTestbench, which emits
-// the driver track from the untrusted stimulus steps. None may panic.
-// The corpus is seeded with the bodies the benchmark driver and the
-// service tests send.
+// the driver track from the untrusted scenario names and stimulus
+// steps. None may panic, and the rebuilt testbench's SyntaxOK must
+// equal a fresh parse of both tracks. The corpus is seeded with the
+// bodies the benchmark driver and the service tests send, and with a
+// scenario name that once ended the driver's comment line.
 func FuzzGradeRequest(f *testing.F) {
 	halfadd, err := json.Marshal(ProblemByName("halfadd").Source)
 	if err != nil {
@@ -77,6 +83,8 @@ func FuzzGradeRequest(f *testing.F) {
 		`{"problem":"cnt8","seed":24301,"testbench":{"scenarios":[{"steps":[{"rst":1},{"rst":0,"en":1}]},{"name":"","steps":[]}],"checker_source":"","checker_top":"top_module"}}`,
 		`{"problem":"mux2_w4","testbench":{"scenarios":[{"steps":[{"sel":18446744073709551615,"a":15,"b":0,"nope":1}]}],"checker_source":"module m; endmodule"}}`,
 		`{"problem":"dff","testbench":{"scenarios":null}}`,
+		`{"problem":"halfadd","seed":1,"testbench":{"checker_source":` + string(halfadd) +
+			`,"scenarios":[{"name":"a\nendmodule","steps":[{"a":1,"b":1}]}]}}`,
 		`{"problem":"adder4","rtl_group_size":1099511627776}`,
 		`{"problem":"adder4","max_corrections":51,"max_reboots":50,"rtl_group_size":100}`,
 	} {
@@ -103,7 +111,67 @@ func FuzzGradeRequest(f *testing.F) {
 		if tb.ScenarioCount() != len(req.Testbench.Scenarios) {
 			t.Fatalf("wire testbench with %d scenarios rebuilt with %d", len(req.Testbench.Scenarios), tb.ScenarioCount())
 		}
+		if got, want := tb.SyntaxOK(), freshSyntaxOK(tb); got != want {
+			t.Fatalf("SyntaxOK = %v, fresh parse = %v for %s", got, want, body)
+		}
 	})
+}
+
+// freshSyntaxOK is the unmemoized Eval0 reference: parse both tracks.
+func freshSyntaxOK(tb *Testbench) bool {
+	if _, err := verilog.Parse(tb.DriverSource); err != nil {
+		return false
+	}
+	_, err := verilog.Parse(tb.CheckerSource)
+	return err == nil
+}
+
+// TestWireTestbenchSyntaxOKMatchesFreshParse covers the path of every
+// /v1/grade input the benchmark sends: each problem's AutoBench and
+// Baseline testbench, drawn as the benchmark draws variant 0 at seed
+// 42, goes to its wire form, through JSON and back through
+// wireToTestbench. The rebuilt driver is emitted from the scenarios,
+// so it must parse, and SyntaxOK must equal a fresh parse of both
+// tracks (a generated checker may be corrupted).
+func TestWireTestbenchSyntaxOKMatchesFreshParse(t *testing.T) {
+	prof := llm.GPT4o()
+	for _, p := range dataset.All() {
+		for _, m := range []harness.Method{harness.MethodAutoBench, harness.MethodBaseline} {
+			gen, err := autobench.ForMethod(string(m), prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := harness.CellStream(42, m, 0, p.Name).Rand()
+			var acct llm.Accountant
+			gtb, err := gen.Generate(p, prof.SampleTrait(p.Difficulty, p.Kind == dataset.SEQ, r), r, &acct)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", p.Name, m, err)
+			}
+			w := wireTestbench{CheckerSource: gtb.CheckerSource, CheckerTop: gtb.CheckerTop}
+			for _, sc := range gtb.Scenarios {
+				ws := wireScenario{Name: sc.Name}
+				for _, st := range sc.Steps {
+					ws.Steps = append(ws.Steps, st.Inputs)
+				}
+				w.Scenarios = append(w.Scenarios, ws)
+			}
+			body, err := json.Marshal(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back wireTestbench
+			if err := json.Unmarshal(body, &back); err != nil {
+				t.Fatal(err)
+			}
+			tb := wireToTestbench(p, &back)
+			if _, err := verilog.Parse(tb.DriverSource); err != nil {
+				t.Errorf("%s/%s: rebuilt driver does not parse: %v", p.Name, m, err)
+			}
+			if got, want := tb.SyntaxOK(), freshSyntaxOK(tb); got != want {
+				t.Errorf("%s/%s: SyntaxOK = %v, fresh parse = %v", p.Name, m, got, want)
+			}
+		}
+	}
 }
 
 // inRange reports whether an optional override is unset or in [lo, hi].
