@@ -87,8 +87,8 @@ type TaskResult struct {
 // problem value usable with Client.GenerateTestbenchFor. kind is
 // "CMB" or "SEQ"; for SEQ problems clock must be "clk" and reset names
 // the synchronous reset input ("" when the design is flushed by a
-// load). A reset that is not an input port of the golden top is an
-// error.
+// load). A SEQ golden top without a clk input, and a reset that is not
+// an input port of the golden top, are errors.
 func NewProblem(name, kind, spec, goldenSource, reset string, difficulty int) (*Problem, error) {
 	k := dataset.CMB
 	switch kind {
@@ -109,7 +109,13 @@ func NewProblem(name, kind, spec, goldenSource, reset string, difficulty int) (*
 	if err != nil {
 		return nil, fmt.Errorf("correctbench: golden source invalid: %w", err)
 	}
-	if reset != "" && !slices.ContainsFunc(d.Ports, func(pt sim.Port) bool { return pt.Dir == sim.In && pt.Name == reset }) {
+	isInput := func(port string) bool {
+		return slices.ContainsFunc(d.Ports, func(pt sim.Port) bool { return pt.Dir == sim.In && pt.Name == port })
+	}
+	if p.Clock != "" && !isInput(p.Clock) {
+		return nil, fmt.Errorf("correctbench: SEQ golden %s has no clock input %q", name, p.Clock)
+	}
+	if reset != "" && !isInput(reset) {
 		return nil, fmt.Errorf("correctbench: reset %q is not an input port of %s", reset, name)
 	}
 	return p, nil

@@ -66,11 +66,13 @@ endmodule
 	}
 }
 
-// TestNewProblemRejectsResetThatIsNoInput pins NewProblem's reset
-// check: the reset is written into every emitted driver as a signal
-// name, so a name that is not an input port of the golden top is an
-// error, and an accepted one yields a driver that parses.
-func TestNewProblemRejectsResetThatIsNoInput(t *testing.T) {
+// TestNewProblemRejectsClockOrResetThatIsNoInput pins NewProblem's
+// port checks. The reset is written into every emitted driver as a
+// signal name, so a name that is not an input port of the golden top
+// is an error, and an accepted one yields a driver that parses. The
+// driver and the simulator clock clk, so a SEQ golden without a clk
+// input is an error too.
+func TestNewProblemRejectsClockOrResetThatIsNoInput(t *testing.T) {
 	src := `module tff(
     input clk,
     input rst,
@@ -87,6 +89,13 @@ endmodule
 		if _, err := NewProblem("tff", "SEQ", "A toggle flip-flop.", src, reset, 1); err == nil {
 			t.Errorf("reset %q accepted", reset)
 		}
+	}
+	noClk := `module m(input c, input rst, input d, output reg q);
+    always @(posedge c) if (rst) q <= 1'b0; else q <= d;
+endmodule
+`
+	if _, err := NewProblem("m", "SEQ", "A D flip-flop clocked by c.", noClk, "rst", 1); err == nil {
+		t.Error("SEQ golden without a clk input accepted")
 	}
 	for _, reset := range []string{"rst", ""} {
 		p, err := NewProblem("tff", "SEQ", "A toggle flip-flop.", src, reset, 1)

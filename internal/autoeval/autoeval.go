@@ -77,38 +77,6 @@ type Evaluator struct {
 
 	mu       sync.Mutex // guards the fixtures map only, never held during builds
 	fixtures map[string]*fixtureEntry
-
-	// designMu guards designs, the elaborated-DUT cache keyed by
-	// printed-module source. Fixture construction prints and runs the
-	// same mutant several times (kill check, subtlety probe, final
-	// design build); caching makes each distinct source elaborate
-	// once per Evaluator.
-	designMu sync.Mutex
-	designs  map[string]*sim.Design
-}
-
-// elaborateCached elaborates Verilog source, memoizing per distinct
-// (source, top) pair. Only successful elaborations are cached;
-// failures are rare (rejected mutants) and re-derived.
-func (e *Evaluator) elaborateCached(src, top string) (*sim.Design, error) {
-	key := top + "\x00" + src
-	e.designMu.Lock()
-	d, ok := e.designs[key]
-	e.designMu.Unlock()
-	if ok {
-		return d, nil
-	}
-	d, err := sim.ElaborateSourceContext(context.Background(), src, top)
-	if err != nil {
-		return nil, err
-	}
-	e.designMu.Lock()
-	if e.designs == nil {
-		e.designs = map[string]*sim.Design{}
-	}
-	e.designs[key] = d
-	e.designMu.Unlock()
-	return d, nil
 }
 
 // NewEvaluator returns an evaluator with the paper's configuration.
@@ -173,12 +141,24 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	}
 
 	// Mutants must be killable by the golden testbench: that is what
-	// makes them useful Eval2 probes. Candidate mutants are elaborated
-	// through the evaluator's design cache: the same printed source is
-	// simulated again by the subtlety probe and kept as an Eval2 DUT,
-	// and must not be re-elaborated each time. The kill checks run
-	// wave-at-a-time as lanes of one batched pass.
-	//
+	// makes them useful Eval2 probes. The kill checks run
+	// wave-at-a-time as lanes of one batched pass. A candidate that
+	// passes is simulated again by the subtlety probe and may be kept
+	// as an Eval2 DUT, so elaborate memoizes each candidate module's
+	// design for the rest of this build. It elaborates the printed
+	// text, not the module, because error texts carry positions in
+	// that text.
+	elaborated := map[*verilog.Module]*sim.Design{}
+	elaborate := func(m *verilog.Module) (*sim.Design, error) {
+		if d, ok := elaborated[m]; ok {
+			return d, nil
+		}
+		d, err := sim.ElaborateSourceContext(context.Background(), verilog.PrintModule(m), p.Top)
+		if err == nil {
+			elaborated[m] = d
+		}
+		return d, err
+	}
 	// batchRun elaborates a module set and runs the lanes that
 	// elaborate through one batched pass of tb, returning per-module
 	// outcomes (Err set for elaboration failures).
@@ -187,7 +167,7 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 		designs := make([]*sim.Design, 0, len(ms))
 		idx := make([]int, 0, len(ms))
 		for i, m := range ms {
-			d, err := e.elaborateCached(verilog.PrintModule(m), p.Top)
+			d, err := elaborate(m)
 			if err != nil {
 				out[i].Err = fmt.Errorf("dut: %w", err)
 				continue
@@ -285,7 +265,7 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	}
 	f := &fixture{golden: gtb}
 	for _, m := range mutants {
-		d, err := e.elaborateCached(verilog.PrintModule(m), p.Top)
+		d, err := elaborate(m)
 		if err != nil {
 			continue
 		}

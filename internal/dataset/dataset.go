@@ -94,7 +94,7 @@ func (p *Problem) Fingerprint() string {
 
 // Module parses the golden source and returns its top module. The
 // result is cached and shared: callers must treat it as read-only
-// (mutation always goes through verilog.CloneModule).
+// (mutate copies each node before a mutation can write to it).
 func (p *Problem) Module() (*verilog.Module, error) {
 	p.moduleOnce.Do(func() {
 		f, err := verilog.Parse(p.Source)

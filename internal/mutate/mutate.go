@@ -17,6 +17,7 @@ package mutate
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"correctbench/internal/logic"
@@ -48,8 +49,8 @@ type Mutation struct {
 
 func (m Mutation) String() string { return fmt.Sprintf("%s@%d(%s)", m.Kind, m.Site, m.Desc) }
 
-// site is a mutation opportunity bound to nodes of one specific module
-// clone.
+// site is a mutation opportunity bound to nodes of the copy that one
+// enumerate call built.
 type site struct {
 	kind  Kind
 	desc  string
@@ -79,13 +80,18 @@ var opSwapTable = map[string][]string{
 	"||":  {"&&"},
 }
 
-// enumerate lists every mutation site of module m. The order is
-// deterministic (syntactic pre-order), which makes (seed, count)
-// reproducible. It only reads m: a site's apply closure is the one
-// thing that writes, and only Plan.Build runs it, on a clone. Counting
-// callers pass the golden module itself, which goroutines share
-// (dataset.Problem.Module), so enumerate must stay read-only.
-func enumerate(m *verilog.Module, rng *rand.Rand) []site {
+// enumerate copies module m while it lists every mutation site, and
+// returns the copy with its sites. The order is deterministic
+// (syntactic pre-order), which makes (seed, count) reproducible.
+//
+// Every node the walk enters is first replaced in its parent's slot by
+// a shallow copy (dup), and every slice it indexes is cloned, so sites
+// bind to the copy and a site's apply closure writes only there. Nodes
+// the walk never enters (declarations, instances, For headers,
+// sensitivity lists, assignment targets) stay shared with m, so
+// nothing may write to a built module either. m itself is only read:
+// goroutines share golden modules (dataset.Problem.Module).
+func enumerate(m *verilog.Module, rng *rand.Rand) (*verilog.Module, []site) {
 	var sites []site
 	widths := declWidths(m)
 
@@ -96,6 +102,7 @@ func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 			case nil:
 				return
 			case *verilog.Binary:
+				x = dup(ep, x)
 				if repls, ok := opSwapTable[x.Op]; ok {
 					repl := repls[rng.Intn(len(repls))]
 					op := x
@@ -108,9 +115,10 @@ func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 				walk(&x.X)
 				walk(&x.Y)
 			case *verilog.Unary:
+				x = dup(ep, x)
+				var inner verilog.Expr
 				if x.Op == "~" || x.Op == "!" {
 					target := ep
-					inner := x.X
 					sites = append(sites, site{
 						kind:  UnaryDrop,
 						desc:  "drop " + x.Op,
@@ -118,7 +126,9 @@ func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 					})
 				}
 				walk(&x.X)
+				inner = x.X // bound after the walk copied it, so faults inside it survive
 			case *verilog.Ternary:
+				x = dup(ep, x)
 				t := x
 				sites = append(sites, site{
 					kind:  TernarySwap,
@@ -129,7 +139,7 @@ func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 				walk(&x.Then)
 				walk(&x.Else)
 			case *verilog.Number:
-				n := x
+				n := dup(ep, x)
 				if n.Width == 1 || n.Val.Width() == 1 {
 					sites = append(sites, site{
 						kind: ConstPerturb,
@@ -156,14 +166,19 @@ func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 					})
 				}
 			case *verilog.Concat:
+				x = dup(ep, x)
+				x.Parts = slices.Clone(x.Parts)
 				for i := range x.Parts {
 					walk(&x.Parts[i])
 				}
 			case *verilog.Repl:
+				x = dup(ep, x)
 				walk(&x.Value)
 			case *verilog.Index:
+				x = dup(ep, x)
 				walk(&x.Index)
 			case *verilog.PartSelect:
+				x = dup(ep, x)
 				walk(&x.MSB)
 				walk(&x.LSB)
 			case *verilog.Ident:
@@ -176,9 +191,9 @@ func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 						}
 					}
 					if len(cands) > 0 {
-						sortStrings(cands)
+						slices.Sort(cands)
 						repl := cands[rng.Intn(len(cands))]
-						id := x
+						id := dup(ep, x)
 						sites = append(sites, site{
 							kind:  IdentSwap,
 							desc:  fmt.Sprintf("%s -> %s", id.Name, repl),
@@ -204,15 +219,17 @@ func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 		}
 	}
 
-	var walkStmt func(s verilog.Stmt, inSeq bool)
-	walkStmt = func(s verilog.Stmt, inSeq bool) {
-		switch x := s.(type) {
+	var walkStmt func(sp *verilog.Stmt, inSeq bool)
+	walkStmt = func(sp *verilog.Stmt, inSeq bool) {
+		switch x := (*sp).(type) {
 		case *verilog.Block:
-			for _, st := range x.Stmts {
-				walkStmt(st, inSeq)
+			x = dup(sp, x)
+			x.Stmts = slices.Clone(x.Stmts)
+			for i := range x.Stmts {
+				walkStmt(&x.Stmts[i], inSeq)
 			}
 		case *verilog.Assign:
-			a := x
+			a := dup(sp, x)
 			addExprSites(&a.RHS, true)
 			if inSeq {
 				sites = append(sites, site{
@@ -222,17 +239,18 @@ func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 				})
 			}
 		case *verilog.If:
-			i := x
+			i := dup(sp, x)
 			sites = append(sites, site{
 				kind:  CondNegate,
 				desc:  "negate if condition",
 				apply: func() { i.Cond = &verilog.Unary{Op: "!", X: i.Cond} },
 			})
 			addExprSites(&i.Cond, false)
-			walkStmt(x.Then, inSeq)
-			walkStmt(x.Else, inSeq)
+			walkStmt(&i.Then, inSeq)
+			walkStmt(&i.Else, inSeq)
 		case *verilog.Case:
-			c := x
+			c := dup(sp, x)
+			c.Items = slices.Clone(c.Items)
 			if n := len(c.Items); n >= 2 {
 				i := rng.Intn(n - 1)
 				sites = append(sites, site{
@@ -245,31 +263,47 @@ func enumerate(m *verilog.Module, rng *rand.Rand) []site {
 			}
 			addExprSites(&c.Expr, false)
 			for idx := range c.Items {
-				for j := range c.Items[idx].Exprs {
-					addExprSites(&c.Items[idx].Exprs[j], false)
+				it := &c.Items[idx]
+				it.Exprs = slices.Clone(it.Exprs)
+				for j := range it.Exprs {
+					addExprSites(&it.Exprs[j], false)
 				}
-				walkStmt(c.Items[idx].Body, inSeq)
+				walkStmt(&it.Body, inSeq)
 			}
 		case *verilog.For:
-			walkStmt(x.Body, inSeq)
+			x = dup(sp, x)
+			walkStmt(&x.Body, inSeq)
 		case *verilog.Repeat:
-			walkStmt(x.Body, inSeq)
+			x = dup(sp, x)
+			walkStmt(&x.Body, inSeq)
 		case *verilog.Delay:
-			walkStmt(x.Body, inSeq)
+			x = dup(sp, x)
+			walkStmt(&x.Body, inSeq)
 		}
 	}
 
-	for _, it := range m.Items {
+	mut := *m
+	mut.Items = slices.Clone(m.Items)
+	for i, it := range mut.Items {
 		switch x := it.(type) {
 		case *verilog.ContAssign:
-			ca := x
+			ca := dup(&mut.Items[i], x)
 			addExprSites(&ca.RHS, true)
 		case *verilog.Always:
+			x = dup(&mut.Items[i], x)
 			seq := !x.Star && hasEdge(x.Sens)
-			walkStmt(x.Body, seq)
+			walkStmt(&x.Body, seq)
 		}
 	}
-	return sites
+	return &mut, sites
+}
+
+// dup puts a shallow copy of node x into slot, which holds x, and
+// returns the copy.
+func dup[S any, T any](slot *S, x *T) *T {
+	c := *x
+	*slot = any(&c).(S)
+	return &c
 }
 
 func hasEdge(sens []verilog.SensItem) bool {
@@ -311,14 +345,6 @@ func declWidths(m *verilog.Module) map[string]int {
 	return out
 }
 
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
-}
-
 // Plan is a reproducible mutation recipe: an enumeration seed (which
 // fixes the per-site random choices such as replacement operators) and
 // the site indices to apply. Removing indices from Sites and rebuilding
@@ -332,19 +358,19 @@ type Plan struct {
 // NewPlan draws a plan with count sites using rng for all random
 // choices.
 func NewPlan(m *verilog.Module, rng *rand.Rand, count int) Plan {
-	p := Plan{EnumSeed: rng.Int63()}
-	if count <= 0 {
-		return p
-	}
-	n := p.SiteCountIn(m)
-	if n == 0 {
-		return p
-	}
-	if count > n {
-		count = n
-	}
-	p.Sites = append(p.Sites, rng.Perm(n)[:count]...)
+	p, _, _ := draw(m, rng, count)
 	return p
+}
+
+// draw draws a plan of count sites over m (all sites when m has fewer)
+// and returns it with the copy and sites its enumeration built.
+func draw(m *verilog.Module, rng *rand.Rand, count int) (Plan, *verilog.Module, []site) {
+	p := Plan{EnumSeed: rng.Int63()}
+	mut, sites := p.enumerate(m)
+	if n := len(sites); n > 0 && count > 0 {
+		p.Sites = rng.Perm(n)[:min(count, n)]
+	}
+	return p, mut, sites
 }
 
 // Without returns a copy of the plan with the given site removed.
@@ -370,11 +396,28 @@ func (p Plan) With(siteIdx int) Plan {
 	return out
 }
 
-// Build clones m and applies the plan, returning the mutant and the
-// applied mutations.
+// Build applies the plan to a copy of m, returning the mutant and the
+// applied mutations. The mutant shares every node no site reaches with
+// m, so, like m, it is read-only.
 func (p Plan) Build(m *verilog.Module) (*verilog.Module, []Mutation) {
-	clone := verilog.CloneModule(m)
-	sites := enumerate(clone, rand.New(rand.NewSource(p.EnumSeed)))
+	mut, sites := p.enumerate(m)
+	return mut, p.apply(sites)
+}
+
+// SiteCountIn reports the number of sites m exposes under this plan's
+// seed. It enumerates a copy it then drops; m is only read.
+func (p Plan) SiteCountIn(m *verilog.Module) int {
+	_, sites := p.enumerate(m)
+	return len(sites)
+}
+
+func (p Plan) enumerate(m *verilog.Module) (*verilog.Module, []site) {
+	return enumerate(m, rand.New(rand.NewSource(p.EnumSeed)))
+}
+
+// apply runs the plan's sites in order, skipping indices out of range,
+// and reports the mutations it applied.
+func (p Plan) apply(sites []site) []Mutation {
 	var muts []Mutation
 	for _, idx := range p.Sites {
 		if idx < 0 || idx >= len(sites) {
@@ -384,21 +427,17 @@ func (p Plan) Build(m *verilog.Module) (*verilog.Module, []Mutation) {
 		s.apply()
 		muts = append(muts, Mutation{Kind: s.kind, Site: idx, Desc: s.desc})
 	}
-	return clone, muts
+	return muts
 }
 
-// SiteCountIn reports the number of sites m exposes under this plan's
-// seed; it reads m without cloning it.
-func (p Plan) SiteCountIn(m *verilog.Module) int {
-	return len(enumerate(m, rand.New(rand.NewSource(p.EnumSeed))))
-}
-
-// Mutate clones module m and applies count distinct random mutations.
-// It returns the mutated clone and the list of applied mutations. If
-// the module exposes fewer sites than count, all sites are applied.
+// Mutate applies count distinct random mutations to a copy of module
+// m. It returns the mutant and the list of applied mutations. If the
+// module exposes fewer sites than count, all sites are applied. It
+// builds NewPlan(m, rng, count), with the same rng draws, from the one
+// enumeration that drew it.
 func Mutate(m *verilog.Module, rng *rand.Rand, count int) (*verilog.Module, []Mutation) {
-	plan := NewPlan(m, rng, count)
-	return plan.Build(m)
+	p, mut, sites := draw(m, rng, count)
+	return mut, p.apply(sites)
 }
 
 // DifferenceChecker reports whether a mutant behaves differently from

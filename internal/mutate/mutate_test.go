@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"correctbench/internal/dataset"
 	"correctbench/internal/logic"
 	"correctbench/internal/sim"
 	"correctbench/internal/verilog"
@@ -52,21 +51,6 @@ func TestSiteEnumerationIsDeterministic(t *testing.T) {
 	n2 := Plan{}.SiteCountIn(m)
 	if n1 == 0 || n1 != n2 {
 		t.Fatalf("site counts: %d vs %d", n1, n2)
-	}
-	// Counting reads the module in place; Plan.Build enumerates a
-	// clone. Both must see the same sites.
-	for _, p := range dataset.All() {
-		g, err := p.Module()
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		clone := verilog.CloneModule(g)
-		for _, seed := range []int64{0, 42} {
-			plan := Plan{EnumSeed: seed}
-			if a, b := plan.SiteCountIn(g), plan.SiteCountIn(clone); a != b {
-				t.Errorf("%s seed %d: %d sites in place, %d on a clone", p.Name, seed, a, b)
-			}
-		}
 	}
 }
 

@@ -18,16 +18,6 @@ import (
 // the unscreened ones.
 type Screen struct {
 	golden string
-	Stats  ScreenStats
-}
-
-// ScreenStats aggregates what a Screen saw.
-type ScreenStats struct {
-	// Candidates counts every candidate inspected.
-	Candidates int `json:"candidates"`
-	// Identical counts candidates rejected as print-identical to the
-	// golden (provably unkillable).
-	Identical int `json:"identical"`
 }
 
 // NewScreen builds a screen against golden.
@@ -38,12 +28,7 @@ func NewScreen(golden *verilog.Module) *Screen {
 // Reject inspects one candidate and reports whether it is provably
 // unkillable (identity).
 func (s *Screen) Reject(mut *verilog.Module) bool {
-	s.Stats.Candidates++
-	if verilog.PrintModule(mut) == s.golden {
-		s.Stats.Identical++
-		return true
-	}
-	return false
+	return verilog.PrintModule(mut) == s.golden
 }
 
 // DistinctMutantsScreened generates up to n mutants that each differ

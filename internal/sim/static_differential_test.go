@@ -146,26 +146,27 @@ func TestPreScreenRejectsOnlyUnkillableMutants(t *testing.T) {
 				t.Fatalf("%s: mutant %d differs between screened and unscreened runs", p.Name, i)
 			}
 		}
-		if screen.Stats.Identical > 0 {
-			rejected += screen.Stats.Identical
-			// Re-derive the rejected candidates and verify each one
-			// elaborates from source byte-identical to the golden's.
-			reRng := rand.New(rand.NewSource(7))
-			seen := 0
-			for attempt := 0; attempt < 6*20+20 && seen < screen.Stats.Candidates; attempt++ {
-				mut, applied := mutate.Mutate(golden, reRng, 1)
-				if len(applied) == 0 {
-					break
-				}
-				seen++
-				if verilog.PrintModule(mut) == goldenSrc {
-					// The screen's whole rejection criterion: identical
-					// print ⇒ identical elaboration input ⇒ identical
-					// behavior under every engine.
-					if _, err := sim.ElaborateSourceContext(context.Background(), goldenSrc, p.Top); err != nil {
-						t.Fatalf("%s: golden source stopped elaborating: %v", p.Name, err)
-					}
-				}
+		// Re-derive every candidate the generator could draw within its
+		// attempt budget and verify that each one the screen rejects
+		// elaborates from source byte-identical to the golden's.
+		reRng := rand.New(rand.NewSource(7))
+		for attempt := 0; attempt < 6*20+20; attempt++ {
+			mut, applied := mutate.Mutate(golden, reRng, 1)
+			if len(applied) == 0 {
+				break
+			}
+			if !screen.Reject(mut) {
+				continue
+			}
+			rejected++
+			// The screen's whole rejection criterion: identical print ⇒
+			// identical elaboration input ⇒ identical behavior under
+			// every engine.
+			if src := verilog.PrintModule(mut); src != goldenSrc {
+				t.Fatalf("%s: rejected candidate prints differently from the golden:\n%s", p.Name, src)
+			}
+			if _, err := sim.ElaborateSourceContext(context.Background(), goldenSrc, p.Top); err != nil {
+				t.Fatalf("%s: golden source stopped elaborating: %v", p.Name, err)
 			}
 		}
 	}

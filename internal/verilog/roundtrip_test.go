@@ -28,16 +28,3 @@ func TestDatasetRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestDatasetClone(t *testing.T) {
-	for _, p := range dataset.All() {
-		m, err := p.Module()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := verilog.CloneModule(m)
-		if verilog.PrintModule(c) != verilog.PrintModule(m) {
-			t.Errorf("%s: clone differs", p.Name)
-		}
-	}
-}
