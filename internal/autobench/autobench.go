@@ -57,17 +57,27 @@ func observablyFaulty(p *dataset.Problem, checkerSrc string, scenarios []testben
 	return !res.Pass()
 }
 
-// stickySiteCache memoizes per-(problem, seed) sticky fault sites.
-var stickySiteCache sync.Map
+// stickySites memoizes a generator's sticky fault sites per (problem,
+// seed): a reboot of a task regenerates under the same seed and finds
+// the site already chosen. It lives in the generator value, so it is
+// freed with the generator, and is safe for concurrent Generate calls.
+type stickySites struct {
+	m sync.Map // stickyKey -> int
+}
 
-// stickySiteFor deterministically picks the task's sticky fault site:
-// the first enumeration site (starting from a seed-derived offset)
-// whose single mutation is observably wrong on a fixed stimulus set.
+type stickyKey struct {
+	p    *dataset.Problem
+	seed int64
+}
+
+// siteFor deterministically picks the task's sticky fault site: the
+// first enumeration site (starting from a seed-derived offset) whose
+// single mutation is observably wrong on a fixed stimulus set.
 // Determinism across regenerations is what makes the misconception
 // survive reboots.
-func stickySiteFor(p *dataset.Problem, golden *verilog.Module, seed int64) int {
-	key := fmt.Sprintf("%s/%d", p.Name, seed)
-	if v, ok := stickySiteCache.Load(key); ok {
+func (c *stickySites) siteFor(p *dataset.Problem, golden *verilog.Module, seed int64) int {
+	key := stickyKey{p, seed}
+	if v, ok := c.m.Load(key); ok {
 		return v.(int)
 	}
 	site := -1
@@ -77,12 +87,12 @@ func stickySiteFor(p *dataset.Problem, golden *verilog.Module, seed int64) int {
 	})
 	if err == nil {
 		base := mutate.Plan{EnumSeed: seed}
-		n := base.SiteCountIn(golden)
+		_, _, n := base.Build(golden)
 		if n > 0 {
 			start := int(uint64(seed)>>33) % n
 			for k := 0; k < n && k < 48; k++ {
 				cand := (start + k) % n
-				mod, muts := base.With(cand).Build(golden)
+				mod, muts, _ := base.With(cand).Build(golden)
 				if len(muts) == 0 {
 					continue
 				}
@@ -93,7 +103,7 @@ func stickySiteFor(p *dataset.Problem, golden *verilog.Module, seed int64) int {
 			}
 		}
 	}
-	stickySiteCache.Store(key, site)
+	c.m.Store(key, site)
 	return site
 }
 
@@ -105,7 +115,7 @@ func stickySiteFor(p *dataset.Problem, golden *verilog.Module, seed int64) int {
 // not one with a cosmetic code difference. For misunderstood tasks the
 // same sticky conceptual fault recurs in every regeneration; its site
 // index is returned (-1 when absent).
-func buildChecker(p *dataset.Problem, prof *llm.Profile, trait llm.TaskTrait, scenarios []testbench.Scenario, rng *rand.Rand) (src string, plan mutate.Plan, sticky int, err error) {
+func buildChecker(p *dataset.Problem, prof *llm.Profile, trait llm.TaskTrait, scenarios []testbench.Scenario, rng *rand.Rand, stickies *stickySites) (src string, plan mutate.Plan, sticky int, err error) {
 	golden, err := p.Module()
 	if err != nil {
 		return "", mutate.Plan{}, -1, err
@@ -113,18 +123,22 @@ func buildChecker(p *dataset.Problem, prof *llm.Profile, trait llm.TaskTrait, sc
 	seq := p.Kind == dataset.SEQ
 	if trait.Misunderstood && rng.Float64() >= prof.MisCleanProb {
 		plan = mutate.Plan{EnumSeed: trait.StickySeed}
-		sticky = stickySiteFor(p, golden, trait.StickySeed)
+		sticky = stickies.siteFor(p, golden, trait.StickySeed)
 		if sticky >= 0 {
 			plan = plan.With(sticky)
 		}
+		mod, _, n := plan.Build(golden)
 		// Ordinary per-call mistakes can pile on top.
-		if n := plan.SiteCountIn(golden); n > 1 && rng.Float64() >= prof.CheckerCleanProb(p.Difficulty, seq) {
+		if n > 1 && rng.Float64() >= prof.CheckerCleanProb(p.Difficulty, seq) {
+			sites := len(plan.Sites)
 			extra := prof.SampleFaultCount(rng)
 			for k := 0; k < extra; k++ {
 				plan = plan.With(rng.Intn(n))
 			}
+			if len(plan.Sites) > sites {
+				mod, _, _ = plan.Build(golden)
+			}
 		}
-		mod, _ := plan.Build(golden)
 		return verilog.PrintModule(mod), plan, sticky, nil
 	}
 	if rng.Float64() < prof.CheckerCleanProb(p.Difficulty, seq) {
@@ -132,8 +146,7 @@ func buildChecker(p *dataset.Problem, prof *llm.Profile, trait llm.TaskTrait, sc
 	}
 	// Faulty checker: retry until the fault is observable.
 	for attempt := 0; attempt < 6; attempt++ {
-		plan = mutate.NewPlan(golden, rng, prof.SampleFaultCount(rng))
-		mod, muts := plan.Build(golden)
+		mod, muts, plan := mutate.Mutate(golden, rng, prof.SampleFaultCount(rng))
 		if len(muts) == 0 {
 			break
 		}
@@ -150,6 +163,8 @@ func buildChecker(p *dataset.Problem, prof *llm.Profile, trait llm.TaskTrait, sc
 // Baseline is the "directly ask the LLM" method.
 type Baseline struct {
 	Profile *llm.Profile
+
+	stickies stickySites
 }
 
 // Name implements Generator.
@@ -172,7 +187,7 @@ func (b *Baseline) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.R
 	if err != nil {
 		return nil, err
 	}
-	checkerSrc, plan, sticky, err := buildChecker(p, prof, trait, scenarios, rng)
+	checkerSrc, plan, sticky, err := buildChecker(p, prof, trait, scenarios, rng, &b.stickies)
 	if err != nil {
 		return nil, err
 	}
@@ -201,6 +216,8 @@ func (b *Baseline) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.R
 // AutoBench reproduces the AutoBench workflow.
 type AutoBench struct {
 	Profile *llm.Profile
+
+	stickies stickySites
 }
 
 // Name implements Generator.
@@ -233,7 +250,7 @@ func (a *AutoBench) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.
 	if err != nil {
 		return nil, err
 	}
-	checkerSrc, plan, sticky, err := buildChecker(p, prof, trait, scenarios, rng)
+	checkerSrc, plan, sticky, err := buildChecker(p, prof, trait, scenarios, rng, &a.stickies)
 	if err != nil {
 		return nil, err
 	}

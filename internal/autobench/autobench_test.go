@@ -3,10 +3,12 @@ package autobench
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"correctbench/internal/dataset"
 	"correctbench/internal/llm"
+	"correctbench/internal/mutate"
 	"correctbench/internal/testbench"
 )
 
@@ -122,6 +124,72 @@ func TestMisunderstoodTaskFaultIsSticky(t *testing.T) {
 	for _, s := range sites[1:] {
 		if s != sites[0] {
 			t.Fatalf("sticky site varies across regenerations: %v", sites)
+		}
+	}
+}
+
+// TestStickySiteMemoPerGenerator: a generator's second misunderstood
+// Generate reuses the sticky site its first one chose, without
+// choosing again (a site planted in the memo is used as it is), while
+// a new generator chooses afresh and gets the same site. Concurrent
+// Generate calls on one generator share the memo.
+func TestStickySiteMemoPerGenerator(t *testing.T) {
+	p := dataset.ByName("det1101")
+	prof := *llm.GPT4o()
+	prof.MisCleanProb = 0 // every generation is misunderstood
+	tr := llm.TaskTrait{Misunderstood: true, StickySeed: 777}
+	gen := &AutoBench{Profile: &prof}
+	generate := func(g Generator, seed int64) int {
+		t.Helper()
+		var acct llm.Accountant
+		tb, err := g.Generate(p, tr, rand.New(rand.NewSource(seed)), &acct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb.CheckerSticky
+	}
+	site := generate(gen, 1)
+	if site < 0 {
+		t.Fatal("misunderstood generation lacks a sticky site")
+	}
+	key := stickyKey{p, tr.StickySeed}
+	if v, ok := gen.stickies.m.Load(key); !ok || v.(int) != site {
+		t.Fatalf("memo holds %v, %v after the first generation; want site %d", v, ok, site)
+	}
+	golden, err := p.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, n := mutate.Plan{EnumSeed: tr.StickySeed}.Build(golden)
+	planted := (site + 1) % n
+	gen.stickies.m.Store(key, planted)
+	if got := generate(gen, 2); got != planted {
+		t.Fatalf("second generation's sticky site = %d, want the memo's %d (chosen again?)", got, planted)
+	}
+	if got := generate(&AutoBench{Profile: &prof}, 3); got != site {
+		t.Fatalf("a new generator chose site %d, want %d", got, site)
+	}
+
+	shared := &Baseline{Profile: &prof}
+	sites := make([]int, 4)
+	var wg sync.WaitGroup
+	for g := range sites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var acct llm.Accountant
+			tb, err := shared.Generate(p, tr, rand.New(rand.NewSource(int64(10+g))), &acct)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sites[g] = tb.CheckerSticky
+		}()
+	}
+	wg.Wait()
+	for g, s := range sites {
+		if s != site {
+			t.Errorf("concurrent generation %d: sticky site %d, want %d", g, s, site)
 		}
 	}
 }

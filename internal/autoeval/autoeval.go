@@ -256,13 +256,6 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 			mutants = append(mutants, m)
 		}
 	}
-	// Warm the golden testbench's checker design and trace while still
-	// inside the once-guarded build: afterwards the shared golden
-	// testbench is only ever read, so GoldenTestbench callers may run
-	// it from many goroutines.
-	if err := gtb.WarmBatchTrace(goldenDesign); err != nil {
-		return nil, err
-	}
 	f := &fixture{golden: gtb}
 	for _, m := range mutants {
 		d, err := elaborate(m)

@@ -70,8 +70,7 @@ func TestFaultyCheckerStopsAtEval0(t *testing.T) {
 	}
 	// Find an observable fault.
 	for seed := int64(0); seed < 40; seed++ {
-		plan := mutate.NewPlan(golden, rand.New(rand.NewSource(seed)), 1)
-		mod, muts := plan.Build(golden)
+		mod, muts, _ := mutate.Mutate(golden, rand.New(rand.NewSource(seed)), 1)
 		if len(muts) == 0 {
 			continue
 		}

@@ -91,15 +91,16 @@ func (c *Corrector) Correct(tb *testbench.Testbench, rep *validator.Report, rng 
 			out.Repaired++
 		}
 	}
+	mod, _, n := plan.Build(golden)
 	// The rewrite may damage previously correct logic.
-	if rng.Float64() < prof.RegressProb {
-		if n := plan.SiteCountIn(golden); n > 0 {
-			plan = plan.With(rng.Intn(n))
-			out.Regressed++
+	if rng.Float64() < prof.RegressProb && n > 0 {
+		sites := len(plan.Sites)
+		plan = plan.With(rng.Intn(n))
+		out.Regressed++
+		if len(plan.Sites) > sites {
+			mod, _, _ = plan.Build(golden)
 		}
 	}
-
-	mod, _ := plan.Build(golden)
 	sticky := tb.CheckerSticky
 	if !containsSite(plan, sticky) {
 		sticky = -1

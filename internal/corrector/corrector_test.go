@@ -27,8 +27,7 @@ func faultyTB(t *testing.T, nFaults int, seed int64) *testbench.Testbench {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := mutate.NewPlan(golden, rng, nFaults)
-	mod, _ := plan.Build(golden)
+	mod, _, plan := mutate.Mutate(golden, rng, nFaults)
 	tb := &testbench.Testbench{
 		Problem: p, Scenarios: scs,
 		CheckerSource: verilog.PrintModule(mod), CheckerTop: p.Top,

@@ -4,8 +4,6 @@ import (
 	"encoding/csv"
 	"io"
 	"strconv"
-
-	"correctbench/internal/autoeval"
 )
 
 // WriteCSV exports every task outcome as CSV (one row per method,
@@ -37,31 +35,6 @@ func (r *Results) WriteCSV(w io.Writer) error {
 					strconv.Itoa(o.Reboots),
 					strconv.Itoa(o.TokensIn),
 					strconv.Itoa(o.TokensOut),
-				}
-				if err := cw.Write(row); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// SummaryCSV exports the aggregated Table I statistics as CSV.
-func (r *Results) SummaryCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"group", "metric", "method", "ratio", "avg_count"}); err != nil {
-		return err
-	}
-	for _, g := range Groups() {
-		for _, metric := range []autoeval.Grade{autoeval.GradeEval2, autoeval.GradeEval1, autoeval.GradeEval0} {
-			for _, m := range r.Config.Methods {
-				st := r.Stats(m, g, metric)
-				row := []string{
-					g.Name, metric.String(), string(m),
-					strconv.FormatFloat(st.Ratio, 'f', 4, 64),
-					strconv.FormatFloat(st.AvgCount, 'f', 1, 64),
 				}
 				if err := cw.Write(row); err != nil {
 					return err

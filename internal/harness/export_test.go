@@ -33,22 +33,3 @@ func TestWriteCSV(t *testing.T) {
 		}
 	}
 }
-
-func TestSummaryCSV(t *testing.T) {
-	res, err := RunContext(context.Background(), Config{Reps: 1, Seed: 33, Problems: subset(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := res.SummaryCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// header + 3 groups x 3 metrics x 3 methods
-	if len(rows) != 1+27 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-}

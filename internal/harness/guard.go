@@ -18,8 +18,8 @@ import (
 // these numbers can change a run's outcomes or event stream — a
 // misbehaving store costs cache efficiency, never correctness.
 type StoreUsage struct {
-	// Hits and Misses mirror Results.StoreHits/StoreMisses: cells
-	// replayed from the store versus simulated.
+	// Hits and Misses count cells replayed from the store versus
+	// simulated.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 	// PutRetries counts write-back attempts beyond each cell's first

@@ -201,16 +201,11 @@ type Results struct {
 	Config   Config
 	Outcomes map[Method][][]TaskOutcome // method -> rep -> tasks
 
-	// StoreHits and StoreMisses count how many cells were replayed
-	// from Config.Store versus simulated (both zero when no store was
-	// configured). A fully warm rerun has StoreMisses == 0.
-	StoreHits   int
-	StoreMisses int
-
-	// Store is the run's full result-store accounting, including the
-	// fault-tolerance counters (write-back retries, drops, breaker
-	// state) the plain hit/miss split cannot express. Zero when no
-	// store was configured.
+	// Store is the run's result-store accounting: how many cells were
+	// replayed from Config.Store versus simulated (a fully warm rerun
+	// has Store.Misses == 0), and the fault-tolerance counters
+	// (write-back retries, drops, breaker state). Zero when no store
+	// was configured.
 	Store StoreUsage
 }
 
@@ -399,8 +394,9 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	}
 	finish := func() *Results {
 		if guard != nil {
-			res.Store = guard.snapshot()
-			res.Store.Hits, res.Store.Misses = res.StoreHits, res.StoreMisses
+			u := guard.snapshot()
+			u.Hits, u.Misses = res.Store.Hits, res.Store.Misses
+			res.Store = u
 		}
 		return res
 	}
@@ -433,7 +429,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 					if hit {
 						if o, ok := fromStoreOutcome(so, p); ok {
 							res.Outcomes[m][ri][pi] = o
-							res.StoreHits++
+							res.Store.Hits++
 							if traceOn {
 								// A replayed cell's whole execution is its
 								// store lookup: a one-span trace.
@@ -449,7 +445,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 							continue
 						}
 					}
-					res.StoreMisses++
+					res.Store.Misses++
 				}
 				pending = append(pending, c)
 			}

@@ -36,8 +36,8 @@ func TestStoreWarmRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := len(AllMethods()) * 2 * len(probs)
-	if cold.StoreHits != 0 || cold.StoreMisses != total {
-		t.Fatalf("cold hits/misses = %d/%d, want 0/%d", cold.StoreHits, cold.StoreMisses, total)
+	if cold.Store.Hits != 0 || cold.Store.Misses != total {
+		t.Fatalf("cold hits/misses = %d/%d, want 0/%d", cold.Store.Hits, cold.Store.Misses, total)
 	}
 	if s := st.Stats(); s.Entries != total {
 		t.Fatalf("store entries = %d, want %d", s.Entries, total)
@@ -47,8 +47,8 @@ func TestStoreWarmRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.StoreHits != total || warm.StoreMisses != 0 {
-		t.Fatalf("warm hits/misses = %d/%d, want %d/0", warm.StoreHits, warm.StoreMisses, total)
+	if warm.Store.Hits != total || warm.Store.Misses != 0 {
+		t.Fatalf("warm hits/misses = %d/%d, want %d/0", warm.Store.Hits, warm.Store.Misses, total)
 	}
 	if !reflect.DeepEqual(cold.Outcomes, warm.Outcomes) {
 		t.Error("warm outcomes differ from cold")
@@ -61,8 +61,8 @@ func TestStoreWarmRerun(t *testing.T) {
 	if !reflect.DeepEqual(plain.Outcomes, warm.Outcomes) {
 		t.Error("warm outcomes differ from an uncached run")
 	}
-	if plain.StoreHits != 0 || plain.StoreMisses != 0 {
-		t.Errorf("no-store run reported counters: %d/%d", plain.StoreHits, plain.StoreMisses)
+	if plain.Store.Hits != 0 || plain.Store.Misses != 0 {
+		t.Errorf("no-store run reported counters: %d/%d", plain.Store.Hits, plain.Store.Misses)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestStoreMismatchedRecordIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StoreHits != 0 {
-		t.Errorf("mismatched record replayed (%d hits)", res.StoreHits)
+	if res.Store.Hits != 0 {
+		t.Errorf("mismatched record replayed (%d hits)", res.Store.Hits)
 	}
 }
 

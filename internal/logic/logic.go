@@ -426,17 +426,3 @@ func (v Vector) Resize(width int) Vector {
 	r.normalize()
 	return r
 }
-
-// SignResize returns a copy of v resized to width with sign extension
-// (the MSB, including X/Z, is replicated when widening).
-func (v Vector) SignResize(width int) Vector {
-	if width <= v.width {
-		return v.Resize(width)
-	}
-	r := v.Resize(width)
-	msb := v.Bit(v.width - 1)
-	for i := v.width; i < width; i++ {
-		r.SetBit(i, msb)
-	}
-	return r
-}

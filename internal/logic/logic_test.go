@@ -93,13 +93,6 @@ func TestResize(t *testing.T) {
 	if got := v.Resize(2).String(); got != "10" {
 		t.Errorf("truncate: got %s", got)
 	}
-	if got := v.SignResize(6).String(); got != "111x10" {
-		t.Errorf("sign extend: got %s", got)
-	}
-	x := MustParse("x010")
-	if got := x.SignResize(6).String(); got != "xxx010" {
-		t.Errorf("x sign extend: got %s", got)
-	}
 }
 
 func TestBitwise(t *testing.T) {

@@ -355,24 +355,6 @@ type Plan struct {
 	Sites    []int
 }
 
-// NewPlan draws a plan with count sites using rng for all random
-// choices.
-func NewPlan(m *verilog.Module, rng *rand.Rand, count int) Plan {
-	p, _, _ := draw(m, rng, count)
-	return p
-}
-
-// draw draws a plan of count sites over m (all sites when m has fewer)
-// and returns it with the copy and sites its enumeration built.
-func draw(m *verilog.Module, rng *rand.Rand, count int) (Plan, *verilog.Module, []site) {
-	p := Plan{EnumSeed: rng.Int63()}
-	mut, sites := p.enumerate(m)
-	if n := len(sites); n > 0 && count > 0 {
-		p.Sites = rng.Perm(n)[:min(count, n)]
-	}
-	return p, mut, sites
-}
-
 // Without returns a copy of the plan with the given site removed.
 func (p Plan) Without(siteIdx int) Plan {
 	out := Plan{EnumSeed: p.EnumSeed}
@@ -396,19 +378,13 @@ func (p Plan) With(siteIdx int) Plan {
 	return out
 }
 
-// Build applies the plan to a copy of m, returning the mutant and the
-// applied mutations. The mutant shares every node no site reaches with
-// m, so, like m, it is read-only.
-func (p Plan) Build(m *verilog.Module) (*verilog.Module, []Mutation) {
+// Build applies the plan to a copy of m, returning the mutant, the
+// applied mutations and the number of sites m exposes under the plan's
+// seed. The mutant shares every node no site reaches with m, so, like
+// m, it is read-only.
+func (p Plan) Build(m *verilog.Module) (*verilog.Module, []Mutation, int) {
 	mut, sites := p.enumerate(m)
-	return mut, p.apply(sites)
-}
-
-// SiteCountIn reports the number of sites m exposes under this plan's
-// seed. It enumerates a copy it then drops; m is only read.
-func (p Plan) SiteCountIn(m *verilog.Module) int {
-	_, sites := p.enumerate(m)
-	return len(sites)
+	return mut, p.apply(sites), len(sites)
 }
 
 func (p Plan) enumerate(m *verilog.Module) (*verilog.Module, []site) {
@@ -430,14 +406,18 @@ func (p Plan) apply(sites []site) []Mutation {
 	return muts
 }
 
-// Mutate applies count distinct random mutations to a copy of module
-// m. It returns the mutant and the list of applied mutations. If the
-// module exposes fewer sites than count, all sites are applied. It
-// builds NewPlan(m, rng, count), with the same rng draws, from the one
-// enumeration that drew it.
-func Mutate(m *verilog.Module, rng *rand.Rand, count int) (*verilog.Module, []Mutation) {
-	p, mut, sites := draw(m, rng, count)
-	return mut, p.apply(sites)
+// Mutate draws a plan of count distinct random mutations over m and
+// applies it to a copy of m, in one enumeration. It returns the mutant,
+// the applied mutations and the plan, whose Build rebuilds the same
+// mutant. If the module exposes fewer sites than count, all sites are
+// applied.
+func Mutate(m *verilog.Module, rng *rand.Rand, count int) (*verilog.Module, []Mutation, Plan) {
+	p := Plan{EnumSeed: rng.Int63()}
+	mut, sites := p.enumerate(m)
+	if n := len(sites); n > 0 && count > 0 {
+		p.Sites = rng.Perm(n)[:min(count, n)]
+	}
+	return mut, p.apply(sites), p
 }
 
 // DifferenceChecker reports whether a mutant behaves differently from

@@ -47,8 +47,8 @@ func parse(t *testing.T, src string) *verilog.Module {
 
 func TestSiteEnumerationIsDeterministic(t *testing.T) {
 	m := parse(t, goldenCounter)
-	n1 := Plan{}.SiteCountIn(m)
-	n2 := Plan{}.SiteCountIn(m)
+	_, _, n1 := Plan{}.Build(m)
+	_, _, n2 := Plan{}.Build(m)
 	if n1 == 0 || n1 != n2 {
 		t.Fatalf("site counts: %d vs %d", n1, n2)
 	}
@@ -59,7 +59,7 @@ func TestMutantsStayParseable(t *testing.T) {
 		m := parse(t, src)
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < 50; i++ {
-			mut, applied := Mutate(m, rng, 1+rng.Intn(3))
+			mut, applied, _ := Mutate(m, rng, 1+rng.Intn(3))
 			if len(applied) == 0 {
 				t.Fatalf("no mutations applied to %s", m.Name)
 			}
@@ -76,9 +76,7 @@ func TestMutationDoesNotTouchOriginal(t *testing.T) {
 	before := verilog.PrintModule(m)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
-		Mutate(m, rng, 2)
-		plan := NewPlan(m, rng, 2)
-		plan.SiteCountIn(m)
+		_, _, plan := Mutate(m, rng, 2)
 		plan.Build(m)
 	}
 	if verilog.PrintModule(m) != before {
@@ -89,9 +87,9 @@ func TestMutationDoesNotTouchOriginal(t *testing.T) {
 func TestPlanReproducibility(t *testing.T) {
 	m := parse(t, goldenCounter)
 	rng := rand.New(rand.NewSource(3))
-	plan := NewPlan(m, rng, 2)
-	m1, muts1 := plan.Build(m)
-	m2, muts2 := plan.Build(m)
+	_, _, plan := Mutate(m, rng, 2)
+	m1, muts1, _ := plan.Build(m)
+	m2, muts2, _ := plan.Build(m)
 	if verilog.PrintModule(m1) != verilog.PrintModule(m2) {
 		t.Fatal("same plan produced different mutants")
 	}
@@ -103,7 +101,7 @@ func TestPlanReproducibility(t *testing.T) {
 func TestPlanWithout(t *testing.T) {
 	m := parse(t, goldenCounter)
 	rng := rand.New(rand.NewSource(3))
-	plan := NewPlan(m, rng, 3)
+	_, _, plan := Mutate(m, rng, 3)
 	if len(plan.Sites) == 0 {
 		t.Fatal("empty plan")
 	}
@@ -119,7 +117,7 @@ func TestPlanWithout(t *testing.T) {
 	}
 	// Without everything = golden behaviour.
 	empty := Plan{EnumSeed: plan.EnumSeed}
-	back, muts := empty.Build(m)
+	back, muts, _ := empty.Build(m)
 	if len(muts) != 0 {
 		t.Fatalf("empty plan applied mutations: %v", muts)
 	}
@@ -247,7 +245,7 @@ endmodule`
 	rng := rand.New(rand.NewSource(1))
 	seen := map[Kind]bool{}
 	for i := 0; i < 300; i++ {
-		_, muts := Mutate(m, rng, 1)
+		_, muts, _ := Mutate(m, rng, 1)
 		for _, mu := range muts {
 			seen[mu.Kind] = true
 		}
@@ -262,7 +260,7 @@ endmodule`
 func TestMutationDescriptions(t *testing.T) {
 	m := parse(t, goldenAdder)
 	rng := rand.New(rand.NewSource(2))
-	_, muts := Mutate(m, rng, 1)
+	_, muts, _ := Mutate(m, rng, 1)
 	if len(muts) != 1 {
 		t.Fatal("expected one mutation")
 	}

@@ -74,7 +74,7 @@ func TestBuildMatchesCloneOracle(t *testing.T) {
 		}
 		for _, seed := range []int64{0, 42, 1 << 40} {
 			sites := enumerateInPlace(reparse(t, g), rand.New(rand.NewSource(seed)))
-			if n := (Plan{EnumSeed: seed}).SiteCountIn(g); n != len(sites) {
+			if _, _, n := (Plan{EnumSeed: seed}).Build(g); n != len(sites) {
 				t.Fatalf("%s seed %d: %d sites in place, %d on the oracle's copy", g.Name, seed, n, len(sites))
 			}
 			// A drop's operand enumerates right after it, so pairs of
@@ -83,7 +83,7 @@ func TestBuildMatchesCloneOracle(t *testing.T) {
 			var drops [][2]int
 			for i, s := range sites {
 				plan := Plan{EnumSeed: seed, Sites: []int{i}}
-				got, gotMuts := plan.Build(g)
+				got, gotMuts, _ := plan.Build(g)
 				want, wantMuts := oracleBuild(t, g, plan)
 				same(fmt.Sprintf("seed %d site %d", seed, i), got, gotMuts, want, wantMuts)
 				if s.kind != UnaryDrop {
@@ -110,7 +110,7 @@ func TestBuildMatchesCloneOracle(t *testing.T) {
 			}
 			for _, idxs := range plans {
 				plan := Plan{EnumSeed: seed, Sites: idxs}
-				got, gotMuts := plan.Build(g)
+				got, gotMuts, _ := plan.Build(g)
 				want, wantMuts := oracleBuild(t, g, plan)
 				same(fmt.Sprintf("seed %d sites %v", seed, idxs), got, gotMuts, want, wantMuts)
 			}
@@ -119,9 +119,11 @@ func TestBuildMatchesCloneOracle(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
 			for count := 1; count <= 4; count++ {
 				ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-				got, gotMuts := Mutate(g, ra, count)
+				got, gotMuts, plan := Mutate(g, ra, count)
 				want, wantMuts := oracleMutate(t, g, rb, count)
 				same(fmt.Sprintf("Mutate seed %d count %d", seed, count), got, gotMuts, want, wantMuts)
+				rebuilt, rebuiltMuts, _ := plan.Build(g)
+				same(fmt.Sprintf("Mutate seed %d count %d, rebuilt from its plan", seed, count), rebuilt, rebuiltMuts, want, wantMuts)
 				if a, b := ra.Int63(), rb.Int63(); a != b {
 					t.Fatalf("%s Mutate seed %d count %d: rng state diverged from the oracle's", g.Name, seed, count)
 				}
@@ -153,8 +155,9 @@ func TestConcurrentBuildsShareGolden(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			var out []string
 			for k := 0; k < draws; k++ {
-				mut, _ := Mutate(g, rng, 1+k%3)
-				built, _ := NewPlan(g, rng, 1+k%4).Build(g)
+				mut, _, _ := Mutate(g, rng, 1+k%3)
+				_, _, plan := Mutate(g, rng, 1+k%4)
+				built, _, _ := plan.Build(g)
 				out = append(out, verilog.PrintModule(mut), verilog.PrintModule(built))
 			}
 			return out

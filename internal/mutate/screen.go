@@ -46,7 +46,7 @@ func DistinctMutantsScreened(m *verilog.Module, rng *rand.Rand, n int, mutations
 	var out []*verilog.Module
 	maxAttempts := n*20 + 20
 	for attempt := 0; attempt < maxAttempts && len(out) < n; attempt++ {
-		mut, applied := Mutate(m, rng, mutationsEach)
+		mut, applied, _ := Mutate(m, rng, mutationsEach)
 		if len(applied) == 0 {
 			break
 		}
@@ -88,7 +88,7 @@ func DistinctMutantsBatchScreened(m *verilog.Module, rng *rand.Rand, n int, muta
 		wave := make([]*verilog.Module, 0, want)
 		exhausted := false
 		for len(wave) < want && attempt < maxAttempts {
-			mut, applied := Mutate(m, rng, mutationsEach)
+			mut, applied, _ := Mutate(m, rng, mutationsEach)
 			attempt++
 			if len(applied) == 0 {
 				exhausted = true

@@ -37,7 +37,7 @@ endmodule`)) {
 	rng := rand.New(rand.NewSource(1))
 	found := false
 	for i := 0; i < 200 && !found; i++ {
-		mut, applied := Mutate(golden, rng, 1)
+		mut, applied, _ := Mutate(golden, rng, 1)
 		if len(applied) == 0 {
 			break
 		}

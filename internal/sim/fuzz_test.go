@@ -197,7 +197,7 @@ func fuzzDesign(t *testing.T, p *dataset.Problem, count int, seed int64) *sim.De
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut, _ := mutate.Mutate(mod, rand.New(rand.NewSource(seed)), count)
+	mut, _, _ := mutate.Mutate(mod, rand.New(rand.NewSource(seed)), count)
 	d, err := sim.ElaborateSourceContext(context.Background(), verilog.PrintModule(mut), p.Top)
 	if err != nil {
 		return nil

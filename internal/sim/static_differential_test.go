@@ -76,7 +76,7 @@ func TestStaticClassificationAgreesOnMutants(t *testing.T) {
 		}
 		golden := f.Module(p.Top)
 		for i := 0; i < 3; i++ {
-			mut, applied := mutate.Mutate(golden, rng, 1)
+			mut, applied, _ := mutate.Mutate(golden, rng, 1)
 			if len(applied) == 0 {
 				break
 			}
@@ -151,7 +151,7 @@ func TestPreScreenRejectsOnlyUnkillableMutants(t *testing.T) {
 		// elaborates from source byte-identical to the golden's.
 		reRng := rand.New(rand.NewSource(7))
 		for attempt := 0; attempt < 6*20+20; attempt++ {
-			mut, applied := mutate.Mutate(golden, reRng, 1)
+			mut, applied, _ := mutate.Mutate(golden, reRng, 1)
 			if len(applied) == 0 {
 				break
 			}

@@ -13,11 +13,12 @@ package testbench
 // outcome, whichever engine recorded them.
 //
 // The checker's trajectory is DUT-independent, so it is recorded once
-// per checker source, stimulus and port list (batchTrace) and reused by
-// every run. The DUT side is recorded per run, or — for a caller
-// holding a LaneMemo, like the validator's RTL group — once per
-// stimulus: a corrected checker is then judged against the recorded
-// DUT lanes without simulating them again.
+// per checker text, stimulus and port list (batchTrace), kept in the
+// testbench's checker memo beside the parse and design it came from,
+// and reused by every run. The DUT side is recorded per run, or — for
+// a caller holding a LaneMemo, like the validator's RTL group — once
+// per stimulus: a corrected checker is then judged against the
+// recorded DUT lanes without simulating them again.
 //
 // With earlyExit=false a lane's outcome is identical to simulating the
 // DUT and the checker side by side on the interpreter: the same
@@ -293,22 +294,22 @@ type LaneMemo struct {
 }
 
 // batchTrace returns the checker's trace over the output ports outs,
-// recorded once per checker source, stimulus, port list and engine and
-// cached on the testbench. The checker is recorded as a one-design
+// recorded from the memo's design cd once per stimulus, port list and
+// engine and kept in the memo. The checker is recorded as a one-design
 // DUTSet: a one-lane batch program, or on the interpreter when the
 // batch compiler rejects it. It reads sim.DefaultEngine, the one place
 // the process-wide reference switch is read; every run starts here.
+// The first caller records while holding the memo's lock; racing
+// callers wait for its trace.
 //
-// ctx is used for observation only: a cold build records a sim_run
-// span for the recording on ctx's obs collector, but is never
-// cancelled by it — trace contents must not depend on a caller's
-// cancellation.
-func (tb *Testbench) batchTrace(ctx context.Context, cd *sim.Design, outs []string) *trace {
+// ctx is used for observation only: a recording records a sim_run span
+// on ctx's obs collector, but is never cancelled by it — trace contents
+// must not depend on a caller's cancellation.
+func (tb *Testbench) batchTrace(ctx context.Context, m *checkerMemo, cd *sim.Design, outs []string) *trace {
 	engine := sim.DefaultEngine
-	if tb.cachedTraceSrc != tb.CheckerSource {
-		tb.cachedTraces, tb.cachedTraceSrc = nil, tb.CheckerSource
-	}
-	for _, tr := range tb.cachedTraces {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, tr := range m.traces {
 		if tr.engine == engine && tr.stim.reads(tb, outs) {
 			return tr
 		}
@@ -318,13 +319,13 @@ func (tb *Testbench) batchTrace(ctx context.Context, cd *sim.Design, outs []stri
 	tr, _ := rec.lane(0)
 	tr.engine = engine
 	// Replace a stale recording over the same ports and engine.
-	i := slices.IndexFunc(tb.cachedTraces, func(c *trace) bool {
+	i := slices.IndexFunc(m.traces, func(c *trace) bool {
 		return c.engine == engine && slices.Equal(c.stim.outs, outs)
 	})
 	if i < 0 {
-		tb.cachedTraces = append(tb.cachedTraces, tr)
+		m.traces = append(m.traces, tr)
 	} else {
-		tb.cachedTraces[i] = tr
+		m.traces[i] = tr
 	}
 	return tr
 }
@@ -590,19 +591,6 @@ func compareLane(dut, chk *trace, lane int, earlyExit bool) BatchOutcome {
 	return BatchOutcome{Res: res}
 }
 
-// WarmBatchTrace elaborates the checker and records its trace for runs
-// against DUTs sharing base's port list, so a testbench warmed under
-// its owner's control — e.g. inside autoeval's once-guarded fixture
-// build — is afterwards read-only and safe for concurrent runs.
-func (tb *Testbench) WarmBatchTrace(base *sim.Design) error {
-	cd, err := tb.checkerDesignContext(context.Background())
-	if err != nil {
-		return err
-	}
-	tb.batchTrace(context.Background(), cd, outputPorts(base))
-	return nil
-}
-
 // RunBatchContext runs every DUT of set against the testbench in one
 // batched pass and returns one outcome per DUT, in set order. The
 // checker is recorded once (batchTrace); the DUTs are recorded as
@@ -622,7 +610,7 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 	if len(out) == 0 {
 		return out, nil
 	}
-	cd, err := tb.checkerDesignContext(ctx)
+	m, cd, err := tb.checkerDesignContext(ctx)
 	if err != nil {
 		err = fmt.Errorf("checker: %w", err)
 		for i := range out {
@@ -632,12 +620,12 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 	}
 	// chks[i] is the checker trace DUT i is compared with, over its own
 	// output ports.
-	chk := tb.batchTrace(ctx, cd, outputPorts(set.base))
+	chk := tb.batchTrace(ctx, m, cd, outputPorts(set.base))
 	chks := make([]*trace, len(out))
 	for i, outs := range set.outs {
 		chks[i] = chk
 		if outs != nil {
-			chks[i] = tb.batchTrace(ctx, cd, outs)
+			chks[i] = tb.batchTrace(ctx, m, cd, outs)
 		}
 	}
 	var rec *setTrace

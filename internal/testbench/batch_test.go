@@ -44,7 +44,7 @@ func batchDiffDUTs(t *testing.T, tb *Testbench, base *sim.Design) []*sim.Design 
 	}
 	rng := rand.New(rand.NewSource(33))
 	for i := 0; i < 20 && len(duts) < 12; i++ {
-		mut, muts := mutate.Mutate(mod, rng, 1+i%2)
+		mut, muts, _ := mutate.Mutate(mod, rng, 1+i%2)
 		if len(muts) == 0 {
 			continue
 		}

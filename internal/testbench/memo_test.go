@@ -1,0 +1,287 @@
+package testbench
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"correctbench/internal/dataset"
+	"correctbench/internal/mutate"
+	"correctbench/internal/sim"
+	"correctbench/internal/verilog"
+	"correctbench/internal/vstatic"
+)
+
+// TestCheckerMemoServesEveryConsumer pins the one parse per checker
+// text: a broken driver leaves the checker unparsed, and Eval0,
+// elaboration, the recorded traces and the lint accessor all read the
+// memo SyntaxOK made, and none of them replaces it.
+func TestCheckerMemoServesEveryConsumer(t *testing.T) {
+	tb := golden(t, "cnt8")
+	if tb.checker.Load() != nil {
+		t.Fatal("a fresh golden testbench already holds a checker memo")
+	}
+	driver := tb.DriverSource
+	tb.DriverSource = driver[:len(driver)/2]
+	if tb.SyntaxOK() || tb.checker.Load() != nil {
+		t.Fatal("a testbench with a broken driver passed Eval0 or parsed its checker")
+	}
+	tb.DriverSource = driver
+	if !tb.SyntaxOK() {
+		t.Fatal("golden testbench reports a syntax error")
+	}
+	m := tb.checker.Load()
+	if m == nil || m.file == nil || m.parseErr != nil {
+		t.Fatalf("SyntaxOK left memo %+v, want the checker's parse", m)
+	}
+	same := func(step string) {
+		t.Helper()
+		if got := tb.checker.Load(); got != m {
+			t.Fatalf("after %s the testbench holds another memo", step)
+		}
+	}
+	_, cd, err := tb.checkerDesignContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("elaboration")
+	if m.design != cd {
+		t.Error("the elaborated design is not the memo's")
+	}
+	base, err := tb.Problem.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tb.RunAgainstDesignContext(context.Background(), base)
+	if err != nil || !res.Pass() {
+		t.Fatalf("golden run: %v, %v", res, err)
+	}
+	same("a run")
+	if len(m.traces) != 1 {
+		t.Errorf("memo holds %d traces after one run, want 1", len(m.traces))
+	}
+	if _, d, _ := tb.checkerDesignContext(context.Background()); d != cd {
+		t.Error("a second elaboration built a new design")
+	}
+	f, err := tb.CheckerFile()
+	if err != nil || f != m.file {
+		t.Errorf("CheckerFile = %p, %v; want the memo's parse %p", f, err, m.file)
+	}
+	same("the lint accessor")
+}
+
+// TestCheckerMemoFollowsEdits: an in-place edit of CheckerSource or of
+// CheckerTop starts a new memo, which parses, elaborates and records
+// again, and each consumer reads the edited checker.
+func TestCheckerMemoFollowsEdits(t *testing.T) {
+	tb := golden(t, "det101")
+	base, err := tb.Problem.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() BatchOutcome {
+		t.Helper()
+		out, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, []*sim.Design{base}), false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
+	}
+	if o := run(); o.Err != nil || !o.Res.Pass() {
+		t.Fatalf("golden run: %+v", o)
+	}
+	first := tb.checker.Load()
+
+	// A text edit that still parses: a new memo, design and trace.
+	tb.CheckerSource += "\n// edited\n"
+	if !tb.SyntaxOK() {
+		t.Fatal("commented checker reports a syntax error")
+	}
+	second := tb.checker.Load()
+	if second == first || second.src != tb.CheckerSource {
+		t.Fatal("an edit of CheckerSource kept the old memo")
+	}
+	if o := run(); o.Err != nil || !o.Res.Pass() {
+		t.Fatalf("edited checker run: %+v", o)
+	}
+	if second.design == nil || second.design == first.design || len(second.traces) != 1 || second.traces[0] == first.traces[0] {
+		t.Error("the edited checker was not elaborated and recorded again")
+	}
+
+	// An edit of CheckerTop alone: a new memo whose elaboration fails
+	// as it did before the memo, and whose lint finds no module.
+	tb.CheckerTop = "no_such_top"
+	o := run()
+	third := tb.checker.Load()
+	if third == second || third.top != "no_such_top" {
+		t.Fatal("an edit of CheckerTop kept the old memo")
+	}
+	want := `checker: 1:1: top module "no_such_top" not found`
+	if o.Err == nil || o.Err.Error() != want {
+		t.Errorf("run with a missing top: %v, want %q", o.Err, want)
+	}
+	if f, err := tb.CheckerFile(); err != nil || f != third.file {
+		t.Errorf("CheckerFile = %p, %v; want the new memo's parse", f, err)
+	} else if _, err := vstatic.AnalyzeFile(f, tb.CheckerTop); err == nil {
+		t.Error("lint of a missing top succeeded")
+	}
+
+	// A text that does not parse: the parse error is every consumer's.
+	tb.CheckerTop = tb.Problem.Top
+	tb.CheckerSource = tb.CheckerSource[:len(tb.CheckerSource)/2]
+	_, perr := verilog.Parse(tb.CheckerSource)
+	if perr == nil {
+		t.Fatal("the truncated checker parses")
+	}
+	if tb.SyntaxOK() {
+		t.Error("SyntaxOK accepted a truncated checker")
+	}
+	if o := run(); o.Err == nil || o.Err.Error() != "checker: "+perr.Error() {
+		t.Errorf("run with a truncated checker: %v, want %q", o.Err, "checker: "+perr.Error())
+	}
+	if _, err := tb.CheckerFile(); err == nil || err.Error() != perr.Error() {
+		t.Errorf("CheckerFile error = %v, want %v", err, perr)
+	}
+}
+
+// TestCheckerMemoConcurrentColdUse: eight goroutines share one fresh
+// testbench with no warm-up, each running Eval0, a golden-set and a
+// mutant-set run and the lint on the memo's parse. Every goroutine must
+// see the sequential outcomes (run it under -race). The checkers are a
+// golden one and a mutated one.
+func TestCheckerMemoConcurrentColdUse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed int64 // mutates the checker when non-zero
+	}{{"cnt8", 0}, {"prio_enc8", 3}, {"det101", 9}} {
+		name := tc.name
+		fresh := func() *Testbench {
+			tb := golden(t, name)
+			if tc.seed != 0 {
+				mod, err := tb.Problem.Module()
+				if err != nil {
+					t.Fatal(err)
+				}
+				mut, _, _ := mutate.Mutate(mod, rand.New(rand.NewSource(tc.seed)), 2)
+				tb.CheckerSource = verilog.PrintModule(mut)
+			}
+			return tb
+		}
+		seqTB := fresh()
+		base, err := seqTB.Problem.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldSet := NewDUTSet(base, []*sim.Design{base})
+		mutSet := NewDUTSet(base, batchDiffDUTs(t, seqTB, base))
+		type result struct {
+			ok        bool
+			gold, mut []BatchOutcome
+			lint      []vstatic.Diagnostic
+		}
+		use := func(tb *Testbench) (r result) {
+			r.ok = tb.SyntaxOK()
+			var err error
+			if r.gold, err = tb.RunBatchContext(context.Background(), goldSet, false, nil); err != nil {
+				t.Error(err)
+			}
+			if r.mut, err = tb.RunBatchContext(context.Background(), mutSet, true, nil); err != nil {
+				t.Error(err)
+			}
+			f, err := tb.CheckerFile()
+			if err != nil {
+				t.Error(err)
+				return r
+			}
+			rs, err := vstatic.AnalyzeFile(f, tb.CheckerTop)
+			if err != nil {
+				t.Error(err)
+				return r
+			}
+			r.lint = rs[0].Diags
+			return r
+		}
+		want := use(seqTB)
+
+		shared := fresh()
+		got := make([]result, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = use(shared)
+			}()
+		}
+		wg.Wait()
+		for g, r := range got {
+			if r.ok != want.ok || !reflect.DeepEqual(r.lint, want.lint) {
+				t.Errorf("%s goroutine %d: SyntaxOK %v, lint %v; want %v, %v", name, g, r.ok, r.lint, want.ok, want.lint)
+			}
+			for i, o := range r.gold {
+				if !sameOutcome(o, want.gold[i]) {
+					t.Errorf("%s goroutine %d: golden outcome %+v, want %+v", name, g, o, want.gold[i])
+				}
+			}
+			for i, o := range r.mut {
+				if !sameOutcome(o, want.mut[i]) {
+					t.Errorf("%s goroutine %d: mutant %d outcome %+v, want %+v", name, g, i, o, want.mut[i])
+				}
+			}
+		}
+		// One trace per port list: the base's and the extra-port DUT's.
+		if m, w := shared.checker.Load(), seqTB.checker.Load(); m == nil || m.design == nil || len(m.traces) != len(w.traces) {
+			t.Errorf("%s: the shared testbench's memo holds no design or other than %d traces", name, len(w.traces))
+		}
+	}
+}
+
+// TestCheckerMemoParseIsReadOnly: the elaborated design shares leaf
+// nodes with the memo's parse, and the lint reads the parse, so for
+// every golden checker and a set of mutant checkers the parse must
+// print the same after elaboration, lint and a run.
+func TestCheckerMemoParseIsReadOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i, p := range dataset.All() {
+		tb, err := Golden(p, rng)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		base, err := p.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkers := []string{p.Source}
+		if i%4 == 0 {
+			mod, err := p.Module()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 3; k++ {
+				if mut, muts, _ := mutate.Mutate(mod, rng, 1+k%2); len(muts) > 0 {
+					checkers = append(checkers, verilog.PrintModule(mut))
+				}
+			}
+		}
+		for _, src := range checkers {
+			tb.CheckerSource = src
+			f, err := tb.CheckerFile()
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			before := verilog.Print(f)
+			if _, err := vstatic.AnalyzeFile(f, tb.CheckerTop); err != nil {
+				t.Fatalf("%s: lint: %v", p.Name, err)
+			}
+			if _, err := tb.RunAgainstDesignContext(context.Background(), base); err != nil && !strings.HasPrefix(err.Error(), "checker: ") {
+				t.Fatalf("%s: run: %v", p.Name, err)
+			}
+			if after := verilog.Print(f); after != before {
+				t.Errorf("%s: the checker's parse changed under elaboration, lint and a run", p.Name)
+			}
+		}
+	}
+}

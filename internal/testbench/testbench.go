@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"correctbench/internal/dataset"
@@ -109,24 +110,20 @@ type Testbench struct {
 	// Tokens spent generating this testbench (filled by generators).
 	TokensIn, TokensOut int
 
-	// Memoized Eval0 verdict per track (see SyntaxOK). Each holds the
-	// source text it judged, so an in-place edit of DriverSource or
-	// CheckerSource re-parses. EmitDriver stores the driver's verdict
-	// on the text it emits. Atomic, so SyntaxOK is safe on a shared
-	// testbench; the memos make a Testbench non-copyable (use
-	// WithChecker or a field-wise construction).
-	driverSyntax, checkerSyntax atomic.Pointer[syntaxVerdict]
-
-	cachedChecker    *sim.Design
-	cachedCheckerSrc string
-
-	// Cached checker traces (see batchTrace), one per port list and
-	// engine: the checker's trajectory depends only on the stimulus, so
-	// one recorded simulation serves every run over that stimulus. Same
-	// concurrency convention as cachedChecker: warm it (WarmBatchTrace)
-	// before sharing the testbench across goroutines.
-	cachedTraces   []*trace
-	cachedTraceSrc string
+	// driverSyntax is the driver's memoized Eval0 verdict (see
+	// SyntaxOK), with the text it judged, so an in-place edit of
+	// DriverSource re-parses. EmitDriver stores the verdict on the text
+	// it emits.
+	driverSyntax atomic.Pointer[syntaxVerdict]
+	// checker is the memo of everything derived from the checker text:
+	// its one parse, its design and its recorded traces (see
+	// checkerMemo). It is replaced when CheckerSource or CheckerTop
+	// differs from the text it holds.
+	//
+	// Both memos are atomic, so every method of a Testbench is safe on
+	// a testbench shared across goroutines; they make a Testbench
+	// non-copyable (use WithChecker or a field-wise construction).
+	checker atomic.Pointer[checkerMemo]
 }
 
 // ScenarioCount returns the number of scenarios.
@@ -166,22 +163,23 @@ func (r *RunResult) FailedScenarios() []int {
 // its source differs from the last one checked. A driver that
 // EmitDriver emitted on tb is already judged, so of a generation's
 // driver only a corrupted text is ever parsed, and only once. The
-// driver is checked first; a broken driver leaves the checker
-// unparsed.
+// checker's verdict is its memo's parse, which simulation and lint
+// then reuse. The driver is checked first; a broken driver leaves the
+// checker unparsed.
 func (tb *Testbench) SyntaxOK() bool {
-	return trackOK(&tb.driverSyntax, tb.DriverSource) && trackOK(&tb.checkerSyntax, tb.CheckerSource)
+	return driverOK(&tb.driverSyntax, tb.DriverSource) && tb.loadChecker().parseErr == nil
 }
 
-// syntaxVerdict is one track's memoized Eval0 verdict on src.
+// syntaxVerdict is the driver's memoized Eval0 verdict on src.
 type syntaxVerdict struct {
 	src string
 	ok  bool
 }
 
-// trackOK returns the Eval0 verdict on src, parsing it only when the
+// driverOK returns the Eval0 verdict on src, parsing it only when the
 // memo holds a different text. Concurrent callers may both parse a new
 // text; they store equal verdicts.
-func trackOK(memo *atomic.Pointer[syntaxVerdict], src string) bool {
+func driverOK(memo *atomic.Pointer[syntaxVerdict], src string) bool {
 	if v := memo.Load(); v != nil && v.src == src {
 		return v.ok
 	}
@@ -191,11 +189,60 @@ func trackOK(memo *atomic.Pointer[syntaxVerdict], src string) bool {
 	return ok
 }
 
+// checkerMemo holds everything derived from one checker text: its
+// parse (or parse error), the design elaborated from that parse, and
+// the traces recorded from that design. The parse is made with the
+// memo; the design and the traces are built on first use, under mu,
+// by the first caller that needs them, so their phase spans land on
+// that caller's context. A design shares leaf nodes with the parse,
+// and the lint reads the parse, so neither may be written.
+type checkerMemo struct {
+	src, top string
+	file     *verilog.SourceFile
+	parseErr error
+
+	mu     sync.Mutex // guards design and traces while they are built
+	design *sim.Design
+	// traces holds one checker trace per port list and engine: the
+	// checker's trajectory depends only on the stimulus, so one
+	// recorded simulation serves every run over that stimulus (see
+	// batchTrace).
+	traces []*trace
+}
+
+// loadChecker returns the memo for tb's current checker text, parsing
+// the text when the memo holds a different one. Racing callers on a
+// changed text may each parse it; the first memo stored wins and the
+// others are dropped, so every caller then shares one design and one
+// set of traces.
+func (tb *Testbench) loadChecker() *checkerMemo {
+	src, top := tb.CheckerSource, tb.CheckerTop
+	old := tb.checker.Load()
+	if old != nil && old.src == src && old.top == top {
+		return old
+	}
+	m := &checkerMemo{src: src, top: top}
+	m.file, m.parseErr = verilog.Parse(src)
+	for !tb.checker.CompareAndSwap(old, m) {
+		if old = tb.checker.Load(); old != nil && old.src == src && old.top == top {
+			return old
+		}
+	}
+	return m
+}
+
+// CheckerFile returns the parse of the checker text that Eval0 judged
+// and simulation elaborates, or the parse error. The file is shared
+// with the testbench's memo: callers must only read it.
+func (tb *Testbench) CheckerFile() (*verilog.SourceFile, error) {
+	m := tb.loadChecker()
+	return m.file, m.parseErr
+}
+
 // WithChecker returns a new testbench with tb's stimulus and driver
 // and the given checker track: the corrector's rewrite. The driver's
 // Eval0 verdict carries over, since DriverSource is unchanged; the new
-// checker is judged on the copy's first SyntaxOK. Simulation caches
-// belong to the old checker and are not copied.
+// checker is parsed on the copy's first use.
 func (tb *Testbench) WithChecker(src string, plan mutate.Plan, sticky int) *Testbench {
 	out := &Testbench{
 		Problem:       tb.Problem,
@@ -212,23 +259,26 @@ func (tb *Testbench) WithChecker(src string, plan mutate.Plan, sticky int) *Test
 	return out
 }
 
-// checkerDesignContext elaborates the checker track, caching the
-// result until CheckerSource changes (AutoEval runs the same checker
-// against the golden design and every mutant; the checker trace of
-// batched runs is recorded from it). A cold cache records
-// sim_elaborate/sim_compile spans on the context's obs collector; a
-// warm cache records nothing.
-func (tb *Testbench) checkerDesignContext(ctx context.Context) (*sim.Design, error) {
-	if tb.cachedChecker != nil && tb.cachedCheckerSrc == tb.CheckerSource {
-		return tb.cachedChecker, nil
+// checkerDesignContext returns the checker memo and the design
+// elaborated from its parse. The first caller elaborates it and records
+// the sim_elaborate/sim_compile spans on its context's obs collector;
+// later callers record nothing. A parse error is returned as it is; an
+// elaboration error is not kept, so a later call elaborates again.
+func (tb *Testbench) checkerDesignContext(ctx context.Context) (*checkerMemo, *sim.Design, error) {
+	m := tb.loadChecker()
+	if m.parseErr != nil {
+		return m, nil, m.parseErr
 	}
-	d, err := sim.ElaborateSourceContext(ctx, tb.CheckerSource, tb.CheckerTop)
-	if err != nil {
-		return nil, err
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.design == nil {
+		d, err := sim.ElaborateContext(ctx, m.file, m.top)
+		if err != nil {
+			return m, nil, err
+		}
+		m.design = d
 	}
-	tb.cachedChecker = d
-	tb.cachedCheckerSrc = tb.CheckerSource
-	return d, nil
+	return m, m.design, nil
 }
 
 // RunAgainstSourceContext simulates the DUT given as Verilog source

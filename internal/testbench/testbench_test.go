@@ -68,7 +68,7 @@ func TestMutantFailsGoldenTB(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	killed := 0
 	for i := 0; i < 10; i++ {
-		mut, muts := mutate.Mutate(mod, rng, 1)
+		mut, muts, _ := mutate.Mutate(mod, rng, 1)
 		if len(muts) == 0 {
 			t.Fatal("no mutation applied")
 		}
@@ -92,8 +92,7 @@ func TestFaultyCheckerFailsGoldenRTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	plan := mutate.NewPlan(mod, rng, 1)
-	faulty, muts := plan.Build(mod)
+	faulty, muts, plan := mutate.Mutate(mod, rng, 1)
 	if len(muts) == 0 {
 		t.Fatal("no checker fault injected")
 	}

@@ -522,7 +522,7 @@ func TestBatchReplayInterpreterRow(t *testing.T) {
 				if i == 20 {
 					t.Fatal("no checker mutation changes the matrix")
 				}
-				mut, _ := mutate.Mutate(golden, rng, 1)
+				mut, _, _ := mutate.Mutate(golden, rng, 1)
 				faulty := clean.WithChecker(verilog.PrintModule(mut), mutate.Plan{}, -1)
 				if got, ok := oracleMatrix(t, faulty, cands); ok && got != want {
 					tb = faulty

@@ -186,7 +186,7 @@ func GenerateRTLGroup(p *dataset.Problem, prof *llm.Profile, nr int, rng *rand.R
 		if rng.Float64() < prof.RTLCorrect {
 			return RTLCandidate{Source: verilog.PrintModule(golden), Correct: true}
 		}
-		mut, _ := mutate.Mutate(golden, rng, prof.SampleRTLFaultCount(rng))
+		mut, _, _ := mutate.Mutate(golden, rng, prof.SampleRTLFaultCount(rng))
 		return RTLCandidate{Source: verilog.PrintModule(mut)}
 	}
 	out := make([]RTLCandidate, nr)

@@ -225,8 +225,7 @@ func TestEndToEndValidation(t *testing.T) {
 	golden, _ := p.Module()
 	var faulty *testbench.Testbench
 	for seed := int64(0); seed < 40; seed++ {
-		plan := mutate.NewPlan(golden, rand.New(rand.NewSource(seed)), 1)
-		mod, muts := plan.Build(golden)
+		mod, muts, plan := mutate.Mutate(golden, rand.New(rand.NewSource(seed)), 1)
 		if len(muts) == 0 {
 			continue
 		}

@@ -391,16 +391,6 @@ func (*PartSelect) expr() {}
 
 // ---- helpers ----
 
-// Num builds an unsized decimal Number.
-func Num(v uint64) *Number {
-	return &Number{Width: 0, Val: logic.FromUint64(32, v)}
-}
-
-// SizedNum builds a sized Number.
-func SizedNum(width int, v uint64) *Number {
-	return &Number{Width: width, Val: logic.FromUint64(width, v)}
-}
-
 // WalkExprs calls f for every expression node reachable from e,
 // including e itself, in pre-order.
 func WalkExprs(e Expr, f func(Expr)) {
@@ -467,19 +457,6 @@ func WalkStmts(s Stmt, f func(Stmt)) {
 	case *Delay:
 		WalkStmts(x.Body, f)
 	}
-}
-
-// ExprIdents collects the distinct identifier names used in e.
-func ExprIdents(e Expr) []string {
-	seen := map[string]bool{}
-	var out []string
-	WalkExprs(e, func(x Expr) {
-		if id, ok := x.(*Ident); ok && !seen[id.Name] {
-			seen[id.Name] = true
-			out = append(out, id.Name)
-		}
-	})
-	return out
 }
 
 // LHSTargets returns the identifier names assigned by the LHS

@@ -120,14 +120,19 @@ func (r *Result) add(pos verilog.Pos, sev Severity, code, signal, format string,
 	})
 }
 
-// AnalyzeSource parses src and analyzes its modules (all of them when
-// top is empty, else just top). A parse failure is an error; a
-// missing top is too.
+// AnalyzeSource parses src and analyzes it with AnalyzeFile. A parse
+// failure is an error.
 func AnalyzeSource(src, top string) ([]*Result, error) {
 	f, err := verilog.Parse(src)
 	if err != nil {
 		return nil, err
 	}
+	return AnalyzeFile(f, top)
+}
+
+// AnalyzeFile analyzes the modules of f: all of them when top is
+// empty, else just top. A missing top is an error. f is only read.
+func AnalyzeFile(f *verilog.SourceFile, top string) ([]*Result, error) {
 	if top != "" {
 		m := f.Module(top)
 		if m == nil {

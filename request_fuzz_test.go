@@ -2,6 +2,7 @@ package correctbench
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"correctbench/internal/autobench"
@@ -9,6 +10,7 @@ import (
 	"correctbench/internal/harness"
 	"correctbench/internal/llm"
 	"correctbench/internal/verilog"
+	"correctbench/internal/vstatic"
 )
 
 // FuzzSubmitRequest feeds arbitrary bodies to the POST /v1/experiments
@@ -63,10 +65,11 @@ func FuzzSubmitRequest(f *testing.F) {
 // decoder: JSON into gradeRequest, then TaskSpec.resolve, then — for a
 // known problem carrying a testbench — wireToTestbench, which emits
 // the driver track from the untrusted scenario names and stimulus
-// steps. None may panic, and the rebuilt testbench's SyntaxOK must
-// equal a fresh parse of both tracks. The corpus is seeded with the
-// bodies the benchmark driver and the service tests send, and with a
-// scenario name that once ended the driver's comment line.
+// steps. None may panic, the rebuilt testbench's SyntaxOK must equal a
+// fresh parse of both tracks, and its checker lint must equal the lint
+// of a fresh parse. The corpus is seeded with the bodies the benchmark
+// driver and the service tests send, and with a scenario name that
+// once ended the driver's comment line.
 func FuzzGradeRequest(f *testing.F) {
 	halfadd, err := json.Marshal(ProblemByName("halfadd").Source)
 	if err != nil {
@@ -114,6 +117,9 @@ func FuzzGradeRequest(f *testing.F) {
 		if got, want := tb.SyntaxOK(), freshSyntaxOK(tb); got != want {
 			t.Fatalf("SyntaxOK = %v, fresh parse = %v for %s", got, want, body)
 		}
+		if got, want := lintChecker(tb), freshLint(tb); !reflect.DeepEqual(got, want) {
+			t.Fatalf("lintChecker = %v, fresh lint = %v for %s", got, want, body)
+		}
 	})
 }
 
@@ -126,15 +132,33 @@ func freshSyntaxOK(tb *Testbench) bool {
 	return err == nil
 }
 
+// freshLint is the /v1/grade lint on a fresh parse of the checker.
+func freshLint(tb *Testbench) []vstatic.Diagnostic {
+	if tb.CheckerSource == "" {
+		return nil
+	}
+	results, err := vstatic.AnalyzeSource(tb.CheckerSource, tb.CheckerTop)
+	if err != nil {
+		return nil
+	}
+	var out []vstatic.Diagnostic
+	for _, r := range results {
+		out = append(out, r.Diags...)
+	}
+	return out
+}
+
 // TestWireTestbenchSyntaxOKMatchesFreshParse covers the path of every
 // /v1/grade input the benchmark sends: each problem's AutoBench and
 // Baseline testbench, drawn as the benchmark draws variant 0 at seed
 // 42, goes to its wire form, through JSON and back through
 // wireToTestbench. The rebuilt driver is emitted from the scenarios,
-// so it must parse, and SyntaxOK must equal a fresh parse of both
-// tracks (a generated checker may be corrupted).
+// so it must parse, SyntaxOK must equal a fresh parse of both tracks
+// (a generated checker may be corrupted), and the lint of the memo's
+// parse must equal the lint of a fresh parse.
 func TestWireTestbenchSyntaxOKMatchesFreshParse(t *testing.T) {
 	prof := llm.GPT4o()
+	linted := 0 // testbenches whose checker has diagnostics
 	for _, p := range dataset.All() {
 		for _, m := range []harness.Method{harness.MethodAutoBench, harness.MethodBaseline} {
 			gen, err := autobench.ForMethod(string(m), prof)
@@ -170,7 +194,18 @@ func TestWireTestbenchSyntaxOKMatchesFreshParse(t *testing.T) {
 			if got, want := tb.SyntaxOK(), freshSyntaxOK(tb); got != want {
 				t.Errorf("%s/%s: SyntaxOK = %v, fresh parse = %v", p.Name, m, got, want)
 			}
+			got, want := lintChecker(tb), freshLint(tb)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: lintChecker = %v, fresh lint = %v", p.Name, m, got, want)
+			}
+			if len(want) > 0 {
+				linted++
+			}
 		}
+	}
+	t.Logf("%d wire checkers have lint diagnostics", linted)
+	if linted == 0 {
+		t.Error("no wire checker has a lint diagnostic; the lint comparison checked only empty lists")
 	}
 }
 

@@ -94,8 +94,7 @@ func (c *Client) RSMatrix(ctx context.Context, spec RSMatrixSpec) (*RSMatrixRepo
 		w = runtime.GOMAXPROCS(0)
 	}
 	probe := func(attempt int64) *found {
-		plan := mutate.NewPlan(golden, rand.New(rand.NewSource(spec.Seed+attempt)), 1)
-		mod, muts := plan.Build(golden)
+		mod, muts, _ := mutate.Mutate(golden, rand.New(rand.NewSource(spec.Seed+attempt)), 1)
 		if len(muts) == 0 {
 			return nil
 		}

@@ -328,13 +328,18 @@ type gradeResponse struct {
 }
 
 // lintChecker statically analyzes a testbench's checker module for
-// the grade response. Analysis failures (e.g. an unparsable checker)
-// yield no diagnostics here — grading itself surfaces them as grades.
+// the grade response, on the parse grading already made. Analysis
+// failures (e.g. an unparsable checker) yield no diagnostics here —
+// grading itself surfaces them as grades.
 func lintChecker(tb *Testbench) []vstatic.Diagnostic {
 	if tb == nil || tb.CheckerSource == "" {
 		return nil
 	}
-	results, err := vstatic.AnalyzeSource(tb.CheckerSource, tb.CheckerTop)
+	f, err := tb.CheckerFile()
+	if err != nil {
+		return nil
+	}
+	results, err := vstatic.AnalyzeFile(f, tb.CheckerTop)
 	if err != nil {
 		return nil
 	}
