@@ -4,9 +4,14 @@
 // classic ways Go code breaks such promises are wall-clock reads,
 // the global math/rand source, and iteration over maps.
 //
-// detlint parses the determinism-critical scope (internal/harness,
-// internal/obs, internal/store, events.go by default) with go/ast — no
-// type checker, no external tooling — and flags:
+// detlint parses the determinism-critical scope with go/ast — no type
+// checker, no external tooling — and flags the findings below. The
+// default scope is the harness, tracing and store packages with
+// events.go, and the Table I path: the validator, the testbench, the
+// Algorithm-1 core, the corrector, AutoBench and AutoEval, whose
+// text-keyed memos must never be ranged over to order work.
+//
+// It flags:
 //
 //   - calls to time.Now
 //   - uses of math/rand's global-source API (rand.Intn, rand.Seed,
@@ -42,7 +47,11 @@ import (
 	"strings"
 )
 
-var defaultScope = []string{"internal/harness", "internal/obs", "internal/store", "events.go"}
+var defaultScope = []string{
+	"internal/harness", "internal/obs", "internal/store", "events.go",
+	"internal/validator", "internal/testbench", "internal/core",
+	"internal/corrector", "internal/autobench", "internal/autoeval",
+}
 
 type finding struct {
 	pos token.Position

@@ -85,7 +85,9 @@ func NewEvaluator(seed int64) *Evaluator {
 }
 
 type fixture struct {
-	golden        *testbench.Testbench
+	golden *testbench.Testbench
+	// mutantDesigns holds one design per drawn mutant, in draw order.
+	// Draws of the same text share a design.
 	mutantDesigns []*sim.Design
 	// goldenSet is the golden design as a one-DUT set (Eval1) and
 	// mutantSet the mutant set (Eval2), each compiled once over the
@@ -144,18 +146,20 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	// makes them useful Eval2 probes. The kill checks run
 	// wave-at-a-time as lanes of one batched pass. A candidate that
 	// passes is simulated again by the subtlety probe and may be kept
-	// as an Eval2 DUT, so elaborate memoizes each candidate module's
-	// design for the rest of this build. It elaborates the printed
-	// text, not the module, because error texts carry positions in
-	// that text.
-	elaborated := map[*verilog.Module]*sim.Design{}
+	// as an Eval2 DUT, so elaborate memoizes each candidate's design
+	// for the rest of this build. It elaborates the printed text, not
+	// the module, because error texts carry positions in that text, and
+	// it keys the memo on that text: separate draws of the same mutant
+	// share one design, which a DUTSet simulates as one lane.
+	elaborated := map[string]*sim.Design{}
 	elaborate := func(m *verilog.Module) (*sim.Design, error) {
-		if d, ok := elaborated[m]; ok {
+		src := verilog.PrintModule(m)
+		if d, ok := elaborated[src]; ok {
 			return d, nil
 		}
-		d, err := sim.ElaborateSourceContext(context.Background(), verilog.PrintModule(m), p.Top)
+		d, err := sim.ElaborateSourceContext(context.Background(), src, p.Top)
 		if err == nil {
-			elaborated[m] = d
+			elaborated[src] = d
 		}
 		return d, err
 	}
@@ -324,7 +328,10 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, tb *testbench.Testbench
 		return GradeFailed, err
 	}
 	// The golden testbench fails every mutant (each is drawn for being
-	// killed), so agreeing with it means failing the mutant.
+	// killed), so agreeing with it means failing the mutant. A mutant
+	// drawn more than once is simulated once (its draws share a design,
+	// hence a lane) but counts once per draw, as it always has, so the
+	// agreement fraction — and every grade — is that of the draw.
 	agree := 0
 	for _, o := range outs {
 		verdict := o.Err == nil && o.Res.Pass()

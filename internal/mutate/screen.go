@@ -34,7 +34,9 @@ func (s *Screen) Reject(mut *verilog.Module) bool {
 // DistinctMutantsScreened generates up to n mutants that each differ
 // behaviourally from the golden module according to differs, drawing
 // fresh random sites until enough are found or attempts run out, one
-// difference check per candidate. Mutants that fail elaboration are
+// difference check per candidate. "Distinct" means distinct from the
+// golden, not from each other: two draws may yield the same mutant
+// text, and both are returned. Mutants that fail elaboration are
 // discarded too (differs should report an error for those). It is the
 // sequential reference DistinctMutantsBatchScreened must reproduce.
 //
@@ -62,7 +64,8 @@ func DistinctMutantsScreened(m *verilog.Module, rng *rand.Rand, n int, mutations
 	return out
 }
 
-// DistinctMutantsBatchScreened is DistinctMutantsScreened with the
+// DistinctMutantsBatchScreened is DistinctMutantsScreened — mutants
+// distinct from the golden, not from each other — with the
 // difference checks batched into waves. Candidates are drawn from rng
 // in exactly the order and quantity the sequential version would draw
 // them — each wave requests only the outstanding need, capped by the

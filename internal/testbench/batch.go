@@ -15,10 +15,13 @@ package testbench
 // The checker's trajectory is DUT-independent, so it is recorded once
 // per checker text, stimulus and port list (batchTrace), kept in the
 // testbench's checker memo beside the parse and design it came from,
-// and reused by every run. The DUT side is recorded per run, or — for
-// a caller holding a LaneMemo, like the validator's RTL group — once
-// per stimulus: a corrected checker is then judged against the
-// recorded DUT lanes without simulating them again.
+// and reused by every run — and by every WithChecker copy that keeps
+// the text. The DUT side is recorded per run, or — for a caller
+// holding a LaneMemo, like the validator's RTL group — once per
+// stimulus: a corrected checker is then judged against the recorded
+// DUT lanes without simulating them again. Either way a DUT set
+// records each distinct design once: DUTs that are the same design
+// share one lane, and each still gets its own outcome.
 //
 // With earlyExit=false a lane's outcome is identical to simulating the
 // DUT and the checker side by side on the interpreter: the same
@@ -215,15 +218,22 @@ func (s *stimulus) over(outs []string) *stimulus {
 // are mutants of; a DUT may alias it). Static variants share a
 // levelized program, the rest batch under a separate event-driven
 // program. A DUT no program gives a lane — every DUT, when base does
-// not batch-compile — is recorded on the interpreter. A DUTSet is
-// immutable and safe to share across concurrent runs.
+// not batch-compile — is recorded on the interpreter. DUTs that are
+// the same *sim.Design get one lane, or one interpreter recording,
+// between them: a design is simulated once per run however often the
+// set repeats it. A DUTSet is immutable and safe to share across
+// concurrent runs.
 type DUTSet struct {
-	base  *sim.Design
-	duts  []*sim.Design
+	base *sim.Design
+	duts []*sim.Design
+	// first[i] is the index of the first DUT that is duts[i]; only
+	// those DUTs are recorded, and a repeat reads its first's lane.
+	first []int
 	progs []*sim.BatchProgram
 	// laneDUT[k][lane] is the DUT index of progs[k]'s lane.
 	laneDUT [][]int
-	// at[i] is DUT i's program lane; prog is -1 when it has none.
+	// at[i] is DUT i's program lane, set for first DUTs only; prog is
+	// -1 when it has none.
 	at []laneRef
 	// outs[i] is DUT i's output port list when it differs from base's
 	// (only a DUT without a lane can differ), else nil.
@@ -235,25 +245,33 @@ type laneRef struct{ prog, lane int }
 // NewDUTSet compiles duts into batch programs over base. out[i] of
 // every run of the set is duts[i]'s outcome.
 func NewDUTSet(base *sim.Design, duts []*sim.Design) *DUTSet {
-	s := &DUTSet{base: base, duts: duts, at: make([]laneRef, len(duts)), outs: make([][]string, len(duts))}
+	s := &DUTSet{base: base, duts: duts, first: make([]int, len(duts)), at: make([]laneRef, len(duts)), outs: make([][]string, len(duts))}
 	baseOuts := outputPorts(base)
+	seen := make(map[*sim.Design]int, len(duts)) // design -> its first DUT
+	var designs []*sim.Design                    // each design once, in set order
 	for i, d := range duts {
 		s.at[i].prog = -1
 		if outs := outputPorts(d); !slices.Equal(outs, baseOuts) {
 			s.outs[i] = outs
 		}
+		if _, ok := seen[d]; !ok {
+			seen[d] = i
+			designs = append(designs, d)
+		}
+		s.first[i] = seen[d]
 	}
 	// A base the batch compiler rejects yields no programs, and every
 	// DUT is recorded on the interpreter.
-	progs, idx, _ := sim.CompileBatchSplit(base, duts)
+	progs, idx, _ := sim.CompileBatchSplit(base, designs)
 	s.progs = progs
 	s.laneDUT = make([][]int, len(progs))
 	for k, p := range progs {
 		s.laneDUT[k] = make([]int, p.Lanes())
 		for vi := range p.Variants() {
 			if lane := p.VariantLane(vi); lane >= 0 {
-				s.laneDUT[k][lane] = idx[k][vi]
-				s.at[idx[k][vi]] = laneRef{k, lane}
+				i := seen[designs[idx[k][vi]]]
+				s.laneDUT[k][lane] = i
+				s.at[i] = laneRef{k, lane}
 			}
 		}
 	}
@@ -269,11 +287,13 @@ type setTrace struct {
 	stim   *stimulus
 	engine sim.Engine
 	progs  []*trace
-	interp []*trace // per DUT; nil for a DUT recorded as a program lane
+	interp []*trace // per DUT; nil for a program lane and for a repeated DUT
 }
 
-// lane returns the trace that holds DUT i and its lane in it.
+// lane returns the trace that holds DUT i and its lane in it: the
+// first DUT's that is the same design.
 func (r *setTrace) lane(i int) (*trace, int) {
+	i = r.set.first[i]
 	if tr := r.interp[i]; tr != nil {
 		return tr, 0
 	}
@@ -593,10 +613,10 @@ func compareLane(dut, chk *trace, lane int, earlyExit bool) BatchOutcome {
 
 // RunBatchContext runs every DUT of set against the testbench in one
 // batched pass and returns one outcome per DUT, in set order. The
-// checker is recorded once (batchTrace); the DUTs are recorded as
-// program lanes and, for DUTs without a lane, on the interpreter, each
-// compared on its own output ports. A checker that does not elaborate
-// is every DUT's "checker:" error.
+// checker is recorded once (batchTrace); each distinct DUT design is
+// recorded once, as a program lane or, for a design without a lane, on
+// the interpreter, and every DUT is compared on its own output ports.
+// A checker that does not elaborate is every DUT's "checker:" error.
 //
 // With a nil memo the DUTs are recorded for this call only, and a lane
 // stops simulating once its outcome is settled. With a memo, a run
@@ -655,14 +675,15 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 	return out, nil
 }
 
-// recordSet records every DUT of set over stim as one sim_run. Under
-// the batched engine each program records its lanes; every other DUT —
-// every DUT under the interpreter engine — is recorded on the
-// interpreter as one lane, over its own output ports when they differ
-// from the base's. With chks (per DUT, the checker trace it is
-// compared with) a lane stops once its outcome is settled; with nil
-// chks every lane is recorded through every scenario. The returned
-// error is non-nil only on cancellation of ctx.
+// recordSet records every distinct DUT of set over stim as one
+// sim_run; a repeated DUT is not recorded again. Under the batched
+// engine each program records its lanes; every other DUT — every DUT
+// under the interpreter engine — is recorded on the interpreter as one
+// lane, over its own output ports when they differ from the base's.
+// With chks (per DUT, the checker trace it is compared with) a lane
+// stops once its outcome is settled; with nil chks every lane is
+// recorded through every scenario. The returned error is non-nil only
+// on cancellation of ctx.
 func (tb *Testbench) recordSet(ctx context.Context, set *DUTSet, engine sim.Engine, stim *stimulus, side string, chks []*trace, earlyExit bool) (*setTrace, error) {
 	defer obs.Time(ctx, obs.PhaseRun)()
 	rec := &setTrace{set: set, stim: stim, engine: engine, progs: make([]*trace, len(set.progs)), interp: make([]*trace, len(set.duts))}
@@ -691,7 +712,7 @@ func (tb *Testbench) recordSet(ctx context.Context, set *DUTSet, engine sim.Engi
 		}
 	}
 	for i, d := range set.duts {
-		if batched && set.at[i].prog >= 0 {
+		if set.first[i] != i || batched && set.at[i].prog >= 0 {
 			continue
 		}
 		s := stim

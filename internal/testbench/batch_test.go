@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -324,5 +325,128 @@ func TestBatchLaneFailOrder(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("dut %+v, checker %+v: %q ends the run, want %q", tc.dut, tc.chk, got, tc.want)
 		}
+	}
+}
+
+// laneCount is the number of lanes a run of set records: its programs'
+// lanes and its interpreter recordings, under the batched engine.
+func laneCount(set *DUTSet) int {
+	n := 0
+	for _, p := range set.progs {
+		n += p.Lanes()
+	}
+	for i := range set.duts {
+		if set.first[i] == i && set.at[i].prog < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBatchRepeatedDUTsShareLanes is the lane-sharing differential: a
+// set that repeats designs, in the order [g, m1, g, m2, m1, d, d] — the
+// golden, two mutants and a $display variant the batch compiler
+// rejects — must give every DUT the outcome it gets in a set where each
+// entry was elaborated on its own, with and without early exit and
+// with and without a LaneMemo, while recording one lane per distinct
+// design.
+func TestBatchRepeatedDUTsShareLanes(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"mux2_w4", "prio_enc8", "cnt8", "det101"} {
+		t.Run(name, func(t *testing.T) {
+			tb := golden(t, name)
+			p := tb.Problem
+			elab := func(src string) *sim.Design {
+				t.Helper()
+				d, err := sim.ElaborateSourceContext(ctx, src, p.Top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			base := elab(p.Source)
+			mod, err := p.Module()
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts := []string{verilog.PrintModule(mod)}
+			rng := rand.New(rand.NewSource(21))
+			for i := 0; i < 50 && len(texts) < 3; i++ {
+				mut, muts, _ := mutate.Mutate(mod, rng, 1)
+				src := verilog.PrintModule(mut)
+				if len(muts) == 0 || slices.Contains(texts, src) {
+					continue
+				}
+				if _, err := sim.ElaborateSourceContext(ctx, src, p.Top); err == nil {
+					texts = append(texts, src)
+				}
+			}
+			if len(texts) < 3 {
+				t.Fatal("fewer than two elaborable mutants")
+			}
+			// The $display watches the first data input or, for a
+			// design with none, the first output.
+			trigger := outputPorts(base)[0]
+			for _, port := range base.Ports {
+				if port.Dir == sim.In && port.Name != p.Clock && port.Name != p.Reset {
+					trigger = port.Name
+					break
+				}
+			}
+			texts = append(texts, strings.Replace(texts[0], "endmodule",
+				"always @(*) if ("+trigger+" === 1'bx) $display(\"x\");\nendmodule", 1))
+
+			order := []int{0, 1, 0, 2, 1, 3, 3}
+			designs := make([]*sim.Design, len(texts))
+			for k, src := range texts {
+				designs[k] = elab(src)
+			}
+			var repeated, own []*sim.Design
+			for _, k := range order {
+				repeated = append(repeated, designs[k])
+				own = append(own, elab(texts[k]))
+			}
+			dup, sep := NewDUTSet(base, repeated), NewDUTSet(base, own)
+			if got := laneCount(dup); got != len(texts) {
+				t.Errorf("repeated set records %d lanes, want %d (one per distinct design)", got, len(texts))
+			}
+			if got := laneCount(sep); got != len(order) {
+				t.Errorf("separately elaborated set records %d lanes, want %d", got, len(order))
+			}
+			if dup.at[5].prog >= 0 {
+				t.Fatal("the $display variant got a program lane; the interpreter path is not covered")
+			}
+
+			faulty := tb.WithChecker(texts[1], tb.CheckerPlan, tb.CheckerSticky)
+			for c, chk := range []*Testbench{tb, faulty} {
+				for _, early := range []bool{false, true} {
+					want, err := chk.RunBatchContext(ctx, sep, early, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var memo LaneMemo
+					for _, run := range []struct {
+						label string
+						memo  *LaneMemo
+					}{{"no memo", nil}, {"recording", &memo}, {"replay", &memo}} {
+						got, err := chk.RunBatchContext(ctx, dup, early, run.memo)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if i := sameOutcomes(got, want); i >= 0 {
+							t.Fatalf("checker %d earlyExit=%v %s: DUT %d outcome %+v, want %+v", c, early, run.label, i, got[i], want[i])
+						}
+						for i := range got {
+							for j := i + 1; j < len(got); j++ {
+								if got[i].Res != nil && got[j].Res != nil && len(got[i].Res.ScenarioPass) > 0 &&
+									&got[i].Res.ScenarioPass[0] == &got[j].Res.ScenarioPass[0] {
+									t.Fatalf("DUTs %d and %d share a ScenarioPass slice", i, j)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"correctbench/internal/dataset"
 	"correctbench/internal/mutate"
+	"correctbench/internal/obs"
 	"correctbench/internal/sim"
 	"correctbench/internal/verilog"
 	"correctbench/internal/vstatic"
@@ -281,6 +284,226 @@ func TestCheckerMemoParseIsReadOnly(t *testing.T) {
 			}
 			if after := verilog.Print(f); after != before {
 				t.Errorf("%s: the checker's parse changed under elaboration, lint and a run", p.Name)
+			}
+		}
+	}
+}
+
+// phaseCounts counts a collector's spans by phase.
+func phaseCounts(col *obs.Collector) map[string]int {
+	n := map[string]int{}
+	for _, s := range col.Samples() {
+		n[s.Phase]++
+	}
+	return n
+}
+
+// sameOutcomes reports the first DUT whose outcomes differ, or -1.
+func sameOutcomes(got, want []BatchOutcome) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i := range got {
+		if !sameOutcome(got[i], want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestWithCheckerKeepsUnchangedMemo: a correction that leaves the
+// checker text as it was gives a copy that shares the parent's memo —
+// its parse, design and traces — so the copy's first run elaborates
+// nothing and records no checker: its one sim_run is the DUT side.
+func TestWithCheckerKeepsUnchangedMemo(t *testing.T) {
+	tb := golden(t, "cnt8")
+	base, err := tb.Problem.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := NewDUTSet(base, batchDiffDUTs(t, tb, base))
+	want, err := tb.RunBatchContext(context.Background(), set, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tb.checker.Load()
+	if m == nil || m.design == nil || len(m.traces) != 2 {
+		t.Fatalf("parent memo %+v, want a design and two traces (base and extra-port)", m)
+	}
+	traces := slices.Clone(m.traces)
+
+	cp := tb.WithChecker(tb.CheckerSource, tb.CheckerPlan, tb.CheckerSticky)
+	if cp.checker.Load() != m {
+		t.Fatal("a copy with the parent's checker text did not get the parent's memo")
+	}
+	col := obs.NewCollector(time.Time{})
+	got, err := cp.RunBatchContext(obs.WithCollector(context.Background(), col), set, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := sameOutcomes(got, want); i >= 0 {
+		t.Fatalf("DUT %d: copy's outcome differs from the parent's", i)
+	}
+	if n := phaseCounts(col); n[obs.PhaseElaborate] != 0 || n[obs.PhaseCompile] != 0 || n[obs.PhaseRun] != 1 {
+		t.Errorf("copy's first run spans %v, want no %s, no %s and one %s (the DUTs)", n, obs.PhaseElaborate, obs.PhaseCompile, obs.PhaseRun)
+	}
+	if f, err := cp.CheckerFile(); err != nil || f != m.file {
+		t.Errorf("copy's CheckerFile = %p, %v; want the parent's parse %p", f, err, m.file)
+	}
+	if !slices.Equal(m.traces, traces) || cp.checker.Load() != m || tb.checker.Load() != m {
+		t.Error("the copy's run replaced the shared memo or its traces")
+	}
+}
+
+// TestWithCheckerFreshMemoOnChange: a copy gets a memo of its own when
+// its checker differs from the parent's memo — a new text, a parent
+// whose CheckerTop moved since the memo was made, or a copy whose
+// CheckerTop is edited afterwards — and the parent keeps its memo.
+func TestWithCheckerFreshMemoOnChange(t *testing.T) {
+	tb := golden(t, "det101")
+	base, err := tb.Problem.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := tb.RunAgainstDesignContext(context.Background(), base); err != nil || !res.Pass() {
+		t.Fatalf("golden run: %v, %v", res, err)
+	}
+	m := tb.checker.Load()
+
+	edited := tb.WithChecker(tb.CheckerSource+"\n// edited\n", tb.CheckerPlan, tb.CheckerSticky)
+	if edited.checker.Load() != nil {
+		t.Fatal("a copy with a changed text got the parent's memo")
+	}
+	if !edited.SyntaxOK() || edited.checker.Load() == m || edited.checker.Load().src != edited.CheckerSource {
+		t.Error("the changed text was not parsed into a memo of its own")
+	}
+
+	top := tb.CheckerTop
+	tb.CheckerTop = "no_such_top"
+	if moved := tb.WithChecker(tb.CheckerSource, tb.CheckerPlan, tb.CheckerSticky); moved.checker.Load() != nil {
+		t.Error("a copy whose CheckerTop differs from the memo's got the memo")
+	}
+	tb.CheckerTop = top
+
+	cp := tb.WithChecker(tb.CheckerSource, tb.CheckerPlan, tb.CheckerSticky)
+	cp.CheckerTop = "no_such_top"
+	res, err := cp.RunAgainstDesignContext(context.Background(), base)
+	if want := `checker: 1:1: top module "no_such_top" not found`; err == nil || err.Error() != want {
+		t.Errorf("copy with an edited top: %v, %v; want %q", res, err, want)
+	}
+	if got := cp.checker.Load(); got == m || got.top != "no_such_top" {
+		t.Error("an edit of the copy's CheckerTop kept the shared memo")
+	}
+	if tb.checker.Load() != m {
+		t.Error("the copy's edits replaced the parent's memo")
+	}
+	if res, err := tb.RunAgainstDesignContext(context.Background(), base); err != nil || !res.Pass() {
+		t.Errorf("parent after the copy's edits: %v, %v", res, err)
+	}
+}
+
+// TestWithCheckerCopyStimulusEdit: an in-place edit of Scenarios on a
+// copy that shares the memo is noticed by the trace's stimulus check:
+// the copy records the checker again and gets the outcomes of a
+// testbench that never had a memo.
+func TestWithCheckerCopyStimulusEdit(t *testing.T) {
+	tb := golden(t, "fifo2")
+	base, err := tb.Problem.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := NewDUTSet(base, batchDiffDUTs(t, tb, base))
+	before, err := tb.RunBatchContext(context.Background(), set, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := tb.WithChecker(tb.CheckerSource, tb.CheckerPlan, tb.CheckerSticky)
+	edited := false
+	for _, sc := range cp.Scenarios {
+		for _, st := range sc.Steps {
+			if names := st.SortedNames(); len(names) > 0 {
+				st.Inputs[names[len(names)-1]] ^= 1
+				edited = true
+			}
+		}
+	}
+	if !edited {
+		t.Fatal("the stimulus drives no input")
+	}
+	col := obs.NewCollector(time.Time{})
+	got, err := cp.RunBatchContext(obs.WithCollector(context.Background(), col), set, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The checker is recorded over the base's ports and over the
+	// extra-port DUT's.
+	if n := phaseCounts(col); n[obs.PhaseRun] != 3 {
+		t.Errorf("run after the edit opened %d %s spans, want 3 (two checker traces and the DUTs)", n[obs.PhaseRun], obs.PhaseRun)
+	}
+	fresh := &Testbench{Problem: tb.Problem, Scenarios: cp.Scenarios, CheckerSource: tb.CheckerSource, CheckerTop: tb.CheckerTop, CheckerSticky: -1}
+	want, err := fresh.RunBatchContext(context.Background(), set, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := sameOutcomes(got, want); i >= 0 {
+		t.Fatalf("DUT %d: the edited copy's outcome differs from a memo-less testbench's", i)
+	}
+	if sameOutcomes(before, want) < 0 {
+		t.Error("the edit changed no outcome; the test cannot tell a stale trace from a fresh one")
+	}
+}
+
+// TestWithCheckerConcurrentParentAndCopies: a parent whose memo holds
+// only the parse, and copies that share it, run from separate
+// goroutines with no warm-up; every goroutine must see the outcomes of
+// a testbench used alone (run it under -race).
+func TestWithCheckerConcurrentParentAndCopies(t *testing.T) {
+	for _, name := range []string{"cnt8", "prio_enc8"} {
+		alone := golden(t, name)
+		base, err := alone.Problem.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := NewDUTSet(base, batchDiffDUTs(t, alone, base))
+		want, err := alone.RunBatchContext(context.Background(), set, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent := golden(t, name)
+		if !parent.SyntaxOK() {
+			t.Fatal("golden testbench reports a syntax error")
+		}
+		tbs := []*Testbench{parent}
+		for k := 0; k < 3; k++ {
+			tbs = append(tbs, parent.WithChecker(parent.CheckerSource, parent.CheckerPlan, parent.CheckerSticky))
+		}
+		got := make([][]BatchOutcome, 2*len(tbs))
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tb := tbs[g%len(tbs)]
+				if !tb.SyntaxOK() {
+					t.Error("SyntaxOK failed on a shared memo")
+				}
+				out, err := tb.RunBatchContext(context.Background(), set, true, nil)
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = out
+			}()
+		}
+		wg.Wait()
+		for g, out := range got {
+			if i := sameOutcomes(out, want); i >= 0 {
+				t.Errorf("%s goroutine %d: DUT %d outcome differs from a testbench used alone", name, g, i)
+			}
+		}
+		m := parent.checker.Load()
+		for _, tb := range tbs {
+			if tb.checker.Load() != m {
+				t.Errorf("%s: a copy holds a memo of its own", name)
 			}
 		}
 	}

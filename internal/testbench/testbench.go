@@ -118,7 +118,8 @@ type Testbench struct {
 	// checker is the memo of everything derived from the checker text:
 	// its one parse, its design and its recorded traces (see
 	// checkerMemo). It is replaced when CheckerSource or CheckerTop
-	// differs from the text it holds.
+	// differs from the text it holds, and handed to a WithChecker copy
+	// that keeps that text.
 	//
 	// Both memos are atomic, so every method of a Testbench is safe on
 	// a testbench shared across goroutines; they make a Testbench
@@ -195,7 +196,8 @@ func driverOK(memo *atomic.Pointer[syntaxVerdict], src string) bool {
 // memo; the design and the traces are built on first use, under mu,
 // by the first caller that needs them, so their phase spans land on
 // that caller's context. A design shares leaf nodes with the parse,
-// and the lint reads the parse, so neither may be written.
+// and the lint reads the parse, so neither may be written. A memo is
+// shared by a testbench and every WithChecker copy that kept its text.
 type checkerMemo struct {
 	src, top string
 	file     *verilog.SourceFile
@@ -241,8 +243,12 @@ func (tb *Testbench) CheckerFile() (*verilog.SourceFile, error) {
 
 // WithChecker returns a new testbench with tb's stimulus and driver
 // and the given checker track: the corrector's rewrite. The driver's
-// Eval0 verdict carries over, since DriverSource is unchanged; the new
-// checker is parsed on the copy's first use.
+// Eval0 verdict carries over, since DriverSource is unchanged. When src
+// is the text tb's checker memo holds (a correction that left the
+// checker as it was), the copy shares that memo, so it reuses the
+// parse, the design and the recorded traces; a trace still serves the
+// copy only while its stimulus is the copy's. Any other checker is
+// parsed on the copy's first use.
 func (tb *Testbench) WithChecker(src string, plan mutate.Plan, sticky int) *Testbench {
 	out := &Testbench{
 		Problem:       tb.Problem,
@@ -256,6 +262,9 @@ func (tb *Testbench) WithChecker(src string, plan mutate.Plan, sticky int) *Test
 		TokensOut:     tb.TokensOut,
 	}
 	out.driverSyntax.Store(tb.driverSyntax.Load())
+	if m := tb.checker.Load(); m != nil && m.src == src && m.top == out.CheckerTop {
+		out.checker.Store(m)
+	}
 	return out
 }
 

@@ -36,7 +36,12 @@ func oracleMatrix(t *testing.T, tb *testbench.Testbench, cands []validator.RTLCa
 	prev := sim.DefaultEngine
 	sim.DefaultEngine = sim.EngineInterp
 	defer func() { sim.DefaultEngine = prev }()
-	otb := tb.WithChecker(tb.CheckerSource, tb.CheckerPlan, tb.CheckerSticky)
+	// A field-wise copy, not WithChecker: the oracle parses, elaborates
+	// and records the checker in a memo of its own.
+	otb := &testbench.Testbench{
+		Problem: tb.Problem, Scenarios: tb.Scenarios, DriverSource: tb.DriverSource,
+		CheckerSource: tb.CheckerSource, CheckerTop: tb.CheckerTop, CheckerSticky: tb.CheckerSticky,
+	}
 	m := &validator.Matrix{}
 	for _, c := range cands {
 		res, err := otb.RunAgainstSourceContext(context.Background(), c.Source, tb.Problem.Top)
@@ -630,8 +635,9 @@ func TestBatchReplayConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 6; r++ {
 				i := (g + r/2) % len(tbs)
-				// A testbench copy per goroutine: its checker trace cache
-				// is not shared; the group is.
+				// A testbench copy per goroutine. Copies that keep a
+				// checker text share its memo, so the checker's traces
+				// are shared like the group's recording.
 				tb := tbs[i].WithChecker(tbs[i].CheckerSource, tbs[i].CheckerPlan, tbs[i].CheckerSticky)
 				m, ok, err := v.BuildMatrixContext(context.Background(), tb, c.group)
 				switch {

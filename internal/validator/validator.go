@@ -7,15 +7,18 @@
 // independent, a column that is red for most RTLs indicts the testbench
 // rather than the RTLs.
 //
-// The group is fixed per task, so NewGroup elaborates it once and
-// compiles its candidates into a testbench.DUTSet over the golden
-// design: lanes of sim batch programs, and a one-lane interpreter
-// simulation for a candidate no program accepts (every candidate, when
-// the golden design does not batch-compile). Validation is
-// record-then-compare (testbench.RunBatchContext): the checker is
-// recorded once per checker, and the candidates once per driver —
-// Algorithm 1's corrector rewrites only the checker, so every round
-// after a correction compares the new checker's trace with the group's
+// The group is fixed per task, so NewGroup elaborates each distinct
+// candidate source once — equal candidates, such as the golden copies,
+// share one design — and compiles the designs into a testbench.DUTSet
+// over the golden design: lanes of sim batch programs, and a one-lane
+// interpreter simulation for a design no program accepts (every
+// design, when the golden design does not batch-compile). A design
+// shared by several candidates is simulated once, as one lane, and
+// gives each of their rows. Validation is record-then-compare
+// (testbench.RunBatchContext): the checker is recorded once per
+// checker, and the candidates once per driver — Algorithm 1's
+// corrector rewrites only the checker, so every round after a
+// correction compares the new checker's trace with the group's
 // recorded lanes and simulates no candidate, whichever engine recorded
 // it. Rows are bit-identical to simulating each candidate on its own.
 package validator
@@ -214,44 +217,58 @@ func GenerateRTLGroup(p *dataset.Problem, prof *llm.Profile, nr int, rng *rand.R
 
 // Group is a task's imperfect-RTL group prepared for validation. The
 // group is fixed for the whole task (Algorithm 1 validates every
-// testbench of a task against the same N_R RTLs), so each candidate is
-// parsed and elaborated once, and the elaborable ones are compiled
-// once as lanes of batch programs over the golden design. The first
-// round over a driver simulates all of them in one batched pass and
-// records their outputs; later rounds over the same stimulus replay
-// that recording. The candidates and programs are fixed by NewGroup;
-// the recording is the one thing a round changes — it holds the last
-// driver's lanes and is replaced on a reboot — and it is an atomic
-// memo, so a Group is safe for concurrent BuildMatrixContext calls.
+// testbench of a task against the same N_R RTLs), so each distinct
+// candidate source is parsed and elaborated once, equal candidates
+// share the design, and the elaborable designs are compiled once as
+// lanes of batch programs over the golden design, one lane per
+// distinct design. The first round over a driver simulates all of them
+// in one batched pass and records their outputs; later rounds over the
+// same stimulus replay that recording. The candidates and programs are
+// fixed by NewGroup; the recording is the one thing a round changes —
+// it holds the last driver's lanes and is replaced on a reboot — and
+// it is an atomic memo, so a Group is safe for concurrent
+// BuildMatrixContext calls.
 type Group struct {
 	// Candidates is the RTL group in generation order, the row order
 	// of every RS matrix built from it.
 	Candidates []RTLCandidate
 
-	designs []*sim.Design // per candidate; nil when elaboration failed (a discarded row)
-	duts    []*sim.Design // the non-nil designs, in group order
+	// designs holds each candidate's design, shared by equal sources;
+	// nil when elaboration failed (a discarded row).
+	designs []*sim.Design
+	duts    []*sim.Design // the non-nil designs, in group order, repeats included
 	// set is duts compiled over the golden design.
 	set *testbench.DUTSet
 	// lanes is the recorded DUT side of the last driver run on set.
 	lanes testbench.LaneMemo
 }
 
-// NewGroup elaborates every candidate of an RTL group for problem p and
-// compiles the elaborable ones into batch programs. A candidate that
-// fails to parse or elaborate is kept as a discarded row, never an
-// error; the returned error is non-nil only when p's golden design
-// cannot be elaborated or ctx was cancelled. Elaboration draws no
-// randomness, so building the group leaves the task's rng stream
-// untouched.
+// NewGroup elaborates every distinct candidate source of an RTL group
+// for problem p and compiles the elaborable designs into batch
+// programs. A candidate that fails to parse or elaborate is kept as a
+// discarded row, never an error; the returned error is non-nil only
+// when p's golden design cannot be elaborated or ctx was cancelled.
+// Elaboration draws no randomness, so building the group leaves the
+// task's rng stream untouched.
 func NewGroup(ctx context.Context, p *dataset.Problem, cands []RTLCandidate) (*Group, error) {
 	base, err := p.Elaborate()
 	if err != nil {
 		return nil, err
 	}
 	g := &Group{Candidates: cands, designs: make([]*sim.Design, len(cands))}
+	// elaborated holds each distinct source's design, nil when it does
+	// not elaborate.
+	elaborated := make(map[string]*sim.Design, len(cands))
 	for i, c := range cands {
-		d, err := sim.ElaborateSourceContext(ctx, c.Source, p.Top)
-		if err != nil {
+		d, ok := elaborated[c.Source]
+		if !ok {
+			var err error
+			if d, err = sim.ElaborateSourceContext(ctx, c.Source, p.Top); err != nil {
+				d = nil
+			}
+			elaborated[c.Source] = d
+		}
+		if d == nil {
 			continue
 		}
 		g.designs[i] = d
