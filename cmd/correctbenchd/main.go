@@ -179,14 +179,14 @@ func main() {
 // consumes the NDJSON event stream to completion, and asserts the
 // streamed Table I equals the one computed in-process from the same
 // spec — the service must add nothing and lose nothing.
-func runSelfcheck() error {
+func runSelfcheck() (err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	srv := &http.Server{Handler: correctbench.NewServer(correctbench.NewClient())}
 	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
+	defer closeWith(&err, "selfcheck server", srv.Close)
 	base := "http://" + ln.Addr().String()
 
 	// The dataset must be served.
@@ -241,7 +241,7 @@ func runSelfcheck() error {
 // simulated and persisted), then an identical resubmit replays every
 // cell from the store — zero simulated, byte-identical Table I — and
 // /v1/store/stats agrees.
-func storeSelfcheck(spec correctbench.ExperimentSpec, wantTable string) error {
+func storeSelfcheck(spec correctbench.ExperimentSpec, wantTable string) (err error) {
 	dir, err := os.MkdirTemp("", "correctbenchd-selfcheck-store")
 	if err != nil {
 		return err
@@ -258,8 +258,8 @@ func storeSelfcheck(spec correctbench.ExperimentSpec, wantTable string) error {
 	}
 	srv := &http.Server{Handler: correctbench.NewServer(client)}
 	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	defer client.Close(context.Background())
+	defer closeWith(&err, "store selfcheck server", srv.Close)
+	defer closeWith(&err, "store selfcheck client", func() error { return client.Close(context.Background()) })
 	base := "http://" + ln.Addr().String()
 
 	cold, err := runStreamed(base, spec)
@@ -292,6 +292,14 @@ func storeSelfcheck(spec correctbench.ExperimentSpec, wantTable string) error {
 	return nil
 }
 
+// closeWith runs a deferred close and, when the function was about to
+// succeed, returns the close's error in *err instead.
+func closeWith(err *error, what string, close func() error) {
+	if cerr := close(); cerr != nil && *err == nil {
+		*err = fmt.Errorf("closing %s: %w", what, cerr)
+	}
+}
+
 // streamedRun is what one streaming POST /v1/experiments produced.
 type streamedRun struct {
 	jobID string
@@ -311,7 +319,7 @@ func runStreamed(base string, spec correctbench.ExperimentSpec) (streamedRun, er
 	if err != nil {
 		return run, err
 	}
-	defer resp.Body.Close()
+	defer resp.Body.Close() //detlint:allow a response body only read; its close reports nothing to act on
 	if resp.StatusCode != http.StatusOK {
 		return run, fmt.Errorf("POST /v1/experiments: status %s", resp.Status)
 	}
@@ -353,7 +361,7 @@ func getJSON(url string, v any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer resp.Body.Close() //detlint:allow a response body only read; its close reports nothing to act on
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET %s: status %s", url, resp.Status)
 	}

@@ -11,6 +11,9 @@
 // Algorithm-1 core, the corrector, AutoBench and AutoEval, whose
 // text-keyed memos must never be ranged over to order work.
 //
+// The scope also takes in the daemon's serving code (service.go,
+// metrics.go, cmd/correctbenchd), for the last check below.
+//
 // It flags:
 //
 //   - calls to time.Now
@@ -20,6 +23,12 @@
 //   - range statements over expressions declared as maps anywhere in
 //     the scanned scope (a heuristic: no type inference, so only
 //     names whose declaration is visibly a map are matched)
+//   - a discarded error from a method named Write, Encode or Close:
+//     its result assigned to _, a deferred call, or — for Write and
+//     Encode — a call made as a statement. A plain x.Close() statement
+//     is left alone: the Go convention closes on error paths and after
+//     reads that way. Without type inference any method of those names
+//     counts.
 //
 // A finding is suppressed by a directive comment on the same line or
 // the line above:
@@ -51,6 +60,7 @@ var defaultScope = []string{
 	"internal/harness", "internal/obs", "internal/store", "events.go",
 	"internal/validator", "internal/testbench", "internal/core",
 	"internal/corrector", "internal/autobench", "internal/autoeval",
+	"service.go", "metrics.go", "cmd/correctbenchd",
 }
 
 type finding struct {
@@ -230,6 +240,20 @@ func lintFile(fset *token.FileSet, f *ast.File, mapNames map[string]bool) []find
 			if randAlias != "" && pkg.Name == randAlias && !globalRandAllowed[x.Sel.Name] {
 				flag(x, "math/rand global source (rand.%s) is unseeded shared state; use rand.New(rand.NewSource(seed))", x.Sel.Name)
 			}
+		case *ast.ExprStmt:
+			if name, method := droppedErrCall(x.X); name != "" && method != "Close" {
+				flag(x, "the error %s returns is discarded; handle it or add //detlint:allow with the reason", name)
+			}
+		case *ast.DeferStmt:
+			if name, _ := droppedErrCall(x.Call); name != "" {
+				flag(x, "the error deferred %s returns is discarded; handle it or add //detlint:allow with the reason", name)
+			}
+		case *ast.AssignStmt:
+			if len(x.Rhs) == 1 && allBlank(x.Lhs) {
+				if name, _ := droppedErrCall(x.Rhs[0]); name != "" {
+					flag(x, "the error %s returns is assigned to _; handle it or add //detlint:allow with the reason", name)
+				}
+			}
 		case *ast.RangeStmt:
 			var name string
 			switch e := ast.Unparen(x.X).(type) {
@@ -245,6 +269,41 @@ func lintFile(fset *token.FileSet, f *ast.File, mapNames map[string]bool) []find
 		return true
 	})
 	return out
+}
+
+// errMethods are the methods whose error detlint requires a caller to
+// handle: a failed write, encode or close loses output, and after a
+// response's status line the error is the only report of it.
+var errMethods = map[string]bool{"Write": true, "Encode": true, "Close": true}
+
+// droppedErrCall returns the call ("x.Name") and the method name when
+// e is a call of a method in errMethods, whose error the enclosing
+// statement then drops, and "" otherwise. Without a type checker, any
+// method of that name counts.
+func droppedErrCall(e ast.Expr) (call, method string) {
+	c, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return "", ""
+	}
+	sel, ok := c.Fun.(*ast.SelectorExpr)
+	if !ok || !errMethods[sel.Sel.Name] {
+		return "", ""
+	}
+	method = sel.Sel.Name
+	if id, ok := sel.X.(*ast.Ident); ok {
+		return id.Name + "." + method, method
+	}
+	return method, method
+}
+
+// allBlank reports whether every expression is the blank identifier.
+func allBlank(es []ast.Expr) bool {
+	for _, e := range es {
+		if id, ok := e.(*ast.Ident); !ok || id.Name != "_" {
+			return false
+		}
+	}
+	return true
 }
 
 // isKeyCollect recognizes the canonical deterministic-iteration

@@ -37,8 +37,12 @@ type Generator interface {
 // observablyFaulty reports whether the checker candidate behaves
 // differently from the golden RTL on the given scenarios (i.e. the
 // injected fault is a real functional error, not an equivalent
-// mutation). Checkers that fail to simulate count as observable.
-func observablyFaulty(p *dataset.Problem, checkerSrc string, scenarios []testbench.Scenario) bool {
+// mutation). Checkers that fail to simulate count as observable. The
+// probe runs on the generator's trace store, so the golden is recorded
+// once per scenario however many candidates are probed, and an
+// accepted checker's parse, design and trace serve the testbench that
+// carries it.
+func observablyFaulty(p *dataset.Problem, checkerSrc string, scenarios []testbench.Scenario, store *testbench.TraceStore) bool {
 	goldenDesign, err := p.Elaborate()
 	if err != nil {
 		return true
@@ -50,6 +54,7 @@ func observablyFaulty(p *dataset.Problem, checkerSrc string, scenarios []testben
 		CheckerTop:    p.Top,
 		CheckerSticky: -1,
 	}
+	tb.UseTraceStore(store)
 	res, err := tb.RunAgainstDesignContext(context.Background(), goldenDesign)
 	if err != nil {
 		return true
@@ -75,7 +80,7 @@ type stickyKey struct {
 // single mutation is observably wrong on a fixed stimulus set.
 // Determinism across regenerations is what makes the misconception
 // survive reboots.
-func (c *stickySites) siteFor(p *dataset.Problem, golden *verilog.Module, seed int64) int {
+func (c *stickySites) siteFor(p *dataset.Problem, golden *verilog.Module, seed int64, store *testbench.TraceStore) int {
 	key := stickyKey{p, seed}
 	if v, ok := c.m.Load(key); ok {
 		return v.(int)
@@ -96,7 +101,7 @@ func (c *stickySites) siteFor(p *dataset.Problem, golden *verilog.Module, seed i
 				if len(muts) == 0 {
 					continue
 				}
-				if observablyFaulty(p, verilog.PrintModule(mod), scenarios) {
+				if observablyFaulty(p, verilog.PrintModule(mod), scenarios, store) {
 					site = cand
 					break
 				}
@@ -114,8 +119,8 @@ func (c *stickySites) siteFor(p *dataset.Problem, golden *verilog.Module, seed i
 // in the paper's sense is one that computes wrong reference outputs,
 // not one with a cosmetic code difference. For misunderstood tasks the
 // same sticky conceptual fault recurs in every regeneration; its site
-// index is returned (-1 when absent).
-func buildChecker(p *dataset.Problem, prof *llm.Profile, trait llm.TaskTrait, scenarios []testbench.Scenario, rng *rand.Rand, stickies *stickySites) (src string, plan mutate.Plan, sticky int, err error) {
+// index is returned (-1 when absent). Its probes run on store.
+func buildChecker(p *dataset.Problem, prof *llm.Profile, trait llm.TaskTrait, scenarios []testbench.Scenario, rng *rand.Rand, stickies *stickySites, store *testbench.TraceStore) (src string, plan mutate.Plan, sticky int, err error) {
 	golden, err := p.Module()
 	if err != nil {
 		return "", mutate.Plan{}, -1, err
@@ -123,7 +128,7 @@ func buildChecker(p *dataset.Problem, prof *llm.Profile, trait llm.TaskTrait, sc
 	seq := p.Kind == dataset.SEQ
 	if trait.Misunderstood && rng.Float64() >= prof.MisCleanProb {
 		plan = mutate.Plan{EnumSeed: trait.StickySeed}
-		sticky = stickies.siteFor(p, golden, trait.StickySeed)
+		sticky = stickies.siteFor(p, golden, trait.StickySeed, store)
 		if sticky >= 0 {
 			plan = plan.With(sticky)
 		}
@@ -151,7 +156,7 @@ func buildChecker(p *dataset.Problem, prof *llm.Profile, trait llm.TaskTrait, sc
 			break
 		}
 		src = verilog.PrintModule(mod)
-		if observablyFaulty(p, src, scenarios) {
+		if observablyFaulty(p, src, scenarios, store) {
 			return src, plan, -1, nil
 		}
 	}
@@ -165,6 +170,10 @@ type Baseline struct {
 	Profile *llm.Profile
 
 	stickies stickySites
+	// traces is the trace store of every testbench the generator emits
+	// and of its checker probes. A generator serves one cell (a task's
+	// generations and reboots), so one store spans the cell.
+	traces testbench.TraceStore
 }
 
 // Name implements Generator.
@@ -187,7 +196,7 @@ func (b *Baseline) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.R
 	if err != nil {
 		return nil, err
 	}
-	checkerSrc, plan, sticky, err := buildChecker(p, prof, trait, scenarios, rng, &b.stickies)
+	checkerSrc, plan, sticky, err := buildChecker(p, prof, trait, scenarios, rng, &b.stickies, &b.traces)
 	if err != nil {
 		return nil, err
 	}
@@ -199,6 +208,7 @@ func (b *Baseline) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.R
 		CheckerPlan:   plan,
 		CheckerSticky: sticky,
 	}
+	tb.UseTraceStore(&b.traces)
 	tb.DriverSource = testbench.EmitDriver(tb)
 
 	// One-shot generation has no syntax-repair stage.
@@ -218,6 +228,8 @@ type AutoBench struct {
 	Profile *llm.Profile
 
 	stickies stickySites
+	// traces is the generator's trace store, as in Baseline.
+	traces testbench.TraceStore
 }
 
 // Name implements Generator.
@@ -250,7 +262,7 @@ func (a *AutoBench) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.
 	if err != nil {
 		return nil, err
 	}
-	checkerSrc, plan, sticky, err := buildChecker(p, prof, trait, scenarios, rng, &a.stickies)
+	checkerSrc, plan, sticky, err := buildChecker(p, prof, trait, scenarios, rng, &a.stickies, &a.traces)
 	if err != nil {
 		return nil, err
 	}
@@ -262,6 +274,7 @@ func (a *AutoBench) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.
 		CheckerPlan:   plan,
 		CheckerSticky: sticky,
 	}
+	tb.UseTraceStore(&a.traces)
 	tb.DriverSource = testbench.EmitDriver(tb)
 
 	// Syntax auto-debug: most syntax errors are repaired by iterative

@@ -182,7 +182,7 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 		if len(designs) > 0 {
 			// Fixture builds are not cancellable, so the run's
 			// (cancellation-only) error is always nil.
-			outs, _ := tb.RunBatchContext(context.Background(), testbench.NewDUTSet(goldenDesign, designs), true, nil)
+			outs, _ := tb.RunBatchContext(context.Background(), testbench.NewDUTSet(goldenDesign, designs), true)
 			for j, o := range outs {
 				out[idx[j]] = o
 			}
@@ -316,14 +316,14 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, tb *testbench.Testbench
 	// mutants. Both run with early exit (a lane stops simulating once a
 	// scenario has failed it — the verdict is already known) and replay
 	// the same recorded checker trace.
-	outs, err := tb.RunBatchContext(ctx, f.goldenSet, true, nil)
+	outs, err := tb.RunBatchContext(ctx, f.goldenSet, true)
 	if err != nil {
 		return GradeFailed, err
 	}
 	if o := outs[0]; o.Err != nil || !o.Res.Pass() {
 		return GradeEval0, nil
 	}
-	outs, err = tb.RunBatchContext(ctx, f.mutantSet, true, nil)
+	outs, err = tb.RunBatchContext(ctx, f.mutantSet, true)
 	if err != nil {
 		return GradeFailed, err
 	}

@@ -73,8 +73,10 @@ func CriteriaAccuracyContext(ctx context.Context, cfg CriteriaAccuracyConfig) ([
 	// labelProblem builds one problem's corpus slice. Its randomness is
 	// a private stream derived from (Seed, problem name), so problems
 	// can be labeled concurrently, in any order, with identical output.
-	gen := &autobench.AutoBench{Profile: cfg.Profile}
+	// Each problem has a generator of its own, whose trace store lives
+	// as long as the problem's labeling.
 	labelProblem := func(p *dataset.Problem) ([]labeled, error) {
+		gen := &autobench.AutoBench{Profile: cfg.Profile}
 		r := rng.New(cfg.Seed).Child("criteria", p.Name).Rand()
 		var acct llm.Accountant
 		// One RTL group per task, shared by all criteria (as in the

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 
 	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
@@ -387,8 +388,19 @@ func (p Plan) Build(m *verilog.Module) (*verilog.Module, []Mutation, int) {
 	return mut, p.apply(sites), len(sites)
 }
 
+// enumRands pools the enumeration's random sources, so that a Build
+// re-seeds one instead of allocating a fresh source (several KB) each
+// time. Seeding restarts the stream, which is then the one a new
+// source of that seed draws. The enumeration makes every draw before it
+// returns — no site closure keeps the source — so it goes back to the
+// pool at once.
+var enumRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 func (p Plan) enumerate(m *verilog.Module) (*verilog.Module, []site) {
-	return enumerate(m, rand.New(rand.NewSource(p.EnumSeed)))
+	rng := enumRands.Get().(*rand.Rand)
+	defer enumRands.Put(rng)
+	rng.Seed(p.EnumSeed)
+	return enumerate(m, rng)
 }
 
 // apply runs the plan's sites in order, skipping indices out of range,

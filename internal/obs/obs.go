@@ -200,12 +200,8 @@ type CellTrace struct {
 // SpanID derives the deterministic span identifier: the first 8 bytes
 // (hex) of SHA-256 over the trace ID, phase name and sequence number.
 func SpanID(traceID, phase string, seq int) string {
-	h := sha256.New()
-	h.Write([]byte(traceID))
-	h.Write([]byte{0})
-	h.Write([]byte(phase))
-	h.Write([]byte{0, byte(seq >> 24), byte(seq >> 16), byte(seq >> 8), byte(seq)})
-	sum := h.Sum(nil)
+	in := append(append(append([]byte(traceID), 0), phase...), 0, byte(seq>>24), byte(seq>>16), byte(seq>>8), byte(seq))
+	sum := sha256.Sum256(in)
 	return hex.EncodeToString(sum[:8])
 }
 

@@ -456,6 +456,17 @@ func (b *BatchInstance) Reset() {
 	b.Now = 0
 }
 
+// Restart returns the instance to the state NewBatchInstance leaves it
+// in: Reset, and every lane active again with its error cleared.
+func (b *BatchInstance) Restart() {
+	b.Reset()
+	for lane := 0; lane < b.n; lane++ {
+		b.active[lane] = true
+		b.laneErr[lane] = nil
+	}
+	b.nActive = b.n
+}
+
 // BindContext attaches a cancellation context, mirroring
 // Instance.BindContext: each propagate polls it, never-cancellable
 // contexts are dropped, and the binding survives Reset.
@@ -507,15 +518,9 @@ func (b *BatchInstance) Get(name string, lane int) (logic.Vector, error) {
 	return b.vals[slot*b.n+lane], nil
 }
 
-// SlotOf resolves a signal name to its slot index so hot read loops
-// (one read per output per lane per step) can use GetSlot without
-// repeating the map lookup.
-func (b *BatchInstance) SlotOf(name string) (int, bool) {
-	slot, ok := b.prog.base.slotOf[name]
-	return slot, ok
-}
-
-// GetSlot reads one lane of a slot resolved with SlotOf.
+// GetSlot reads one lane of a slot resolved with the base design's
+// SlotOf, so hot read loops (one read per output per lane per step)
+// skip the name lookup.
 func (b *BatchInstance) GetSlot(slot, lane int) logic.Vector {
 	return b.vals[slot*b.n+lane]
 }

@@ -137,6 +137,14 @@ func (d *Design) Port(name string) *Port {
 	return nil
 }
 
+// SlotOf resolves a signal name to the slot index an Instance of the
+// design, or a BatchInstance of a program compiled over it, reads the
+// signal by.
+func (d *Design) SlotOf(name string) (int, bool) {
+	slot, ok := d.slotOf[name]
+	return slot, ok
+}
+
 // ElaborateContext flattens the hierarchy rooted at module top. When
 // ctx carries an obs collector (obs.WithCollector), the hierarchy
 // flattening records a sim_elaborate span and the finalize step

@@ -176,14 +176,7 @@ func (in *Instance) Get(name string) (logic.Vector, error) {
 	return in.readSignal(name)
 }
 
-// SlotOf resolves a signal name to its slot index for GetSlot, like
-// BatchInstance.SlotOf.
-func (in *Instance) SlotOf(name string) (int, bool) {
-	slot, ok := in.design.slotOf[name]
-	return slot, ok
-}
-
-// GetSlot reads a slot resolved with SlotOf.
+// GetSlot reads a slot resolved with the design's SlotOf.
 func (in *Instance) GetSlot(slot int) logic.Vector { return in.vals[slot] }
 
 // MustGet is Get for known-good names.

@@ -12,16 +12,21 @@ package testbench
 // turns a DUT lane's trace and the checker's trace into the lane's
 // outcome, whichever engine recorded them.
 //
-// The checker's trajectory is DUT-independent, so it is recorded once
-// per checker text, stimulus and port list (batchTrace), kept in the
-// testbench's checker memo beside the parse and design it came from,
-// and reused by every run — and by every WithChecker copy that keeps
-// the text. The DUT side is recorded per run, or — for a caller
-// holding a LaneMemo, like the validator's RTL group — once per
-// stimulus: a corrected checker is then judged against the recorded
-// DUT lanes without simulating them again. Either way a DUT set
-// records each distinct design once: DUTs that are the same design
-// share one lane, and each still gets its own outcome.
+// The recorder works scenario by scenario against the testbench's trace
+// store (store.go), which keeps every complete scenario it has recorded
+// on a design or a program: a scenario's samples and first errors are a
+// pure function of the simulated unit and that scenario's drives,
+// because each scenario starts from Reset. A run reads the scenarios
+// the store holds and simulates only the rest, so within one store — a
+// generator's cell: its generations, reboots, corrections, checker
+// probes and the final grade — a (design, scenario) pair is simulated
+// once, on the checker side (recorded per checker design and port
+// list) and on the DUT side (recorded per unit, as the validator's RTL
+// group is over every testbench of a task) alike. An error is given its
+// "checker:"/"dut:" side and the reading run's scenario index when a
+// trace is assembled, never when it is stored. A DUT set records each
+// distinct design once: DUTs that are the same design share one lane,
+// and each still gets its own outcome.
 //
 // With earlyExit=false a lane's outcome is identical to simulating the
 // DUT and the checker side by side on the interpreter: the same
@@ -30,14 +35,15 @@ package testbench
 // DUTs against the interleaved oracle). With earlyExit=true, a lane's
 // outcome stops at its first failing scenario; the overall
 // Pass()/error verdict is unchanged but later ScenarioPass entries
-// stay false — the mode AutoEval's kill checks use. A run that records
-// for itself stops simulating a lane once its outcome is settled.
+// stay false — the mode AutoEval's kill checks use. An early-exit run
+// stops simulating a lane once its outcome is settled, and stores
+// nothing of its DUT side.
 
 import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
+	"strings"
 
 	"correctbench/internal/dataset"
 	"correctbench/internal/logic"
@@ -52,11 +58,11 @@ type BatchOutcome struct {
 	Err error
 }
 
-// trace is one recorded simulation of some lanes over a stimulus: every
-// lane's output samples at the points where a run compares them, and
-// each lane's first error. A trace is immutable once recorded.
+// trace is a run's view of one unit's recording over its scenarios:
+// every lane's output samples at the points where a run compares them,
+// and each lane's first error, with the run's side and scenario index
+// in its text. Its rows are the store's pieces, shared, never written.
 type trace struct {
-	stim *stimulus
 	// readable[o] is false when output o is not a signal of the
 	// recorded design: it never matches.
 	readable  []bool
@@ -64,9 +70,6 @@ type trace struct {
 	// fails[lane] is the error that ended the lane, nil for a lane that
 	// simulated every recorded point; it has one entry per lane.
 	fails []*traceFail
-	// engine is the sim.DefaultEngine setting a checker trace was
-	// recorded under; a run records its DUTs under the same setting.
-	engine sim.Engine
 }
 
 // scenarioTrace holds one scenario's samples as rows, in the order they
@@ -139,77 +142,24 @@ func (s traceSample) same(o traceSample) bool {
 	return o.wide.SameValue(o.wide.Resize(64))
 }
 
-// stimulus is a copy of everything a recording reads from its
-// testbench besides the simulated designs: the problem's clocking, the
-// output ports sampled, and each scenario's index and drive lists. A
-// trace serves a testbench only while reads reports its stimulus
-// unchanged, so an in-place edit of Scenarios is recorded again.
+// stimulus is what a run's recordings read from its testbench besides
+// the designs and the sampled outputs, in store-key form: the problem's
+// clocking and each scenario's encoded drive list. It is taken afresh
+// by every run, so an in-place edit of Scenarios reads other pieces.
 type stimulus struct {
 	kind         dataset.Kind
 	clock, reset string
-	outs         []string
-	index        []int   // per scenario: Scenario.Index
-	steps        []int   // per scenario: step count
-	ends         []int   // per step: end offset of its drives
-	drives       []drive // every step's inputs in drive order
+	drives       []string // per scenario: scenarioKey
 }
 
-type drive struct {
-	name string
-	val  uint64
-}
-
-func newStimulus(tb *Testbench, outs []string) *stimulus {
+func newStimulus(tb *Testbench) *stimulus {
 	p := tb.Problem
-	s := &stimulus{kind: p.Kind, clock: p.Clock, reset: p.Reset, outs: outs}
-	for _, sc := range tb.Scenarios {
-		s.index = append(s.index, sc.Index)
-		s.steps = append(s.steps, len(sc.Steps))
-		for _, st := range sc.Steps {
-			for _, name := range st.SortedNames() {
-				s.drives = append(s.drives, drive{name, st.Inputs[name]})
-			}
-			s.ends = append(s.ends, len(s.drives))
-		}
+	s := &stimulus{kind: p.Kind, clock: p.Clock, reset: p.Reset, drives: make([]string, len(tb.Scenarios))}
+	var buf []byte
+	for i, sc := range tb.Scenarios {
+		buf, s.drives[i] = scenarioKey(buf, sc)
 	}
 	return s
-}
-
-// reads reports whether a run of tb sampling outs reads exactly this
-// stimulus.
-func (s *stimulus) reads(tb *Testbench, outs []string) bool {
-	p := tb.Problem
-	if s == nil || p.Kind != s.kind || p.Clock != s.clock || p.Reset != s.reset ||
-		!slices.Equal(s.outs, outs) || len(tb.Scenarios) != len(s.index) {
-		return false
-	}
-	k, d := 0, 0 // step and drive cursors
-	for i, sc := range tb.Scenarios {
-		if sc.Index != s.index[i] || len(sc.Steps) != s.steps[i] {
-			return false
-		}
-		for _, st := range sc.Steps {
-			names := st.SortedNames()
-			if len(names) != s.ends[k]-d {
-				return false
-			}
-			for _, name := range names {
-				if dr := s.drives[d]; name != dr.name || st.Inputs[name] != dr.val {
-					return false
-				}
-				d++
-			}
-			k++
-		}
-	}
-	return true
-}
-
-// over returns the stimulus sampling outs instead of s.outs.
-func (s *stimulus) over(outs []string) *stimulus {
-	c := *s
-	c.outs = outs
-	return &c
 }
 
 // A DUTSet is a set of DUT designs prepared for batched runs: the batch
@@ -225,7 +175,9 @@ func (s *stimulus) over(outs []string) *stimulus {
 // concurrent runs.
 type DUTSet struct {
 	base *sim.Design
-	duts []*sim.Design
+	// baseOuts is base's output port list, the one a run compares.
+	baseOuts []string
+	duts     []*sim.Design
 	// first[i] is the index of the first DUT that is duts[i]; only
 	// those DUTs are recorded, and a repeat reads its first's lane.
 	first []int
@@ -245,8 +197,8 @@ type laneRef struct{ prog, lane int }
 // NewDUTSet compiles duts into batch programs over base. out[i] of
 // every run of the set is duts[i]'s outcome.
 func NewDUTSet(base *sim.Design, duts []*sim.Design) *DUTSet {
-	s := &DUTSet{base: base, duts: duts, first: make([]int, len(duts)), at: make([]laneRef, len(duts)), outs: make([][]string, len(duts))}
 	baseOuts := outputPorts(base)
+	s := &DUTSet{base: base, baseOuts: baseOuts, duts: duts, first: make([]int, len(duts)), at: make([]laneRef, len(duts)), outs: make([][]string, len(duts))}
 	seen := make(map[*sim.Design]int, len(duts)) // design -> its first DUT
 	var designs []*sim.Design                    // each design once, in set order
 	for i, d := range duts {
@@ -284,8 +236,6 @@ func NewDUTSet(base *sim.Design, duts []*sim.Design) *DUTSet {
 // on the interpreter.
 type setTrace struct {
 	set    *DUTSet
-	stim   *stimulus
-	engine sim.Engine
 	progs  []*trace
 	interp []*trace // per DUT; nil for a program lane and for a repeated DUT
 }
@@ -301,53 +251,75 @@ func (r *setTrace) lane(i int) (*trace, int) {
 	return r.progs[at.prog], at.lane
 }
 
-// A LaneMemo holds the DUT side of one batched run of a DUT set,
-// recorded over every scenario, so that RunBatchContext can judge
-// further checkers over the same stimulus by comparing traces, without
-// simulating the DUTs again — program lanes and interpreter-recorded
-// DUTs alike. It holds one recording, replaced when a run reads a
-// different stimulus, DUT set or engine. The zero value is empty and
-// ready to use; a LaneMemo is safe for concurrent use: racing runs may
-// both record, and they store equal recordings.
-type LaneMemo struct {
-	p atomic.Pointer[setTrace]
-}
-
-// batchTrace returns the checker's trace over the output ports outs,
-// recorded from the memo's design cd once per stimulus, port list and
-// engine and kept in the memo. The checker is recorded as a one-design
-// DUTSet: a one-lane batch program, or on the interpreter when the
-// batch compiler rejects it. It reads sim.DefaultEngine, the one place
-// the process-wide reference switch is read; every run starts here.
-// The first caller records while holding the memo's lock; racing
-// callers wait for its trace.
+// checkerTrace returns the checker design cd's trace over the output
+// ports outs: cd recorded as a one-design DUT set on tb's store — a
+// one-lane batch program, or on the interpreter when the batch
+// compiler rejects it. The checker side never stops early, so every
+// scenario it simulates is stored for later runs.
 //
 // ctx is used for observation only: a recording records a sim_run span
-// on ctx's obs collector, but is never cancelled by it — trace contents
-// must not depend on a caller's cancellation.
-func (tb *Testbench) batchTrace(ctx context.Context, m *checkerMemo, cd *sim.Design, outs []string) *trace {
-	engine := sim.DefaultEngine
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, tr := range m.traces {
-		if tr.engine == engine && tr.stim.reads(tb, outs) {
-			return tr
-		}
-	}
+// on ctx's obs collector, but is never cancelled by it — the checker
+// trace a run compares with must not depend on a caller's
+// cancellation.
+func (tb *Testbench) checkerTrace(ctx context.Context, st *TraceStore, cd *sim.Design, engine sim.Engine, stim *stimulus, outs []string) *trace {
 	// Never cancelled, so the recording cannot fail.
-	rec, _ := tb.recordSet(context.WithoutCancel(ctx), NewDUTSet(cd, []*sim.Design{cd}), engine, newStimulus(tb, outs), "checker", nil, false)
+	rec, _ := tb.recordSet(context.WithoutCancel(ctx), st, st.single(cd), engine, stim, outs, "checker", nil, false)
 	tr, _ := rec.lane(0)
-	tr.engine = engine
-	// Replace a stale recording over the same ports and engine.
-	i := slices.IndexFunc(m.traces, func(c *trace) bool {
-		return c.engine == engine && slices.Equal(c.stim.outs, outs)
-	})
-	if i < 0 {
-		m.traces = append(m.traces, tr)
-	} else {
-		m.traces[i] = tr
-	}
 	return tr
+}
+
+// unit is what one record call simulates: the lanes of a batch program,
+// or one design on the interpreter. key is its identity in the store:
+// the design for an interpreter unit and for a one-lane program — whose
+// lane is exactly that design — and the program otherwise.
+type unit struct {
+	key    any
+	prog   *sim.BatchProgram // nil for an interpreter unit
+	design *sim.Design       // an interpreter unit's design
+}
+
+func (u unit) lanes() int {
+	if u.prog != nil {
+		return u.prog.Lanes()
+	}
+	return 1
+}
+
+// base is the design whose slots the unit's samples are read from.
+func (u unit) base() *sim.Design {
+	if u.prog != nil {
+		return u.prog.Base()
+	}
+	return u.design
+}
+
+func (u unit) instance() *lanes {
+	if u.prog != nil {
+		b := sim.NewBatchInstance(u.prog)
+		return &lanes{sim: b, b: b}
+	}
+	in := sim.NewInstance(u.design)
+	return &lanes{sim: in, in: in}
+}
+
+// runSpan is one set recording's sim_run span. It is opened at the
+// recording's first simulated scenario, so a recording the store serves
+// whole opens none.
+type runSpan struct {
+	ctx context.Context
+	end func()
+}
+
+func (s *runSpan) open() {
+	if s.end == nil {
+		s.end = obs.Time(s.ctx, obs.PhaseRun)
+	}
+}
+
+func (s *runSpan) close() {
+	if s.end != nil {
+		s.end()
+	}
 }
 
 // lanes is what the recorder simulates: the lanes of a batch program,
@@ -369,22 +341,11 @@ type cycleSim interface {
 	BindContext(ctx context.Context)
 	Design() *sim.Design
 	Reset()
-	SlotOf(name string) (int, bool)
 	ZeroInputs() error
 	SetInput(name string, v logic.Vector) error
 	SetInputUint(name string, v uint64) error
 	Settle() error
 	Tick(clk string) error
-}
-
-func batchLanes(p *sim.BatchProgram) *lanes {
-	b := sim.NewBatchInstance(p)
-	return &lanes{sim: b, b: b}
-}
-
-func interpLane(d *sim.Design) *lanes {
-	in := sim.NewInstance(d)
-	return &lanes{sim: in, in: in}
 }
 
 func (l *lanes) count() int {
@@ -416,6 +377,20 @@ func (l *lanes) laneErr(lane int) error {
 		return l.b.LaneErr(lane)
 	}
 	return nil
+}
+
+// reset starts the next scenario: every lane reset, and with all also
+// active again with its error cleared, as on a fresh instance.
+func (l *lanes) reset(all bool) {
+	switch {
+	case !all:
+		l.sim.Reset()
+	case l.b != nil:
+		l.b.Restart()
+	default:
+		l.in.Reset()
+		l.done = false
+	}
 }
 
 func (l *lanes) deactivate(lane int) {
@@ -452,99 +427,163 @@ func (l *lanes) sample(row []traceSample, slots []int, readable []bool) {
 	}
 }
 
-// record simulates every lane of l over the stimulus, sampling the
-// outputs stim.outs before each clock edge and, for SEQ problems,
-// after it. A lane's first simulation error — its own, or a
+// record assembles unit u's trace over the testbench's scenarios,
+// sampling the outputs outs before each clock edge and, for SEQ
+// problems, after it. Each scenario is read from the store when it
+// holds the piece, and otherwise simulated: the unit's instance is
+// built, and span opened, at the first scenario simulated, and reset
+// before each later one. A lane's first error — its own, or a
 // stimulus-side error of the shared drive, which ends every lane still
-// running — ends the lane at its (scenario, step, phase); side ("dut"
-// or "checker") prefixes the error text. After each scenario, settled
-// (when non-nil) is asked about every lane still running and the lanes
-// it reports are no longer simulated. The returned error is non-nil
-// only on cancellation of ctx, and then no trace is returned.
-func (tb *Testbench) record(ctx context.Context, l *lanes, stim *stimulus, side string, settled func(tr *trace, lane, s int) bool) (*trace, error) {
-	p := tb.Problem
-	n := l.count()
-	l.sim.BindContext(ctx)
-	w := len(stim.outs)
+// running — ends the lane at its (scenario, step, phase), and side
+// ("dut" or "checker") and the scenario's Index prefix its text. After
+// each scenario, settled (when non-nil) is asked about every lane still
+// running and the lanes it reports are no longer simulated; hits and
+// simulated scenarios end lanes alike.
+//
+// With a non-nil recorded (keep), a scenario is simulated on every lane
+// of the unit, from a fresh state — a lane this run has ended too,
+// though the run ignores it — so each piece is complete: a later run
+// that reaches the scenario with that lane still running can read it.
+// The pieces go into recorded, for the caller to store, and a scenario
+// the recording repeats is read from there. Without keep, only the
+// lanes still running are simulated and nothing is kept. The returned
+// error is non-nil only on cancellation of ctx, and then no trace is
+// returned.
+func (tb *Testbench) record(ctx context.Context, st *TraceStore, u unit, engine sim.Engine, stim *stimulus, outs []string, side string, span *runSpan, settled func(tr *trace, lane, s int) bool, recorded map[pieceKey]*piece) (*trace, error) {
+	n, w := u.lanes(), len(outs)
+	tr := &trace{readable: make([]bool, w), fails: make([]*traceFail, n)}
 	slots := make([]int, w)
-	readable := make([]bool, w)
-	for i, o := range stim.outs {
-		slots[i], readable[i] = l.sim.SlotOf(o)
+	for i, o := range outs {
+		slots[i], tr.readable[i] = u.base().SlotOf(o)
 	}
-	perStep := 1
-	if p.Kind == dataset.SEQ {
-		perStep = 2
+	key := pieceKey{unit: u.key, engine: engine, kind: stim.kind, clock: stim.clock, reset: stim.reset, outs: strings.Join(outs, "\x00")}
+	active := make([]bool, n)
+	for lane := range active {
+		active[lane] = true
 	}
-	tr := &trace{stim: stim, readable: readable, fails: make([]*traceFail, n)}
+	running, keep := n, recorded != nil
+	var l *lanes
 	for s, sc := range tb.Scenarios {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if l.running() == 0 {
+		if running == 0 {
 			break
 		}
-		if s > 0 {
-			l.sim.Reset()
+		key.drives = stim.drives[s]
+		pc := st.piece(key)
+		if pc == nil && keep {
+			pc = recorded[key]
 		}
-		// end harvests the lanes that erred at (step, phase), each lane's
-		// own error before a shared one, and reports whether the scenario
-		// goes on. The message is only formatted when a lane actually
-		// erred — this runs after every step.
-		end := func(step, phase int, shared error) (bool, error) {
-			if shared != nil {
-				if err := ctx.Err(); err != nil {
-					return false, err
+		if pc == nil {
+			if l == nil {
+				span.open()
+				l = u.instance()
+				l.sim.BindContext(ctx)
+			} else {
+				l.reset(keep)
+			}
+			if !keep {
+				for lane, a := range active {
+					if !a {
+						l.deactivate(lane)
+					}
 				}
 			}
-			for lane := 0; lane < n; lane++ {
-				if tr.fails[lane] != nil {
-					continue
-				}
-				err := l.laneErr(lane)
-				if err == nil && shared != nil && l.active(lane) {
-					err = shared
-					l.deactivate(lane)
-				}
-				if err != nil {
-					tr.fails[lane] = &traceFail{s, step, phase, fmt.Errorf("%s: %w", failSite(side, sc.Index, step, phase), err)}
-				}
+			var err error
+			if pc, err = tb.simulate(ctx, l, sc, slots, tr.readable); err != nil {
+				return nil, err
 			}
-			return l.running() > 0, nil
-		}
-		st := scenarioTrace{samples: make([]traceSample, 0, len(sc.Steps)*perStep*n*w)}
-		sample := func() {
-			l.sample(st.samples[len(st.samples):len(st.samples)+n*w], slots, readable)
-			st.samples = st.samples[:len(st.samples)+n*w]
-			st.rows++
-		}
-		more, err := end(-1, phaseInit, tb.initLanes(l.sim))
-		for si := 0; more && err == nil && si < len(sc.Steps); si++ {
-			if more, err = end(si, phaseStep, driveStep(l.sim, sc.Steps[si])); !more || err != nil {
-				break
-			}
-			// Sample combinational/Mealy outputs before the clock edge.
-			sample()
-			if p.Kind == dataset.SEQ {
-				if more, err = end(si, phaseTick, l.sim.Tick(p.Clock)); !more || err != nil {
-					break
-				}
-				// Sample registered outputs after the edge as well.
-				sample()
+			if keep {
+				recorded[key] = pc
 			}
 		}
-		if err != nil {
-			return nil, err
+		tr.scenarios = append(tr.scenarios, pc.scenarioTrace)
+		for _, f := range pc.fails {
+			if active[f.lane] {
+				tr.fails[f.lane] = &traceFail{s, f.step, f.phase, fmt.Errorf("%s: %w", failSite(side, sc.Index, f.step, f.phase), f.err)}
+				active[f.lane] = false
+				running--
+			}
 		}
-		tr.scenarios = append(tr.scenarios, st)
 		if settled != nil {
-			for lane := 0; lane < n; lane++ {
-				if l.active(lane) && settled(tr, lane, s) {
-					l.deactivate(lane)
+			for lane := range active {
+				if active[lane] && settled(tr, lane, s) {
+					active[lane] = false
+					running--
 				}
 			}
 		}
 	}
 	return tr, nil
+}
+
+// simulate records one scenario on l, reset, with the run's active
+// lanes: its sample rows and the first error of each lane that errs in
+// it. The returned error is non-nil only on cancellation of ctx.
+func (tb *Testbench) simulate(ctx context.Context, l *lanes, sc Scenario, slots []int, readable []bool) (*piece, error) {
+	p := tb.Problem
+	n, w := l.count(), len(slots)
+	// going[lane] is true for a lane that entered the scenario and has
+	// not erred in it.
+	going := make([]bool, n)
+	for lane := range going {
+		going[lane] = l.active(lane)
+	}
+	perStep := 1
+	if p.Kind == dataset.SEQ {
+		perStep = 2
+	}
+	pc := &piece{scenarioTrace: scenarioTrace{samples: make([]traceSample, 0, len(sc.Steps)*perStep*n*w)}}
+	// end harvests the lanes that erred at (step, phase), each lane's
+	// own error before a shared one, and reports whether the scenario
+	// goes on.
+	end := func(step, phase int, shared error) (bool, error) {
+		if shared != nil {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+		}
+		for lane := 0; lane < n; lane++ {
+			if !going[lane] {
+				continue
+			}
+			err := l.laneErr(lane)
+			if err == nil && shared != nil && l.active(lane) {
+				err = shared
+				l.deactivate(lane)
+			}
+			if err != nil {
+				going[lane] = false
+				pc.fails = append(pc.fails, pieceFail{lane, step, phase, err})
+			}
+		}
+		return l.running() > 0, nil
+	}
+	sample := func() {
+		l.sample(pc.samples[len(pc.samples):len(pc.samples)+n*w], slots, readable)
+		pc.samples = pc.samples[:len(pc.samples)+n*w]
+		pc.rows++
+	}
+	more, err := end(-1, phaseInit, tb.initLanes(l.sim))
+	for si := 0; more && err == nil && si < len(sc.Steps); si++ {
+		if more, err = end(si, phaseStep, driveStep(l.sim, sc.Steps[si])); !more || err != nil {
+			break
+		}
+		// Sample combinational/Mealy outputs before the clock edge.
+		sample()
+		if p.Kind == dataset.SEQ {
+			if more, err = end(si, phaseTick, l.sim.Tick(p.Clock)); !more || err != nil {
+				break
+			}
+			// Sample registered outputs after the edge as well.
+			sample()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return pc, nil
 }
 
 // failSite names where a run stopped: side, scenario, step and phase.
@@ -592,13 +631,13 @@ func lanePass(dut, chk *trace, lane, s int) bool {
 	return true
 }
 
-// compareLane is a DUT lane's outcome against the checker: the error
-// that ends its run if the run reaches one, else its per-scenario
-// verdicts. With earlyExit the run ends after the first failing
-// scenario.
-func compareLane(dut, chk *trace, lane int, earlyExit bool) BatchOutcome {
+// compareLane is a DUT lane's outcome against the checker over a run of
+// ns scenarios: the error that ends its run if the run reaches one,
+// else its per-scenario verdicts. With earlyExit the run ends after the
+// first failing scenario.
+func compareLane(dut, chk *trace, lane, ns int, earlyExit bool) BatchOutcome {
 	f := laneFail(dut, chk, lane)
-	res := &RunResult{ScenarioPass: make([]bool, len(dut.stim.index))}
+	res := &RunResult{ScenarioPass: make([]bool, ns)}
 	for s := range res.ScenarioPass {
 		if f != nil && f.scenario == s {
 			return BatchOutcome{Err: f.err}
@@ -613,24 +652,25 @@ func compareLane(dut, chk *trace, lane int, earlyExit bool) BatchOutcome {
 
 // RunBatchContext runs every DUT of set against the testbench in one
 // batched pass and returns one outcome per DUT, in set order. The
-// checker is recorded once (batchTrace); each distinct DUT design is
-// recorded once, as a program lane or, for a design without a lane, on
-// the interpreter, and every DUT is compared on its own output ports.
-// A checker that does not elaborate is every DUT's "checker:" error.
+// checker is recorded once per output port list (checkerTrace); each
+// distinct DUT design is recorded once, as a program lane or, for a
+// design without a lane, on the interpreter, and every DUT is compared
+// on its own output ports. A checker that does not elaborate is every
+// DUT's "checker:" error. Every scenario tb's trace store already
+// holds for a unit is read, not simulated.
 //
-// With a nil memo the DUTs are recorded for this call only, and a lane
-// stops simulating once its outcome is settled. With a memo, a run
-// whose stimulus, DUT set and engine match its recording simulates no
-// DUT and only compares traces; any other run records every DUT through
-// every scenario and stores the recording in memo. The returned error
-// is non-nil only on cancellation of ctx, and then no recording is
-// stored.
-func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit bool, memo *LaneMemo) ([]BatchOutcome, error) {
+// With earlyExit=false every lane is recorded through every scenario,
+// or until it errs, and the recording is stored for later runs — of
+// this checker or of any other on the store. With earlyExit=true a lane
+// stops simulating once its outcome is settled, and nothing of the DUT
+// side is stored. The returned error is non-nil only on cancellation of
+// ctx, and then nothing of the DUT side is stored.
+func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit bool) ([]BatchOutcome, error) {
 	out := make([]BatchOutcome, len(set.duts))
 	if len(out) == 0 {
 		return out, nil
 	}
-	m, cd, err := tb.checkerDesignContext(ctx)
+	cd, err := tb.checkerDesignContext(ctx)
 	if err != nil {
 		err = fmt.Errorf("checker: %w", err)
 		for i := range out {
@@ -638,58 +678,52 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 		}
 		return out, nil
 	}
+	st, engine, stim := tb.traceStore(), sim.DefaultEngine, newStimulus(tb)
 	// chks[i] is the checker trace DUT i is compared with, over its own
 	// output ports.
-	chk := tb.batchTrace(ctx, m, cd, outputPorts(set.base))
+	chk := tb.checkerTrace(ctx, st, cd, engine, stim, set.baseOuts)
 	chks := make([]*trace, len(out))
 	for i, outs := range set.outs {
 		chks[i] = chk
-		if outs != nil {
-			chks[i] = tb.batchTrace(ctx, m, cd, outs)
+		if outs == nil {
+			continue
+		}
+		if j := slices.IndexFunc(set.outs[:i], func(o []string) bool { return slices.Equal(o, outs) }); j >= 0 {
+			chks[i] = chks[j]
+		} else {
+			chks[i] = tb.checkerTrace(ctx, st, cd, engine, stim, outs)
 		}
 	}
-	var rec *setTrace
-	if memo != nil {
-		if m := memo.p.Load(); m != nil && m.set == set && m.engine == chk.engine && m.stim.reads(tb, chk.stim.outs) {
-			rec = m
-		}
-	}
-	if rec == nil {
-		// A memo's recording is for every later checker, so it records
-		// every lane through every scenario.
-		judge := chks
-		if memo != nil {
-			judge = nil
-		}
-		if rec, err = tb.recordSet(ctx, set, chk.engine, chk.stim, "dut", judge, earlyExit); err != nil {
-			return nil, err
-		}
-		if memo != nil {
-			memo.p.Store(rec)
-		}
+	rec, err := tb.recordSet(ctx, st, set, engine, stim, set.baseOuts, "dut", chks, earlyExit)
+	if err != nil {
+		return nil, err
 	}
 	for i := range out {
 		tr, lane := rec.lane(i)
-		out[i] = compareLane(tr, chks[i], lane, earlyExit)
+		out[i] = compareLane(tr, chks[i], lane, len(tb.Scenarios), earlyExit)
 	}
 	return out, nil
 }
 
-// recordSet records every distinct DUT of set over stim as one
-// sim_run; a repeated DUT is not recorded again. Under the batched
-// engine each program records its lanes; every other DUT — every DUT
-// under the interpreter engine — is recorded on the interpreter as one
-// lane, over its own output ports when they differ from the base's.
-// With chks (per DUT, the checker trace it is compared with) a lane
-// stops once its outcome is settled; with nil chks every lane is
-// recorded through every scenario. The returned error is non-nil only
-// on cancellation of ctx.
-func (tb *Testbench) recordSet(ctx context.Context, set *DUTSet, engine sim.Engine, stim *stimulus, side string, chks []*trace, earlyExit bool) (*setTrace, error) {
-	defer obs.Time(ctx, obs.PhaseRun)()
-	rec := &setTrace{set: set, stim: stim, engine: engine, progs: make([]*trace, len(set.progs)), interp: make([]*trace, len(set.duts))}
+// recordSet records every distinct DUT of set over stim as one sim_run,
+// opened only if some scenario is simulated; a repeated DUT is not
+// recorded again. Under the batched engine each program records its
+// lanes; every other DUT — every DUT under the interpreter engine — is
+// recorded on the interpreter as one lane, over its own output ports
+// when they differ from outs, the ports the set's base is compared on.
+// With earlyExit a lane stops once its outcome against chks[dut] (per
+// DUT, the checker trace it is compared with) is settled, and nothing
+// is stored; otherwise every lane is recorded through every scenario
+// and the pieces simulated are stored once every unit is recorded. The
+// returned error is non-nil only on cancellation of ctx, and then
+// nothing is stored.
+func (tb *Testbench) recordSet(ctx context.Context, st *TraceStore, set *DUTSet, engine sim.Engine, stim *stimulus, outs []string, side string, chks []*trace, earlyExit bool) (*setTrace, error) {
+	span := &runSpan{ctx: ctx}
+	defer span.close()
+	rec := &setTrace{set: set, progs: make([]*trace, len(set.progs)), interp: make([]*trace, len(set.duts))}
 	// settled stops the lane of DUT dut(lane) once its outcome is known.
 	settled := func(dut func(lane int) int) func(tr *trace, lane, s int) bool {
-		if chks == nil {
+		if !earlyExit {
 			return nil
 		}
 		return func(tr *trace, lane, s int) bool {
@@ -697,8 +731,12 @@ func (tb *Testbench) recordSet(ctx context.Context, set *DUTSet, engine sim.Engi
 			if f := laneFail(tr, chk, lane); f != nil && f.scenario <= s {
 				return true
 			}
-			return earlyExit && !lanePass(tr, chk, lane, s)
+			return !lanePass(tr, chk, lane, s)
 		}
+	}
+	var recorded map[pieceKey]*piece
+	if !earlyExit {
+		recorded = map[pieceKey]*piece{}
 	}
 	batched := engine == sim.EngineBatched
 	var err error
@@ -707,7 +745,11 @@ func (tb *Testbench) recordSet(ctx context.Context, set *DUTSet, engine sim.Engi
 			continue
 		}
 		laneDUT := set.laneDUT[k]
-		if rec.progs[k], err = tb.record(ctx, batchLanes(p), stim, side, settled(func(lane int) int { return laneDUT[lane] })); err != nil {
+		u := unit{key: p, prog: p}
+		if p.Lanes() == 1 {
+			u.key = set.duts[laneDUT[0]]
+		}
+		if rec.progs[k], err = tb.record(ctx, st, u, engine, stim, outs, side, span, settled(func(lane int) int { return laneDUT[lane] }), recorded); err != nil {
 			return nil, err
 		}
 	}
@@ -715,14 +757,15 @@ func (tb *Testbench) recordSet(ctx context.Context, set *DUTSet, engine sim.Engi
 		if set.first[i] != i || batched && set.at[i].prog >= 0 {
 			continue
 		}
-		s := stim
-		if outs := set.outs[i]; outs != nil {
-			s = stim.over(outs)
+		o := outs
+		if set.outs[i] != nil {
+			o = set.outs[i]
 		}
-		if rec.interp[i], err = tb.record(ctx, interpLane(d), s, side, settled(func(int) int { return i })); err != nil {
+		if rec.interp[i], err = tb.record(ctx, st, unit{key: d, design: d}, engine, stim, o, side, span, settled(func(int) int { return i }), recorded); err != nil {
 			return nil, err
 		}
 	}
+	st.add(recorded)
 	return rec, nil
 }
 

@@ -102,7 +102,7 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 				}
 			}
 
-			batch, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, duts), false, nil)
+			batch, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, duts), false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 				}
 			}
 
-			early, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, duts), true, nil)
+			early, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, duts), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,8 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 // or the checker cannot batch-compile ($display is dynamic), so they
 // are recorded on the interpreter: every DUT must still get its exact
 // interpreter outcome, and the recordings must be replayed — a second
-// memoized run records nothing, neither the checker nor the DUTs.
+// run on the same trace store records nothing, neither the checker nor
+// the DUTs.
 func TestBatchRunWholesaleFallback(t *testing.T) {
 	tb := golden(t, "mux2_w4")
 	p := tb.Problem
@@ -170,10 +171,9 @@ func TestBatchRunWholesaleFallback(t *testing.T) {
 		{"checker", liveChecker, golden},
 	} {
 		set := NewDUTSet(tc.base, []*sim.Design{base, golden})
-		var memo LaneMemo
 		for round := 0; round < 2; round++ {
 			col := obs.NewCollector(time.Time{})
-			batch, err := tc.tb.RunBatchContext(obs.WithCollector(context.Background(), col), set, false, &memo)
+			batch, err := tc.tb.RunBatchContext(obs.WithCollector(context.Background(), col), set, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,10 +218,12 @@ func TestBatchTraceSampleSameValue(t *testing.T) {
 	}
 }
 
-// TestBatchMemoKeepsNoCancelledRecording cancels a memoized run at every
-// context poll: a cancelled run returns the context's error and leaves
-// the memo empty, and the first run the cancellation misses stores a
-// recording that the next run replays to the same outcomes.
+// TestBatchMemoKeepsNoCancelledRecording cancels a run at every
+// context poll, each on a testbench with a trace store of its own: a
+// cancelled run returns the context's error and stores nothing of the
+// DUT side, and the first run the cancellation misses stores a
+// recording that the next run replays — simulating nothing — to the
+// same outcomes.
 func TestBatchMemoKeepsNoCancelledRecording(t *testing.T) {
 	tb := golden(t, "cnt8")
 	p := tb.Problem
@@ -230,25 +232,36 @@ func TestBatchMemoKeepsNoCancelledRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := NewDUTSet(base, batchDiffDUTs(t, tb, base))
-	want, err := tb.RunBatchContext(context.Background(), set, false, nil)
+	want, err := tb.RunBatchContext(context.Background(), set, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for polls := int64(0); ; polls++ {
-		var memo LaneMemo
-		got, err := tb.RunBatchContext(newCancelAfter(polls), set, false, &memo)
+		fresh := &Testbench{Problem: p, Scenarios: tb.Scenarios, CheckerSource: tb.CheckerSource, CheckerTop: tb.CheckerTop, CheckerSticky: -1}
+		got, err := fresh.RunBatchContext(newCancelAfter(polls), set, false)
+		cd, _ := fresh.checkerDesignContext(context.Background())
+		dutPieces := 0
+		for unit, n := range storedPieces(fresh.traceStore()) {
+			if unit != any(cd) {
+				dutPieces += n
+			}
+		}
 		if err != nil {
-			if !errors.Is(err, context.Canceled) || memo.p.Load() != nil {
-				t.Fatalf("cancelled after %d polls: err %v, memo stored %v", polls, err, memo.p.Load() != nil)
+			if !errors.Is(err, context.Canceled) || dutPieces != 0 {
+				t.Fatalf("cancelled after %d polls: err %v, %d DUT pieces stored", polls, err, dutPieces)
 			}
 			continue
 		}
-		if memo.p.Load() == nil {
-			t.Fatalf("run after %d polls stored no recording", polls)
+		if dutPieces == 0 {
+			t.Fatalf("run after %d polls stored no DUT recording", polls)
 		}
-		again, err := tb.RunBatchContext(context.Background(), set, false, &memo)
+		col := obs.NewCollector(time.Time{})
+		again, err := fresh.RunBatchContext(obs.WithCollector(context.Background(), col), set, false)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := phaseCounts(col)[obs.PhaseRun]; n != 0 {
+			t.Errorf("replay after %d polls opened %d %s spans, want none", polls, n, obs.PhaseRun)
 		}
 		for i := range want {
 			if !sameOutcome(got[i], want[i]) || !sameOutcome(again[i], want[i]) {
@@ -260,6 +273,17 @@ func TestBatchMemoKeepsNoCancelledRecording(t *testing.T) {
 		}
 		return
 	}
+}
+
+// storedPieces counts a trace store's pieces by unit.
+func storedPieces(st *TraceStore) map[any]int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := map[any]int{}
+	for k := range st.pieces {
+		n[k.unit]++
+	}
+	return n
 }
 
 func sameOutcome(a, b BatchOutcome) bool {
@@ -347,9 +371,9 @@ func laneCount(set *DUTSet) int {
 // set that repeats designs, in the order [g, m1, g, m2, m1, d, d] — the
 // golden, two mutants and a $display variant the batch compiler
 // rejects — must give every DUT the outcome it gets in a set where each
-// entry was elaborated on its own, with and without early exit and
-// with and without a LaneMemo, while recording one lane per distinct
-// design.
+// entry was elaborated on its own, with and without early exit, on a
+// fresh trace store and replayed from one, while recording one lane per
+// distinct design.
 func TestBatchRepeatedDUTsShareLanes(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"mux2_w4", "prio_enc8", "cnt8", "det101"} {
@@ -417,19 +441,21 @@ func TestBatchRepeatedDUTsShareLanes(t *testing.T) {
 				t.Fatal("the $display variant got a program lane; the interpreter path is not covered")
 			}
 
-			faulty := tb.WithChecker(texts[1], tb.CheckerPlan, tb.CheckerSticky)
-			for c, chk := range []*Testbench{tb, faulty} {
+			for c, checker := range texts[:2] {
+				fresh := func() *Testbench {
+					return &Testbench{Problem: p, Scenarios: tb.Scenarios, CheckerSource: checker, CheckerTop: p.Top, CheckerSticky: -1}
+				}
 				for _, early := range []bool{false, true} {
-					want, err := chk.RunBatchContext(ctx, sep, early, nil)
+					want, err := fresh().RunBatchContext(ctx, sep, early)
 					if err != nil {
 						t.Fatal(err)
 					}
-					var memo LaneMemo
+					shared := fresh()
 					for _, run := range []struct {
 						label string
-						memo  *LaneMemo
-					}{{"no memo", nil}, {"recording", &memo}, {"replay", &memo}} {
-						got, err := chk.RunBatchContext(ctx, dup, early, run.memo)
+						tb    *Testbench
+					}{{"fresh store", fresh()}, {"recording", shared}, {"replay", shared}} {
+						got, err := run.tb.RunBatchContext(ctx, dup, early)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +20,8 @@ import (
 // TestCheckerMemoServesEveryConsumer pins the one parse per checker
 // text: a broken driver leaves the checker unparsed, and Eval0,
 // elaboration, the recorded traces and the lint accessor all read the
-// memo SyntaxOK made, and none of them replaces it.
+// memo SyntaxOK made, and none of them replaces it. A second run reads
+// the store's recording: it elaborates and simulates nothing.
 func TestCheckerMemoServesEveryConsumer(t *testing.T) {
 	tb := golden(t, "cnt8")
 	if tb.checker.Load() != nil {
@@ -46,7 +46,7 @@ func TestCheckerMemoServesEveryConsumer(t *testing.T) {
 			t.Fatalf("after %s the testbench holds another memo", step)
 		}
 	}
-	_, cd, err := tb.checkerDesignContext(context.Background())
+	cd, err := tb.checkerDesignContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,18 @@ func TestCheckerMemoServesEveryConsumer(t *testing.T) {
 		t.Fatalf("golden run: %v, %v", res, err)
 	}
 	same("a run")
-	if len(m.traces) != 1 {
-		t.Errorf("memo holds %d traces after one run, want 1", len(m.traces))
+	if n := storedPieces(tb.traceStore())[cd]; n == 0 {
+		t.Error("the run stored no checker piece")
 	}
-	if _, d, _ := tb.checkerDesignContext(context.Background()); d != cd {
+	col := obs.NewCollector(time.Time{})
+	if res, err := tb.RunAgainstDesignContext(obs.WithCollector(context.Background(), col), base); err != nil || !res.Pass() {
+		t.Fatalf("second golden run: %v, %v", res, err)
+	}
+	if n := phaseCounts(col); n[obs.PhaseElaborate] != 0 || n[obs.PhaseRun] != 0 {
+		t.Errorf("second run spans %v, want no %s and no %s", n, obs.PhaseElaborate, obs.PhaseRun)
+	}
+	same("a second run")
+	if d, _ := tb.checkerDesignContext(context.Background()); d != cd {
 		t.Error("a second elaboration built a new design")
 	}
 	f, err := tb.CheckerFile()
@@ -77,8 +85,9 @@ func TestCheckerMemoServesEveryConsumer(t *testing.T) {
 }
 
 // TestCheckerMemoFollowsEdits: an in-place edit of CheckerSource or of
-// CheckerTop starts a new memo, which parses, elaborates and records
-// again, and each consumer reads the edited checker.
+// CheckerTop moves to another memo, which parses, elaborates and
+// records again, and each consumer reads the edited checker; an edit
+// back to the first text finds the first memo in the store.
 func TestCheckerMemoFollowsEdits(t *testing.T) {
 	tb := golden(t, "det101")
 	base, err := tb.Problem.Elaborate()
@@ -87,7 +96,7 @@ func TestCheckerMemoFollowsEdits(t *testing.T) {
 	}
 	run := func() BatchOutcome {
 		t.Helper()
-		out, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, []*sim.Design{base}), false, nil)
+		out, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, []*sim.Design{base}), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,9 +119,15 @@ func TestCheckerMemoFollowsEdits(t *testing.T) {
 	if o := run(); o.Err != nil || !o.Res.Pass() {
 		t.Fatalf("edited checker run: %+v", o)
 	}
-	if second.design == nil || second.design == first.design || len(second.traces) != 1 || second.traces[0] == first.traces[0] {
+	if pieces := storedPieces(tb.traceStore()); second.design == nil || second.design == first.design || pieces[second.design] == 0 {
 		t.Error("the edited checker was not elaborated and recorded again")
 	}
+	text := tb.CheckerSource
+	tb.CheckerSource = first.src
+	if tb.loadChecker() != first {
+		t.Error("an edit back to the first text did not find the first memo")
+	}
+	tb.CheckerSource = text
 
 	// An edit of CheckerTop alone: a new memo whose elaboration fails
 	// as it did before the memo, and whose lint finds no module.
@@ -188,10 +203,10 @@ func TestCheckerMemoConcurrentColdUse(t *testing.T) {
 		use := func(tb *Testbench) (r result) {
 			r.ok = tb.SyntaxOK()
 			var err error
-			if r.gold, err = tb.RunBatchContext(context.Background(), goldSet, false, nil); err != nil {
+			if r.gold, err = tb.RunBatchContext(context.Background(), goldSet, false); err != nil {
 				t.Error(err)
 			}
-			if r.mut, err = tb.RunBatchContext(context.Background(), mutSet, true, nil); err != nil {
+			if r.mut, err = tb.RunBatchContext(context.Background(), mutSet, true); err != nil {
 				t.Error(err)
 			}
 			f, err := tb.CheckerFile()
@@ -235,9 +250,15 @@ func TestCheckerMemoConcurrentColdUse(t *testing.T) {
 				}
 			}
 		}
-		// One trace per port list: the base's and the extra-port DUT's.
-		if m, w := shared.checker.Load(), seqTB.checker.Load(); m == nil || m.design == nil || len(m.traces) != len(w.traces) {
-			t.Errorf("%s: the shared testbench's memo holds no design or other than %d traces", name, len(w.traces))
+		// The checker's pieces: one per distinct scenario and port list
+		// (the base's and the extra-port DUT's), however many goroutines
+		// recorded them.
+		m, w := shared.checker.Load(), seqTB.checker.Load()
+		if m == nil || m.design == nil {
+			t.Fatalf("%s: the shared testbench's memo holds no design", name)
+		}
+		if got, want := storedPieces(shared.traceStore())[m.design], storedPieces(seqTB.traceStore())[w.design]; got != want {
+			t.Errorf("%s: the shared store holds %d checker pieces, want %d", name, got, want)
 		}
 	}
 }
@@ -312,9 +333,9 @@ func sameOutcomes(got, want []BatchOutcome) int {
 }
 
 // TestWithCheckerKeepsUnchangedMemo: a correction that leaves the
-// checker text as it was gives a copy that shares the parent's memo —
-// its parse, design and traces — so the copy's first run elaborates
-// nothing and records no checker: its one sim_run is the DUT side.
+// checker text as it was gives a copy that shares the parent's trace
+// store — the parse, the design and both sides' recordings — so the
+// copy's first run elaborates nothing and simulates nothing.
 func TestWithCheckerKeepsUnchangedMemo(t *testing.T) {
 	tb := golden(t, "cnt8")
 	base, err := tb.Problem.Elaborate()
@@ -322,36 +343,36 @@ func TestWithCheckerKeepsUnchangedMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := NewDUTSet(base, batchDiffDUTs(t, tb, base))
-	want, err := tb.RunBatchContext(context.Background(), set, false, nil)
+	want, err := tb.RunBatchContext(context.Background(), set, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := tb.checker.Load()
-	if m == nil || m.design == nil || len(m.traces) != 2 {
-		t.Fatalf("parent memo %+v, want a design and two traces (base and extra-port)", m)
+	if m == nil || m.design == nil {
+		t.Fatalf("parent memo %+v, want a design", m)
 	}
-	traces := slices.Clone(m.traces)
+	pieces := len(tb.traceStore().pieces)
 
 	cp := tb.WithChecker(tb.CheckerSource, tb.CheckerPlan, tb.CheckerSticky)
-	if cp.checker.Load() != m {
-		t.Fatal("a copy with the parent's checker text did not get the parent's memo")
+	if cp.traceStore() != tb.traceStore() {
+		t.Fatal("the copy does not share the parent's trace store")
 	}
 	col := obs.NewCollector(time.Time{})
-	got, err := cp.RunBatchContext(obs.WithCollector(context.Background(), col), set, false, nil)
+	got, err := cp.RunBatchContext(obs.WithCollector(context.Background(), col), set, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if i := sameOutcomes(got, want); i >= 0 {
 		t.Fatalf("DUT %d: copy's outcome differs from the parent's", i)
 	}
-	if n := phaseCounts(col); n[obs.PhaseElaborate] != 0 || n[obs.PhaseCompile] != 0 || n[obs.PhaseRun] != 1 {
-		t.Errorf("copy's first run spans %v, want no %s, no %s and one %s (the DUTs)", n, obs.PhaseElaborate, obs.PhaseCompile, obs.PhaseRun)
+	if n := phaseCounts(col); n[obs.PhaseElaborate] != 0 || n[obs.PhaseCompile] != 0 || n[obs.PhaseRun] != 0 {
+		t.Errorf("copy's first run spans %v, want no %s, %s or %s", n, obs.PhaseElaborate, obs.PhaseCompile, obs.PhaseRun)
 	}
-	if f, err := cp.CheckerFile(); err != nil || f != m.file {
+	if f, err := cp.CheckerFile(); err != nil || f != m.file || cp.checker.Load() != m {
 		t.Errorf("copy's CheckerFile = %p, %v; want the parent's parse %p", f, err, m.file)
 	}
-	if !slices.Equal(m.traces, traces) || cp.checker.Load() != m || tb.checker.Load() != m {
-		t.Error("the copy's run replaced the shared memo or its traces")
+	if n := len(tb.traceStore().pieces); n != pieces || tb.checker.Load() != m {
+		t.Errorf("the copy's run changed the shared store: %d pieces, want %d", n, pieces)
 	}
 }
 
@@ -403,9 +424,9 @@ func TestWithCheckerFreshMemoOnChange(t *testing.T) {
 }
 
 // TestWithCheckerCopyStimulusEdit: an in-place edit of Scenarios on a
-// copy that shares the memo is noticed by the trace's stimulus check:
-// the copy records the checker again and gets the outcomes of a
-// testbench that never had a memo.
+// copy that shares the store changes the scenarios' keys: the copy
+// records the checker and the DUTs again and gets the outcomes of a
+// testbench with a store of its own.
 func TestWithCheckerCopyStimulusEdit(t *testing.T) {
 	tb := golden(t, "fifo2")
 	base, err := tb.Problem.Elaborate()
@@ -413,7 +434,7 @@ func TestWithCheckerCopyStimulusEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := NewDUTSet(base, batchDiffDUTs(t, tb, base))
-	before, err := tb.RunBatchContext(context.Background(), set, false, nil)
+	before, err := tb.RunBatchContext(context.Background(), set, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +452,7 @@ func TestWithCheckerCopyStimulusEdit(t *testing.T) {
 		t.Fatal("the stimulus drives no input")
 	}
 	col := obs.NewCollector(time.Time{})
-	got, err := cp.RunBatchContext(obs.WithCollector(context.Background(), col), set, false, nil)
+	got, err := cp.RunBatchContext(obs.WithCollector(context.Background(), col), set, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +462,7 @@ func TestWithCheckerCopyStimulusEdit(t *testing.T) {
 		t.Errorf("run after the edit opened %d %s spans, want 3 (two checker traces and the DUTs)", n[obs.PhaseRun], obs.PhaseRun)
 	}
 	fresh := &Testbench{Problem: tb.Problem, Scenarios: cp.Scenarios, CheckerSource: tb.CheckerSource, CheckerTop: tb.CheckerTop, CheckerSticky: -1}
-	want, err := fresh.RunBatchContext(context.Background(), set, false, nil)
+	want, err := fresh.RunBatchContext(context.Background(), set, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,14 +470,14 @@ func TestWithCheckerCopyStimulusEdit(t *testing.T) {
 		t.Fatalf("DUT %d: the edited copy's outcome differs from a memo-less testbench's", i)
 	}
 	if sameOutcomes(before, want) < 0 {
-		t.Error("the edit changed no outcome; the test cannot tell a stale trace from a fresh one")
+		t.Error("the edit changed no outcome; the test cannot tell a stale recording from a fresh one")
 	}
 }
 
-// TestWithCheckerConcurrentParentAndCopies: a parent whose memo holds
-// only the parse, and copies that share it, run from separate
-// goroutines with no warm-up; every goroutine must see the outcomes of
-// a testbench used alone (run it under -race).
+// TestWithCheckerConcurrentParentAndCopies: a parent whose store holds
+// only the checker's parse, and copies that share the store, run from
+// separate goroutines with no warm-up; every goroutine must see the
+// outcomes of a testbench used alone (run it under -race).
 func TestWithCheckerConcurrentParentAndCopies(t *testing.T) {
 	for _, name := range []string{"cnt8", "prio_enc8"} {
 		alone := golden(t, name)
@@ -465,7 +486,7 @@ func TestWithCheckerConcurrentParentAndCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 		set := NewDUTSet(base, batchDiffDUTs(t, alone, base))
-		want, err := alone.RunBatchContext(context.Background(), set, true, nil)
+		want, err := alone.RunBatchContext(context.Background(), set, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +508,7 @@ func TestWithCheckerConcurrentParentAndCopies(t *testing.T) {
 				if !tb.SyntaxOK() {
 					t.Error("SyntaxOK failed on a shared memo")
 				}
-				out, err := tb.RunBatchContext(context.Background(), set, true, nil)
+				out, err := tb.RunBatchContext(context.Background(), set, true)
 				if err != nil {
 					t.Error(err)
 				}

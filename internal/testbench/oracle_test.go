@@ -21,7 +21,7 @@ import (
 // at the next propagation wave. The instances are allocated once and
 // pooled across scenarios with an in-place Reset.
 func (tb *Testbench) runLive(ctx context.Context, dutDesign *sim.Design) (*RunResult, error) {
-	_, checkerDesign, err := tb.checkerDesignContext(ctx)
+	checkerDesign, err := tb.checkerDesignContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("checker: %w", err)
 	}

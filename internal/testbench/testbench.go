@@ -115,16 +115,42 @@ type Testbench struct {
 	// DriverSource re-parses. EmitDriver stores the verdict on the text
 	// it emits.
 	driverSyntax atomic.Pointer[syntaxVerdict]
-	// checker is the memo of everything derived from the checker text:
-	// its one parse, its design and its recorded traces (see
-	// checkerMemo). It is replaced when CheckerSource or CheckerTop
-	// differs from the text it holds, and handed to a WithChecker copy
-	// that keeps that text.
-	//
-	// Both memos are atomic, so every method of a Testbench is safe on
-	// a testbench shared across goroutines; they make a Testbench
-	// non-copyable (use WithChecker or a field-wise construction).
+	// checker is the store's memo of the current checker text: its one
+	// parse and its design (see checkerMemo). It is looked up again when
+	// CheckerSource or CheckerTop differs from the text it holds.
 	checker atomic.Pointer[checkerMemo]
+	// store is the trace store every run of tb reads and records into
+	// (see TraceStore): the one UseTraceStore gave it, or one of its own
+	// made on first use. WithChecker copies share it.
+	//
+	// Both pointers are atomic, so every method of a Testbench is safe
+	// on a testbench shared across goroutines; they make a Testbench
+	// non-copyable (use WithChecker or a field-wise construction).
+	store atomic.Pointer[TraceStore]
+}
+
+// UseTraceStore makes s the trace store of tb's runs, so they reuse
+// what other testbenches on s recorded. Call it before tb's first run:
+// a generator hands its store to every testbench it emits.
+func (tb *Testbench) UseTraceStore(s *TraceStore) {
+	tb.store.Store(s)
+}
+
+// storePerRun, set only by tests, makes every run use a fresh trace
+// store instead of its testbench's, so a test can pin that no result
+// depends on what a store holds.
+var storePerRun bool
+
+// traceStore returns tb's trace store, making one on first use.
+func (tb *Testbench) traceStore() *TraceStore {
+	if storePerRun {
+		return &TraceStore{}
+	}
+	if s := tb.store.Load(); s != nil {
+		return s
+	}
+	tb.store.CompareAndSwap(nil, &TraceStore{})
+	return tb.store.Load()
 }
 
 // ScenarioCount returns the number of scenarios.
@@ -159,14 +185,14 @@ func (r *RunResult) FailedScenarios() []int {
 }
 
 // SyntaxOK reports whether both testbench tracks parse, the Eval0
-// criterion for the testbench artifact itself. Each track's verdict is
-// memoized with the text it judged: a track is parsed again only when
-// its source differs from the last one checked. A driver that
-// EmitDriver emitted on tb is already judged, so of a generation's
-// driver only a corrupted text is ever parsed, and only once. The
-// checker's verdict is its memo's parse, which simulation and lint
-// then reuse. The driver is checked first; a broken driver leaves the
-// checker unparsed.
+// criterion for the testbench artifact itself. The driver's verdict is
+// memoized with the text it judged: it is parsed again only when its
+// source differs from the last one checked. A driver that EmitDriver
+// emitted on tb is already judged, so of a generation's driver only a
+// corrupted text is ever parsed, and only once. The checker's verdict
+// is the parse tb's trace store holds for its text, made once per text
+// and store, which simulation and lint then reuse. The driver is
+// checked first; a broken driver leaves the checker unparsed.
 func (tb *Testbench) SyntaxOK() bool {
 	return driverOK(&tb.driverSyntax, tb.DriverSource) && tb.loadChecker().parseErr == nil
 }
@@ -190,52 +216,39 @@ func driverOK(memo *atomic.Pointer[syntaxVerdict], src string) bool {
 	return ok
 }
 
-// checkerMemo holds everything derived from one checker text: its
-// parse (or parse error), the design elaborated from that parse, and
-// the traces recorded from that design. The parse is made with the
-// memo; the design and the traces are built on first use, under mu,
-// by the first caller that needs them, so their phase spans land on
-// that caller's context. A design shares leaf nodes with the parse,
-// and the lint reads the parse, so neither may be written. A memo is
-// shared by a testbench and every WithChecker copy that kept its text.
+// checkerMemo holds what is derived from one checker text: its parse
+// (or parse error) and the design elaborated from that parse. It lives
+// in a TraceStore, shared by every testbench on the store whose checker
+// is that text. The parse is made once, on first lookup; the design is
+// built on first use, under mu, by the first caller that needs it, so
+// its phase spans land on that caller's context. A design shares leaf
+// nodes with the parse, and the lint reads the parse, so neither may be
+// written.
 type checkerMemo struct {
 	src, top string
+	parsed   sync.Once
 	file     *verilog.SourceFile
 	parseErr error
 
-	mu     sync.Mutex // guards design and traces while they are built
+	mu     sync.Mutex // guards design while it is built
 	design *sim.Design
-	// traces holds one checker trace per port list and engine: the
-	// checker's trajectory depends only on the stimulus, so one
-	// recorded simulation serves every run over that stimulus (see
-	// batchTrace).
-	traces []*trace
 }
 
-// loadChecker returns the memo for tb's current checker text, parsing
-// the text when the memo holds a different one. Racing callers on a
-// changed text may each parse it; the first memo stored wins and the
-// others are dropped, so every caller then shares one design and one
-// set of traces.
+// loadChecker returns the memo for tb's current checker text, looking
+// it up in tb's store when tb last used another text.
 func (tb *Testbench) loadChecker() *checkerMemo {
 	src, top := tb.CheckerSource, tb.CheckerTop
-	old := tb.checker.Load()
-	if old != nil && old.src == src && old.top == top {
-		return old
+	if m := tb.checker.Load(); m != nil && m.src == src && m.top == top {
+		return m
 	}
-	m := &checkerMemo{src: src, top: top}
-	m.file, m.parseErr = verilog.Parse(src)
-	for !tb.checker.CompareAndSwap(old, m) {
-		if old = tb.checker.Load(); old != nil && old.src == src && old.top == top {
-			return old
-		}
-	}
+	m := tb.traceStore().checker(src, top)
+	tb.checker.Store(m)
 	return m
 }
 
 // CheckerFile returns the parse of the checker text that Eval0 judged
 // and simulation elaborates, or the parse error. The file is shared
-// with the testbench's memo: callers must only read it.
+// with the store's memo: callers must only read it.
 func (tb *Testbench) CheckerFile() (*verilog.SourceFile, error) {
 	m := tb.loadChecker()
 	return m.file, m.parseErr
@@ -243,12 +256,10 @@ func (tb *Testbench) CheckerFile() (*verilog.SourceFile, error) {
 
 // WithChecker returns a new testbench with tb's stimulus and driver
 // and the given checker track: the corrector's rewrite. The driver's
-// Eval0 verdict carries over, since DriverSource is unchanged. When src
-// is the text tb's checker memo holds (a correction that left the
-// checker as it was), the copy shares that memo, so it reuses the
-// parse, the design and the recorded traces; a trace still serves the
-// copy only while its stimulus is the copy's. Any other checker is
-// parsed on the copy's first use.
+// Eval0 verdict carries over, since DriverSource is unchanged, and the
+// copy shares tb's trace store: a checker text the store has seen is
+// not parsed, elaborated or recorded again, and the DUT side of every
+// scenario already recorded is replayed.
 func (tb *Testbench) WithChecker(src string, plan mutate.Plan, sticky int) *Testbench {
 	out := &Testbench{
 		Problem:       tb.Problem,
@@ -262,32 +273,30 @@ func (tb *Testbench) WithChecker(src string, plan mutate.Plan, sticky int) *Test
 		TokensOut:     tb.TokensOut,
 	}
 	out.driverSyntax.Store(tb.driverSyntax.Load())
-	if m := tb.checker.Load(); m != nil && m.src == src && m.top == out.CheckerTop {
-		out.checker.Store(m)
-	}
+	out.store.Store(tb.traceStore())
 	return out
 }
 
-// checkerDesignContext returns the checker memo and the design
-// elaborated from its parse. The first caller elaborates it and records
-// the sim_elaborate/sim_compile spans on its context's obs collector;
+// checkerDesignContext returns the design elaborated from the checker
+// memo's parse. The first caller elaborates it and records the
+// sim_elaborate/sim_compile spans on its context's obs collector;
 // later callers record nothing. A parse error is returned as it is; an
 // elaboration error is not kept, so a later call elaborates again.
-func (tb *Testbench) checkerDesignContext(ctx context.Context) (*checkerMemo, *sim.Design, error) {
+func (tb *Testbench) checkerDesignContext(ctx context.Context) (*sim.Design, error) {
 	m := tb.loadChecker()
 	if m.parseErr != nil {
-		return m, nil, m.parseErr
+		return nil, m.parseErr
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.design == nil {
 		d, err := sim.ElaborateContext(ctx, m.file, m.top)
 		if err != nil {
-			return m, nil, err
+			return nil, err
 		}
 		m.design = d
 	}
-	return m, m.design, nil
+	return m.design, nil
 }
 
 // RunAgainstSourceContext simulates the DUT given as Verilog source
@@ -306,10 +315,11 @@ func (tb *Testbench) RunAgainstSourceContext(ctx context.Context, dutSrc, dutTop
 
 // RunAgainstDesignContext is RunAgainstSourceContext for a
 // pre-elaborated DUT: a one-DUT batched run against the recorded
-// checker trace (RunBatchContext). A cancellation takes effect within
-// one simulation step batch.
+// checker trace (RunBatchContext), on the DUT set tb's store keeps for
+// the design. A cancellation takes effect within one simulation step
+// batch.
 func (tb *Testbench) RunAgainstDesignContext(ctx context.Context, dutDesign *sim.Design) (*RunResult, error) {
-	out, err := tb.RunBatchContext(ctx, NewDUTSet(dutDesign, []*sim.Design{dutDesign}), false, nil)
+	out, err := tb.RunBatchContext(ctx, tb.traceStore().single(dutDesign), false)
 	if err != nil {
 		return nil, err
 	}

@@ -585,9 +585,9 @@ func TestBatchReplayInPlaceStimulusEdit(t *testing.T) {
 }
 
 // TestBatchReplayReboot judges a testbench with new scenarios on the
-// same group, as Algorithm 1 does after a reboot: the new driver is
-// recorded, replacing the old one, and a correction after the reboot
-// replays the new recording.
+// same group, as Algorithm 1 does after a reboot: the new driver's
+// scenarios are recorded, and a correction after the reboot replays
+// them.
 func TestBatchReplayReboot(t *testing.T) {
 	for i, name := range replayProblems {
 		t.Run(name, func(t *testing.T) {
@@ -611,9 +611,9 @@ func TestBatchReplayReboot(t *testing.T) {
 
 // TestBatchReplayConcurrent runs BuildMatrixContext from 8 goroutines
 // on one shared group, alternating two drivers and two checkers so
-// that recordings race each other and replace one another. Every
-// matrix must equal the oracle's; run under -race it also checks that
-// the group's recording is published safely.
+// that recordings race each other. Every matrix must equal the
+// oracle's; run under -race it also checks that the recordings are
+// published safely.
 func TestBatchReplayConcurrent(t *testing.T) {
 	c := newReplayCase(t, "cnt8", 1000)
 	other := newReplayCase(t, "cnt8", 1001).tb
@@ -635,9 +635,9 @@ func TestBatchReplayConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 6; r++ {
 				i := (g + r/2) % len(tbs)
-				// A testbench copy per goroutine. Copies that keep a
-				// checker text share its memo, so the checker's traces
-				// are shared like the group's recording.
+				// A testbench copy per goroutine. Copies share their
+				// parent's trace store, so the checker's and the
+				// group's recordings race on it.
 				tb := tbs[i].WithChecker(tbs[i].CheckerSource, tbs[i].CheckerPlan, tbs[i].CheckerSticky)
 				m, ok, err := v.BuildMatrixContext(context.Background(), tb, c.group)
 				switch {

@@ -48,8 +48,8 @@ func TestCompiledEngineDifferential(t *testing.T) {
 
 			run := func(engine sim.Engine) (string, bool) {
 				defer withEngine(engine)()
-				// Separate testbench value per engine so the checker
-				// caches are independent.
+				// The engine is part of every trace-store key, so the
+				// two engines' runs share no recording.
 				tb := gtb.WithChecker(gtb.CheckerSource, gtb.CheckerPlan, gtb.CheckerSticky)
 				m, ok, err := v.BuildMatrixContext(context.Background(), tb, group)
 				if err != nil {
@@ -82,7 +82,7 @@ func TestCompiledEngineDifferential(t *testing.T) {
 				t.Fatalf("no elaborable candidates in RTL group")
 			}
 			btb := gtb.WithChecker(gtb.CheckerSource, gtb.CheckerPlan, gtb.CheckerSticky)
-			outs, err := btb.RunBatchContext(context.Background(), testbench.NewDUTSet(goldenDesign, duts), false, nil)
+			outs, err := btb.RunBatchContext(context.Background(), testbench.NewDUTSet(goldenDesign, duts), false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,12 +15,15 @@
 // design, when the golden design does not batch-compile). A design
 // shared by several candidates is simulated once, as one lane, and
 // gives each of their rows. Validation is record-then-compare
-// (testbench.RunBatchContext): the checker is recorded once per
-// checker, and the candidates once per driver — Algorithm 1's
-// corrector rewrites only the checker, so every round after a
-// correction compares the new checker's trace with the group's
-// recorded lanes and simulates no candidate, whichever engine recorded
-// it. Rows are bit-identical to simulating each candidate on its own.
+// (testbench.RunBatchContext) on the testbench's trace store, which the
+// generator shares across the cell: the checker is recorded once per
+// checker design and scenario, and the candidates once per scenario —
+// Algorithm 1's corrector rewrites only the checker, so every round
+// after a correction compares the new checker's trace with the group's
+// stored lanes and simulates no candidate, and a reboot simulates only
+// the scenarios the group has not seen, whichever engine recorded
+// them. Rows are bit-identical to simulating each candidate on its
+// own.
 package validator
 
 import (
@@ -221,12 +224,13 @@ func GenerateRTLGroup(p *dataset.Problem, prof *llm.Profile, nr int, rng *rand.R
 // candidate source is parsed and elaborated once, equal candidates
 // share the design, and the elaborable designs are compiled once as
 // lanes of batch programs over the golden design, one lane per
-// distinct design. The first round over a driver simulates all of them
-// in one batched pass and records their outputs; later rounds over the
-// same stimulus replay that recording. The candidates and programs are
-// fixed by NewGroup; the recording is the one thing a round changes —
-// it holds the last driver's lanes and is replaced on a reboot — and
-// it is an atomic memo, so a Group is safe for concurrent
+// distinct design. A round simulates them in one batched pass over the
+// scenarios the testbench's trace store does not yet hold for these
+// programs, and stores what it records; every other scenario is read
+// from the store. The programs are the store's key for the group's
+// lanes, so every testbench of a task that shares a store — its
+// corrections and reboots — replays them. A Group is fixed by NewGroup
+// and never written after, so it is safe for concurrent
 // BuildMatrixContext calls.
 type Group struct {
 	// Candidates is the RTL group in generation order, the row order
@@ -239,8 +243,6 @@ type Group struct {
 	duts    []*sim.Design // the non-nil designs, in group order, repeats included
 	// set is duts compiled over the golden design.
 	set *testbench.DUTSet
-	// lanes is the recorded DUT side of the last driver run on set.
-	lanes testbench.LaneMemo
 }
 
 // NewGroup elaborates every distinct candidate source of an RTL group
@@ -291,9 +293,10 @@ type Validator struct {
 }
 
 // BuildMatrixContext judges every candidate of the group against the
-// testbench in one batched pass: the DUT-independent checker is
-// recorded once, the candidates as lanes once per driver, and each row
-// compares a lane's trace with the checker's. Rows follow group order;
+// testbench in one batched pass: the DUT-independent checker and the
+// candidates' lanes are each recorded once per scenario on the
+// testbench's trace store, and each row compares a lane's trace with
+// the checker's. Rows follow group order;
 // rows for syntax-broken or unsimulatable RTLs are discarded. A broken
 // testbench (parse/elaboration/checker failure) yields ok == false
 // instead of a matrix. The returned error is non-nil only when ctx was
@@ -306,7 +309,7 @@ func (v *Validator) BuildMatrixContext(ctx context.Context, tb *testbench.Testbe
 	if !tb.SyntaxOK() {
 		return nil, false, nil
 	}
-	outs, err := tb.RunBatchContext(ctx, g.set, false, &g.lanes)
+	outs, err := tb.RunBatchContext(ctx, g.set, false)
 	if err != nil {
 		return nil, false, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"time"
 
@@ -63,7 +64,7 @@ import (
 // carries panic recovery: a panicking request answers 500 — after
 // cancelling its job, if it owned one — without killing the daemon.
 func NewServer(c *Client, opts ...ServerOption) http.Handler {
-	s := &server{client: c, limits: DefaultLimits(), start: time.Now()}
+	s := &server{client: c, limits: DefaultLimits(), start: time.Now()} //detlint:allow the uptime epoch, a wall-clock metric
 	for _, o := range opts {
 		o(s)
 	}
@@ -100,7 +101,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	logWriteErr("JSON response", enc.Encode(v))
+}
+
+// logWriteErr reports a response body that could not be written. The
+// status line is already out, so the log is the only place left to
+// say so; the usual cause is a client that went away.
+func logWriteErr(what string, err error) {
+	if err != nil {
+		log.Printf("correctbench: writing %s: %v", what, err)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -125,7 +135,7 @@ type submitResponse struct {
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	key := clientKey(r)
-	if !s.adm.allowRate(key, time.Now()) {
+	if !s.adm.allowRate(key, time.Now()) { //detlint:allow admission rate limiting is wall-clock by design
 		s.adm.tooMany(w, errors.New("rate limit exceeded"))
 		return
 	}
@@ -142,7 +152,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	// Claim a concurrent-job slot before spending any work on the
 	// spec; the slot is held until the job finishes (however it
 	// finishes), not just until this request returns.
-	release, admErr := s.adm.reserveJob(key, time.Now())
+	release, admErr := s.adm.reserveJob(key, time.Now()) //detlint:allow admission rate limiting is wall-clock by design
 	if admErr != nil {
 		s.adm.tooMany(w, admErr)
 		return
@@ -351,7 +361,7 @@ func lintChecker(tb *Testbench) []vstatic.Diagnostic {
 }
 
 func (s *server) grade(w http.ResponseWriter, r *http.Request) {
-	if !s.adm.allowRate(clientKey(r), time.Now()) {
+	if !s.adm.allowRate(clientKey(r), time.Now()) { //detlint:allow admission rate limiting is wall-clock by design
 		s.adm.tooMany(w, errors.New("rate limit exceeded"))
 		return
 	}
