@@ -129,7 +129,6 @@ func BenchmarkFig4RSMatrix(b *testing.B) {
 		b.Fatal(err)
 	}
 	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
-	tb.DriverSource = testbench.EmitDriver(tb)
 	v := &validator.Validator{Criterion: validator.Wrong70}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

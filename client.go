@@ -269,6 +269,10 @@ const (
 type Client struct {
 	store Store // nil: no result store
 
+	// cellHook, set only by tests, is handed to every job this client
+	// submits (see Job.cellHook).
+	cellHook func(job string, index int, finished bool)
+
 	// obs aggregates phase latencies and the completion-rate window
 	// across every traced job this client runs; GET /metrics reads it.
 	obs *obs.Observer
@@ -429,6 +433,7 @@ func (c *Client) Submit(ctx context.Context, spec ExperimentSpec) (*Job, error) 
 		grades:       map[string]map[string]int{},
 		tables:       map[string]string{},
 		storeEnabled: hcfg.Store != nil,
+		cellHook:     c.cellHook,
 	}
 	if !spec.NoTrace {
 		// Tracing is on by default: the job collects a span tree per

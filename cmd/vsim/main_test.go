@@ -55,7 +55,7 @@ func TestVsimModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := writeFile(t, "cnt8_tb.v", tb.DriverSource)
+	drv := writeFile(t, "cnt8_tb.v", tb.Driver())
 	rtl := writeFile(t, "cnt8.v", p.Source)
 
 	out, log := vsim(t, bin, "-top", "cnt8_tb", drv, rtl)

@@ -58,7 +58,7 @@ func main() {
 
 	// The emitted driver is real Verilog: run it on the embedded
 	// simulator against the golden RTL, exactly as cmd/vsim would.
-	file, err := verilog.Parse(res.Testbench.DriverSource + "\n" + goldenSource)
+	file, err := verilog.Parse(res.Testbench.Driver() + "\n" + goldenSource)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("AutoEval grade: %s (Eval2 = verdicts agree with the golden testbench on >= 80%% of RTL mutants)\n", grade)
 
 	fmt.Println("\nGenerated driver track (first lines):")
-	printHead(res.Testbench.DriverSource, 12)
+	printHead(res.Testbench.Driver(), 12)
 }
 
 func printHead(s string, lines int) {

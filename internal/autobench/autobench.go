@@ -209,7 +209,6 @@ func (b *Baseline) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.R
 		CheckerSticky: sticky,
 	}
 	tb.UseTraceStore(&b.traces)
-	tb.DriverSource = testbench.EmitDriver(tb)
 
 	// One-shot generation has no syntax-repair stage.
 	pSyntax := prof.BaselineSyntaxCMB
@@ -275,7 +274,6 @@ func (a *AutoBench) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.
 		CheckerSticky: sticky,
 	}
 	tb.UseTraceStore(&a.traces)
-	tb.DriverSource = testbench.EmitDriver(tb)
 
 	// Syntax auto-debug: most syntax errors are repaired by iterative
 	// simulator-feedback debugging; only the residual probability
@@ -294,10 +292,11 @@ func (a *AutoBench) Generate(p *dataset.Problem, trait llm.TaskTrait, rng *rand.
 }
 
 // corruptTestbench damages one of the two tracks, modelling an LLM
-// syntax error that survived (or never saw) self-debugging.
+// syntax error that survived (or never saw) self-debugging. A
+// corrupted driver is the only one a generator makes explicit.
 func corruptTestbench(tb *testbench.Testbench, rng *rand.Rand) {
 	if rng.Intn(2) == 0 {
-		tb.DriverSource = mutate.CorruptSyntax(tb.DriverSource, rng)
+		tb.DriverSource = mutate.CorruptSyntax(tb.Driver(), rng)
 	} else {
 		tb.CheckerSource = mutate.CorruptSyntax(tb.CheckerSource, rng)
 	}

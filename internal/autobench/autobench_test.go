@@ -40,7 +40,7 @@ func TestGeneratedTestbenchHasDriverAndChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.DriverSource == "" || tb.CheckerSource == "" {
+	if tb.Driver() == "" || tb.CheckerSource == "" {
 		t.Fatal("missing track source")
 	}
 	if acct.Calls == 0 || tb.TokensIn == 0 {

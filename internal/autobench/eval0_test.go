@@ -13,9 +13,10 @@ import (
 	"correctbench/internal/verilog"
 )
 
-// freshSyntaxOK is the unmemoized Eval0 reference: parse both tracks.
+// freshSyntaxOK is the unmemoized Eval0 reference: parse both tracks,
+// the driver as Driver() renders it.
 func freshSyntaxOK(tb *testbench.Testbench) bool {
-	if _, err := verilog.Parse(tb.DriverSource); err != nil {
+	if _, err := verilog.Parse(tb.Driver()); err != nil {
 		return false
 	}
 	_, err := verilog.Parse(tb.CheckerSource)
@@ -55,7 +56,7 @@ func TestSyntaxOKMatchesFreshParse(t *testing.T) {
 			}
 			driver, checker := tb.DriverSource, tb.CheckerSource
 			check("generated", tb)
-			tb.DriverSource = mutate.CorruptSyntax(driver, rng)
+			tb.DriverSource = mutate.CorruptSyntax(tb.Driver(), rng)
 			check("corrupt driver", tb)
 			tb.DriverSource = driver
 			check("restored driver", tb)

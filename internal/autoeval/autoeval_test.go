@@ -78,7 +78,6 @@ func TestFaultyCheckerStopsAtEval0(t *testing.T) {
 			Problem: p, Scenarios: gtb.Scenarios,
 			CheckerSource: verilog.PrintModule(mod), CheckerTop: p.Top, CheckerSticky: -1,
 		}
-		tb.DriverSource = testbench.EmitDriver(tb)
 		res, err := tb.RunAgainstSourceContext(context.Background(), p.Source, p.Top)
 		if err != nil || res.Pass() {
 			continue
@@ -110,7 +109,6 @@ func TestThinTestbenchMayMissEval2(t *testing.T) {
 			Problem: p, Scenarios: scs,
 			CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1,
 		}
-		tb.DriverSource = testbench.EmitDriver(tb)
 		g, err := e.EvaluateContext(context.Background(), tb)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +186,6 @@ func TestBatchGradingMatchesInterp(t *testing.T) {
 			Problem: p, Scenarios: thinScs,
 			CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1,
 		}
-		thin.DriverSource = testbench.EmitDriver(thin)
 		for _, tc := range []struct {
 			label string
 			mk    func(e *Evaluator) *testbench.Testbench

@@ -33,7 +33,6 @@ func faultyTB(t *testing.T, nFaults int, seed int64) *testbench.Testbench {
 		CheckerSource: verilog.PrintModule(mod), CheckerTop: p.Top,
 		CheckerPlan: plan, CheckerSticky: -1,
 	}
-	tb.DriverSource = testbench.EmitDriver(tb)
 	return tb
 }
 

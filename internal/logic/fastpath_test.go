@@ -255,6 +255,46 @@ func TestFastPathReductionsAndTruth(t *testing.T) {
 	}
 }
 
+// TestFastPathReplicateMatchesConcat pins Replicate(n, x) to Concat of
+// n copies of x, and to bit i of the result being bit i mod width of
+// x, over all four states, across the one-word result boundary; a
+// result that fits one word must not allocate.
+func TestFastPathReplicateMatchesConcat(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, w := range []int{1, 2, 3, 7, 8, 13, 21, 32, 33, 63, 64, 65} {
+		xs := cornerVecs(w)
+		for i := 0; i < 10; i++ {
+			xs = append(xs, randVec(rng, w))
+		}
+		for n := 1; n <= 66; n++ {
+			for _, x := range xs {
+				copies := make([]Vector, n)
+				for i := range copies {
+					copies[i] = x
+				}
+				got := Replicate(n, x)
+				if want := Concat(copies...); !got.Equal(want) {
+					t.Fatalf("Replicate(%d, %s) = %s, Concat of %d copies = %s", n, x, got, n, want)
+				}
+				if got.Width() != n*w {
+					t.Fatalf("Replicate(%d, w=%d) width %d", n, w, got.Width())
+				}
+				for i := 0; i < n*w; i++ {
+					if got.Bit(i) != x.Bit(i%w) {
+						t.Fatalf("Replicate(%d, %s) bit %d = %s, want %s", n, x, i, got.Bit(i), x.Bit(i%w))
+					}
+				}
+			}
+			if n*w <= wordBits {
+				x := xs[len(xs)-1]
+				if allocs := testing.AllocsPerRun(10, func() { Replicate(n, x) }); allocs != 0 {
+					t.Errorf("Replicate(%d, w=%d) allocates %.0f times, want 0", n, w, allocs)
+				}
+			}
+		}
+	}
+}
+
 func TestFastPathSliceConcatSetSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	refSlice := func(x Vector, hi, lo int) Vector {

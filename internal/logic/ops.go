@@ -622,6 +622,15 @@ func Replicate(n int, x Vector) Vector {
 	if n < 1 {
 		panic("logic: replication count must be >= 1")
 	}
+	if n <= wordBits && n*x.width <= wordBits {
+		// The result fits one word: shift copies in, as Concat would.
+		r := Vector{width: n * x.width}
+		for i := 0; i < n; i++ {
+			r.a0 = r.a0<<uint(x.width) | x.a0
+			r.b0 = r.b0<<uint(x.width) | x.b0
+		}
+		return r
+	}
 	parts := make([]Vector, n)
 	for i := range parts {
 		parts[i] = x

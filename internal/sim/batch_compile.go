@@ -159,6 +159,17 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 			parts[i] = pc
 		}
 		total := self
+		if total <= 64 && len(parts) > 0 {
+			// Every prefix fits one word, so fold pairwise: Concat's
+			// operands then live on the stack and nothing is allocated.
+			return bc.resized(func(b *BatchInstance, lane int32) logic.Vector {
+				r := parts[0](b, lane)
+				for _, pc := range parts[1:] {
+					r = logic.Concat(r, pc(b, lane))
+				}
+				return r
+			}, total, want), want, nil
+		}
 		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector {
 			vals := make([]logic.Vector, len(parts))
 			for i, pc := range parts {

@@ -138,6 +138,27 @@ endmodule`,
 		wantLevelized: true,
 	},
 	{
+		// Concatenation and replication on both sides of the one-word
+		// result: a narrow concat is folded pairwise, a wider one
+		// (72, 96 bits) takes the operand slice; each in a wider and a
+		// narrower context.
+		name: "concat_repl_widths",
+		src: `
+module m(input [3:0] a, input [6:0] b, input c, input [31:0] w,
+         output [11:0] y, output [15:0] z, output [5:0] t, output [63:0] full,
+         output [71:0] big, output [19:0] r, output [95:0] rw);
+    assign y = {a, b, c};
+    assign z = {a, b, c};
+    assign t = {a, b, c};
+    assign full = {w, w};
+    assign big = {w, w, a, a};
+    assign r = {{2{a}}, {3{c}}, {3{b[1:0]}}};
+    assign rw = {3{w}};
+endmodule`,
+		top:           "m",
+		wantLevelized: true,
+	},
+	{
 		// Constant-only process: runs solely via the bootstrap pass.
 		name: "constant_bootstrap",
 		src: `
@@ -237,6 +258,47 @@ func TestBatchDifferentialMicro(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBatchNarrowConcatAllocatesNothing pins that concatenation and
+// replication whose result fits one word allocate nothing per
+// evaluation: setting inputs and settling such a design is free of
+// heap allocations.
+func TestBatchNarrowConcatAllocatesNothing(t *testing.T) {
+	src := `
+module m(input [3:0] a, input [6:0] b, input c, output [11:0] y, output [15:0] r);
+    assign y = {a, b, c};
+    assign r = {{2{a}}, {3{c}}, b[4:0]};
+endmodule`
+	d := mustElab(t, src, "m")
+	prog, err := CompileBatch(d, []*Design{d, mustElab(t, src, "m")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatchInstance(prog)
+	if err := b.ZeroInputs(); err != nil {
+		t.Fatal(err)
+	}
+	i := uint64(0)
+	var runErr error
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		for _, err := range []error{
+			b.SetInput("a", logic.FromUint64(4, i)),
+			b.SetInput("c", logic.FromUint64(1, i)),
+			b.Settle(),
+		} {
+			if err != nil {
+				runErr = err
+			}
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if allocs != 0 {
+		t.Errorf("narrow concatenation allocates %.1f times per settle, want 0", allocs)
 	}
 }
 

@@ -20,10 +20,12 @@ import (
 // identifier and whose reset is "" or an input port, as the dataset
 // and NewProblem guarantee: every other name it writes is a port of
 // the elaborated design, and a scenario name holding a control
-// character is quoted so it cannot end its comment line. EmitDriver
-// therefore records on tb that the returned text parses: SyntaxOK
-// does not parse it again while DriverSource holds it, and judges any
-// other driver text (a corrupted or edited one) by parsing.
+// character is quoted so it cannot end its comment line. That is why
+// SyntaxOK passes a testbench whose DriverSource is empty without
+// emitting anything. EmitDriver also records on tb that the returned
+// text parses, so a caller that assigns it to DriverSource is not
+// parsed either; any other explicit driver (a corrupted or edited one)
+// is judged by parsing.
 func EmitDriver(tb *Testbench) string {
 	p := tb.Problem
 	d, err := p.Elaborate()

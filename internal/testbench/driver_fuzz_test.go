@@ -9,9 +9,11 @@ import (
 	"correctbench/internal/verilog"
 )
 
-// FuzzEmitDriver checks that EmitDriver's recorded verdict is sound:
-// over arbitrary scenarios on every dataset problem, the emitted driver
-// must parse, and SyntaxOK must equal a fresh parse of both tracks.
+// FuzzEmitDriver checks that passing an empty driver and EmitDriver's
+// recorded verdict are sound: over arbitrary scenarios on every dataset
+// problem, Driver() must parse, and SyntaxOK must equal a fresh parse
+// of Driver() and the checker, whether DriverSource is empty or holds
+// the emitted text.
 // The problem index picks a dataset problem; names holds the scenario
 // names back to back, and the fuzz bytes say where each ends and what
 // the steps drive (see fuzzScenarios): any uint64 value, with ports
@@ -45,14 +47,20 @@ func FuzzEmitDriver(f *testing.F) {
 			CheckerTop:    p.Top,
 			CheckerSticky: -1,
 		}
-		tb.DriverSource = EmitDriver(tb)
-		_, driverErr := verilog.Parse(tb.DriverSource)
-		if driverErr != nil {
-			t.Fatalf("%s: emitted driver does not parse: %v\n%s", p.Name, driverErr, tb.DriverSource)
-		}
 		_, checkerErr := verilog.Parse(tb.CheckerSource)
-		if got, want := tb.SyntaxOK(), checkerErr == nil; got != want {
-			t.Fatalf("%s: SyntaxOK = %v, fresh parse = %v", p.Name, got, want)
+		// The rendered driver first (DriverSource empty), then the same
+		// text assigned explicitly, as cmd/cbbench's fromWire assigns it.
+		for _, explicit := range []bool{false, true} {
+			if explicit {
+				tb.DriverSource = EmitDriver(tb)
+			}
+			driver := tb.Driver()
+			if _, err := verilog.Parse(driver); err != nil {
+				t.Fatalf("%s: emitted driver (explicit %v) does not parse: %v\n%s", p.Name, explicit, err, driver)
+			}
+			if got, want := tb.SyntaxOK(), checkerErr == nil; got != want {
+				t.Fatalf("%s: SyntaxOK (explicit %v) = %v, fresh parse = %v", p.Name, explicit, got, want)
+			}
 		}
 	})
 }

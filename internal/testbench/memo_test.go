@@ -27,12 +27,12 @@ func TestCheckerMemoServesEveryConsumer(t *testing.T) {
 	if tb.checker.Load() != nil {
 		t.Fatal("a fresh golden testbench already holds a checker memo")
 	}
-	driver := tb.DriverSource
+	driver := tb.Driver()
 	tb.DriverSource = driver[:len(driver)/2]
 	if tb.SyntaxOK() || tb.checker.Load() != nil {
 		t.Fatal("a testbench with a broken driver passed Eval0 or parsed its checker")
 	}
-	tb.DriverSource = driver
+	tb.DriverSource = ""
 	if !tb.SyntaxOK() {
 		t.Fatal("golden testbench reports a syntax error")
 	}

@@ -45,7 +45,7 @@ func TestStoreDifferentialCoreRun(t *testing.T) {
 		}
 		tb := r.Testbench
 		return cellResult{
-			trace: *r.Trace, scenarios: tb.Scenarios, driver: tb.DriverSource, checker: tb.CheckerSource, top: tb.CheckerTop,
+			trace: *r.Trace, scenarios: tb.Scenarios, driver: tb.Driver(), checker: tb.CheckerSource, top: tb.CheckerTop,
 			grade: g, tokensIn: tb.TokensIn, tokensOut: tb.TokensOut, checkerSticky: tb.CheckerSticky, planLen: len(tb.CheckerPlan.Sites),
 		}
 	}

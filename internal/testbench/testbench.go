@@ -88,10 +88,13 @@ type Testbench struct {
 	Problem   *dataset.Problem
 	Scenarios []Scenario
 
-	// DriverSource is the Verilog driver text (Eval0's driver track).
-	// It is emitted from the scenario list by EmitDriver (as AutoBench
-	// emits its driver), which records that the text parses; a text
-	// edited or corrupted afterwards is judged by parsing it.
+	// DriverSource is an explicit Verilog driver text (Eval0's driver
+	// track): a corrupted, edited or caller-supplied one. Empty means
+	// the driver EmitDriver renders from Scenarios, which always
+	// parses, so a testbench without an explicit driver passes Eval0's
+	// driver track and its text is rendered only when read (Driver).
+	// An explicit text is judged by parsing it, unless EmitDriver
+	// rendered it on this testbench.
 	DriverSource string
 
 	// CheckerSource is the checker module text (Eval0's checker track
@@ -110,7 +113,7 @@ type Testbench struct {
 	// Tokens spent generating this testbench (filled by generators).
 	TokensIn, TokensOut int
 
-	// driverSyntax is the driver's memoized Eval0 verdict (see
+	// driverSyntax is the explicit driver's memoized Eval0 verdict (see
 	// SyntaxOK), with the text it judged, so an in-place edit of
 	// DriverSource re-parses. EmitDriver stores the verdict on the text
 	// it emits.
@@ -153,6 +156,17 @@ func (tb *Testbench) traceStore() *TraceStore {
 	return tb.store.Load()
 }
 
+// Driver returns the driver text: DriverSource when it is set, else
+// the text EmitDriver renders from the scenarios. The rendered text is
+// not kept, so each call on a testbench without an explicit driver
+// renders it again.
+func (tb *Testbench) Driver() string {
+	if tb.DriverSource != "" {
+		return tb.DriverSource
+	}
+	return EmitDriver(tb)
+}
+
 // ScenarioCount returns the number of scenarios.
 func (tb *Testbench) ScenarioCount() int { return len(tb.Scenarios) }
 
@@ -185,16 +199,20 @@ func (r *RunResult) FailedScenarios() []int {
 }
 
 // SyntaxOK reports whether both testbench tracks parse, the Eval0
-// criterion for the testbench artifact itself. The driver's verdict is
-// memoized with the text it judged: it is parsed again only when its
-// source differs from the last one checked. A driver that EmitDriver
-// emitted on tb is already judged, so of a generation's driver only a
-// corrupted text is ever parsed, and only once. The checker's verdict
-// is the parse tb's trace store holds for its text, made once per text
-// and store, which simulation and lint then reuse. The driver is
-// checked first; a broken driver leaves the checker unparsed.
+// criterion for the testbench artifact itself. A testbench without an
+// explicit driver passes the driver track with nothing emitted or
+// parsed: the driver EmitDriver renders always parses. An explicit
+// driver's verdict is memoized with the text it judged: it is parsed
+// again only when its source differs from the last one checked, and a
+// text EmitDriver rendered on tb is already judged, so of a
+// generation's driver only a corrupted text is ever parsed, and only
+// once. The checker's verdict is the parse tb's trace store holds for
+// its text, made once per text and store, which simulation and lint
+// then reuse. The driver is checked first; a broken driver leaves the
+// checker unparsed.
 func (tb *Testbench) SyntaxOK() bool {
-	return driverOK(&tb.driverSyntax, tb.DriverSource) && tb.loadChecker().parseErr == nil
+	driverPasses := tb.DriverSource == "" || driverOK(&tb.driverSyntax, tb.DriverSource)
+	return driverPasses && tb.loadChecker().parseErr == nil
 }
 
 // syntaxVerdict is the driver's memoized Eval0 verdict on src.
@@ -255,8 +273,9 @@ func (tb *Testbench) CheckerFile() (*verilog.SourceFile, error) {
 }
 
 // WithChecker returns a new testbench with tb's stimulus and driver
-// and the given checker track: the corrector's rewrite. The driver's
-// Eval0 verdict carries over, since DriverSource is unchanged, and the
+// and the given checker track: the corrector's rewrite. An empty
+// DriverSource stays empty in the copy. The driver's Eval0 verdict
+// carries over, since DriverSource is unchanged, and the
 // copy shares tb's trace store: a checker text the store has seen is
 // not parsed, elaborated or recorded again, and the DUT side of every
 // scenario already recorded is replayed.
@@ -352,13 +371,11 @@ func Golden(p *dataset.Problem, rng *rand.Rand) (*Testbench, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb := &Testbench{
+	return &Testbench{
 		Problem:       p,
 		Scenarios:     scenarios,
 		CheckerSource: p.Source,
 		CheckerTop:    p.Top,
 		CheckerSticky: -1,
-	}
-	tb.DriverSource = EmitDriver(tb)
-	return tb, nil
+	}, nil
 }

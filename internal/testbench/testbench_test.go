@@ -155,12 +155,13 @@ func TestResetlessSEQFlushedByLoad(t *testing.T) {
 func TestDriverEmissionParsesAndRuns(t *testing.T) {
 	for _, name := range []string{"mux2_w4", "cnt4"} {
 		tb := golden(t, name)
-		if tb.DriverSource == "" {
+		driver := tb.Driver()
+		if driver == "" {
 			t.Fatalf("%s: empty driver", name)
 		}
-		f, err := verilog.Parse(tb.DriverSource + "\n" + tb.Problem.Source)
+		f, err := verilog.Parse(driver + "\n" + tb.Problem.Source)
 		if err != nil {
-			t.Fatalf("%s: driver does not parse: %v\n%s", name, err, tb.DriverSource)
+			t.Fatalf("%s: driver does not parse: %v\n%s", name, err, driver)
 		}
 		d, err := sim.ElaborateContext(context.Background(), f, tb.Problem.Name+"_tb")
 		if err != nil {
@@ -183,23 +184,32 @@ func TestSyntaxOK(t *testing.T) {
 	if !tb.SyntaxOK() {
 		t.Fatal("golden TB reports syntax error")
 	}
-	tb.DriverSource = tb.DriverSource[:len(tb.DriverSource)/2]
+	driver := tb.Driver()
+	tb.DriverSource = driver[:len(driver)/2]
 	if tb.SyntaxOK() {
 		t.Error("truncated driver reported as OK")
 	}
 }
 
-// TestSyntaxOKMemo pins the per-track Eval0 memo: a freshly emitted
-// driver is already judged, an in-place edit of either track is
-// re-judged in both directions, a WithChecker copy keeps the driver
-// verdict but judges its own checker, an unchanged testbench is not
-// parsed again (no allocations), and concurrent callers on one shared
-// testbench agree.
+// TestSyntaxOKMemo pins the per-track Eval0 memo: a testbench without
+// an explicit driver passes the driver track with nothing emitted or
+// parsed, a freshly emitted driver is already judged, an in-place edit
+// of either track is re-judged in both directions, a WithChecker copy
+// keeps the driver verdict but judges its own checker, an unchanged
+// testbench is not parsed again (no allocations), and concurrent
+// callers on one shared testbench agree.
 func TestSyntaxOKMemo(t *testing.T) {
 	tb := golden(t, "cnt8")
-	driver, checker := tb.DriverSource, tb.CheckerSource
+	if tb.DriverSource != "" || !tb.SyntaxOK() || tb.driverSyntax.Load() != nil {
+		t.Fatalf("golden testbench: DriverSource %d bytes, driver memo %+v; want an empty driver passing Eval0 with no memo",
+			len(tb.DriverSource), tb.driverSyntax.Load())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tb.SyntaxOK() }); allocs != 0 {
+		t.Errorf("SyntaxOK without an explicit driver allocates %.1f times per call, want 0 (emitted or parsed)", allocs)
+	}
+	driver, checker := tb.Driver(), tb.CheckerSource
 	if v := tb.driverSyntax.Load(); v == nil || v.src != driver || !v.ok {
-		t.Fatalf("freshly emitted driver's memo = %+v, want (DriverSource, true)", v)
+		t.Fatalf("freshly emitted driver's memo = %+v, want (Driver(), true)", v)
 	}
 	broken := func(src string) string { return src[:len(src)/2] }
 	for _, tc := range []struct {

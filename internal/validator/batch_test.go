@@ -65,7 +65,6 @@ func oscillatingChecker(tb *testbench.Testbench, trigger string) *testbench.Test
 	bad := tb.WithChecker(strings.Replace(tb.CheckerSource, "endmodule",
 		"wire cb_osc;\nassign cb_osc = (|"+trigger+") ? ~cb_osc : 1'b0;\nendmodule", 1),
 		tb.CheckerPlan, tb.CheckerSticky)
-	bad.DriverSource = testbench.EmitDriver(bad)
 	return bad
 }
 
@@ -283,7 +282,6 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 		t.Fatal(err)
 	}
 	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
-	tb.DriverSource = testbench.EmitDriver(tb)
 	warm := newGroup()
 	ref, ok, err := v.BuildMatrixContext(context.Background(), tb, warm)
 	if err != nil || !ok {
@@ -360,7 +358,6 @@ func TestBatchValidationRoundTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
-	tb.DriverSource = testbench.EmitDriver(tb)
 	v := &validator.Validator{Criterion: validator.Wrong70}
 
 	round := func(tb *testbench.Testbench) map[string]int {
@@ -519,7 +516,6 @@ func TestBatchReplayInterpreterRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			clean := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
-			clean.DriverSource = testbench.EmitDriver(clean)
 			want, _ := oracleMatrix(t, clean, cands)
 			// The first mutant checker that changes the matrix.
 			var tb *testbench.Testbench
@@ -598,7 +594,6 @@ func TestBatchReplayReboot(t *testing.T) {
 				t.Fatal(err)
 			}
 			next := &testbench.Testbench{Problem: c.p, Scenarios: scs, CheckerSource: c.tb.CheckerSource, CheckerTop: c.tb.CheckerTop, CheckerSticky: -1}
-			next.DriverSource = testbench.EmitDriver(next)
 			if runs := c.round(t, "rebooted driver", next); runs != 2 {
 				t.Errorf("rebooted round: %d sim_run, want 2 (checker trace + lanes)", runs)
 			}

@@ -211,7 +211,6 @@ func TestEndToEndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
-	clean.DriverSource = testbench.EmitDriver(clean)
 	v := &Validator{Criterion: Wrong70}
 	rep, err := v.ValidateContext(context.Background(), clean, group)
 	if err != nil {
@@ -238,7 +237,6 @@ func TestEndToEndValidation(t *testing.T) {
 	if faulty == nil {
 		t.Fatal("could not build an observably faulty checker")
 	}
-	faulty.DriverSource = testbench.EmitDriver(faulty)
 	rep, err = v.ValidateContext(context.Background(), faulty, group)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(tb.DriverSource)
+		f.Add(tb.Driver())
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		f1, err := verilog.Parse(src)

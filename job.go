@@ -61,6 +61,13 @@ type Job struct {
 	// and internally synchronized.
 	trace    *obs.JobTrace
 	observer *obs.Observer
+
+	// cellHook, when non-nil (tests only), sees the job's cells in one
+	// order with every other job's: called with finished false in the
+	// worker goroutine just before a cell is simulated
+	// (harness.Config.CellHook), and with finished true as each cell's
+	// event is released, before the run returns.
+	cellHook func(job string, index int, finished bool)
 }
 
 // ID returns the job's client-assigned identifier.
@@ -255,7 +262,13 @@ func (j *Job) run(ctx context.Context, hcfg harness.Config) {
 		Reps: hcfg.Reps, TotalCells: j.total,
 	})
 
+	if j.cellHook != nil {
+		hcfg.CellHook = func(index int) { j.cellHook(j.id, index, false) }
+	}
 	hcfg.OnCell = func(ev harness.CellEvent) {
+		if j.cellHook != nil {
+			j.cellHook(j.id, ev.Index, true)
+		}
 		j.publish(CellFinished{
 			Index: ev.Index, Method: string(ev.Method), Rep: ev.Rep,
 			Problem: ev.Problem, Outcome: ev.Outcome, Duration: ev.Duration,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -15,17 +16,11 @@ import (
 // loadJobResult is what one concurrent streaming job observed.
 type loadJobResult struct {
 	cells []int // cell indices in arrival order
-	// started is when the job's first cell began executing: its
-	// arrival minus its reported execution time. Canonical cell 0 is
-	// released as soon as it finishes, so this is the moment the job
-	// started running, free of how much work its seed carries.
-	started time.Time
-	done    time.Time
-	err     error
+	err   error
 }
 
 // streamLoadJob submits one streaming experiment and drains it,
-// recording cell arrival order and timing.
+// recording cell arrival order.
 func streamLoadJob(base string, spec ExperimentSpec) loadJobResult {
 	var res loadJobResult
 	resp := func() *http.Response {
@@ -54,9 +49,6 @@ func streamLoadJob(base string, spec ExperimentSpec) loadJobResult {
 		}
 		switch e := ev.(type) {
 		case CellFinished:
-			if len(res.cells) == 0 {
-				res.started = time.Now().Add(-e.Duration)
-			}
 			res.cells = append(res.cells, e.Index)
 		case JobDone:
 			if e.Err != nil {
@@ -72,9 +64,7 @@ func streamLoadJob(base string, spec ExperimentSpec) loadJobResult {
 	}
 	if !finished {
 		res.err = fmt.Errorf("stream ended without job_done")
-		return res
 	}
-	res.done = time.Now()
 	return res
 }
 
@@ -87,6 +77,91 @@ func postStream(base string, spec ExperimentSpec) (*http.Response, error) {
 		return nil, err
 	}
 	return http.Post(base+"/v1/experiments", "application/json", bytes.NewReader(raw))
+}
+
+// cellMark is one entry of the cell order recorded across jobs: a
+// cell dispatched to a worker, or a cell whose event was released.
+type cellMark struct {
+	job      string
+	index    int
+	finished bool
+}
+
+// cellOrder records the cells of concurrent jobs as one sequence
+// through the client's cell hook. Every dispatched cell is held in the
+// hook until each of the jobs has dispatched its first cell (or the
+// deadline passes), so how the goroutines that submit the jobs are
+// scheduled cannot let one job finish before another's request reaches
+// its pool: the order then depends only on the pools. A pool that
+// cannot run every job's first cell at once (say, one that queues jobs
+// behind each other) waits out the deadline and lets a job finish
+// before the next job's first dispatch.
+type cellOrder struct {
+	jobs     int
+	deadline time.Time
+
+	mu      sync.Mutex
+	marks   []cellMark
+	started map[string]bool
+	all     chan struct{} // closed once every job dispatched a cell
+}
+
+func newCellOrder(jobs int, wait time.Duration) *cellOrder {
+	return &cellOrder{jobs: jobs, deadline: time.Now().Add(wait), started: map[string]bool{}, all: make(chan struct{})}
+}
+
+func (o *cellOrder) hook(job string, index int, finished bool) {
+	o.mu.Lock()
+	o.marks = append(o.marks, cellMark{job, index, finished})
+	if !finished && !o.started[job] {
+		o.started[job] = true
+		if len(o.started) == o.jobs {
+			close(o.all)
+		}
+	}
+	o.mu.Unlock()
+	if !finished {
+		select {
+		case <-o.all:
+		case <-time.After(time.Until(o.deadline)):
+		}
+	}
+}
+
+// starved checks the recorded order: every job's first cell must be
+// dispatched before any job's last cell completes (its event, the
+// last of the job's cells in canonical order, is released right after
+// the job's last cell finishes). It returns one message per violation.
+func (o *cellOrder) starved(cellsPerJob int) []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	first, last := map[string]int{}, map[string]int{}
+	for pos, m := range o.marks {
+		if _, ok := first[m.job]; !ok && !m.finished {
+			first[m.job] = pos
+		}
+		if m.finished && m.index == cellsPerJob-1 {
+			last[m.job] = pos
+		}
+	}
+	if len(first) != o.jobs || len(last) != o.jobs {
+		return []string{fmt.Sprintf("recorded %d jobs dispatching and %d completing, want %d each", len(first), len(last), o.jobs)}
+	}
+	doneJob, donePos := "", len(o.marks)
+	for job, pos := range last {
+		if pos < donePos {
+			doneJob, donePos = job, pos
+		}
+	}
+	var out []string
+	for job, pos := range first {
+		if pos > donePos {
+			out = append(out, fmt.Sprintf("job %s starved: its first cell was dispatched at step %d of the cell order, after job %s's last cell completed at step %d",
+				job, pos, doneJob, donePos))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestLoadConcurrentStreamingJobs is the CI load harness: N concurrent
@@ -108,10 +183,11 @@ func TestLoadConcurrentStreamingJobs(t *testing.T) {
 	run := func(t *testing.T) {
 		st := NewMemoryStore(0)
 		c := NewClient(WithStore(st))
+		order := newCellOrder(jobs, 10*time.Second)
+		c.cellHook = order.hook
 		ts := httptest.NewServer(NewServer(c))
 		t.Cleanup(ts.Close)
 
-		start := time.Now()
 		results := make([]loadJobResult, jobs)
 		var wg sync.WaitGroup
 		for i := 0; i < jobs; i++ {
@@ -123,7 +199,6 @@ func TestLoadConcurrentStreamingJobs(t *testing.T) {
 		}
 		wg.Wait()
 
-		var earliestDone, latestDone time.Time
 		for i, r := range results {
 			if r.err != nil {
 				t.Fatalf("job %d: %v", i, r.err)
@@ -136,26 +211,12 @@ func TestLoadConcurrentStreamingJobs(t *testing.T) {
 					t.Fatalf("job %d cell %d has index %d: canonical order violated", i, j, idx)
 				}
 			}
-			if earliestDone.IsZero() || r.done.Before(earliestDone) {
-				earliestDone = r.done
-			}
-			if r.done.After(latestDone) {
-				latestDone = r.done
-			}
 		}
-		// Fairness: every job must have started running its first cell
-		// by the time the fastest job finished (with a quarter-of-the-run
-		// slack for per-seed fixture warm-up) — concurrent jobs make
-		// progress together instead of queueing behind each other.
-		// Comparing start times, not first-cell arrivals, keeps a seed
-		// whose cell 0 is slow from reading as starved. Serialized
-		// execution puts the last job's start far past this bound.
-		slack := latestDone.Sub(start) / 4
-		for i, r := range results {
-			if r.started.After(earliestDone.Add(slack)) {
-				t.Errorf("job %d starved: first cell started at %v, but another job had fully finished by %v",
-					i, r.started.Sub(start), earliestDone.Sub(start))
-			}
+		// Fairness: concurrent jobs make progress together instead of
+		// queueing behind each other. This is an order, not a time, so
+		// it holds whatever the machine's load.
+		for _, msg := range order.starved(cellsPerJob) {
+			t.Error(msg)
 		}
 
 		// Zero lost cells, store-side: distinct seeds mean distinct cell

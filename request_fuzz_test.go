@@ -123,9 +123,10 @@ func FuzzGradeRequest(f *testing.F) {
 	})
 }
 
-// freshSyntaxOK is the unmemoized Eval0 reference: parse both tracks.
+// freshSyntaxOK is the unmemoized Eval0 reference: parse both tracks,
+// the driver as Driver() renders it.
 func freshSyntaxOK(tb *Testbench) bool {
-	if _, err := verilog.Parse(tb.DriverSource); err != nil {
+	if _, err := verilog.Parse(tb.Driver()); err != nil {
 		return false
 	}
 	_, err := verilog.Parse(tb.CheckerSource)
@@ -171,15 +172,7 @@ func TestWireTestbenchSyntaxOKMatchesFreshParse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.Name, m, err)
 			}
-			w := wireTestbench{CheckerSource: gtb.CheckerSource, CheckerTop: gtb.CheckerTop}
-			for _, sc := range gtb.Scenarios {
-				ws := wireScenario{Name: sc.Name}
-				for _, st := range sc.Steps {
-					ws.Steps = append(ws.Steps, st.Inputs)
-				}
-				w.Scenarios = append(w.Scenarios, ws)
-			}
-			body, err := json.Marshal(w)
+			body, err := json.Marshal(toWire(gtb))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +181,7 @@ func TestWireTestbenchSyntaxOKMatchesFreshParse(t *testing.T) {
 				t.Fatal(err)
 			}
 			tb := wireToTestbench(p, &back)
-			if _, err := verilog.Parse(tb.DriverSource); err != nil {
+			if _, err := verilog.Parse(tb.Driver()); err != nil {
 				t.Errorf("%s/%s: rebuilt driver does not parse: %v", p.Name, m, err)
 			}
 			if got, want := tb.SyntaxOK(), freshSyntaxOK(tb); got != want {
@@ -207,6 +200,19 @@ func TestWireTestbenchSyntaxOKMatchesFreshParse(t *testing.T) {
 	if linted == 0 {
 		t.Error("no wire checker has a lint diagnostic; the lint comparison checked only empty lists")
 	}
+}
+
+// toWire is the /v1/grade wire form of tb, as the benchmark sends it.
+func toWire(tb *Testbench) wireTestbench {
+	w := wireTestbench{CheckerSource: tb.CheckerSource, CheckerTop: tb.CheckerTop}
+	for _, sc := range tb.Scenarios {
+		ws := wireScenario{Name: sc.Name}
+		for _, st := range sc.Steps {
+			ws.Steps = append(ws.Steps, st.Inputs)
+		}
+		w.Scenarios = append(w.Scenarios, ws)
+	}
+	return w
 }
 
 // inRange reports whether an optional override is unset or in [lo, hi].

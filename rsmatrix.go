@@ -74,7 +74,6 @@ func (c *Client) RSMatrix(ctx context.Context, spec RSMatrixSpec) (*RSMatrixRepo
 	}
 
 	clean := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
-	clean.DriverSource = testbench.EmitDriver(clean)
 	rep := &RSMatrixReport{}
 	if rep.Clean, err = renderPanel(ctx, "CORRECT testbench (golden checker)", clean, group); err != nil {
 		return nil, err
@@ -99,7 +98,6 @@ func (c *Client) RSMatrix(ctx context.Context, spec RSMatrixSpec) (*RSMatrixRepo
 			return nil
 		}
 		tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: verilog.PrintModule(mod), CheckerTop: p.Top, CheckerSticky: -1}
-		tb.DriverSource = testbench.EmitDriver(tb)
 		if res, err := tb.RunAgainstSourceContext(ctx, p.Source, p.Top); err != nil || res.Pass() {
 			return nil // fault not observable (or the probe was cancelled)
 		}

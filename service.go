@@ -451,7 +451,9 @@ func statusFor(ctx context.Context, err error) int {
 
 // wireToTestbench rebuilds a gradable testbench from its wire form.
 // Unknown stimulus ports or a broken checker surface as grades
-// (Failed/Eval0) exactly as they would for a generated testbench.
+// (Failed/Eval0) exactly as they would for a generated testbench. The
+// driver is the one rendered from the scenarios, so a driver-track
+// syntax error does not survive the wire.
 func wireToTestbench(p *Problem, w *wireTestbench) *Testbench {
 	tb := &Testbench{
 		Problem:       p,
@@ -472,6 +474,5 @@ func wireToTestbench(p *Problem, w *wireTestbench) *Testbench {
 		}
 		tb.Scenarios = append(tb.Scenarios, scenario)
 	}
-	tb.DriverSource = testbench.EmitDriver(tb)
 	return tb
 }
