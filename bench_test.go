@@ -224,16 +224,13 @@ func BenchmarkSimTick(b *testing.B) {
 		SetInputUint(string, uint64) error
 		Tick(string) error
 	}
-	prog, err := sim.CompileBatch(d, []*sim.Design{d})
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := sim.CompileBatch(d, []*sim.Design{d})
 	for _, eng := range []struct {
 		name string
 		mk   func() ticker
 	}{
-		{sim.EngineBatched.String(), func() ticker { return sim.NewBatchInstance(prog) }},
-		{sim.EngineInterp.String(), func() ticker { return sim.NewInstance(d) }},
+		{"batched", func() ticker { return sim.NewBatchInstance(prog) }},
+		{"interp", func() ticker { return sim.NewInstance(d) }},
 	} {
 		b.Run(eng.name, func(b *testing.B) {
 			in := eng.mk()
@@ -247,38 +244,6 @@ func BenchmarkSimTick(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := in.Tick("clk"); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTestbenchRunEngines measures a full golden-TB run per
-// engine on a sequential problem (a one-lane batch against the
-// recorded checker trace vs the pooled interpreter instances).
-func BenchmarkTestbenchRunEngines(b *testing.B) {
-	p := dataset.ByName("det101")
-	d, err := p.Elaborate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, eng := range []sim.Engine{sim.EngineBatched, sim.EngineInterp} {
-		b.Run(eng.String(), func(b *testing.B) {
-			prev := sim.DefaultEngine
-			sim.DefaultEngine = eng
-			defer func() { sim.DefaultEngine = prev }()
-			tb, err := testbench.Golden(p, rand.New(rand.NewSource(1)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := tb.RunAgainstDesignContext(context.Background(), d)
-				if err != nil {
-					b.Fatalf("run failed: %v", err)
-				}
-				if !res.Pass() {
-					b.Fatalf("golden RTL failed scenarios %v", res.FailedScenarios())
 				}
 			}
 		})

@@ -15,8 +15,10 @@
 //     named clock N times, reporting steps/s. This is the mode the
 //     evaluation harness exercises. It runs -batch identical lanes of
 //     the design through one batch program, or one interpreter
-//     instance when the design does not batch-compile (e.g. it uses
-//     $display); the report names the engine that ran.
+//     instance when some body of the design runs on the interpreter's
+//     rules inside a batch program (BatchProgram.Interpreted: e.g. it
+//     uses $display, whose output only the interpreter prints); the
+//     report names the engine that ran.
 package main
 
 import (
@@ -92,8 +94,9 @@ func main() {
 
 // runCycles zeroes the inputs and drives the named clock for the
 // requested cycle count on the batch engine, or on the interpreter when
-// the design does not batch-compile, printing throughput as steps/s
-// (one step = one cycle of one lane; the interpreter is a single lane).
+// the batch program would run some body on the interpreter's rules,
+// printing throughput as steps/s (one step = one cycle of one lane; the
+// interpreter is a single lane).
 func runCycles(design *sim.Design, clock string, cycles, batch int, dump bool) {
 	if clock == "" || cycles <= 0 {
 		fail(errors.New("cycle mode needs both -clock and -cycles"))
@@ -102,13 +105,13 @@ func runCycles(design *sim.Design, clock string, cycles, batch int, dump bool) {
 		fail(errors.New("-batch must be at least 1"))
 	}
 	start := time.Now()
-	eng, lanes, sched := sim.EngineBatched, batch, "event"
+	eng, lanes, sched := "batched", batch, "event"
 	variants := make([]*sim.Design, batch)
 	for i := range variants {
 		variants[i] = design
 	}
 	var get func(name string) (logic.Vector, error)
-	if prog, err := sim.CompileBatch(design, variants); err == nil {
+	if prog := sim.CompileBatch(design, variants); !prog.Interpreted() {
 		b := sim.NewBatchInstance(prog)
 		if err := b.ZeroInputs(); err != nil {
 			fail(err)
@@ -126,8 +129,8 @@ func runCycles(design *sim.Design, clock string, cycles, batch int, dump bool) {
 		}
 		get = func(name string) (logic.Vector, error) { return b.Get(name, 0) }
 	} else {
-		fmt.Fprintf(os.Stderr, "vsim: %v; running on the interpreter\n", err)
-		eng, lanes = sim.EngineInterp, 1
+		fmt.Fprintln(os.Stderr, "vsim: the design has bodies the batch compiler leaves to the interpreter; running on the interpreter")
+		eng, lanes = "interp", 1
 		inst := sim.NewInstance(design)
 		inst.Stdout = os.Stdout
 		if err := inst.ZeroInputs(); err != nil {

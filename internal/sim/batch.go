@@ -23,12 +23,16 @@ package sim
 // Either way each lane is bit-identical to a scalar Instance of the
 // same design: per-lane dirty sets, per-lane bootstrap, per-lane NBA
 // queues (including the queue surviving a no-edge propagate) all
-// replicate instance.go exactly.
+// replicate instance.go exactly. A body the compiler cannot fold (see
+// batch_compile.go) runs the interpreter's own exec on its lane
+// (laneState), so every design compiles; such a program runs
+// event-driven.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
@@ -62,6 +66,10 @@ type BatchProgram struct {
 	levelized  bool
 	levelOrder []int32 // comb ordinals sorted by (level, ordinal)
 
+	// interpreted marks programs where some lane runs a body on the
+	// interpreter's rules (batchCompiler.body).
+	interpreted bool
+
 	// deferInputs marks batches whose settled state is a pure function
 	// of the final input values: levelized, no sequential processes,
 	// and no loop or nonblocking construct in any lane's comb bodies.
@@ -75,22 +83,24 @@ type BatchProgram struct {
 
 // ErrBatchNotStatic marks variants the strict compile (CompileBatchSplit)
 // rejected from a levelized program because their combinational region
-// is not provably static. Such variants batch fine under event-driven
+// is not provably static, or because a body of theirs runs on the
+// interpreter's rules. Such variants batch fine under event-driven
 // scheduling — the split gives them their own event program instead of
 // dragging the whole batch off the levelized schedule.
 var ErrBatchNotStatic = errors.New("sim: batch: variant is not static")
 
-// CompileBatch compiles base and as many of the variants as can share
-// its program. It fails only when the base itself cannot be fully
-// batch-compiled (dynamic constructs, display tasks, delays) — then
-// the caller simulates every design on the interpreter. Individual
-// variants that are structurally incompatible or whose changed bodies
-// cannot be compiled are rejected (RejectReason) and simply get no
-// lane; the caller simulates those few on the interpreter.
-// One non-static variant drops the whole batch to event-driven mode
-// (no lane is lost); use CompileBatchSplit to keep the static majority
-// levelized instead.
-func CompileBatch(base *Design, variants []*Design) (*BatchProgram, error) {
+// errInterpreted is why a variant with a body left to the interpreter's
+// rules is not static.
+var errInterpreted = errors.New("a body runs on the interpreter")
+
+// CompileBatch compiles base and every variant that can share its
+// program. A variant whose signal layout, ports or process structure
+// differ from base's is rejected (RejectReason) and gets no lane; the
+// caller compiles such a design as a program of its own. Any one body
+// with an interpreted part, or one non-static variant, drops the whole
+// batch to event-driven mode (no lane is lost); use CompileBatchSplit
+// to keep the static majority levelized instead.
+func CompileBatch(base *Design, variants []*Design) *BatchProgram {
 	return compileBatch(base, variants, false)
 }
 
@@ -100,13 +110,10 @@ func CompileBatch(base *Design, variants []*Design) (*BatchProgram, error) {
 // those. The second return value gives, per program, the original
 // variant index of each of that program's variants. When the base is
 // not static (or levelization fails) the result degrades to the single
-// program CompileBatch would build. Errors only when the base itself
-// cannot batch-compile.
-func CompileBatchSplit(base *Design, variants []*Design) ([]*BatchProgram, [][]int, error) {
-	p1, err := compileBatch(base, variants, true)
-	if err != nil {
-		return nil, nil, err
-	}
+// program CompileBatch would build. Layout-incompatible variants get
+// no lane in either program.
+func CompileBatchSplit(base *Design, variants []*Design) ([]*BatchProgram, [][]int) {
+	p1 := compileBatch(base, variants, true)
 	all := make([]int, len(variants))
 	for i := range all {
 		all[i] = i
@@ -118,29 +125,21 @@ func CompileBatchSplit(base *Design, variants []*Design) ([]*BatchProgram, [][]i
 		}
 	}
 	if len(ev) == 0 {
-		return []*BatchProgram{p1}, [][]int{all}, nil
+		return []*BatchProgram{p1}, [][]int{all}
 	}
 	if !p1.Levelized() {
 		// The strict rejections bought nothing (levelization failed
 		// anyway); reclaim those lanes into one event program.
-		p, err := compileBatch(base, variants, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*BatchProgram{p}, [][]int{all}, nil
+		return []*BatchProgram{compileBatch(base, variants, false)}, [][]int{all}
 	}
 	sub := make([]*Design, len(ev))
 	for i, vi := range ev {
 		sub[i] = variants[vi]
 	}
-	p2, err := compileBatch(base, sub, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return []*BatchProgram{p1, p2}, [][]int{all, ev}, nil
+	return []*BatchProgram{p1, compileBatch(base, sub, false)}, [][]int{all, ev}
 }
 
-func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram, error) {
+func compileBatch(base *Design, variants []*Design, strict bool) *BatchProgram {
 	bc := &batchCompiler{d: base, env: staticEnv{base}}
 	prog := &BatchProgram{base: base, variants: variants}
 
@@ -149,10 +148,8 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 	prog.combNames = make([]string, nComb)
 	prog.combSens = make([][]int32, nComb)
 	for ord, p := range base.combProcs {
-		code, err := bc.stmt(p.Body)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch: %s: %v", p.Name, err)
-		}
+		code, folded := bc.body(p.Body)
+		prog.interpreted = prog.interpreted || !folded
 		prog.combCode[ord] = code
 		prog.combNames[ord] = p.Name
 		prog.combSens[ord] = sensSlots(base, p)
@@ -160,10 +157,8 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 	prog.seqCode = make([]bStmt, nSeq)
 	prog.seqNames = make([]string, nSeq)
 	for ord, p := range base.seqProcs {
-		code, err := bc.stmt(p.Body)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch: %s: %v", p.Name, err)
-		}
+		code, folded := bc.body(p.Body)
+		prog.interpreted = prog.interpreted || !folded
 		prog.seqCode[ord] = code
 		prog.seqNames[ord] = p.Name
 	}
@@ -185,7 +180,7 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 	}
 
 	baseStatic, baseErr := analyzeStatic(base)
-	allStatic := baseErr == nil
+	allStatic := baseErr == nil && !prog.interpreted
 	var statics []*combStatic
 	if allStatic {
 		statics = append(statics, baseStatic)
@@ -208,7 +203,7 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 			continue
 		}
 		var patches []patch
-		var bad error
+		interp := false
 		for i, bp := range base.Procs {
 			if bp.Kind != ProcComb && bp.Kind != ProcSeq {
 				continue // initial/timed bodies never run under the cycle API
@@ -225,25 +220,23 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 			if verilog.StmtString(vp.Body) == bs {
 				continue
 			}
-			code, err := bc.stmt(vp.Body) // slots are identical, compile against base
-			if err != nil {
-				bad = fmt.Errorf("sim: batch: %s: %v", bp.Name, err)
-				break
-			}
+			code, folded := bc.body(vp.Body) // slots are identical, compile against base
+			interp = interp || !folded
 			pt := patch{comb: bp.Kind == ProcComb, ord: ordOf[i], code: code}
 			if pt.comb {
 				pt.sens = sensSlots(base, vp)
 			}
 			patches = append(patches, pt)
 		}
-		if bad != nil {
-			prog.rejected[vi] = bad
-			continue
-		}
 		vs := baseStatic
 		if allStatic && v != base {
 			var serr error
-			if vs, serr = analyzeStatic(v); serr != nil {
+			if interp {
+				serr = errInterpreted
+			} else {
+				vs, serr = analyzeStatic(v)
+			}
+			if serr != nil {
 				if strict {
 					// Keep the batch levelized: this variant gets no
 					// lane here and belongs in an event-driven program
@@ -256,6 +249,7 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 				allStatic = false
 			}
 		}
+		prog.interpreted = prog.interpreted || interp
 		lane := len(prog.laneDesign)
 		prog.laneDesign = append(prog.laneDesign, v)
 		prog.laneVariant = append(prog.laneVariant, vi)
@@ -306,7 +300,7 @@ func compileBatch(base *Design, variants []*Design, strict bool) (*BatchProgram,
 		}
 		prog.deferInputs = safe
 	}
-	return prog, nil
+	return prog
 }
 
 // combDeferSafe reports whether a design's comb bodies are free of the
@@ -343,6 +337,12 @@ func (p *BatchProgram) Lanes() int { return p.n }
 // Levelized reports whether the batch runs on the levelized static
 // schedule (true) or the per-lane event-driven fallback (false).
 func (p *BatchProgram) Levelized() bool { return p.levelized }
+
+// Interpreted reports whether some lane runs a process body on the
+// interpreter's rules rather than as a folded closure: a display task,
+// $finish, a delay control, or a width or span that depends on a
+// signal value. Such a body's $display output is discarded.
+func (p *BatchProgram) Interpreted() bool { return p.interpreted }
 
 // VariantLane maps an index into the variants slice passed to
 // CompileBatch to its lane, or -1 when the variant was rejected.
@@ -385,8 +385,12 @@ type BatchInstance struct {
 	edgePos []bool
 	edgeNeg []bool
 
-	// Now is the current simulation time (cycle count ×10).
-	Now uint64
+	// views[lane] is the lane as interpreter state, for interpreted
+	// bodies; nil unless the program has some.
+	views []laneState
+	// sys is the system-task state every lane shares: the time, $display
+	// output (discarded) and $finish's flag, which nothing reads.
+	sys sysState
 
 	ctx context.Context
 }
@@ -415,10 +419,17 @@ func NewBatchInstance(prog *BatchProgram) *BatchInstance {
 		edgeChg:   make([]bool, len(d.edgeSlots)),
 		edgePos:   make([]bool, len(d.edgeSlots)),
 		edgeNeg:   make([]bool, len(d.edgeSlots)),
+		sys:       sysState{Stdout: io.Discard},
 		nActive:   n,
 	}
 	for lane := 0; lane < n; lane++ {
 		b.active[lane] = true
+	}
+	if prog.interpreted {
+		b.views = make([]laneState, n)
+		for lane := range b.views {
+			b.views[lane] = laneState{b, int32(lane)}
+		}
 	}
 	b.Reset()
 	return b
@@ -453,7 +464,7 @@ func (b *BatchInstance) Reset() {
 		b.ranAny[lane] = false
 		b.nba[lane] = b.nba[lane][:0]
 	}
-	b.Now = 0
+	b.sys.Now, b.sys.Finished = 0, false
 }
 
 // Restart returns the instance to the state NewBatchInstance leaves it
@@ -578,11 +589,11 @@ func (b *BatchInstance) Tick(clk string) error {
 	if err := b.SetInputUint(clk, 1); err != nil {
 		return err
 	}
-	b.Now += 5
+	b.sys.Now += 5
 	if err := b.SetInputUint(clk, 0); err != nil {
 		return err
 	}
-	b.Now += 5
+	b.sys.Now += 5
 	return nil
 }
 
@@ -644,6 +655,28 @@ func (b *BatchInstance) applyWrite(lane int32, w resolvedWrite) {
 		b.markDirty(lane, w.slot)
 	}
 }
+
+// laneState is one lane of a BatchInstance as interpreter state: a body
+// the batch compiler leaves to the interpreter's rules runs exec on it,
+// reading and writing that lane's slots.
+type laneState struct {
+	b    *BatchInstance
+	lane int32
+}
+
+func (v *laneState) readSignal(name string) (logic.Vector, error) {
+	return v.b.Get(name, int(v.lane))
+}
+
+func (v *laneState) signalWidth(name string) (int, bool) { return v.b.prog.base.signalWidth(name) }
+
+func (v *laneState) layout() *Design { return v.b.prog.base }
+
+func (v *laneState) applyWrite(w resolvedWrite) { v.b.applyWrite(v.lane, w) }
+
+func (v *laneState) queueNBA(w resolvedWrite) { v.b.nba[v.lane] = append(v.b.nba[v.lane], w) }
+
+func (v *laneState) sys() *sysState { return &v.b.sys }
 
 // propagate advances every active lane to quiescence.
 func (b *BatchInstance) propagate() error {

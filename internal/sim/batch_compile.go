@@ -1,6 +1,6 @@
 package sim
 
-// Per-lane compilation for the SoA batch engine (EngineBatched).
+// Per-lane compilation for the SoA batch engine.
 //
 // Process bodies compile into closures that take a (BatchInstance,
 // lane) pair and read and write the flat [slot][lane] state block.
@@ -13,12 +13,11 @@ package sim
 // (TestBatchDifferentialMicro, FuzzBatchLaneMatchesInterp and the
 // testbench-level differentials assert this across the dataset).
 //
-// A construct whose widths or spans depend on signal values is a hard
-// error here (errDynamic): a batch program has no interpreter to fall
-// back to, so the caller falls back to the interpreter for the whole
-// design (CompileBatch error) or for one variant (lane rejection).
-// Display-family system tasks and $finish/$stop are rejected too —
-// they would need per-lane I/O and finish state.
+// A body the closures cannot express — a width or span that depends on
+// a signal value (errDynamic), a display task, $finish/$stop or a delay
+// control — is not folded at all: body compiles it to a closure that
+// runs the interpreter's own exec on the lane (laneState), so one copy
+// of each rule serves both engines and every design compiles.
 
 import (
 	"fmt"
@@ -486,7 +485,16 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 	}
 }
 
-// stmt compiles a statement, mirroring Instance.exec.
+// body compiles a process body. A body stmt rejects runs exec on the
+// lane instead; folded reports which one the closure does.
+func (bc *batchCompiler) body(s verilog.Stmt) (code bStmt, folded bool) {
+	if code, err := bc.stmt(s); err == nil {
+		return code, true
+	}
+	return func(b *BatchInstance, lane int32) error { return exec(&b.views[lane], s) }, false
+}
+
+// stmt compiles a statement, mirroring exec.
 func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 	switch x := s.(type) {
 	case nil, *verilog.Null:
@@ -680,14 +688,13 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 			// those calls never evaluate their arguments.
 			return bNoop, nil
 		default:
-			// $display and friends need per-lane output streams and
-			// $finish/$stop per-lane finish state: not batchable.
+			// Display tasks and $finish/$stop act on the lane's system
+			// state; the body runs on exec.
 			return nil, errDynamic
 		}
 
 	case *verilog.Delay:
-		// Delay controls error at runtime under the cycle API; a design
-		// using them in comb/seq processes stays on the interpreter.
+		// A delay control errors under the cycle API; exec reports it.
 		return nil, errDynamic
 
 	default:

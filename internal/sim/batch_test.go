@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -193,10 +192,7 @@ func TestBatchDifferentialMicro(t *testing.T) {
 				variants[i] = mustElab(t, tc.src, tc.top)
 				refs[i] = NewInstance(variants[i])
 			}
-			prog, err := CompileBatch(d, variants)
-			if err != nil {
-				t.Fatalf("CompileBatch: %v", err)
-			}
+			prog := CompileBatch(d, variants)
 			if prog.Lanes() != lanes {
 				for i := 0; i < lanes; i++ {
 					if r := prog.RejectReason(i); r != nil {
@@ -272,10 +268,7 @@ module m(input [3:0] a, input [6:0] b, input c, output [11:0] y, output [15:0] r
     assign r = {{2{a}}, {3{c}}, b[4:0]};
 endmodule`
 	d := mustElab(t, src, "m")
-	prog, err := CompileBatch(d, []*Design{d, mustElab(t, src, "m")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := CompileBatch(d, []*Design{d, mustElab(t, src, "m")})
 	b := NewBatchInstance(prog)
 	if err := b.ZeroInputs(); err != nil {
 		t.Fatal(err)
@@ -306,10 +299,7 @@ func TestBatchModeSelection(t *testing.T) {
 	for _, tc := range batchExtraModules {
 		t.Run(tc.name, func(t *testing.T) {
 			d := mustElab(t, tc.src, tc.top)
-			prog, err := CompileBatch(d, []*Design{mustElab(t, tc.src, tc.top)})
-			if err != nil {
-				t.Fatalf("CompileBatch: %v", err)
-			}
+			prog := CompileBatch(d, []*Design{mustElab(t, tc.src, tc.top)})
 			if prog.Levelized() != tc.wantLevelized {
 				t.Errorf("levelized = %v, want %v", prog.Levelized(), tc.wantLevelized)
 			}
@@ -413,10 +403,7 @@ endmodule`},
 				variants[i] = mustElab(t, src, tc.top)
 				refs[i] = NewInstance(variants[i])
 			}
-			prog, err := CompileBatch(base, variants)
-			if err != nil {
-				t.Fatalf("CompileBatch: %v", err)
-			}
+			prog := CompileBatch(base, variants)
 			if prog.Lanes() != len(variants) {
 				t.Fatalf("lanes = %d, want %d", prog.Lanes(), len(variants))
 			}
@@ -496,10 +483,7 @@ module m(input [3:0] a, output [3:0] y);
     assign y = t + 4'd1;
 endmodule`, "m")
 
-	prog, err := CompileBatch(base, []*Design{wrongWidth, good, extraSignal})
-	if err != nil {
-		t.Fatalf("CompileBatch: %v", err)
-	}
+	prog := CompileBatch(base, []*Design{wrongWidth, good, extraSignal})
 	if prog.Lanes() != 1 {
 		t.Fatalf("lanes = %d, want 1", prog.Lanes())
 	}
@@ -527,76 +511,189 @@ endmodule`, "m")
 	}
 }
 
-// TestBatchDisplayFallsBackWholesale pins what the batch compiler
-// refuses: a display task, and widths that depend on a signal value (a
-// part-select bound, a replication count, a part-select target). Such
-// a base cannot batch-compile at all; as a variant of a same-layout
-// static base it gets no lane while the base keeps its own. The
-// interpreter still simulates every body (a=5, s=2 gives want, as does
-// the static base's lane).
+// TestBatchDisplayFallsBackWholesale is the differential for bodies the
+// batch compiler leaves to the interpreter's rules (the name is from
+// when such a design fell back to the interpreter wholesale): display tasks
+// (arguments evaluated, text discarded), $finish/$stop in a sequential
+// block, delay controls in always bodies, a string literal as a
+// $display value, replications of count zero or of a signal value, and
+// part-selects whose bounds are signal values, read and written. Each
+// such design runs as the base of a two-lane program and as a patched
+// lane beside a same-layout base whose bodies fold. The program must
+// run event-driven, and every lane must equal an Instance of its design
+// after every step: each signal, and each error, text included.
 func TestBatchDisplayFallsBackWholesale(t *testing.T) {
+	// Every body reads k = a ^ key, which differs between the lanes: key
+	// is 0 in the static base, 5 in the design under test and 9 in its
+	// second copy.
 	cases := []struct {
-		name, ports, body, static, want string
+		name, body, static string
+		wantErr            bool // some lane errs
+	}{
+		{"display", `always @(*) begin y = k + 4'd1; $display("y=%d k=%b s=%h t=%t %0d%%", y, k, s, k); $write("w", k); $fdisplay(1, "f %d", s); end`,
+			`always @(*) begin y = k + 4'd1; end`, false},
+		{"finish_stop", `always @(posedge clk) begin y <= {s, k}; y[7] <= y[0]; if (k == 4'd3) $finish; if (s == 2'd1) $stop; end`,
+			`always @(posedge clk) begin y <= {s, k}; y[7] <= y[0]; end`, false},
+		{"delay_seq", `always @(posedge clk) begin y <= k; if (s == 2'd1) #1 y <= s; end`, `always @(posedge clk) begin y <= k; if (s == 2'd1) y <= s; end`, true},
+		{"delay_comb", `always @(*) begin y = k; if (s == 2'd1) #2 y = s; end`, `always @(*) begin y = k; if (s == 2'd1) y = s; end`, true},
+		{"string_value", `always @(*) begin y = k; if (s == 2'd3) $display("v", "text"); end`, `always @(*) begin y = k; end`, true},
+		{"zero_replication", `always @(*) begin y = k; if (s == 2'd2) y = {0{k}}; end`,
+			`always @(*) begin y = k; if (s == 2'd2) y = {2{k}}; end`, true},
+		{"replication_count", `always @(*) y = {s{k}};`, `always @(*) y = {2{k}};`, true},
+		{"part_select_bound", `always @(*) y = k[s:0] + k[3:s];`, `always @(*) y = k[2:0] + k[3:1];`, false},
+		{"part_select_target", `always @(*) begin y = 8'd0; y[s+3'd4:s] = k; end`,
+			`always @(*) begin y = 8'd0; y[5:1] = k; end`, false},
+	}
+	elab := func(t *testing.T, body string, key int) *Design {
+		t.Helper()
+		return mustElab(t, fmt.Sprintf("module m(input clk, input [3:0] a, input [1:0] s, output reg [7:0] y);\n    wire [3:0] k;\n    assign k = a ^ 4'd%d;\n    %s\nendmodule", key, body), "m")
+	}
+	// check drives prog's lanes and an Instance of each lane's design
+	// (refs) through the same stimulus; it reports whether a lane erred.
+	check := func(t *testing.T, prog *BatchProgram, refs []*Design) bool {
+		t.Helper()
+		if !prog.Interpreted() || prog.Levelized() || prog.Lanes() != len(refs) {
+			t.Fatalf("interpreted=%v levelized=%v lanes=%d, want an event-driven interpreted program of %d lanes",
+				prog.Interpreted(), prog.Levelized(), prog.Lanes(), len(refs))
+		}
+		b := NewBatchInstance(prog)
+		ins := make([]*Instance, len(refs))
+		for i, d := range refs {
+			ins[i] = NewInstance(d)
+		}
+		dead := make([]bool, len(refs))
+		erred := false
+		step := func(label string, bf func() error, sf func(in *Instance) error) {
+			t.Helper()
+			if err := bf(); err != nil {
+				t.Fatalf("%s (batch): %v", label, err)
+			}
+			for lane, in := range ins {
+				if dead[lane] {
+					continue
+				}
+				ierr, berr := sf(in), b.LaneErr(lane)
+				if fmt.Sprint(berr) != fmt.Sprint(ierr) {
+					t.Fatalf("%s: lane %d: batch err=%v, interp err=%v", label, lane, berr, ierr)
+				}
+				if ierr != nil {
+					dead[lane], erred = true, true
+					continue
+				}
+				if bs, ss := batchSnapshot(t, b, lane), snapshot(t, in); bs != ss {
+					t.Fatalf("%s: lane %d diverges\nbatch:\n%s\ninterp:\n%s", label, lane, bs, ss)
+				}
+			}
+		}
+		step("zero", b.ZeroInputs, func(in *Instance) error { return in.ZeroInputs() })
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 40; i++ {
+			for _, p := range []struct {
+				name  string
+				width int
+			}{{"s", 2}, {"a", 4}} {
+				v := logic.FromUint64(p.width, rng.Uint64())
+				if i%4 == 0 {
+					for bit := 0; bit < p.width; bit++ {
+						v.SetBit(bit, logic.Bit(rng.Intn(4)))
+					}
+				}
+				step(p.name,
+					func() error { return b.SetInput(p.name, v) },
+					func(in *Instance) error { return in.SetInput(p.name, v) })
+			}
+			step("tick", func() error { return b.Tick("clk") }, func(in *Instance) error { return in.Tick("clk") })
+		}
+		return erred
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dyn, dyn2, static := elab(t, tc.body, 5), elab(t, tc.body, 9), elab(t, tc.static, 0)
+			if CompileBatch(static, []*Design{static}).Interpreted() {
+				t.Fatalf("the static base %s does not fold", tc.static)
+			}
+			if erred := check(t, CompileBatch(dyn, []*Design{dyn, dyn2}), []*Design{dyn, dyn2}); erred != tc.wantErr {
+				t.Errorf("as the base: a lane erred = %v, want %v", erred, tc.wantErr)
+			}
+			prog := CompileBatch(static, []*Design{static, dyn})
+			if prog.VariantLane(1) != 1 {
+				t.Fatalf("the patched variant got lane %d (reason %v)", prog.VariantLane(1), prog.RejectReason(1))
+			}
+			if erred := check(t, prog, []*Design{static, dyn}); erred != tc.wantErr {
+				t.Errorf("as a patched lane: a lane erred = %v, want %v", erred, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestRuntimeWidthKnownAnswers pins the values of the interpreter's
+// rules for bodies the batch compiler does not fold, which the
+// lane-vs-Instance differential above cannot see (both sides run the
+// same rules): a display task next to a blocking write, a part-select
+// read and write whose bound is a signal value, and a replication
+// whose count is one. With a = 5 and s = 1, 2 and 3, an Instance, a
+// lane of a program whose base is the design, and a patched lane
+// beside a base that folds must all give the expected y.
+func TestRuntimeWidthKnownAnswers(t *testing.T) {
+	cases := []struct {
+		name, ports, body, static string
+		want                      [3]string // y at s = 1, 2, 3
 	}{
 		{"display", "input [3:0] a, input [1:0] s, output reg [3:0] y",
 			`always @(*) begin y = a + 4'd1; $display("y=%d", y); end`,
-			`always @(*) begin y = a + 4'd1; end`, "0110"},
+			`always @(*) begin y = a + 4'd1; end`, [3]string{"0110", "0110", "0110"}},
 		{"part_select_bound", "input [3:0] a, input [1:0] s, output [3:0] y",
-			`assign y = a[s:0];`, `assign y = a[2:0];`, "0101"},
+			`assign y = a[s:0];`, `assign y = a[2:0];`, [3]string{"0001", "0101", "0101"}},
 		{"replication_count", "input [3:0] a, input [1:0] s, output [7:0] y",
-			`assign y = {s{a}};`, `assign y = {2{a}};`, "01010101"},
+			`assign y = {s{a}};`, `assign y = {2{a}};`, [3]string{"00000101", "01010101", "01010101"}},
 		{"part_select_target", "input [3:0] a, input [1:0] s, output reg [3:0] y",
 			`always @(*) begin y = 0; y[s:0] = a; end`,
-			`always @(*) begin y = 0; y[2:0] = a; end`, "0101"},
+			`always @(*) begin y = 0; y[2:0] = a; end`, [3]string{"0001", "0101", "0101"}},
 	}
 	elab := func(t *testing.T, ports, body string) *Design {
 		return mustElab(t, fmt.Sprintf("module m(%s);\n    %s\nendmodule", ports, body), "m")
 	}
-	// s first: {0{a}} is an invalid replication count.
-	drive := func(t *testing.T, in interface {
-		SetInputUint(name string, v uint64) error
-	}) {
-		t.Helper()
-		for _, p := range []struct {
-			name string
-			v    uint64
-		}{{"s", 2}, {"a", 5}} {
-			if err := in.SetInputUint(p.name, p.v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dyn := elab(t, tc.ports, tc.body)
-			if _, err := CompileBatch(dyn, nil); err == nil || !strings.Contains(err.Error(), "not statically compilable") {
-				t.Fatalf("CompileBatch(%s) = %v, want not statically compilable", tc.body, err)
+			dyn, static := elab(t, tc.ports, tc.body), elab(t, tc.ports, tc.static)
+			patched := CompileBatch(static, []*Design{static, dyn})
+			if !patched.Interpreted() || patched.VariantLane(1) != 1 {
+				t.Fatalf("patched program: interpreted=%v, variant lane %d", patched.Interpreted(), patched.VariantLane(1))
 			}
 			in := NewInstance(dyn)
-			drive(t, in)
-			if got := in.MustGet("y").String(); got != tc.want {
-				t.Errorf("interpreter y = %s, want %s", got, tc.want)
-			}
-
-			base := elab(t, tc.ports, tc.static)
-			prog, err := CompileBatch(base, []*Design{base, dyn})
-			if err != nil {
-				t.Fatalf("CompileBatch(static base): %v", err)
-			}
-			if prog.Lanes() != 1 || prog.VariantLane(0) != 0 || prog.RejectReason(0) != nil {
-				t.Fatalf("base: lanes = %d, lane = %d, reason = %v", prog.Lanes(), prog.VariantLane(0), prog.RejectReason(0))
-			}
-			if prog.VariantLane(1) != -1 || prog.RejectReason(1) == nil {
-				t.Fatalf("dynamic variant got lane %d (reason %v)", prog.VariantLane(1), prog.RejectReason(1))
-			}
-			b := NewBatchInstance(prog)
-			drive(t, b)
-			v, err := b.Get("y", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := v.String(); got != tc.want {
-				t.Errorf("base lane y = %s, want %s", got, tc.want)
+			base, patch := NewBatchInstance(CompileBatch(dyn, []*Design{dyn})), NewBatchInstance(patched)
+			// s first, as {0{a}} is an invalid replication count.
+			for _, s := range []int{2, 1, 3} {
+				for _, p := range []struct {
+					name string
+					v    uint64
+				}{{"s", uint64(s)}, {"a", 5}} {
+					for _, err := range []error{in.SetInputUint(p.name, p.v), base.SetInputUint(p.name, p.v), patch.SetInputUint(p.name, p.v)} {
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				want := tc.want[s-1]
+				if got := in.MustGet("y").String(); got != want {
+					t.Errorf("s=%d: interpreter y = %s, want %s", s, got, want)
+				}
+				for _, l := range []struct {
+					label string
+					b     *BatchInstance
+					lane  int
+				}{{"base", base, 0}, {"patched", patch, 1}} {
+					v, err := l.b.Get("y", l.lane)
+					if err == nil {
+						err = l.b.LaneErr(l.lane)
+					}
+					if err != nil {
+						t.Fatalf("s=%d: %s lane: %v", s, l.label, err)
+					}
+					if got := v.String(); got != want {
+						t.Errorf("s=%d: %s lane y = %s, want %s", s, l.label, got, want)
+					}
+				}
 			}
 		})
 	}
@@ -622,10 +719,7 @@ module m(input [3:0] a, output [3:0] y, output [3:0] z);
     assign y = a + 4'd2;
     assign z = y;
 endmodule`, "m")
-	prog, err := CompileBatch(base, []*Design{osc, ok})
-	if err != nil {
-		t.Fatalf("CompileBatch: %v", err)
-	}
+	prog := CompileBatch(base, []*Design{osc, ok})
 	if prog.Levelized() {
 		t.Fatal("oscillating variant should force event-driven mode")
 	}
@@ -666,10 +760,7 @@ module c(input clk, input rst, input [3:0] d, output reg [3:0] q);
         else q <= q + d;
 endmodule`
 	d := mustElab(t, src, "c")
-	prog, err := CompileBatch(d, []*Design{mustElab(t, src, "c"), mustElab(t, src, "c")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := CompileBatch(d, []*Design{mustElab(t, src, "c"), mustElab(t, src, "c")})
 	b := NewBatchInstance(prog)
 	run := func(seed int64) string {
 		rng := rand.New(rand.NewSource(seed))
@@ -702,10 +793,7 @@ module m(input clk, input [7:0] d, output reg [7:0] q, output [7:0] y);
     always @(posedge clk) q <= d;
 endmodule`
 	d := mustElab(t, src, "m")
-	prog, err := CompileBatch(d, []*Design{mustElab(t, src, "m"), mustElab(t, src, "m")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := CompileBatch(d, []*Design{mustElab(t, src, "m"), mustElab(t, src, "m")})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -11,8 +11,8 @@ package sim
 // context widths, constant part-select bounds and replication counts —
 // with the interpreter's own rules (selfWidth, lhsWidth, constUint in
 // eval.go). Where the answer depends on signal values those rules
-// report not static and the compiler returns errDynamic; the testbench
-// recorder simulates a rejected design on the interpreter.
+// report not static and the compiler returns errDynamic; the body then
+// runs on those rules at run time (batchCompiler.body).
 
 import (
 	"errors"
@@ -20,33 +20,6 @@ import (
 	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
 )
-
-// Engine selects the simulator the testbench runner uses.
-type Engine int
-
-// Engines.
-const (
-	// EngineBatched compiles designs into structure-of-arrays batch
-	// programs (CompileBatch / BatchInstance) with levelized static
-	// scheduling; a single DUT runs as a one-lane batch.
-	EngineBatched Engine = iota
-	// EngineInterp walks the AST on an Instance, the reference oracle.
-	EngineInterp
-)
-
-// DefaultEngine is the process-wide reference switch. The testbench
-// recorder simulates on the batch engine (the interpreter for designs
-// the batch compiler rejects) unless DefaultEngine is EngineInterp,
-// which differential tests set to run the whole pipeline on the
-// interpreter.
-var DefaultEngine = EngineBatched
-
-func (e Engine) String() string {
-	if e == EngineInterp {
-		return "interp"
-	}
-	return "batched"
-}
 
 // edgeSens is a pre-resolved edge-sensitivity entry of a sequential
 // process: idx indexes the design's dense edge-watched signal list.

@@ -10,13 +10,12 @@
 //     advances every lane in lockstep under the cycle API (SetInput /
 //     Settle / Tick). Testbench validation, RS-matrix construction and
 //     mutant evaluation run on it; a single DUT is a one-lane batch.
+//     Every design compiles: a body the compiler cannot fold runs the
+//     interpreter's own statement rules on its lane.
 //   - the interpreter (Instance) walks the AST. It is the reference
-//     oracle the batch engine is tested against, the engine of every
-//     design the batch compiler rejects (recorded as a one-lane
-//     simulation by the same testbench recorder as batch lanes), and
-//     the only engine with event time: the timed scheduler (Run)
-//     executes initial blocks, delay-driven always blocks and $display
-//     for cmd/vsim.
+//     oracle the batch engine is tested against and the only engine
+//     with event time: the timed scheduler (Run) executes initial
+//     blocks, delay-driven always blocks and $display for cmd/vsim.
 package sim
 
 import (

@@ -132,10 +132,7 @@ type oneLane struct {
 
 func newOneLane(t *testing.T, d *Design) *oneLane {
 	t.Helper()
-	prog, err := CompileBatch(d, []*Design{d})
-	if err != nil {
-		t.Fatalf("CompileBatch: %v", err)
-	}
+	prog := CompileBatch(d, []*Design{d})
 	if prog.Lanes() != 1 {
 		t.Fatalf("design rejected from its own program: %v", prog.RejectReason(0))
 	}
@@ -258,16 +255,15 @@ func TestInstanceResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestCompiledCoverage asserts the batch compiler handles every
-// process of the micro corpus as a one-lane program (no silent
-// interpreter fallback hiding coverage).
+// TestCompiledCoverage asserts the batch compiler folds every process
+// of the micro corpus into closures in a one-lane program (no body
+// left to the interpreter's rules hiding coverage).
 func TestCompiledCoverage(t *testing.T) {
 	for _, tc := range engineDiffModules {
 		d := mustElab(t, tc.src, tc.top)
-		prog, err := CompileBatch(d, []*Design{d})
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
+		prog := CompileBatch(d, []*Design{d})
+		if prog.Interpreted() {
+			t.Errorf("%s: a body runs on the interpreter's rules", tc.name)
 		}
 		if prog.Lanes() != 1 {
 			t.Errorf("%s: rejected from its own program: %v", tc.name, prog.RejectReason(0))

@@ -2,64 +2,103 @@ package sim
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
 )
 
-// execError aborts statement execution.
-type execError struct{ err error }
-
 const maxLoopIterations = 1 << 17
 
 // finishRequest is panicked by $finish and recovered by the scheduler.
 type finishRequest struct{}
 
-// exec executes a statement against the instance. Blocking assignments
-// write through immediately; non-blocking assignments are queued on the
-// instance and applied by the caller at the end of the wave.
-func (in *Instance) exec(s verilog.Stmt) error {
+// state is what the interpreter's statement rules (exec, resolveLValue,
+// sysCall) run against: an Instance, or one lane of a BatchInstance
+// (laneState) for a body the batch compiler leaves to these rules.
+// Reads and widths come through env; writes arrive resolved, and each
+// state applies them with its own dirty tracking.
+type state interface {
+	env
+	// layout is the design whose slots assignment targets resolve to.
+	layout() *Design
+	// applyWrite performs a blocking write.
+	applyWrite(w resolvedWrite)
+	// queueNBA queues a nonblocking write, applied after the wave's
+	// edge processes ran.
+	queueNBA(w resolvedWrite)
+	// sys is the state system tasks and delay controls act on.
+	sys() *sysState
+}
+
+// sysState is what system tasks and delay controls act on.
+type sysState struct {
+	// Stdout receives $display output.
+	Stdout io.Writer
+	// Now is the current simulation time (cycle count ×10 under the
+	// cycle API; event time under Run).
+	Now uint64
+	// Finished is set by $finish under the cycle API.
+	Finished bool
+
+	// wait is non-nil while executing inside the timed scheduler; it
+	// suspends the current process for n time units.
+	wait func(n uint64)
+}
+
+// exec executes a statement against st. Blocking assignments write
+// through immediately; non-blocking assignments are queued on st and
+// applied by the caller at the end of the wave.
+func exec(st state, s verilog.Stmt) error {
 	switch x := s.(type) {
 	case nil, *verilog.Null:
 		return nil
 
 	case *verilog.Block:
-		for _, st := range x.Stmts {
-			if err := in.exec(st); err != nil {
+		for _, sub := range x.Stmts {
+			if err := exec(st, sub); err != nil {
 				return err
 			}
 		}
 		return nil
 
 	case *verilog.Assign:
-		ctx, _ := lhsWidth(x.LHS, in)
-		val, err := evalExpr(x.RHS, in, ctx)
+		ctx, _ := lhsWidth(x.LHS, st)
+		val, err := evalExpr(x.RHS, st, ctx)
 		if err != nil {
 			return fmt.Errorf("%s: %v", x.Pos, err)
 		}
-		if x.NonBlocking {
-			return in.queueNBA(x.LHS, val, x.Pos)
+		writes, err := resolveLValue(st, x.LHS, val, x.Pos)
+		if err != nil {
+			return err
 		}
-		return in.writeLValue(x.LHS, val, x.Pos)
+		for _, w := range writes {
+			if x.NonBlocking {
+				st.queueNBA(w)
+			} else {
+				st.applyWrite(w)
+			}
+		}
+		return nil
 
 	case *verilog.If:
-		c, err := evalExpr(x.Cond, in, 0)
+		c, err := evalExpr(x.Cond, st, 0)
 		if err != nil {
 			return err
 		}
 		if logic.Truth(c) == logic.L1 {
-			return in.exec(x.Then)
+			return exec(st, x.Then)
 		}
 		// Unknown conditions take the else branch, per IEEE if-else
 		// semantics (condition must be true to take the then branch).
 		if x.Else != nil {
-			return in.exec(x.Else)
+			return exec(st, x.Else)
 		}
 		return nil
 
 	case *verilog.Case:
-		sel, err := evalExpr(x.Expr, in, 0)
+		sel, err := evalExpr(x.Expr, st, 0)
 		if err != nil {
 			return err
 		}
@@ -70,7 +109,7 @@ func (in *Instance) exec(s verilog.Stmt) error {
 				continue
 			}
 			for _, le := range item.Exprs {
-				lv, err := evalExpr(le, in, 0)
+				lv, err := evalExpr(le, st, 0)
 				if err != nil {
 					return err
 				}
@@ -84,40 +123,40 @@ func (in *Instance) exec(s verilog.Stmt) error {
 					hit = sel.SameValue(lv)
 				}
 				if hit {
-					return in.exec(item.Body)
+					return exec(st, item.Body)
 				}
 			}
 		}
 		if deflt != nil {
-			return in.exec(deflt)
+			return exec(st, deflt)
 		}
 		return nil
 
 	case *verilog.For:
-		if err := in.exec(x.Init); err != nil {
+		if err := exec(st, x.Init); err != nil {
 			return err
 		}
 		for iter := 0; ; iter++ {
 			if iter > maxLoopIterations {
 				return fmt.Errorf("for loop exceeded %d iterations", maxLoopIterations)
 			}
-			c, err := evalExpr(x.Cond, in, 0)
+			c, err := evalExpr(x.Cond, st, 0)
 			if err != nil {
 				return err
 			}
 			if logic.Truth(c) != logic.L1 {
 				return nil
 			}
-			if err := in.exec(x.Body); err != nil {
+			if err := exec(st, x.Body); err != nil {
 				return err
 			}
-			if err := in.exec(x.Step); err != nil {
+			if err := exec(st, x.Step); err != nil {
 				return err
 			}
 		}
 
 	case *verilog.Repeat:
-		cv, err := evalExpr(x.Count, in, 0)
+		cv, err := evalExpr(x.Count, st, 0)
 		if err != nil {
 			return err
 		}
@@ -129,26 +168,27 @@ func (in *Instance) exec(s verilog.Stmt) error {
 			return fmt.Errorf("repeat count %d too large", n)
 		}
 		for i := uint64(0); i < n; i++ {
-			if err := in.exec(x.Body); err != nil {
+			if err := exec(st, x.Body); err != nil {
 				return err
 			}
 		}
 		return nil
 
 	case *verilog.Delay:
-		if in.wait == nil {
+		wait := st.sys().wait
+		if wait == nil {
 			return fmt.Errorf("delay control is only allowed in initial/timed processes")
 		}
-		av, err := evalExpr(x.Amount, in, 0)
+		av, err := evalExpr(x.Amount, st, 0)
 		if err != nil {
 			return err
 		}
 		n, _ := av.Uint64()
-		in.wait(n)
-		return in.exec(x.Body)
+		wait(n)
+		return exec(st, x.Body)
 
 	case *verilog.SysCall:
-		return in.sysCall(x)
+		return sysCall(st, x)
 
 	default:
 		return fmt.Errorf("unsupported statement %T", s)
@@ -167,30 +207,31 @@ type resolvedWrite struct {
 // Dynamic bit selects are resolved now (so NBA targets use the index at
 // assignment time, per Verilog). Writes through unknown indexes are
 // dropped.
-func (in *Instance) resolveLValue(lhs verilog.Expr, val logic.Vector, pos verilog.Pos) ([]resolvedWrite, error) {
+func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos) ([]resolvedWrite, error) {
+	d := st.layout()
 	switch x := lhs.(type) {
 	case *verilog.Ident:
-		slot, ok := in.design.slotOf[x.Name]
+		slot, ok := d.slotOf[x.Name]
 		if !ok {
 			return nil, fmt.Errorf("%s: assignment to unknown signal %q", pos, x.Name)
 		}
-		return []resolvedWrite{{slot: int32(slot), val: val.Resize(in.design.slotWidths[slot]), whole: true}}, nil
+		return []resolvedWrite{{slot: int32(slot), val: val.Resize(d.slotWidths[slot]), whole: true}}, nil
 
 	case *verilog.Index:
 		id, ok := x.X.(*verilog.Ident)
 		if !ok {
 			return nil, fmt.Errorf("%s: nested select on non-identifier", pos)
 		}
-		slot, ok2 := in.design.slotOf[id.Name]
+		slot, ok2 := d.slotOf[id.Name]
 		if !ok2 {
 			return nil, fmt.Errorf("%s: assignment to unknown signal %q", pos, id.Name)
 		}
-		idxV, err := evalExpr(x.Index, in, 0)
+		idxV, err := evalExpr(x.Index, st, 0)
 		if err != nil {
 			return nil, err
 		}
 		idx, ok3 := idxV.Uint64()
-		if !ok3 || idx >= uint64(in.design.slotWidths[slot]) {
+		if !ok3 || idx >= uint64(d.slotWidths[slot]) {
 			return nil, nil // write through unknown/out-of-range index: no-op
 		}
 		return []resolvedWrite{{slot: int32(slot), hi: int(idx), lo: int(idx), val: val.Resize(1)}}, nil
@@ -200,15 +241,15 @@ func (in *Instance) resolveLValue(lhs verilog.Expr, val logic.Vector, pos verilo
 		if !ok {
 			return nil, fmt.Errorf("%s: nested select on non-identifier", pos)
 		}
-		slot, ok2 := in.design.slotOf[id.Name]
+		slot, ok2 := d.slotOf[id.Name]
 		if !ok2 {
 			return nil, fmt.Errorf("%s: assignment to unknown signal %q", pos, id.Name)
 		}
-		hiV, err := evalExpr(x.MSB, in, 0)
+		hiV, err := evalExpr(x.MSB, st, 0)
 		if err != nil {
 			return nil, err
 		}
-		loV, err := evalExpr(x.LSB, in, 0)
+		loV, err := evalExpr(x.LSB, st, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +258,7 @@ func (in *Instance) resolveLValue(lhs verilog.Expr, val logic.Vector, pos verilo
 		if !ok3 || !ok4 {
 			return nil, nil
 		}
-		width := in.design.slotWidths[slot]
+		width := d.slotWidths[slot]
 		h, l := int(hi), int(lo)
 		if h < l {
 			h, l = l, h
@@ -233,13 +274,13 @@ func (in *Instance) resolveLValue(lhs verilog.Expr, val logic.Vector, pos verilo
 	case *verilog.Concat:
 		// {a, b} = val assigns the top bits to a, the low bits to b.
 		var out []resolvedWrite
-		offset, _ := lhsWidth(lhs, in)
+		offset, _ := lhsWidth(lhs, st)
 		val = val.Resize(offset)
 		for _, p := range x.Parts {
-			w, _ := lhsWidth(p, in)
+			w, _ := lhsWidth(p, st)
 			offset -= w
 			part := logic.Slice(val, offset+w-1, offset)
-			ws, err := in.resolveLValue(p, part, pos)
+			ws, err := resolveLValue(st, p, part, pos)
 			if err != nil {
 				return nil, err
 			}
@@ -252,65 +293,29 @@ func (in *Instance) resolveLValue(lhs verilog.Expr, val logic.Vector, pos verilo
 	}
 }
 
-// writeLValue performs a blocking write.
-func (in *Instance) writeLValue(lhs verilog.Expr, val logic.Vector, pos verilog.Pos) error {
-	writes, err := in.resolveLValue(lhs, val, pos)
-	if err != nil {
-		return err
-	}
-	for _, w := range writes {
-		in.applyWrite(w)
-	}
-	return nil
-}
-
-// queueNBA queues a non-blocking write.
-func (in *Instance) queueNBA(lhs verilog.Expr, val logic.Vector, pos verilog.Pos) error {
-	writes, err := in.resolveLValue(lhs, val, pos)
-	if err != nil {
-		return err
-	}
-	in.nba = append(in.nba, writes...)
-	return nil
-}
-
-func (in *Instance) applyWrite(w resolvedWrite) {
-	cur := in.vals[w.slot]
-	var next logic.Vector
-	if w.whole {
-		next = w.val
-	} else {
-		next = cur.Resize(cur.Width())
-		next.SetSlice(w.hi, w.lo, w.val)
-	}
-	if !next.Equal(cur) {
-		in.vals[w.slot] = next
-		in.markDirty(w.slot)
-	}
-}
-
 // sysCall implements the supported system tasks.
-func (in *Instance) sysCall(x *verilog.SysCall) error {
+func sysCall(st state, x *verilog.SysCall) error {
+	sys := st.sys()
 	switch x.Name {
 	case "$finish", "$stop":
-		if in.wait != nil {
+		if sys.wait != nil {
 			panic(finishRequest{})
 		}
-		in.Finished = true
+		sys.Finished = true
 		return nil
 	case "$display", "$write", "$fdisplay", "$fwrite", "$strobe", "$monitor":
 		args := x.Args
 		if (x.Name == "$fdisplay" || x.Name == "$fwrite") && len(args) > 0 {
 			args = args[1:] // drop file descriptor
 		}
-		text, err := in.formatArgs(args)
+		text, err := formatArgs(st, args)
 		if err != nil {
 			return err
 		}
 		if x.Name == "$write" || x.Name == "$fwrite" {
-			fmt.Fprint(in.Stdout, text)
+			fmt.Fprint(sys.Stdout, text)
 		} else {
-			fmt.Fprintln(in.Stdout, text)
+			fmt.Fprintln(sys.Stdout, text)
 		}
 		return nil
 	case "$time", "$random", "$dumpfile", "$dumpvars", "$timeformat":
@@ -323,7 +328,7 @@ func (in *Instance) sysCall(x *verilog.SysCall) error {
 // formatArgs renders $display-style arguments: an optional leading
 // format string with %d/%b/%h/%0d/%t/%s verbs, remaining values
 // rendered as decimals.
-func (in *Instance) formatArgs(args []verilog.Expr) (string, error) {
+func formatArgs(st state, args []verilog.Expr) (string, error) {
 	if len(args) == 0 {
 		return "", nil
 	}
@@ -367,14 +372,14 @@ func (in *Instance) formatArgs(args []verilog.Expr) (string, error) {
 				continue
 			}
 			if verb == 't' || verb == 'T' {
-				sb.WriteString(fmt.Sprintf("%d", in.Now))
+				sb.WriteString(fmt.Sprintf("%d", st.sys().Now))
 				continue
 			}
 			if argi >= len(rest) {
 				sb.WriteString("<missing>")
 				continue
 			}
-			v, err := evalExpr(rest[argi], in, 0)
+			v, err := evalExpr(rest[argi], st, 0)
 			if err != nil {
 				return "", err
 			}
@@ -382,7 +387,7 @@ func (in *Instance) formatArgs(args []verilog.Expr) (string, error) {
 			sb.WriteString(formatVector(v, verb))
 		}
 		for ; argi < len(rest); argi++ {
-			v, err := evalExpr(rest[argi], in, 0)
+			v, err := evalExpr(rest[argi], st, 0)
 			if err != nil {
 				return "", err
 			}
@@ -393,7 +398,7 @@ func (in *Instance) formatArgs(args []verilog.Expr) (string, error) {
 	// No format string: print all values as decimals.
 	parts := make([]string, 0, len(rest))
 	for _, a := range rest {
-		v, err := evalExpr(a, in, 0)
+		v, err := evalExpr(a, st, 0)
 		if err != nil {
 			return "", err
 		}

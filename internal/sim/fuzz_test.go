@@ -3,7 +3,9 @@ package sim_test
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"correctbench/internal/dataset"
@@ -16,16 +18,17 @@ import (
 // FuzzBatchLaneMatchesInterp is the lane differential. Every
 // single-DUT simulation runs as a one-lane batch program, so a
 // one-lane BatchInstance must read equal to an interpreter Instance on
-// every port after every step, and the two must agree on whether a
+// every signal after every step, and the two must agree on whether a
 // step errors. Mutant sets run as patched lanes over the golden, so a
 // two-lane [golden, mutant] program over the golden base must match
-// two interpreter Instances lane by lane: every port after every step,
-// and each lane's error, text included, at the step it occurs. The
-// problem index picks a dataset golden; the fuzz bytes pick a mutant
-// of it (byte 0: mutation count 0-2, bytes 1-8: mutation seed) and
-// then the stimulus, one input port value at a time (see stimulus).
-// Designs the batch compiler rejects are skipped: they run on the
-// interpreter wholesale.
+// two interpreter Instances lane by lane: every signal after every
+// step, and each lane's error, text included, at the step it occurs (a
+// mutant whose signal layout differs from the golden's gets no lane
+// there; it is checked one-lane only). The problem index picks a
+// dataset golden; the fuzz bytes pick a mutant of it (byte 0: mutation
+// count 0-2, and which process of fuzzExtra, if any, both golden and
+// mutant get; bytes 1-8: mutation seed) and then the stimulus, one
+// input port value at a time (see stimulus).
 func FuzzBatchLaneMatchesInterp(f *testing.F) {
 	probs := dataset.All()
 	for i := range probs {
@@ -43,13 +46,16 @@ func FuzzBatchLaneMatchesInterp(f *testing.F) {
 			return
 		}
 		p := probs[int(pi)%len(probs)]
-		d := fuzzDesign(t, p, int(data[0]%3), int64(binary.LittleEndian.Uint64(data[1:9])))
+		extra := int(data[0] / 3 % 3)
+		d := fuzzDesign(t, p, int(data[0]%3), extra, int64(binary.LittleEndian.Uint64(data[1:9])))
 		if d == nil {
 			return
 		}
 		ops := fuzzOps(p, d.Ports, data[9:])
 		checkOneLane(t, p, d, ops)
-		checkTwoLanes(t, p, d, ops)
+		if g := fuzzDesign(t, p, 0, extra, 0); g != nil {
+			checkTwoLanes(t, p, g, d, ops)
+		}
 	})
 }
 
@@ -99,9 +105,9 @@ func fuzzOps(p *dataset.Problem, ports []sim.Port, data []byte) []fuzzOp {
 // interpreter.
 func checkOneLane(t *testing.T, p *dataset.Problem, d *sim.Design, ops []fuzzOp) {
 	t.Helper()
-	prog, err := sim.CompileBatch(d, []*sim.Design{d})
-	if err != nil || prog.Lanes() != 1 {
-		return
+	prog := sim.CompileBatch(d, []*sim.Design{d})
+	if prog.Lanes() != 1 {
+		t.Fatalf("%s: design rejected from its own program: %v", p.Name, prog.RejectReason(0))
 	}
 	b := sim.NewBatchInstance(prog)
 	in := sim.NewInstance(d)
@@ -117,30 +123,26 @@ func checkOneLane(t *testing.T, p *dataset.Problem, d *sim.Design, ops []fuzzOp)
 		if ierr != nil {
 			return
 		}
-		for _, port := range d.Ports {
-			bv, err1 := b.Get(port.Name, 0)
-			iv, err2 := in.Get(port.Name)
+		for _, name := range d.Order {
+			bv, err1 := b.Get(name, 0)
+			iv, err2 := in.Get(name)
 			if err1 != nil || err2 != nil {
-				t.Fatalf("%s: %s: read %s: %v / %v", p.Name, op.label, port.Name, err1, err2)
+				t.Fatalf("%s: %s: read %s: %v / %v", p.Name, op.label, name, err1, err2)
 			}
 			if bv.String() != iv.String() {
-				t.Fatalf("%s: %s: port %s: batch %s, interp %s", p.Name, op.label, port.Name, bv, iv)
+				t.Fatalf("%s: %s: signal %s: batch %s, interp %s", p.Name, op.label, name, bv, iv)
 			}
 		}
 	}
 }
 
-// checkTwoLanes runs [golden, d] as patched lanes over the golden base
+// checkTwoLanes runs [g, d] as patched lanes over the golden base g
 // against two interpreter Instances, whenever d gets a lane. A lane
 // that errs is dead from then on; the other keeps being compared.
-func checkTwoLanes(t *testing.T, p *dataset.Problem, d *sim.Design, ops []fuzzOp) {
+func checkTwoLanes(t *testing.T, p *dataset.Problem, g, d *sim.Design, ops []fuzzOp) {
 	t.Helper()
-	g, err := p.Elaborate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := sim.CompileBatch(g, []*sim.Design{g, d})
-	if err != nil || prog.VariantLane(0) < 0 || prog.VariantLane(1) < 0 {
+	prog := sim.CompileBatch(g, []*sim.Design{g, d})
+	if prog.VariantLane(1) < 0 {
 		return
 	}
 	lanes := []int{prog.VariantLane(0), prog.VariantLane(1)}
@@ -165,14 +167,14 @@ func checkTwoLanes(t *testing.T, p *dataset.Problem, d *sim.Design, ops []fuzzOp
 				dead[i] = true
 				continue
 			}
-			for _, port := range g.Ports {
-				bv, err1 := b.Get(port.Name, lane)
-				iv, err2 := ins[i].Get(port.Name)
+			for _, name := range g.Order {
+				bv, err1 := b.Get(name, lane)
+				iv, err2 := ins[i].Get(name)
 				if err1 != nil || err2 != nil {
-					t.Fatalf("%s: %s: lane %d: read %s: %v / %v", p.Name, op.label, lane, port.Name, err1, err2)
+					t.Fatalf("%s: %s: lane %d: read %s: %v / %v", p.Name, op.label, lane, name, err1, err2)
 				}
 				if bv.String() != iv.String() {
-					t.Fatalf("%s: %s: lane %d: port %s: batch %s, interp %s", p.Name, op.label, lane, port.Name, bv, iv)
+					t.Fatalf("%s: %s: lane %d: signal %s: batch %s, interp %s", p.Name, op.label, lane, name, bv, iv)
 				}
 			}
 		}
@@ -183,10 +185,11 @@ func checkTwoLanes(t *testing.T, p *dataset.Problem, d *sim.Design, ops []fuzzOp
 }
 
 // fuzzDesign elaborates p's golden design (count 0) or a count-fault
-// mutant of it drawn from seed; nil when the mutant does not elaborate.
-func fuzzDesign(t *testing.T, p *dataset.Problem, count int, seed int64) *sim.Design {
+// mutant of it drawn from seed, with fuzzExtra's process extra
+// appended; nil when the result does not elaborate.
+func fuzzDesign(t *testing.T, p *dataset.Problem, count, extra int, seed int64) *sim.Design {
 	t.Helper()
-	if count == 0 {
+	if count == 0 && extra == 0 {
 		d, err := p.Elaborate()
 		if err != nil {
 			t.Fatal(err)
@@ -197,12 +200,49 @@ func fuzzDesign(t *testing.T, p *dataset.Problem, count int, seed int64) *sim.De
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut, _, _ := mutate.Mutate(mod, rand.New(rand.NewSource(seed)), count)
-	d, err := sim.ElaborateSourceContext(context.Background(), verilog.PrintModule(mut), p.Top)
+	if count > 0 {
+		mod, _, _ = mutate.Mutate(mod, rand.New(rand.NewSource(seed)), count)
+	}
+	src := verilog.PrintModule(mod)
+	if extra > 0 {
+		g, err := p.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := strings.LastIndex(src, "endmodule")
+		src = src[:at] + fuzzExtra(p, g.Ports, extra) + "\n" + src[at:]
+	}
+	d, err := sim.ElaborateSourceContext(context.Background(), src, p.Top)
 	if err != nil {
 		return nil
 	}
 	return d
+}
+
+// fuzzExtra is a process whose body the batch compiler leaves to the
+// interpreter's rules, appended to golden and mutant alike so such
+// bodies run beside folded ones in the same lanes: 1 a $display comb
+// process, 2 a comb process reading and writing part-selects whose
+// bounds are signal values. Both read p's first output, which a
+// mutant's lane may hold differently, and its last data input (the
+// output again when it has none).
+func fuzzExtra(p *dataset.Problem, ports []sim.Port, extra int) string {
+	var out, in string
+	for _, port := range ports {
+		switch {
+		case port.Dir == sim.Out && out == "":
+			out = port.Name
+		case port.Dir != sim.Out && port.Name != p.Clock:
+			in = port.Name
+		}
+	}
+	if in == "" {
+		in = out
+	}
+	if extra == 1 {
+		return fmt.Sprintf("always @(*) $display(\"cb %%b %%d\", %s, %s);", out, in)
+	}
+	return fmt.Sprintf("reg [7:0] cb_dyn;\nalways @(*) begin cb_dyn = 8'd0; cb_dyn[(%s & 3'd7):0] = %s[(%s & 2'd3):0]; end", in, out, in)
 }
 
 // stimulus decodes fuzz bytes into input values. Each value starts with

@@ -36,17 +36,8 @@ type Instance struct {
 
 	nba []resolvedWrite
 
-	// Stdout receives $display output.
-	Stdout io.Writer
-	// Now is the current simulation time (cycle count ×10 under the
-	// cycle API; event time under Run).
-	Now uint64
-	// Finished is set by $finish under the cycle API.
-	Finished bool
-
-	// wait is non-nil while executing inside the timed scheduler; it
-	// suspends the current process for n time units.
-	wait func(n uint64)
+	// sysState holds Stdout, Now and Finished.
+	sysState
 
 	// ctx, when non-nil, is polled at every propagation wave; once the
 	// context is cancelled the next Settle/SetInput/Tick returns its
@@ -77,7 +68,7 @@ func NewInstance(d *Design) *Instance {
 		edgeChg:   make([]bool, len(d.edgeSlots)),
 		edgePos:   make([]bool, len(d.edgeSlots)),
 		edgeNeg:   make([]bool, len(d.edgeSlots)),
-		Stdout:    io.Discard,
+		sysState:  sysState{Stdout: io.Discard},
 	}
 	in.Reset()
 	return in
@@ -126,7 +117,7 @@ func (in *Instance) BindContext(ctx context.Context) {
 // Design returns the elaborated design this instance simulates.
 func (in *Instance) Design() *Design { return in.design }
 
-// env interface ---------------------------------------------------------
+// state interface -------------------------------------------------------
 
 func (in *Instance) readSignal(name string) (logic.Vector, error) {
 	slot, ok := in.design.slotOf[name]
@@ -137,6 +128,27 @@ func (in *Instance) readSignal(name string) (logic.Vector, error) {
 }
 
 func (in *Instance) signalWidth(name string) (int, bool) { return in.design.signalWidth(name) }
+
+func (in *Instance) layout() *Design { return in.design }
+
+func (in *Instance) applyWrite(w resolvedWrite) {
+	cur := in.vals[w.slot]
+	var next logic.Vector
+	if w.whole {
+		next = w.val
+	} else {
+		next = cur.Resize(cur.Width())
+		next.SetSlice(w.hi, w.lo, w.val)
+	}
+	if !next.Equal(cur) {
+		in.vals[w.slot] = next
+		in.markDirty(w.slot)
+	}
+}
+
+func (in *Instance) queueNBA(w resolvedWrite) { in.nba = append(in.nba, w) }
+
+func (in *Instance) sys() *sysState { return &in.sysState }
 
 // ------------------------------------------------------------------------
 
@@ -291,7 +303,7 @@ func (in *Instance) settleComb() error {
 		for _, ord := range run {
 			p := d.combProcs[ord]
 			in.Stats.ProcRuns++
-			if err := in.exec(p.Body); err != nil {
+			if err := exec(in, p.Body); err != nil {
 				return fmt.Errorf("sim: in %s: %v", p.Name, err)
 			}
 		}
@@ -341,7 +353,7 @@ func (in *Instance) fireEdges() (bool, error) {
 		fired = true
 		in.Stats.ProcRuns++
 		in.Stats.Edges++
-		if err := in.exec(p.Body); err != nil {
+		if err := exec(in, p.Body); err != nil {
 			return false, fmt.Errorf("sim: in %s: %v", p.Name, err)
 		}
 	}

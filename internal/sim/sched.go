@@ -161,13 +161,13 @@ func runTimedProc(in *Instance, tp *timedProc) {
 		// An always block without event control loops forever; the
 		// abort channel (via wait) bounds it.
 		for {
-			if err := in.exec(tp.proc.Body); err != nil {
+			if err := exec(in, tp.proc.Body); err != nil {
 				tp.yield <- yieldMsg{kind: yieldError, err: err}
 				return
 			}
 		}
 	}
-	err := in.exec(tp.proc.Body)
+	err := exec(in, tp.proc.Body)
 	if err != nil {
 		tp.yield <- yieldMsg{kind: yieldError, err: err}
 		return

@@ -4,7 +4,8 @@ package sim
 // design's combinational region, for benchmarks and diagnostics. It
 // is derived from the same internal/vstatic analysis the batched
 // scheduler uses, so Levelizable here is exactly the verdict
-// CompileBatch acts on for a single-design batch.
+// CompileBatch acts on for a single-design batch whose every body
+// folds (BatchProgram.Interpreted is false).
 type StaticFacts struct {
 	// CombProcs counts combinational processes; StaticCombProcs the
 	// subset proved pure functions of their sensitivity lists.

@@ -3,14 +3,11 @@ package testbench
 // Batched testbench runs: a DUT set (typically mutants of one golden
 // design, or a single DUT) is judged against the testbench's checker in
 // one pass. Every run is record-then-compare. One recorder (record)
-// simulates lanes over the stimulus and keeps each lane's output
-// samples and first error: a trace. It drives two engines: the lanes
-// of a compiled sim.BatchProgram, or one design on the interpreter
-// (sim.Instance) as a one-lane simulation — the engine of every design
-// the batch compiler rejects, and of every design while
-// sim.DefaultEngine is sim.EngineInterp. One compare (compareLane)
-// turns a DUT lane's trace and the checker's trace into the lane's
-// outcome, whichever engine recorded them.
+// simulates the lanes of a compiled sim.BatchProgram over the stimulus
+// and keeps each lane's output samples and first error: a trace. The
+// checker is a one-lane program, and so is a DUT whose layout differs
+// from the set's base. One compare (compareLane) turns a DUT lane's
+// trace and the checker's trace into the lane's outcome.
 //
 // The recorder works scenario by scenario against the testbench's trace
 // store (store.go), which keeps every complete scenario it has recorded
@@ -167,14 +164,12 @@ func newStimulus(tb *Testbench) *stimulus {
 // design whose output ports a run compares (the golden design the DUTs
 // are mutants of; a DUT may alias it). Static variants share a
 // levelized program, the rest batch under a separate event-driven
-// program. A DUT no program gives a lane — every DUT, when base does
-// not batch-compile — is recorded on the interpreter. DUTs that are
-// the same *sim.Design get one lane, or one interpreter recording,
+// program, and a DUT whose layout differs from base's gets a one-lane
+// program of its own. DUTs that are the same *sim.Design get one lane
 // between them: a design is simulated once per run however often the
 // set repeats it. A DUTSet is immutable and safe to share across
 // concurrent runs.
 type DUTSet struct {
-	base *sim.Design
 	// baseOuts is base's output port list, the one a run compares.
 	baseOuts []string
 	duts     []*sim.Design
@@ -184,11 +179,10 @@ type DUTSet struct {
 	progs []*sim.BatchProgram
 	// laneDUT[k][lane] is the DUT index of progs[k]'s lane.
 	laneDUT [][]int
-	// at[i] is DUT i's program lane, set for first DUTs only; prog is
-	// -1 when it has none.
+	// at[i] is DUT i's program lane, set for first DUTs only.
 	at []laneRef
 	// outs[i] is DUT i's output port list when it differs from base's
-	// (only a DUT without a lane can differ), else nil.
+	// (only a DUT with a program of its own can differ), else nil.
 	outs [][]string
 }
 
@@ -198,7 +192,7 @@ type laneRef struct{ prog, lane int }
 // every run of the set is duts[i]'s outcome.
 func NewDUTSet(base *sim.Design, duts []*sim.Design) *DUTSet {
 	baseOuts := outputPorts(base)
-	s := &DUTSet{base: base, baseOuts: baseOuts, duts: duts, first: make([]int, len(duts)), at: make([]laneRef, len(duts)), outs: make([][]string, len(duts))}
+	s := &DUTSet{baseOuts: baseOuts, duts: duts, first: make([]int, len(duts)), at: make([]laneRef, len(duts)), outs: make([][]string, len(duts))}
 	seen := make(map[*sim.Design]int, len(duts)) // design -> its first DUT
 	var designs []*sim.Design                    // each design once, in set order
 	for i, d := range duts {
@@ -212,9 +206,7 @@ func NewDUTSet(base *sim.Design, duts []*sim.Design) *DUTSet {
 		}
 		s.first[i] = seen[d]
 	}
-	// A base the batch compiler rejects yields no programs, and every
-	// DUT is recorded on the interpreter.
-	progs, idx, _ := sim.CompileBatchSplit(base, designs)
+	progs, idx := sim.CompileBatchSplit(base, designs)
 	s.progs = progs
 	s.laneDUT = make([][]int, len(progs))
 	for k, p := range progs {
@@ -227,79 +219,45 @@ func NewDUTSet(base *sim.Design, duts []*sim.Design) *DUTSet {
 			}
 		}
 	}
+	// A design no program took has a layout of its own.
+	for _, d := range designs {
+		if i := seen[d]; s.at[i].prog < 0 {
+			s.at[i] = laneRef{len(s.progs), 0}
+			s.progs = append(s.progs, sim.CompileBatch(d, []*sim.Design{d}))
+			s.laneDUT = append(s.laneDUT, []int{i})
+		}
+	}
 	return s
 }
 
 // setTrace is one recording of a DUT set over a stimulus: a trace per
-// program (nil for a program without lanes, and for every program
-// under the interpreter engine) and a one-lane trace per DUT recorded
-// on the interpreter.
+// program (nil for a program without lanes).
 type setTrace struct {
-	set    *DUTSet
-	progs  []*trace
-	interp []*trace // per DUT; nil for a program lane and for a repeated DUT
+	set   *DUTSet
+	progs []*trace
 }
 
 // lane returns the trace that holds DUT i and its lane in it: the
 // first DUT's that is the same design.
 func (r *setTrace) lane(i int) (*trace, int) {
-	i = r.set.first[i]
-	if tr := r.interp[i]; tr != nil {
-		return tr, 0
-	}
-	at := r.set.at[i]
+	at := r.set.at[r.set.first[i]]
 	return r.progs[at.prog], at.lane
 }
 
 // checkerTrace returns the checker design cd's trace over the output
-// ports outs: cd recorded as a one-design DUT set on tb's store — a
-// one-lane batch program, or on the interpreter when the batch
-// compiler rejects it. The checker side never stops early, so every
-// scenario it simulates is stored for later runs.
+// ports outs: cd recorded as a one-design DUT set, a one-lane program,
+// on tb's store. The checker side never stops early, so every scenario
+// it simulates is stored for later runs.
 //
 // ctx is used for observation only: a recording records a sim_run span
 // on ctx's obs collector, but is never cancelled by it — the checker
 // trace a run compares with must not depend on a caller's
 // cancellation.
-func (tb *Testbench) checkerTrace(ctx context.Context, st *TraceStore, cd *sim.Design, engine sim.Engine, stim *stimulus, outs []string) *trace {
+func (tb *Testbench) checkerTrace(ctx context.Context, st *TraceStore, cd *sim.Design, stim *stimulus, outs []string) *trace {
 	// Never cancelled, so the recording cannot fail.
-	rec, _ := tb.recordSet(context.WithoutCancel(ctx), st, st.single(cd), engine, stim, outs, "checker", nil, false)
+	rec, _ := tb.recordSet(context.WithoutCancel(ctx), st, st.single(cd), stim, outs, "checker", nil, false)
 	tr, _ := rec.lane(0)
 	return tr
-}
-
-// unit is what one record call simulates: the lanes of a batch program,
-// or one design on the interpreter. key is its identity in the store:
-// the design for an interpreter unit and for a one-lane program — whose
-// lane is exactly that design — and the program otherwise.
-type unit struct {
-	key    any
-	prog   *sim.BatchProgram // nil for an interpreter unit
-	design *sim.Design       // an interpreter unit's design
-}
-
-func (u unit) lanes() int {
-	if u.prog != nil {
-		return u.prog.Lanes()
-	}
-	return 1
-}
-
-// base is the design whose slots the unit's samples are read from.
-func (u unit) base() *sim.Design {
-	if u.prog != nil {
-		return u.prog.Base()
-	}
-	return u.design
-}
-
-func (u unit) instance() *lanes {
-	if u.prog != nil {
-		b := sim.NewBatchInstance(u.prog)
-		return &lanes{sim: b, b: b}
-	}
-	in := sim.NewInstance(u.design)
-	return &lanes{sim: in, in: in}
 }
 
 // runSpan is one set recording's sim_run span. It is opened at the
@@ -322,116 +280,29 @@ func (s *runSpan) close() {
 	}
 }
 
-// lanes is what the recorder simulates: the lanes of a batch program,
-// or one design on the interpreter as a single lane. Exactly one of b
-// and in is set; sim is whichever is. The recorder dispatches on it
-// per step and per sampled row, so batch lanes keep a concrete
-// *sim.BatchInstance in the sampling loop. Every interpreter error is
-// returned by the call that met it, like a shared batch error: with
-// one lane, ending every lane and ending that lane coincide.
-type lanes struct {
-	sim  cycleSim
-	b    *sim.BatchInstance
-	in   *sim.Instance
-	done bool // the interpreter lane was deactivated
-}
-
-// cycleSim is the cycle API both engines share.
-type cycleSim interface {
-	BindContext(ctx context.Context)
-	Design() *sim.Design
-	Reset()
-	ZeroInputs() error
-	SetInput(name string, v logic.Vector) error
-	SetInputUint(name string, v uint64) error
-	Settle() error
-	Tick(clk string) error
-}
-
-func (l *lanes) count() int {
-	if l.b != nil {
-		return l.b.Lanes()
-	}
-	return 1
-}
-
-func (l *lanes) running() int {
-	if l.b != nil {
-		return l.b.ActiveCount()
-	}
-	if l.done {
-		return 0
-	}
-	return 1
-}
-
-func (l *lanes) active(lane int) bool {
-	if l.b != nil {
-		return l.b.Active(lane)
-	}
-	return !l.done
-}
-
-func (l *lanes) laneErr(lane int) error {
-	if l.b != nil {
-		return l.b.LaneErr(lane)
-	}
-	return nil
-}
-
-// reset starts the next scenario: every lane reset, and with all also
-// active again with its error cleared, as on a fresh instance.
-func (l *lanes) reset(all bool) {
-	switch {
-	case !all:
-		l.sim.Reset()
-	case l.b != nil:
-		l.b.Restart()
-	default:
-		l.in.Reset()
-		l.done = false
-	}
-}
-
-func (l *lanes) deactivate(lane int) {
-	if l.b != nil {
-		l.b.Deactivate(lane)
-		return
-	}
-	l.done = true
-}
-
 // sample fills row, lane-major, with every active lane's values of the
 // readable slots.
-func (l *lanes) sample(row []traceSample, slots []int, readable []bool) {
-	if l.b == nil {
-		if !l.done {
-			for o, slot := range slots {
-				if readable[o] {
-					row[o] = sampleOf(l.in.GetSlot(slot))
-				}
-			}
-		}
-		return
-	}
+func sample(b *sim.BatchInstance, row []traceSample, slots []int, readable []bool) {
 	w := len(slots)
-	for lane := 0; lane < l.b.Lanes(); lane++ {
-		if !l.b.Active(lane) {
+	for lane := 0; lane < b.Lanes(); lane++ {
+		if !b.Active(lane) {
 			continue
 		}
 		for o, slot := range slots {
 			if readable[o] {
-				row[lane*w+o] = sampleOf(l.b.GetSlot(slot, lane))
+				row[lane*w+o] = sampleOf(b.GetSlot(slot, lane))
 			}
 		}
 	}
 }
 
-// record assembles unit u's trace over the testbench's scenarios,
+// record assembles prog's trace over the testbench's scenarios,
 // sampling the outputs outs before each clock edge and, for SEQ
-// problems, after it. Each scenario is read from the store when it
-// holds the piece, and otherwise simulated: the unit's instance is
-// built, and span opened, at the first scenario simulated, and reset
+// problems, after it. unit is prog's identity in the store: the
+// design of a one-lane program — whose lane is exactly that design —
+// and the program otherwise. Each scenario is read from the store when
+// it holds the piece, and otherwise simulated: the program's instance
+// is built, and span opened, at the first scenario simulated, and reset
 // before each later one. A lane's first error — its own, or a
 // stimulus-side error of the shared drive, which ends every lane still
 // running — ends the lane at its (scenario, step, phase), and side
@@ -449,20 +320,20 @@ func (l *lanes) sample(row []traceSample, slots []int, readable []bool) {
 // lanes still running are simulated and nothing is kept. The returned
 // error is non-nil only on cancellation of ctx, and then no trace is
 // returned.
-func (tb *Testbench) record(ctx context.Context, st *TraceStore, u unit, engine sim.Engine, stim *stimulus, outs []string, side string, span *runSpan, settled func(tr *trace, lane, s int) bool, recorded map[pieceKey]*piece) (*trace, error) {
-	n, w := u.lanes(), len(outs)
+func (tb *Testbench) record(ctx context.Context, st *TraceStore, unit any, prog *sim.BatchProgram, stim *stimulus, outs []string, side string, span *runSpan, settled func(tr *trace, lane, s int) bool, recorded map[pieceKey]*piece) (*trace, error) {
+	n, w := prog.Lanes(), len(outs)
 	tr := &trace{readable: make([]bool, w), fails: make([]*traceFail, n)}
 	slots := make([]int, w)
 	for i, o := range outs {
-		slots[i], tr.readable[i] = u.base().SlotOf(o)
+		slots[i], tr.readable[i] = prog.Base().SlotOf(o)
 	}
-	key := pieceKey{unit: u.key, engine: engine, kind: stim.kind, clock: stim.clock, reset: stim.reset, outs: strings.Join(outs, "\x00")}
+	key := pieceKey{unit: unit, kind: stim.kind, clock: stim.clock, reset: stim.reset, outs: strings.Join(outs, "\x00")}
 	active := make([]bool, n)
 	for lane := range active {
 		active[lane] = true
 	}
 	running, keep := n, recorded != nil
-	var l *lanes
+	var b *sim.BatchInstance
 	for s, sc := range tb.Scenarios {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -476,22 +347,25 @@ func (tb *Testbench) record(ctx context.Context, st *TraceStore, u unit, engine 
 			pc = recorded[key]
 		}
 		if pc == nil {
-			if l == nil {
+			switch {
+			case b == nil:
 				span.open()
-				l = u.instance()
-				l.sim.BindContext(ctx)
-			} else {
-				l.reset(keep)
+				b = sim.NewBatchInstance(prog)
+				b.BindContext(ctx)
+			case keep:
+				b.Restart()
+			default:
+				b.Reset()
 			}
 			if !keep {
 				for lane, a := range active {
 					if !a {
-						l.deactivate(lane)
+						b.Deactivate(lane)
 					}
 				}
 			}
 			var err error
-			if pc, err = tb.simulate(ctx, l, sc, slots, tr.readable); err != nil {
+			if pc, err = tb.simulate(ctx, b, sc, slots, tr.readable); err != nil {
 				return nil, err
 			}
 			if keep {
@@ -518,17 +392,17 @@ func (tb *Testbench) record(ctx context.Context, st *TraceStore, u unit, engine 
 	return tr, nil
 }
 
-// simulate records one scenario on l, reset, with the run's active
+// simulate records one scenario on b, reset, with the run's active
 // lanes: its sample rows and the first error of each lane that errs in
 // it. The returned error is non-nil only on cancellation of ctx.
-func (tb *Testbench) simulate(ctx context.Context, l *lanes, sc Scenario, slots []int, readable []bool) (*piece, error) {
+func (tb *Testbench) simulate(ctx context.Context, b *sim.BatchInstance, sc Scenario, slots []int, readable []bool) (*piece, error) {
 	p := tb.Problem
-	n, w := l.count(), len(slots)
+	n, w := b.Lanes(), len(slots)
 	// going[lane] is true for a lane that entered the scenario and has
 	// not erred in it.
 	going := make([]bool, n)
 	for lane := range going {
-		going[lane] = l.active(lane)
+		going[lane] = b.Active(lane)
 	}
 	perStep := 1
 	if p.Kind == dataset.SEQ {
@@ -548,36 +422,36 @@ func (tb *Testbench) simulate(ctx context.Context, l *lanes, sc Scenario, slots 
 			if !going[lane] {
 				continue
 			}
-			err := l.laneErr(lane)
-			if err == nil && shared != nil && l.active(lane) {
+			err := b.LaneErr(lane)
+			if err == nil && shared != nil && b.Active(lane) {
 				err = shared
-				l.deactivate(lane)
+				b.Deactivate(lane)
 			}
 			if err != nil {
 				going[lane] = false
 				pc.fails = append(pc.fails, pieceFail{lane, step, phase, err})
 			}
 		}
-		return l.running() > 0, nil
+		return b.ActiveCount() > 0, nil
 	}
-	sample := func() {
-		l.sample(pc.samples[len(pc.samples):len(pc.samples)+n*w], slots, readable)
+	row := func() {
+		sample(b, pc.samples[len(pc.samples):len(pc.samples)+n*w], slots, readable)
 		pc.samples = pc.samples[:len(pc.samples)+n*w]
 		pc.rows++
 	}
-	more, err := end(-1, phaseInit, tb.initLanes(l.sim))
+	more, err := end(-1, phaseInit, tb.initLanes(b))
 	for si := 0; more && err == nil && si < len(sc.Steps); si++ {
-		if more, err = end(si, phaseStep, driveStep(l.sim, sc.Steps[si])); !more || err != nil {
+		if more, err = end(si, phaseStep, driveStep(b, sc.Steps[si])); !more || err != nil {
 			break
 		}
 		// Sample combinational/Mealy outputs before the clock edge.
-		sample()
+		row()
 		if p.Kind == dataset.SEQ {
-			if more, err = end(si, phaseTick, l.sim.Tick(p.Clock)); !more || err != nil {
+			if more, err = end(si, phaseTick, b.Tick(p.Clock)); !more || err != nil {
 				break
 			}
 			// Sample registered outputs after the edge as well.
-			sample()
+			row()
 		}
 	}
 	if err != nil {
@@ -653,9 +527,8 @@ func compareLane(dut, chk *trace, lane, ns int, earlyExit bool) BatchOutcome {
 // RunBatchContext runs every DUT of set against the testbench in one
 // batched pass and returns one outcome per DUT, in set order. The
 // checker is recorded once per output port list (checkerTrace); each
-// distinct DUT design is recorded once, as a program lane or, for a
-// design without a lane, on the interpreter, and every DUT is compared
-// on its own output ports. A checker that does not elaborate is every
+// distinct DUT design is recorded once, as a program lane, and every
+// DUT is compared on its own output ports. A checker that does not elaborate is every
 // DUT's "checker:" error. Every scenario tb's trace store already
 // holds for a unit is read, not simulated.
 //
@@ -678,10 +551,10 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 		}
 		return out, nil
 	}
-	st, engine, stim := tb.traceStore(), sim.DefaultEngine, newStimulus(tb)
+	st, stim := tb.traceStore(), newStimulus(tb)
 	// chks[i] is the checker trace DUT i is compared with, over its own
 	// output ports.
-	chk := tb.checkerTrace(ctx, st, cd, engine, stim, set.baseOuts)
+	chk := tb.checkerTrace(ctx, st, cd, stim, set.baseOuts)
 	chks := make([]*trace, len(out))
 	for i, outs := range set.outs {
 		chks[i] = chk
@@ -691,10 +564,10 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 		if j := slices.IndexFunc(set.outs[:i], func(o []string) bool { return slices.Equal(o, outs) }); j >= 0 {
 			chks[i] = chks[j]
 		} else {
-			chks[i] = tb.checkerTrace(ctx, st, cd, engine, stim, outs)
+			chks[i] = tb.checkerTrace(ctx, st, cd, stim, outs)
 		}
 	}
-	rec, err := tb.recordSet(ctx, st, set, engine, stim, set.baseOuts, "dut", chks, earlyExit)
+	rec, err := tb.recordSet(ctx, st, set, stim, set.baseOuts, "dut", chks, earlyExit)
 	if err != nil {
 		return nil, err
 	}
@@ -707,61 +580,48 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 
 // recordSet records every distinct DUT of set over stim as one sim_run,
 // opened only if some scenario is simulated; a repeated DUT is not
-// recorded again. Under the batched engine each program records its
-// lanes; every other DUT — every DUT under the interpreter engine — is
-// recorded on the interpreter as one lane, over its own output ports
-// when they differ from outs, the ports the set's base is compared on.
-// With earlyExit a lane stops once its outcome against chks[dut] (per
-// DUT, the checker trace it is compared with) is settled, and nothing
-// is stored; otherwise every lane is recorded through every scenario
-// and the pieces simulated are stored once every unit is recorded. The
-// returned error is non-nil only on cancellation of ctx, and then
-// nothing is stored.
-func (tb *Testbench) recordSet(ctx context.Context, st *TraceStore, set *DUTSet, engine sim.Engine, stim *stimulus, outs []string, side string, chks []*trace, earlyExit bool) (*setTrace, error) {
+// recorded again. Each program records its lanes over outs, the ports
+// the set's base is compared on, or over its DUT's own output ports
+// when they differ. With earlyExit a lane stops once its outcome
+// against chks[dut] (per DUT, the checker trace it is compared with) is
+// settled, and nothing is stored; otherwise every lane is recorded
+// through every scenario and the pieces simulated are stored once every
+// program is recorded. The returned error is non-nil only on
+// cancellation of ctx, and then nothing is stored.
+func (tb *Testbench) recordSet(ctx context.Context, st *TraceStore, set *DUTSet, stim *stimulus, outs []string, side string, chks []*trace, earlyExit bool) (*setTrace, error) {
 	span := &runSpan{ctx: ctx}
 	defer span.close()
-	rec := &setTrace{set: set, progs: make([]*trace, len(set.progs)), interp: make([]*trace, len(set.duts))}
-	// settled stops the lane of DUT dut(lane) once its outcome is known.
-	settled := func(dut func(lane int) int) func(tr *trace, lane, s int) bool {
-		if !earlyExit {
-			return nil
-		}
-		return func(tr *trace, lane, s int) bool {
-			chk := chks[dut(lane)]
-			if f := laneFail(tr, chk, lane); f != nil && f.scenario <= s {
-				return true
-			}
-			return !lanePass(tr, chk, lane, s)
-		}
-	}
+	rec := &setTrace{set: set, progs: make([]*trace, len(set.progs))}
 	var recorded map[pieceKey]*piece
 	if !earlyExit {
 		recorded = map[pieceKey]*piece{}
 	}
-	batched := engine == sim.EngineBatched
-	var err error
 	for k, p := range set.progs {
-		if !batched || p.Lanes() == 0 {
+		if p.Lanes() == 0 {
 			continue
 		}
 		laneDUT := set.laneDUT[k]
-		u := unit{key: p, prog: p}
+		var unit any = p
 		if p.Lanes() == 1 {
-			u.key = set.duts[laneDUT[0]]
-		}
-		if rec.progs[k], err = tb.record(ctx, st, u, engine, stim, outs, side, span, settled(func(lane int) int { return laneDUT[lane] }), recorded); err != nil {
-			return nil, err
-		}
-	}
-	for i, d := range set.duts {
-		if set.first[i] != i || batched && set.at[i].prog >= 0 {
-			continue
+			unit = set.duts[laneDUT[0]]
 		}
 		o := outs
-		if set.outs[i] != nil {
-			o = set.outs[i]
+		if own := set.outs[laneDUT[0]]; own != nil {
+			o = own
 		}
-		if rec.interp[i], err = tb.record(ctx, st, unit{key: d, design: d}, engine, stim, o, side, span, settled(func(int) int { return i }), recorded); err != nil {
+		// settled stops the lane of a DUT once its outcome is known.
+		var settled func(tr *trace, lane, s int) bool
+		if earlyExit {
+			settled = func(tr *trace, lane, s int) bool {
+				chk := chks[laneDUT[lane]]
+				if f := laneFail(tr, chk, lane); f != nil && f.scenario <= s {
+					return true
+				}
+				return !lanePass(tr, chk, lane, s)
+			}
+		}
+		var err error
+		if rec.progs[k], err = tb.record(ctx, st, unit, p, stim, o, side, span, settled, recorded); err != nil {
 			return nil, err
 		}
 	}
@@ -771,19 +631,19 @@ func (tb *Testbench) recordSet(ctx context.Context, st *TraceStore, set *DUTSet,
 
 // initLanes starts a scenario: every input zero and, for SEQ problems
 // with a reset, one clock cycle with the reset asserted.
-func (tb *Testbench) initLanes(s cycleSim) error {
+func (tb *Testbench) initLanes(b *sim.BatchInstance) error {
 	p := tb.Problem
-	if err := s.ZeroInputs(); err != nil {
+	if err := b.ZeroInputs(); err != nil {
 		return err
 	}
 	if p.Kind == dataset.SEQ && p.Reset != "" {
-		if err := s.SetInputUint(p.Reset, 1); err != nil {
+		if err := b.SetInputUint(p.Reset, 1); err != nil {
 			return err
 		}
-		if err := s.Tick(p.Clock); err != nil {
+		if err := b.Tick(p.Clock); err != nil {
 			return err
 		}
-		if err := s.SetInputUint(p.Reset, 0); err != nil {
+		if err := b.SetInputUint(p.Reset, 0); err != nil {
 			return err
 		}
 	}
@@ -798,11 +658,10 @@ func (tb *Testbench) initLanes(s cycleSim) error {
 // comb, no sequential processes) apply the whole step under a single
 // settle — same final state, one levelized pass instead of one per
 // input.
-func driveStep(s cycleSim, st Step) error {
-	b, _ := s.(*sim.BatchInstance)
-	deferred := b != nil && b.InputsDeferrable()
+func driveStep(b *sim.BatchInstance, st Step) error {
+	deferred := b.InputsDeferrable()
 	for _, name := range st.SortedNames() {
-		port := s.Design().Port(name)
+		port := b.Design().Port(name)
 		if port == nil {
 			return fmt.Errorf("stimulus for unknown port %q", name)
 		}
@@ -813,9 +672,9 @@ func driveStep(s cycleSim, st Step) error {
 			}
 			continue
 		}
-		if err := s.SetInput(name, v); err != nil {
+		if err := b.SetInput(name, v); err != nil {
 			return err
 		}
 	}
-	return s.Settle()
+	return b.Settle()
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"correctbench/internal/dataset"
 	"correctbench/internal/logic"
 	"correctbench/internal/mutate"
 	"correctbench/internal/obs"
@@ -19,10 +20,10 @@ import (
 )
 
 // batchDiffDUTs builds a DUT set for a problem: the base design itself,
-// two structurally-incompatible clones that no batch program accepts,
-// so they are recorded on the interpreter — one with an extra signal,
-// one with an extra output port, compared on its own port list — and a
-// set of single/double mutants.
+// two structurally-incompatible clones that the base's programs do not
+// accept, so each is recorded as a one-lane program of its own — one
+// with an extra signal, one with an extra output port, compared on its
+// own port list — and a set of single/double mutants.
 func batchDiffDUTs(t *testing.T, tb *Testbench, base *sim.Design) []*sim.Design {
 	t.Helper()
 	p := tb.Problem
@@ -78,10 +79,7 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 			}
 			duts := batchDiffDUTs(t, tb, base)
 
-			prog, err := sim.CompileBatch(base, duts)
-			if err != nil {
-				t.Fatalf("batch compile: %v", err)
-			}
+			prog := sim.CompileBatch(base, duts)
 			if prog.Lanes() < len(duts)/2 {
 				t.Fatalf("only %d/%d DUTs batched", prog.Lanes(), len(duts))
 			}
@@ -139,9 +137,10 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchRunWholesaleFallback drives the paths where the base design
-// or the checker cannot batch-compile ($display is dynamic), so they
-// are recorded on the interpreter: every DUT must still get its exact
+// TestBatchRunWholesaleFallback drives the paths where a body of the
+// base design or of the checker runs on the interpreter's rules
+// ($display does not fold; the name is from when such a design was
+// recorded on the interpreter wholesale): every DUT must still get its exact
 // interpreter outcome, and the recordings must be replayed — a second
 // run on the same trace store records nothing, neither the checker nor
 // the DUTs.
@@ -154,8 +153,8 @@ func TestBatchRunWholesaleFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.CompileBatch(base, []*sim.Design{base}); err == nil {
-		t.Fatal("expected batch compile of $display design to fail")
+	if !sim.CompileBatch(base, []*sim.Design{base}).Interpreted() {
+		t.Fatal("the $display design folds; the interpreted path is not covered")
 	}
 	golden, err := sim.ElaborateSourceContext(context.Background(), p.Source, p.Top)
 	if err != nil {
@@ -352,25 +351,20 @@ func TestBatchLaneFailOrder(t *testing.T) {
 	}
 }
 
-// laneCount is the number of lanes a run of set records: its programs'
-// lanes and its interpreter recordings, under the batched engine.
+// laneCount is the number of lanes a run of set records.
 func laneCount(set *DUTSet) int {
 	n := 0
 	for _, p := range set.progs {
 		n += p.Lanes()
-	}
-	for i := range set.duts {
-		if set.first[i] == i && set.at[i].prog < 0 {
-			n++
-		}
 	}
 	return n
 }
 
 // TestBatchRepeatedDUTsShareLanes is the lane-sharing differential: a
 // set that repeats designs, in the order [g, m1, g, m2, m1, d, d] — the
-// golden, two mutants and a $display variant the batch compiler
-// rejects — must give every DUT the outcome it gets in a set where each
+// golden, two mutants and a $display variant, whose extra process gives
+// it a program of its own that runs a body on the interpreter's rules
+// — must give every DUT the outcome it gets in a set where each
 // entry was elaborated on its own, with and without early exit, on a
 // fresh trace store and replayed from one, while recording one lane per
 // distinct design.
@@ -437,8 +431,8 @@ func TestBatchRepeatedDUTsShareLanes(t *testing.T) {
 			if got := laneCount(sep); got != len(order) {
 				t.Errorf("separately elaborated set records %d lanes, want %d", got, len(order))
 			}
-			if dup.at[5].prog >= 0 {
-				t.Fatal("the $display variant got a program lane; the interpreter path is not covered")
+			if prog := dup.progs[dup.at[5].prog]; prog.Base() != dup.duts[5] || !prog.Interpreted() {
+				t.Fatal("the $display variant shares the base's program or folds; its own interpreted program is not covered")
 			}
 
 			for c, checker := range texts[:2] {
@@ -471,6 +465,42 @@ func TestBatchRepeatedDUTsShareLanes(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTestbenchRunEngines measures a full golden-TB run on a
+// sequential problem per engine: a one-lane batch against the recorded
+// checker trace, and the interleaved interpreter oracle (runLive) the
+// batched run must reproduce; every iteration must pass the golden RTL.
+func BenchmarkTestbenchRunEngines(b *testing.B) {
+	p := dataset.ByName("det101")
+	d, err := p.Elaborate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, eng := range []struct {
+		name string
+		run  func(tb *Testbench) (*RunResult, error)
+	}{
+		{"batched", func(tb *Testbench) (*RunResult, error) { return tb.RunAgainstDesignContext(context.Background(), d) }},
+		{"interp", func(tb *Testbench) (*RunResult, error) { return tb.runLive(context.Background(), d) }},
+	} {
+		b.Run(eng.name, func(b *testing.B) {
+			tb, err := Golden(p, rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := eng.run(tb)
+				if err != nil {
+					b.Fatalf("run failed: %v", err)
+				}
+				if !res.Pass() {
+					b.Fatalf("golden RTL failed scenarios %v", res.FailedScenarios())
 				}
 			}
 		})

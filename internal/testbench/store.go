@@ -16,13 +16,12 @@ import (
 //
 //   - checker memos: (checker text, top) -> its one parse and design;
 //   - one-design DUT sets, compiled once per design;
-//   - scenario pieces: (unit, engine, clocking, sampled outputs, one
-//     scenario's drive list) -> that scenario's sample rows and each
-//     lane's first error in it, as a raw (step, phase, err).
+//   - scenario pieces: (unit, clocking, sampled outputs, one scenario's
+//     drive list) -> that scenario's sample rows and each lane's first
+//     error in it, as a raw (step, phase, err).
 //
 // A unit is what the recorder simulates as one: one design (a
-// one-lane program or a design on the interpreter) or one multi-lane
-// batch program of a DUTSet. Every scenario starts from Reset, which
+// one-lane program) or one multi-lane batch program of a DUTSet. Every scenario starts from Reset, which
 // equals a fresh instance, so a piece is a pure function of its key
 // and serves any run over that scenario, whatever scenarios precede it,
 // on either side and under any Scenario.Index: the "checker:"/"dut:"
@@ -90,7 +89,6 @@ func (s *TraceStore) single(d *sim.Design) *DUTSet {
 // pieceKey identifies one scenario recorded on one unit.
 type pieceKey struct {
 	unit         any // *sim.Design or *sim.BatchProgram
-	engine       sim.Engine
 	kind         dataset.Kind
 	clock, reset string
 	outs         string // the sampled output ports, NUL-separated

@@ -39,7 +39,7 @@ func samePiece(a, b *piece) string {
 // setReadable lists the readable masks of a set recording's traces.
 func setReadable(rec *setTrace) [][]bool {
 	var out [][]bool
-	for _, tr := range append(append([]*trace(nil), rec.progs...), rec.interp...) {
+	for _, tr := range rec.progs {
 		if tr != nil {
 			out = append(out, tr.readable)
 		}
@@ -52,9 +52,10 @@ func setReadable(rec *setTrace) [][]bool {
 // scenario recorded alone equals the same scenario recorded in the
 // middle of a testbench, after other scenarios ran on the same
 // instance. For every problem, a DUT set of the golden and two mutants
-// is recorded over the golden testbench on both engines, and each
-// scenario is recorded again on its own; the pieces — samples, rows and
-// each lane's first error — and the readable masks must be equal.
+// is recorded over the golden testbench, and each scenario is recorded
+// again on its own; the pieces — samples, rows and each lane's first
+// error — and the readable masks must be equal, and each DUT's outcome
+// over that scenario alone must equal the interpreter's (runLive).
 func TestScenarioRecordingIsIndependent(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(26))
@@ -83,36 +84,44 @@ func TestScenarioRecordingIsIndependent(t *testing.T) {
 			}
 		}
 		set := NewDUTSet(base, duts)
-		for _, engine := range []sim.Engine{sim.EngineBatched, sim.EngineInterp} {
-			whole := &TraceStore{}
-			rec, err := tb.recordSet(ctx, whole, set, engine, newStimulus(tb), set.baseOuts, "dut", nil, false)
+		whole := &TraceStore{}
+		rec, err := tb.recordSet(ctx, whole, set, newStimulus(tb), set.baseOuts, "dut", nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readable := setReadable(rec)
+		for s, sc := range tb.Scenarios {
+			one := &Testbench{Problem: p, Scenarios: []Scenario{sc}, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
+			alone := &TraceStore{}
+			rec, err := one.recordSet(ctx, alone, set, newStimulus(one), set.baseOuts, "dut", nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			readable := setReadable(rec)
-			for s, sc := range tb.Scenarios {
-				one := &Testbench{Problem: p, Scenarios: []Scenario{sc}}
-				alone := &TraceStore{}
-				rec, err := one.recordSet(ctx, alone, set, engine, newStimulus(one), set.baseOuts, "dut", nil, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := setReadable(rec); !reflect.DeepEqual(got, readable) {
-					t.Errorf("%s %v scenario %d: readable %v alone, %v in the testbench", p.Name, engine, s, got, readable)
-				}
-				if len(alone.pieces) == 0 {
-					t.Fatalf("%s %v scenario %d: recording it alone stored nothing", p.Name, engine, s)
-				}
-				for k, pc := range alone.pieces { //detlint:allow each key is checked on its own
-					// A unit whose every lane erred in an earlier scenario
-					// records no later one.
-					if in := whole.pieces[k]; in != nil {
-						compared++
-						if diff := samePiece(pc, in); diff != "" {
-							t.Errorf("%s %v scenario %d (%T): alone and mid-stimulus recordings differ: %s", p.Name, engine, s, k.unit, diff)
-						}
+			if got := setReadable(rec); !reflect.DeepEqual(got, readable) {
+				t.Errorf("%s scenario %d: readable %v alone, %v in the testbench", p.Name, s, got, readable)
+			}
+			if len(alone.pieces) == 0 {
+				t.Fatalf("%s scenario %d: recording it alone stored nothing", p.Name, s)
+			}
+			for k, pc := range alone.pieces { //detlint:allow each key is checked on its own
+				// A unit whose every lane erred in an earlier scenario
+				// records no later one.
+				if in := whole.pieces[k]; in != nil {
+					compared++
+					if diff := samePiece(pc, in); diff != "" {
+						t.Errorf("%s scenario %d (%T): alone and mid-stimulus recordings differ: %s", p.Name, s, k.unit, diff)
 					}
-					total++
+				}
+				total++
+			}
+			out, err := one.RunBatchContext(ctx, set, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, d := range duts {
+				res, err := one.runLive(ctx, d)
+				if want := (BatchOutcome{Res: res, Err: err}); !sameOutcome(out[i], want) {
+					t.Errorf("%s scenario %d DUT %d: recorded %+v, the interpreter gives %+v", p.Name, s, i, out[i], want)
 				}
 			}
 		}
@@ -295,7 +304,7 @@ func TestTraceStoreEndedLaneStillStored(t *testing.T) {
 			t.Fatalf("%s: the oscillating lane errs in the quiet scenario: %v", tc.name, want[1].Err)
 		}
 		stim := newStimulus(alone)
-		key := pieceKey{unit: set.progs[0], engine: sim.DefaultEngine, kind: stim.kind, clock: stim.clock, reset: stim.reset,
+		key := pieceKey{unit: set.progs[0], kind: stim.kind, clock: stim.clock, reset: stim.reset,
 			outs: strings.Join(set.baseOuts, "\x00"), drives: stim.drives[0]}
 		stored, own := tb.traceStore().piece(key), alone.traceStore().piece(key)
 		if stored == nil || own == nil {

@@ -14,16 +14,14 @@
 //
 // Substitution note (engine): where AutoBench shells out to Icarus
 // Verilog per run, this framework simulates on internal/sim. Every run
-// is a "one checker, N DUTs" run (batch.go) through one recorder with
-// two engines: the checker is recorded once as a one-lane simulation,
+// is a "one checker, N DUTs" run (batch.go) through one recorder on
+// the batch engine: the checker is recorded once as a one-lane program,
 // the DUTs as lanes of compiled batch programs — the validator's RS
 // matrix and AutoEval's mutant grading batch whole candidate sets, a
 // single DUT is a one-lane batch — and each DUT's recorded outputs are
-// compared with the checker's. A checker or DUT the batch compiler
-// rejects is recorded as a one-lane simulation on the reference AST
-// interpreter (sim.Instance), which is bit-for-bit identical, so RS
-// matrices and AutoEval verdicts do not depend on which engine
-// records them.
+// compared with the checker's. Every lane is bit-for-bit identical to
+// the reference AST interpreter (sim.Instance), which the differential
+// tests run as the oracle.
 package testbench
 
 import (

@@ -18,33 +18,44 @@ import (
 	"correctbench/internal/mutate"
 	"correctbench/internal/obs"
 	"correctbench/internal/sim"
+	"correctbench/internal/tbtest"
 	"correctbench/internal/testbench"
 	"correctbench/internal/validator"
 	"correctbench/internal/verilog"
 )
 
 // oracleMatrix is the RS matrix built the straightforward way: every
-// candidate parsed, elaborated and simulated on its own against the
-// testbench on the reference AST interpreter, in group order, with
-// DUT-side failures discarded and any checker-side failure breaking
-// the testbench.
+// candidate parsed, elaborated and simulated on its own side by side
+// with the checker on the reference AST interpreter (tbtest.RunLive),
+// in group order, with DUT-side failures discarded and any
+// checker-side failure breaking the testbench.
 func oracleMatrix(t *testing.T, tb *testbench.Testbench, cands []validator.RTLCandidate) (string, bool) {
 	t.Helper()
 	if !tb.SyntaxOK() {
 		return "", false
 	}
-	prev := sim.DefaultEngine
-	sim.DefaultEngine = sim.EngineInterp
-	defer func() { sim.DefaultEngine = prev }()
-	// A field-wise copy, not WithChecker: the oracle parses, elaborates
-	// and records the checker in a memo of its own.
-	otb := &testbench.Testbench{
-		Problem: tb.Problem, Scenarios: tb.Scenarios, DriverSource: tb.DriverSource,
-		CheckerSource: tb.CheckerSource, CheckerTop: tb.CheckerTop, CheckerSticky: tb.CheckerSticky,
+	ctx := context.Background()
+	var chk *sim.Design
+	scenarios := make([]tbtest.Scenario, len(tb.Scenarios))
+	for i, sc := range tb.Scenarios {
+		scenarios[i].Index = sc.Index
+		for _, st := range sc.Steps {
+			scenarios[i].Steps = append(scenarios[i].Steps, tbtest.Step{Names: st.SortedNames(), Inputs: st.Inputs})
+		}
 	}
 	m := &validator.Matrix{}
 	for _, c := range cands {
-		res, err := otb.RunAgainstSourceContext(context.Background(), c.Source, tb.Problem.Top)
+		dut, err := sim.ElaborateSourceContext(ctx, c.Source, tb.Problem.Top)
+		if err != nil {
+			m.Discarded++
+			continue
+		}
+		if chk == nil {
+			if chk, err = sim.ElaborateSourceContext(ctx, tb.CheckerSource, tb.CheckerTop); err != nil {
+				return "", false
+			}
+		}
+		pass, err := tbtest.RunLive(ctx, tb.Problem, dut, chk, scenarios)
 		if err != nil {
 			if strings.HasPrefix(err.Error(), "checker:") {
 				return "", false
@@ -52,7 +63,7 @@ func oracleMatrix(t *testing.T, tb *testbench.Testbench, cands []validator.RTLCa
 			m.Discarded++
 			continue
 		}
-		m.Rows = append(m.Rows, res.ScenarioPass)
+		m.Rows = append(m.Rows, pass)
 	}
 	return m.Render(), true
 }
@@ -100,8 +111,6 @@ func oscillationTrigger(t *testing.T, p *dataset.Problem) string {
 // and viability are byte-identical to the per-candidate interpreter
 // oracle. A group of nothing but syntax-broken candidates must give
 // zero rows, every candidate discarded, and a SimulationBroken verdict.
-// The subtests are sequential because the oracle flips the
-// process-wide sim.DefaultEngine.
 func TestBatchedRSMatrixDifferential(t *testing.T) {
 	prof := *llm.GPT4o()
 	prof.CheckerCleanBase = 0 // every understood task gets an observably faulty checker
@@ -211,8 +220,8 @@ func (c *cancelAfter) Err() error {
 // batchCancelGroup builds a small group covering every row kind: the
 // generated candidates (mutated, correct, syntax-broken), one more
 // syntax-broken source and one that elaborates but cannot share the
-// batch program (an extra signal), which is recorded on the
-// interpreter.
+// batch program (an extra signal), which gets a one-lane program of its
+// own.
 func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate {
 	t.Helper()
 	var acct llm.Accountant
@@ -228,9 +237,9 @@ func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate
 
 // TestBatchCancellation cancels at every context poll of NewGroup and
 // of BuildMatrixContext in turn, on a group that runs as batch lanes
-// plus an interpreter-recorded row (cnt8) and on one whose golden
-// design cannot batch-compile ($display), so every candidate is
-// recorded on the interpreter. A cancelled call must return the
+// plus a row on a one-lane program of its own (cnt8) and on one whose
+// golden design has a $display body, which runs on the interpreter's
+// rules in every lane. A cancelled call must return the
 // context's error and nothing else — no group, no matrix, no broken
 // verdict and no discarded rows — and a call the cancellation misses
 // must return exactly the uncancelled result. The build is swept
@@ -484,11 +493,12 @@ func TestBatchReplayAfterEarlyFailingChecker(t *testing.T) {
 	}
 }
 
-// TestBatchReplayInterpreterRow replays rows recorded on the
-// interpreter: on cnt8 with an extra-signal candidate that no batch
-// program accepts, and on a problem whose golden design cannot
-// batch-compile ($display), where every candidate and the checker are
-// recorded on the interpreter. A first round with a faulty checker
+// TestBatchReplayInterpreterRow replays rows recorded outside the
+// group's shared programs (the rows the interpreter once recorded): on
+// cnt8 with an extra-signal candidate, which gets a one-lane program of
+// its own, and on a problem whose golden design has a body that runs on
+// the interpreter's rules ($display), as do every candidate and the
+// checker. A first round with a faulty checker
 // records the checker and the candidates; a second round with the
 // corrected checker records only the checker — exactly one sim_run —
 // and both rounds match the oracle byte for byte.
@@ -534,7 +544,7 @@ func TestBatchReplayInterpreterRow(t *testing.T) {
 				t.Errorf("first round: %d sim_run, want 2 (checker trace + lanes)", runs)
 			}
 			if runs := c.round(t, "corrected checker", clean); runs != 1 {
-				t.Errorf("corrected round: %d sim_run, want 1 (checker trace; interpreter rows replayed)", runs)
+				t.Errorf("corrected round: %d sim_run, want 1 (checker trace; candidate rows replayed)", runs)
 			}
 		})
 	}

@@ -11,9 +11,9 @@
 // candidate source once — equal candidates, such as the golden copies,
 // share one design — and compiles the designs into a testbench.DUTSet
 // over the golden design: lanes of sim batch programs, and a one-lane
-// interpreter simulation for a design no program accepts (every
-// design, when the golden design does not batch-compile). A design
-// shared by several candidates is simulated once, as one lane, and
+// program of its own for a design whose layout differs from the
+// golden's. A design shared by several candidates is simulated once,
+// as one lane, and
 // gives each of their rows. Validation is record-then-compare
 // (testbench.RunBatchContext) on the testbench's trace store, which the
 // generator shares across the cell: the checker is recorded once per
@@ -21,9 +21,8 @@
 // Algorithm 1's corrector rewrites only the checker, so every round
 // after a correction compares the new checker's trace with the group's
 // stored lanes and simulates no candidate, and a reboot simulates only
-// the scenarios the group has not seen, whichever engine recorded
-// them. Rows are bit-identical to simulating each candidate on its
-// own.
+// the scenarios the group has not seen. Rows are bit-identical to
+// simulating each candidate on its own.
 package validator
 
 import (
