@@ -224,7 +224,7 @@ func BenchmarkSimTick(b *testing.B) {
 		SetInputUint(string, uint64) error
 		Tick(string) error
 	}
-	prog := sim.CompileBatch(d, []*sim.Design{d})
+	prog := sim.CompileBatch(d, []*sim.Design{d})[0]
 	for _, eng := range []struct {
 		name string
 		mk   func() ticker

@@ -111,7 +111,8 @@ func runCycles(design *sim.Design, clock string, cycles, batch int, dump bool) {
 		variants[i] = design
 	}
 	var get func(name string) (logic.Vector, error)
-	if prog := sim.CompileBatch(design, variants); !prog.Interpreted() {
+	// Copies of one design share one program.
+	if prog := sim.CompileBatch(design, variants)[0]; !prog.Interpreted() {
 		b := sim.NewBatchInstance(prog)
 		if err := b.ZeroInputs(); err != nil {
 			fail(err)

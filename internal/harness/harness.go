@@ -277,22 +277,31 @@ func CellKey(cfg *Config, method Method, rep int, p *dataset.Problem) store.Key 
 	fmt.Fprintf(h, "cellseed=%d\nevalseed=%d\n", CellStream(cfg.Seed, method, rep, p.Name).Seed(), EvaluatorSeed(cfg.Seed))
 	fmt.Fprintf(h, "llm=%s\n", cfg.Profile.Name)
 	if method == MethodCorrectBench {
-		def := core.DefaultOptions(cfg.Profile)
-		mc, mr, nr := def.MaxCorrections, def.MaxReboots, def.NR
-		if cfg.MaxCorrections != nil {
-			mc = *cfg.MaxCorrections
-		}
-		if cfg.MaxReboots != nil {
-			mr = *cfg.MaxReboots
-		}
-		if cfg.NR != nil {
-			nr = *cfg.NR
-		}
-		fmt.Fprintf(h, "criterion=%s\nmc=%d\nmr=%d\nnr=%d\n", cfg.Criterion.Name, mc, mr, nr)
+		opt := algorithmOptions(cfg)
+		fmt.Fprintf(h, "criterion=%s\nmc=%d\nmr=%d\nnr=%d\n", opt.Criterion.Name, opt.MaxCorrections, opt.MaxReboots, opt.NR)
 	}
 	var k store.Key
 	h.Sum(k[:0])
 	return k
+}
+
+// algorithmOptions is the Algorithm-1 configuration a CorrectBench cell
+// runs with: core.DefaultOptions for the profile, with cfg's criterion
+// and whichever budgets cfg overrides. CellKey hashes the same options
+// generateTask runs, so the key cannot drift from the run.
+func algorithmOptions(cfg *Config) core.Options {
+	opt := core.DefaultOptions(cfg.Profile)
+	opt.Criterion = cfg.Criterion
+	if cfg.MaxCorrections != nil {
+		opt.MaxCorrections = *cfg.MaxCorrections
+	}
+	if cfg.MaxReboots != nil {
+		opt.MaxReboots = *cfg.MaxReboots
+	}
+	if cfg.NR != nil {
+		opt.NR = *cfg.NR
+	}
+	return opt
 }
 
 // toStoreOutcome converts a finished cell for persistence.
@@ -590,18 +599,7 @@ func generateTask(ctx context.Context, method Method, p *dataset.Problem, cfg Co
 	defer obs.Time(ctx, obs.PhaseSimulate)()
 	switch method {
 	case MethodCorrectBench:
-		opt := core.DefaultOptions(cfg.Profile)
-		opt.Criterion = cfg.Criterion
-		if cfg.MaxCorrections != nil {
-			opt.MaxCorrections = *cfg.MaxCorrections
-		}
-		if cfg.MaxReboots != nil {
-			opt.MaxReboots = *cfg.MaxReboots
-		}
-		if cfg.NR != nil {
-			opt.NR = *cfg.NR
-		}
-		r, err := core.RunContext(ctx, p, opt, rng)
+		r, err := core.RunContext(ctx, p, algorithmOptions(&cfg), rng)
 		if err != nil {
 			return nil, err
 		}

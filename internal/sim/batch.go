@@ -5,12 +5,12 @@ package sim
 //
 // Mutation-based testbench evaluation runs the same golden design
 // plus N mutants — designs that differ from the golden in a handful
-// of process bodies — through identical stimulus. CompileBatch
-// elaborates that structure once: the base design's processes are
-// compiled once, each variant contributes only per-lane patch tables
-// for the bodies it actually changes (detected by comparing printed
-// statements), and all N instances advance together over a flat
-// structure-of-arrays state block addressed [slot*n + lane].
+// of process bodies — through identical stimulus. A program elaborates
+// that structure once: the base design's processes are compiled once,
+// each variant contributes only per-lane patch tables for the bodies
+// it actually changes (detected by comparing printed statements), and
+// all N instances advance together over a flat structure-of-arrays
+// state block addressed [slot*n + lane].
 //
 // Scheduling is levelized when the whole batch's combinational region
 // is provably static (see batch_sched.go): one topological pass per
@@ -19,6 +19,13 @@ package sim
 // event-driven scheduler over the shared state block — still
 // amortizing compilation, elaboration and the testbench/checker side
 // of every run. Either schedule runs one compiled form per process.
+//
+// CompileBatch is the one place that decides which program each design
+// runs in: the static designs share a levelized program, so one
+// non-static mutant does not drag the rest onto the event-driven
+// schedule; the others share an event-driven program; and a design
+// whose signal layout differs from the base's runs as a one-lane
+// program of its own.
 //
 // Either way each lane is bit-identical to a scalar Instance of the
 // same design: per-lane dirty sets, per-lane bootstrap, per-lane NBA
@@ -30,7 +37,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -38,18 +44,14 @@ import (
 	"correctbench/internal/verilog"
 )
 
-// BatchProgram is the compiled form of a base design plus N accepted
-// variants. It is immutable after CompileBatch and safe to share
-// across concurrent BatchInstances.
+// BatchProgram is the compiled form of a base design plus the designs
+// that run as its lanes. It is immutable after CompileBatch and safe to
+// share across concurrent BatchInstances.
 type BatchProgram struct {
 	base *Design
 	n    int
 
-	laneDesign  []*Design
-	laneVariant []int     // lane -> index into the variants slice
-	variantLane []int     // variant index -> lane, or -1 when rejected
-	rejected    []error   // variant index -> rejection reason, nil when accepted
-	variants    []*Design // the full CompileBatch input, rejected included
+	laneDesign []*Design // lane -> the design it simulates
 
 	combCode  []bStmt
 	seqCode   []bStmt
@@ -81,67 +83,61 @@ type BatchProgram struct {
 	deferInputs bool
 }
 
-// ErrBatchNotStatic marks variants the strict compile (CompileBatchSplit)
-// rejected from a levelized program because their combinational region
-// is not provably static, or because a body of theirs runs on the
-// interpreter's rules. Such variants batch fine under event-driven
-// scheduling — the split gives them their own event program instead of
-// dragging the whole batch off the levelized schedule.
-var ErrBatchNotStatic = errors.New("sim: batch: variant is not static")
-
-// errInterpreted is why a variant with a body left to the interpreter's
-// rules is not static.
-var errInterpreted = errors.New("a body runs on the interpreter")
-
-// CompileBatch compiles base and every variant that can share its
-// program. A variant whose signal layout, ports or process structure
-// differ from base's is rejected (RejectReason) and gets no lane; the
-// caller compiles such a design as a program of its own. Any one body
-// with an interpreted part, or one non-static variant, drops the whole
-// batch to event-driven mode (no lane is lost); use CompileBatchSplit
-// to keep the static majority levelized instead.
-func CompileBatch(base *Design, variants []*Design) *BatchProgram {
-	return compileBatch(base, variants, false)
-}
-
-// CompileBatchSplit covers the variants with one or two programs: a
-// levelized program for the provably static variants and, when any
-// variant is static-incompatible, a second event-driven program for
-// those. The second return value gives, per program, the original
-// variant index of each of that program's variants. When the base is
-// not static (or levelization fails) the result degrades to the single
-// program CompileBatch would build. Layout-incompatible variants get
-// no lane in either program.
-func CompileBatchSplit(base *Design, variants []*Design) ([]*BatchProgram, [][]int) {
-	p1 := compileBatch(base, variants, true)
-	all := make([]int, len(variants))
-	for i := range all {
-		all[i] = i
-	}
-	var ev []int
-	for i := range variants {
-		if errors.Is(p1.RejectReason(i), ErrBatchNotStatic) {
-			ev = append(ev, i)
+// CompileBatch gives every design one lane of a program and returns
+// the programs that have lanes; LaneDesign maps each lane back to its
+// design, and a design listed twice gets two lanes. The designs whose
+// signal layout, ports and process structure match base's run as lanes
+// of programs over base: the provably static ones share a levelized
+// program and the rest an event-driven one, or all of them share one
+// event-driven program when the static ones would not levelize anyway.
+// Each design whose layout differs from base's gets a one-lane program
+// compiled over itself. Programs come in that order, and lanes in input
+// order within a program.
+func CompileBatch(base *Design, designs []*Design) []*BatchProgram {
+	var same, foreign []*Design
+	for _, d := range designs {
+		if batchCompatible(base, d) == nil {
+			same = append(same, d)
+		} else {
+			foreign = append(foreign, d)
 		}
 	}
-	if len(ev) == 0 {
-		return []*BatchProgram{p1}, [][]int{all}
+	var progs []*BatchProgram
+	if len(same) > 0 {
+		lev, moved := compileBatch(base, same, true)
+		switch {
+		case len(moved) == 0:
+			progs = append(progs, lev)
+		case !lev.levelized:
+			// Moving the non-static designs out bought nothing
+			// (levelization failed anyway); one event program for all.
+			p, _ := compileBatch(base, same, false)
+			progs = append(progs, p)
+		default:
+			if lev.n > 0 {
+				progs = append(progs, lev)
+			}
+			p, _ := compileBatch(base, moved, false)
+			progs = append(progs, p)
+		}
 	}
-	if !p1.Levelized() {
-		// The strict rejections bought nothing (levelization failed
-		// anyway); reclaim those lanes into one event program.
-		return []*BatchProgram{compileBatch(base, variants, false)}, [][]int{all}
+	for _, d := range foreign {
+		p, _ := compileBatch(d, []*Design{d}, false)
+		progs = append(progs, p)
 	}
-	sub := make([]*Design, len(ev))
-	for i, vi := range ev {
-		sub[i] = variants[vi]
-	}
-	return []*BatchProgram{p1, compileBatch(base, sub, false)}, [][]int{all, ev}
+	return progs
 }
 
-func compileBatch(base *Design, variants []*Design, strict bool) *BatchProgram {
+// compileBatch compiles one program over base with a lane per design,
+// each of which must pass batchCompatible against base. One body with
+// an interpreted part, or one non-static design, drops the whole
+// program to event-driven mode. With strict, a non-static design gets
+// no lane instead while base's region is static and every base body
+// folds; such designs are returned, in input order, for a program of
+// their own.
+func compileBatch(base *Design, designs []*Design, strict bool) (*BatchProgram, []*Design) {
 	bc := &batchCompiler{d: base, env: staticEnv{base}}
-	prog := &BatchProgram{base: base, variants: variants}
+	prog := &BatchProgram{base: base}
 
 	nComb, nSeq := len(base.combProcs), len(base.seqProcs)
 	prog.combCode = make([]bStmt, nComb)
@@ -193,15 +189,9 @@ func compileBatch(base *Design, variants []*Design, strict bool) *BatchProgram {
 		sens []int32
 	}
 	var lanePatches [][]patch
-	prog.variantLane = make([]int, len(variants))
-	prog.rejected = make([]error, len(variants))
+	var moved []*Design
 	baseBody := make(map[int]string) // proc index -> printed base body, lazily
-	for vi, v := range variants {
-		prog.variantLane[vi] = -1
-		if err := batchCompatible(base, v); err != nil {
-			prog.rejected[vi] = err
-			continue
-		}
+	for _, v := range designs {
 		var patches []patch
 		interp := false
 		for i, bp := range base.Procs {
@@ -231,29 +221,23 @@ func compileBatch(base *Design, variants []*Design, strict bool) *BatchProgram {
 		vs := baseStatic
 		if allStatic && v != base {
 			var serr error
-			if interp {
-				serr = errInterpreted
-			} else {
+			if !interp {
 				vs, serr = analyzeStatic(v)
 			}
-			if serr != nil {
+			if interp || serr != nil {
 				if strict {
-					// Keep the batch levelized: this variant gets no
-					// lane here and belongs in an event-driven program
-					// (CompileBatchSplit builds it).
-					prog.rejected[vi] = fmt.Errorf("%w: %v", ErrBatchNotStatic, serr)
+					// Keep the program levelized: this design belongs
+					// in an event-driven program of its own.
+					moved = append(moved, v)
 					continue
 				}
-				// One non-static variant drops the whole batch to
+				// One non-static design drops the whole program to
 				// event-driven mode; no lane is lost.
 				allStatic = false
 			}
 		}
 		prog.interpreted = prog.interpreted || interp
-		lane := len(prog.laneDesign)
 		prog.laneDesign = append(prog.laneDesign, v)
-		prog.laneVariant = append(prog.laneVariant, vi)
-		prog.variantLane[vi] = lane
 		lanePatches = append(lanePatches, patches)
 		if allStatic {
 			statics = append(statics, vs)
@@ -300,7 +284,7 @@ func compileBatch(base *Design, variants []*Design, strict bool) *BatchProgram {
 		}
 		prog.deferInputs = safe
 	}
-	return prog
+	return prog, moved
 }
 
 // combDeferSafe reports whether a design's comb bodies are free of the
@@ -327,12 +311,11 @@ func combDeferSafe(d *Design) bool {
 // Base returns the design the program was compiled against.
 func (p *BatchProgram) Base() *Design { return p.base }
 
-// Variants returns the full variant design list the program was
-// compiled from, rejected variants included, in input order.
-func (p *BatchProgram) Variants() []*Design { return p.variants }
-
-// Lanes returns the number of accepted variants.
+// Lanes returns the number of lanes.
 func (p *BatchProgram) Lanes() int { return p.n }
+
+// LaneDesign returns the design a lane simulates.
+func (p *BatchProgram) LaneDesign(lane int) *Design { return p.laneDesign[lane] }
 
 // Levelized reports whether the batch runs on the levelized static
 // schedule (true) or the per-lane event-driven fallback (false).
@@ -343,13 +326,6 @@ func (p *BatchProgram) Levelized() bool { return p.levelized }
 // $finish, a delay control, or a width or span that depends on a
 // signal value. Such a body's $display output is discarded.
 func (p *BatchProgram) Interpreted() bool { return p.interpreted }
-
-// VariantLane maps an index into the variants slice passed to
-// CompileBatch to its lane, or -1 when the variant was rejected.
-func (p *BatchProgram) VariantLane(vi int) int { return p.variantLane[vi] }
-
-// RejectReason returns why a variant got no lane (nil when accepted).
-func (p *BatchProgram) RejectReason(vi int) error { return p.rejected[vi] }
 
 // BatchInstance simulates every lane of a BatchProgram in lockstep
 // under the cycle API (SetInput / Settle / Tick). Per-lane failures
@@ -420,10 +396,6 @@ func NewBatchInstance(prog *BatchProgram) *BatchInstance {
 		edgePos:   make([]bool, len(d.edgeSlots)),
 		edgeNeg:   make([]bool, len(d.edgeSlots)),
 		sys:       sysState{Stdout: io.Discard},
-		nActive:   n,
-	}
-	for lane := 0; lane < n; lane++ {
-		b.active[lane] = true
 	}
 	if prog.interpreted {
 		b.views = make([]laneState, n)
@@ -435,10 +407,10 @@ func NewBatchInstance(prog *BatchProgram) *BatchInstance {
 	return b
 }
 
-// Reset returns every lane to the freshly constructed simulation state
-// (all X, no pending events, time zero) without reallocating. The
-// active mask and lane errors are preserved — decided lanes stay
-// decided across testbench scenarios.
+// Reset returns the instance to the state NewBatchInstance leaves it
+// in — every lane active with no error, every signal X, no pending
+// events, time zero — without reallocating. A caller that keeps some
+// lanes decided across runs deactivates them again.
 func (b *BatchInstance) Reset() {
 	d := b.prog.base
 	n := b.n
@@ -463,19 +435,11 @@ func (b *BatchInstance) Reset() {
 		b.dirtyList[lane] = b.dirtyList[lane][:0]
 		b.ranAny[lane] = false
 		b.nba[lane] = b.nba[lane][:0]
-	}
-	b.sys.Now, b.sys.Finished = 0, false
-}
-
-// Restart returns the instance to the state NewBatchInstance leaves it
-// in: Reset, and every lane active again with its error cleared.
-func (b *BatchInstance) Restart() {
-	b.Reset()
-	for lane := 0; lane < b.n; lane++ {
 		b.active[lane] = true
 		b.laneErr[lane] = nil
 	}
-	b.nActive = b.n
+	b.nActive = n
+	b.sys.Now, b.sys.Finished = 0, false
 }
 
 // BindContext attaches a cancellation context, mirroring

@@ -14,10 +14,11 @@ package sim
 // testbench-level differentials assert this across the dataset).
 //
 // A body the closures cannot express — a width or span that depends on
-// a signal value (errDynamic), a display task, $finish/$stop or a delay
-// control — is not folded at all: body compiles it to a closure that
-// runs the interpreter's own exec on the lane (laneState), so one copy
-// of each rule serves both engines and every design compiles.
+// a signal value (errDynamic), a part-select wider than maxVectorWidth,
+// a display task, $finish/$stop or a delay control — is not folded at
+// all: body compiles it to a closure that runs the interpreter's own
+// exec on the lane (laneState), so one copy of each rule serves both
+// engines and every design compiles.
 
 import (
 	"fmt"
@@ -218,7 +219,7 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		}, want, nil
 
 	case *verilog.PartSelect:
-		base, _, err := bc.expr(x.X, 0)
+		base, bw, err := bc.expr(x.X, 0)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -227,16 +228,25 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		if errHi != nil || errLo != nil {
 			return nil, 0, errDynamic
 		}
-		hi, ok1 := hiV.Uint64()
-		lo, ok2 := loV.Uint64()
+		msb, ok1 := hiV.Uint64()
+		lsb, ok2 := loV.Uint64()
 		if !ok1 || !ok2 {
 			allx := logic.AllX(want)
 			return func(b *BatchInstance, lane int32) logic.Vector { return allx }, want, nil
 		}
-		w := self
+		hi, lo, err := selectSpan(msb, lsb)
+		if err != nil {
+			return nil, 0, errDynamic // evalExpr reports it
+		}
+		// selectBits's two cases, told apart here by base's static width.
+		if lo >= uint64(bw) {
+			v := selectBits(logic.New(bw), hi, lo).Resize(want)
+			return func(b *BatchInstance, lane int32) logic.Vector { return v }, want, nil
+		}
+		h, l := int(hi), int(lo)
 		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector {
-			return logic.Slice(base(b, lane), int(hi), int(lo))
-		}, w, want), want, nil
+			return logic.Slice(base(b, lane), h, l)
+		}, self, want), want, nil
 
 	default:
 		return nil, 0, errDynamic
@@ -428,20 +438,18 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 		if errHi != nil || errLo != nil {
 			return nil, errDynamic
 		}
-		hi, ok3 := hiV.Uint64()
-		lo, ok4 := loV.Uint64()
+		msb, ok3 := hiV.Uint64()
+		lsb, ok4 := loV.Uint64()
 		if !ok3 || !ok4 {
 			return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {}, nil
 		}
-		h, l := int(hi), int(lo)
-		if h < l {
-			h, l = l, h
+		hi, lo, err := selectSpan(msb, lsb)
+		if err != nil {
+			return nil, errDynamic // resolveLValue reports it
 		}
-		if l >= width {
+		h, l, inRange := writeSpan(hi, lo, width)
+		if !inRange {
 			return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {}, nil
-		}
-		if h >= width {
-			h = width - 1
 		}
 		s, span := int32(slot), h-l+1
 		return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -192,16 +194,11 @@ func TestBatchDifferentialMicro(t *testing.T) {
 				variants[i] = mustElab(t, tc.src, tc.top)
 				refs[i] = NewInstance(variants[i])
 			}
-			prog := CompileBatch(d, variants)
-			if prog.Lanes() != lanes {
-				for i := 0; i < lanes; i++ {
-					if r := prog.RejectReason(i); r != nil {
-						t.Errorf("variant %d rejected: %v", i, r)
-					}
-				}
-				t.Fatalf("lanes = %d, want %d", prog.Lanes(), lanes)
+			progs := CompileBatch(d, variants)
+			if len(progs) != 1 || progs[0].Lanes() != lanes {
+				t.Fatalf("%d programs, want one of %d lanes", len(progs), lanes)
 			}
-			b := NewBatchInstance(prog)
+			b := NewBatchInstance(progs[0])
 			rng := rand.New(rand.NewSource(99))
 
 			step := func(label string, bf func() error, sf func(in *Instance) error) {
@@ -268,8 +265,7 @@ module m(input [3:0] a, input [6:0] b, input c, output [11:0] y, output [15:0] r
     assign r = {{2{a}}, {3{c}}, b[4:0]};
 endmodule`
 	d := mustElab(t, src, "m")
-	prog := CompileBatch(d, []*Design{d, mustElab(t, src, "m")})
-	b := NewBatchInstance(prog)
+	b := NewBatchInstance(oneProgram(d, d, mustElab(t, src, "m")))
 	if err := b.ZeroInputs(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +295,11 @@ func TestBatchModeSelection(t *testing.T) {
 	for _, tc := range batchExtraModules {
 		t.Run(tc.name, func(t *testing.T) {
 			d := mustElab(t, tc.src, tc.top)
-			prog := CompileBatch(d, []*Design{mustElab(t, tc.src, tc.top)})
-			if prog.Levelized() != tc.wantLevelized {
+			progs := CompileBatch(d, []*Design{mustElab(t, tc.src, tc.top)})
+			if len(progs) != 1 {
+				t.Fatalf("%d programs, want 1", len(progs))
+			}
+			if prog := progs[0]; prog.Levelized() != tc.wantLevelized {
 				t.Errorf("levelized = %v, want %v", prog.Levelized(), tc.wantLevelized)
 			}
 		})
@@ -403,11 +402,7 @@ endmodule`},
 				variants[i] = mustElab(t, src, tc.top)
 				refs[i] = NewInstance(variants[i])
 			}
-			prog := CompileBatch(base, variants)
-			if prog.Lanes() != len(variants) {
-				t.Fatalf("lanes = %d, want %d", prog.Lanes(), len(variants))
-			}
-			b := NewBatchInstance(prog)
+			b := NewBatchInstance(oneProgram(base, variants...))
 			rng := rand.New(rand.NewSource(1))
 
 			check := func(label string) {
@@ -461,53 +456,99 @@ endmodule`},
 	}
 }
 
-// TestBatchVariantRejection: structurally incompatible variants get no
-// lane and a reason; compatible ones still batch.
-func TestBatchVariantRejection(t *testing.T) {
-	base := mustElab(t, `
-module m(input [3:0] a, output [3:0] y);
-    assign y = a + 4'd1;
-endmodule`, "m")
-	good := mustElab(t, `
-module m(input [3:0] a, output [3:0] y);
-    assign y = a + 4'd2;
-endmodule`, "m")
-	wrongWidth := mustElab(t, `
-module m(input [7:0] a, output [7:0] y);
-    assign y = a + 8'd1;
-endmodule`, "m")
-	extraSignal := mustElab(t, `
-module m(input [3:0] a, output [3:0] y);
-    wire [3:0] t;
-    assign t = a ^ 4'd3;
-    assign y = t + 4'd1;
-endmodule`, "m")
+// oneProgram compiles designs as the lanes of one program over base,
+// without CompileBatch's static split; each must share base's layout.
+func oneProgram(base *Design, designs ...*Design) *BatchProgram {
+	p, _ := compileBatch(base, designs, false)
+	return p
+}
 
-	prog := CompileBatch(base, []*Design{wrongWidth, good, extraSignal})
-	if prog.Lanes() != 1 {
-		t.Fatalf("lanes = %d, want 1", prog.Lanes())
+// TestCompileBatchPlacement pins where CompileBatch puts each design:
+// every design gets exactly one lane (two when listed twice), the
+// static designs share a levelized program over base and a non-static
+// one an event-driven program over base, a design whose layout differs
+// gets a one-lane program over itself, and programs without lanes are
+// left out.
+func TestCompileBatchPlacement(t *testing.T) {
+	const ports = "module m(input [3:0] a, output reg [3:0] y);\n"
+	base := mustElab(t, ports+"    always @(*) y = a + 4'd1;\nendmodule", "m")
+	good := mustElab(t, ports+"    always @(*) y = a + 4'd2;\nendmodule", "m")
+	// y keeps its value when a[0] is 0: a latch, not provably static.
+	latch := mustElab(t, ports+"    always @(*) if (a[0]) y = a;\nendmodule", "m")
+	wrongWidth := mustElab(t, `
+module m(input [7:0] a, output reg [7:0] y);
+    always @(*) y = a + 8'd1;
+endmodule`, "m")
+	extraSignal := mustElab(t, ports+"    wire [3:0] t;\n    assign t = a ^ 4'd3;\n    always @(*) y = t + 4'd1;\nendmodule", "m")
+
+	type want struct {
+		base      *Design
+		levelized bool
+		lanes     []*Design
 	}
-	if prog.RejectReason(0) == nil || prog.RejectReason(2) == nil {
-		t.Errorf("incompatible variants not rejected: %v / %v", prog.RejectReason(0), prog.RejectReason(2))
+	for _, tc := range []struct {
+		name    string
+		designs []*Design
+		want    []want
+	}{
+		{"mixed", []*Design{wrongWidth, good, latch, extraSignal, good, base}, []want{
+			{base, true, []*Design{good, good, base}},
+			{base, false, []*Design{latch}},
+			{wrongWidth, true, []*Design{wrongWidth}},
+			{extraSignal, true, []*Design{extraSignal}},
+		}},
+		// The levelized program would have no lane.
+		{"no_static", []*Design{latch}, []want{{base, false, []*Design{latch}}}},
+		{"foreign_only", []*Design{wrongWidth}, []want{{wrongWidth, true, []*Design{wrongWidth}}}},
+		{"empty", nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			progs := CompileBatch(base, tc.designs)
+			if len(progs) != len(tc.want) {
+				t.Fatalf("%d programs, want %d", len(progs), len(tc.want))
+			}
+			lanes := map[*Design]int{}
+			for k, p := range progs {
+				w := tc.want[k]
+				if p.Base() != w.base || p.Levelized() != w.levelized || p.Lanes() != len(w.lanes) {
+					t.Errorf("program %d: base %p levelized=%v lanes=%d, want %p %v %d", k, p.Base(), p.Levelized(), p.Lanes(), w.base, w.levelized, len(w.lanes))
+					continue
+				}
+				for lane, d := range w.lanes {
+					if p.LaneDesign(lane) != d {
+						t.Errorf("program %d lane %d holds the wrong design", k, lane)
+					}
+					lanes[d]++
+				}
+			}
+			listed := map[*Design]int{}
+			for _, d := range tc.designs {
+				listed[d]++
+			}
+			for i, d := range tc.designs {
+				if lanes[d] != listed[d] {
+					t.Errorf("design %d: %d lanes, listed %d times", i, lanes[d], listed[d])
+				}
+			}
+		})
 	}
-	if prog.RejectReason(1) != nil {
-		t.Errorf("compatible variant rejected: %v", prog.RejectReason(1))
-	}
-	if got := prog.VariantLane(1); got != 0 {
-		t.Errorf("VariantLane(1) = %d, want 0", got)
-	}
-	if got := prog.VariantLane(0); got != -1 {
-		t.Errorf("VariantLane(0) = %d, want -1", got)
-	}
-	b := NewBatchInstance(prog)
-	b.ZeroInputs()
-	b.SetInputUint("a", 3)
-	v, err := b.Get("y", 0)
-	if err != nil {
+
+	// The lanes run their own designs: y = a + 2, twice, then a + 1.
+	b := NewBatchInstance(CompileBatch(base, []*Design{good, good, base})[0])
+	if err := b.ZeroInputs(); err != nil {
 		t.Fatal(err)
 	}
-	if u, _ := v.Uint64(); u != 5 {
-		t.Errorf("y = %s, want 5", v)
+	if err := b.SetInputUint("a", 3); err != nil {
+		t.Fatal(err)
+	}
+	for lane, want := range []uint64{5, 5, 4} {
+		v, err := b.Get("y", lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u, _ := v.Uint64(); u != want {
+			t.Errorf("lane %d: y = %s, want %d", lane, v, want)
+		}
 	}
 }
 
@@ -609,17 +650,13 @@ func TestBatchDisplayFallsBackWholesale(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dyn, dyn2, static := elab(t, tc.body, 5), elab(t, tc.body, 9), elab(t, tc.static, 0)
-			if CompileBatch(static, []*Design{static}).Interpreted() {
+			if oneProgram(static, static).Interpreted() {
 				t.Fatalf("the static base %s does not fold", tc.static)
 			}
-			if erred := check(t, CompileBatch(dyn, []*Design{dyn, dyn2}), []*Design{dyn, dyn2}); erred != tc.wantErr {
+			if erred := check(t, oneProgram(dyn, dyn, dyn2), []*Design{dyn, dyn2}); erred != tc.wantErr {
 				t.Errorf("as the base: a lane erred = %v, want %v", erred, tc.wantErr)
 			}
-			prog := CompileBatch(static, []*Design{static, dyn})
-			if prog.VariantLane(1) != 1 {
-				t.Fatalf("the patched variant got lane %d (reason %v)", prog.VariantLane(1), prog.RejectReason(1))
-			}
-			if erred := check(t, prog, []*Design{static, dyn}); erred != tc.wantErr {
+			if erred := check(t, oneProgram(static, static, dyn), []*Design{static, dyn}); erred != tc.wantErr {
 				t.Errorf("as a patched lane: a lane erred = %v, want %v", erred, tc.wantErr)
 			}
 		})
@@ -656,12 +693,12 @@ func TestRuntimeWidthKnownAnswers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dyn, static := elab(t, tc.ports, tc.body), elab(t, tc.ports, tc.static)
-			patched := CompileBatch(static, []*Design{static, dyn})
-			if !patched.Interpreted() || patched.VariantLane(1) != 1 {
-				t.Fatalf("patched program: interpreted=%v, variant lane %d", patched.Interpreted(), patched.VariantLane(1))
+			patched := oneProgram(static, static, dyn)
+			if !patched.Interpreted() {
+				t.Fatal("the patched program runs no body on the interpreter's rules")
 			}
 			in := NewInstance(dyn)
-			base, patch := NewBatchInstance(CompileBatch(dyn, []*Design{dyn})), NewBatchInstance(patched)
+			base, patch := NewBatchInstance(oneProgram(dyn, dyn)), NewBatchInstance(patched)
 			// s first, as {0{a}} is an invalid replication count.
 			for _, s := range []int{2, 1, 3} {
 				for _, p := range []struct {
@@ -699,6 +736,84 @@ func TestRuntimeWidthKnownAnswers(t *testing.T) {
 	}
 }
 
+// TestPartSelectWidthCap pins the part-select cap on both engines: a
+// select wider than maxVectorWidth bits — with constant bounds, or
+// bounds a signal drives — is an evaluation error with one text on an
+// Instance and on a batch lane, read or written, and fails without
+// allocating anywhere near its width; a select at the cap, or a narrow
+// one at an offset near 2^63, evaluates. a is driven to 5, then s.
+func TestPartSelectWidthCap(t *testing.T) {
+	const wide = "is wider than 4096 bits"
+	cases := []struct {
+		name, body string
+		s          uint64
+		want       string // y, or the error's tail
+	}{
+		{"constant_bounds", `assign y = a[24'hFFFFFF:0];`, 0, "part-select [16777215:0] " + wide},
+		{"signal_bound_2^24", `assign y = a[s:0];`, 1<<24 - 1, "part-select [16777215:0] " + wide},
+		{"signal_bound_2^32", `assign y = a[s:0];`, 1<<32 - 1, "part-select [4294967295:0] " + wide},
+		{"beside_an_operand", `assign y = 4'd1 + a[s:0];`, 1<<32 - 1, "part-select [4294967295:0] " + wide},
+		{"target", `reg [3:0] r; always @(*) begin r = 4'd0; r[s:0] = a; end assign y = r;`, 1<<32 - 1, "part-select [4294967295:0] " + wide},
+		{"at_the_cap", `assign y = a[s:0];`, 4095, "0101"},
+		{"constant_at_the_cap", `assign y = a[4095:0];`, 0, "0101"},
+		{"far_offset", `assign y = a[s:s - 64'd1];`, 1 << 63, "00xx"},
+		{"constant_far_offset", `assign y = a[64'h8000000000000000:64'h7fffffffffffffff];`, 0, "00xx"},
+		{"far_target", `reg [3:0] r; always @(*) begin r = 4'd3; r[s:s - 64'd1] = a; end assign y = r;`, 1 << 63, "0011"},
+	}
+	// allocated runs f and returns the bytes it allocated.
+	allocated := func(f func() error) (uint64, error) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := f()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, err
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := mustElab(t, "module m(input [3:0] a, input [63:0] s, output [3:0] y);\n    "+tc.body+"\nendmodule", "m")
+			in, b := NewInstance(d), NewBatchInstance(CompileBatch(d, []*Design{d})[0])
+			var got [2]string
+			for e, drive := range []func(name string, v uint64) error{
+				in.SetInputUint,
+				func(name string, v uint64) error {
+					if err := b.SetInputUint(name, v); err != nil {
+						return err
+					}
+					return b.LaneErr(0)
+				},
+			} {
+				var err error
+				for _, dr := range []struct {
+					name string
+					v    uint64
+				}{{"a", 5}, {"s", tc.s}} {
+					var n uint64
+					if n, err = allocated(func() error { return drive(dr.name, dr.v) }); n > 256<<10 {
+						t.Errorf("engine %d: driving %s allocated %d bytes", e, dr.name, n)
+					}
+					if err != nil {
+						break
+					}
+				}
+				if err != nil {
+					got[e] = err.Error()
+				} else if e == 0 {
+					got[e] = in.MustGet("y").String()
+				} else {
+					v, _ := b.Get("y", 0)
+					got[e] = v.String()
+				}
+			}
+			if got[0] != got[1] {
+				t.Errorf("interpreter %q, batch lane %q", got[0], got[1])
+			}
+			if !strings.HasSuffix(got[0], tc.want) {
+				t.Errorf("got %q, want %q", got[0], tc.want)
+			}
+		})
+	}
+}
+
 // TestBatchLaneFailureIsolation: one lane hitting a simulation error
 // (unsettleable feedback) must not disturb the other lanes.
 func TestBatchLaneFailureIsolation(t *testing.T) {
@@ -719,7 +834,7 @@ module m(input [3:0] a, output [3:0] y, output [3:0] z);
     assign y = a + 4'd2;
     assign z = y;
 endmodule`, "m")
-	prog := CompileBatch(base, []*Design{osc, ok})
+	prog := oneProgram(base, osc, ok)
 	if prog.Levelized() {
 		t.Fatal("oscillating variant should force event-driven mode")
 	}
@@ -749,6 +864,11 @@ endmodule`, "m")
 	if b.ActiveCount() != 1 {
 		t.Errorf("ActiveCount = %d, want 1", b.ActiveCount())
 	}
+	// Reset is a fresh instance: the failed lane runs again.
+	b.Reset()
+	if !b.Active(0) || b.LaneErr(0) != nil || b.ActiveCount() != 2 {
+		t.Errorf("after Reset: lane 0 active=%v err=%v, ActiveCount = %d; want a fresh instance", b.Active(0), b.LaneErr(0), b.ActiveCount())
+	}
 }
 
 // TestBatchResetEqualsFresh pins the pooling contract for batches.
@@ -760,8 +880,7 @@ module c(input clk, input rst, input [3:0] d, output reg [3:0] q);
         else q <= q + d;
 endmodule`
 	d := mustElab(t, src, "c")
-	prog := CompileBatch(d, []*Design{mustElab(t, src, "c"), mustElab(t, src, "c")})
-	b := NewBatchInstance(prog)
+	b := NewBatchInstance(oneProgram(d, mustElab(t, src, "c"), mustElab(t, src, "c")))
 	run := func(seed int64) string {
 		rng := rand.New(rand.NewSource(seed))
 		if err := b.ZeroInputs(); err != nil {
@@ -793,7 +912,7 @@ module m(input clk, input [7:0] d, output reg [7:0] q, output [7:0] y);
     always @(posedge clk) q <= d;
 endmodule`
 	d := mustElab(t, src, "m")
-	prog := CompileBatch(d, []*Design{mustElab(t, src, "m"), mustElab(t, src, "m")})
+	prog := oneProgram(d, mustElab(t, src, "m"), mustElab(t, src, "m"))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

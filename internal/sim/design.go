@@ -5,10 +5,10 @@
 //
 // There are two engines over one elaborated Design:
 //
-//   - the batch engine (CompileBatch / BatchInstance) compiles a base
-//     design and N variants into one structure-of-arrays program and
-//     advances every lane in lockstep under the cycle API (SetInput /
-//     Settle / Tick). Testbench validation, RS-matrix construction and
+//   - the batch engine (CompileBatch / BatchInstance) places a base
+//     design and N variants on the lanes of structure-of-arrays
+//     programs and advances every lane in lockstep under the cycle API
+//     (SetInput / Settle / Tick). Testbench validation, RS-matrix construction and
 //     mutant evaluation run on it; a single DUT is a one-lane batch.
 //     Every design compiles: a body the compiler cannot fold runs the
 //     interpreter's own statement rules on its lane.
@@ -892,7 +892,7 @@ func (e *elaborator) rangeWidth(r *verilog.Range, params map[string]logic.Vector
 	if lsb != 0 {
 		return 0, elabErrf(pos, "only [msb:0] ranges are supported (got lsb=%d)", lsb)
 	}
-	if msb > 4095 {
+	if msb >= maxVectorWidth {
 		return 0, elabErrf(pos, "vector too wide (%d bits)", msb+1)
 	}
 	return int(msb) + 1, nil

@@ -132,11 +132,11 @@ type oneLane struct {
 
 func newOneLane(t *testing.T, d *Design) *oneLane {
 	t.Helper()
-	prog := CompileBatch(d, []*Design{d})
-	if prog.Lanes() != 1 {
-		t.Fatalf("design rejected from its own program: %v", prog.RejectReason(0))
+	progs := CompileBatch(d, []*Design{d})
+	if len(progs) != 1 || progs[0].Lanes() != 1 {
+		t.Fatalf("design alone compiles to %d programs, want one of one lane", len(progs))
 	}
-	return &oneLane{t: t, b: NewBatchInstance(prog), in: NewInstance(d)}
+	return &oneLane{t: t, b: NewBatchInstance(progs[0]), in: NewInstance(d)}
 }
 
 func (o *oneLane) step(label string, bf func(b *BatchInstance) error, sf func(in *Instance) error) {
@@ -261,12 +261,8 @@ func TestInstanceResetEqualsFresh(t *testing.T) {
 func TestCompiledCoverage(t *testing.T) {
 	for _, tc := range engineDiffModules {
 		d := mustElab(t, tc.src, tc.top)
-		prog := CompileBatch(d, []*Design{d})
-		if prog.Interpreted() {
+		if oneProgram(d, d).Interpreted() {
 			t.Errorf("%s: a body runs on the interpreter's rules", tc.name)
-		}
-		if prog.Lanes() != 1 {
-			t.Errorf("%s: rejected from its own program: %v", tc.name, prog.RejectReason(0))
 		}
 	}
 }

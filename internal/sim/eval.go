@@ -13,11 +13,53 @@ type env interface {
 	signalWidth(name string) (int, bool)
 }
 
+// maxVectorWidth caps the width of a declared vector (rangeWidth) and
+// the span of a part-select: a wider select is an evaluation error, so
+// no evaluation allocates past the cap because of a select's bounds.
+const maxVectorWidth = 4096
+
+// selectSpan orders a part-select's known bounds [msb:lsb] as hi >= lo,
+// and fails when the select spans more than maxVectorWidth bits.
+func selectSpan(msb, lsb uint64) (hi, lo uint64, err error) {
+	hi, lo = msb, lsb
+	if hi < lo {
+		hi, lo = lo, hi
+	}
+	if hi-lo >= maxVectorWidth {
+		return 0, 0, fmt.Errorf("part-select [%d:%d] is wider than %d bits", msb, lsb, maxVectorWidth)
+	}
+	return hi, lo, nil
+}
+
+// selectBits reads bits [hi:lo] of v, a span selectSpan accepted; bits
+// past v's width read X.
+func selectBits(v logic.Vector, hi, lo uint64) logic.Vector {
+	if lo >= uint64(v.Width()) {
+		return logic.AllX(int(hi-lo) + 1)
+	}
+	return logic.Slice(v, int(hi), int(lo))
+}
+
+// writeSpan clips a part-select write's span [hi:lo], as selectSpan
+// returns it, to a signal of width bits; ok is false when no bit of the
+// span is in range.
+func writeSpan(hi, lo uint64, width int) (h, l int, ok bool) {
+	if lo >= uint64(width) {
+		return 0, 0, false
+	}
+	if hi >= uint64(width) {
+		hi = uint64(width) - 1
+	}
+	return int(hi), int(lo), true
+}
+
 // selfWidth computes the self-determined width of an expression,
 // following IEEE 1364 table 5-22. Unknown identifiers report width 1;
 // evaluation will fail on them with a proper error. static reports
 // whether every replication count and part-select bound met could be
-// evaluated (constUint); one that could not counts as 0.
+// evaluated (constUint) — one that could not counts as 0 — and every
+// part-select is within maxVectorWidth; one that is not counts as 1
+// bit, and evaluating it fails.
 func selfWidth(e verilog.Expr, en env) (w int, static bool) {
 	switch x := e.(type) {
 	case *verilog.Number:
@@ -71,10 +113,11 @@ func selfWidth(e verilog.Expr, en env) (w int, static bool) {
 	case *verilog.Index:
 		return 1, true
 	case *verilog.PartSelect:
-		hi, ok1 := constUint(x.MSB, en)
-		lo, ok2 := constUint(x.LSB, en)
-		if hi < lo {
-			hi, lo = lo, hi
+		msb, ok1 := constUint(x.MSB, en)
+		lsb, ok2 := constUint(x.LSB, en)
+		hi, lo, err := selectSpan(msb, lsb)
+		if err != nil {
+			return 1, false
 		}
 		return int(hi-lo) + 1, ok1 && ok2
 	default:
@@ -265,12 +308,16 @@ func evalExpr(e verilog.Expr, en env, ctx int) (logic.Vector, error) {
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		hi, ok1 := hiV.Uint64()
-		lo, ok2 := loV.Uint64()
+		msb, ok1 := hiV.Uint64()
+		lsb, ok2 := loV.Uint64()
 		if !ok1 || !ok2 {
 			return logic.AllX(want), nil
 		}
-		return logic.Slice(base, int(hi), int(lo)).Resize(want), nil
+		hi, lo, err := selectSpan(msb, lsb)
+		if err != nil {
+			return logic.Vector{}, err
+		}
+		return selectBits(base, hi, lo).Resize(want), nil
 
 	default:
 		return logic.Vector{}, fmt.Errorf("unsupported expression %T", e)

@@ -253,21 +253,18 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 		if err != nil {
 			return nil, err
 		}
-		hi, ok3 := hiV.Uint64()
-		lo, ok4 := loV.Uint64()
+		msb, ok3 := hiV.Uint64()
+		lsb, ok4 := loV.Uint64()
 		if !ok3 || !ok4 {
 			return nil, nil
 		}
-		width := d.slotWidths[slot]
-		h, l := int(hi), int(lo)
-		if h < l {
-			h, l = l, h
+		hi, lo, err := selectSpan(msb, lsb)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", pos, err)
 		}
-		if l >= width {
+		h, l, ok5 := writeSpan(hi, lo, d.slotWidths[slot])
+		if !ok5 {
 			return nil, nil
-		}
-		if h >= width {
-			h = width - 1
 		}
 		return []resolvedWrite{{slot: int32(slot), hi: h, lo: l, val: val.Resize(h - l + 1)}}, nil
 

@@ -19,16 +19,19 @@ import (
 // single-DUT simulation runs as a one-lane batch program, so a
 // one-lane BatchInstance must read equal to an interpreter Instance on
 // every signal after every step, and the two must agree on whether a
-// step errors. Mutant sets run as patched lanes over the golden, so a
-// two-lane [golden, mutant] program over the golden base must match
-// two interpreter Instances lane by lane: every signal after every
-// step, and each lane's error, text included, at the step it occurs (a
-// mutant whose signal layout differs from the golden's gets no lane
-// there; it is checked one-lane only). The problem index picks a
-// dataset golden; the fuzz bytes pick a mutant of it (byte 0: mutation
-// count 0-2, and which process of fuzzExtra, if any, both golden and
-// mutant get; bytes 1-8: mutation seed) and then the stimulus, one
-// input port value at a time (see stimulus).
+// step errors. Mutant sets are placed by CompileBatch over the golden,
+// so every lane of every program CompileBatch builds for [golden,
+// mutant] must match an interpreter Instance of that lane's design:
+// every signal after every step, and each lane's error, text included,
+// at the step it occurs — whether the mutant is a patched lane beside
+// the golden, moved to an event-driven program by the static split, or
+// a one-lane program of its own for a signal layout that differs from
+// the golden's. The problem index picks a dataset golden; the fuzz
+// bytes pick a mutant of it (byte 0: mutation count 0-2, which process
+// of fuzzExtra, if any, the mutant gets, and whether the golden gets
+// it too — when not, the mutant's layout differs; bytes 1-8: mutation
+// seed) and then the stimulus, one input port value at a time (see
+// stimulus).
 func FuzzBatchLaneMatchesInterp(f *testing.F) {
 	probs := dataset.All()
 	for i := range probs {
@@ -53,7 +56,11 @@ func FuzzBatchLaneMatchesInterp(f *testing.F) {
 		}
 		ops := fuzzOps(p, d.Ports, data[9:])
 		checkOneLane(t, p, d, ops)
-		if g := fuzzDesign(t, p, 0, extra, 0); g != nil {
+		gExtra := extra
+		if data[0]/9%2 == 1 {
+			gExtra = 0
+		}
+		if g := fuzzDesign(t, p, 0, gExtra, 0); g != nil {
 			checkTwoLanes(t, p, g, d, ops)
 		}
 	})
@@ -105,11 +112,11 @@ func fuzzOps(p *dataset.Problem, ports []sim.Port, data []byte) []fuzzOp {
 // interpreter.
 func checkOneLane(t *testing.T, p *dataset.Problem, d *sim.Design, ops []fuzzOp) {
 	t.Helper()
-	prog := sim.CompileBatch(d, []*sim.Design{d})
-	if prog.Lanes() != 1 {
-		t.Fatalf("%s: design rejected from its own program: %v", p.Name, prog.RejectReason(0))
+	progs := sim.CompileBatch(d, []*sim.Design{d})
+	if len(progs) != 1 || progs[0].Lanes() != 1 {
+		t.Fatalf("%s: the design alone compiles to %d programs, want one of one lane", p.Name, len(progs))
 	}
-	b := sim.NewBatchInstance(prog)
+	b := sim.NewBatchInstance(progs[0])
 	in := sim.NewInstance(d)
 	for _, op := range ops {
 		berr := op.run(b)
@@ -136,49 +143,73 @@ func checkOneLane(t *testing.T, p *dataset.Problem, d *sim.Design, ops []fuzzOp)
 	}
 }
 
-// checkTwoLanes runs [g, d] as patched lanes over the golden base g
-// against two interpreter Instances, whenever d gets a lane. A lane
+// checkTwoLanes places [g, d] with CompileBatch over the golden base g,
+// checks that each gets exactly one lane, and runs every lane of every
+// program against an interpreter Instance of its LaneDesign. A lane
 // that errs is dead from then on; the other keeps being compared.
 func checkTwoLanes(t *testing.T, p *dataset.Problem, g, d *sim.Design, ops []fuzzOp) {
 	t.Helper()
-	prog := sim.CompileBatch(g, []*sim.Design{g, d})
-	if prog.VariantLane(1) < 0 {
-		return
+	type laneRun struct {
+		prog, lane int
+		d          *sim.Design
+		in         *sim.Instance
+		dead       bool
 	}
-	lanes := []int{prog.VariantLane(0), prog.VariantLane(1)}
-	b := sim.NewBatchInstance(prog)
-	ins := []*sim.Instance{sim.NewInstance(g), sim.NewInstance(d)}
-	dead := []bool{false, false}
+	designs := []*sim.Design{g, d} // g == d for an unmutated golden
+	progs := sim.CompileBatch(g, designs)
+	bs := make([]*sim.BatchInstance, len(progs))
+	var runs []*laneRun
+	placed := map[*sim.Design]int{}
+	for k, prog := range progs {
+		bs[k] = sim.NewBatchInstance(prog)
+		for lane := 0; lane < prog.Lanes(); lane++ {
+			ld := prog.LaneDesign(lane)
+			placed[ld]++
+			runs = append(runs, &laneRun{prog: k, lane: lane, d: ld, in: sim.NewInstance(ld)})
+		}
+	}
+	for _, x := range designs {
+		placed[x]--
+	}
+	if len(runs) != len(designs) || placed[g] != 0 || placed[d] != 0 {
+		t.Fatalf("%s: [golden, mutant] placed on %d lanes of %d programs, want one lane each", p.Name, len(runs), len(progs))
+	}
+	errs := make([]error, len(bs))
 	for _, op := range ops {
-		gerr := op.run(b)
-		for i, lane := range lanes {
-			if dead[i] {
+		for k, b := range bs {
+			errs[k] = op.run(b)
+		}
+		live := 0
+		for _, r := range runs {
+			if r.dead {
 				continue
 			}
-			berr := gerr
+			b := bs[r.prog]
+			berr := errs[r.prog]
 			if berr == nil {
-				berr = b.LaneErr(lane)
+				berr = b.LaneErr(r.lane)
 			}
-			ierr := op.run(ins[i])
+			ierr := op.run(r.in)
 			if (berr != nil) != (ierr != nil) || (ierr != nil && berr.Error() != ierr.Error()) {
-				t.Fatalf("%s: %s: lane %d: batch err=%v, interp err=%v", p.Name, op.label, lane, berr, ierr)
+				t.Fatalf("%s: %s: program %d lane %d: batch err=%v, interp err=%v", p.Name, op.label, r.prog, r.lane, berr, ierr)
 			}
 			if ierr != nil {
-				dead[i] = true
+				r.dead = true
 				continue
 			}
-			for _, name := range g.Order {
-				bv, err1 := b.Get(name, lane)
-				iv, err2 := ins[i].Get(name)
+			live++
+			for _, name := range r.d.Order {
+				bv, err1 := b.Get(name, r.lane)
+				iv, err2 := r.in.Get(name)
 				if err1 != nil || err2 != nil {
-					t.Fatalf("%s: %s: lane %d: read %s: %v / %v", p.Name, op.label, lane, name, err1, err2)
+					t.Fatalf("%s: %s: program %d lane %d: read %s: %v / %v", p.Name, op.label, r.prog, r.lane, name, err1, err2)
 				}
 				if bv.String() != iv.String() {
-					t.Fatalf("%s: %s: lane %d: signal %s: batch %s, interp %s", p.Name, op.label, lane, name, bv, iv)
+					t.Fatalf("%s: %s: program %d lane %d: signal %s: batch %s, interp %s", p.Name, op.label, r.prog, r.lane, name, bv, iv)
 				}
 			}
 		}
-		if dead[0] && dead[1] {
+		if live == 0 {
 			return
 		}
 	}
@@ -220,12 +251,12 @@ func fuzzDesign(t *testing.T, p *dataset.Problem, count, extra int, seed int64) 
 }
 
 // fuzzExtra is a process whose body the batch compiler leaves to the
-// interpreter's rules, appended to golden and mutant alike so such
-// bodies run beside folded ones in the same lanes: 1 a $display comb
-// process, 2 a comb process reading and writing part-selects whose
-// bounds are signal values. Both read p's first output, which a
-// mutant's lane may hold differently, and its last data input (the
-// output again when it has none).
+// interpreter's rules, appended to the mutant and, usually, the golden
+// too, so such bodies run beside folded ones in the same lanes: 1 a
+// $display comb process, 2 a comb process reading and writing
+// part-selects whose bounds are signal values. Both read p's first
+// output, which a mutant's lane may hold differently, and its last data
+// input (the output again when it has none).
 func fuzzExtra(p *dataset.Problem, ports []sim.Port, extra int) string {
 	var out, in string
 	for _, port := range ports {

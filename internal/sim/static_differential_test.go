@@ -1,12 +1,12 @@
 package sim_test
 
-// Differential tests tying the three static-classification fronts
+// Differential tests tying the two static-classification fronts
 // together: the module-level lint (vstatic.AnalyzeModule over raw
-// source), the design-level facts (Design.StaticFacts over the
-// elaborated form), and the engine itself (CompileBatch's levelized
-// flag). The run-once levelized schedule is only sound if these
-// agree, so any widening of one front must be proven on the other
-// two — across every dataset problem and a seeded mutant sweep.
+// source) and the engine itself (the levelized flag of the program
+// CompileBatch builds for a design alone). The run-once levelized
+// schedule is only sound if these agree, so any widening of one front
+// must be proven on the other — across every dataset problem and a
+// seeded mutant sweep.
 
 import (
 	"context"
@@ -30,6 +30,11 @@ func classifyModule(t *testing.T, src, top string) *vstatic.Result {
 	return rs[0]
 }
 
+// levelized reports whether d alone runs on the levelized schedule.
+func levelized(d *sim.Design) bool {
+	return sim.CompileBatch(d, []*sim.Design{d})[0].Levelized()
+}
+
 func TestStaticClassificationAgreesOnAllGoldens(t *testing.T) {
 	lev := 0
 	for _, p := range dataset.All() {
@@ -38,21 +43,11 @@ func TestStaticClassificationAgreesOnAllGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: elaborate: %v", p.Name, err)
 		}
-		facts := d.StaticFacts()
-		if mr.Levelizable != facts.Levelizable {
-			t.Errorf("%s: module lint says levelizable=%v, design facts say %v (%s)",
-				p.Name, mr.Levelizable, facts.Levelizable, facts.Reason)
+		lev1 := levelized(d)
+		if mr.Levelizable != lev1 {
+			t.Errorf("%s: module lint says levelizable=%v, engine levelized=%v", p.Name, mr.Levelizable, lev1)
 		}
-		if mr.CombProcs != facts.CombProcs || mr.StaticCombProcs != facts.StaticCombProcs {
-			t.Errorf("%s: proc counts differ: module %d/%d vs design %d/%d",
-				p.Name, mr.StaticCombProcs, mr.CombProcs, facts.StaticCombProcs, facts.CombProcs)
-		}
-		prog := sim.CompileBatch(d, nil)
-		if prog.Levelized() != facts.Levelizable {
-			t.Errorf("%s: engine levelized=%v, static facts say %v",
-				p.Name, prog.Levelized(), facts.Levelizable)
-		}
-		if facts.Levelizable {
+		if lev1 {
 			lev++
 		}
 	}
@@ -84,16 +79,9 @@ func TestStaticClassificationAgreesOnMutants(t *testing.T) {
 				continue
 			}
 			mr := classifyModule(t, src, p.Top)
-			facts := d.StaticFacts()
-			if mr.Levelizable != facts.Levelizable {
-				t.Errorf("%s mutant %d: module lint levelizable=%v, design facts %v (%s)\n%s",
-					p.Name, i, mr.Levelizable, facts.Levelizable, facts.Reason, src)
-				continue
-			}
-			prog := sim.CompileBatch(d, nil)
-			if prog.Levelized() != facts.Levelizable {
-				t.Errorf("%s mutant %d: engine levelized=%v, static facts %v\n%s",
-					p.Name, i, prog.Levelized(), facts.Levelizable, src)
+			if lev := levelized(d); mr.Levelizable != lev {
+				t.Errorf("%s mutant %d: module lint levelizable=%v, engine levelized=%v\n%s",
+					p.Name, i, mr.Levelizable, lev, src)
 			}
 			checked++
 		}

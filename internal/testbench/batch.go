@@ -5,9 +5,11 @@ package testbench
 // one pass. Every run is record-then-compare. One recorder (record)
 // simulates the lanes of a compiled sim.BatchProgram over the stimulus
 // and keeps each lane's output samples and first error: a trace. The
-// checker is a one-lane program, and so is a DUT whose layout differs
-// from the set's base. One compare (compareLane) turns a DUT lane's
-// trace and the checker's trace into the lane's outcome.
+// checker is a one-lane program; the DUTs are lanes of the programs
+// sim.CompileBatch places them on, each program recorded and compared
+// on its own output ports. One compare (compareLane) turns a DUT lane's
+// trace and the checker's trace over the same ports into the lane's
+// outcome.
 //
 // The recorder works scenario by scenario against the testbench's trace
 // store (store.go), which keeps every complete scenario it has recorded
@@ -160,30 +162,20 @@ func newStimulus(tb *Testbench) *stimulus {
 }
 
 // A DUTSet is a set of DUT designs prepared for batched runs: the batch
-// programs sim.CompileBatchSplit compiles for them over base, the
-// design whose output ports a run compares (the golden design the DUTs
-// are mutants of; a DUT may alias it). Static variants share a
-// levelized program, the rest batch under a separate event-driven
-// program, and a DUT whose layout differs from base's gets a one-lane
-// program of its own. DUTs that are the same *sim.Design get one lane
-// between them: a design is simulated once per run however often the
-// set repeats it. A DUTSet is immutable and safe to share across
-// concurrent runs.
+// programs sim.CompileBatch places them on over base, the golden design
+// the DUTs are mutants of (a DUT may alias it). DUTs that are the same
+// *sim.Design get one lane between them: a design is simulated once per
+// run however often the set repeats it. A DUTSet is immutable and safe
+// to share across concurrent runs.
 type DUTSet struct {
-	// baseOuts is base's output port list, the one a run compares.
-	baseOuts []string
-	duts     []*sim.Design
-	// first[i] is the index of the first DUT that is duts[i]; only
-	// those DUTs are recorded, and a repeat reads its first's lane.
-	first []int
+	duts  []*sim.Design
 	progs []*sim.BatchProgram
-	// laneDUT[k][lane] is the DUT index of progs[k]'s lane.
-	laneDUT [][]int
-	// at[i] is DUT i's program lane, set for first DUTs only.
-	at []laneRef
-	// outs[i] is DUT i's output port list when it differs from base's
-	// (only a DUT with a program of its own can differ), else nil.
+	// outs[k] is progs[k]'s output port list, the one its lanes are
+	// recorded and compared on: its base's, which only a program of a
+	// design with a layout of its own can change.
 	outs [][]string
+	// at[i] is DUT i's program lane.
+	at []laneRef
 }
 
 type laneRef struct{ prog, lane int }
@@ -191,57 +183,27 @@ type laneRef struct{ prog, lane int }
 // NewDUTSet compiles duts into batch programs over base. out[i] of
 // every run of the set is duts[i]'s outcome.
 func NewDUTSet(base *sim.Design, duts []*sim.Design) *DUTSet {
-	baseOuts := outputPorts(base)
-	s := &DUTSet{baseOuts: baseOuts, duts: duts, first: make([]int, len(duts)), at: make([]laneRef, len(duts)), outs: make([][]string, len(duts))}
-	seen := make(map[*sim.Design]int, len(duts)) // design -> its first DUT
-	var designs []*sim.Design                    // each design once, in set order
-	for i, d := range duts {
-		s.at[i].prog = -1
-		if outs := outputPorts(d); !slices.Equal(outs, baseOuts) {
-			s.outs[i] = outs
-		}
-		if _, ok := seen[d]; !ok {
-			seen[d] = i
+	s := &DUTSet{duts: duts, at: make([]laneRef, len(duts))}
+	seen := make(map[*sim.Design]bool, len(duts))
+	var designs []*sim.Design // each design once, in set order
+	for _, d := range duts {
+		if !seen[d] {
+			seen[d] = true
 			designs = append(designs, d)
 		}
-		s.first[i] = seen[d]
 	}
-	progs, idx := sim.CompileBatchSplit(base, designs)
-	s.progs = progs
-	s.laneDUT = make([][]int, len(progs))
-	for k, p := range progs {
-		s.laneDUT[k] = make([]int, p.Lanes())
-		for vi := range p.Variants() {
-			if lane := p.VariantLane(vi); lane >= 0 {
-				i := seen[designs[idx[k][vi]]]
-				s.laneDUT[k][lane] = i
-				s.at[i] = laneRef{k, lane}
-			}
+	s.progs = sim.CompileBatch(base, designs)
+	at := make(map[*sim.Design]laneRef, len(designs))
+	for k, p := range s.progs {
+		s.outs = append(s.outs, outputPorts(p.Base()))
+		for lane := 0; lane < p.Lanes(); lane++ {
+			at[p.LaneDesign(lane)] = laneRef{k, lane}
 		}
 	}
-	// A design no program took has a layout of its own.
-	for _, d := range designs {
-		if i := seen[d]; s.at[i].prog < 0 {
-			s.at[i] = laneRef{len(s.progs), 0}
-			s.progs = append(s.progs, sim.CompileBatch(d, []*sim.Design{d}))
-			s.laneDUT = append(s.laneDUT, []int{i})
-		}
+	for i, d := range duts {
+		s.at[i] = at[d]
 	}
 	return s
-}
-
-// setTrace is one recording of a DUT set over a stimulus: a trace per
-// program (nil for a program without lanes).
-type setTrace struct {
-	set   *DUTSet
-	progs []*trace
-}
-
-// lane returns the trace that holds DUT i and its lane in it: the
-// first DUT's that is the same design.
-func (r *setTrace) lane(i int) (*trace, int) {
-	at := r.set.at[r.set.first[i]]
-	return r.progs[at.prog], at.lane
 }
 
 // checkerTrace returns the checker design cd's trace over the output
@@ -255,9 +217,8 @@ func (r *setTrace) lane(i int) (*trace, int) {
 // cancellation.
 func (tb *Testbench) checkerTrace(ctx context.Context, st *TraceStore, cd *sim.Design, stim *stimulus, outs []string) *trace {
 	// Never cancelled, so the recording cannot fail.
-	rec, _ := tb.recordSet(context.WithoutCancel(ctx), st, st.single(cd), stim, outs, "checker", nil, false)
-	tr, _ := rec.lane(0)
-	return tr
+	rec, _ := tb.recordSet(context.WithoutCancel(ctx), st, st.single(cd), stim, [][]string{outs}, "checker", nil, false)
+	return rec[0]
 }
 
 // runSpan is one set recording's sim_run span. It is opened at the
@@ -347,14 +308,11 @@ func (tb *Testbench) record(ctx context.Context, st *TraceStore, unit any, prog 
 			pc = recorded[key]
 		}
 		if pc == nil {
-			switch {
-			case b == nil:
+			if b == nil {
 				span.open()
 				b = sim.NewBatchInstance(prog)
 				b.BindContext(ctx)
-			case keep:
-				b.Restart()
-			default:
+			} else {
 				b.Reset()
 			}
 			if !keep {
@@ -527,9 +485,9 @@ func compareLane(dut, chk *trace, lane, ns int, earlyExit bool) BatchOutcome {
 // RunBatchContext runs every DUT of set against the testbench in one
 // batched pass and returns one outcome per DUT, in set order. The
 // checker is recorded once per output port list (checkerTrace); each
-// distinct DUT design is recorded once, as a program lane, and every
-// DUT is compared on its own output ports. A checker that does not elaborate is every
-// DUT's "checker:" error. Every scenario tb's trace store already
+// distinct DUT design is recorded once, as a program lane, and compared
+// on its program's output ports. A checker that does not elaborate is
+// every DUT's "checker:" error. Every scenario tb's trace store already
 // holds for a unit is read, not simulated.
 //
 // With earlyExit=false every lane is recorded through every scenario,
@@ -552,68 +510,53 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 		return out, nil
 	}
 	st, stim := tb.traceStore(), newStimulus(tb)
-	// chks[i] is the checker trace DUT i is compared with, over its own
-	// output ports.
-	chk := tb.checkerTrace(ctx, st, cd, stim, set.baseOuts)
-	chks := make([]*trace, len(out))
-	for i, outs := range set.outs {
-		chks[i] = chk
-		if outs == nil {
-			continue
-		}
-		if j := slices.IndexFunc(set.outs[:i], func(o []string) bool { return slices.Equal(o, outs) }); j >= 0 {
-			chks[i] = chks[j]
+	// chks[k] is the checker trace program k's lanes are compared with,
+	// over that program's output ports.
+	chks := make([]*trace, len(set.progs))
+	for k, outs := range set.outs {
+		if j := slices.IndexFunc(set.outs[:k], func(o []string) bool { return slices.Equal(o, outs) }); j >= 0 {
+			chks[k] = chks[j]
 		} else {
-			chks[i] = tb.checkerTrace(ctx, st, cd, stim, outs)
+			chks[k] = tb.checkerTrace(ctx, st, cd, stim, outs)
 		}
 	}
-	rec, err := tb.recordSet(ctx, st, set, stim, set.baseOuts, "dut", chks, earlyExit)
+	rec, err := tb.recordSet(ctx, st, set, stim, set.outs, "dut", chks, earlyExit)
 	if err != nil {
 		return nil, err
 	}
-	for i := range out {
-		tr, lane := rec.lane(i)
-		out[i] = compareLane(tr, chks[i], lane, len(tb.Scenarios), earlyExit)
+	for i, at := range set.at {
+		out[i] = compareLane(rec[at.prog], chks[at.prog], at.lane, len(tb.Scenarios), earlyExit)
 	}
 	return out, nil
 }
 
-// recordSet records every distinct DUT of set over stim as one sim_run,
-// opened only if some scenario is simulated; a repeated DUT is not
-// recorded again. Each program records its lanes over outs, the ports
-// the set's base is compared on, or over its DUT's own output ports
-// when they differ. With earlyExit a lane stops once its outcome
-// against chks[dut] (per DUT, the checker trace it is compared with) is
-// settled, and nothing is stored; otherwise every lane is recorded
-// through every scenario and the pieces simulated are stored once every
-// program is recorded. The returned error is non-nil only on
-// cancellation of ctx, and then nothing is stored.
-func (tb *Testbench) recordSet(ctx context.Context, st *TraceStore, set *DUTSet, stim *stimulus, outs []string, side string, chks []*trace, earlyExit bool) (*setTrace, error) {
+// recordSet records every program of set over stim as one sim_run,
+// opened only if some scenario is simulated, and returns a trace per
+// program. Program k records its lanes over the output ports outs[k].
+// With earlyExit a lane stops once its outcome against chks[k], the
+// checker trace it is compared with, is settled, and nothing is stored;
+// otherwise every lane is recorded through every scenario and the
+// pieces simulated are stored once every program is recorded. The
+// returned error is non-nil only on cancellation of ctx, and then
+// nothing is stored.
+func (tb *Testbench) recordSet(ctx context.Context, st *TraceStore, set *DUTSet, stim *stimulus, outs [][]string, side string, chks []*trace, earlyExit bool) ([]*trace, error) {
 	span := &runSpan{ctx: ctx}
 	defer span.close()
-	rec := &setTrace{set: set, progs: make([]*trace, len(set.progs))}
+	rec := make([]*trace, len(set.progs))
 	var recorded map[pieceKey]*piece
 	if !earlyExit {
 		recorded = map[pieceKey]*piece{}
 	}
 	for k, p := range set.progs {
-		if p.Lanes() == 0 {
-			continue
-		}
-		laneDUT := set.laneDUT[k]
 		var unit any = p
 		if p.Lanes() == 1 {
-			unit = set.duts[laneDUT[0]]
+			unit = p.LaneDesign(0)
 		}
-		o := outs
-		if own := set.outs[laneDUT[0]]; own != nil {
-			o = own
-		}
-		// settled stops the lane of a DUT once its outcome is known.
+		// settled stops a lane once its outcome is known.
 		var settled func(tr *trace, lane, s int) bool
 		if earlyExit {
+			chk := chks[k]
 			settled = func(tr *trace, lane, s int) bool {
-				chk := chks[laneDUT[lane]]
 				if f := laneFail(tr, chk, lane); f != nil && f.scenario <= s {
 					return true
 				}
@@ -621,7 +564,7 @@ func (tb *Testbench) recordSet(ctx context.Context, st *TraceStore, set *DUTSet,
 			}
 		}
 		var err error
-		if rec.progs[k], err = tb.record(ctx, st, unit, p, stim, o, side, span, settled, recorded); err != nil {
+		if rec[k], err = tb.record(ctx, st, unit, p, stim, outs[k], side, span, settled, recorded); err != nil {
 			return nil, err
 		}
 	}

@@ -79,9 +79,15 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 			}
 			duts := batchDiffDUTs(t, tb, base)
 
-			prog := sim.CompileBatch(base, duts)
-			if prog.Lanes() < len(duts)/2 {
-				t.Fatalf("only %d/%d DUTs batched", prog.Lanes(), len(duts))
+			set := NewDUTSet(base, duts)
+			onBase := 0
+			for _, p := range set.progs {
+				if p.Base() == base {
+					onBase += p.Lanes()
+				}
+			}
+			if onBase < len(duts)/2 {
+				t.Fatalf("only %d/%d DUTs run as lanes over the base", onBase, len(duts))
 			}
 
 			scalarRes := make([]*RunResult, len(duts))
@@ -100,24 +106,24 @@ func TestBatchRunMatchesScalar(t *testing.T) {
 				}
 			}
 
-			batch, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, duts), false)
+			batch, err := tb.RunBatchContext(context.Background(), set, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range duts {
-				lane := prog.VariantLane(i)
+				lane := set.at[i]
 				if (batch[i].Err != nil) != (scalarErr[i] != nil) {
-					t.Errorf("dut %d (lane %d): batch err=%v, scalar err=%v", i, lane, batch[i].Err, scalarErr[i])
+					t.Errorf("dut %d (lane %v): batch err=%v, scalar err=%v", i, lane, batch[i].Err, scalarErr[i])
 					continue
 				}
 				if batch[i].Err != nil {
 					if batch[i].Err.Error() != scalarErr[i].Error() {
-						t.Errorf("dut %d (lane %d): error text diverged\n batch: %v\nscalar: %v", i, lane, batch[i].Err, scalarErr[i])
+						t.Errorf("dut %d (lane %v): error text diverged\n batch: %v\nscalar: %v", i, lane, batch[i].Err, scalarErr[i])
 					}
 					continue
 				}
 				if !reflect.DeepEqual(batch[i].Res.ScenarioPass, scalarRes[i].ScenarioPass) {
-					t.Errorf("dut %d (lane %d): ScenarioPass diverged\n batch: %v\nscalar: %v",
+					t.Errorf("dut %d (lane %v): ScenarioPass diverged\n batch: %v\nscalar: %v",
 						i, lane, batch[i].Res.ScenarioPass, scalarRes[i].ScenarioPass)
 				}
 			}
@@ -153,7 +159,7 @@ func TestBatchRunWholesaleFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sim.CompileBatch(base, []*sim.Design{base}).Interpreted() {
+	if !sim.CompileBatch(base, []*sim.Design{base})[0].Interpreted() {
 		t.Fatal("the $display design folds; the interpreted path is not covered")
 	}
 	golden, err := sim.ElaborateSourceContext(context.Background(), p.Source, p.Top)

@@ -37,12 +37,10 @@ func samePiece(a, b *piece) string {
 }
 
 // setReadable lists the readable masks of a set recording's traces.
-func setReadable(rec *setTrace) [][]bool {
+func setReadable(rec []*trace) [][]bool {
 	var out [][]bool
-	for _, tr := range rec.progs {
-		if tr != nil {
-			out = append(out, tr.readable)
-		}
+	for _, tr := range rec {
+		out = append(out, tr.readable)
 	}
 	return out
 }
@@ -85,7 +83,7 @@ func TestScenarioRecordingIsIndependent(t *testing.T) {
 		}
 		set := NewDUTSet(base, duts)
 		whole := &TraceStore{}
-		rec, err := tb.recordSet(ctx, whole, set, newStimulus(tb), set.baseOuts, "dut", nil, false)
+		rec, err := tb.recordSet(ctx, whole, set, newStimulus(tb), set.outs, "dut", nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +91,7 @@ func TestScenarioRecordingIsIndependent(t *testing.T) {
 		for s, sc := range tb.Scenarios {
 			one := &Testbench{Problem: p, Scenarios: []Scenario{sc}, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
 			alone := &TraceStore{}
-			rec, err := one.recordSet(ctx, alone, set, newStimulus(one), set.baseOuts, "dut", nil, false)
+			rec, err := one.recordSet(ctx, alone, set, newStimulus(one), set.outs, "dut", nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,7 +303,7 @@ func TestTraceStoreEndedLaneStillStored(t *testing.T) {
 		}
 		stim := newStimulus(alone)
 		key := pieceKey{unit: set.progs[0], kind: stim.kind, clock: stim.clock, reset: stim.reset,
-			outs: strings.Join(set.baseOuts, "\x00"), drives: stim.drives[0]}
+			outs: strings.Join(set.outs[0], "\x00"), drives: stim.drives[0]}
 		stored, own := tb.traceStore().piece(key), alone.traceStore().piece(key)
 		if stored == nil || own == nil {
 			t.Fatalf("%s: the quiet scenario's piece is missing (first run %v, fresh store %v)", tc.name, stored != nil, own != nil)
