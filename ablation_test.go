@@ -71,10 +71,9 @@ func buildAblationCorpus(b *testing.B, nr int, seed int64) *ablationCorpus {
 }
 
 func (c *ablationCorpus) accuracy(b *testing.B, crit validator.Criterion) float64 {
-	v := &validator.Validator{Criterion: crit}
 	hit := 0
 	for _, e := range c.entries {
-		rep, err := v.ValidateContext(context.Background(), e.tb, e.group)
+		rep, err := crit.Validate(context.Background(), e.tb, e.group)
 		if err != nil {
 			b.Fatal(err)
 		}

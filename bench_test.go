@@ -129,10 +129,9 @@ func BenchmarkFig4RSMatrix(b *testing.B) {
 		b.Fatal(err)
 	}
 	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
-	v := &validator.Validator{Criterion: validator.Wrong70}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, ok, err := v.BuildMatrixContext(context.Background(), tb, group)
+		m, ok, err := validator.BuildMatrix(context.Background(), tb, group)
 		if err != nil {
 			b.Fatal(err)
 		}

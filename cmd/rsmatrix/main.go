@@ -25,13 +25,12 @@ func main() {
 		taskName = flag.String("task", "cnt8", "dataset task")
 		seed     = flag.Int64("seed", 7, "random seed")
 		nr       = flag.Int("nr", 20, "imperfect RTL group size (paper: 20)")
-		workers  = flag.Int("workers", 0, "concurrent checker-fault probes (0: all CPUs; the same fault is found either way)")
 	)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	rep, err := correctbench.NewClient().RSMatrix(ctx, correctbench.RSMatrixSpec{
-		Problem: *taskName, Seed: *seed, RTLGroupSize: correctbench.Int(*nr), Workers: *workers,
+		Problem: *taskName, Seed: *seed, RTLGroupSize: correctbench.Int(*nr),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rsmatrix:", err)

@@ -68,10 +68,6 @@ func Definitions() map[Grade]string {
 // different problems build their fixtures in parallel, while two
 // goroutines racing on the same problem build it exactly once.
 type Evaluator struct {
-	// Mutants is the number of golden-RTL mutants (paper: 10).
-	Mutants int
-	// AgreeFrac is the verdict-agreement threshold (paper: 0.8).
-	AgreeFrac float64
 	// Seed makes fixture construction deterministic.
 	Seed int64
 
@@ -79,9 +75,16 @@ type Evaluator struct {
 	fixtures map[string]*fixtureEntry
 }
 
+// The paper's Eval2 configuration: the number of golden-RTL mutants
+// and the verdict-agreement threshold.
+const (
+	mutantCount = 10
+	agreeFrac   = 0.8
+)
+
 // NewEvaluator returns an evaluator with the paper's configuration.
 func NewEvaluator(seed int64) *Evaluator {
-	return &Evaluator{Mutants: 10, AgreeFrac: 0.8, Seed: seed}
+	return &Evaluator{Seed: seed}
 }
 
 type fixture struct {
@@ -144,61 +147,11 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 
 	// Mutants must be killable by the golden testbench: that is what
 	// makes them useful Eval2 probes. The kill checks run
-	// wave-at-a-time as lanes of one batched pass. A candidate that
-	// passes is simulated again by the subtlety probe and may be kept
-	// as an Eval2 DUT, so elaborate memoizes each candidate's design
-	// for the rest of this build. It elaborates the printed text, not
-	// the module, because error texts carry positions in that text, and
-	// it keys the memo on that text: separate draws of the same mutant
-	// share one design, which a DUTSet simulates as one lane.
-	elaborated := map[string]*sim.Design{}
-	elaborate := func(m *verilog.Module) (*sim.Design, error) {
-		src := verilog.PrintModule(m)
-		if d, ok := elaborated[src]; ok {
-			return d, nil
-		}
-		d, err := sim.ElaborateSourceContext(context.Background(), src, p.Top)
-		if err == nil {
-			elaborated[src] = d
-		}
-		return d, err
-	}
-	// batchRun elaborates a module set and runs the lanes that
-	// elaborate through one batched pass of tb, returning per-module
-	// outcomes (Err set for elaboration failures).
-	batchRun := func(tb *testbench.Testbench, ms []*verilog.Module) []testbench.BatchOutcome {
-		out := make([]testbench.BatchOutcome, len(ms))
-		designs := make([]*sim.Design, 0, len(ms))
-		idx := make([]int, 0, len(ms))
-		for i, m := range ms {
-			d, err := elaborate(m)
-			if err != nil {
-				out[i].Err = fmt.Errorf("dut: %w", err)
-				continue
-			}
-			designs = append(designs, d)
-			idx = append(idx, i)
-		}
-		if len(designs) > 0 {
-			// Fixture builds are not cancellable, so the run's
-			// (cancellation-only) error is always nil.
-			outs, _ := tb.RunBatchContext(context.Background(), testbench.NewDUTSet(goldenDesign, designs), true)
-			for j, o := range outs {
-				out[idx[j]] = o
-			}
-		}
-		return out
-	}
-	batchDiffers := func(ms []*verilog.Module) []mutate.DifferenceResult {
-		res := make([]mutate.DifferenceResult, len(ms))
-		for i, o := range batchRun(gtb, ms) {
-			if o.Err != nil {
-				res[i].Err = o.Err
-			} else {
-				res[i].Differs = !o.Res.Pass()
-			}
-		}
-		return res
+	// wave-at-a-time as lanes of one batched pass.
+	lanes := newLaneJudge(golden, goldenDesign, p.Top)
+	kills := func(ms []*verilog.Module) []bool {
+		_, fail := lanes.run(gtb, ms)
+		return fail
 	}
 	// A corner-free random probe separates subtle mutants (killed only
 	// by corner/exhaustive or directed stimuli) from gross ones. The
@@ -220,18 +173,15 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 		Problem: p, Scenarios: probeScs,
 		CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1,
 	}
-	// Candidates are statically pre-screened: identity mutants never
-	// reach a simulation lane (the screen is draw-preserving, so the
-	// selected mutants are the same with or without it).
-	screen := mutate.NewScreen(golden)
-	candidates := mutate.DistinctMutantsBatchScreened(golden, rng, e.Mutants*3, 1, batchDiffers, screen)
-	if len(candidates) < e.Mutants {
+	candidates := mutate.DistinctMutants(golden, rng, mutantCount*3, 1, kills)
+	if len(candidates) < mutantCount {
 		// Problems with few mutation sites: widen to 2-fault mutants.
-		candidates = append(candidates, mutate.DistinctMutantsBatchScreened(golden, rng, e.Mutants*2, 2, batchDiffers, screen)...)
+		candidates = append(candidates, mutate.DistinctMutants(golden, rng, mutantCount*2, 2, kills)...)
 	}
 	var subtle, gross []*verilog.Module
-	for i, o := range batchRun(probe, candidates) {
-		if o.Err == nil && o.Res.Pass() {
+	pass, _ := lanes.run(probe, candidates)
+	for i, ok := range pass {
+		if ok {
 			subtle = append(subtle, candidates[i])
 		} else {
 			gross = append(gross, candidates[i])
@@ -239,7 +189,7 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	}
 	// Up to 70% subtle, the rest gross (mirroring the dataset's mix).
 	var mutants []*verilog.Module
-	maxSubtle := e.Mutants * 7 / 10
+	maxSubtle := mutantCount * 7 / 10
 	for _, m := range subtle {
 		if len(mutants) >= maxSubtle {
 			break
@@ -247,13 +197,13 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 		mutants = append(mutants, m)
 	}
 	for _, m := range gross {
-		if len(mutants) >= e.Mutants {
+		if len(mutants) >= mutantCount {
 			break
 		}
 		mutants = append(mutants, m)
 	}
 	for _, m := range subtle {
-		if len(mutants) >= e.Mutants {
+		if len(mutants) >= mutantCount {
 			break
 		}
 		if !containsModule(mutants, m) {
@@ -262,7 +212,7 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	}
 	f := &fixture{golden: gtb}
 	for _, m := range mutants {
-		d, err := elaborate(m)
+		d, err := lanes.elaborate(m)
 		if err != nil {
 			continue
 		}
@@ -276,6 +226,71 @@ func (e *Evaluator) buildFixture(p *dataset.Problem) (*fixture, error) {
 	f.goldenSet = testbench.NewDUTSet(goldenDesign, []*sim.Design{goldenDesign})
 	f.mutantSet = testbench.NewDUTSet(goldenDesign, f.mutantDesigns)
 	return f, nil
+}
+
+// laneJudge runs candidate modules against testbenches as lanes of one
+// batched pass over the golden design. A candidate that passes a kill
+// check is simulated again by the subtlety probe and may be kept as an
+// Eval2 DUT, so each candidate's design is memoized for the whole
+// fixture build. The memo is keyed on the printed text, which is also
+// what is elaborated, because error texts carry positions in that text:
+// separate draws of the same mutant share one design, which a DUTSet
+// simulates as one lane. The memo starts with the golden's own text, so
+// a candidate that prints as the golden is the golden design itself.
+type laneJudge struct {
+	golden *sim.Design
+	top    string
+	memo   map[string]*sim.Design
+}
+
+func newLaneJudge(golden *verilog.Module, design *sim.Design, top string) *laneJudge {
+	return &laneJudge{golden: design, top: top, memo: map[string]*sim.Design{verilog.PrintModule(golden): design}}
+}
+
+func (j *laneJudge) elaborate(m *verilog.Module) (*sim.Design, error) {
+	src := verilog.PrintModule(m)
+	if d, ok := j.memo[src]; ok {
+		return d, nil
+	}
+	d, err := sim.ElaborateSourceContext(context.Background(), src, j.top)
+	if err == nil {
+		j.memo[src] = d
+	}
+	return d, err
+}
+
+// run simulates each module against tb, whose checker is the golden,
+// and reports per module whether it passed and whether it failed. A
+// module that does not elaborate or simulate does neither. The golden
+// design passes without taking a lane.
+func (j *laneJudge) run(tb *testbench.Testbench, ms []*verilog.Module) (pass, fail []bool) {
+	pass, fail = make([]bool, len(ms)), make([]bool, len(ms))
+	var designs []*sim.Design
+	var idx []int
+	for i, m := range ms {
+		d, err := j.elaborate(m)
+		switch {
+		case err != nil:
+		case d == j.golden:
+			pass[i] = true
+		default:
+			designs = append(designs, d)
+			idx = append(idx, i)
+		}
+	}
+	if len(designs) == 0 {
+		return pass, fail
+	}
+	// Fixture builds are not cancellable, so the run's
+	// (cancellation-only) error is always nil.
+	outs, _ := tb.RunBatchContext(context.Background(), testbench.NewDUTSet(j.golden, designs), true)
+	for k, o := range outs {
+		if o.Err == nil {
+			ok := o.Res.Pass()
+			pass[idx[k]], fail[idx[k]] = ok, !ok
+		}
+	}
+	return pass, fail
 }
 
 func containsModule(list []*verilog.Module, m *verilog.Module) bool {
@@ -339,7 +354,7 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, tb *testbench.Testbench
 			agree++
 		}
 	}
-	if float64(agree) >= e.AgreeFrac*float64(len(f.mutantDesigns)) {
+	if float64(agree) >= agreeFrac*float64(len(f.mutantDesigns)) {
 		return GradeEval2, nil
 	}
 	return GradeEval1, nil

@@ -205,3 +205,68 @@ func TestBatchGradingMatchesInterp(t *testing.T) {
 		t.Errorf("grades differ from the interpreter's: digest %s, want %s\n%s", got, interpGradesSHA256, transcript.String())
 	}
 }
+
+// TestIdentityCandidateIsTheGolden: a candidate that prints as the
+// golden resolves to the golden design in the fixture's memo, so it is
+// judged not killed without taking a lane, and no fixture keeps the
+// golden design as a mutant.
+func TestIdentityCandidateIsTheGolden(t *testing.T) {
+	p := &dataset.Problem{Name: "same_branches", Kind: dataset.CMB, Top: "m",
+		Source: "module m(input c, input a, output y);\n    assign y = c ? a : a;\nendmodule\n"}
+	golden, err := p.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := p.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swapping the branches of c ? a : a is an identity mutation.
+	var identity *verilog.Module
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200 && identity == nil; i++ {
+		if mut, muts, _ := mutate.Mutate(golden, rng, 1); len(muts) == 1 && muts[0].Kind == mutate.TernarySwap {
+			identity = mut
+		}
+	}
+	if identity == nil || verilog.PrintModule(identity) != verilog.PrintModule(golden) {
+		t.Fatal("no branch swap drawn that prints as the golden")
+	}
+	negated, err := verilog.Parse("module m(input c, input a, output y);\n    assign y = c ? a : ~a;\nendmodule\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := []*verilog.Module{identity, negated.Modules[0]}
+
+	gtb, err := testbench.Golden(p, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := newLaneJudge(golden, design, p.Top)
+	if pass, fail := lanes.run(gtb, candidates); fmt.Sprint(pass, fail) != "[true false] [false true]" {
+		t.Errorf("golden testbench: pass %v, fail %v; want the identity passed and the negation killed", pass, fail)
+	}
+	// A checker that does not parse errors every lane, so only a
+	// candidate that takes no lane can pass.
+	broken := gtb.WithChecker("module m(", gtb.CheckerPlan, -1)
+	if pass, fail := lanes.run(broken, candidates); fmt.Sprint(pass, fail) != "[true false] [false false]" {
+		t.Errorf("broken checker: pass %v, fail %v; want only the identity passed", pass, fail)
+	}
+
+	e := NewEvaluator(1)
+	for _, p := range dataset.All() {
+		f, err := e.fixtureFor(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		d, err := p.Elaborate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range f.mutantDesigns {
+			if m == d {
+				t.Errorf("%s: mutant %d is the golden design", p.Name, i)
+			}
+		}
+	}
+}

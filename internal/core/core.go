@@ -94,7 +94,6 @@ func RunContext(ctx context.Context, p *dataset.Problem, opt Options, rng *rand.
 		return nil, fmt.Errorf("core: options missing LLM profile")
 	}
 	gen := &autobench.AutoBench{Profile: opt.Profile}
-	val := &validator.Validator{Criterion: opt.Criterion}
 	corr := &corrector.Corrector{Profile: opt.Profile}
 	trace := &Trace{}
 	acct := &trace.Tokens
@@ -125,7 +124,7 @@ func RunContext(ctx context.Context, p *dataset.Problem, opt Options, rng *rand.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rep, err := val.ValidateContext(ctx, tb, group)
+		rep, err := opt.Criterion.Validate(ctx, tb, group)
 		if err != nil {
 			return nil, err
 		}

@@ -115,8 +115,7 @@ func CriteriaAccuracyContext(ctx context.Context, cfg CriteriaAccuracyConfig) ([
 			}
 			// Build the RS matrix once; judging per criterion is
 			// pure matrix arithmetic.
-			base := &validator.Validator{Criterion: validator.Wrong70}
-			m, ok, err := base.BuildMatrixContext(ctx, tb, group)
+			m, ok, err := validator.BuildMatrix(ctx, tb, group)
 			if err != nil {
 				return nil, err
 			}
@@ -125,8 +124,7 @@ func CriteriaAccuracyContext(ctx context.Context, cfg CriteriaAccuracyConfig) ([
 					lab.verdicts[c.Name] = false
 					continue
 				}
-				v := &validator.Validator{Criterion: c}
-				lab.verdicts[c.Name] = v.Judge(m).Correct
+				lab.verdicts[c.Name] = c.Judge(m).Correct
 			}
 			out = append(out, lab)
 		}

@@ -432,25 +432,6 @@ func Mutate(m *verilog.Module, rng *rand.Rand, count int) (*verilog.Module, []Mu
 	return mut, p.apply(sites), p
 }
 
-// DifferenceChecker reports whether a mutant behaves differently from
-// the golden module on some stimulus (implemented by higher layers with
-// the simulator).
-type DifferenceChecker func(mutant *verilog.Module) (bool, error)
-
-// DifferenceResult is one candidate's verdict from a
-// BatchDifferenceChecker: Differs plays the role of DifferenceChecker's
-// bool, Err of its error.
-type DifferenceResult struct {
-	Differs bool
-	Err     error
-}
-
-// BatchDifferenceChecker judges a whole wave of candidate mutants at
-// once; higher layers implement it with a batch simulation of all
-// candidates against the golden design. It must return one result per
-// candidate, in order.
-type BatchDifferenceChecker func(mutants []*verilog.Module) []DifferenceResult
-
 // ---- syntax corruption ----
 
 // CorruptSyntax damages source text so that it no longer parses,

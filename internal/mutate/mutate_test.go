@@ -138,9 +138,9 @@ func TestPlanWith(t *testing.T) {
 	}
 }
 
-// simDiffers builds a DifferenceChecker that compares mutant and golden
-// on a few fixed stimuli.
-func simDiffers(t *testing.T, goldenSrc, top string, stimuli []map[string]uint64, outs []string) DifferenceChecker {
+// simDiffers builds a check that compares mutant and golden on a few
+// fixed stimuli.
+func simDiffers(t *testing.T, goldenSrc, top string, stimuli []map[string]uint64, outs []string) func(*verilog.Module) (bool, error) {
 	t.Helper()
 	run := func(m *verilog.Module) ([]logic.Vector, error) {
 		d, err := sim.ElaborateSourceContext(context.Background(), verilog.PrintModule(m), top)
@@ -198,8 +198,16 @@ func TestDistinctMutantsKillable(t *testing.T) {
 		{"a": 0, "b": 0}, {"a": 3, "b": 5}, {"a": 15, "b": 15}, {"a": 9, "b": 1}, {"a": 7, "b": 8},
 	}
 	differs := simDiffers(t, goldenAdder, "add4", stimuli, []string{"s"})
+	kills := func(muts []*verilog.Module) []bool {
+		out := make([]bool, len(muts))
+		for i, mut := range muts {
+			d, err := differs(mut)
+			out[i] = err == nil && d
+		}
+		return out
+	}
 	rng := rand.New(rand.NewSource(99))
-	mutants := DistinctMutantsScreened(m, rng, 10, 1, differs, nil)
+	mutants := DistinctMutants(m, rng, 10, 1, kills)
 	if len(mutants) < 5 {
 		t.Fatalf("got only %d killable mutants", len(mutants))
 	}
@@ -269,13 +277,29 @@ func TestMutationDescriptions(t *testing.T) {
 	}
 }
 
-// TestDistinctMutantsBatchMatchesSequential asserts the rng-exactness
-// contract of DistinctMutantsBatchScreened: with an equivalent checker
-// it must return byte-identical mutants AND leave the rng in the same
-// state as DistinctMutantsScreened, so fixtures built either way are
-// interchangeable.
+// distinctMutantsSequential is the reference DistinctMutants must
+// reproduce: one candidate drawn and judged at a time.
+func distinctMutantsSequential(m *verilog.Module, rng *rand.Rand, n, each int, kills func(*verilog.Module) bool) []*verilog.Module {
+	var out []*verilog.Module
+	for attempt := 0; attempt < n*20+20 && len(out) < n; attempt++ {
+		mut, applied, _ := Mutate(m, rng, each)
+		if len(applied) == 0 {
+			break
+		}
+		if kills(mut) {
+			out = append(out, mut)
+		}
+	}
+	return out
+}
+
 var errFakeElab = errors.New("fake elaboration failure")
 
+// TestDistinctMutantsBatchMatchesSequential asserts the rng-exactness
+// contract of DistinctMutants: with an equivalent verdict it must
+// return byte-identical mutants AND leave the rng in the same state as
+// judging one candidate at a time, so its waves change nothing but the
+// number of kills calls.
 func TestDistinctMutantsBatchMatchesSequential(t *testing.T) {
 	predicates := map[string]func(src string) (bool, error){
 		"hash-even": func(src string) (bool, error) {
@@ -295,19 +319,21 @@ func TestDistinctMutantsBatchMatchesSequential(t *testing.T) {
 		m := parse(t, src)
 		for pname, pred := range predicates {
 			for _, n := range []int{1, 3, 10} {
-				seq := func(mut *verilog.Module) (bool, error) { return pred(verilog.PrintModule(mut)) }
-				batch := func(muts []*verilog.Module) []DifferenceResult {
-					out := make([]DifferenceResult, len(muts))
+				seq := func(mut *verilog.Module) bool {
+					d, err := pred(verilog.PrintModule(mut))
+					return err == nil && d
+				}
+				batch := func(muts []*verilog.Module) []bool {
+					out := make([]bool, len(muts))
 					for i, mut := range muts {
-						d, err := pred(verilog.PrintModule(mut))
-						out[i] = DifferenceResult{Differs: d, Err: err}
+						out[i] = seq(mut)
 					}
 					return out
 				}
 				rngA := rand.New(rand.NewSource(int64(n) * 977))
 				rngB := rand.New(rand.NewSource(int64(n) * 977))
-				a := DistinctMutantsScreened(m, rngA, n, 1, seq, nil)
-				b := DistinctMutantsBatchScreened(m, rngB, n, 1, batch, nil)
+				a := distinctMutantsSequential(m, rngA, n, 1, seq)
+				b := DistinctMutants(m, rngB, n, 1, batch)
 				if len(a) != len(b) {
 					t.Fatalf("%s n=%d: %d sequential vs %d batched mutants", pname, n, len(a), len(b))
 				}

@@ -14,11 +14,12 @@ package sim
 // testbench-level differentials assert this across the dataset).
 //
 // A body the closures cannot express — a width or span that depends on
-// a signal value (errDynamic), a part-select wider than maxVectorWidth,
-// a display task, $finish/$stop or a delay control — is not folded at
-// all: body compiles it to a closure that runs the interpreter's own
-// exec on the lane (laneState), so one copy of each rule serves both
-// engines and every design compiles.
+// a signal value (errDynamic), a part-select, replication or
+// concatenation wider than maxVectorWidth, a display task,
+// $finish/$stop or a delay control — is not folded at all: body
+// compiles it to a closure that runs the interpreter's own exec on the
+// lane (laneState), so one copy of each rule serves both engines and
+// every design compiles.
 
 import (
 	"fmt"
@@ -183,17 +184,17 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		if err != nil {
 			return nil, 0, errDynamic
 		}
-		n, ok := nV.Uint64()
-		if !ok || n < 1 || n > 4096 {
-			return nil, 0, errDynamic
-		}
 		v, vw, err := bc.expr(x.Value, 0)
 		if err != nil {
 			return nil, 0, err
 		}
+		n, err := replCount(nV, vw)
+		if err != nil {
+			return nil, 0, errDynamic // evalExpr reports it
+		}
 		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector {
-			return logic.Replicate(int(n), v(b, lane))
-		}, int(n)*vw, want), want, nil
+			return logic.Replicate(n, v(b, lane))
+		}, n*vw, want), want, nil
 
 	case *verilog.Index:
 		base, _, err := bc.expr(x.X, 0)

@@ -741,14 +741,10 @@ func TestRuntimeWidthKnownAnswers(t *testing.T) {
 // bounds a signal drives — is an evaluation error with one text on an
 // Instance and on a batch lane, read or written, and fails without
 // allocating anywhere near its width; a select at the cap, or a narrow
-// one at an offset near 2^63, evaluates. a is driven to 5, then s.
+// one at an offset near 2^63, evaluates.
 func TestPartSelectWidthCap(t *testing.T) {
 	const wide = "is wider than 4096 bits"
-	cases := []struct {
-		name, body string
-		s          uint64
-		want       string // y, or the error's tail
-	}{
+	cases := []widthCapCase{
 		{"constant_bounds", `assign y = a[24'hFFFFFF:0];`, 0, "part-select [16777215:0] " + wide},
 		{"signal_bound_2^24", `assign y = a[s:0];`, 1<<24 - 1, "part-select [16777215:0] " + wide},
 		{"signal_bound_2^32", `assign y = a[s:0];`, 1<<32 - 1, "part-select [4294967295:0] " + wide},
@@ -760,6 +756,47 @@ func TestPartSelectWidthCap(t *testing.T) {
 		{"constant_far_offset", `assign y = a[64'h8000000000000000:64'h7fffffffffffffff];`, 0, "00xx"},
 		{"far_target", `reg [3:0] r; always @(*) begin r = 4'd3; r[s:s - 64'd1] = a; end assign y = r;`, 1 << 63, "0011"},
 	}
+	checkWidthCaps(t, cases)
+}
+
+// TestReplicationWidthCap pins the replication and concatenation cap on
+// both engines: a result wider than maxVectorWidth bits — a constant or
+// signal-driven count, a nested replication, one beside a narrow
+// operand that the result's width would size first, or a wide
+// concatenation, read or written — is an evaluation error with one text
+// on an Instance and on a batch lane, found before anything is sized;
+// a result at the cap evaluates.
+func TestReplicationWidthCap(t *testing.T) {
+	const wide = "is wider than 4096 bits"
+	checkWidthCaps(t, []widthCapCase{
+		{"constant_count", `assign y = {24'hFFFFFF{a}};`, 0, "replication {16777215{4 bits}} " + wide},
+		{"count_2^64-1", `assign y = {64'hFFFFFFFFFFFFFFFF{a}};`, 0, "replication {18446744073709551615{4 bits}} " + wide},
+		{"beside_an_operand", `assign y = 4'd1 + {24'hFFFFFF{a}};`, 0, "replication {16777215{4 bits}} " + wide},
+		{"signal_count", `assign y = 4'd1 + {s{a}};`, 1<<24 - 1, "replication {16777215{4 bits}} " + wide},
+		{"nested", `assign y = {4096{{4096{a}}}};`, 0, "replication {4096{4 bits}} " + wide},
+		{"nested_beside_an_operand", `assign y = 4'd1 + {4096{{4096{a[0]}}}};`, 0, "replication {4096{4096 bits}} " + wide},
+		{"concatenation", `assign y = 4'd1 + {a[4095:0], a};`, 0, "concatenation of 4100 bits " + wide},
+		{"concatenation_target", `reg [3:0] r; always @(*) begin r = 4'd0; {r[4095:0], r} = a; end assign y = r;`, 0, "concatenation of 4100 bits " + wide},
+		{"replication_at_the_cap", `assign y = 4'd1 + {1024{a}};`, 0, "0110"},
+		{"signal_count_at_the_cap", `assign y = {s{a}};`, 1024, "0101"},
+		{"concatenation_at_the_cap", `assign y = {a[4091:0], a};`, 0, "0101"},
+	})
+}
+
+// widthCapCase is a body for module m(input [3:0] a, input [63:0] s,
+// output [3:0] y), the value s is driven to before a is driven to 5,
+// and y or the tail of the error those drives give.
+type widthCapCase struct {
+	name, body string
+	s          uint64
+	want       string
+}
+
+// checkWidthCaps drives each case on an Instance and on a one-lane
+// batch program, and fails unless both give the same y or error text,
+// that text ends as the case wants, and no drive allocates 256 KB.
+func checkWidthCaps(t *testing.T, cases []widthCapCase) {
+	t.Helper()
 	// allocated runs f and returns the bytes it allocated.
 	allocated := func(f func() error) (uint64, error) {
 		var m0, m1 runtime.MemStats
@@ -786,7 +823,7 @@ func TestPartSelectWidthCap(t *testing.T) {
 				for _, dr := range []struct {
 					name string
 					v    uint64
-				}{{"a", 5}, {"s", tc.s}} {
+				}{{"s", tc.s}, {"a", 5}} {
 					var n uint64
 					if n, err = allocated(func() error { return drive(dr.name, dr.v) }); n > 256<<10 {
 						t.Errorf("engine %d: driving %s allocated %d bytes", e, dr.name, n)

@@ -13,10 +13,46 @@ type env interface {
 	signalWidth(name string) (int, bool)
 }
 
-// maxVectorWidth caps the width of a declared vector (rangeWidth) and
-// the span of a part-select: a wider select is an evaluation error, so
-// no evaluation allocates past the cap because of a select's bounds.
+// maxVectorWidth caps the width of a declared vector (rangeWidth), the
+// span of a part-select and the width of a replication or
+// concatenation: a wider select, replication or concatenation is an
+// evaluation error, found before anything is sized, so no evaluation
+// allocates past the cap.
 const maxVectorWidth = 4096
+
+// replCount checks the count nV of a replication of a w-bit value:
+// known, at least 1, and giving a result within maxVectorWidth.
+func replCount(nV logic.Vector, w int) (int, error) {
+	n, ok := nV.Uint64()
+	if !ok || n < 1 {
+		return 0, fmt.Errorf("invalid replication count")
+	}
+	if replTooWide(n, w) {
+		return 0, fmt.Errorf("replication {%d{%d bits}} is wider than %d bits", n, w, maxVectorWidth)
+	}
+	return int(n), nil
+}
+
+// replTooWide reports whether n >= 1 copies of a w-bit value span more
+// than maxVectorWidth bits.
+func replTooWide(n uint64, w int) bool {
+	return n > maxVectorWidth || w > maxVectorWidth/int(n)
+}
+
+// concatWidth sums the widths width gives a concatenation's parts;
+// static as for selfWidth. A sum past maxVectorWidth is an error.
+func concatWidth(parts []verilog.Expr, en env, width func(verilog.Expr, env) (int, bool)) (total int, static bool, err error) {
+	static = true
+	for _, p := range parts {
+		w, ok := width(p, en)
+		total += w
+		static = static && ok
+	}
+	if total > maxVectorWidth {
+		return 0, false, fmt.Errorf("concatenation of %d bits is wider than %d bits", total, maxVectorWidth)
+	}
+	return total, static, nil
+}
 
 // selectSpan orders a part-select's known bounds [msb:lsb] as hi >= lo,
 // and fails when the select spans more than maxVectorWidth bits.
@@ -58,8 +94,8 @@ func writeSpan(hi, lo uint64, width int) (h, l int, ok bool) {
 // evaluation will fail on them with a proper error. static reports
 // whether every replication count and part-select bound met could be
 // evaluated (constUint) — one that could not counts as 0 — and every
-// part-select is within maxVectorWidth; one that is not counts as 1
-// bit, and evaluating it fails.
+// part-select, replication and concatenation is within maxVectorWidth;
+// one that is not counts as 1 bit, and evaluating it fails.
 func selfWidth(e verilog.Expr, en env) (w int, static bool) {
 	switch x := e.(type) {
 	case *verilog.Number:
@@ -93,22 +129,20 @@ func selfWidth(e verilog.Expr, en env) (w int, static bool) {
 	case *verilog.Ternary:
 		return maxWidth(x.Then, x.Else, en)
 	case *verilog.Concat:
-		total, static := 0, true
-		for _, p := range x.Parts {
-			w, ok := selfWidth(p, en)
-			total += w
-			static = static && ok
+		total, static, err := concatWidth(x.Parts, en, selfWidth)
+		if err != nil {
+			return 1, false
 		}
-		if total == 0 {
-			return 1, static
-		}
-		return total, static
+		return max(total, 1), static
 	case *verilog.Repl:
 		n, ok1 := constUint(x.Count, en)
 		if n < 1 {
 			n = 1
 		}
 		w, ok2 := selfWidth(x.Value, en)
+		if replTooWide(n, w) {
+			return 1, false
+		}
 		return int(n) * w, ok1 && ok2
 	case *verilog.Index:
 		return 1, true
@@ -142,11 +176,9 @@ func lhsWidth(lhs verilog.Expr, en env) (w int, static bool) {
 	case *verilog.Ident, *verilog.PartSelect:
 		return selfWidth(lhs, en)
 	case *verilog.Concat:
-		total, static := 0, true
-		for _, p := range x.Parts {
-			w, ok := lhsWidth(p, en)
-			total += w
-			static = static && ok
+		total, static, err := concatWidth(x.Parts, en, lhsWidth)
+		if err != nil {
+			return 1, false
 		}
 		return total, static
 	default: // bit selects and invalid targets
@@ -255,6 +287,9 @@ func evalExpr(e verilog.Expr, en env, ctx int) (logic.Vector, error) {
 		return logic.Mux(c, t, f).Resize(want), nil
 
 	case *verilog.Concat:
+		if _, _, err := concatWidth(x.Parts, en, selfWidth); err != nil {
+			return logic.Vector{}, err
+		}
 		parts := make([]logic.Vector, len(x.Parts))
 		for i, p := range x.Parts {
 			v, err := evalExpr(p, en, 0)
@@ -270,15 +305,16 @@ func evalExpr(e verilog.Expr, en env, ctx int) (logic.Vector, error) {
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		n, ok := nV.Uint64()
-		if !ok || n < 1 || n > 4096 {
-			return logic.Vector{}, fmt.Errorf("invalid replication count")
+		w, _ := selfWidth(x.Value, en)
+		n, err := replCount(nV, w)
+		if err != nil {
+			return logic.Vector{}, err
 		}
 		v, err := evalExpr(x.Value, en, 0)
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		return logic.Replicate(int(n), v).Resize(want), nil
+		return logic.Replicate(n, v).Resize(want), nil
 
 	case *verilog.Index:
 		base, err := evalExpr(x.X, en, 0)

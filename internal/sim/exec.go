@@ -271,7 +271,10 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 	case *verilog.Concat:
 		// {a, b} = val assigns the top bits to a, the low bits to b.
 		var out []resolvedWrite
-		offset, _ := lhsWidth(lhs, st)
+		offset, _, err := concatWidth(x.Parts, st, lhsWidth)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", pos, err)
+		}
 		val = val.Resize(offset)
 		for _, p := range x.Parts {
 			w, _ := lhsWidth(p, st)

@@ -45,8 +45,7 @@ var errClosed = errors.New("store: closed")
 // shard up front; corrupt records and stale-version shards are
 // skipped and counted, never fatal.
 type Disk struct {
-	dir  string
-	sync bool
+	dir string
 
 	mu     sync.Mutex
 	index  map[Key]Outcome
@@ -56,28 +55,16 @@ type Disk struct {
 	closed bool
 }
 
-// DiskOption configures Open.
-type DiskOption func(*Disk)
-
-// NoSync disables the per-record fsync. Only for tests and
-// benchmarks: a crash may lose recently appended records (the shards
-// still load — lost records are just re-simulated).
-func NoSync() DiskOption { return func(d *Disk) { d.sync = false } }
-
 // Open opens (creating if needed) a disk store rooted at dir and
 // loads every shard into the in-memory index.
-func Open(dir string, opts ...DiskOption) (*Disk, error) {
+func Open(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	d := &Disk{
 		dir:   dir,
-		sync:  true,
 		index: map[Key]Outcome{},
 		files: map[string]*os.File{},
-	}
-	for _, o := range opts {
-		o(d)
 	}
 	names, err := shardNames(dir)
 	if err != nil {
@@ -175,11 +162,9 @@ func (d *Disk) appendLocked(k Key, o Outcome) error {
 		d.retireOnError(name, f, end)
 		return err
 	}
-	if d.sync {
-		if err := f.Sync(); err != nil {
-			d.retireOnError(name, f, end)
-			return err
-		}
+	if err := f.Sync(); err != nil {
+		d.retireOnError(name, f, end)
+		return err
 	}
 	d.stats.Bytes += int64(len(rec))
 	return nil
@@ -224,17 +209,15 @@ func (d *Disk) openShardLocked(name string) (*os.File, error) {
 			f.Close()
 			return nil, err
 		}
-		if d.sync {
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, err
-			}
-			// The new file's directory entry must be durable too, or a
-			// power loss could drop the whole fsync'd shard.
-			if err := syncDir(d.dir); err != nil {
-				f.Close()
-				return nil, err
-			}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, err
+		}
+		// The new file's directory entry must be durable too, or a
+		// power loss could drop the whole fsync'd shard.
+		if err := syncDir(d.dir); err != nil {
+			f.Close()
+			return nil, err
 		}
 		d.stats.Shards++
 		d.stats.Bytes += headerSize
@@ -320,10 +303,8 @@ func (d *Disk) Close() error {
 	sort.Strings(names)
 	for _, name := range names {
 		f := d.files[name]
-		if d.sync {
-			if err := f.Sync(); err != nil && first == nil {
-				first = err
-			}
+		if err := f.Sync(); err != nil && first == nil {
+			first = err
 		}
 		if err := f.Close(); err != nil && first == nil {
 			first = err

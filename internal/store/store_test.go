@@ -382,7 +382,7 @@ func TestDiskPutRotatesStaleShard(t *testing.T) {
 }
 
 func TestDiskConcurrentAccess(t *testing.T) {
-	d, err := Open(t.TempDir(), NoSync())
+	d, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

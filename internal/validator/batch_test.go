@@ -116,7 +116,6 @@ func TestBatchedRSMatrixDifferential(t *testing.T) {
 	prof.CheckerCleanBase = 0 // every understood task gets an observably faulty checker
 	gen := &autobench.AutoBench{Profile: &prof}
 	corr := &corrector.Corrector{Profile: &prof}
-	v := &validator.Validator{Criterion: validator.Wrong70}
 	var checkerErrs atomic.Int32
 	for i, p := range dataset.All() {
 		i, p := i, p
@@ -135,7 +134,7 @@ func TestBatchedRSMatrixDifferential(t *testing.T) {
 			check := func(label string, tb *testbench.Testbench) *validator.Report {
 				t.Helper()
 				want, wantOK := oracleMatrix(t, tb, cands)
-				m, ok, err := v.BuildMatrixContext(ctx, tb, group)
+				m, ok, err := validator.BuildMatrix(ctx, tb, group)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -148,7 +147,7 @@ func TestBatchedRSMatrixDifferential(t *testing.T) {
 				if got := m.Render(); got != want {
 					t.Fatalf("%s: RS matrices differ\nbatched:\n%s\noracle:\n%s", label, got, want)
 				}
-				return v.Judge(m)
+				return validator.Wrong70.Judge(m)
 			}
 
 			trait := prof.SampleTrait(p.Difficulty, p.Kind == dataset.SEQ, rng)
@@ -174,7 +173,7 @@ func TestBatchedRSMatrixDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err = v.ValidateContext(ctx, fixed, badGroup)
+			rep, err = validator.Wrong70.Validate(ctx, fixed, badGroup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +235,7 @@ func batchCancelGroup(t *testing.T, p *dataset.Problem) []validator.RTLCandidate
 }
 
 // TestBatchCancellation cancels at every context poll of NewGroup and
-// of BuildMatrixContext in turn, on a group that runs as batch lanes
+// of BuildMatrix in turn, on a group that runs as batch lanes
 // plus a row on a one-lane program of its own (cnt8) and on one whose
 // golden design has a $display body, which runs on the interpreter's
 // rules in every lane. A cancelled call must return the
@@ -263,7 +262,6 @@ func TestBatchCancellation(t *testing.T) {
 
 func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 	cands := batchCancelGroup(t, p)
-	v := &validator.Validator{Criterion: validator.Wrong70}
 
 	for polls := int64(0); ; polls++ {
 		g, err := validator.NewGroup(newCancelAfter(polls), p, cands)
@@ -292,7 +290,7 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 	}
 	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
 	warm := newGroup()
-	ref, ok, err := v.BuildMatrixContext(context.Background(), tb, warm)
+	ref, ok, err := validator.BuildMatrix(context.Background(), tb, warm)
 	if err != nil || !ok {
 		t.Fatalf("uncancelled build: ok=%v err=%v", ok, err)
 	}
@@ -310,7 +308,7 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 	} {
 		for polls := int64(0); ; polls++ {
 			group := sweep.group()
-			m, ok, err := v.BuildMatrixContext(newCancelAfter(polls), tb, group)
+			m, ok, err := validator.BuildMatrix(newCancelAfter(polls), tb, group)
 			if err == nil {
 				if !ok || m.Render() != want {
 					t.Fatalf("%s: build after %d polls: ok=%v matrix\n%v\nwant\n%s", sweep.name, polls, ok, m, want)
@@ -323,13 +321,13 @@ func testBatchCancellation(t *testing.T, p *dataset.Problem) {
 			if !errors.Is(err, context.Canceled) || m != nil || ok {
 				t.Fatalf("%s: build cancelled after %d polls: matrix %v, ok=%v, err %v", sweep.name, polls, m, ok, err)
 			}
-			if m, ok, err := v.BuildMatrixContext(context.Background(), tb, group); err != nil || !ok || m.Render() != want {
+			if m, ok, err := validator.BuildMatrix(context.Background(), tb, group); err != nil || !ok || m.Render() != want {
 				t.Fatalf("%s: build after a cancellation at %d polls: ok=%v err=%v matrix\n%v\nwant\n%s", sweep.name, polls, ok, err, m, want)
 			}
 		}
 	}
 	col := obs.NewCollector(time.Time{})
-	if _, ok, err := v.BuildMatrixContext(obs.WithCollector(context.Background(), col), tb, warm); err != nil || !ok {
+	if _, ok, err := validator.BuildMatrix(obs.WithCollector(context.Background(), col), tb, warm); err != nil || !ok {
 		t.Fatalf("warm build: ok=%v err=%v", ok, err)
 	}
 	for _, s := range col.Samples() {
@@ -367,11 +365,10 @@ func TestBatchValidationRoundTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
-	v := &validator.Validator{Criterion: validator.Wrong70}
 
 	round := func(tb *testbench.Testbench) map[string]int {
 		end := col.Start(obs.PhaseSimulate)
-		if _, ok, err := v.BuildMatrixContext(ctx, tb, group); err != nil || !ok {
+		if _, ok, err := validator.BuildMatrix(ctx, tb, group); err != nil || !ok {
 			t.Fatalf("build: ok=%v err=%v", ok, err)
 		}
 		end()
@@ -447,8 +444,7 @@ func (c *replayCase) round(t *testing.T, label string, tb *testbench.Testbench) 
 	t.Helper()
 	want, wantOK := oracleMatrix(t, tb, c.cands)
 	col := obs.NewCollector(time.Time{})
-	v := &validator.Validator{Criterion: validator.Wrong70}
-	m, ok, err := v.BuildMatrixContext(obs.WithCollector(context.Background(), col), tb, c.group)
+	m, ok, err := validator.BuildMatrix(obs.WithCollector(context.Background(), col), tb, c.group)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -614,7 +610,7 @@ func TestBatchReplayReboot(t *testing.T) {
 	}
 }
 
-// TestBatchReplayConcurrent runs BuildMatrixContext from 8 goroutines
+// TestBatchReplayConcurrent runs BuildMatrix from 8 goroutines
 // on one shared group, alternating two drivers and two checkers so
 // that recordings race each other. Every matrix must equal the
 // oracle's; run under -race it also checks that the recordings are
@@ -631,7 +627,6 @@ func TestBatchReplayConcurrent(t *testing.T) {
 	for i, tb := range tbs {
 		want[i], wantOK[i] = oracleMatrix(t, tb, c.cands)
 	}
-	v := &validator.Validator{Criterion: validator.Wrong70}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -644,7 +639,7 @@ func TestBatchReplayConcurrent(t *testing.T) {
 				// parent's trace store, so the checker's and the
 				// group's recordings race on it.
 				tb := tbs[i].WithChecker(tbs[i].CheckerSource, tbs[i].CheckerPlan, tbs[i].CheckerSticky)
-				m, ok, err := v.BuildMatrixContext(context.Background(), tb, c.group)
+				m, ok, err := validator.BuildMatrix(context.Background(), tb, c.group)
 				switch {
 				case err != nil:
 					errs <- err

@@ -36,7 +36,6 @@ import (
 func TestCompiledEngineDifferential(t *testing.T) {
 	want := interpDigests(t, "testdata/interp_matrices.sha256")
 	prof := llm.GPT4o()
-	v := &Validator{Criterion: Wrong70}
 	for _, p := range dataset.All() {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
@@ -54,7 +53,7 @@ func TestCompiledEngineDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("golden: %v", err)
 			}
-			m, ok, err := v.BuildMatrixContext(context.Background(), gtb, group)
+			m, ok, err := BuildMatrix(context.Background(), gtb, group)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +93,6 @@ func interpDigests(t *testing.T, path string) map[string]string {
 func TestGroupSharedDesignsDifferential(t *testing.T) {
 	ctx := context.Background()
 	prof := llm.GPT4o()
-	v := &Validator{Criterion: Wrong70}
 	shared := 0
 	for _, p := range dataset.All() {
 		rng := rand.New(rand.NewSource(4242))
@@ -138,11 +136,11 @@ func TestGroupSharedDesignsDifferential(t *testing.T) {
 		}
 		mut, _, _ := mutate.Mutate(mod, rng, 1)
 		for _, tb := range []*testbench.Testbench{gtb, gtb.WithChecker(verilog.PrintModule(mut), mutate.Plan{}, -1)} {
-			want, wantOK, err := v.BuildMatrixContext(ctx, tb, alone)
+			want, wantOK, err := BuildMatrix(ctx, tb, alone)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, ok, err := v.BuildMatrixContext(ctx, tb, group)
+			got, ok, err := BuildMatrix(ctx, tb, group)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -230,7 +230,7 @@ func GenerateRTLGroup(p *dataset.Problem, prof *llm.Profile, nr int, rng *rand.R
 // lanes, so every testbench of a task that shares a store — its
 // corrections and reboots — replays them. A Group is fixed by NewGroup
 // and never written after, so it is safe for concurrent
-// BuildMatrixContext calls.
+// BuildMatrix calls.
 type Group struct {
 	// Candidates is the RTL group in generation order, the row order
 	// of every RS matrix built from it.
@@ -286,12 +286,7 @@ func NewGroup(ctx context.Context, p *dataset.Problem, cands []RTLCandidate) (*G
 	return g, nil
 }
 
-// Validator validates testbenches against an RTL group.
-type Validator struct {
-	Criterion Criterion
-}
-
-// BuildMatrixContext judges every candidate of the group against the
+// BuildMatrix judges every candidate of the group against the
 // testbench in one batched pass: the DUT-independent checker and the
 // candidates' lanes are each recorded once per scenario on the
 // testbench's trace store, and each row compares a lane's trace with
@@ -301,7 +296,7 @@ type Validator struct {
 // instead of a matrix. The returned error is non-nil only when ctx was
 // cancelled; a cancelled simulation is never misread as a discarded
 // RTL row or a broken testbench.
-func (v *Validator) BuildMatrixContext(ctx context.Context, tb *testbench.Testbench, g *Group) (*Matrix, bool, error) {
+func BuildMatrix(ctx context.Context, tb *testbench.Testbench, g *Group) (*Matrix, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
@@ -334,7 +329,7 @@ func (v *Validator) BuildMatrixContext(ctx context.Context, tb *testbench.Testbe
 }
 
 // Judge applies the criterion to a matrix.
-func (v *Validator) Judge(m *Matrix) *Report {
+func (c Criterion) Judge(m *Matrix) *Report {
 	rep := &Report{Matrix: m, Correct: true}
 	if m.NR() == 0 {
 		// No information: treat as wrong with no bug info, forcing a
@@ -343,7 +338,7 @@ func (v *Validator) Judge(m *Matrix) *Report {
 		rep.SimulationBroken = true
 		return rep
 	}
-	if v.Criterion.GreenRowFrac > 0 && m.GreenRowFrac() > v.Criterion.GreenRowFrac {
+	if c.GreenRowFrac > 0 && m.GreenRowFrac() > c.GreenRowFrac {
 		// Green-row override: enough RTLs match the testbench on every
 		// scenario, so the testbench is deemed correct.
 		for j := 0; j < m.NS(); j++ {
@@ -354,7 +349,7 @@ func (v *Validator) Judge(m *Matrix) *Report {
 	for j := 0; j < m.NS(); j++ {
 		red := m.ColumnRedFrac(j)
 		switch {
-		case red >= v.Criterion.WrongFrac:
+		case red >= c.WrongFrac:
 			rep.Wrong = append(rep.Wrong, j+1)
 			rep.Correct = false
 		case red == 0:
@@ -366,16 +361,16 @@ func (v *Validator) Judge(m *Matrix) *Report {
 	return rep
 }
 
-// ValidateContext runs the full validation of one testbench. The
-// error is non-nil only when ctx was cancelled before the verdict was
-// reached.
-func (v *Validator) ValidateContext(ctx context.Context, tb *testbench.Testbench, g *Group) (*Report, error) {
-	m, ok, err := v.BuildMatrixContext(ctx, tb, g)
+// Validate runs the full validation of one testbench under the
+// criterion. The error is non-nil only when ctx was cancelled before
+// the verdict was reached.
+func (c Criterion) Validate(ctx context.Context, tb *testbench.Testbench, g *Group) (*Report, error) {
+	m, ok, err := BuildMatrix(ctx, tb, g)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return &Report{Correct: false, SimulationBroken: true}, nil
 	}
-	return v.Judge(m), nil
+	return c.Judge(m), nil
 }

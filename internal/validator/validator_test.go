@@ -28,8 +28,7 @@ func matrixFrom(rows []string) *Matrix {
 func TestJudgeAllGreenIsCorrect(t *testing.T) {
 	m := matrixFrom([]string{"ggg", "ggg", "ggg"})
 	for _, c := range Criteria() {
-		v := &Validator{Criterion: c}
-		rep := v.Judge(m)
+		rep := c.Judge(m)
 		if !rep.Correct || len(rep.Wrong) != 0 {
 			t.Errorf("%s: all-green judged wrong", c.Name)
 		}
@@ -39,8 +38,7 @@ func TestJudgeAllGreenIsCorrect(t *testing.T) {
 func TestJudgeFullRedColumn(t *testing.T) {
 	m := matrixFrom([]string{"rgg", "rgg", "rgg", "rgg"})
 	for _, c := range Criteria() {
-		v := &Validator{Criterion: c}
-		rep := v.Judge(m)
+		rep := c.Judge(m)
 		if rep.Correct {
 			t.Errorf("%s: full red column not flagged", c.Name)
 		}
@@ -54,13 +52,13 @@ func TestJudgeThresholdSensitivity(t *testing.T) {
 	// Column 1 red in 3/4 rows = 75%: flagged by 70% and 50%, not 100%.
 	// No fully green row, so the green-row override stays out of play.
 	m := matrixFrom([]string{"rg", "rg", "rr", "gg"})
-	if (&Validator{Criterion: Wrong100}).Judge(m).Correct != true {
+	if Wrong100.Judge(m).Correct != true {
 		t.Error("100%-wrong flagged a 75% column")
 	}
-	if (&Validator{Criterion: Wrong70}).Judge(m).Correct {
+	if Wrong70.Judge(m).Correct {
 		t.Error("70%-wrong missed a 75% column")
 	}
-	if (&Validator{Criterion: Wrong50}).Judge(m).Correct {
+	if Wrong50.Judge(m).Correct {
 		t.Error("50%-wrong missed a 75% column")
 	}
 }
@@ -69,11 +67,11 @@ func TestGreenRowOverride(t *testing.T) {
 	// Column 1 is 70% red, but 30% of rows are fully green.
 	rows := []string{"rg", "rg", "rg", "rg", "rg", "rg", "rg", "gg", "gg", "gg"}
 	m := matrixFrom(rows)
-	rep70 := (&Validator{Criterion: Wrong70}).Judge(m)
+	rep70 := Wrong70.Judge(m)
 	if !rep70.Correct {
 		t.Error("green-row override should accept the testbench")
 	}
-	rep100 := (&Validator{Criterion: Wrong100}).Judge(m)
+	rep100 := Wrong100.Judge(m)
 	if !rep100.Correct {
 		t.Error("100%-wrong has no full column here")
 	}
@@ -83,7 +81,7 @@ func TestUncertainScenarios(t *testing.T) {
 	// Column 1 is 50% red and column 2 25% red; exactly 25% of the
 	// rows are fully green, which does NOT trigger the >25% override.
 	m := matrixFrom([]string{"rg", "rr", "rg", "gg", "gg", "gr", "gr", "gr"})
-	rep := (&Validator{Criterion: Wrong70}).Judge(m)
+	rep := Wrong70.Judge(m)
 	if !rep.Correct {
 		t.Fatal("sub-threshold columns should not flag")
 	}
@@ -99,7 +97,7 @@ func TestGreenRowOverrideBoundary(t *testing.T) {
 	// Exactly 25% fully green must not trigger (the paper says "more
 	// than 25%").
 	m := matrixFrom([]string{"rg", "rg", "rg", "gg"})
-	rep := (&Validator{Criterion: Wrong70}).Judge(m)
+	rep := Wrong70.Judge(m)
 	if rep.Correct {
 		t.Error("75% red column with exactly 25% green rows should flag")
 	}
@@ -119,9 +117,9 @@ func TestCriteriaMonotonicity(t *testing.T) {
 			}
 			m.Rows = append(m.Rows, row)
 		}
-		w100 := (&Validator{Criterion: Criterion{Name: "100", WrongFrac: 1.0}}).Judge(m).Wrong
-		w70 := (&Validator{Criterion: Criterion{Name: "70", WrongFrac: 0.7}}).Judge(m).Wrong
-		w50 := (&Validator{Criterion: Criterion{Name: "50", WrongFrac: 0.5}}).Judge(m).Wrong
+		w100 := Criterion{Name: "100", WrongFrac: 1.0}.Judge(m).Wrong
+		w70 := Criterion{Name: "70", WrongFrac: 0.7}.Judge(m).Wrong
+		w50 := Criterion{Name: "50", WrongFrac: 0.5}.Judge(m).Wrong
 		if !subset(w100, w70) || !subset(w70, w50) {
 			t.Fatalf("monotonicity violated: 100%%=%v 70%%=%v 50%%=%v\n%s", w100, w70, w50, m.Render())
 		}
@@ -142,7 +140,7 @@ func subset(a, b []int) bool {
 }
 
 func TestEmptyMatrixForcesReboot(t *testing.T) {
-	rep := (&Validator{Criterion: Wrong70}).Judge(&Matrix{})
+	rep := Wrong70.Judge(&Matrix{})
 	if rep.Correct || !rep.SimulationBroken {
 		t.Error("no-information matrix must be judged wrong")
 	}
@@ -211,8 +209,7 @@ func TestEndToEndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
-	v := &Validator{Criterion: Wrong70}
-	rep, err := v.ValidateContext(context.Background(), clean, group)
+	rep, err := Wrong70.Validate(context.Background(), clean, group)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +234,7 @@ func TestEndToEndValidation(t *testing.T) {
 	if faulty == nil {
 		t.Fatal("could not build an observably faulty checker")
 	}
-	rep, err = v.ValidateContext(context.Background(), faulty, group)
+	rep, err = Wrong70.Validate(context.Background(), faulty, group)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +251,7 @@ func TestSyntaxBrokenTestbench(t *testing.T) {
 	scs, _ := testbench.GenerateScenarios(p, rand.New(rand.NewSource(1)), testbench.Coverage{Scenarios: 2, Steps: 2})
 	tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: "module broken(", CheckerTop: p.Top, CheckerSticky: -1}
 	tb.DriverSource = "also broken ("
-	rep, err := (&Validator{Criterion: Wrong70}).ValidateContext(context.Background(), tb, nil)
+	rep, err := Wrong70.Validate(context.Background(), tb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 
 	"correctbench/internal/llm"
 	"correctbench/internal/mutate"
@@ -22,9 +20,6 @@ type RSMatrixSpec struct {
 	Seed    int64  `json:"seed"`
 	// RTLGroupSize is N_R (nil: paper's 20).
 	RTLGroupSize *int `json:"rtl_group_size,omitempty"`
-	// Workers bounds concurrent checker-fault probes (0: all CPUs;
-	// the same fault is found either way).
-	Workers int `json:"workers,omitempty"`
 }
 
 // RSMatrixReport is the rendered Fig. 4 panel pair.
@@ -40,10 +35,9 @@ type RSMatrixReport struct {
 	Wrong string `json:"wrong,omitempty"`
 }
 
-// RSMatrix reproduces Fig. 4 for one task. Candidate checker faults
-// are probed in waves of one attempt per worker, stopping at the
-// first wave containing a hit; each attempt is an independent seeded
-// derivation, so the winner is the same for any worker count.
+// RSMatrix reproduces Fig. 4 for one task. Up to 50 candidate checker
+// faults, each an independent seeded derivation, are probed in order
+// against the golden RTL; the first observable one is the fault shown.
 func (c *Client) RSMatrix(ctx context.Context, spec RSMatrixSpec) (*RSMatrixReport, error) {
 	probs, err := resolveProblems([]string{spec.Problem})
 	if err != nil {
@@ -83,57 +77,32 @@ func (c *Client) RSMatrix(ctx context.Context, spec RSMatrixSpec) (*RSMatrixRepo
 	if err != nil {
 		return nil, err
 	}
+	design, err := p.Elaborate()
+	if err != nil {
+		return nil, err
+	}
+	// Candidate checker faults are probed in attempt order, each on a
+	// copy of the clean testbench that shares its trace store, so the
+	// golden DUT is recorded once for every probe.
 	const attempts = 50
-	type found struct {
-		tb   *testbench.Testbench
-		muts []mutate.Mutation
-	}
-	w := spec.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	probe := func(attempt int64) *found {
-		mod, muts, _ := mutate.Mutate(golden, rand.New(rand.NewSource(spec.Seed+attempt)), 1)
+	for attempt := int64(0); attempt < attempts; attempt++ {
+		mod, muts, plan := mutate.Mutate(golden, rand.New(rand.NewSource(spec.Seed+attempt)), 1)
 		if len(muts) == 0 {
-			return nil
+			continue
 		}
-		tb := &testbench.Testbench{Problem: p, Scenarios: scs, CheckerSource: verilog.PrintModule(mod), CheckerTop: p.Top, CheckerSticky: -1}
-		if res, err := tb.RunAgainstSourceContext(ctx, p.Source, p.Top); err != nil || res.Pass() {
-			return nil // fault not observable (or the probe was cancelled)
-		}
-		return &found{tb: tb, muts: muts}
-	}
-	for base := int64(0); base < attempts; base += int64(w) {
+		tb := clean.WithChecker(verilog.PrintModule(mod), plan, -1)
+		res, err := tb.RunAgainstDesignContext(ctx, design)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		end := base + int64(w)
-		if end > attempts {
-			end = attempts
+		if err != nil || res.Pass() {
+			continue // fault not observable
 		}
-		wave := make([]*found, end-base)
-		var wg sync.WaitGroup
-		for i := range wave {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				wave[i] = probe(base + int64(i))
-			}(i)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		rep.Fault = fmt.Sprintf("%v", muts)
+		if rep.Wrong, err = renderPanel(ctx, "WRONG testbench", tb, group); err != nil {
 			return nil, err
 		}
-		for _, f := range wave {
-			if f == nil {
-				continue
-			}
-			rep.Fault = fmt.Sprintf("%v", f.muts)
-			if rep.Wrong, err = renderPanel(ctx, "WRONG testbench", f.tb, group); err != nil {
-				return nil, err
-			}
-			return rep, nil
-		}
+		return rep, nil
 	}
 	return rep, nil
 }
@@ -143,8 +112,7 @@ func (c *Client) RSMatrix(ctx context.Context, spec RSMatrixSpec) (*RSMatrixRepo
 func renderPanel(ctx context.Context, title string, tb *testbench.Testbench, group *validator.Group) (string, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s ==\n", title)
-	v := &validator.Validator{Criterion: validator.Wrong70}
-	m, ok, err := v.BuildMatrixContext(ctx, tb, group)
+	m, ok, err := validator.BuildMatrix(ctx, tb, group)
 	if err != nil {
 		return "", err
 	}
@@ -154,7 +122,7 @@ func renderPanel(ctx context.Context, title string, tb *testbench.Testbench, gro
 	}
 	sb.WriteString(m.Render())
 	for _, c := range validator.Criteria() {
-		rep := (&validator.Validator{Criterion: c}).Judge(m)
+		rep := c.Judge(m)
 		fmt.Fprintf(&sb, "%-12s verdict: correct=%v wrong=%v uncertain=%v\n", c.Name, rep.Correct, rep.Wrong, rep.Uncertain)
 	}
 	return sb.String(), nil
