@@ -4,31 +4,34 @@
 // classic ways Go code breaks such promises are wall-clock reads,
 // the global math/rand source, and iteration over maps.
 //
-// detlint parses the determinism-critical scope with go/ast — no type
-// checker, no external tooling — and flags the findings below. The
+// detlint type-checks each package of its scope with go/types,
+// importing dependencies from source, and flags the findings below in
+// the scope's files. A file named on its own is checked together with
+// the rest of its package, and only its own findings are reported. The
 // default scope is the harness, tracing and store packages with
 // events.go, and the Table I path: the validator, the testbench, the
 // Algorithm-1 core, the corrector, AutoBench and AutoEval, whose
-// text-keyed memos must never be ranged over to order work.
+// text-keyed memos must never be ranged over to order work, and the
+// simulator, mutation, Verilog, LLM-stub, seed-stream, dataset and
+// four-state logic packages under them.
 //
 // The scope also takes in the daemon's serving code (service.go,
 // metrics.go, cmd/correctbenchd), for the last check below.
 //
 // It flags:
 //
-//   - calls to time.Now
-//   - uses of math/rand's global-source API (rand.Intn, rand.Seed,
-//     ...; constructing seeded generators via rand.New/NewSource and
-//     referring to the rand.Rand/Source types stay legal)
-//   - range statements over expressions declared as maps anywhere in
-//     the scanned scope (a heuristic: no type inference, so only
-//     names whose declaration is visibly a map are matched)
-//   - a discarded error from a method named Write, Encode or Close:
-//     its result assigned to _, a deferred call, or — for Write and
-//     Encode — a call made as a statement. A plain x.Close() statement
-//     is left alone: the Go convention closes on error paths and after
-//     reads that way. Without type inference any method of those names
-//     counts.
+//   - uses of the function time.Now
+//   - uses of math/rand's package-level functions that read the global
+//     source (rand.Intn, rand.Seed, ...); constructing seeded
+//     generators via rand.New/NewSource/NewZipf, the methods of a
+//     *rand.Rand and the rand.Rand/Source types stay legal
+//   - range statements whose operand's type is a map, unless the body
+//     only appends each key to a slice (the collect-then-sort prelude)
+//   - a discarded error from a call of a method named Write, Encode or
+//     Close whose last result is an error: its result assigned to _, a
+//     deferred call, or — for Write and Encode — a call made as a
+//     statement. A plain x.Close() statement is left alone: the Go
+//     convention closes on error paths and after reads that way.
 //
 // A finding is suppressed by a directive comment on the same line or
 // the line above:
@@ -40,19 +43,23 @@
 //	detlint                      # lint the default scope
 //	detlint ./internal/foo bar.go
 //
-// Exit status: 0 clean, 1 findings, 2 on parse/usage errors.
+// Exit status: 0 clean, 1 findings, 2 on parse, type or usage errors.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 )
 
@@ -60,6 +67,8 @@ var defaultScope = []string{
 	"internal/harness", "internal/obs", "internal/store", "events.go",
 	"internal/validator", "internal/testbench", "internal/core",
 	"internal/corrector", "internal/autobench", "internal/autoeval",
+	"internal/sim", "internal/mutate", "internal/verilog", "internal/llm",
+	"internal/rng", "internal/dataset", "internal/logic",
 	"service.go", "metrics.go", "cmd/correctbenchd",
 }
 
@@ -74,148 +83,108 @@ func main() {
 	if len(scope) == 0 {
 		scope = defaultScope
 	}
-
-	var files []string
-	for _, path := range scope {
-		info, err := os.Stat(path)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if !info.IsDir() {
-			files = append(files, path)
-			continue
-		}
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			fatal("%v", err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			files = append(files, filepath.Join(path, name))
-		}
+	findings, files, err := lint(scope)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
+		os.Exit(2)
 	}
-	sort.Strings(files)
-
-	fset := token.NewFileSet()
-	var parsed []*ast.File
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			fatal("%v", err)
-		}
-		parsed = append(parsed, f)
-	}
-
-	mapNames := collectMapNames(parsed)
-	var findings []finding
-	for _, f := range parsed {
-		findings = append(findings, lintFile(fset, f, mapNames)...)
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].pos, findings[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 	for _, f := range findings {
 		fmt.Printf("%s:%d: %s\n", f.pos.Filename, f.pos.Line, f.msg)
 	}
 	if len(findings) > 0 {
-		fmt.Printf("detlint: %d finding(s) in %d file(s)\n", len(findings), len(files))
+		fmt.Printf("detlint: %d finding(s) in %d file(s)\n", len(findings), files)
 		os.Exit(1)
 	}
 }
 
-func fatal(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "detlint: "+format+"\n", args...)
-	os.Exit(2)
-}
-
-// collectMapNames indexes identifiers whose declaration is visibly a
-// map across the scanned files: struct fields, var declarations with
-// a map type, and assignments from make(map...) or map literals.
-func collectMapNames(files []*ast.File) map[string]bool {
-	names := map[string]bool{}
-	record := func(idents []*ast.Ident, typ ast.Expr) {
-		if _, ok := typ.(*ast.MapType); !ok {
-			return
+// lint type-checks the package of every directory and file in scope
+// and returns the findings in the scope's files, ordered by position,
+// with the number of files linted.
+func lint(scope []string) ([]finding, int, error) {
+	inScope := map[string]bool{}
+	for _, path := range scope {
+		info, err := os.Stat(path)
+		if err != nil {
+			return nil, 0, err
 		}
-		for _, id := range idents {
-			names[id.Name] = true
-		}
-	}
-	isMapExpr := func(e ast.Expr) bool {
-		switch x := e.(type) {
-		case *ast.CompositeLit:
-			_, ok := x.Type.(*ast.MapType)
-			return ok
-		case *ast.CallExpr:
-			if fn, ok := x.Fun.(*ast.Ident); ok && fn.Name == "make" && len(x.Args) > 0 {
-				_, isMap := x.Args[0].(*ast.MapType)
-				return isMap
-			}
-		}
-		return false
-	}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.Field:
-				record(x.Names, x.Type)
-			case *ast.ValueSpec:
-				if x.Type != nil {
-					record(x.Names, x.Type)
-				}
-				for i, v := range x.Values {
-					if isMapExpr(v) && i < len(x.Names) {
-						names[x.Names[i].Name] = true
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range x.Rhs {
-					if isMapExpr(rhs) && i < len(x.Lhs) {
-						if id, ok := x.Lhs[i].(*ast.Ident); ok {
-							names[id.Name] = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return names
-}
-
-// importAlias returns the name the file refers to importPath by, or
-// "" if not imported.
-func importAlias(f *ast.File, importPath string) string {
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || p != importPath {
+		if !info.IsDir() {
+			inScope[filepath.Clean(path)] = true
 			continue
 		}
-		if imp.Name != nil {
-			return imp.Name.Name
+		files, err := packageFiles(path)
+		if err != nil {
+			return nil, 0, err
 		}
-		return importPath[strings.LastIndex(importPath, "/")+1:]
+		for _, f := range files {
+			inScope[f] = true
+		}
 	}
-	return ""
+	dirs := map[string]bool{}
+	for f := range inScope {
+		dirs[filepath.Dir(f)] = true
+	}
+
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	var findings []finding
+	linted := 0
+	for _, dir := range slices.Sorted(maps.Keys(dirs)) {
+		paths, err := packageFiles(dir)
+		if err != nil {
+			return nil, 0, err
+		}
+		var files []*ast.File
+		for _, path := range paths {
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return nil, 0, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		conf := types.Config{Importer: imp}
+		if _, err := conf.Check(dir, fset, files, info); err != nil {
+			return nil, 0, err
+		}
+		for i, f := range files {
+			if inScope[paths[i]] {
+				delete(inScope, paths[i])
+				findings = append(findings, lintFile(fset, f, info)...)
+				linted++
+			}
+		}
+	}
+	if len(inScope) > 0 {
+		return nil, 0, fmt.Errorf("%s is not a non-test Go file of its package", slices.Min(slices.Collect(maps.Keys(inScope))))
+	}
+	slices.SortFunc(findings, func(a, b finding) int {
+		return cmp.Or(cmp.Compare(a.pos.Filename, b.pos.Filename), cmp.Compare(a.pos.Line, b.pos.Line))
+	})
+	return findings, linted, nil
 }
 
-// globalRandAllowed are math/rand selectors that do not touch the
-// global source: constructors and type names.
-var globalRandAllowed = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"Rand": true, "Source": true, "Source64": true, "Zipf": true,
+// packageFiles returns the paths of the non-test Go files that make up
+// the package in dir under the default build context.
+func packageFiles(dir string) ([]string, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	paths := make([]string, len(bp.GoFiles))
+	for i, name := range bp.GoFiles {
+		paths[i] = filepath.Join(dir, name)
+	}
+	return paths, nil
 }
 
-func lintFile(fset *token.FileSet, f *ast.File, mapNames map[string]bool) []finding {
-	timeAlias := importAlias(f, "time")
-	randAlias := importAlias(f, "math/rand")
+// randConstructors are math/rand's package-level functions that do not
+// touch the global source.
+var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
+
+func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 	allowed := allowedLines(fset, f)
 
 	var out []finding
@@ -229,41 +198,38 @@ func lintFile(fset *token.FileSet, f *ast.File, mapNames map[string]bool) []find
 
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			pkg, ok := x.X.(*ast.Ident)
-			if !ok || pkg.Obj != nil { // shadowed: a local, not the package
+		case *ast.Ident:
+			fn, ok := info.Uses[x].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Signature().Recv() != nil {
 				return true
 			}
-			if timeAlias != "" && pkg.Name == timeAlias && x.Sel.Name == "Now" {
-				flag(x, "time.Now breaks run-to-run determinism; thread a clock or add //detlint:allow")
-			}
-			if randAlias != "" && pkg.Name == randAlias && !globalRandAllowed[x.Sel.Name] {
-				flag(x, "math/rand global source (rand.%s) is unseeded shared state; use rand.New(rand.NewSource(seed))", x.Sel.Name)
+			switch fn.Pkg().Path() {
+			case "time":
+				if fn.Name() == "Now" {
+					flag(x, "time.Now breaks run-to-run determinism; thread a clock or add //detlint:allow")
+				}
+			case "math/rand":
+				if !randConstructors[fn.Name()] {
+					flag(x, "math/rand global source (rand.%s) is unseeded shared state; use rand.New(rand.NewSource(seed))", fn.Name())
+				}
 			}
 		case *ast.ExprStmt:
-			if name, method := droppedErrCall(x.X); name != "" && method != "Close" {
+			if name, method := droppedErrCall(info, x.X); name != "" && method != "Close" {
 				flag(x, "the error %s returns is discarded; handle it or add //detlint:allow with the reason", name)
 			}
 		case *ast.DeferStmt:
-			if name, _ := droppedErrCall(x.Call); name != "" {
+			if name, _ := droppedErrCall(info, x.Call); name != "" {
 				flag(x, "the error deferred %s returns is discarded; handle it or add //detlint:allow with the reason", name)
 			}
 		case *ast.AssignStmt:
 			if len(x.Rhs) == 1 && allBlank(x.Lhs) {
-				if name, _ := droppedErrCall(x.Rhs[0]); name != "" {
+				if name, _ := droppedErrCall(info, x.Rhs[0]); name != "" {
 					flag(x, "the error %s returns is assigned to _; handle it or add //detlint:allow with the reason", name)
 				}
 			}
 		case *ast.RangeStmt:
-			var name string
-			switch e := ast.Unparen(x.X).(type) {
-			case *ast.Ident:
-				name = e.Name
-			case *ast.SelectorExpr:
-				name = e.Sel.Name
-			}
-			if name != "" && mapNames[name] && !isKeyCollect(x) {
-				flag(x, "range over map %q has nondeterministic order; iterate sorted keys or add //detlint:allow", name)
+			if _, isMap := info.TypeOf(x.X).Underlying().(*types.Map); isMap && !isKeyCollect(x) {
+				flag(x, "range over map %s has nondeterministic order; iterate sorted keys or add //detlint:allow", types.ExprString(x.X))
 			}
 		}
 		return true
@@ -276,11 +242,10 @@ func lintFile(fset *token.FileSet, f *ast.File, mapNames map[string]bool) []find
 // response's status line the error is the only report of it.
 var errMethods = map[string]bool{"Write": true, "Encode": true, "Close": true}
 
-// droppedErrCall returns the call ("x.Name") and the method name when
-// e is a call of a method in errMethods, whose error the enclosing
-// statement then drops, and "" otherwise. Without a type checker, any
-// method of that name counts.
-func droppedErrCall(e ast.Expr) (call, method string) {
+// droppedErrCall returns the call's text ("x.Name") and the method
+// name when e is a call of a method in errMethods whose last result is
+// an error, which the enclosing statement then drops, and "" otherwise.
+func droppedErrCall(info *types.Info, e ast.Expr) (call, method string) {
 	c, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return "", ""
@@ -289,11 +254,15 @@ func droppedErrCall(e ast.Expr) (call, method string) {
 	if !ok || !errMethods[sel.Sel.Name] {
 		return "", ""
 	}
-	method = sel.Sel.Name
-	if id, ok := sel.X.(*ast.Ident); ok {
-		return id.Name + "." + method, method
+	sig, ok := info.TypeOf(sel).(*types.Signature)
+	if !ok || sig.Results().Len() == 0 {
+		return "", ""
 	}
-	return method, method
+	last := sig.Results().At(sig.Results().Len() - 1).Type()
+	if !types.Identical(last, types.Universe.Lookup("error").Type()) {
+		return "", ""
+	}
+	return types.ExprString(sel), sel.Sel.Name
 }
 
 // allBlank reports whether every expression is the blank identifier.

@@ -186,7 +186,7 @@ func enumerate(m *verilog.Module, rng *rand.Rand) (*verilog.Module, []site) {
 				// Ident swap: replace with another same-width signal.
 				if w, ok := widths[x.Name]; ok {
 					var cands []string
-					for n, nw := range widths {
+					for n, nw := range widths { //detlint:allow a filtered collect; the candidates are sorted before use
 						if n != x.Name && nw == w {
 							cands = append(cands, n)
 						}

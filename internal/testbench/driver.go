@@ -16,22 +16,23 @@ import (
 // stimuli and $displays the sampled signals. The text runs under
 // cmd/vsim's timed scheduler.
 //
-// The emitted text always parses, given a problem whose name is an
-// identifier and whose reset is "" or an input port, as the dataset
-// and NewProblem guarantee: every other name it writes is a port of
-// the elaborated design, and a scenario name holding a control
-// character is quoted so it cannot end its comment line. That is why
-// SyntaxOK passes a testbench whose DriverSource is empty without
-// emitting anything. EmitDriver also records on tb that the returned
-// text parses, so a caller that assigns it to DriverSource is not
-// parsed either; any other explicit driver (a corrupted or edited one)
-// is judged by parsing.
+// The emitted text always parses, given a problem whose source
+// elaborates, whose name is an identifier and whose reset is "" or an
+// input port, as the dataset and NewProblem guarantee: every other name
+// it writes is a port of the elaborated design, and a scenario name
+// holding a control character is quoted so it cannot end its comment
+// line. That is why SyntaxOK passes a testbench whose DriverSource is
+// empty without emitting anything once its problem elaborates. When
+// the problem does not elaborate, EmitDriver returns a comment naming
+// the error, which does not parse, and SyntaxOK fails such a
+// testbench's driver track. EmitDriver also records on tb that a
+// rendered text parses, so a caller that assigns it to DriverSource is
+// not parsed either; any other explicit driver (a corrupted or edited
+// one) is judged by parsing.
 func EmitDriver(tb *Testbench) string {
 	p := tb.Problem
 	d, err := p.Elaborate()
 	if err != nil {
-		// The golden source always elaborates (dataset invariant); a
-		// failure here is a programming error upstream.
 		return "// driver emission failed: " + err.Error()
 	}
 	var sb strings.Builder

@@ -199,7 +199,8 @@ func (r *RunResult) FailedScenarios() []int {
 // SyntaxOK reports whether both testbench tracks parse, the Eval0
 // criterion for the testbench artifact itself. A testbench without an
 // explicit driver passes the driver track with nothing emitted or
-// parsed: the driver EmitDriver renders always parses. An explicit
+// parsed when its problem elaborates (a cached verdict): the driver
+// EmitDriver renders for such a problem always parses. An explicit
 // driver's verdict is memoized with the text it judged: it is parsed
 // again only when its source differs from the last one checked, and a
 // text EmitDriver rendered on tb is already judged, so of a
@@ -209,7 +210,13 @@ func (r *RunResult) FailedScenarios() []int {
 // then reuse. The driver is checked first; a broken driver leaves the
 // checker unparsed.
 func (tb *Testbench) SyntaxOK() bool {
-	driverPasses := tb.DriverSource == "" || driverOK(&tb.driverSyntax, tb.DriverSource)
+	var driverPasses bool
+	if tb.DriverSource == "" {
+		_, err := tb.Problem.Elaborate()
+		driverPasses = err == nil
+	} else {
+		driverPasses = driverOK(&tb.driverSyntax, tb.DriverSource)
+	}
 	return driverPasses && tb.loadChecker().parseErr == nil
 }
 

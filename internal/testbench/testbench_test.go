@@ -191,6 +191,27 @@ func TestSyntaxOK(t *testing.T) {
 	}
 }
 
+// TestSyntaxOKUnelaboratedProblem: a testbench without an explicit
+// driver passes the driver track exactly when the driver it renders
+// parses, also for a problem whose source does not elaborate, where
+// EmitDriver returns only a comment.
+func TestSyntaxOKUnelaboratedProblem(t *testing.T) {
+	tb := golden(t, "mux2_w4")
+	tb.Problem = &dataset.Problem{
+		Name:   "bad",
+		Kind:   dataset.CMB,
+		Source: "module bad(input a, output y);\n  nosuch u(.a(a), .y(y));\nendmodule\n",
+		Top:    "bad",
+	}
+	if _, err := tb.Problem.Elaborate(); err == nil {
+		t.Fatal("the hand-built problem elaborates")
+	}
+	_, err := verilog.Parse(tb.Driver())
+	if got, want := tb.SyntaxOK(), err == nil; got != want {
+		t.Errorf("SyntaxOK = %v, but the rendered driver's parse error is %v", got, err)
+	}
+}
+
 // TestSyntaxOKMemo pins the per-track Eval0 memo: a testbench without
 // an explicit driver passes the driver track with nothing emitted or
 // parsed, a freshly emitted driver is already judged, an in-place edit
