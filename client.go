@@ -139,11 +139,12 @@ type ExperimentSpec struct {
 	NoStore bool `json:"no_store,omitempty"`
 	// NoTrace opts this job out of phase tracing: no per-cell span
 	// tree is collected (Job.Trace returns nil, GET .../trace answers
-	// 404) and the job's cells contribute nothing to the /metrics
-	// latency histograms. Tracing is operational metadata exactly like
-	// CellFinished.Duration — on or off, the event stream, tables and
-	// results are byte-identical — so the only reason to set this is
-	// shaving the (small) collection overhead, e.g. for benchmarks.
+	// 404) and the job's cells reach no /metrics latency histogram,
+	// only the cells_per_sec_1m window. Tracing is operational
+	// metadata exactly like CellFinished.Duration — on or off, the
+	// event stream, tables and results are byte-identical — so the
+	// only reason to set this is shaving the (small) collection
+	// overhead, e.g. for benchmarks.
 	NoTrace bool `json:"no_trace,omitempty"`
 }
 
@@ -273,8 +274,8 @@ type Client struct {
 	// submits (see Job.cellHook).
 	cellHook func(job string, index int, finished bool)
 
-	// obs aggregates phase latencies and the completion-rate window
-	// across every traced job this client runs; GET /metrics reads it.
+	// obs holds every traced job's phase latencies and every job's
+	// completion-rate window; GET /metrics reads it.
 	obs *obs.Observer
 
 	mu        sync.Mutex
@@ -434,16 +435,15 @@ func (c *Client) Submit(ctx context.Context, spec ExperimentSpec) (*Job, error) 
 		tables:       map[string]string{},
 		storeEnabled: hcfg.Store != nil,
 		cellHook:     c.cellHook,
+		observer:     c.obs,
 	}
 	if !spec.NoTrace {
 		// Tracing is on by default: the job collects a span tree per
-		// cell and feeds the client's shared latency aggregator. Both
+		// cell, whose spans feed the client's latency histograms. Both
 		// are off-wire operational metadata, so traced and untraced
 		// jobs publish byte-identical event streams.
-		j.trace = &obs.JobTrace{}
-		j.observer = c.obs
+		j.trace = &obs.JobTrace{Observer: c.obs}
 		hcfg.Trace = j.trace
-		hcfg.Observer = c.obs
 	}
 	c.mu.Lock()
 	c.jobs[id] = j
@@ -563,7 +563,12 @@ func (c *Client) CriteriaPipeline(ctx context.Context, spec ExperimentSpec, prog
 	if err != nil {
 		return nil, err
 	}
-	hcfg.Progress = progress
+	hcfg.Normalize()
+	if progress != nil {
+		hcfg.OnGroup = func(method harness.Method, rep int) {
+			fmt.Fprintf(progress, "%s rep %d/%d done (%d tasks)\n", method, rep+1, hcfg.Reps, len(hcfg.Problems))
+		}
+	}
 	hcfg.Evaluator = c.evaluator(harness.EvaluatorSeed(spec.Seed))
 	// The study runs one experiment per criterion; the criterion is a
 	// cell-key component, so sharing the store across rows is safe and

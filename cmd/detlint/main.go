@@ -4,16 +4,16 @@
 // classic ways Go code breaks such promises are wall-clock reads,
 // the global math/rand source, and iteration over maps.
 //
-// detlint type-checks each package of its scope with go/types,
-// importing dependencies from source, and flags the findings below in
-// the scope's files. A file named on its own is checked together with
-// the rest of its package, and only its own findings are reported. The
-// default scope is the harness, tracing and store packages with
-// events.go, and the Table I path: the validator, the testbench, the
-// Algorithm-1 core, the corrector, AutoBench and AutoEval, whose
-// text-keyed memos must never be ranged over to order work, and the
-// simulator, mutation, Verilog, LLM-stub, seed-stream, dataset and
-// four-state logic packages under them.
+// detlint type-checks each package of its scope from source with
+// go/types, importing its dependencies from compiler export data, and
+// flags the findings below in the scope's files. A file named on its
+// own is checked together with the rest of its package, and only its
+// own findings are reported. The default scope is the harness,
+// tracing and store packages with events.go, and the Table I path:
+// the validator, the testbench, the Algorithm-1 core, the corrector,
+// AutoBench and AutoEval, whose text-keyed memos must never be ranged
+// over to order work, and the simulator, mutation, Verilog, LLM-stub,
+// seed-stream, dataset and four-state logic packages under them.
 //
 // The scope also takes in the daemon's serving code (service.go,
 // metrics.go, cmd/correctbenchd), for the last check below.
@@ -25,8 +25,11 @@
 //     source (rand.Intn, rand.Seed, ...); constructing seeded
 //     generators via rand.New/NewSource/NewZipf, the methods of a
 //     *rand.Rand and the rand.Rand/Source types stay legal
-//   - range statements whose operand's type is a map, unless the body
-//     only appends each key to a slice (the collect-then-sort prelude)
+//   - range statements whose operand's type is a map, or a call of
+//     maps.Keys, maps.Values or maps.All (under any import name), whose
+//     iterators yield in map order, unless the body only appends each
+//     key to a slice (the collect-then-sort prelude); ranging over
+//     slices.Sorted(maps.Keys(m)) is the deterministic form
 //   - a discarded error from a call of a method named Write, Encode or
 //     Close whose last result is an error: its result assigned to _, a
 //     deferred call, or — for Write and Encode — a call made as a
@@ -56,8 +59,10 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -102,39 +107,49 @@ func main() {
 // with the number of files linted.
 func lint(scope []string) ([]finding, int, error) {
 	inScope := map[string]bool{}
+	pkgs := map[string][]string{} // package directory -> its files
+	imports := map[string]bool{}
 	for _, path := range scope {
 		info, err := os.Stat(path)
 		if err != nil {
 			return nil, 0, err
 		}
+		dir := filepath.Clean(path)
 		if !info.IsDir() {
-			inScope[filepath.Clean(path)] = true
-			continue
+			inScope[dir] = true
+			dir = filepath.Dir(dir)
 		}
-		files, err := packageFiles(path)
+		files, imps, err := packageFiles(dir)
 		if err != nil {
 			return nil, 0, err
 		}
-		for _, f := range files {
-			inScope[f] = true
+		if info.IsDir() {
+			for _, f := range files {
+				inScope[f] = true
+			}
 		}
-	}
-	dirs := map[string]bool{}
-	for f := range inScope {
-		dirs[filepath.Dir(f)] = true
+		pkgs[dir] = files
+		for _, imp := range imps {
+			imports[imp] = true
+		}
 	}
 
+	exports, err := goExports(slices.Sorted(maps.Keys(imports)))
+	if err != nil {
+		return nil, 0, err
+	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
 	var findings []finding
 	linted := 0
-	for _, dir := range slices.Sorted(maps.Keys(dirs)) {
-		paths, err := packageFiles(dir)
-		if err != nil {
-			return nil, 0, err
-		}
+	for _, dir := range slices.Sorted(maps.Keys(pkgs)) {
 		var files []*ast.File
-		for _, path := range paths {
+		for _, path := range pkgs[dir] {
 			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 			if err != nil {
 				return nil, 0, err
@@ -150,8 +165,8 @@ func lint(scope []string) ([]finding, int, error) {
 			return nil, 0, err
 		}
 		for i, f := range files {
-			if inScope[paths[i]] {
-				delete(inScope, paths[i])
+			if path := pkgs[dir][i]; inScope[path] {
+				delete(inScope, path)
 				findings = append(findings, lintFile(fset, f, info)...)
 				linted++
 			}
@@ -166,18 +181,41 @@ func lint(scope []string) ([]finding, int, error) {
 	return findings, linted, nil
 }
 
+// goExports maps each package the imports reach to its compiler export
+// data, which one `go list -export` run finds in the build cache (or
+// builds there): the standard library and the module's packages are
+// imported from it, so only the scope itself is type-checked from
+// source.
+func goExports(imports []string) (map[string]string, error) {
+	out := map[string]string{}
+	if len(imports) == 0 {
+		return out, nil
+	}
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, imports...)...)
+	cmd.Stderr = os.Stderr
+	stdout, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(stdout)), "\n") {
+		path, export, _ := strings.Cut(line, "\t")
+		out[path] = export
+	}
+	return out, nil
+}
+
 // packageFiles returns the paths of the non-test Go files that make up
-// the package in dir under the default build context.
-func packageFiles(dir string) ([]string, error) {
+// the package in dir under the default build context, and its imports.
+func packageFiles(dir string) ([]string, []string, error) {
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	paths := make([]string, len(bp.GoFiles))
 	for i, name := range bp.GoFiles {
 		paths[i] = filepath.Join(dir, name)
 	}
-	return paths, nil
+	return paths, bp.Imports, nil
 }
 
 // randConstructors are math/rand's package-level functions that do not
@@ -228,13 +266,42 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []finding {
 				}
 			}
 		case *ast.RangeStmt:
-			if _, isMap := info.TypeOf(x.X).Underlying().(*types.Map); isMap && !isKeyCollect(x) {
+			if isKeyCollect(x) {
+				break
+			}
+			if _, isMap := info.TypeOf(x.X).Underlying().(*types.Map); isMap {
 				flag(x, "range over map %s has nondeterministic order; iterate sorted keys or add //detlint:allow", types.ExprString(x.X))
+			} else if name := mapIterator(info, x.X); name != "" {
+				flag(x, "range over maps.%s yields map order; range over slices.Sorted(maps.Keys(m)) or add //detlint:allow", name)
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// mapIterators are the maps functions whose iterators yield map order.
+var mapIterators = map[string]bool{"Keys": true, "Values": true, "All": true}
+
+// mapIterator returns the function's name when e calls maps.Keys,
+// maps.Values or maps.All under any import name, and "" otherwise.
+func mapIterator(info *types.Info, e ast.Expr) string {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok { // an explicit instantiation, maps.Keys[M]
+		fun = ix.X
+	}
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	id, _ := fun.(*ast.Ident)
+	if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "maps" && mapIterators[fn.Name()] {
+		return fn.Name()
+	}
+	return ""
 }
 
 // errMethods are the methods whose error detlint requires a caller to

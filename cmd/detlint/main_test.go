@@ -166,6 +166,47 @@ func f(t T, named M) (n int) {
 	wantLines(t, lintSource(t, src), "range over map", 12, 15, 18)
 }
 
+// TestMapIteratorRangeFlagged: a range over maps.Keys, maps.Values or
+// maps.All is a finding under any import name, also when instantiated
+// explicitly; a range over the sorted keys, or a slice iterator, is
+// not.
+func TestMapIteratorRangeFlagged(t *testing.T) {
+	src := `package x
+
+import (
+	"maps"
+	m2 "maps"
+	"slices"
+)
+
+func f(m map[string]int) (n int) {
+	for k := range maps.Keys(m) {
+		n += len(k)
+	}
+	for v := range maps.Values(m) {
+		n += v
+	}
+	for k, v := range maps.All(m) {
+		n += len(k) + v
+	}
+	for k := range m2.Keys(m) {
+		n += len(k)
+	}
+	for k := range maps.Keys[map[string]int](m) {
+		n += len(k)
+	}
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		n += len(k)
+	}
+	for _, v := range slices.All([]int{1, 2}) {
+		n += v
+	}
+	return n
+}
+`
+	wantLines(t, lintSource(t, src), "yields map order", 10, 13, 16, 19, 22)
+}
+
 // TestGlobalSourcesFlagged: time.Now and math/rand's global-source
 // functions are findings under any import name; seeded generators,
 // their methods, the rand.Rand type and locals named time or rand are

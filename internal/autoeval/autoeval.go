@@ -360,8 +360,10 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, tb *testbench.Testbench
 	return GradeEval1, nil
 }
 
-// GoldenTestbench exposes the cached golden testbench for a problem
-// (used by the validator-accuracy study to label testbenches).
+// GoldenTestbench exposes the cached golden testbench for a problem,
+// for tests and benchmarks that grade or time it directly. (The
+// Fig. 6(a) validator-accuracy study does not use it: it labels a
+// testbench by running it against the golden design.)
 func (e *Evaluator) GoldenTestbench(p *dataset.Problem) (*testbench.Testbench, error) {
 	f, err := e.fixtureFor(p)
 	if err != nil {

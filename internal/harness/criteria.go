@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync"
+	"time"
 
 	"correctbench/internal/autobench"
 	"correctbench/internal/autoeval"
@@ -131,55 +131,28 @@ func CriteriaAccuracyContext(ctx context.Context, cfg CriteriaAccuracyConfig) ([
 		return out, nil
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfg.Problems) {
-		workers = len(cfg.Problems)
-	}
 	var (
 		perProblem = make([][]labeled, len(cfg.Problems))
-		errs       = newErrorCollector()
-		jobs       = make(chan int)
 		doneCount  int
 		progressMu sync.Mutex
-		wg         sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pi := range jobs {
-				labs, err := labelProblem(cfg.Problems[pi])
-				if err != nil {
-					errs.record(pi, err)
-					continue
-				}
-				perProblem[pi] = labs
-				if cfg.Progress != nil {
-					progressMu.Lock()
-					doneCount++
-					if doneCount%26 == 0 {
-						fmt.Fprintf(cfg.Progress, "criteria accuracy: %d/%d problems\n", doneCount, len(cfg.Problems))
-					}
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for pi := range cfg.Problems {
-		if errs.failed() || ctx.Err() != nil {
-			break
+	err := forEachOrdered(ctx, len(cfg.Problems), cfg.Workers, func(pi int, _ time.Time) error {
+		labs, err := labelProblem(cfg.Problems[pi])
+		if err != nil {
+			return err
 		}
-		jobs <- pi
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := errs.first(); err != nil {
+		perProblem[pi] = labs
+		if cfg.Progress != nil {
+			progressMu.Lock()
+			doneCount++
+			if doneCount%26 == 0 {
+				fmt.Fprintf(cfg.Progress, "criteria accuracy: %d/%d problems\n", doneCount, len(cfg.Problems))
+			}
+			progressMu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	// Deterministic assembly: concatenate in problem order.

@@ -10,9 +10,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -72,9 +70,6 @@ type Config struct {
 	// stream (see internal/rng), so scheduling order cannot leak into
 	// outcomes.
 	Workers int
-	// Progress, when non-nil, receives one line per (method, rep).
-	// Lines are emitted in canonical order regardless of Workers.
-	Progress io.Writer
 
 	// OnCell, when non-nil, receives every finished cell. Calls are
 	// serialized and arrive in canonical (method, rep, problem) index
@@ -85,7 +80,7 @@ type Config struct {
 	OnCell func(CellEvent)
 	// OnGroup, when non-nil, is called after the last cell of each
 	// (method, rep) group has been released through OnCell, in
-	// canonical group order.
+	// canonical group order (a per-group progress line goes here).
 	OnGroup func(method Method, rep int)
 
 	// Evaluator, when non-nil, grades every cell instead of a freshly
@@ -135,18 +130,13 @@ type Config struct {
 	// or store-replayed — covering the full execution path:
 	// store_lookup, queue_wait, simulate with its
 	// sim_elaborate/sim_compile/sim_run sub-spans, grade, and
-	// store_writeback. Span IDs are deterministic (derived from the
-	// cell's content address via obs.SpanID); the recorded durations
-	// are wall clock. Tracing is operational metadata exactly like
-	// CellEvent.Duration: it never reaches the event stream, Results,
-	// or the store, so traced and untraced runs stay byte-identical.
+	// store_writeback; its obs.Observer, if any, aggregates the spans.
+	// Span IDs are deterministic (derived from the cell's content
+	// address via obs.SpanID); the durations are wall clock. Tracing
+	// is operational metadata exactly like CellEvent.Duration: it never
+	// reaches the event stream, Results, or the store, so traced and
+	// untraced runs stay byte-identical.
 	Trace *obs.JobTrace
-
-	// Observer, when non-nil, receives every traced cell's phase
-	// samples for latency aggregation (per-phase histograms).
-	// Setting Observer alone — without Trace — still turns phase
-	// timing on. Same off-wire contract as Trace.
-	Observer *obs.Observer
 }
 
 // CellEvent describes one finished experiment cell, as delivered to
@@ -266,7 +256,7 @@ const cellKeySchema = 1
 //     criterion sweeps and budget ablations for identical outcomes.
 //
 // Two configs that resolve to the same key are guaranteed to simulate
-// byte-identical outcomes (Workers and Progress/event plumbing do not
+// byte-identical outcomes (Workers and the event plumbing do not
 // participate); any outcome-relevant divergence — a dataset edit,
 // another criterion, an explicit-zero budget — lands on a different
 // key. cfg must be normalized.
@@ -393,10 +383,10 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		guard = newStoreGuard(cfg.Store, cfg.Seed)
 	}
 
-	// Phase timing is on when either tracing sink is attached. The
-	// epoch is the run's trace time origin: every sample offset is
-	// microseconds since this instant.
-	traceOn := cfg.Trace != nil || cfg.Observer != nil
+	// Phase timing is on when a trace is attached. The epoch is the
+	// run's trace time origin: every sample offset is microseconds
+	// since this instant.
+	traceOn := cfg.Trace != nil
 	var epoch time.Time
 	if traceOn {
 		epoch = time.Now() //detlint:allow the trace epoch is wall-clock metadata like CellEvent.Duration, excluded from the deterministic surface
@@ -465,14 +455,6 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		return finish(), nil
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-
 	if guard == nil && traceOn {
 		// Traces derive their deterministic span IDs from the content
 		// address; derive keys even when no store is attached.
@@ -481,71 +463,30 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 			c.key = CellKey(&cfg, cfg.Methods[c.mi], c.ri, cfg.Problems[c.pi])
 		}
 	}
-	if err := runPending(ctx, &cfg, pending, workers, eval, guard, emit, res, epoch); err != nil {
+	if err := runPending(ctx, &cfg, pending, eval, guard, emit, res, epoch); err != nil {
 		return nil, err
 	}
 	return finish(), nil
 }
 
-// errorCollector keeps the error of the canonically earliest failing
-// cell, so parallel runs report the same error a sequential run
-// would.
-type errorCollector struct {
-	mu     sync.Mutex
-	minIdx int
-	err    error
-}
-
-func newErrorCollector() *errorCollector { return &errorCollector{minIdx: -1} }
-
-func (e *errorCollector) record(idx int, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err == nil || idx < e.minIdx {
-		e.minIdx, e.err = idx, err
-	}
-}
-
-func (e *errorCollector) failed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err != nil
-}
-
-func (e *errorCollector) first() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
 // orderedEmitter releases finished cells in canonical index order —
-// out-of-order completions are buffered — and drives every per-cell
-// sink from that ordered stream: Config.OnCell, Config.OnGroup and
-// the Progress writer. Because release order is canonical, everything
-// downstream (progress text, event streams) is byte-identical for any
-// worker count.
+// out-of-order completions are buffered — and drives Config.OnCell and
+// Config.OnGroup from that ordered stream. Because release order is
+// canonical, everything downstream (progress text, event streams) is
+// byte-identical for any worker count.
 type orderedEmitter struct {
-	mu      sync.Mutex
-	cfg     *Config
-	buf     map[int]CellEvent // completed but not yet released
-	next    int               // next canonical index to release
-	perGrp  int
-	enabled bool
+	mu     sync.Mutex
+	cfg    *Config
+	buf    map[int]CellEvent // completed but not yet released
+	next   int               // next canonical index to release
+	perGrp int
 }
 
 func newOrderedEmitter(cfg Config) *orderedEmitter {
-	return &orderedEmitter{
-		cfg:     &cfg,
-		buf:     map[int]CellEvent{},
-		perGrp:  len(cfg.Problems),
-		enabled: cfg.Progress != nil || cfg.OnCell != nil || cfg.OnGroup != nil,
-	}
+	return &orderedEmitter{cfg: &cfg, buf: map[int]CellEvent{}, perGrp: len(cfg.Problems)}
 }
 
 func (t *orderedEmitter) cellDone(ev CellEvent) {
-	if !t.enabled {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.buf[ev.Index] = ev
@@ -559,17 +500,9 @@ func (t *orderedEmitter) cellDone(ev CellEvent) {
 			t.cfg.OnCell(e)
 		}
 		t.next++
-		if t.next%t.perGrp != 0 {
-			continue
-		}
-		grp := t.next/t.perGrp - 1
-		method := t.cfg.Methods[grp/t.cfg.Reps]
-		rep := grp % t.cfg.Reps
-		if t.cfg.Progress != nil {
-			fmt.Fprintf(t.cfg.Progress, "%s rep %d/%d done (%d tasks)\n", method, rep+1, t.cfg.Reps, t.perGrp)
-		}
-		if t.cfg.OnGroup != nil {
-			t.cfg.OnGroup(method, rep)
+		if t.cfg.OnGroup != nil && t.next%t.perGrp == 0 {
+			grp := t.next/t.perGrp - 1
+			t.cfg.OnGroup(t.cfg.Methods[grp/t.cfg.Reps], grp%t.cfg.Reps)
 		}
 	}
 }

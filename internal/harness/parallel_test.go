@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,7 +20,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 	run := func(workers int) (*Results, string) {
 		var progress bytes.Buffer
 		res, err := RunContext(context.Background(), Config{
-			Reps: 2, Seed: 33, Problems: probs, Workers: workers, Progress: &progress,
+			Reps: 2, Seed: 33, Problems: probs, Workers: workers,
+			OnGroup: func(method Method, rep int) {
+				fmt.Fprintf(&progress, "%s rep %d/%d done (%d tasks)\n", method, rep+1, 2, len(probs))
+			},
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

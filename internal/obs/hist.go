@@ -112,7 +112,7 @@ type PhaseStats struct {
 }
 
 // Observer is the process-level aggregation point: one histogram per
-// phase fed by every traced run of a client, plus a sliding
+// phase fed by the spans of every JobTrace carrying it, plus a sliding
 // one-minute completion-rate window for /metrics. Histogram updates
 // are lock-free; the map of histograms takes a read lock on the fast
 // path and a write lock only when a phase first appears.
@@ -144,14 +144,14 @@ func (o *Observer) Hist(phase string) *Histogram {
 	return h
 }
 
-// ObserveSamples records every sample's duration into its phase's
+// observeSpans records every span's duration into its phase's
 // histogram. Nil-safe.
-func (o *Observer) ObserveSamples(samples []PhaseSample) {
+func (o *Observer) observeSpans(spans []Span) {
 	if o == nil {
 		return
 	}
-	for _, s := range samples {
-		o.Hist(s.Phase).Observe(time.Duration(s.DurUS) * time.Microsecond)
+	for _, sp := range spans {
+		o.Hist(sp.Phase).Observe(time.Duration(sp.DurUS) * time.Microsecond)
 	}
 }
 

@@ -25,7 +25,8 @@
 //     finished cell, with parent links resolved to deterministic IDs.
 //   - JobTrace: one run's cell traces, in canonical index order.
 //   - Histogram / Observer (hist.go): power-of-two-bucket latency
-//     aggregation behind /metrics.
+//     aggregation behind /metrics, fed by the spans a JobTrace
+//     records.
 package obs
 
 import (
@@ -239,15 +240,22 @@ func BuildSpans(traceID string, samples []PhaseSample) []Span {
 // them in canonical index order regardless of completion order, so the
 // trace stream — like the event stream — reads in grid order.
 type JobTrace struct {
+	// Observer, when non-nil, aggregates every recorded span's duration
+	// into its phase's histogram, so the latency summaries count
+	// exactly the spans the traces hold.
+	Observer *Observer
+
 	mu    sync.Mutex
 	cells []CellTrace
 }
 
-// Add records one finished cell's trace. Safe for concurrent use.
+// Add records one finished cell's trace and feeds its spans to the
+// Observer. Safe for concurrent use.
 func (t *JobTrace) Add(ct CellTrace) {
 	if t == nil {
 		return
 	}
+	t.Observer.observeSpans(ct.Spans)
 	t.mu.Lock()
 	t.cells = append(t.cells, ct)
 	t.mu.Unlock()

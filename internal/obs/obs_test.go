@@ -167,7 +167,7 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestObserverSnapshot(t *testing.T) {
 	o := NewObserver()
-	o.ObserveSamples([]PhaseSample{
+	o.observeSpans([]Span{
 		{Phase: "simulate", DurUS: 1000},
 		{Phase: "simulate", DurUS: 1000},
 		{Phase: "grade", DurUS: 500},
@@ -184,7 +184,7 @@ func TestObserverSnapshot(t *testing.T) {
 		t.Fatalf("rows[1] = %+v", rows[1])
 	}
 	var nilObs *Observer
-	nilObs.ObserveSamples(nil)
+	nilObs.observeSpans(nil)
 	nilObs.CellDone(time.Now())
 	if nilObs.Rate(time.Now()) != 0 || nilObs.Snapshot() != nil {
 		t.Fatal("nil observer not inert")

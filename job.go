@@ -55,10 +55,10 @@ type Job struct {
 	storeUsage StoreUsage
 
 	// trace collects the job's per-cell span trees (nil when the job
-	// was submitted with NoTrace); observer is the client's shared
-	// latency aggregator, bumped once per released cell for the
-	// /metrics completion-rate window. Both are written by the harness
-	// and internally synchronized.
+	// was submitted with NoTrace) and feeds the client's phase
+	// histograms; observer is the client's aggregator, whose
+	// /metrics completion-rate window every released cell bumps,
+	// traced or not. Both are internally synchronized.
 	trace    *obs.JobTrace
 	observer *obs.Observer
 

@@ -23,7 +23,8 @@ import (
 //	queue_refusals          submits/grades answered 429 (quota or rate)
 //	cells_done              cells released across retained jobs
 //	cells_per_sec           cells_done / uptime_seconds (lifetime average)
-//	cells_per_sec_1m        cells released per second over the last 60s
+//	cells_per_sec_1m        cells released per second over the last 60s,
+//	                        counting every released cell, traced or not
 //	                        (sliding window; decays to 0 when idle,
 //	                        which the lifetime average does not)
 //	store_hits              result-store lookups that found a cell
@@ -34,7 +35,7 @@ import (
 //	                        simulate, sim_elaborate, sim_compile,
 //	                        sim_run, grade, store_writeback), plus
 //	                        _sum/_count series — a Prometheus summary
-//	                        fed by every traced cell
+//	                        fed by the spans of every job trace
 //
 // Store lines appear only on store-backed clients; phase_latency_us
 // series only once a traced cell has completed.

@@ -244,7 +244,7 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	if job == nil {
 		return
 	}
-	if !job.traced() {
+	if job.trace == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("experiment %q was submitted with no_trace", job.ID()))
 		return
 	}

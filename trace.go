@@ -39,13 +39,11 @@ func (j *Job) Trace() []CellTrace {
 	return j.trace.Cells()
 }
 
-// traced reports whether the job collects traces (NoTrace unset).
-func (j *Job) traced() bool { return j.trace != nil }
-
 // PhaseLatencies returns the client's aggregated phase-latency
-// summary rows — every traced cell of every job this client ran,
-// one row per phase, sorted — the same data /metrics exposes
-// as phase_latency_us.
+// summary rows — one row per phase, sorted, aggregating every span of
+// every traced job this client ran, so a row's Count is the number of
+// that phase's spans across those jobs' Trace — the same data
+// /metrics exposes as phase_latency_us.
 func (c *Client) PhaseLatencies() []PhaseStats {
 	return c.obs.Snapshot()
 }

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"correctbench/internal/obs"
 )
@@ -146,6 +148,57 @@ func TestJobTraceOptOut(t *testing.T) {
 	job, _, _ := drainJob(t, NewClient(), spec)
 	if got := job.Trace(); got != nil {
 		t.Fatalf("Trace() on a no_trace job = %d cells, want nil", len(got))
+	}
+}
+
+// TestUntracedJobCountsInRate: the /metrics one-minute completion
+// window counts every released cell, so a no_trace job's cells show
+// in it, while the phase histograms, fed only by traces, stay empty.
+func TestUntracedJobCountsInRate(t *testing.T) {
+	c := NewClient()
+	spec := ExperimentSpec{Seed: 31, Reps: 1, Problems: []string{"halfadd"}, NoTrace: true}
+	job, _, _ := drainJob(t, c, spec)
+	if got := job.Snapshot().CellsDone; got != 3 {
+		t.Fatalf("cells_done = %d, want 3", got)
+	}
+	if got, want := c.obs.Rate(time.Now()), 3.0/60; got != want {
+		t.Errorf("1-minute rate = %v after 3 untraced cells, want %v", got, want)
+	}
+	if rows := c.PhaseLatencies(); len(rows) != 0 {
+		t.Errorf("PhaseLatencies = %+v after an untraced job, want none", rows)
+	}
+}
+
+// TestPhaseLatenciesCountSpans: the client's phase histograms are fed
+// by the spans its jobs' traces record, so each phase's Count equals
+// the number of that phase's spans across every job's Trace — cold,
+// warm-replayed and storeless — and untraced jobs add nothing.
+func TestPhaseLatenciesCountSpans(t *testing.T) {
+	c := NewClient(WithStore(NewMemoryStore(0)))
+	spec := ExperimentSpec{Seed: 37, Reps: 1, Problems: testProblems, Workers: 2}
+	var jobs []*Job
+	for _, s := range []ExperimentSpec{spec, spec, {Seed: 37, Reps: 1, Problems: testProblems, NoStore: true}} {
+		job, _, _ := drainJob(t, c, s)
+		jobs = append(jobs, job)
+	}
+	untraced := spec
+	untraced.Seed, untraced.NoTrace = 38, true
+	drainJob(t, c, untraced)
+
+	want := map[string]uint64{}
+	for _, job := range jobs {
+		for _, ct := range job.Trace() {
+			for _, sp := range ct.Spans {
+				want[sp.Phase]++
+			}
+		}
+	}
+	got := map[string]uint64{}
+	for _, row := range c.PhaseLatencies() {
+		got[row.Phase] = row.Count
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("PhaseLatencies counts %v, want the traces' span counts %v", got, want)
 	}
 }
 
