@@ -162,9 +162,13 @@ func BenchmarkFig6aValidatorAccuracy(b *testing.B) {
 func BenchmarkFig6bCriteriaPipeline(b *testing.B) {
 	probs := benchmarkMix()[:6]
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.CriteriaPipelineContext(context.Background(), harness.Config{Reps: 1, Seed: int64(i) + 30, Problems: probs})
-		if err != nil {
-			b.Fatal(err)
+		var rows []harness.CriterionPipelineResult
+		for _, c := range validator.Criteria() {
+			row, err := harness.CriterionPipelineContext(context.Background(), harness.Config{Criterion: c, Reps: 1, Seed: int64(i) + 30, Problems: probs})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows = append(rows, row)
 		}
 		_ = harness.RenderFig6b(rows)
 	}

@@ -564,11 +564,6 @@ func (c *Client) CriteriaPipeline(ctx context.Context, spec ExperimentSpec, prog
 		return nil, err
 	}
 	hcfg.Normalize()
-	if progress != nil {
-		hcfg.OnGroup = func(method harness.Method, rep int) {
-			fmt.Fprintf(progress, "%s rep %d/%d done (%d tasks)\n", method, rep+1, hcfg.Reps, len(hcfg.Problems))
-		}
-	}
 	hcfg.Evaluator = c.evaluator(harness.EvaluatorSeed(spec.Seed))
 	// The study runs one experiment per criterion; the criterion is a
 	// cell-key component, so sharing the store across rows is safe and
@@ -576,5 +571,20 @@ func (c *Client) CriteriaPipeline(ctx context.Context, spec ExperimentSpec, prog
 	if !spec.NoStore {
 		hcfg.Store = c.store
 	}
-	return harness.CriteriaPipelineContext(ctx, hcfg)
+	var rows []CriterionPipelineRow
+	for _, crit := range validator.Criteria() {
+		run := hcfg
+		run.Criterion = crit
+		if progress != nil {
+			run.OnGroup = func(method harness.Method, rep int) {
+				fmt.Fprintf(progress, "%s [%s] rep %d/%d done (%d tasks)\n", method, crit.Name, rep+1, hcfg.Reps, len(hcfg.Problems))
+			}
+		}
+		row, err := harness.CriterionPipelineContext(ctx, run)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }

@@ -219,27 +219,22 @@ type CriterionPipelineResult struct {
 	TokensOutPerTk float64
 }
 
-// CriteriaPipelineContext runs the Fig. 6(b) experiment.
-func CriteriaPipelineContext(ctx context.Context, cfg Config) ([]CriterionPipelineResult, error) {
-	var out []CriterionPipelineResult
-	for _, c := range validator.Criteria() {
-		run := cfg
-		run.Criterion = c
-		run.Methods = []Method{MethodCorrectBench}
-		res, err := RunContext(ctx, run)
-		if err != nil {
-			return nil, err
-		}
-		in, outTok := res.AvgTokens(MethodCorrectBench)
-		st := res.Stats(MethodCorrectBench, Groups()[0], autoeval.GradeEval2)
-		out = append(out, CriterionPipelineResult{
-			Criterion:      c.Name,
-			Eval2Ratio:     st.Ratio,
-			TokensInPerTk:  in,
-			TokensOutPerTk: outTok,
-		})
+// CriterionPipelineContext runs one row of the Fig. 6(b) experiment:
+// the whole framework (CorrectBench only) under cfg.Criterion.
+func CriterionPipelineContext(ctx context.Context, cfg Config) (CriterionPipelineResult, error) {
+	cfg.Methods = []Method{MethodCorrectBench}
+	res, err := RunContext(ctx, cfg)
+	if err != nil {
+		return CriterionPipelineResult{}, err
 	}
-	return out, nil
+	in, outTok := res.AvgTokens(MethodCorrectBench)
+	st := res.Stats(MethodCorrectBench, Groups()[0], autoeval.GradeEval2)
+	return CriterionPipelineResult{
+		Criterion:      cfg.Criterion.Name,
+		Eval2Ratio:     st.Ratio,
+		TokensInPerTk:  in,
+		TokensOutPerTk: outTok,
+	}, nil
 }
 
 // RenderFig6b renders the criterion pipeline study as text.

@@ -128,9 +128,13 @@ func TestCriteriaAccuracySmall(t *testing.T) {
 }
 
 func TestCriteriaPipelineSmall(t *testing.T) {
-	rows, err := CriteriaPipelineContext(context.Background(), Config{Reps: 1, Seed: 13, Problems: subset(t)})
-	if err != nil {
-		t.Fatal(err)
+	var rows []CriterionPipelineResult
+	for _, c := range validator.Criteria() {
+		row, err := CriterionPipelineContext(context.Background(), Config{Criterion: c, Reps: 1, Seed: 13, Problems: subset(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
 	}
 	if len(rows) != len(validator.Criteria()) {
 		t.Fatalf("rows = %d", len(rows))

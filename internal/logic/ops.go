@@ -2,11 +2,14 @@ package logic
 
 import "math/bits"
 
-// This file implements the Verilog operator set on Vector values.
-// Unless noted otherwise operands are first resized to a common width
-// (the wider of the two, per IEEE 1364 self-determined/context rules as
-// applied by the simulator) and results follow the standard
-// X-propagation rules:
+// This file implements the Verilog operator set on Vector values, and
+// BinaryOp and UnaryOp at its end are the one table from operator
+// spelling to kernel and operand sizing that every evaluator (the
+// interpreter, the batch compiler and the lint's constant folder)
+// resolves operators through. Unless noted otherwise a binary kernel
+// first resizes its operands to the wider of the two; the table's
+// Sizing says at which width an evaluator produces them. Results follow
+// the standard X-propagation rules:
 //
 //   - bitwise operators use the per-bit four-state tables (0&x==0,
 //     1|x==1, otherwise unknown inputs give x; z behaves as x),
@@ -349,6 +352,21 @@ func Sshr(x, y Vector) Vector {
 		}
 	}
 	return r
+}
+
+// Pow returns x ** y at the width of x, wrapping; all-x on unknowns or
+// an exponent above 64.
+func Pow(x, y Vector) Vector {
+	base, ok1 := x.Uint64()
+	exp, ok2 := y.Uint64()
+	if !ok1 || !ok2 || exp > 64 {
+		return AllX(x.width)
+	}
+	acc := uint64(1)
+	for i := uint64(0); i < exp; i++ {
+		acc *= base
+	}
+	return FromUint64(x.width, acc)
 }
 
 // comparisons ----------------------------------------------------------
@@ -745,4 +763,125 @@ func CaseXMatch(value, pattern Vector) bool {
 		}
 	}
 	return true
+}
+
+// the operator table ----------------------------------------------------
+
+// Sizing classifies how an operator sizes its operands and result
+// (IEEE 1364 table 5-22, as this simulator applies it).
+type Sizing uint8
+
+const (
+	// SizeSelf: operands self-determined, 1-bit result (comparisons,
+	// && ||, unary ! and the reductions).
+	SizeSelf Sizing = iota
+	// SizeContext: operands and result at the context width
+	// (+ - * / % & | ^ ~^ ^~, unary ~ -).
+	SizeContext
+	// SizeLeftContext: left operand and result at the context width,
+	// right operand self-determined (<< >> >>> <<< **).
+	SizeLeftContext
+)
+
+// Operands returns the context widths an operator of this class
+// evaluates its left (or only) and right operands at, given its own
+// context width ctx; 0 means self-determined.
+func (s Sizing) Operands(ctx int) (left, right int) {
+	switch s {
+	case SizeContext:
+		return ctx, ctx
+	case SizeLeftContext:
+		return ctx, 0
+	}
+	return 0, 0
+}
+
+// Result returns the width an operator of this class returns when its
+// operands are at the widths Operands(ctx) gives.
+func (s Sizing) Result(ctx int) int {
+	if s == SizeSelf {
+		return 1
+	}
+	return ctx
+}
+
+// BinaryOp resolves a binary operator spelling to its kernel and
+// sizing; ok is false for a spelling outside the operator set.
+func BinaryOp(op string) (fn func(x, y Vector) Vector, s Sizing, ok bool) {
+	switch op {
+	case "+":
+		return Add, SizeContext, true
+	case "-":
+		return Sub, SizeContext, true
+	case "*":
+		return Mul, SizeContext, true
+	case "/":
+		return Div, SizeContext, true
+	case "%":
+		return Mod, SizeContext, true
+	case "&":
+		return And, SizeContext, true
+	case "|":
+		return Or, SizeContext, true
+	case "^":
+		return Xor, SizeContext, true
+	case "~^", "^~":
+		return Xnor, SizeContext, true
+	case "<<", "<<<":
+		return Shl, SizeLeftContext, true
+	case ">>":
+		return Shr, SizeLeftContext, true
+	case ">>>":
+		return Sshr, SizeLeftContext, true
+	case "**":
+		return Pow, SizeLeftContext, true
+	case "==":
+		return Eq, SizeSelf, true
+	case "!=":
+		return Neq, SizeSelf, true
+	case "===":
+		return CaseEq, SizeSelf, true
+	case "!==":
+		return CaseNeq, SizeSelf, true
+	case "<":
+		return Lt, SizeSelf, true
+	case "<=":
+		return Lte, SizeSelf, true
+	case ">":
+		return Gt, SizeSelf, true
+	case ">=":
+		return Gte, SizeSelf, true
+	case "&&":
+		return LAnd, SizeSelf, true
+	case "||":
+		return LOr, SizeSelf, true
+	}
+	return nil, SizeSelf, false
+}
+
+// UnaryOp resolves a unary operator spelling to its kernel and sizing
+// (SizeContext or SizeSelf); ok is false for a spelling outside the
+// operator set. Unary + is not in it: the parser drops it.
+func UnaryOp(op string) (fn func(x Vector) Vector, s Sizing, ok bool) {
+	switch op {
+	case "~":
+		return NotV, SizeContext, true
+	case "-":
+		return Neg, SizeContext, true
+	case "!":
+		return Not, SizeSelf, true
+	case "&":
+		return RedAnd, SizeSelf, true
+	case "|":
+		return RedOr, SizeSelf, true
+	case "^":
+		return RedXor, SizeSelf, true
+	case "~&":
+		return RedNand, SizeSelf, true
+	case "~|":
+		return RedNor, SizeSelf, true
+	case "~^", "^~":
+		return RedXnor, SizeSelf, true
+	}
+	return nil, SizeSelf, false
 }

@@ -341,7 +341,7 @@ type BatchInstance struct {
 
 	dirty     []bool    // [slot*n + lane]
 	dirtyList [][]int32 // per lane: dirty slots in write order
-	ranAny    []bool    // per lane: some process ran (scalar ProcRuns>0)
+	ranAny    []bool    // per lane: some process ran (Instance.ranAny)
 	boot      []bool    // scratch: bootstrap flag per lane
 
 	nba [][]resolvedWrite // per lane

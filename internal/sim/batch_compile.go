@@ -7,11 +7,13 @@ package sim
 // Every case mirrors the corresponding evalExpr/exec case of the
 // interpreter exactly — same width contexts (the interpreter's own
 // selfWidth/lhsWidth/constUint, folded at compile time over staticEnv,
-// compile.go), same X-propagation, same no-op rules for unknown
-// indices and bounds — so a batch lane is bit-identical to an
-// interpreter Instance running the same design
-// (TestBatchDifferentialMicro, FuzzBatchLaneMatchesInterp and the
-// testbench-level differentials assert this across the dataset).
+// compile.go), the same operator table (logic.BinaryOp and
+// logic.UnaryOp, resolved here once at compile time), same
+// X-propagation, same no-op rules for unknown indices and bounds — so
+// a batch lane is bit-identical to an interpreter Instance running the
+// same design (TestBatchDifferentialMicro, FuzzBatchLaneMatchesInterp
+// and the testbench-level differentials assert this across the
+// dataset).
 //
 // A body the closures cannot express — a width or span that depends on
 // a signal value (errDynamic), a part-select, replication or
@@ -86,52 +88,32 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		}, want, nil
 
 	case *verilog.Unary:
-		switch x.Op {
-		case "~":
-			v, _, err := bc.expr(x.X, want)
-			if err != nil {
-				return nil, 0, err
-			}
-			return func(b *BatchInstance, lane int32) logic.Vector { return logic.NotV(v(b, lane)) }, want, nil
-		case "-":
-			v, _, err := bc.expr(x.X, want)
-			if err != nil {
-				return nil, 0, err
-			}
-			return func(b *BatchInstance, lane int32) logic.Vector { return logic.Neg(v(b, lane)) }, want, nil
-		case "!":
-			v, _, err := bc.expr(x.X, 0)
-			if err != nil {
-				return nil, 0, err
-			}
-			return bc.resized(func(b *BatchInstance, lane int32) logic.Vector { return logic.Not(v(b, lane)) }, 1, want), want, nil
-		case "&", "|", "^", "~&", "~|", "~^", "^~":
-			v, _, err := bc.expr(x.X, 0)
-			if err != nil {
-				return nil, 0, err
-			}
-			var red func(logic.Vector) logic.Vector
-			switch x.Op {
-			case "&":
-				red = logic.RedAnd
-			case "|":
-				red = logic.RedOr
-			case "^":
-				red = logic.RedXor
-			case "~&":
-				red = logic.RedNand
-			case "~|":
-				red = logic.RedNor
-			default:
-				red = logic.RedXnor
-			}
-			return bc.resized(func(b *BatchInstance, lane int32) logic.Vector { return red(v(b, lane)) }, 1, want), want, nil
-		default:
+		fn, sz, ok := logic.UnaryOp(x.Op)
+		if !ok {
 			return nil, 0, errDynamic
 		}
+		operand, _ := sz.Operands(want)
+		v, _, err := bc.expr(x.X, operand)
+		if err != nil {
+			return nil, 0, err
+		}
+		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector { return fn(v(b, lane)) }, sz.Result(want), want), want, nil
 
 	case *verilog.Binary:
-		return bc.binary(x, want)
+		fn, sz, ok := logic.BinaryOp(x.Op)
+		if !ok {
+			return nil, 0, errDynamic
+		}
+		lctx, rctx := sz.Operands(want)
+		l, _, err := bc.expr(x.X, lctx)
+		if err != nil {
+			return nil, 0, err
+		}
+		r, _, err := bc.expr(x.Y, rctx)
+		if err != nil {
+			return nil, 0, err
+		}
+		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector { return fn(l(b, lane), r(b, lane)) }, sz.Result(want), want), want, nil
 
 	case *verilog.Ternary:
 		cond, _, err := bc.expr(x.Cond, 0)
@@ -259,121 +241,6 @@ func (bc *batchCompiler) resized(f bExpr, natural, want int) bExpr {
 		return f
 	}
 	return func(b *BatchInstance, lane int32) logic.Vector { return f(b, lane).Resize(want) }
-}
-
-func (bc *batchCompiler) binary(x *verilog.Binary, want int) (bExpr, int, error) {
-	switch x.Op {
-	case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-		l, _, err := bc.expr(x.X, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, _, err := bc.expr(x.Y, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		var op func(a, b logic.Vector) logic.Vector
-		switch x.Op {
-		case "+":
-			op = logic.Add
-		case "-":
-			op = logic.Sub
-		case "*":
-			op = logic.Mul
-		case "/":
-			op = logic.Div
-		case "%":
-			op = logic.Mod
-		case "&":
-			op = logic.And
-		case "|":
-			op = logic.Or
-		case "^":
-			op = logic.Xor
-		default:
-			op = logic.Xnor
-		}
-		return func(b *BatchInstance, lane int32) logic.Vector { return op(l(b, lane), r(b, lane)) }, want, nil
-
-	case "<<", ">>", ">>>", "<<<":
-		l, _, err := bc.expr(x.X, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		amt, _, err := bc.expr(x.Y, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		var op func(a, b logic.Vector) logic.Vector
-		switch x.Op {
-		case "<<", "<<<":
-			op = logic.Shl
-		case ">>":
-			op = logic.Shr
-		default:
-			op = logic.Sshr
-		}
-		return func(b *BatchInstance, lane int32) logic.Vector { return op(l(b, lane), amt(b, lane)) }, want, nil
-
-	case "**":
-		l, _, err := bc.expr(x.X, want)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, _, err := bc.expr(x.Y, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		return func(b *BatchInstance, lane int32) logic.Vector {
-			base, ok1 := l(b, lane).Uint64()
-			exp, ok2 := r(b, lane).Uint64()
-			if !ok1 || !ok2 || exp > 64 {
-				return logic.AllX(want)
-			}
-			acc := uint64(1)
-			for i := uint64(0); i < exp; i++ {
-				acc *= base
-			}
-			return logic.FromUint64(want, acc)
-		}, want, nil
-
-	case "==", "!=", "===", "!==", "<", "<=", ">", ">=", "&&", "||":
-		l, _, err := bc.expr(x.X, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		r, _, err := bc.expr(x.Y, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		var op func(a, b logic.Vector) logic.Vector
-		switch x.Op {
-		case "==":
-			op = logic.Eq
-		case "!=":
-			op = logic.Neq
-		case "===":
-			op = logic.CaseEq
-		case "!==":
-			op = logic.CaseNeq
-		case "<":
-			op = logic.Lt
-		case "<=":
-			op = logic.Lte
-		case ">":
-			op = logic.Gt
-		case ">=":
-			op = logic.Gte
-		case "&&":
-			op = logic.LAnd
-		default:
-			op = logic.LOr
-		}
-		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector { return op(l(b, lane), r(b, lane)) }, 1, want), want, nil
-
-	default:
-		return nil, 0, errDynamic
-	}
 }
 
 // lvalue compiles an assignment target. The spans and clamping
@@ -602,22 +469,12 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 			}
 			arms = append(arms, arm)
 		}
-		kind := x.Kind
+		match := caseMatch(x.Kind)
 		return func(b *BatchInstance, lane int32) error {
 			sv := sel(b, lane)
 			for _, arm := range arms {
 				for _, le := range arm.exprs {
-					lv := le(b, lane)
-					var hit bool
-					switch kind {
-					case verilog.CaseZ:
-						hit = logic.CaseZMatch(sv, lv)
-					case verilog.CaseX:
-						hit = logic.CaseXMatch(sv, lv)
-					default:
-						hit = sv.SameValue(lv)
-					}
-					if hit {
+					if match(sv, le(b, lane)) {
 						return arm.body(b, lane)
 					}
 				}

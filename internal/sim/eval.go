@@ -111,21 +111,18 @@ func selfWidth(e verilog.Expr, en env) (w int, static bool) {
 		}
 		return 1, true
 	case *verilog.Unary:
-		switch x.Op {
-		case "~", "-":
+		if _, sz, _ := logic.UnaryOp(x.Op); sz == logic.SizeContext {
 			return selfWidth(x.X, en)
-		default: // reductions and !
-			return 1, true
 		}
+		return 1, true // reductions, ! and unknown operators
 	case *verilog.Binary:
-		switch x.Op {
-		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
+		switch _, sz, _ := logic.BinaryOp(x.Op); sz {
+		case logic.SizeContext:
 			return maxWidth(x.X, x.Y, en)
-		case "<<", ">>", ">>>", "<<<", "**":
+		case logic.SizeLeftContext:
 			return selfWidth(x.X, en)
-		default: // comparisons and logical ops
-			return 1, true
 		}
+		return 1, true // comparisons, logical and unknown operators
 	case *verilog.Ternary:
 		return maxWidth(x.Then, x.Else, en)
 	case *verilog.Concat:
@@ -224,52 +221,32 @@ func evalExpr(e verilog.Expr, en env, ctx int) (logic.Vector, error) {
 		return v.Resize(want), nil
 
 	case *verilog.Unary:
-		switch x.Op {
-		case "~":
-			v, err := evalExpr(x.X, en, want)
-			if err != nil {
-				return logic.Vector{}, err
-			}
-			return logic.NotV(v).Resize(want), nil
-		case "-":
-			v, err := evalExpr(x.X, en, want)
-			if err != nil {
-				return logic.Vector{}, err
-			}
-			return logic.Neg(v).Resize(want), nil
-		case "!":
-			v, err := evalExpr(x.X, en, 0)
-			if err != nil {
-				return logic.Vector{}, err
-			}
-			return logic.Not(v).Resize(want), nil
-		case "&", "|", "^", "~&", "~|", "~^", "^~":
-			v, err := evalExpr(x.X, en, 0)
-			if err != nil {
-				return logic.Vector{}, err
-			}
-			var r logic.Vector
-			switch x.Op {
-			case "&":
-				r = logic.RedAnd(v)
-			case "|":
-				r = logic.RedOr(v)
-			case "^":
-				r = logic.RedXor(v)
-			case "~&":
-				r = logic.RedNand(v)
-			case "~|":
-				r = logic.RedNor(v)
-			default:
-				r = logic.RedXnor(v)
-			}
-			return r.Resize(want), nil
-		default:
+		fn, sz, ok := logic.UnaryOp(x.Op)
+		if !ok {
 			return logic.Vector{}, fmt.Errorf("unsupported unary operator %q", x.Op)
 		}
+		operand, _ := sz.Operands(want)
+		v, err := evalExpr(x.X, en, operand)
+		if err != nil {
+			return logic.Vector{}, err
+		}
+		return fn(v).Resize(want), nil
 
 	case *verilog.Binary:
-		return evalBinary(x, en, want)
+		fn, sz, ok := logic.BinaryOp(x.Op)
+		if !ok {
+			return logic.Vector{}, fmt.Errorf("unsupported binary operator %q", x.Op)
+		}
+		lctx, rctx := sz.Operands(want)
+		l, err := evalExpr(x.X, en, lctx)
+		if err != nil {
+			return logic.Vector{}, err
+		}
+		r, err := evalExpr(x.Y, en, rctx)
+		if err != nil {
+			return logic.Vector{}, err
+		}
+		return fn(l, r).Resize(want), nil
 
 	case *verilog.Ternary:
 		c, err := evalExpr(x.Cond, en, 0)
@@ -357,120 +334,5 @@ func evalExpr(e verilog.Expr, en env, ctx int) (logic.Vector, error) {
 
 	default:
 		return logic.Vector{}, fmt.Errorf("unsupported expression %T", e)
-	}
-}
-
-func evalBinary(x *verilog.Binary, en env, want int) (logic.Vector, error) {
-	// Context-determined operands for arithmetic/bitwise; self-
-	// determined for comparisons, logical and shift amounts.
-	switch x.Op {
-	case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-		l, err := evalExpr(x.X, en, want)
-		if err != nil {
-			return logic.Vector{}, err
-		}
-		r, err := evalExpr(x.Y, en, want)
-		if err != nil {
-			return logic.Vector{}, err
-		}
-		var v logic.Vector
-		switch x.Op {
-		case "+":
-			v = logic.Add(l, r)
-		case "-":
-			v = logic.Sub(l, r)
-		case "*":
-			v = logic.Mul(l, r)
-		case "/":
-			v = logic.Div(l, r)
-		case "%":
-			v = logic.Mod(l, r)
-		case "&":
-			v = logic.And(l, r)
-		case "|":
-			v = logic.Or(l, r)
-		case "^":
-			v = logic.Xor(l, r)
-		default:
-			v = logic.Xnor(l, r)
-		}
-		return v.Resize(want), nil
-
-	case "<<", ">>", ">>>", "<<<":
-		l, err := evalExpr(x.X, en, want)
-		if err != nil {
-			return logic.Vector{}, err
-		}
-		amt, err := evalExpr(x.Y, en, 0)
-		if err != nil {
-			return logic.Vector{}, err
-		}
-		var v logic.Vector
-		switch x.Op {
-		case "<<", "<<<":
-			v = logic.Shl(l, amt)
-		case ">>":
-			v = logic.Shr(l, amt)
-		default:
-			v = logic.Sshr(l, amt)
-		}
-		return v.Resize(want), nil
-
-	case "**":
-		l, err := evalExpr(x.X, en, want)
-		if err != nil {
-			return logic.Vector{}, err
-		}
-		r, err := evalExpr(x.Y, en, 0)
-		if err != nil {
-			return logic.Vector{}, err
-		}
-		base, ok1 := l.Uint64()
-		exp, ok2 := r.Uint64()
-		if !ok1 || !ok2 || exp > 64 {
-			return logic.AllX(want), nil
-		}
-		acc := uint64(1)
-		for i := uint64(0); i < exp; i++ {
-			acc *= base
-		}
-		return logic.FromUint64(want, acc), nil
-
-	case "==", "!=", "===", "!==", "<", "<=", ">", ">=", "&&", "||":
-		l, err := evalExpr(x.X, en, 0)
-		if err != nil {
-			return logic.Vector{}, err
-		}
-		r, err := evalExpr(x.Y, en, 0)
-		if err != nil {
-			return logic.Vector{}, err
-		}
-		var v logic.Vector
-		switch x.Op {
-		case "==":
-			v = logic.Eq(l, r)
-		case "!=":
-			v = logic.Neq(l, r)
-		case "===":
-			v = logic.CaseEq(l, r)
-		case "!==":
-			v = logic.CaseNeq(l, r)
-		case "<":
-			v = logic.Lt(l, r)
-		case "<=":
-			v = logic.Lte(l, r)
-		case ">":
-			v = logic.Gt(l, r)
-		case ">=":
-			v = logic.Gte(l, r)
-		case "&&":
-			v = logic.LAnd(l, r)
-		default:
-			v = logic.LOr(l, r)
-		}
-		return v.Resize(want), nil
-
-	default:
-		return logic.Vector{}, fmt.Errorf("unsupported binary operator %q", x.Op)
 	}
 }

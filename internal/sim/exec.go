@@ -113,16 +113,7 @@ func exec(st state, s verilog.Stmt) error {
 				if err != nil {
 					return err
 				}
-				var hit bool
-				switch x.Kind {
-				case verilog.CaseZ:
-					hit = logic.CaseZMatch(sel, lv)
-				case verilog.CaseX:
-					hit = logic.CaseXMatch(sel, lv)
-				default:
-					hit = sel.SameValue(lv)
-				}
-				if hit {
+				if caseMatch(x.Kind)(sel, lv) {
 					return exec(st, item.Body)
 				}
 			}
@@ -424,4 +415,17 @@ func formatVector(v logic.Vector, verb byte) string {
 	default:
 		return v.String()
 	}
+}
+
+// caseMatch returns the rule a case arm's label matches the selector
+// by under kind: exact four-state equality (case), Z as don't-care
+// (casez), or X and Z as don't-care (casex).
+func caseMatch(kind verilog.CaseKind) func(sel, label logic.Vector) bool {
+	switch kind {
+	case verilog.CaseZ:
+		return logic.CaseZMatch
+	case verilog.CaseX:
+		return logic.CaseXMatch
+	}
+	return logic.Vector.SameValue
 }

@@ -44,15 +44,10 @@ type Instance struct {
 	// error. Set with BindContext.
 	ctx context.Context
 
-	// Stats counts work done, for benchmarks.
-	Stats Stats
-}
-
-// Stats counts simulator activity.
-type Stats struct {
-	ProcRuns   int
-	SettleIter int
-	Edges      int
+	// ranAny records that some process has run since the last Reset;
+	// until then a settle with nothing dirty bootstraps every comb
+	// process.
+	ranAny bool
 }
 
 // NewInstance creates a fresh instance with every signal X.
@@ -76,8 +71,8 @@ func NewInstance(d *Design) *Instance {
 
 // Reset returns the instance to its freshly constructed state (every
 // signal X, no pending events, time zero) without reallocating. A
-// Reset instance behaves exactly like a new one, which is what lets
-// the testbench framework pool instances across scenarios.
+// Reset instance behaves exactly like a new one, so one instance can
+// run scenario after scenario.
 func (in *Instance) Reset() {
 	d := in.design
 	for i := range in.vals {
@@ -97,7 +92,7 @@ func (in *Instance) Reset() {
 	in.nba = in.nba[:0]
 	in.Now = 0
 	in.Finished = false
-	in.Stats = Stats{}
+	in.ranAny = false
 }
 
 // BindContext attaches a cancellation context to the instance: every
@@ -105,7 +100,7 @@ func (in *Instance) Reset() {
 // Settle/SetInput/Tick after cancellation returns ctx.Err(). Contexts
 // that can never be cancelled (context.Background and friends) are
 // dropped so the hot path keeps a single nil check. The binding
-// survives Reset — pooled instances stay cancellable across scenarios.
+// survives Reset, so a reused instance stays cancellable across scenarios.
 func (in *Instance) BindContext(ctx context.Context) {
 	if ctx == nil || ctx.Done() == nil {
 		in.ctx = nil
@@ -276,7 +271,7 @@ func (in *Instance) schedulePending() {
 func (in *Instance) settleComb() error {
 	d := in.design
 	// Initial run of every comb process the first time around.
-	if len(in.dirtyList) == 0 && in.Stats.ProcRuns == 0 {
+	if len(in.dirtyList) == 0 && !in.ranAny {
 		for i := range in.pending {
 			if !in.pending[i] {
 				in.pending[i] = true
@@ -290,7 +285,6 @@ func (in *Instance) settleComb() error {
 		if iter > maxSettleIterations {
 			return fmt.Errorf("sim: combinational logic did not settle (%d iterations); possible feedback loop", maxSettleIterations)
 		}
-		in.Stats.SettleIter++
 		// Deterministic order: design order of processes.
 		run := in.runBuf[:0]
 		for ord := range in.pending {
@@ -302,7 +296,7 @@ func (in *Instance) settleComb() error {
 		in.npending = 0
 		for _, ord := range run {
 			p := d.combProcs[ord]
-			in.Stats.ProcRuns++
+			in.ranAny = true
 			if err := exec(in, p.Body); err != nil {
 				return fmt.Errorf("sim: in %s: %v", p.Name, err)
 			}
@@ -351,8 +345,7 @@ func (in *Instance) fireEdges() (bool, error) {
 			continue
 		}
 		fired = true
-		in.Stats.ProcRuns++
-		in.Stats.Edges++
+		in.ranAny = true
 		if err := exec(in, p.Body); err != nil {
 			return false, fmt.Errorf("sim: in %s: %v", p.Name, err)
 		}

@@ -11,6 +11,7 @@ package sim_test
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"correctbench/internal/dataset"
@@ -88,5 +89,44 @@ func TestStaticClassificationAgreesOnMutants(t *testing.T) {
 	}
 	if checked < 300 {
 		t.Fatalf("mutant sweep too thin: only %d mutants checked", checked)
+	}
+}
+
+// TestConstCondLintMatchesEngine: for an if whose condition folds to a
+// constant, the lint's const-cond verdict names the branch an Instance
+// takes. The conditions mix operand widths under comparisons (whose
+// operands the engine evaluates self-determined) and fold <<< and **.
+func TestConstCondLintMatchesEngine(t *testing.T) {
+	for _, cond := range []string{
+		"4'd15 + 4'd1 == 5'd16",
+		"4'd15 + 4'd1 == 4'd0",
+		"(2'd3 << 1) > 3'd2",
+		"2'd3 ** 2'd2 == 4'd9",
+		"4'b1000 <<< 1 == 4'd0",
+		"!(3'd7 + 3'd1)",
+		"-4'd1 > 4'd14",
+	} {
+		src := "module m(input a, output reg y);\n    always @(*) if (" + cond + ") y = a; else y = ~a;\nendmodule\n"
+		d, err := sim.ElaborateSourceContext(context.Background(), src, "m")
+		if err != nil {
+			t.Fatalf("%s: %v", cond, err)
+		}
+		in := sim.NewInstance(d)
+		if err := in.SetInputUint("a", 1); err != nil {
+			t.Fatal(err)
+		}
+		engineThen := in.MustGet("y").String() == "1"
+		verdict := ""
+		for _, dg := range classifyModule(t, src, "m").Diags {
+			if dg.Code == vstatic.CodeConstCond {
+				verdict = dg.Msg
+			}
+		}
+		switch {
+		case verdict == "":
+			t.Errorf("%s: the lint finds no constant condition", cond)
+		case strings.Contains(verdict, "constantly true") != engineThen:
+			t.Errorf("%s: lint says %q, but the engine takes the then branch: %v", cond, verdict, engineThen)
+		}
 	}
 }

@@ -836,13 +836,15 @@ func (p *parser) parseLValue() (Expr, error) {
 
 // ---- expressions ----
 
-// Precedence levels, loosest first.
+// Precedence levels, loosest first. Every operator here and in
+// unaryOps (but unary +, which parseUnary drops) is in the operator
+// table the evaluators resolve through (logic.BinaryOp, logic.UnaryOp).
 var binaryLevels = [][]string{
 	{"||"},
 	{"&&"},
-	{"|", "~|"},
+	{"|"},
 	{"^", "~^", "^~"},
-	{"&", "~&"},
+	{"&"},
 	{"==", "!=", "===", "!=="},
 	{"<", "<=", ">", ">="},
 	{"<<", ">>", ">>>", "<<<"},

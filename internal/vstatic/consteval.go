@@ -9,13 +9,14 @@ import (
 // localparams). A nil map resolves nothing.
 type ConstEnv map[string]logic.Vector
 
-// constEval evaluates e when it is a constant expression under env,
-// following the simulator's context-width discipline: operands of
-// arithmetic and bitwise operators are evaluated at the wider of the
-// context and self-determined widths. The bool result reports whether
-// the expression was constant; non-constant subexpressions (signal
-// reads, unsupported forms) make the whole evaluation fail, which
-// callers must treat as "unknown", never as an error.
+// constEval evaluates e when it is a constant expression under env.
+// Operators resolve through the engine's operator table
+// (logic.BinaryOp, logic.UnaryOp), which gives both the kernel and the
+// width each operand is evaluated at, so operators fold as the engine
+// evaluates them. The bool result reports whether the expression
+// was constant; non-constant subexpressions (signal reads, unsupported
+// forms) make the whole evaluation fail, which callers must treat as
+// "unknown", never as an error.
 func constEval(e verilog.Expr, env ConstEnv, widths func(string) (int, bool), ctx int) (logic.Vector, bool) {
 	want := selfWidth(e, env, widths)
 	if ctx > want {
@@ -32,53 +33,29 @@ func constEval(e verilog.Expr, env ConstEnv, widths func(string) (int, bool), ct
 		return logic.Vector{}, false
 
 	case *verilog.Unary:
-		switch x.Op {
-		case "+":
-			return constEval(x.X, env, widths, want)
-		case "-":
-			v, ok := constEval(x.X, env, widths, want)
-			if !ok {
-				return logic.Vector{}, false
-			}
-			return logic.Neg(v), true
-		case "~":
-			v, ok := constEval(x.X, env, widths, want)
-			if !ok {
-				return logic.Vector{}, false
-			}
-			return logic.NotV(v).Resize(want), true
-		case "!":
-			v, ok := constEval(x.X, env, widths, 0)
-			if !ok {
-				return logic.Vector{}, false
-			}
-			return logic.Not(v).Resize(want), true
-		case "&", "|", "^", "~&", "~|", "~^", "^~":
-			v, ok := constEval(x.X, env, widths, 0)
-			if !ok {
-				return logic.Vector{}, false
-			}
-			var r logic.Vector
-			switch x.Op {
-			case "&":
-				r = logic.RedAnd(v)
-			case "|":
-				r = logic.RedOr(v)
-			case "^":
-				r = logic.RedXor(v)
-			case "~&":
-				r = logic.RedNand(v)
-			case "~|":
-				r = logic.RedNor(v)
-			default:
-				r = logic.RedXnor(v)
-			}
-			return r.Resize(want), true
+		fn, sz, ok := logic.UnaryOp(x.Op)
+		if !ok {
+			return logic.Vector{}, false
 		}
-		return logic.Vector{}, false
+		operand, _ := sz.Operands(want)
+		v, ok := constEval(x.X, env, widths, operand)
+		if !ok {
+			return logic.Vector{}, false
+		}
+		return fn(v).Resize(want), true
 
 	case *verilog.Binary:
-		return constBinary(x, env, widths, want)
+		fn, sz, ok := logic.BinaryOp(x.Op)
+		if !ok {
+			return logic.Vector{}, false
+		}
+		lctx, rctx := sz.Operands(want)
+		l, ok1 := constEval(x.X, env, widths, lctx)
+		r, ok2 := constEval(x.Y, env, widths, rctx)
+		if !ok1 || !ok2 {
+			return logic.Vector{}, false
+		}
+		return fn(l, r).Resize(want), true
 
 	case *verilog.Concat:
 		parts := make([]logic.Vector, len(x.Parts))
@@ -109,96 +86,6 @@ func constEval(e verilog.Expr, env ConstEnv, widths func(string) (int, bool), ct
 	return logic.Vector{}, false
 }
 
-func constBinary(x *verilog.Binary, env ConstEnv, widths func(string) (int, bool), want int) (logic.Vector, bool) {
-	evalAt := func(e verilog.Expr, w int) (logic.Vector, bool) {
-		return constEval(e, env, widths, w)
-	}
-	switch x.Op {
-	case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-		l, ok1 := evalAt(x.X, want)
-		r, ok2 := evalAt(x.Y, want)
-		if !ok1 || !ok2 {
-			return logic.Vector{}, false
-		}
-		switch x.Op {
-		case "+":
-			return logic.Add(l, r), true
-		case "-":
-			return logic.Sub(l, r), true
-		case "*":
-			return logic.Mul(l, r), true
-		case "/":
-			return logic.Div(l, r), true
-		case "%":
-			return logic.Mod(l, r), true
-		case "&":
-			return logic.And(l, r), true
-		case "|":
-			return logic.Or(l, r), true
-		case "^":
-			return logic.Xor(l, r), true
-		default:
-			return logic.Xnor(l, r), true
-		}
-	case "<<", ">>", ">>>":
-		l, ok1 := evalAt(x.X, want)
-		r, ok2 := evalAt(x.Y, 0)
-		if !ok1 || !ok2 {
-			return logic.Vector{}, false
-		}
-		switch x.Op {
-		case "<<":
-			return logic.Shl(l, r), true
-		case ">>":
-			return logic.Shr(l, r), true
-		default:
-			return logic.Sshr(l, r), true
-		}
-	case "==", "!=", "<", "<=", ">", ">=", "===", "!==":
-		lw := selfWidth(x.X, env, widths)
-		rw := selfWidth(x.Y, env, widths)
-		if rw > lw {
-			lw = rw
-		}
-		l, ok1 := evalAt(x.X, lw)
-		r, ok2 := evalAt(x.Y, lw)
-		if !ok1 || !ok2 {
-			return logic.Vector{}, false
-		}
-		var v logic.Vector
-		switch x.Op {
-		case "==":
-			v = logic.Eq(l, r)
-		case "!=":
-			v = logic.Neq(l, r)
-		case "<":
-			v = logic.Lt(l, r)
-		case "<=":
-			v = logic.Lte(l, r)
-		case ">":
-			v = logic.Gt(l, r)
-		case ">=":
-			v = logic.Gte(l, r)
-		case "===":
-			v = logic.CaseEq(l, r)
-		default:
-			v = logic.CaseNeq(l, r)
-		}
-		return v.Resize(want), true
-	case "&&", "||":
-		l, ok1 := evalAt(x.X, 0)
-		r, ok2 := evalAt(x.Y, 0)
-		if !ok1 || !ok2 {
-			return logic.Vector{}, false
-		}
-		if x.Op == "&&" {
-			return logic.LAnd(l, r).Resize(want), true
-		}
-		return logic.LOr(l, r).Resize(want), true
-	}
-	return logic.Vector{}, false
-}
-
 // constIndex evaluates an index or bound expression to a small
 // non-negative integer; false when non-constant or not fully defined.
 func constIndex(e verilog.Expr, env ConstEnv, widths func(string) (int, bool)) (int, bool) {
@@ -214,9 +101,11 @@ func constIndex(e verilog.Expr, env ConstEnv, widths func(string) (int, bool)) (
 }
 
 // selfWidth computes the self-determined width of an expression per
-// IEEE 1364 table 5-22, mirroring the simulator's rules so that lint
-// verdicts and engine behavior agree. Unknown identifiers report
-// width 1 (a separate pass flags them).
+// IEEE 1364 table 5-22, taking operator classes from the operator
+// table. It is not the simulator's selfWidth: it resolves parameters
+// from env, and it does not cap replication or part-select widths at
+// the simulator's 4,096 bits. Unknown identifiers report width 1 (a
+// separate pass flags them).
 func selfWidth(e verilog.Expr, env ConstEnv, widths func(string) (int, bool)) int {
 	switch x := e.(type) {
 	case *verilog.Number:
@@ -235,25 +124,18 @@ func selfWidth(e verilog.Expr, env ConstEnv, widths func(string) (int, bool)) in
 		}
 		return 1
 	case *verilog.Unary:
-		switch x.Op {
-		case "~", "-", "+":
+		if _, sz, _ := logic.UnaryOp(x.Op); sz == logic.SizeContext {
 			return selfWidth(x.X, env, widths)
-		default:
-			return 1
 		}
+		return 1
 	case *verilog.Binary:
-		switch x.Op {
-		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
-			l, r := selfWidth(x.X, env, widths), selfWidth(x.Y, env, widths)
-			if r > l {
-				return r
-			}
-			return l
-		case "<<", ">>", ">>>", "<<<", "**":
+		switch _, sz, _ := logic.BinaryOp(x.Op); sz {
+		case logic.SizeContext:
+			return max(selfWidth(x.X, env, widths), selfWidth(x.Y, env, widths))
+		case logic.SizeLeftContext:
 			return selfWidth(x.X, env, widths)
-		default:
-			return 1
 		}
+		return 1
 	case *verilog.Ternary:
 		l, r := selfWidth(x.Then, env, widths), selfWidth(x.Else, env, widths)
 		if r > l {

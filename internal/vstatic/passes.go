@@ -1,8 +1,9 @@
 package vstatic
 
 import (
+	"maps"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"correctbench/internal/logic"
@@ -28,7 +29,7 @@ func (v *modView) driverPass(combs []*proc, region Region) {
 	combWrites := map[string]*Mask{}
 	writePos := map[string]verilog.Pos{}
 	for i, f := range region.Facts {
-		for _, name := range sortedWriteNames(f) {
+		for _, name := range slices.Sorted(maps.Keys(f.Writes)) {
 			if combWrites[name] == nil {
 				w, _ := v.width(name)
 				combWrites[name] = NewMask(w)
@@ -63,7 +64,7 @@ func (v *modView) driverPass(combs []*proc, region Region) {
 		}
 	}
 
-	for _, name := range sortedMaskNames(seqWrites) {
+	for _, name := range slices.Sorted(maps.Keys(seqWrites)) {
 		if combWrites[name] != nil && combWrites[name].Intersects(seqWrites[name]) {
 			v.res.add(seqPos[name], SevWarning, CodeMixedDriver, name,
 				"signal %q has both combinational and sequential drivers", name)
@@ -74,23 +75,14 @@ func (v *modView) driverPass(combs []*proc, region Region) {
 			v.res.add(pos, SevError, CodeDriveInput, name, "input port %q is driven inside the module", name)
 		}
 	}
-	for _, name := range sortedMaskNames(combWrites) {
+	for _, name := range slices.Sorted(maps.Keys(combWrites)) {
 		flagInput(name, writePos[name])
 	}
-	for _, name := range sortedMaskNames(seqWrites) {
+	for _, name := range slices.Sorted(maps.Keys(seqWrites)) {
 		if combWrites[name] == nil {
 			flagInput(name, seqPos[name])
 		}
 	}
-}
-
-func sortedMaskNames(m map[string]*Mask) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // collectWrites gathers the may-write masks of every assignment in a
@@ -284,31 +276,23 @@ func (v *modView) effWidth(e verilog.Expr) (int, bool) {
 		w, ok := v.width(x.Name)
 		return w, ok
 	case *verilog.Unary:
-		switch x.Op {
-		case "+":
-			return v.effWidth(x.X)
-		case "~", "-":
+		if _, sz, _ := logic.UnaryOp(x.Op); sz == logic.SizeContext {
 			return v.selfW(x.X)
-		default:
-			return 1, true
 		}
+		return 1, true
 	case *verilog.Binary:
-		switch x.Op {
-		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
+		switch _, sz, _ := logic.BinaryOp(x.Op); sz {
+		case logic.SizeContext:
 			l, ok1 := v.effWidth(x.X)
 			r, ok2 := v.effWidth(x.Y)
 			if !ok1 || !ok2 {
 				return 0, false
 			}
-			if r > l {
-				l = r
-			}
-			return l, true
-		case "<<", ">>", ">>>", "<<<", "**":
+			return max(l, r), true
+		case logic.SizeLeftContext:
 			return v.effWidth(x.X)
-		default:
-			return 1, true
 		}
+		return 1, true
 	case *verilog.Ternary:
 		l, ok1 := v.effWidth(x.Then)
 		r, ok2 := v.effWidth(x.Else)

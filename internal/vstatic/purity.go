@@ -2,7 +2,8 @@ package vstatic
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
@@ -96,7 +97,7 @@ func AnalyzeProc(body verilog.Stmt, sens func(string) bool, env Env) ProcFacts {
 	if err == nil {
 		// Latch rule: every bit the process may write must be written
 		// on every path, or the unwritten bits carry state.
-		for _, name := range sortedKeys(p.writes) {
+		for _, name := range slices.Sorted(maps.Keys(p.writes)) {
 			if !final.mask(name, p).Covers(p.writes[name]) {
 				err = procErrf(CodeLatch, "%q is not assigned on every path (latch)", name)
 				break
@@ -113,15 +114,6 @@ type procAnalysis struct {
 	reads  map[string]*Mask
 	nba    []string
 	nbaSet map[string]bool
-}
-
-func sortedKeys(m map[string]*Mask) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // widthOf resolves a signal width with a scalar fallback for unknown

@@ -1,6 +1,10 @@
 package vstatic
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // Region is the combinational region of one design: per-process
 // purity facts plus sensitivity predicates, from which the writer
@@ -32,7 +36,7 @@ func (r *Region) Conflicts() []WriterConflict {
 	blocking := map[string][]int{} // signal -> ordinals that blocking-write it
 	nba := map[string]int{}        // signal -> first NBA writer ordinal
 	for i, f := range r.Facts {
-		for _, name := range sortedWriteNames(f) {
+		for _, name := range slices.Sorted(maps.Keys(f.Writes)) {
 			blocking[name] = append(blocking[name], i)
 		}
 		for _, name := range f.NBA {
@@ -44,7 +48,7 @@ func (r *Region) Conflicts() []WriterConflict {
 		}
 	}
 	for i, f := range r.Facts {
-		for _, name := range sortedWriteNames(f) {
+		for _, name := range slices.Sorted(maps.Keys(f.Writes)) {
 			for _, j := range blocking[name] {
 				if j >= i {
 					break
@@ -68,15 +72,6 @@ func (r *Region) Conflicts() []WriterConflict {
 	return out
 }
 
-func sortedWriteNames(f ProcFacts) []string {
-	names := make([]string, 0, len(f.Writes))
-	for n := range f.Writes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Edges returns the unique writer->reader dependency edges of the
 // combinational region, in deterministic order. An edge exists when a
 // reader is sensitive to a signal and some bits it reads of that
@@ -87,7 +82,7 @@ func (r *Region) Edges() [][2]int {
 	var out [][2]int
 	seen := map[[2]int]bool{}
 	for ri, rf := range r.Facts {
-		for _, name := range sortedReadNames(rf) {
+		for _, name := range slices.Sorted(maps.Keys(rf.Reads)) {
 			if !r.Sens[ri](name) {
 				continue
 			}
@@ -113,15 +108,6 @@ func (r *Region) Edges() [][2]int {
 		return out[a][1] < out[b][1]
 	})
 	return out
-}
-
-func sortedReadNames(f ProcFacts) []string {
-	names := make([]string, 0, len(f.Reads))
-	for n := range f.Reads {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Levelizable reports whether the region admits a run-once static
