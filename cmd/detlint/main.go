@@ -12,8 +12,11 @@
 // tracing and store packages with events.go, and the Table I path:
 // the validator, the testbench, the Algorithm-1 core, the corrector,
 // AutoBench and AutoEval, whose text-keyed memos must never be ranged
-// over to order work, and the simulator, mutation, Verilog, LLM-stub,
-// seed-stream, dataset and four-state logic packages under them.
+// over to order work, and the simulator, static-analysis, mutation,
+// Verilog, LLM-stub, seed-stream, dataset and four-state logic packages
+// under them. The static analysis is on that path twice: the batch
+// compiler's levelizer runs its purity proof, and /v1/grade lints the
+// submitted checker with it.
 //
 // The scope also takes in the daemon's serving code (service.go,
 // metrics.go, cmd/correctbenchd), for the last check below.
@@ -72,7 +75,7 @@ var defaultScope = []string{
 	"internal/harness", "internal/obs", "internal/store", "events.go",
 	"internal/validator", "internal/testbench", "internal/core",
 	"internal/corrector", "internal/autobench", "internal/autoeval",
-	"internal/sim", "internal/mutate", "internal/verilog", "internal/llm",
+	"internal/sim", "internal/vstatic", "internal/mutate", "internal/verilog", "internal/llm",
 	"internal/rng", "internal/dataset", "internal/logic",
 	"service.go", "metrics.go", "cmd/correctbenchd",
 }

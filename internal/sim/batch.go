@@ -136,7 +136,7 @@ func CompileBatch(base *Design, designs []*Design) []*BatchProgram {
 // folds; such designs are returned, in input order, for a program of
 // their own.
 func compileBatch(base *Design, designs []*Design, strict bool) (*BatchProgram, []*Design) {
-	bc := &batchCompiler{d: base, env: staticEnv{base}}
+	bc := &batchCompiler{d: base, env: verilog.ConstEnv{Width: base.signalWidth}}
 	prog := &BatchProgram{base: base}
 
 	nComb, nSeq := len(base.combProcs), len(base.seqProcs)
@@ -628,11 +628,13 @@ type laneState struct {
 	lane int32
 }
 
-func (v *laneState) readSignal(name string) (logic.Vector, error) {
+// Get reads the lane's value of a signal.
+func (v *laneState) Get(name string) (logic.Vector, error) {
 	return v.b.Get(name, int(v.lane))
 }
 
-func (v *laneState) signalWidth(name string) (int, bool) { return v.b.prog.base.signalWidth(name) }
+// SignalWidth is a signal's declared width; false for unknown names.
+func (v *laneState) SignalWidth(name string) (int, bool) { return v.b.prog.base.signalWidth(name) }
 
 func (v *laneState) layout() *Design { return v.b.prog.base }
 

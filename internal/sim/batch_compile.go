@@ -4,10 +4,10 @@ package sim
 //
 // Process bodies compile into closures that take a (BatchInstance,
 // lane) pair and read and write the flat [slot][lane] state block.
-// Every case mirrors the corresponding evalExpr/exec case of the
-// interpreter exactly — same width contexts (the interpreter's own
-// selfWidth/lhsWidth/constUint, folded at compile time over staticEnv,
-// compile.go), the same operator table (logic.BinaryOp and
+// Every case mirrors the corresponding verilog.Eval/exec case of the
+// interpreter exactly — same width contexts (the shared
+// verilog.SelfWidth/LHSWidth, folded at compile time over a
+// verilog.ConstEnv, compile.go), the same operator table (logic.BinaryOp and
 // logic.UnaryOp, resolved here once at compile time), same
 // X-propagation, same no-op rules for unknown indices and bounds — so
 // a batch lane is bit-identical to an interpreter Instance running the
@@ -17,7 +17,7 @@ package sim
 //
 // A body the closures cannot express — a width or span that depends on
 // a signal value (errDynamic), a part-select, replication or
-// concatenation wider than maxVectorWidth, a display task,
+// concatenation wider than verilog.MaxVectorWidth, a display task,
 // $finish/$stop or a delay control — is not folded at all: body
 // compiles it to a closure that runs the interpreter's own exec on the
 // lane (laneState), so one copy of each rule serves both engines and
@@ -45,18 +45,19 @@ var bNoop bStmt = func(b *BatchInstance, lane int32) error { return nil }
 
 // batchCompiler compiles process bodies into per-lane closures against
 // one base design. env folds the interpreter's width rules and constant
-// bounds at compile time; where they depend on a signal value the body
-// is errDynamic.
+// bounds at compile time: it knows base's signal widths and reads no
+// signal, so where they depend on a signal value the body is
+// errDynamic.
 type batchCompiler struct {
 	d   *Design
-	env staticEnv
+	env verilog.Env
 }
 
 // expr compiles e under context width ctx. The returned closure always
-// yields a vector of width max(ctx, selfWidth(e)), exactly as
-// evalExpr does.
+// yields a vector of width max(ctx, verilog.SelfWidth(e)), exactly as
+// verilog.Eval does.
 func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
-	self, static := selfWidth(e, bc.env)
+	self, static := verilog.SelfWidth(e, bc.env)
 	if !static {
 		return nil, 0, errDynamic
 	}
@@ -162,7 +163,7 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		}, total, want), want, nil
 
 	case *verilog.Repl:
-		nV, err := evalExpr(x.Count, bc.env, 0)
+		nV, err := verilog.Eval(x.Count, bc.env, 0)
 		if err != nil {
 			return nil, 0, errDynamic
 		}
@@ -170,9 +171,9 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		n, err := replCount(nV, vw)
+		n, err := verilog.ReplCount(nV, vw)
 		if err != nil {
-			return nil, 0, errDynamic // evalExpr reports it
+			return nil, 0, errDynamic // verilog.Eval reports it
 		}
 		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector {
 			return logic.Replicate(n, v(b, lane))
@@ -206,8 +207,8 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		hiV, errHi := evalExpr(x.MSB, bc.env, 0)
-		loV, errLo := evalExpr(x.LSB, bc.env, 0)
+		hiV, errHi := verilog.Eval(x.MSB, bc.env, 0)
+		loV, errLo := verilog.Eval(x.LSB, bc.env, 0)
 		if errHi != nil || errLo != nil {
 			return nil, 0, errDynamic
 		}
@@ -217,13 +218,13 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
 			allx := logic.AllX(want)
 			return func(b *BatchInstance, lane int32) logic.Vector { return allx }, want, nil
 		}
-		hi, lo, err := selectSpan(msb, lsb)
+		hi, lo, err := verilog.SelectSpan(msb, lsb)
 		if err != nil {
-			return nil, 0, errDynamic // evalExpr reports it
+			return nil, 0, errDynamic // verilog.Eval reports it
 		}
-		// selectBits's two cases, told apart here by base's static width.
+		// verilog.SelectBits's two cases, told apart here by base's static width.
 		if lo >= uint64(bw) {
-			v := selectBits(logic.New(bw), hi, lo).Resize(want)
+			v := verilog.SelectBits(logic.New(bw), hi, lo).Resize(want)
 			return func(b *BatchInstance, lane int32) logic.Vector { return v }, want, nil
 		}
 		h, l := int(hi), int(lo)
@@ -301,8 +302,8 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 			return nil, errDynamic
 		}
 		width := bc.d.slotWidths[slot]
-		hiV, errHi := evalExpr(x.MSB, bc.env, 0)
-		loV, errLo := evalExpr(x.LSB, bc.env, 0)
+		hiV, errHi := verilog.Eval(x.MSB, bc.env, 0)
+		loV, errLo := verilog.Eval(x.LSB, bc.env, 0)
 		if errHi != nil || errLo != nil {
 			return nil, errDynamic
 		}
@@ -311,11 +312,11 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 		if !ok3 || !ok4 {
 			return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {}, nil
 		}
-		hi, lo, err := selectSpan(msb, lsb)
+		hi, lo, err := verilog.SelectSpan(msb, lsb)
 		if err != nil {
 			return nil, errDynamic // resolveLValue reports it
 		}
-		h, l, inRange := writeSpan(hi, lo, width)
+		h, l, inRange := verilog.WriteSpan(hi, lo, width)
 		if !inRange {
 			return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {}, nil
 		}
@@ -330,7 +331,7 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 		}, nil
 
 	case *verilog.Concat:
-		total, static := lhsWidth(lhs, bc.env)
+		total, static := verilog.LHSWidth(lhs, bc.env)
 		if !static {
 			return nil, errDynamic
 		}
@@ -341,7 +342,7 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 		parts := make([]part, 0, len(x.Parts))
 		offset := total
 		for _, p := range x.Parts {
-			w, _ := lhsWidth(p, bc.env) // static, since total is
+			w, _ := verilog.LHSWidth(p, bc.env) // static, since total is
 			offset -= w
 			lv, err := bc.lvalue(p)
 			if err != nil {
@@ -395,7 +396,7 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 		}, nil
 
 	case *verilog.Assign:
-		ctx, static := lhsWidth(x.LHS, bc.env)
+		ctx, static := verilog.LHSWidth(x.LHS, bc.env)
 		if !static {
 			return nil, errDynamic
 		}
@@ -469,7 +470,7 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 			}
 			arms = append(arms, arm)
 		}
-		match := caseMatch(x.Kind)
+		match := verilog.CaseMatch(x.Kind)
 		return func(b *BatchInstance, lane int32) error {
 			sv := sel(b, lane)
 			for _, arm := range arms {

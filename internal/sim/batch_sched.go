@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 
+	"correctbench/internal/verilog"
 	"correctbench/internal/vstatic"
 )
 
@@ -42,7 +43,7 @@ var errNotStatic = errors.New("not static")
 // declared slots (names that resolve to nothing cannot conflict,
 // mirroring the engine's slot lookups).
 func designRegion(d *Design) vstatic.Region {
-	env := vstatic.Env{Width: func(name string) (int, bool) {
+	env := verilog.ConstEnv{Width: func(name string) (int, bool) {
 		slot, ok := d.slotOf[name]
 		if !ok {
 			return 0, false

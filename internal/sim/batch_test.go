@@ -170,6 +170,23 @@ endmodule`,
 		top:           "m",
 		wantLevelized: true,
 	},
+	{
+		// Branches on literal-only bit-selects, part-selects and
+		// ternaries (elaboration inlines P) fold in the purity
+		// analysis: the missing else branches are dead, so no latch is
+		// inferred and the region is levelized.
+		name: "literal_branches",
+		src: `
+module m(input [3:0] a, input [3:0] b, output reg [3:0] y, output reg [3:0] z);
+    localparam P = 2'b10;
+    always @(*)
+        if (P[1]) y = a & b;
+    always @(*)
+        if (P == 2'b10 ? 1'b1 : 1'b0) z = a[P[1:0]] ? b : ~b;
+endmodule`,
+		top:           "m",
+		wantLevelized: true,
+	},
 }
 
 func TestBatchDifferentialMicro(t *testing.T) {
@@ -737,7 +754,7 @@ func TestRuntimeWidthKnownAnswers(t *testing.T) {
 }
 
 // TestPartSelectWidthCap pins the part-select cap on both engines: a
-// select wider than maxVectorWidth bits — with constant bounds, or
+// select wider than verilog.MaxVectorWidth bits — with constant bounds, or
 // bounds a signal drives — is an evaluation error with one text on an
 // Instance and on a batch lane, read or written, and fails without
 // allocating anywhere near its width; a select at the cap, or a narrow
@@ -760,7 +777,7 @@ func TestPartSelectWidthCap(t *testing.T) {
 }
 
 // TestReplicationWidthCap pins the replication and concatenation cap on
-// both engines: a result wider than maxVectorWidth bits — a constant or
+// both engines: a result wider than verilog.MaxVectorWidth bits — a constant or
 // signal-driven count, a nested replication, one beside a narrow
 // operand that the result's width would size first, or a wide
 // concatenation, read or written — is an evaluation error with one text

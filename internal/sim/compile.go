@@ -6,18 +6,18 @@ package sim
 // At the end of Elaborate every signal name is resolved to a dense
 // integer slot and the scheduling structures (comb process ordinals,
 // per-slot sensitivity, edge-watch indices) are precomputed, so both
-// engines index state by slot. staticEnv lets the batch compiler fold
-// what the interpreter recomputes on every execution — IEEE 1364
-// context widths, constant part-select bounds and replication counts —
-// with the interpreter's own rules (selfWidth, lhsWidth, constUint in
-// eval.go). Where the answer depends on signal values those rules
-// report not static and the compiler returns errDynamic; the body then
-// runs on those rules at run time (batchCompiler.body).
+// engines index state by slot. The batch compiler folds what the
+// interpreter recomputes on every execution — IEEE 1364 context widths,
+// constant part-select bounds and replication counts — with the
+// interpreter's own rules (verilog.SelfWidth, verilog.LHSWidth and
+// verilog.Eval) over a verilog.ConstEnv that knows the design's signal
+// widths and reads no signal. Where the answer depends on signal values
+// those rules report not static and the compiler returns errDynamic;
+// the body then runs on those rules at run time (batchCompiler.body).
 
 import (
 	"errors"
 
-	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
 )
 
@@ -87,15 +87,3 @@ func (d *Design) signalWidth(name string) (w int, ok bool) {
 // errDynamic marks constructs whose widths or spans depend on runtime
 // signal values; the batch compiler rejects them.
 var errDynamic = errors.New("not statically compilable")
-
-// staticEnv evaluates the interpreter's width rules (selfWidth,
-// lhsWidth, constUint) at compile time: signal widths come from the
-// design, and every signal read fails, so a width or bound that depends
-// on a signal value reports not static.
-type staticEnv struct{ d *Design }
-
-func (staticEnv) readSignal(name string) (logic.Vector, error) {
-	return logic.Vector{}, errDynamic
-}
-
-func (e staticEnv) signalWidth(name string) (int, bool) { return e.d.signalWidth(name) }

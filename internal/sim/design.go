@@ -20,6 +20,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -867,8 +868,18 @@ func (e *elaborator) constEval(expr verilog.Expr, params map[string]logic.Vector
 	if expr == nil {
 		return logic.Vector{}, elabErrf(pos, "missing constant expression")
 	}
-	env := constEnv{params: params}
-	v, err := evalExpr(expr, env, 0)
+	v, err := verilog.Eval(expr, verilog.ConstEnv{Params: params}, 0)
+	if errors.Is(err, verilog.ErrNotConstant) {
+		// Name the read that failed: the first identifier, in
+		// evaluation order, that is not a parameter.
+		verilog.WalkExprs(expr, func(x verilog.Expr) {
+			if id, ok := x.(*verilog.Ident); ok && err == verilog.ErrNotConstant {
+				if _, param := params[id.Name]; !param {
+					err = fmt.Errorf("%q is not a constant", id.Name)
+				}
+			}
+		})
+	}
 	if err != nil {
 		return logic.Vector{}, elabErrf(pos, "constant expression: %v", err)
 	}
@@ -892,27 +903,8 @@ func (e *elaborator) rangeWidth(r *verilog.Range, params map[string]logic.Vector
 	if lsb != 0 {
 		return 0, elabErrf(pos, "only [msb:0] ranges are supported (got lsb=%d)", lsb)
 	}
-	if msb >= maxVectorWidth {
+	if msb >= verilog.MaxVectorWidth {
 		return 0, elabErrf(pos, "vector too wide (%d bits)", msb+1)
 	}
 	return int(msb) + 1, nil
-}
-
-// constEnv resolves only parameters; any signal reference is an error.
-type constEnv struct {
-	params map[string]logic.Vector
-}
-
-func (c constEnv) readSignal(name string) (logic.Vector, error) {
-	if v, ok := c.params[name]; ok {
-		return v, nil
-	}
-	return logic.Vector{}, fmt.Errorf("%q is not a constant", name)
-}
-
-func (c constEnv) signalWidth(name string) (int, bool) {
-	if v, ok := c.params[name]; ok {
-		return v.Width(), true
-	}
-	return 0, false
 }

@@ -17,10 +17,10 @@ type finishRequest struct{}
 // state is what the interpreter's statement rules (exec, resolveLValue,
 // sysCall) run against: an Instance, or one lane of a BatchInstance
 // (laneState) for a body the batch compiler leaves to these rules.
-// Reads and widths come through env; writes arrive resolved, and each
-// state applies them with its own dirty tracking.
+// Reads and widths come through verilog.Env; writes arrive resolved,
+// and each state applies them with its own dirty tracking.
 type state interface {
-	env
+	verilog.Env
 	// layout is the design whose slots assignment targets resolve to.
 	layout() *Design
 	// applyWrite performs a blocking write.
@@ -64,8 +64,8 @@ func exec(st state, s verilog.Stmt) error {
 		return nil
 
 	case *verilog.Assign:
-		ctx, _ := lhsWidth(x.LHS, st)
-		val, err := evalExpr(x.RHS, st, ctx)
+		ctx, _ := verilog.LHSWidth(x.LHS, st)
+		val, err := verilog.Eval(x.RHS, st, ctx)
 		if err != nil {
 			return fmt.Errorf("%s: %v", x.Pos, err)
 		}
@@ -83,7 +83,7 @@ func exec(st state, s verilog.Stmt) error {
 		return nil
 
 	case *verilog.If:
-		c, err := evalExpr(x.Cond, st, 0)
+		c, err := verilog.Eval(x.Cond, st, 0)
 		if err != nil {
 			return err
 		}
@@ -98,7 +98,7 @@ func exec(st state, s verilog.Stmt) error {
 		return nil
 
 	case *verilog.Case:
-		sel, err := evalExpr(x.Expr, st, 0)
+		sel, err := verilog.Eval(x.Expr, st, 0)
 		if err != nil {
 			return err
 		}
@@ -109,11 +109,11 @@ func exec(st state, s verilog.Stmt) error {
 				continue
 			}
 			for _, le := range item.Exprs {
-				lv, err := evalExpr(le, st, 0)
+				lv, err := verilog.Eval(le, st, 0)
 				if err != nil {
 					return err
 				}
-				if caseMatch(x.Kind)(sel, lv) {
+				if verilog.CaseMatch(x.Kind)(sel, lv) {
 					return exec(st, item.Body)
 				}
 			}
@@ -131,7 +131,7 @@ func exec(st state, s verilog.Stmt) error {
 			if iter > maxLoopIterations {
 				return fmt.Errorf("for loop exceeded %d iterations", maxLoopIterations)
 			}
-			c, err := evalExpr(x.Cond, st, 0)
+			c, err := verilog.Eval(x.Cond, st, 0)
 			if err != nil {
 				return err
 			}
@@ -147,7 +147,7 @@ func exec(st state, s verilog.Stmt) error {
 		}
 
 	case *verilog.Repeat:
-		cv, err := evalExpr(x.Count, st, 0)
+		cv, err := verilog.Eval(x.Count, st, 0)
 		if err != nil {
 			return err
 		}
@@ -170,7 +170,7 @@ func exec(st state, s verilog.Stmt) error {
 		if wait == nil {
 			return fmt.Errorf("delay control is only allowed in initial/timed processes")
 		}
-		av, err := evalExpr(x.Amount, st, 0)
+		av, err := verilog.Eval(x.Amount, st, 0)
 		if err != nil {
 			return err
 		}
@@ -217,7 +217,7 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 		if !ok2 {
 			return nil, fmt.Errorf("%s: assignment to unknown signal %q", pos, id.Name)
 		}
-		idxV, err := evalExpr(x.Index, st, 0)
+		idxV, err := verilog.Eval(x.Index, st, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -236,11 +236,11 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 		if !ok2 {
 			return nil, fmt.Errorf("%s: assignment to unknown signal %q", pos, id.Name)
 		}
-		hiV, err := evalExpr(x.MSB, st, 0)
+		hiV, err := verilog.Eval(x.MSB, st, 0)
 		if err != nil {
 			return nil, err
 		}
-		loV, err := evalExpr(x.LSB, st, 0)
+		loV, err := verilog.Eval(x.LSB, st, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -249,11 +249,11 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 		if !ok3 || !ok4 {
 			return nil, nil
 		}
-		hi, lo, err := selectSpan(msb, lsb)
+		hi, lo, err := verilog.SelectSpan(msb, lsb)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", pos, err)
 		}
-		h, l, ok5 := writeSpan(hi, lo, d.slotWidths[slot])
+		h, l, ok5 := verilog.WriteSpan(hi, lo, d.slotWidths[slot])
 		if !ok5 {
 			return nil, nil
 		}
@@ -262,13 +262,13 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 	case *verilog.Concat:
 		// {a, b} = val assigns the top bits to a, the low bits to b.
 		var out []resolvedWrite
-		offset, _, err := concatWidth(x.Parts, st, lhsWidth)
+		offset, _, err := verilog.ConcatWidth(x.Parts, st, verilog.LHSWidth)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", pos, err)
 		}
 		val = val.Resize(offset)
 		for _, p := range x.Parts {
-			w, _ := lhsWidth(p, st)
+			w, _ := verilog.LHSWidth(p, st)
 			offset -= w
 			part := logic.Slice(val, offset+w-1, offset)
 			ws, err := resolveLValue(st, p, part, pos)
@@ -370,7 +370,7 @@ func formatArgs(st state, args []verilog.Expr) (string, error) {
 				sb.WriteString("<missing>")
 				continue
 			}
-			v, err := evalExpr(rest[argi], st, 0)
+			v, err := verilog.Eval(rest[argi], st, 0)
 			if err != nil {
 				return "", err
 			}
@@ -378,7 +378,7 @@ func formatArgs(st state, args []verilog.Expr) (string, error) {
 			sb.WriteString(formatVector(v, verb))
 		}
 		for ; argi < len(rest); argi++ {
-			v, err := evalExpr(rest[argi], st, 0)
+			v, err := verilog.Eval(rest[argi], st, 0)
 			if err != nil {
 				return "", err
 			}
@@ -389,7 +389,7 @@ func formatArgs(st state, args []verilog.Expr) (string, error) {
 	// No format string: print all values as decimals.
 	parts := make([]string, 0, len(rest))
 	for _, a := range rest {
-		v, err := evalExpr(a, st, 0)
+		v, err := verilog.Eval(a, st, 0)
 		if err != nil {
 			return "", err
 		}
@@ -415,17 +415,4 @@ func formatVector(v logic.Vector, verb byte) string {
 	default:
 		return v.String()
 	}
-}
-
-// caseMatch returns the rule a case arm's label matches the selector
-// by under kind: exact four-state equality (case), Z as don't-care
-// (casez), or X and Z as don't-care (casex).
-func caseMatch(kind verilog.CaseKind) func(sel, label logic.Vector) bool {
-	switch kind {
-	case verilog.CaseZ:
-		return logic.CaseZMatch
-	case verilog.CaseX:
-		return logic.CaseXMatch
-	}
-	return logic.Vector.SameValue
 }

@@ -114,15 +114,8 @@ func (in *Instance) Design() *Design { return in.design }
 
 // state interface -------------------------------------------------------
 
-func (in *Instance) readSignal(name string) (logic.Vector, error) {
-	slot, ok := in.design.slotOf[name]
-	if !ok {
-		return logic.Vector{}, fmt.Errorf("read of unknown signal %q", name)
-	}
-	return in.vals[slot], nil
-}
-
-func (in *Instance) signalWidth(name string) (int, bool) { return in.design.signalWidth(name) }
+// SignalWidth is a signal's declared width; false for unknown names.
+func (in *Instance) SignalWidth(name string) (int, bool) { return in.design.signalWidth(name) }
 
 func (in *Instance) layout() *Design { return in.design }
 
@@ -178,9 +171,15 @@ func (in *Instance) SetInputUint(name string, v uint64) error {
 	return in.SetInput(name, logic.FromUint64(p.Width, v))
 }
 
-// Get returns the current value of any signal (ports included).
+// Get returns the current value of any signal (ports included). With
+// SignalWidth it makes an Instance the verilog.Env its processes
+// evaluate in.
 func (in *Instance) Get(name string) (logic.Vector, error) {
-	return in.readSignal(name)
+	slot, ok := in.design.slotOf[name]
+	if !ok {
+		return logic.Vector{}, fmt.Errorf("read of unknown signal %q", name)
+	}
+	return in.vals[slot], nil
 }
 
 // GetSlot reads a slot resolved with the design's SlotOf.

@@ -11,6 +11,7 @@ package sim_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -105,6 +106,8 @@ func TestConstCondLintMatchesEngine(t *testing.T) {
 		"4'b1000 <<< 1 == 4'd0",
 		"!(3'd7 + 3'd1)",
 		"-4'd1 > 4'd14",
+		"2'b10 == 2'b10 ? 1'b1 : 1'b0",
+		"4'd3 > 4'd5 ? 1'b1 : 1'b0",
 	} {
 		src := "module m(input a, output reg y);\n    always @(*) if (" + cond + ") y = a; else y = ~a;\nendmodule\n"
 		d, err := sim.ElaborateSourceContext(context.Background(), src, "m")
@@ -127,6 +130,37 @@ func TestConstCondLintMatchesEngine(t *testing.T) {
 			t.Errorf("%s: the lint finds no constant condition", cond)
 		case strings.Contains(verdict, "constantly true") != engineThen:
 			t.Errorf("%s: lint says %q, but the engine takes the then branch: %v", cond, verdict, engineThen)
+		}
+	}
+}
+
+// TestHostileWidthsAllocateLittle: a width past the engine's 4,096-bit
+// cap is not static, for the lint and for the levelizer's purity
+// analysis alike, so neither sizes it. {1048576{{1048576{1'b1}}}} +
+// 1'b1 is 2^40 bits wide; folding it at that width, as an index or as
+// a condition, would allocate about 256 GB.
+func TestHostileWidthsAllocateLittle(t *testing.T) {
+	const bound = 16 << 20
+	allocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, src := range []string{
+		"module m(input [3:0] a, output y);\n    assign y = a[{1048576{{1048576{1'b1}}}} + 1'b1];\nendmodule\n",
+		"module m(input a, output reg y);\n    always @(*) if ({1048576{{1048576{1'b1}}}} + 1'b1) y = a; else y = 1'b0;\nendmodule\n",
+	} {
+		if n := allocs(func() { classifyModule(t, src, "m") }); n > bound {
+			t.Errorf("lint allocates %d bytes, want at most %d:\n%s", n, bound, src)
+		}
+		d, err := sim.ElaborateSourceContext(context.Background(), src, "m")
+		if err != nil {
+			t.Fatalf("%v\n%s", err, src)
+		}
+		if n := allocs(func() { sim.CompileBatch(d, []*sim.Design{d}) }); n > bound {
+			t.Errorf("CompileBatch allocates %d bytes, want at most %d:\n%s", n, bound, src)
 		}
 	}
 }

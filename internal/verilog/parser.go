@@ -1036,7 +1036,7 @@ func parseNumber(t Token) (*Number, error) {
 	width := 32
 	if q > 0 {
 		sz, err := strconv.Atoi(strings.ReplaceAll(text[:q], "_", ""))
-		if err != nil || sz < 1 || sz > 4096 {
+		if err != nil || sz < 1 || sz > MaxVectorWidth {
 			return fail("invalid literal size")
 		}
 		width = sz

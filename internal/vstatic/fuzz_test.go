@@ -34,6 +34,14 @@ endmodule`)
 assign x = y & a;
 assign y = x | a;
 endmodule`)
+	// Widths past the engine's 4,096-bit cap, in an index and in a
+	// condition: neither may be sized.
+	f.Add(`module m(input [3:0] a, output y);
+assign y = a[{1048576{{1048576{1'b1}}}} + 1'b1];
+endmodule`)
+	f.Add(`module m(input a, output reg y);
+always @(*) if ({1048576{{1048576{1'b1}}}} + 1'b1) y = a; else y = 1'b0;
+endmodule`)
 	for i, p := range dataset.All() {
 		if i%13 == 0 { // a spread of real designs without bloating the corpus
 			f.Add(p.Source)

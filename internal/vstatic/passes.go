@@ -25,7 +25,6 @@ func (v *modView) driverPass(combs []*proc, region Region) {
 		}
 	}
 
-	env := v.env()
 	combWrites := map[string]*Mask{}
 	writePos := map[string]verilog.Pos{}
 	for i, f := range region.Facts {
@@ -55,7 +54,7 @@ func (v *modView) driverPass(combs []*proc, region Region) {
 		if !p.seq {
 			continue
 		}
-		for name, m := range collectWrites(p.body, env) {
+		for name, m := range collectWrites(p.body, &v.env) { //detlint:allow ORs each mask into its own name's entry; the order reaches nothing
 			if seqWrites[name] == nil {
 				seqWrites[name] = NewMask(m.Width())
 				seqPos[name] = p.pos
@@ -88,7 +87,7 @@ func (v *modView) driverPass(combs []*proc, region Region) {
 // collectWrites gathers the may-write masks of every assignment in a
 // statement tree (blocking and nonblocking alike), for processes the
 // purity analysis does not cover.
-func collectWrites(body verilog.Stmt, env Env) map[string]*Mask {
+func collectWrites(body verilog.Stmt, env *verilog.ConstEnv) map[string]*Mask {
 	out := map[string]*Mask{}
 	var addLHS func(e verilog.Expr)
 	addLHS = func(e verilog.Expr) {
@@ -99,7 +98,7 @@ func collectWrites(body verilog.Stmt, env Env) map[string]*Mask {
 		case *verilog.Index:
 			if id, ok := x.X.(*verilog.Ident); ok {
 				m := writeMask(out, id.Name, env)
-				if i, ok := constIndex(x.Index, env.Consts, env.Width); ok {
+				if i, ok := constIndex(x.Index, env); ok {
 					m.SetBit(i)
 				} else {
 					m.SetAll()
@@ -108,8 +107,8 @@ func collectWrites(body verilog.Stmt, env Env) map[string]*Mask {
 		case *verilog.PartSelect:
 			if id, ok := x.X.(*verilog.Ident); ok {
 				m := writeMask(out, id.Name, env)
-				hi, ok1 := constIndex(x.MSB, env.Consts, env.Width)
-				lo, ok2 := constIndex(x.LSB, env.Consts, env.Width)
+				hi, ok1 := constIndex(x.MSB, env)
+				lo, ok2 := constIndex(x.LSB, env)
 				if ok1 && ok2 {
 					if hi < lo {
 						hi, lo = lo, hi
@@ -133,7 +132,7 @@ func collectWrites(body verilog.Stmt, env Env) map[string]*Mask {
 	return out
 }
 
-func writeMask(m map[string]*Mask, name string, env Env) *Mask {
+func writeMask(m map[string]*Mask, name string, env *verilog.ConstEnv) *Mask {
 	if m[name] == nil {
 		w, ok := env.Width(name)
 		if !ok {
@@ -173,7 +172,7 @@ func (v *modView) widthPass() {
 			if !ok {
 				return
 			}
-			lhsW, ok := v.lhsWidth(a.LHS)
+			lhsW, ok := v.knownWidth(a.LHS, verilog.LHSWidth)
 			if !ok {
 				return
 			}
@@ -187,7 +186,7 @@ func (v *modView) widthPass() {
 				return
 			}
 			if id, isIdent := a.RHS.(*verilog.Ident); isIdent && eff < lhsW {
-				if _, isConst := v.params[id.Name]; !isConst {
+				if _, isConst := v.env.Params[id.Name]; !isConst {
 					v.res.add(a.Pos, SevInfo, CodeWidthExt, firstTarget(a.LHS),
 						"%d-bit %q is implicitly zero-extended to %d bits", eff, id.Name, lhsW)
 				}
@@ -202,44 +201,6 @@ func firstTarget(lhs verilog.Expr) string {
 		return ""
 	}
 	return ts[0]
-}
-
-// lhsWidth is the assignable width of a target; false when it cannot
-// be determined (undeclared base, non-constant bounds).
-func (v *modView) lhsWidth(e verilog.Expr) (int, bool) {
-	switch x := e.(type) {
-	case *verilog.Ident:
-		w, ok := v.width(x.Name)
-		return w, ok
-	case *verilog.Index:
-		if id, ok := x.X.(*verilog.Ident); ok {
-			if _, ok := v.width(id.Name); ok {
-				return 1, true
-			}
-		}
-		return 0, false
-	case *verilog.PartSelect:
-		hi, ok1 := constIndex(x.MSB, v.params, v.width)
-		lo, ok2 := constIndex(x.LSB, v.params, v.width)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		if hi < lo {
-			hi, lo = lo, hi
-		}
-		return hi - lo + 1, true
-	case *verilog.Concat:
-		total := 0
-		for _, p := range x.Parts {
-			w, ok := v.lhsWidth(p)
-			if !ok {
-				return 0, false
-			}
-			total += w
-		}
-		return total, true
-	}
-	return 0, false
 }
 
 // effWidth is the number of significant bits an expression can
@@ -263,7 +224,7 @@ func (v *modView) effWidth(e verilog.Expr) (int, bool) {
 	case *verilog.StringLit:
 		return 8 * len(x.Value), true
 	case *verilog.Ident:
-		if val, ok := v.params[x.Name]; ok {
+		if val, ok := v.env.Params[x.Name]; ok {
 			if u, defined := val.Uint64(); defined {
 				w := bits.Len64(u)
 				if w < 1 {
@@ -311,13 +272,21 @@ func (v *modView) effWidth(e verilog.Expr) (int, bool) {
 	return v.selfW(e)
 }
 
-// selfW is selfWidth gated on every contained identifier being
-// declared, so lints never fire off a defaulted width.
+// selfW is the engine's self-determined width, known as for knownWidth.
 func (v *modView) selfW(e verilog.Expr) (int, bool) {
+	return v.knownWidth(e, verilog.SelfWidth)
+}
+
+// knownWidth is e's width by one of the engine's width rules
+// (verilog.SelfWidth or verilog.LHSWidth); false, so that no lint fires
+// off it, when e names an undeclared identifier or the width is not
+// static (a select bound or replication count that does not fold, or a
+// width past verilog.MaxVectorWidth).
+func (v *modView) knownWidth(e verilog.Expr, rule func(verilog.Expr, verilog.Env) (int, bool)) (int, bool) {
 	known := true
 	verilog.WalkExprs(e, func(x verilog.Expr) {
 		if id, ok := x.(*verilog.Ident); ok {
-			if _, p := v.params[id.Name]; p {
+			if _, p := v.env.Params[id.Name]; p {
 				return
 			}
 			if _, s := v.signals[id.Name]; !s {
@@ -328,7 +297,7 @@ func (v *modView) selfW(e verilog.Expr) (int, bool) {
 	if !known {
 		return 0, false
 	}
-	return selfWidth(e, v.params, v.width), true
+	return rule(e, &v.env)
 }
 
 // constPass propagates compile-time constants to find conditions that
@@ -341,8 +310,8 @@ func (v *modView) constPass() {
 		verilog.WalkStmts(p.body, func(s verilog.Stmt) {
 			switch x := s.(type) {
 			case *verilog.If:
-				cv, ok := constEval(x.Cond, v.params, v.width, 0)
-				if !ok {
+				cv, err := verilog.Eval(x.Cond, &v.env, 0)
+				if err != nil {
 					return
 				}
 				if logic.Truth(cv) == logic.L1 {
@@ -366,12 +335,14 @@ func (v *modView) constPass() {
 
 func (v *modView) checkCase(c *verilog.Case, pos verilog.Pos) {
 	selW, selKnown := v.selfW(c.Expr)
-	selConst, selIsConst := constEval(c.Expr, v.params, v.width, 0)
+	selConst, err := verilog.Eval(c.Expr, &v.env, 0)
+	selIsConst := err == nil
+	match := verilog.CaseMatch(c.Kind)
 	var seen []logic.Vector
 	for _, item := range c.Items {
 		for _, e := range item.Exprs {
-			av, ok := constEval(e, v.params, v.width, 0)
-			if !ok {
+			av, err := verilog.Eval(e, &v.env, 0)
+			if err != nil {
 				continue
 			}
 			if selKnown && !selIsConst {
@@ -401,26 +372,10 @@ func (v *modView) checkCase(c *verilog.Case, pos verilog.Pos) {
 			} else {
 				seen = append(seen, av)
 			}
-			if selIsConst {
-				w := selConst.Width()
-				if av.Width() > w {
-					w = av.Width()
-				}
-				sv, armv := selConst.Resize(w), av.Resize(w)
-				var match bool
-				switch c.Kind {
-				case verilog.CaseZ:
-					match = logic.CaseZMatch(sv, armv)
-				case verilog.CaseX:
-					match = logic.CaseXMatch(sv, armv)
-				default:
-					match = sv.SameValue(armv)
-				}
-				if !match {
-					v.res.add(pos, SevWarning, CodeUnreachable, "",
-						"case arm %s cannot match the constant selector %s",
-						verilog.ExprString(e), verilog.ExprString(c.Expr))
-				}
+			if selIsConst && !match(selConst, av) {
+				v.res.add(pos, SevWarning, CodeUnreachable, "",
+					"case arm %s cannot match the constant selector %s",
+					verilog.ExprString(e), verilog.ExprString(c.Expr))
 			}
 		}
 	}

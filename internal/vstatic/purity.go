@@ -9,24 +9,6 @@ import (
 	"correctbench/internal/verilog"
 )
 
-// Env supplies the signal and constant context for process analysis.
-type Env struct {
-	// Width resolves a declared signal's width; false marks the name
-	// unknown, which excludes it from every check (mirroring the
-	// simulator's slot-table lookups).
-	Width func(name string) (int, bool)
-	// Consts resolves parameter names for constant folding. Nil is
-	// fine: post-elaboration bodies have parameters already inlined.
-	Consts ConstEnv
-}
-
-func (e Env) width(name string) (int, bool) {
-	if e.Width == nil {
-		return 0, false
-	}
-	return e.Width(name)
-}
-
 // ProcError is a typed purity-analysis failure: Code names the defect
 // class for diagnostics, Msg carries the human-readable detail.
 type ProcError struct {
@@ -71,7 +53,11 @@ type ProcFacts struct {
 // AnalyzeProc proves a combinational process body a pure function of
 // its level sensitivity list. sens reports sensitivity-list
 // membership (for an @(*) process pass the elaborated auto-list:
-// reads minus assign targets).
+// reads minus assign targets). env.Width, which must be set, resolves a
+// declared signal's width; false marks the name unknown, which excludes
+// it from every check (mirroring the simulator's slot-table lookups).
+// env.Params are the parameters constants fold with; nil is fine, since
+// post-elaboration bodies have them inlined.
 //
 // The analysis is a definite-assignment walk at bit granularity:
 // partial writes through constant indexes and part selects accumulate
@@ -84,7 +70,7 @@ type ProcFacts struct {
 // re-run the process when they change, and a run-once schedule would
 // disagree with it). At the end of the body every bit the process
 // ever writes must be definitely written on every path.
-func AnalyzeProc(body verilog.Stmt, sens func(string) bool, env Env) ProcFacts {
+func AnalyzeProc(body verilog.Stmt, sens func(string) bool, env verilog.ConstEnv) ProcFacts {
 	p := &procAnalysis{
 		env:    env,
 		sens:   sens,
@@ -108,7 +94,7 @@ func AnalyzeProc(body verilog.Stmt, sens func(string) bool, env Env) ProcFacts {
 }
 
 type procAnalysis struct {
-	env    Env
+	env    verilog.ConstEnv
 	sens   func(string) bool
 	writes map[string]*Mask // may-write masks of blocking targets
 	reads  map[string]*Mask
@@ -119,7 +105,7 @@ type procAnalysis struct {
 // widthOf resolves a signal width with a scalar fallback for unknown
 // names (module-level callers flag those separately).
 func (p *procAnalysis) widthOf(name string) int {
-	if w, ok := p.env.width(name); ok {
+	if w, ok := p.env.Width(name); ok {
 		return w
 	}
 	return 1
@@ -192,7 +178,7 @@ func (p *procAnalysis) readMask(name string) *Mask {
 }
 
 func (p *procAnalysis) constIdx(e verilog.Expr) (int, bool) {
-	return constIndex(e, p.env.Consts, p.env.width)
+	return constIndex(e, &p.env)
 }
 
 // constRange resolves a part select's bounds, normalized lo <= hi.
@@ -212,8 +198,8 @@ func (p *procAnalysis) constRange(x *verilog.PartSelect) (lo, hi int, ok bool) {
 // reports whether the then branch runs (unknown bits take else, per
 // IEEE if semantics).
 func (p *procAnalysis) constCond(e verilog.Expr) (truth, ok bool) {
-	v, ok := constEval(e, p.env.Consts, p.env.width, 0)
-	if !ok {
+	v, err := verilog.Eval(e, &p.env, 0)
+	if err != nil {
 		return false, false
 	}
 	return logic.Truth(v) == logic.L1, true
@@ -225,7 +211,7 @@ type assignState map[string]*Mask
 
 func (a assignState) clone() assignState {
 	out := make(assignState, len(a))
-	for k, m := range a {
+	for k, m := range a { //detlint:allow copies every entry into a new map; the order reaches nothing
 		out[k] = m.Clone()
 	}
 	return out
@@ -243,7 +229,7 @@ func (a assignState) mask(name string, p *procAnalysis) *Mask {
 
 func intersectState(a, b assignState, p *procAnalysis) assignState {
 	out := assignState{}
-	for k, m := range a {
+	for k, m := range a { //detlint:allow each key's entry depends on that key alone; the order reaches nothing
 		if bm := b[k]; bm != nil {
 			c := m.Clone()
 			c.And(bm)
@@ -323,7 +309,7 @@ func (p *procAnalysis) checkExpr(e verilog.Expr, a assignState) error {
 // the whole signal). Unknown names are skipped entirely, like the
 // simulator's slot lookups.
 func (p *procAnalysis) checkIdentRead(name string, lo, hi int, a assignState) error {
-	w, known := p.env.width(name)
+	w, known := p.env.Width(name)
 	if !known {
 		return nil
 	}

@@ -11,6 +11,13 @@
 //     simulator's levelized scheduler consumes;
 //   - unreachable case/if branch detection via constant propagation.
 //
+// Constants fold, and widths are taken, with the engine's own
+// expression rules in internal/verilog (Eval, SelfWidth, LHSWidth,
+// CaseMatch) over one verilog.ConstEnv of the module's parameters and
+// declared widths, so a verdict cannot drift from what the simulator
+// does (consteval.go). A fold that fails, or a width that is not
+// static, is unknown and suppresses the lint.
+//
 // Every finding is a position-carrying Diagnostic. The analyses are
 // advisory: elaboration and grading semantics never depend on them,
 // so a lint can be sharpened without shifting any recorded result.
@@ -24,6 +31,7 @@ import (
 	"fmt"
 	"sort"
 
+	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
 )
 
@@ -171,9 +179,11 @@ type proc struct {
 type modView struct {
 	m       *verilog.Module
 	signals map[string]*signal
-	params  ConstEnv
-	procs   []*proc
-	res     *Result
+	// env folds constants: the parameters resolved so far and the
+	// declared widths (width).
+	env   verilog.ConstEnv
+	procs []*proc
+	res   *Result
 }
 
 func (v *modView) width(name string) (int, bool) {
@@ -183,10 +193,6 @@ func (v *modView) width(name string) (int, bool) {
 	return 0, false
 }
 
-func (v *modView) env() Env {
-	return Env{Width: v.width, Consts: v.params}
-}
-
 // AnalyzeModule runs every pass over m and returns the collected
 // diagnostics and classification. The analysis never fails: broken
 // input yields error-severity diagnostics instead.
@@ -194,9 +200,9 @@ func AnalyzeModule(m *verilog.Module) *Result {
 	v := &modView{
 		m:       m,
 		signals: map[string]*signal{},
-		params:  ConstEnv{},
 		res:     &Result{Module: m.Name},
 	}
+	v.env = verilog.ConstEnv{Params: map[string]logic.Vector{}, Width: v.width}
 	v.collectDecls()
 	v.collectProcs()
 	v.checkUndeclared()
@@ -237,8 +243,8 @@ func (v *modView) collectDecls() {
 		}
 		if d.Kind == verilog.DeclParameter || d.Kind == verilog.DeclLocalparam {
 			for _, n := range d.Names {
-				if val, ok := constEval(d.Init, v.params, v.width, 0); ok {
-					v.params[n] = val
+				if val, err := verilog.Eval(d.Init, &v.env, 0); err == nil {
+					v.env.Params[n] = val
 				} else {
 					v.res.add(d.Pos, SevError, CodeBadRange, n, "parameter %q is not a constant", n)
 				}
@@ -250,14 +256,14 @@ func (v *modView) collectDecls() {
 			w = 32
 		}
 		if d.Range != nil {
-			msb, ok1 := constIndex(d.Range.MSB, v.params, v.width)
-			lsb, ok2 := constIndex(d.Range.LSB, v.params, v.width)
+			msb, ok1 := constIndex(d.Range.MSB, &v.env)
+			lsb, ok2 := constIndex(d.Range.LSB, &v.env)
 			switch {
 			case !ok1 || !ok2:
 				v.res.add(d.Pos, SevError, CodeBadRange, d.Names[0], "non-constant range bounds")
 			case lsb != 0:
 				v.res.add(d.Pos, SevError, CodeBadRange, d.Names[0], "only [msb:0] ranges are supported (got lsb=%d)", lsb)
-			case msb > 4095:
+			case msb >= verilog.MaxVectorWidth:
 				v.res.add(d.Pos, SevError, CodeBadRange, d.Names[0], "vector too wide (%d bits)", msb+1)
 			default:
 				w = msb + 1
@@ -354,13 +360,12 @@ func (v *modView) sensFunc(p *proc) func(string) bool {
 func (v *modView) analyzeCombProcs() ([]*proc, Region) {
 	var combs []*proc
 	var region Region
-	env := v.env()
 	for _, p := range v.procs {
 		if !p.comb {
 			continue
 		}
 		v.res.CombProcs++
-		f := AnalyzeProc(p.body, v.sensFunc(p), env)
+		f := AnalyzeProc(p.body, v.sensFunc(p), v.env)
 		combs = append(combs, p)
 		region.Facts = append(region.Facts, f)
 		region.Sens = append(region.Sens, v.sensFunc(p))
@@ -420,7 +425,7 @@ func (v *modView) checkUndeclared() {
 		if _, ok := v.signals[name]; ok {
 			return
 		}
-		if _, ok := v.params[name]; ok {
+		if _, ok := v.env.Params[name]; ok {
 			return
 		}
 		seen[name] = true
@@ -439,8 +444,7 @@ func (v *modView) checkUndeclared() {
 	for _, p := range v.procs {
 		walkAllExprs(p.body, checkExpr)
 		if p.sens != nil {
-			for n := range p.sens {
-				// Deterministic order comes from the final sort.
+			for n := range p.sens { //detlint:allow each name is flagged at p.pos once, and the diagnostics are sorted
 				flag(p.pos, n)
 			}
 		}

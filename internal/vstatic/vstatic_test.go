@@ -189,6 +189,19 @@ always @(*) begin
 end
 endmodule`)
 	wantDiag(t, r, "const-cond", "never true")
+
+	// Bit-selects and ternaries of parameters fold with the engine's
+	// evaluator too.
+	for _, cond := range []string{"P[1]", "P == 2'b10 ? 1'b1 : 1'b0"} {
+		r := analyze(t, `module m(input a, output reg y);
+localparam P = 2'b10;
+always @(*) begin
+  y = a;
+  if (`+cond+`) y = ~a;
+end
+endmodule`)
+		wantDiag(t, r, "const-cond", "constantly true")
+	}
 }
 
 func TestUnreachableCaseArmWidth(t *testing.T) {
@@ -200,6 +213,18 @@ always @(*) case (s)
 endcase
 endmodule`)
 	wantDiag(t, r, "unreachable-arm", "cannot match")
+
+	// A part-select with a non-constant bound has no static width: the
+	// engine matches 2'd2 at s = 1, so the arm must not be flagged.
+	r = analyze(t, `module m(input [3:0] a, input [1:0] s, output reg y);
+always @(*) case (a[s:0])
+  2'd2: y = 1'b1;
+  default: y = 1'b0;
+endcase
+endmodule`)
+	for _, d := range r.Diags {
+		t.Errorf("non-constant part-select selector: unexpected diagnostic %s", d)
+	}
 }
 
 func TestDuplicateCaseArm(t *testing.T) {
