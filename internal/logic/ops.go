@@ -1,7 +1,5 @@
 package logic
 
-import "math/bits"
-
 // This file implements the Verilog operator set on Vector values, and
 // BinaryOp and UnaryOp at its end are the one table from operator
 // spelling to kernel and operand sizing that every evaluator (the
@@ -20,9 +18,10 @@ import "math/bits"
 //
 // The bitwise tables are evaluated 64 bits at a time on the aval/bval
 // planes (a=0,b=0 -> 0; a=1,b=0 -> 1; a=0,b=1 -> z; a=1,b=1 -> x):
-// "known one" is a&^b, "known zero" is ^a&^b, "unknown" is b. Narrow
-// (width <= 64) vectors run the same kernels on their single inline
-// word, allocation-free.
+// "known one" is a&^b, "known zero" is ^a&^b, "unknown" is b. When
+// both operands are narrow (width <= 64) each operator calls its word
+// kernel (word.go) on the inline words, allocation-free; the table's
+// word column names that kernel.
 
 // bitKnown reports whether the bit is 0 or 1.
 func bitKnown(b Bit) bool { return b == L0 || b == L1 }
@@ -43,17 +42,38 @@ func commonWidth(x, y Vector) (Vector, Vector, int) {
 // wordOp combines one plane word of each operand into a result word.
 type wordOp func(pa, pb, qa, qb uint64) (ra, rb uint64)
 
+// narrow2 reports whether both operands are narrow, so the operator
+// runs its word kernel.
+func narrow2(x, y Vector) bool { return x.small() && y.small() }
+
+// word2 runs a word kernel on two narrow operands at their common
+// width (zero extension leaves a normalized word as it is). The result
+// has that width, or 1 bit with bit1.
+func word2(x, y Vector, f WordBinary, bit1 bool) Vector {
+	w := max(x.width, y.width)
+	ra, rb := f(w, x.a0, x.b0, y.a0, y.b0)
+	if bit1 {
+		w = 1
+	}
+	return Vector{width: w, a0: ra, b0: rb}
+}
+
+// word1 runs a unary word kernel on a narrow operand; the result has
+// its width, or 1 bit with bit1.
+func word1(x Vector, f WordUnary, bit1 bool) Vector {
+	ra, rb := f(x.width, x.a0, x.b0)
+	w := x.width
+	if bit1 {
+		w = 1
+	}
+	return Vector{width: w, a0: ra, b0: rb}
+}
+
 // bitwise applies a word-parallel four-state kernel at the common
-// width. Kernels may produce garbage above the width; normalize clears
-// it.
+// width of operands of which at least one is wide. Kernels may produce
+// garbage above the width; normalize clears it.
 func bitwise(x, y Vector, f wordOp) Vector {
 	xr, yr, w := commonWidth(x, y)
-	if w <= wordBits {
-		ra, rb := f(xr.a0, xr.b0, yr.a0, yr.b0)
-		r := Vector{width: w, a0: ra, b0: rb}
-		r.normalize()
-		return r
-	}
 	r := New(w)
 	for i := range r.wa {
 		r.wa[i], r.wb[i] = f(xr.wa[i], xr.wb[i], yr.wa[i], yr.wb[i])
@@ -91,16 +111,36 @@ func notWords(pa, pb uint64) (uint64, uint64) {
 }
 
 // And returns x & y.
-func And(x, y Vector) Vector { return bitwise(x, y, andWords) }
+func And(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, AndWord, false)
+	}
+	return bitwise(x, y, andWords)
+}
 
 // Or returns x | y.
-func Or(x, y Vector) Vector { return bitwise(x, y, orWords) }
+func Or(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, OrWord, false)
+	}
+	return bitwise(x, y, orWords)
+}
 
 // Xor returns x ^ y.
-func Xor(x, y Vector) Vector { return bitwise(x, y, xorWords) }
+func Xor(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, XorWord, false)
+	}
+	return bitwise(x, y, xorWords)
+}
 
 // Xnor returns x ~^ y.
-func Xnor(x, y Vector) Vector { return NotV(Xor(x, y)) }
+func Xnor(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, XnorWord, false)
+	}
+	return NotV(Xor(x, y))
+}
 
 // andBit, orBit, xorBit are the scalar four-state tables, used by the
 // reductions and kept as the reference definition of the word kernels.
@@ -138,10 +178,7 @@ func xorBit(p, q Bit) Bit {
 // logical operator.
 func NotV(x Vector) Vector {
 	if x.small() {
-		ra, rb := notWords(x.a0, x.b0)
-		r := Vector{width: x.width, a0: ra, b0: rb}
-		r.normalize()
-		return r
+		return word1(x, NotVWord, false)
 	}
 	r := New(x.width)
 	for i := range r.wa {
@@ -175,12 +212,12 @@ func addWords(x, y []uint64, carry uint64) []uint64 {
 
 // Add returns x + y at the common width, wrapping; all-x on unknowns.
 func Add(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, AddWord, false)
+	}
 	xr, yr, w := commonWidth(x, y)
 	if xr.HasUnknown() || yr.HasUnknown() {
 		return AllX(w)
-	}
-	if w <= wordBits {
-		return Vector{width: w, a0: (xr.a0 + yr.a0) & wmask(w)}
 	}
 	r := Vector{width: w, wa: addWords(xr.wa, yr.wa, 0), wb: make([]uint64, len(xr.wa))}
 	r.normalize()
@@ -189,12 +226,12 @@ func Add(x, y Vector) Vector {
 
 // Sub returns x - y at the common width, wrapping; all-x on unknowns.
 func Sub(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, SubWord, false)
+	}
 	xr, yr, w := commonWidth(x, y)
 	if xr.HasUnknown() || yr.HasUnknown() {
 		return AllX(w)
-	}
-	if w <= wordBits {
-		return Vector{width: w, a0: (xr.a0 - yr.a0) & wmask(w)}
 	}
 	neg := make([]uint64, len(yr.wa))
 	for i := range neg {
@@ -213,12 +250,12 @@ func Neg(x Vector) Vector { return Sub(New(x.width), x) }
 // product cannot be computed exactly in 128 bits; dataset circuits stay
 // within 64 bits.
 func Mul(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, MulWord, false)
+	}
 	xr, yr, w := commonWidth(x, y)
 	if xr.HasUnknown() || yr.HasUnknown() {
 		return AllX(w)
-	}
-	if w <= wordBits {
-		return Vector{width: w, a0: (xr.a0 * yr.a0) & wmask(w)}
 	}
 	// Schoolbook multiply on 32-bit limbs, truncated to w bits.
 	limbs := func(v []uint64) []uint64 {
@@ -260,6 +297,9 @@ func Mul(x, y Vector) Vector {
 // Div returns x / y (unsigned). Division by zero or unknowns give
 // all-x, per IEEE 1364.
 func Div(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, DivWord, false)
+	}
 	xr, yr, w := commonWidth(x, y)
 	xv, okx := xr.Uint64()
 	yv, oky := yr.Uint64()
@@ -271,6 +311,9 @@ func Div(x, y Vector) Vector {
 
 // Mod returns x % y (unsigned). Zero modulus or unknowns give all-x.
 func Mod(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, ModWord, false)
+	}
 	xr, yr, w := commonWidth(x, y)
 	xv, okx := xr.Uint64()
 	yv, oky := yr.Uint64()
@@ -293,20 +336,34 @@ func shiftAmount(y Vector) (int, bool) {
 	return int(v), true
 }
 
+// amountWord is a right operand of <<, >>, >>> or ** as a word: its
+// own planes when narrow; a wide one reads as its value when that is
+// known and fits 64 bits, and as unknown otherwise (Uint64's verdict).
+func amountWord(y Vector) (uint64, uint64) {
+	if y.small() {
+		return y.a0, y.b0
+	}
+	if v, ok := y.Uint64(); ok {
+		return v, 0
+	}
+	return 0, 1
+}
+
+// shiftWord runs a shift or power word kernel on a narrow x.
+func shiftWord(x, y Vector, f WordBinary) Vector {
+	ya, yb := amountWord(y)
+	ra, rb := f(x.width, x.a0, x.b0, ya, yb)
+	return Vector{width: x.width, a0: ra, b0: rb}
+}
+
 // Shl returns x << y at the width of x.
 func Shl(x, y Vector) Vector {
+	if x.small() {
+		return shiftWord(x, y, ShlWord)
+	}
 	n, ok := shiftAmount(y)
 	if !ok {
 		return AllX(x.width)
-	}
-	if x.small() {
-		r := Vector{width: x.width}
-		if n < wordBits {
-			r.a0 = x.a0 << uint(n)
-			r.b0 = x.b0 << uint(n)
-			r.normalize()
-		}
-		return r
 	}
 	r := New(x.width)
 	for i := n; i < x.width; i++ {
@@ -317,17 +374,12 @@ func Shl(x, y Vector) Vector {
 
 // Shr returns x >> y (logical) at the width of x.
 func Shr(x, y Vector) Vector {
+	if x.small() {
+		return shiftWord(x, y, ShrWord)
+	}
 	n, ok := shiftAmount(y)
 	if !ok {
 		return AllX(x.width)
-	}
-	if x.small() {
-		r := Vector{width: x.width}
-		if n < wordBits {
-			r.a0 = x.a0 >> uint(n)
-			r.b0 = x.b0 >> uint(n)
-		}
-		return r
 	}
 	r := New(x.width)
 	for i := 0; i+n < x.width; i++ {
@@ -338,6 +390,9 @@ func Shr(x, y Vector) Vector {
 
 // Sshr returns x >>> y (arithmetic right shift: MSB replicated).
 func Sshr(x, y Vector) Vector {
+	if x.small() {
+		return shiftWord(x, y, SshrWord)
+	}
 	n, ok := shiftAmount(y)
 	if !ok {
 		return AllX(x.width)
@@ -357,6 +412,9 @@ func Sshr(x, y Vector) Vector {
 // Pow returns x ** y at the width of x, wrapping; all-x on unknowns or
 // an exponent above 64.
 func Pow(x, y Vector) Vector {
+	if x.small() {
+		return shiftWord(x, y, PowWord)
+	}
 	base, ok1 := x.Uint64()
 	exp, ok2 := y.Uint64()
 	if !ok1 || !ok2 || exp > 64 {
@@ -384,6 +442,9 @@ func XBit() Vector { return Vector{width: 1, a0: 1, b0: 1} }
 
 // Eq returns x == y as a 1-bit vector (x if any unknown bit).
 func Eq(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, EqWord, true)
+	}
 	xr, yr, _ := commonWidth(x, y)
 	if xr.HasUnknown() || yr.HasUnknown() {
 		return XBit()
@@ -397,6 +458,9 @@ func Neq(x, y Vector) Vector { return Not(Eq(x, y)) }
 // CaseEq returns x === y as a 1-bit 0/1 vector (exact pattern match at
 // the common width, zero extended).
 func CaseEq(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, CaseEqWord, true)
+	}
 	xr, yr, _ := commonWidth(x, y)
 	return Bool(xr.Equal(yr))
 }
@@ -404,19 +468,11 @@ func CaseEq(x, y Vector) Vector {
 // CaseNeq returns x !== y.
 func CaseNeq(x, y Vector) Vector { return Bool(!CaseEq(x, y).Equal(Bool(true))) }
 
+// cmpUnsigned compares operands of which at least one is wide.
 func cmpUnsigned(x, y Vector) (int, bool) {
 	xr, yr, _ := commonWidth(x, y)
 	if xr.HasUnknown() || yr.HasUnknown() {
 		return 0, false
-	}
-	if xr.small() {
-		switch {
-		case xr.a0 < yr.a0:
-			return -1, true
-		case xr.a0 > yr.a0:
-			return 1, true
-		}
-		return 0, true
 	}
 	for i := len(xr.wa) - 1; i >= 0; i-- {
 		if xr.wa[i] < yr.wa[i] {
@@ -431,6 +487,9 @@ func cmpUnsigned(x, y Vector) (int, bool) {
 
 // Lt returns x < y (unsigned) as a 1-bit vector.
 func Lt(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, LtWord, true)
+	}
 	c, ok := cmpUnsigned(x, y)
 	if !ok {
 		return XBit()
@@ -440,6 +499,9 @@ func Lt(x, y Vector) Vector {
 
 // Lte returns x <= y (unsigned).
 func Lte(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, LteWord, true)
+	}
 	c, ok := cmpUnsigned(x, y)
 	if !ok {
 		return XBit()
@@ -449,6 +511,9 @@ func Lte(x, y Vector) Vector {
 
 // Gt returns x > y (unsigned).
 func Gt(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, GtWord, true)
+	}
 	c, ok := cmpUnsigned(x, y)
 	if !ok {
 		return XBit()
@@ -458,6 +523,9 @@ func Gt(x, y Vector) Vector {
 
 // Gte returns x >= y (unsigned).
 func Gte(x, y Vector) Vector {
+	if narrow2(x, y) {
+		return word2(x, y, GteWord, true)
+	}
 	c, ok := cmpUnsigned(x, y)
 	if !ok {
 		return XBit()
@@ -471,13 +539,7 @@ func Gte(x, y Vector) Vector {
 // known 0) or unknown.
 func Truth(x Vector) Bit {
 	if x.small() {
-		if x.a0&^x.b0 != 0 {
-			return L1
-		}
-		if x.b0 != 0 {
-			return X
-		}
-		return L0
+		return TruthWord(x.a0, x.b0)
 	}
 	sawUnknown := false
 	for i := range x.wa {
@@ -508,26 +570,14 @@ func Not(x Vector) Vector {
 
 // LAnd returns x && y as a 1-bit vector.
 func LAnd(x, y Vector) Vector {
-	p, q := Truth(x), Truth(y)
-	if p == L0 || q == L0 {
-		return Bool(false)
-	}
-	if p == L1 && q == L1 {
-		return Bool(true)
-	}
-	return XBit()
+	ra, rb := landTruth(Truth(x), Truth(y))
+	return Vector{width: 1, a0: ra, b0: rb}
 }
 
 // LOr returns x || y as a 1-bit vector.
 func LOr(x, y Vector) Vector {
-	p, q := Truth(x), Truth(y)
-	if p == L1 || q == L1 {
-		return Bool(true)
-	}
-	if p == L0 && q == L0 {
-		return Bool(false)
-	}
-	return XBit()
+	ra, rb := lorTruth(Truth(x), Truth(y))
+	return Vector{width: 1, a0: ra, b0: rb}
 }
 
 // reductions -------------------------------------------------------------
@@ -535,14 +585,7 @@ func LOr(x, y Vector) Vector {
 // RedAnd returns &x.
 func RedAnd(x Vector) Vector {
 	if x.small() {
-		m := wmask(x.width)
-		if (^x.a0 & ^x.b0 & m) != 0 { // any known 0
-			return Bool(false)
-		}
-		if x.b0 != 0 { // no known 0, some unknown
-			return XBit()
-		}
-		return Bool(true)
+		return word1(x, RedAndWord, true)
 	}
 	r := L1
 	for i := 0; i < x.width; i++ {
@@ -557,13 +600,7 @@ func RedAnd(x Vector) Vector {
 // RedOr returns |x.
 func RedOr(x Vector) Vector {
 	if x.small() {
-		if x.a0&^x.b0 != 0 { // any known 1
-			return Bool(true)
-		}
-		if x.b0 != 0 {
-			return XBit()
-		}
-		return Bool(false)
+		return word1(x, RedOrWord, true)
 	}
 	r := L0
 	for i := 0; i < x.width; i++ {
@@ -578,10 +615,7 @@ func RedOr(x Vector) Vector {
 // RedXor returns ^x.
 func RedXor(x Vector) Vector {
 	if x.small() {
-		if x.b0 != 0 {
-			return XBit()
-		}
-		return Bool(bits.OnesCount64(x.a0)%2 == 1)
+		return word1(x, RedXorWord, true)
 	}
 	r := L0
 	for i := 0; i < x.width; i++ {
@@ -642,12 +676,8 @@ func Replicate(n int, x Vector) Vector {
 	}
 	if n <= wordBits && n*x.width <= wordBits {
 		// The result fits one word: shift copies in, as Concat would.
-		r := Vector{width: n * x.width}
-		for i := 0; i < n; i++ {
-			r.a0 = r.a0<<uint(x.width) | x.a0
-			r.b0 = r.b0<<uint(x.width) | x.b0
-		}
-		return r
+		ra, rb := ReplicateWord(n, x.width, x.a0, x.b0)
+		return Vector{width: n * x.width, a0: ra, b0: rb}
 	}
 	parts := make([]Vector, n)
 	for i := range parts {
@@ -665,22 +695,9 @@ func Slice(x Vector, hi, lo int) Vector {
 	if x.small() && lo >= 0 {
 		// hi < x.width <= 64 would make this a plain shift; out-of-range
 		// high bits are filled with X.
-		w := hi - lo + 1
-		if w <= wordBits {
-			valid := x.width - lo
-			if valid <= 0 {
-				return AllX(w)
-			}
-			if valid > w {
-				valid = w
-			}
-			vm := wmask(valid)
-			fill := wmask(w) &^ vm // positions beyond x read X
-			return Vector{
-				width: w,
-				a0:    (x.a0>>uint(lo))&vm | fill,
-				b0:    (x.b0>>uint(lo))&vm | fill,
-			}
+		if w := hi - lo + 1; w <= wordBits {
+			ra, rb := SliceWord(x.width, x.a0, x.b0, hi, lo)
+			return Vector{width: w, a0: ra, b0: rb}
 		}
 	}
 	r := New(hi - lo + 1)
@@ -717,21 +734,28 @@ func (v *Vector) SetSlice(hi, lo int, val Vector) {
 // Mux returns sel ? a : b with Verilog ternary X-merging: when sel is
 // unknown, bits where a and b agree keep that value and others are X.
 func Mux(sel, a, b Vector) Vector {
-	switch Truth(sel) {
+	t := Truth(sel)
+	switch t {
 	case L1:
 		return a.clone()
 	case L0:
 		return b.clone()
 	}
-	// Unknown select: keep bits where both sides agree on a known
-	// value, X elsewhere.
-	agree := func(pa, pb, qa, qb uint64) (uint64, uint64) {
-		same := ^(pa ^ qa) & ^(pb ^ qb) & ^pb // equal planes, known
-		keep := pa & same
-		x := ^same
-		return keep | x, x
+	if narrow2(a, b) {
+		w := max(a.width, b.width)
+		ra, rb := MuxWord(w, t, a.a0, a.b0, b.a0, b.b0)
+		return Vector{width: w, a0: ra, b0: rb}
 	}
-	return bitwise(a, b, agree)
+	return bitwise(a, b, agreeWords)
+}
+
+// agreeWords merges the two sides of an unknown select: bits where both
+// agree on a known value keep it, the others are X.
+func agreeWords(pa, pb, qa, qb uint64) (uint64, uint64) {
+	same := ^(pa ^ qa) & ^(pb ^ qb) & ^pb // equal planes, known
+	keep := pa & same
+	x := ^same
+	return keep | x, x
 }
 
 // CaseZMatch reports whether value matches pattern treating Z/? bits in
@@ -740,10 +764,7 @@ func CaseZMatch(value, pattern Vector) bool {
 	vr, pr, w := commonWidth(value, pattern)
 	nw := words(w)
 	for i := 0; i < nw; i++ {
-		va, vb := vr.aword(i), vr.bword(i)
-		pa, pb := pr.aword(i), pr.bword(i)
-		care := ^(vb &^ va) & ^(pb &^ pa) // neither side Z
-		if ((va^pa)|(vb^pb))&care != 0 {
+		if !CaseZMatchWord(vr.aword(i), vr.bword(i), pr.aword(i), pr.bword(i)) {
 			return false
 		}
 	}
@@ -755,10 +776,7 @@ func CaseXMatch(value, pattern Vector) bool {
 	vr, pr, w := commonWidth(value, pattern)
 	nw := words(w)
 	for i := 0; i < nw; i++ {
-		va, vb := vr.aword(i), vr.bword(i)
-		pa, pb := pr.aword(i), pr.bword(i)
-		care := ^vb & ^pb // neither side X or Z
-		if (va^pa)&care != 0 {
+		if !CaseXMatchWord(vr.aword(i), vr.bword(i), pr.aword(i), pr.bword(i)) {
 			return false
 		}
 	}
@@ -805,83 +823,84 @@ func (s Sizing) Result(ctx int) int {
 	return ctx
 }
 
-// BinaryOp resolves a binary operator spelling to its kernel and
-// sizing; ok is false for a spelling outside the operator set.
-func BinaryOp(op string) (fn func(x, y Vector) Vector, s Sizing, ok bool) {
+// BinaryOp resolves a binary operator spelling to its kernel, its word
+// kernel (the kernel's rule on operands at most 64 bits wide, word.go)
+// and its sizing; ok is false for a spelling outside the operator set.
+func BinaryOp(op string) (fn func(x, y Vector) Vector, word WordBinary, s Sizing, ok bool) {
 	switch op {
 	case "+":
-		return Add, SizeContext, true
+		return Add, AddWord, SizeContext, true
 	case "-":
-		return Sub, SizeContext, true
+		return Sub, SubWord, SizeContext, true
 	case "*":
-		return Mul, SizeContext, true
+		return Mul, MulWord, SizeContext, true
 	case "/":
-		return Div, SizeContext, true
+		return Div, DivWord, SizeContext, true
 	case "%":
-		return Mod, SizeContext, true
+		return Mod, ModWord, SizeContext, true
 	case "&":
-		return And, SizeContext, true
+		return And, AndWord, SizeContext, true
 	case "|":
-		return Or, SizeContext, true
+		return Or, OrWord, SizeContext, true
 	case "^":
-		return Xor, SizeContext, true
+		return Xor, XorWord, SizeContext, true
 	case "~^", "^~":
-		return Xnor, SizeContext, true
+		return Xnor, XnorWord, SizeContext, true
 	case "<<", "<<<":
-		return Shl, SizeLeftContext, true
+		return Shl, ShlWord, SizeLeftContext, true
 	case ">>":
-		return Shr, SizeLeftContext, true
+		return Shr, ShrWord, SizeLeftContext, true
 	case ">>>":
-		return Sshr, SizeLeftContext, true
+		return Sshr, SshrWord, SizeLeftContext, true
 	case "**":
-		return Pow, SizeLeftContext, true
+		return Pow, PowWord, SizeLeftContext, true
 	case "==":
-		return Eq, SizeSelf, true
+		return Eq, EqWord, SizeSelf, true
 	case "!=":
-		return Neq, SizeSelf, true
+		return Neq, NeqWord, SizeSelf, true
 	case "===":
-		return CaseEq, SizeSelf, true
+		return CaseEq, CaseEqWord, SizeSelf, true
 	case "!==":
-		return CaseNeq, SizeSelf, true
+		return CaseNeq, CaseNeqWord, SizeSelf, true
 	case "<":
-		return Lt, SizeSelf, true
+		return Lt, LtWord, SizeSelf, true
 	case "<=":
-		return Lte, SizeSelf, true
+		return Lte, LteWord, SizeSelf, true
 	case ">":
-		return Gt, SizeSelf, true
+		return Gt, GtWord, SizeSelf, true
 	case ">=":
-		return Gte, SizeSelf, true
+		return Gte, GteWord, SizeSelf, true
 	case "&&":
-		return LAnd, SizeSelf, true
+		return LAnd, LAndWord, SizeSelf, true
 	case "||":
-		return LOr, SizeSelf, true
+		return LOr, LOrWord, SizeSelf, true
 	}
-	return nil, SizeSelf, false
+	return nil, nil, SizeSelf, false
 }
 
-// UnaryOp resolves a unary operator spelling to its kernel and sizing
-// (SizeContext or SizeSelf); ok is false for a spelling outside the
-// operator set. Unary + is not in it: the parser drops it.
-func UnaryOp(op string) (fn func(x Vector) Vector, s Sizing, ok bool) {
+// UnaryOp resolves a unary operator spelling to its kernel, word kernel
+// and sizing (SizeContext or SizeSelf); ok is false for a spelling
+// outside the operator set. Unary + is not in it: the parser drops it.
+func UnaryOp(op string) (fn func(x Vector) Vector, word WordUnary, s Sizing, ok bool) {
 	switch op {
 	case "~":
-		return NotV, SizeContext, true
+		return NotV, NotVWord, SizeContext, true
 	case "-":
-		return Neg, SizeContext, true
+		return Neg, NegWord, SizeContext, true
 	case "!":
-		return Not, SizeSelf, true
+		return Not, NotWord, SizeSelf, true
 	case "&":
-		return RedAnd, SizeSelf, true
+		return RedAnd, RedAndWord, SizeSelf, true
 	case "|":
-		return RedOr, SizeSelf, true
+		return RedOr, RedOrWord, SizeSelf, true
 	case "^":
-		return RedXor, SizeSelf, true
+		return RedXor, RedXorWord, SizeSelf, true
 	case "~&":
-		return RedNand, SizeSelf, true
+		return RedNand, RedNandWord, SizeSelf, true
 	case "~|":
-		return RedNor, SizeSelf, true
+		return RedNor, RedNorWord, SizeSelf, true
 	case "~^", "^~":
-		return RedXnor, SizeSelf, true
+		return RedXnor, RedXnorWord, SizeSelf, true
 	}
-	return nil, SizeSelf, false
+	return nil, nil, SizeSelf, false
 }

@@ -9,8 +9,14 @@ package sim
 // that structure once: the base design's processes are compiled once,
 // each variant contributes only per-lane patch tables for the bodies
 // it actually changes (detected by comparing printed statements), and
-// all N instances advance together over a flat structure-of-arrays
-// state block addressed [slot*n + lane].
+// all N instances advance together over one state block addressed
+// [slot*n + lane]. Every slot at most 64 bits wide — every dataset
+// signal — lives in two pointer-free []uint64 planes holding the
+// aval/bval words of logic.Vector's encoding, so the garbage collector
+// never scans simulator state and a step moves words, not vectors. A
+// rare wider slot lives in a side []logic.Vector. Get, GetSlot and
+// SetInput keep their logic.Vector signatures and convert at the
+// boundary; SlotWord reads a narrow slot's words directly.
 //
 // Scheduling is levelized when the whole batch's combinational region
 // is provably static (see batch_sched.go): one topological pass per
@@ -32,7 +38,8 @@ package sim
 // queues (including the queue surviving a no-edge propagate) all
 // replicate instance.go exactly. A body the compiler cannot fold (see
 // batch_compile.go) runs the interpreter's own exec on its lane
-// (laneState), so every design compiles; such a program runs
+// (laneState, which converts between the planes and vectors at its
+// boundary), so every design compiles; such a program runs
 // event-driven.
 
 import (
@@ -336,8 +343,16 @@ type BatchInstance struct {
 	prog *BatchProgram
 	n    int
 
-	vals []logic.Vector // [slot*n + lane]
-	prev []logic.Vector // [edgeIdx*n + lane]
+	// wa and wb are the aval/bval planes (logic.Vector's encoding) of
+	// every slot at most 64 bits wide, [slot*n + lane]. A wider slot's
+	// entries stay zero; its value lives in wide, [wideOf[slot]*n + lane].
+	wa, wb []uint64
+	wide   []logic.Vector
+	// pa and pb hold each edge slot's value at the last edge check,
+	// [edgeIdx*n + lane]; prevWide does for wide edge slots (nil when
+	// every edge slot is narrow).
+	pa, pb   []uint64
+	prevWide []logic.Vector
 
 	dirty     []bool    // [slot*n + lane]
 	dirtyList [][]int32 // per lane: dirty slots in write order
@@ -379,8 +394,11 @@ func NewBatchInstance(prog *BatchProgram) *BatchInstance {
 	b := &BatchInstance{
 		prog:      prog,
 		n:         n,
-		vals:      make([]logic.Vector, len(d.Order)*n),
-		prev:      make([]logic.Vector, len(d.edgeSlots)*n),
+		wa:        make([]uint64, len(d.Order)*n),
+		wb:        make([]uint64, len(d.Order)*n),
+		wide:      make([]logic.Vector, d.nWide*n),
+		pa:        make([]uint64, len(d.edgeSlots)*n),
+		pb:        make([]uint64, len(d.edgeSlots)*n),
 		dirty:     make([]bool, len(d.Order)*n),
 		dirtyList: make([][]int32, n),
 		ranAny:    make([]bool, n),
@@ -396,6 +414,12 @@ func NewBatchInstance(prog *BatchProgram) *BatchInstance {
 		edgePos:   make([]bool, len(d.edgeSlots)),
 		edgeNeg:   make([]bool, len(d.edgeSlots)),
 		sys:       sysState{Stdout: io.Discard},
+	}
+	for _, slot := range d.edgeSlots {
+		if d.wideOf[slot] >= 0 {
+			b.prevWide = make([]logic.Vector, len(d.edgeSlots)*n)
+			break
+		}
 	}
 	if prog.interpreted {
 		b.views = make([]laneState, n)
@@ -415,18 +439,28 @@ func (b *BatchInstance) Reset() {
 	d := b.prog.base
 	n := b.n
 	for slot, w := range d.slotWidths {
-		// One AllX per slot shared by all lanes: writes never mutate a
-		// stored vector in place (applyWrite clones before SetSlice).
-		x := logic.AllX(w)
-		row := b.vals[slot*n : (slot+1)*n]
-		for lane := range row {
-			row[lane] = x
+		if wi := d.wideOf[slot]; wi >= 0 {
+			// One AllX per wide slot shared by all lanes: writes never
+			// mutate a stored vector in place (applyWrite clones before
+			// SetSlice).
+			x := logic.AllX(w)
+			row := b.wide[int(wi)*n : int(wi+1)*n]
+			for lane := range row {
+				row[lane] = x
+			}
+			continue
+		}
+		m := logic.Mask(w)
+		for i := slot * n; i < (slot+1)*n; i++ {
+			b.wa[i], b.wb[i] = m, m
 		}
 	}
 	for i, slot := range d.edgeSlots {
-		row := b.prev[i*n : (i+1)*n]
-		src := b.vals[int(slot)*n : (int(slot)+1)*n]
-		copy(row, src)
+		copy(b.pa[i*n:(i+1)*n], b.wa[int(slot)*n:(int(slot)+1)*n])
+		copy(b.pb[i*n:(i+1)*n], b.wb[int(slot)*n:(int(slot)+1)*n])
+		if wi := d.wideOf[slot]; wi >= 0 {
+			copy(b.prevWide[i*n:(i+1)*n], b.wide[int(wi)*n:int(wi+1)*n])
+		}
 	}
 	for i := range b.dirty {
 		b.dirty[i] = false
@@ -490,14 +524,30 @@ func (b *BatchInstance) Get(name string, lane int) (logic.Vector, error) {
 	if !ok {
 		return logic.Vector{}, fmt.Errorf("read of unknown signal %q", name)
 	}
-	return b.vals[slot*b.n+lane], nil
+	return b.GetSlot(slot, lane), nil
 }
 
 // GetSlot reads one lane of a slot resolved with the base design's
 // SlotOf, so hot read loops (one read per output per lane per step)
 // skip the name lookup.
 func (b *BatchInstance) GetSlot(slot, lane int) logic.Vector {
-	return b.vals[slot*b.n+lane]
+	d := b.prog.base
+	if wi := d.wideOf[slot]; wi >= 0 {
+		return b.wide[int(wi)*b.n+lane]
+	}
+	i := slot*b.n + lane
+	return logic.FromWord(d.slotWidths[slot], b.wa[i], b.wb[i])
+}
+
+// SlotWord reads one lane of a slot as GetSlot does, as the aval/bval
+// words of its value; ok is false for a slot wider than 64 bits, which
+// only GetSlot reads.
+func (b *BatchInstance) SlotWord(slot, lane int) (a, bv uint64, ok bool) {
+	if b.prog.base.wideOf[slot] >= 0 {
+		return 0, 0, false
+	}
+	i := slot*b.n + lane
+	return b.wa[i], b.wb[i], true
 }
 
 // SetInput drives a top-level input on every active lane and
@@ -526,11 +576,23 @@ func (b *BatchInstance) writeInput(name string, v logic.Vector) error {
 	if p == nil || p.Dir == Out {
 		return fmt.Errorf("sim: %q is not an input port", name)
 	}
-	slot := b.prog.base.slotOf[name]
-	w := resolvedWrite{slot: int32(slot), val: v.Resize(p.Width), whole: true}
+	slot := int32(b.prog.base.slotOf[name])
+	if p.Width > wordBits {
+		w := resolvedWrite{slot: slot, val: v.Resize(p.Width), whole: true}
+		for lane := int32(0); lane < int32(b.n); lane++ {
+			if b.active[lane] {
+				b.applyWrite(lane, w)
+			}
+		}
+		return nil
+	}
+	// v.Resize(p.Width) is v's low word under the port's mask.
+	m := logic.Mask(p.Width)
+	va, vb := v.LowWord()
+	va, vb = va&m, vb&m
 	for lane := int32(0); lane < int32(b.n); lane++ {
 		if b.active[lane] {
-			b.applyWrite(lane, w)
+			b.writeWord(lane, slot, va, vb)
 		}
 	}
 	return nil
@@ -605,8 +667,19 @@ func (b *BatchInstance) markDirty(lane, slot int32) {
 
 // applyWrite mirrors Instance.applyWrite for one lane.
 func (b *BatchInstance) applyWrite(lane int32, w resolvedWrite) {
-	i := int(w.slot)*b.n + int(lane)
-	cur := b.vals[i]
+	wi := b.prog.base.wideOf[w.slot]
+	if wi < 0 {
+		va, vb := w.val.LowWord()
+		if w.whole {
+			b.writeWord(lane, w.slot, va, vb)
+		} else {
+			m := logic.Mask(w.hi - w.lo + 1)
+			b.writeSpan(lane, w.slot, w.hi, w.lo, va&m, vb&m)
+		}
+		return
+	}
+	i := int(wi)*b.n + int(lane)
+	cur := b.wide[i]
 	var next logic.Vector
 	if w.whole {
 		next = w.val
@@ -615,10 +688,31 @@ func (b *BatchInstance) applyWrite(lane int32, w resolvedWrite) {
 		next.SetSlice(w.hi, w.lo, w.val)
 	}
 	if !next.Equal(cur) {
-		b.vals[i] = next
+		b.wide[i] = next
 		b.markDirty(lane, w.slot)
 	}
 }
+
+// writeWord is a whole write of a narrow slot: va and vb are the new
+// value's planes, already cut to the slot's width.
+func (b *BatchInstance) writeWord(lane, slot int32, va, vb uint64) {
+	i := int(slot)*b.n + int(lane)
+	if b.wa[i] != va || b.wb[i] != vb {
+		b.wa[i], b.wb[i] = va, vb
+		b.markDirty(lane, slot)
+	}
+}
+
+// writeSpan writes bits [hi:lo] of a narrow slot, a span within the
+// slot; va and vb are the (hi-lo+1)-bit value's planes.
+func (b *BatchInstance) writeSpan(lane, slot int32, hi, lo int, va, vb uint64) {
+	i := int(slot)*b.n + int(lane)
+	m := logic.Mask(hi-lo+1) << uint(lo)
+	b.writeWord(lane, slot, b.wa[i]&^m|va<<uint(lo), b.wb[i]&^m|vb<<uint(lo))
+}
+
+// bit0 is bit 0 of a value given as its planes (logic.Vector.Bit(0)).
+func bit0(a, b uint64) logic.Bit { return logic.Bit(a&1 | (b&1)<<1) }
 
 // laneState is one lane of a BatchInstance as interpreter state: a body
 // the batch compiler leaves to the interpreter's rules runs exec on it,
@@ -787,16 +881,27 @@ func (b *BatchInstance) fireEdgesLane(lane int32) bool {
 	changed := false
 	for i, slot := range d.edgeSlots {
 		pi := i*n + int(lane)
-		prev, now := b.prev[pi], b.vals[int(slot)*n+int(lane)]
-		if prev.Equal(now) {
-			b.edgeChg[i] = false
-			continue
+		var pb, nb logic.Bit
+		if wi := d.wideOf[slot]; wi >= 0 {
+			prev, now := b.prevWide[pi], b.wide[int(wi)*n+int(lane)]
+			if prev.Equal(now) {
+				b.edgeChg[i] = false
+				continue
+			}
+			pb, nb = prev.Bit(0), now.Bit(0)
+			b.prevWide[pi] = now
+		} else {
+			si := int(slot)*n + int(lane)
+			if b.pa[pi] == b.wa[si] && b.pb[pi] == b.wb[si] {
+				b.edgeChg[i] = false
+				continue
+			}
+			pb, nb = bit0(b.pa[pi], b.pb[pi]), bit0(b.wa[si], b.wb[si])
+			b.pa[pi], b.pb[pi] = b.wa[si], b.wb[si]
 		}
-		pb, nb := prev.Bit(0), now.Bit(0)
 		b.edgeChg[i] = true
 		b.edgePos[i] = isPosedge(pb, nb)
 		b.edgeNeg[i] = isNegedge(pb, nb)
-		b.prev[pi] = now
 		changed = true
 	}
 	if !changed {

@@ -1,14 +1,24 @@
 package sim
 
-// Per-lane compilation for the SoA batch engine.
+// Per-lane compilation for the batch engine.
 //
 // Process bodies compile into closures that take a (BatchInstance,
-// lane) pair and read and write the flat [slot][lane] state block.
-// Every case mirrors the corresponding verilog.Eval/exec case of the
-// interpreter exactly — same width contexts (the shared
+// lane) pair and read and write the [slot*n + lane] state block.
+// Expressions compile to one of two closure kinds, chosen by their
+// static width: an expression at most 64 bits wide — nearly all of
+// them — to a word closure (wExpr) returning its value's aval/bval
+// words, read straight from the uint64 planes and combined by the word
+// kernels of the operator table (logic.BinaryOp and logic.UnaryOp's
+// word column, the same kernels the logic.Vector operators call on
+// their narrow branch); a wider one to a Vector closure (bExpr). A
+// narrow node over a wide operand, or a wide node over a narrow one,
+// converts at that edge (cexpr.word, cexpr.vec). Assignment targets
+// split the same way by their slot's width (wLV, vLV). Zero extension
+// of a normalized word is the word itself, so a word closure needs no
+// resize. Every case mirrors the corresponding verilog.Eval/exec case
+// of the interpreter exactly — same width contexts (the shared
 // verilog.SelfWidth/LHSWidth, folded at compile time over a
-// verilog.ConstEnv, compile.go), the same operator table (logic.BinaryOp and
-// logic.UnaryOp, resolved here once at compile time), same
+// verilog.ConstEnv, compile.go), the same operator rules, same
 // X-propagation, same no-op rules for unknown indices and bounds — so
 // a batch lane is bit-identical to an interpreter Instance running the
 // same design (TestBatchDifferentialMicro, FuzzBatchLaneMatchesInterp
@@ -33,15 +43,147 @@ import (
 // bStmt executes a statement for one lane of a batch instance.
 type bStmt func(b *BatchInstance, lane int32) error
 
-// bExpr evaluates an expression for one lane; it cannot fail at
-// runtime (everything fallible is resolved at compile time).
+// wExpr evaluates an expression at most 64 bits wide for one lane, as
+// the aval/bval words of its value, zero above its width. Like bExpr it
+// cannot fail at run time.
+type wExpr func(b *BatchInstance, lane int32) (va, vb uint64)
+
+// bExpr evaluates an expression wider than 64 bits for one lane; it
+// cannot fail at runtime (everything fallible is resolved at compile
+// time).
 type bExpr func(b *BatchInstance, lane int32) logic.Vector
 
-// bLV applies an already-evaluated RHS value to an lvalue for one
-// lane, writing through (blocking) or queueing on the lane's NBA list.
-type bLV func(b *BatchInstance, lane int32, val logic.Vector, nb bool)
+// cexpr is a compiled expression of the given width: a word closure
+// when the width is at most 64, else a Vector closure.
+type cexpr struct {
+	w     wExpr
+	v     bExpr
+	width int
+}
+
+// word returns c as a word closure; a Vector closure is read through
+// its low word, which is the whole value or, for a consumer that cuts
+// it to 64 bits or fewer, the part that consumer keeps.
+func (c cexpr) word() wExpr {
+	if c.w != nil {
+		return c.w
+	}
+	v := c.v
+	return func(b *BatchInstance, lane int32) (uint64, uint64) { return v(b, lane).LowWord() }
+}
+
+// vec returns c as a Vector closure.
+func (c cexpr) vec() bExpr {
+	if c.v != nil {
+		return c.v
+	}
+	w, width := c.w, c.width
+	return func(b *BatchInstance, lane int32) logic.Vector {
+		va, vb := w(b, lane)
+		return logic.FromWord(width, va, vb)
+	}
+}
+
+// truth returns a closure giving c's logic.Truth.
+func (c cexpr) truth() func(b *BatchInstance, lane int32) logic.Bit {
+	if w := c.w; w != nil {
+		return func(b *BatchInstance, lane int32) logic.Bit { return logic.TruthWord(w(b, lane)) }
+	}
+	v := c.v
+	return func(b *BatchInstance, lane int32) logic.Bit { return logic.Truth(v(b, lane)) }
+}
+
+// uint64 returns a closure giving c's value as Vector.Uint64 does.
+func (c cexpr) uint64() func(b *BatchInstance, lane int32) (uint64, bool) {
+	if w := c.w; w != nil {
+		return func(b *BatchInstance, lane int32) (uint64, bool) {
+			va, vb := w(b, lane)
+			return va, vb == 0
+		}
+	}
+	v := c.v
+	return func(b *BatchInstance, lane int32) (uint64, bool) { return v(b, lane).Uint64() }
+}
+
+// wordOf makes the cexpr of a word closure yielding a natural-bit value
+// at width want >= natural: zero extension leaves the words as they
+// are, and past 64 bits the Vector form is resized.
+func wordOf(f wExpr, natural, want int) cexpr {
+	if want <= wordBits {
+		return cexpr{w: f, width: want}
+	}
+	return vecOf(cexpr{w: f, width: natural}.vec(), natural, want)
+}
+
+// vecOf makes the cexpr of a Vector closure yielding a natural-bit
+// value at width want >= natural.
+func vecOf(f bExpr, natural, want int) cexpr {
+	if want <= wordBits {
+		return cexpr{w: cexpr{v: f}.word(), width: want}
+	}
+	if natural != want {
+		g := f
+		f = func(b *BatchInstance, lane int32) logic.Vector { return g(b, lane).Resize(want) }
+	}
+	return cexpr{v: f, width: want}
+}
+
+// constOf is the cexpr of a constant.
+func constOf(v logic.Vector) cexpr {
+	if v.Width() <= wordBits {
+		va, vb := v.LowWord()
+		return cexpr{w: func(*BatchInstance, int32) (uint64, uint64) { return va, vb }, width: v.Width()}
+	}
+	return cexpr{v: func(*BatchInstance, int32) logic.Vector { return v }, width: v.Width()}
+}
+
+// wordBits is the widest value a word closure or a plane slot holds.
+const wordBits = 64
+
+// wLV applies an already-evaluated RHS value, given as words, to an
+// lvalue whose target slot is at most 64 bits wide, for one lane,
+// writing through (blocking) or queueing on the lane's NBA list. It
+// cuts the value to the target's width itself, so bits above it may be
+// anything.
+type wLV func(b *BatchInstance, lane int32, va, vb uint64, nb bool)
+
+// vLV is the same for a target wider than 64 bits, given a Vector.
+type vLV func(b *BatchInstance, lane int32, val logic.Vector, nb bool)
+
+// clv is a compiled lvalue: exactly one of w and v is set.
+type clv struct {
+	w wLV
+	v vLV
+}
+
+// vec returns l as a vLV.
+func (l clv) vec() vLV {
+	if l.v != nil {
+		return l.v
+	}
+	w := l.w
+	return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
+		va, vb := val.LowWord()
+		w(b, lane, va, vb, nb)
+	}
+}
+
+// word returns l as a wLV for values of width bits (at most 64).
+func (l clv) word(width int) wLV {
+	if l.w != nil {
+		return l.w
+	}
+	v, m := l.v, logic.Mask(width)
+	return func(b *BatchInstance, lane int32, va, vb uint64, nb bool) {
+		v(b, lane, logic.FromWord(width, va&m, vb&m), nb)
+	}
+}
 
 var bNoop bStmt = func(b *BatchInstance, lane int32) error { return nil }
+
+// lvNoop is the target of a write that never lands: a part-select with
+// unknown bounds or wholly out of range.
+var lvNoop wLV = func(*BatchInstance, int32, uint64, uint64, bool) {}
 
 // batchCompiler compiles process bodies into per-lane closures against
 // one base design. env folds the interpreter's width rules and constant
@@ -53,290 +195,393 @@ type batchCompiler struct {
 	env verilog.Env
 }
 
-// expr compiles e under context width ctx. The returned closure always
-// yields a vector of width max(ctx, verilog.SelfWidth(e)), exactly as
-// verilog.Eval does.
-func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (bExpr, int, error) {
+// expr compiles e under context width ctx. The compiled closure always
+// yields a value of width max(ctx, verilog.SelfWidth(e)), exactly as
+// verilog.Eval does: a word closure when that width is at most 64, a
+// Vector closure otherwise. A node narrow enough for a word closure
+// whose operand is wider runs the Vector kernel on that operand and
+// reads the result's low word.
+func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (cexpr, error) {
 	self, static := verilog.SelfWidth(e, bc.env)
 	if !static {
-		return nil, 0, errDynamic
+		return cexpr{}, errDynamic
 	}
-	want := self
-	if ctx > want {
-		want = ctx
-	}
+	want := max(self, ctx)
 	switch x := e.(type) {
 	case *verilog.Number:
-		v := x.Val.Resize(want)
-		return func(b *BatchInstance, lane int32) logic.Vector { return v }, want, nil
+		return constOf(x.Val.Resize(want)), nil
 
 	case *verilog.StringLit:
-		return nil, 0, errDynamic
+		return cexpr{}, errDynamic
 
 	case *verilog.Ident:
 		slot, ok := bc.d.slotOf[x.Name]
 		if !ok {
-			return nil, 0, errDynamic
+			return cexpr{}, errDynamic
 		}
-		s := int32(slot)
-		if bc.d.slotWidths[slot] == want {
-			return func(b *BatchInstance, lane int32) logic.Vector {
-				return b.vals[int(s)*b.n+int(lane)]
-			}, want, nil
+		s, sw := int32(slot), bc.d.slotWidths[slot]
+		if wi := bc.d.wideOf[slot]; wi >= 0 {
+			return vecOf(func(b *BatchInstance, lane int32) logic.Vector {
+				return b.wide[int(wi)*b.n+int(lane)]
+			}, sw, want), nil
 		}
-		return func(b *BatchInstance, lane int32) logic.Vector {
-			return b.vals[int(s)*b.n+int(lane)].Resize(want)
-		}, want, nil
+		return wordOf(func(b *BatchInstance, lane int32) (uint64, uint64) {
+			i := int(s)*b.n + int(lane)
+			return b.wa[i], b.wb[i]
+		}, sw, want), nil
 
 	case *verilog.Unary:
-		fn, sz, ok := logic.UnaryOp(x.Op)
+		fn, wfn, sz, ok := logic.UnaryOp(x.Op)
 		if !ok {
-			return nil, 0, errDynamic
+			return cexpr{}, errDynamic
 		}
 		operand, _ := sz.Operands(want)
-		v, _, err := bc.expr(x.X, operand)
+		c, err := bc.expr(x.X, operand)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
-		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector { return fn(v(b, lane)) }, sz.Result(want), want), want, nil
+		rw := sz.Result(want)
+		if c.w != nil && want <= wordBits {
+			v, ow := c.w, c.width
+			return cexpr{w: func(b *BatchInstance, lane int32) (uint64, uint64) {
+				va, vb := v(b, lane)
+				return wfn(ow, va, vb)
+			}, width: want}, nil
+		}
+		v := c.vec()
+		return vecOf(func(b *BatchInstance, lane int32) logic.Vector { return fn(v(b, lane)) }, rw, want), nil
 
 	case *verilog.Binary:
-		fn, sz, ok := logic.BinaryOp(x.Op)
+		fn, wfn, sz, ok := logic.BinaryOp(x.Op)
 		if !ok {
-			return nil, 0, errDynamic
+			return cexpr{}, errDynamic
 		}
 		lctx, rctx := sz.Operands(want)
-		l, _, err := bc.expr(x.X, lctx)
+		l, err := bc.expr(x.X, lctx)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
-		r, _, err := bc.expr(x.Y, rctx)
+		r, err := bc.expr(x.Y, rctx)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
-		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector { return fn(l(b, lane), r(b, lane)) }, sz.Result(want), want), want, nil
+		rw := sz.Result(want)
+		if l.w != nil && r.w != nil && want <= wordBits {
+			kw := l.width // the width the kernel computes at (logic.WordBinary)
+			if sz == logic.SizeSelf {
+				kw = max(l.width, r.width)
+			}
+			return cexpr{w: binaryWord(wfn, kw, l.w, r.w), width: want}, nil
+		}
+		lv, rv := l.vec(), r.vec()
+		return vecOf(func(b *BatchInstance, lane int32) logic.Vector { return fn(lv(b, lane), rv(b, lane)) }, rw, want), nil
 
 	case *verilog.Ternary:
-		cond, _, err := bc.expr(x.Cond, 0)
+		cond, err := bc.expr(x.Cond, 0)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
-		th, _, err := bc.expr(x.Then, want)
+		th, err := bc.expr(x.Then, want)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
-		el, _, err := bc.expr(x.Else, want)
+		el, err := bc.expr(x.Else, want)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
-		return func(b *BatchInstance, lane int32) logic.Vector {
-			return logic.Mux(cond(b, lane), th(b, lane), el(b, lane))
-		}, want, nil
+		truth := cond.truth()
+		if want <= wordBits {
+			tw, ew := th.w, el.w
+			return cexpr{w: func(b *BatchInstance, lane int32) (uint64, uint64) {
+				switch t := truth(b, lane); t {
+				case logic.L1:
+					return tw(b, lane)
+				case logic.L0:
+					return ew(b, lane)
+				default:
+					ta, tb := tw(b, lane)
+					ea, eb := ew(b, lane)
+					return logic.MuxWord(want, t, ta, tb, ea, eb)
+				}
+			}, width: want}, nil
+		}
+		c, tv, ev := cond.vec(), th.vec(), el.vec()
+		return cexpr{v: func(b *BatchInstance, lane int32) logic.Vector {
+			return logic.Mux(c(b, lane), tv(b, lane), ev(b, lane))
+		}, width: want}, nil
 
 	case *verilog.Concat:
-		parts := make([]bExpr, len(x.Parts))
+		parts := make([]cexpr, len(x.Parts))
 		for i, p := range x.Parts {
-			pc, _, err := bc.expr(p, 0)
+			pc, err := bc.expr(p, 0)
 			if err != nil {
-				return nil, 0, err
+				return cexpr{}, err
 			}
 			parts[i] = pc
 		}
 		total := self
-		if total <= 64 && len(parts) > 0 {
-			// Every prefix fits one word, so fold pairwise: Concat's
-			// operands then live on the stack and nothing is allocated.
-			return bc.resized(func(b *BatchInstance, lane int32) logic.Vector {
-				r := parts[0](b, lane)
-				for _, pc := range parts[1:] {
-					r = logic.Concat(r, pc(b, lane))
-				}
-				return r
-			}, total, want), want, nil
-		}
-		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector {
-			vals := make([]logic.Vector, len(parts))
+		if total <= wordBits && len(parts) > 0 {
+			// Every part is a word: shift each in below the ones before.
+			ws := make([]wExpr, len(parts))
+			shifts := make([]uint, len(parts))
 			for i, pc := range parts {
-				vals[i] = pc(b, lane)
+				ws[i], shifts[i] = pc.w, uint(pc.width)
+			}
+			return wordOf(func(b *BatchInstance, lane int32) (uint64, uint64) {
+				var ra, rb uint64
+				for i, pw := range ws {
+					va, vb := pw(b, lane)
+					ra, rb = ra<<shifts[i]|va, rb<<shifts[i]|vb
+				}
+				return ra, rb
+			}, total, want), nil
+		}
+		vs := make([]bExpr, len(parts))
+		for i, pc := range parts {
+			vs[i] = pc.vec()
+		}
+		return vecOf(func(b *BatchInstance, lane int32) logic.Vector {
+			vals := make([]logic.Vector, len(vs))
+			for i, pv := range vs {
+				vals[i] = pv(b, lane)
 			}
 			return logic.Concat(vals...)
-		}, total, want), want, nil
+		}, total, want), nil
 
 	case *verilog.Repl:
 		nV, err := verilog.Eval(x.Count, bc.env, 0)
 		if err != nil {
-			return nil, 0, errDynamic
+			return cexpr{}, errDynamic
 		}
-		v, vw, err := bc.expr(x.Value, 0)
+		c, err := bc.expr(x.Value, 0)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
-		n, err := verilog.ReplCount(nV, vw)
+		n, err := verilog.ReplCount(nV, c.width)
 		if err != nil {
-			return nil, 0, errDynamic // verilog.Eval reports it
+			return cexpr{}, errDynamic // verilog.Eval reports it
 		}
-		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector {
+		if vw := c.width; n*vw <= wordBits {
+			v := c.w
+			return wordOf(func(b *BatchInstance, lane int32) (uint64, uint64) {
+				va, vb := v(b, lane)
+				return logic.ReplicateWord(n, vw, va, vb)
+			}, n*vw, want), nil
+		}
+		v := c.vec()
+		return vecOf(func(b *BatchInstance, lane int32) logic.Vector {
 			return logic.Replicate(n, v(b, lane))
-		}, n*vw, want), want, nil
+		}, n*c.width, want), nil
 
 	case *verilog.Index:
-		base, _, err := bc.expr(x.X, 0)
+		base, err := bc.expr(x.X, 0)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
-		idx, _, err := bc.expr(x.Index, 0)
+		idx, err := bc.expr(x.Index, 0)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
-		xext := logic.AllX(1).Resize(want)
-		return func(b *BatchInstance, lane int32) logic.Vector {
-			bv := base(b, lane)
-			iv, ok := idx(b, lane).Uint64()
-			if !ok || iv >= uint64(bv.Width()) {
-				return xext
+		iv, bw := idx.uint64(), uint64(base.width)
+		// An unknown or out-of-range index reads 1'bx.
+		if bs := base.w; bs != nil {
+			return wordOf(func(b *BatchInstance, lane int32) (uint64, uint64) {
+				i, ok := iv(b, lane)
+				if !ok || i >= bw {
+					return 1, 1
+				}
+				va, vb := bs(b, lane)
+				return va >> i & 1, vb >> i & 1
+			}, 1, want), nil
+		}
+		bv := base.v
+		return wordOf(func(b *BatchInstance, lane int32) (uint64, uint64) {
+			i, ok := iv(b, lane)
+			if !ok || i >= bw {
+				return 1, 1
 			}
-			r := logic.Slice(bv, int(iv), int(iv))
-			if want != 1 {
-				r = r.Resize(want)
-			}
-			return r
-		}, want, nil
+			bit := uint64(bv(b, lane).Bit(int(i)))
+			return bit & 1, bit >> 1
+		}, 1, want), nil
 
 	case *verilog.PartSelect:
-		base, bw, err := bc.expr(x.X, 0)
+		base, err := bc.expr(x.X, 0)
 		if err != nil {
-			return nil, 0, err
+			return cexpr{}, err
 		}
+		bw := base.width
 		hiV, errHi := verilog.Eval(x.MSB, bc.env, 0)
 		loV, errLo := verilog.Eval(x.LSB, bc.env, 0)
 		if errHi != nil || errLo != nil {
-			return nil, 0, errDynamic
+			return cexpr{}, errDynamic
 		}
 		msb, ok1 := hiV.Uint64()
 		lsb, ok2 := loV.Uint64()
 		if !ok1 || !ok2 {
-			allx := logic.AllX(want)
-			return func(b *BatchInstance, lane int32) logic.Vector { return allx }, want, nil
+			return constOf(logic.AllX(want)), nil
 		}
 		hi, lo, err := verilog.SelectSpan(msb, lsb)
 		if err != nil {
-			return nil, 0, errDynamic // verilog.Eval reports it
+			return cexpr{}, errDynamic // verilog.Eval reports it
 		}
 		// verilog.SelectBits's two cases, told apart here by base's static width.
 		if lo >= uint64(bw) {
-			v := verilog.SelectBits(logic.New(bw), hi, lo).Resize(want)
-			return func(b *BatchInstance, lane int32) logic.Vector { return v }, want, nil
+			return constOf(verilog.SelectBits(logic.New(bw), hi, lo).Resize(want)), nil
 		}
 		h, l := int(hi), int(lo)
-		return bc.resized(func(b *BatchInstance, lane int32) logic.Vector {
-			return logic.Slice(base(b, lane), h, l)
-		}, self, want), want, nil
+		if bs := base.w; bs != nil && self <= wordBits {
+			return wordOf(func(b *BatchInstance, lane int32) (uint64, uint64) {
+				va, vb := bs(b, lane)
+				return logic.SliceWord(bw, va, vb, h, l)
+			}, self, want), nil
+		}
+		bv := base.vec()
+		return vecOf(func(b *BatchInstance, lane int32) logic.Vector {
+			return logic.Slice(bv(b, lane), h, l)
+		}, self, want), nil
 
 	default:
-		return nil, 0, errDynamic
+		return cexpr{}, errDynamic
 	}
 }
 
-func (bc *batchCompiler) resized(f bExpr, natural, want int) bExpr {
-	if natural == want {
-		return f
+// binaryWord is the word closure of a binary operator whose operands
+// are word closures, computing at kernel width kw.
+func binaryWord(f logic.WordBinary, kw int, l, r wExpr) wExpr {
+	return func(b *BatchInstance, lane int32) (uint64, uint64) {
+		xa, xb := l(b, lane)
+		ya, yb := r(b, lane)
+		return f(kw, xa, xb, ya, yb)
 	}
-	return func(b *BatchInstance, lane int32) logic.Vector { return f(b, lane).Resize(want) }
+}
+
+// write performs w on a lane, or with nb queues it on the lane's NBA
+// list.
+func (b *BatchInstance) write(lane int32, w resolvedWrite, nb bool) {
+	if nb {
+		b.nba[lane] = append(b.nba[lane], w)
+	} else {
+		b.applyWrite(lane, w)
+	}
 }
 
 // lvalue compiles an assignment target. The spans and clamping
-// mirror resolveLValue.
-func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
+// mirror resolveLValue. A target in a slot at most 64 bits wide takes
+// words (wLV), one in a wider slot a Vector (vLV); a concatenation
+// takes words when its total width is at most 64.
+func (bc *batchCompiler) lvalue(lhs verilog.Expr) (clv, error) {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
 		slot, ok := bc.d.slotOf[x.Name]
 		if !ok {
-			return nil, errDynamic
+			return clv{}, errDynamic
 		}
 		width := bc.d.slotWidths[slot]
 		s := int32(slot)
-		return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
-			w := resolvedWrite{slot: s, val: val.Resize(width), whole: true}
+		if bc.d.wideOf[slot] >= 0 {
+			return clv{v: func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
+				b.write(lane, resolvedWrite{slot: s, val: val.Resize(width), whole: true}, nb)
+			}}, nil
+		}
+		m := logic.Mask(width)
+		return clv{w: func(b *BatchInstance, lane int32, va, vb uint64, nb bool) {
+			va, vb = va&m, vb&m
 			if nb {
-				b.nba[lane] = append(b.nba[lane], w)
+				b.write(lane, resolvedWrite{slot: s, val: logic.FromWord(width, va, vb), whole: true}, true)
 			} else {
-				b.applyWrite(lane, w)
+				b.writeWord(lane, s, va, vb)
 			}
-		}, nil
+		}}, nil
 
 	case *verilog.Index:
 		id, ok := x.X.(*verilog.Ident)
 		if !ok {
-			return nil, errDynamic
+			return clv{}, errDynamic
 		}
 		slot, ok2 := bc.d.slotOf[id.Name]
 		if !ok2 {
-			return nil, errDynamic
+			return clv{}, errDynamic
 		}
-		width := bc.d.slotWidths[slot]
-		idx, _, err := bc.expr(x.Index, 0)
+		width := uint64(bc.d.slotWidths[slot])
+		idx, err := bc.expr(x.Index, 0)
 		if err != nil {
-			return nil, err
+			return clv{}, err
 		}
+		iv := idx.uint64()
 		s := int32(slot)
-		return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
-			iv, ok := idx(b, lane).Uint64()
-			if !ok || iv >= uint64(width) {
-				return // write through unknown/out-of-range index: no-op
+		// A write through an unknown or out-of-range index is a no-op.
+		if bc.d.wideOf[slot] >= 0 {
+			return clv{v: func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
+				i, ok := iv(b, lane)
+				if !ok || i >= width {
+					return
+				}
+				b.write(lane, resolvedWrite{slot: s, hi: int(i), lo: int(i), val: val.Resize(1)}, nb)
+			}}, nil
+		}
+		return clv{w: func(b *BatchInstance, lane int32, va, vb uint64, nb bool) {
+			i, ok := iv(b, lane)
+			if !ok || i >= width {
+				return
 			}
-			w := resolvedWrite{slot: s, hi: int(iv), lo: int(iv), val: val.Resize(1)}
 			if nb {
-				b.nba[lane] = append(b.nba[lane], w)
+				b.write(lane, resolvedWrite{slot: s, hi: int(i), lo: int(i), val: logic.FromWord(1, va&1, vb&1)}, true)
 			} else {
-				b.applyWrite(lane, w)
+				b.writeSpan(lane, s, int(i), int(i), va&1, vb&1)
 			}
-		}, nil
+		}}, nil
 
 	case *verilog.PartSelect:
 		id, ok := x.X.(*verilog.Ident)
 		if !ok {
-			return nil, errDynamic
+			return clv{}, errDynamic
 		}
 		slot, ok2 := bc.d.slotOf[id.Name]
 		if !ok2 {
-			return nil, errDynamic
+			return clv{}, errDynamic
 		}
 		width := bc.d.slotWidths[slot]
 		hiV, errHi := verilog.Eval(x.MSB, bc.env, 0)
 		loV, errLo := verilog.Eval(x.LSB, bc.env, 0)
 		if errHi != nil || errLo != nil {
-			return nil, errDynamic
+			return clv{}, errDynamic
 		}
 		msb, ok3 := hiV.Uint64()
 		lsb, ok4 := loV.Uint64()
 		if !ok3 || !ok4 {
-			return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {}, nil
+			return clv{w: lvNoop}, nil
 		}
 		hi, lo, err := verilog.SelectSpan(msb, lsb)
 		if err != nil {
-			return nil, errDynamic // resolveLValue reports it
+			return clv{}, errDynamic // resolveLValue reports it
 		}
 		h, l, inRange := verilog.WriteSpan(hi, lo, width)
 		if !inRange {
-			return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {}, nil
+			return clv{w: lvNoop}, nil
 		}
 		s, span := int32(slot), h-l+1
-		return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
-			w := resolvedWrite{slot: s, hi: h, lo: l, val: val.Resize(span)}
+		if bc.d.wideOf[slot] >= 0 {
+			return clv{v: func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
+				b.write(lane, resolvedWrite{slot: s, hi: h, lo: l, val: val.Resize(span)}, nb)
+			}}, nil
+		}
+		m := logic.Mask(span)
+		return clv{w: func(b *BatchInstance, lane int32, va, vb uint64, nb bool) {
+			va, vb = va&m, vb&m
 			if nb {
-				b.nba[lane] = append(b.nba[lane], w)
+				b.write(lane, resolvedWrite{slot: s, hi: h, lo: l, val: logic.FromWord(span, va, vb)}, true)
 			} else {
-				b.applyWrite(lane, w)
+				b.writeSpan(lane, s, h, l, va, vb)
 			}
-		}, nil
+		}}, nil
 
 	case *verilog.Concat:
 		total, static := verilog.LHSWidth(lhs, bc.env)
 		if !static {
-			return nil, errDynamic
+			return clv{}, errDynamic
 		}
 		type part struct {
-			lv     bLV
+			lv     clv
 			hi, lo int
 		}
 		parts := make([]part, 0, len(x.Parts))
@@ -346,19 +591,43 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (bLV, error) {
 			offset -= w
 			lv, err := bc.lvalue(p)
 			if err != nil {
-				return nil, err
+				return clv{}, err
 			}
 			parts = append(parts, part{lv: lv, hi: offset + w - 1, lo: offset})
 		}
-		return func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
-			vt := val.Resize(total)
-			for _, p := range parts {
-				p.lv(b, lane, logic.Slice(vt, p.hi, p.lo), nb)
+		if total <= wordBits {
+			type wpart struct {
+				lv    wLV
+				lo    uint
+				width int
 			}
-		}, nil
+			wparts := make([]wpart, len(parts))
+			for i, p := range parts {
+				pw := p.hi - p.lo + 1
+				wparts[i] = wpart{lv: p.lv.word(pw), lo: uint(p.lo), width: pw}
+			}
+			m := logic.Mask(total)
+			return clv{w: func(b *BatchInstance, lane int32, va, vb uint64, nb bool) {
+				va, vb = va&m, vb&m
+				for _, p := range wparts {
+					pm := logic.Mask(p.width)
+					p.lv(b, lane, va>>p.lo&pm, vb>>p.lo&pm, nb)
+				}
+			}}, nil
+		}
+		vparts := make([]vLV, len(parts))
+		for i, p := range parts {
+			vparts[i] = p.lv.vec()
+		}
+		return clv{v: func(b *BatchInstance, lane int32, val logic.Vector, nb bool) {
+			vt := val.Resize(total)
+			for i, p := range parts {
+				vparts[i](b, lane, logic.Slice(vt, p.hi, p.lo), nb)
+			}
+		}}, nil
 
 	default:
-		return nil, errDynamic
+		return clv{}, errDynamic
 	}
 }
 
@@ -400,7 +669,7 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 		if !static {
 			return nil, errDynamic
 		}
-		rhs, _, err := bc.expr(x.RHS, ctx)
+		rhs, err := bc.expr(x.RHS, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -409,13 +678,22 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 			return nil, err
 		}
 		nb := x.NonBlocking
+		if lw := lv.w; lw != nil {
+			rw := rhs.word()
+			return func(b *BatchInstance, lane int32) error {
+				va, vb := rw(b, lane)
+				lw(b, lane, va, vb, nb)
+				return nil
+			}, nil
+		}
+		lvv, rv := lv.v, rhs.vec()
 		return func(b *BatchInstance, lane int32) error {
-			lv(b, lane, rhs(b, lane), nb)
+			lvv(b, lane, rv(b, lane), nb)
 			return nil
 		}, nil
 
 	case *verilog.If:
-		cond, _, err := bc.expr(x.Cond, 0)
+		cond, err := bc.expr(x.Cond, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -430,8 +708,9 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 				return nil, err
 			}
 		}
+		truth := cond.truth()
 		return func(b *BatchInstance, lane int32) error {
-			if logic.Truth(cond(b, lane)) == logic.L1 {
+			if truth(b, lane) == logic.L1 {
 				return th(b, lane)
 			}
 			if el != nil {
@@ -441,16 +720,17 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 		}, nil
 
 	case *verilog.Case:
-		sel, _, err := bc.expr(x.Expr, 0)
+		sel, err := bc.expr(x.Expr, 0)
 		if err != nil {
 			return nil, err
 		}
 		type caseArm struct {
-			exprs []bExpr
-			body  bStmt
+			labels []cexpr
+			body   bStmt
 		}
 		var arms []caseArm
 		var deflt bStmt
+		words := sel.w != nil // every label and the selector are words
 		for _, item := range x.Items {
 			body, err := bc.stmt(item.Body)
 			if err != nil {
@@ -462,20 +742,43 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 			}
 			arm := caseArm{body: body}
 			for _, e := range item.Exprs {
-				ce, _, err := bc.expr(e, 0)
+				ce, err := bc.expr(e, 0)
 				if err != nil {
 					return nil, err
 				}
-				arm.exprs = append(arm.exprs, ce)
+				words = words && ce.w != nil
+				arm.labels = append(arm.labels, ce)
 			}
 			arms = append(arms, arm)
 		}
-		match := verilog.CaseMatch(x.Kind)
+		if words {
+			sw, match := sel.w, verilog.CaseMatchWord(x.Kind)
+			return func(b *BatchInstance, lane int32) error {
+				sa, sb := sw(b, lane)
+				for _, arm := range arms {
+					for _, le := range arm.labels {
+						if la, lb := le.w(b, lane); match(sa, sb, la, lb) {
+							return arm.body(b, lane)
+						}
+					}
+				}
+				if deflt != nil {
+					return deflt(b, lane)
+				}
+				return nil
+			}, nil
+		}
+		for _, arm := range arms {
+			for i, le := range arm.labels {
+				arm.labels[i] = cexpr{v: le.vec(), width: le.width}
+			}
+		}
+		sv, match := sel.vec(), verilog.CaseMatch(x.Kind)
 		return func(b *BatchInstance, lane int32) error {
-			sv := sel(b, lane)
+			s := sv(b, lane)
 			for _, arm := range arms {
-				for _, le := range arm.exprs {
-					if match(sv, le(b, lane)) {
+				for _, le := range arm.labels {
+					if match(s, le.v(b, lane)) {
 						return arm.body(b, lane)
 					}
 				}
@@ -491,10 +794,11 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		cond, _, err := bc.expr(x.Cond, 0)
+		c, err := bc.expr(x.Cond, 0)
 		if err != nil {
 			return nil, err
 		}
+		cond := c.truth()
 		step, err := bc.stmt(x.Step)
 		if err != nil {
 			return nil, err
@@ -511,7 +815,7 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 				if iter > maxLoopIterations {
 					return fmt.Errorf("for loop exceeded %d iterations", maxLoopIterations)
 				}
-				if logic.Truth(cond(b, lane)) != logic.L1 {
+				if cond(b, lane) != logic.L1 {
 					return nil
 				}
 				if err := body(b, lane); err != nil {
@@ -524,16 +828,17 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 		}, nil
 
 	case *verilog.Repeat:
-		cnt, _, err := bc.expr(x.Count, 0)
+		c, err := bc.expr(x.Count, 0)
 		if err != nil {
 			return nil, err
 		}
+		cnt := c.uint64()
 		body, err := bc.stmt(x.Body)
 		if err != nil {
 			return nil, err
 		}
 		return func(b *BatchInstance, lane int32) error {
-			n, ok := cnt(b, lane).Uint64()
+			n, ok := cnt(b, lane)
 			if !ok {
 				return nil // repeat (x) runs zero times
 			}

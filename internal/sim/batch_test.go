@@ -160,6 +160,42 @@ endmodule`,
 		wantLevelized: true,
 	},
 	{
+		// Where word and Vector closures meet: wide slots written whole,
+		// by bit and by part-select, blocking and nonblocking; an edge on
+		// a wide signal; a case on a wide selector; narrow results of
+		// wide comparisons, selects and shift amounts; a narrow
+		// concatenation target fed from a wide value and a wide one
+		// split into narrow targets.
+		name: "word_vector_edges",
+		src: `
+module m(input clk, input [3:0] a, input [71:0] d,
+         output reg [71:0] q, output reg [7:0] n, output [79:0] cat,
+         output [3:0] lo4, output hit, output reg [7:0] sel, output [7:0] sh,
+         output [63:0] w64, output [11:0] w12);
+    always @(posedge clk) begin
+        q <= d;
+        q[70] <= a[0];
+        q[a] <= a[1];
+        q[69:66] <= a;
+        n <= d[71:64] + a;
+    end
+    always @(posedge q) n[7] <= ~n[7];
+    assign cat = {q, n};
+    assign {lo4, hit} = {d[3:0], d == q};
+    assign sh = (8'd1 << d) | (d > q ? 8'h80 : 8'h00) | (d[71] ? 8'h40 : 8'h00);
+    assign {w64, w12} = {d, a};
+    always @(*)
+        case (d)
+            72'd0: sel = 8'd1;
+            {8'hff, 64'd0}: sel = 8'd2;
+            default: sel = q[71:64] ^ n;
+        endcase
+endmodule`,
+		top:           "m",
+		clock:         "clk",
+		wantLevelized: true,
+	},
+	{
 		// Constant-only process: runs solely via the bootstrap pass.
 		name: "constant_bootstrap",
 		src: `

@@ -33,9 +33,15 @@ type edgeSens struct {
 func (d *Design) finalize() {
 	d.slotOf = make(map[string]int, len(d.Order))
 	d.slotWidths = make([]int, len(d.Order))
+	d.wideOf = make([]int32, len(d.Order))
 	for i, name := range d.Order {
 		d.slotOf[name] = i
 		d.slotWidths[i] = d.Signals[name].Width
+		d.wideOf[i] = -1
+		if d.slotWidths[i] > wordBits {
+			d.wideOf[i] = int32(d.nWide)
+			d.nWide++
+		}
 	}
 
 	edgeWatched := map[string]bool{}

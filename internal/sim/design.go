@@ -121,6 +121,8 @@ type Design struct {
 	// Instance.
 	slotOf     map[string]int
 	slotWidths []int      // per slot
+	wideOf     []int32    // slot -> rank among the slots wider than 64 bits, -1 for the rest
+	nWide      int        // slots wider than 64 bits
 	combProcs  []*Process // ProcComb subset, design order
 	seqProcs   []*Process // ProcSeq subset, design order
 	combBySlot [][]int32  // slot -> ordinals into combProcs

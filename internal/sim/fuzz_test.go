@@ -31,7 +31,8 @@ import (
 // of fuzzExtra, if any, the mutant gets, and whether the golden gets
 // it too — when not, the mutant's layout differs; bytes 1-8: mutation
 // seed) and then the stimulus, one input port value at a time (see
-// stimulus).
+// stimulus). Every golden is seeded twice: once with byte 0 its index,
+// and once with fuzzExtra's wide round trip in both designs.
 func FuzzBatchLaneMatchesInterp(f *testing.F) {
 	probs := dataset.All()
 	for i := range probs {
@@ -43,13 +44,15 @@ func FuzzBatchLaneMatchesInterp(f *testing.F) {
 			seed = append(seed, byte(r.Intn(256)))
 		}
 		f.Add(uint16(i), seed)
+		wide := append([]byte{byte(i%3 + 3*3)}, seed[1:]...)
+		f.Add(uint16(i), wide)
 	}
 	f.Fuzz(func(t *testing.T, pi uint16, data []byte) {
 		if len(data) < 9 {
 			return
 		}
 		p := probs[int(pi)%len(probs)]
-		extra := int(data[0] / 3 % 3)
+		extra := int(data[0] / 3 % 4)
 		d := fuzzDesign(t, p, int(data[0]%3), extra, int64(binary.LittleEndian.Uint64(data[1:9])))
 		if d == nil {
 			return
@@ -57,7 +60,7 @@ func FuzzBatchLaneMatchesInterp(f *testing.F) {
 		ops := fuzzOps(p, d.Ports, data[9:])
 		checkOneLane(t, p, d, ops)
 		gExtra := extra
-		if data[0]/9%2 == 1 {
+		if data[0]/12%2 == 1 {
 			gExtra = 0
 		}
 		if g := fuzzDesign(t, p, 0, gExtra, 0); g != nil {
@@ -250,13 +253,17 @@ func fuzzDesign(t *testing.T, p *dataset.Problem, count, extra int, seed int64) 
 	return d
 }
 
-// fuzzExtra is a process whose body the batch compiler leaves to the
-// interpreter's rules, appended to the mutant and, usually, the golden
-// too, so such bodies run beside folded ones in the same lanes: 1 a
-// $display comb process, 2 a comb process reading and writing
-// part-selects whose bounds are signal values. Both read p's first
-// output, which a mutant's lane may hold differently, and its last data
-// input (the output again when it has none).
+// fuzzExtra is a process appended to the mutant and, usually, the
+// golden too. Processes 1 and 2 have bodies the batch compiler leaves
+// to the interpreter's rules, so such bodies run beside folded ones in
+// the same lanes: 1 a $display comb process, 2 a comb process reading
+// and writing part-selects whose bounds are signal values. Process 3
+// folds, and crosses between word and Vector closures both ways: it
+// builds values wider than 64 bits from narrow signals (a wide slot
+// and wide intermediates) and cuts them back to narrow ones through a
+// part-select, a bit-select, a shift and an assignment. All read p's
+// first output, which a mutant's lane may hold differently, and its
+// last data input (the output again when it has none).
 func fuzzExtra(p *dataset.Problem, ports []sim.Port, extra int) string {
 	var out, in string
 	for _, port := range ports {
@@ -270,8 +277,12 @@ func fuzzExtra(p *dataset.Problem, ports []sim.Port, extra int) string {
 	if in == "" {
 		in = out
 	}
-	if extra == 1 {
+	switch extra {
+	case 1:
 		return fmt.Sprintf("always @(*) $display(\"cb %%b %%d\", %s, %s);", out, in)
+	case 3:
+		return fmt.Sprintf("reg [71:0] cb_wide;\nreg [7:0] cb_back;\nalways @(*) begin cb_wide = {%[1]s, %[2]s, 64'd1} >> 3; "+
+			"cb_back = {cb_wide[70:66], cb_wide[%[2]s & 7'd71], ({%[2]s, 64'd0, %[1]s, 1'b1} >> 64) + %[1]s}; end", out, in)
 	}
 	return fmt.Sprintf("reg [7:0] cb_dyn;\nalways @(*) begin cb_dyn = 8'd0; cb_dyn[(%s & 3'd7):0] = %s[(%s & 2'd3):0]; end", in, out, in)
 }

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"correctbench/internal/dataset"
 	"correctbench/internal/mutate"
@@ -35,6 +36,54 @@ func classifyModule(t *testing.T, src, top string) *vstatic.Result {
 // levelized reports whether d alone runs on the levelized schedule.
 func levelized(d *sim.Design) bool {
 	return sim.CompileBatch(d, []*sim.Design{d})[0].Levelized()
+}
+
+// TestStaticClassificationAgreesOnDynamicWidths: a body whose width
+// depends on a signal value runs on the interpreter's rules, so the
+// engine runs its design event-driven, and the lint says so too.
+func TestStaticClassificationAgreesOnDynamicWidths(t *testing.T) {
+	for _, src := range []string{
+		"module m(input [3:0] a, input [1:0] s, output reg [3:0] y);\n  always @(*) y = a[s:0];\nendmodule\n",
+		"module m(input [3:0] a, input [1:0] s, output [3:0] y);\n  assign y = {s{a[0]}};\nendmodule\n",
+		"module m(input [3:0] a, input [1:0] s, output reg [3:0] y);\n  always @(*) if (a[s:0] == 0) y = a; else y = 4'd0;\nendmodule\n",
+	} {
+		mr := classifyModule(t, src, "m")
+		d, err := sim.ElaborateSourceContext(context.Background(), src, "m")
+		if err != nil {
+			t.Fatalf("elaborate %q: %v", src, err)
+		}
+		if lev := levelized(d); mr.Levelizable != lev || lev {
+			t.Errorf("%q: lint levelizable=%v, engine levelized=%v; want both false", src, mr.Levelizable, lev)
+		}
+	}
+}
+
+// TestNestedCountsCompileLinear compiles `if (C_30)`, where C_0 = 1'b1
+// and C_k = {C_(k-1){1'b1}}: the compiler sizes every node, and each
+// count is evaluated once per node, so this takes well under a second
+// and a few megabytes instead of doubling per level.
+func TestNestedCountsCompileLinear(t *testing.T) {
+	c := "1'b1"
+	for k := 0; k < 30; k++ {
+		c = "{" + c + "{1'b1}}"
+	}
+	src := "module m(input a, output reg y);\nalways @(*) if (" + c + ") y = a; else y = 1'b0;\nendmodule\n"
+	d, err := sim.ElaborateSourceContext(context.Background(), src, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	progs := sim.CompileBatch(d, []*sim.Design{d})
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; took >= 500*time.Millisecond || alloc >= 16<<20 {
+		t.Errorf("CompileBatch took %v and allocated %d bytes, want under 500ms and 16 MB", took, alloc)
+	}
+	if len(progs) != 1 || progs[0].Interpreted() {
+		t.Errorf("the nested count does not fold: %d programs", len(progs))
+	}
 }
 
 func TestStaticClassificationAgreesOnAllGoldens(t *testing.T) {

@@ -74,10 +74,32 @@ type trace struct {
 // scenarioTrace holds one scenario's samples as rows, in the order they
 // were taken: per step the pre-edge row and, for SEQ problems, the
 // post-edge row. A row holds every lane's outputs, lane-major:
-// samples[row*lanes*len(outs) + lane*len(outs) + o].
+// samples[row*lanes*len(outs) + lane*len(outs) + o]. The samples are
+// pointer-free; the rare value wider than 64 bits is also listed in
+// wide.
 type scenarioTrace struct {
 	samples []traceSample
 	rows    int
+	// wide holds the values wider than 64 bits, by increasing index
+	// into samples (the engine never mutates a stored vector in place
+	// — writes install fresh vectors — so no clone is needed).
+	wide []wideSample
+}
+
+// wideSample is a sampled value wider than 64 bits and its index.
+type wideSample struct {
+	at int32
+	v  logic.Vector
+}
+
+// wideAt returns the value wider than 64 bits sampled at index i, nil
+// when that sample is at most 64 bits wide.
+func (st *scenarioTrace) wideAt(i int) *logic.Vector {
+	k, ok := slices.BinarySearchFunc(st.wide, int32(i), func(w wideSample, at int32) int { return int(w.at - at) })
+	if !ok {
+		return nil
+	}
+	return &st.wide[k].v
 }
 
 // Phases of a scenario at which a simulation error can occur, in the
@@ -106,39 +128,40 @@ func (f *traceFail) before(g *traceFail) bool {
 }
 
 // traceSample is one sampled output value: the bit planes of its low
-// 64 bits and, only for a value wider than 64 bits, the value itself
-// (the engine never mutates a stored vector in place — writes install
-// fresh vectors — so no clone is needed).
+// 64 bits, which are the whole value unless its scenario trace lists it
+// as wide.
 type traceSample struct {
 	a, b uint64
-	wide *logic.Vector
 }
 
-func sampleOf(v logic.Vector) traceSample {
+// sampleOf splits a value into its sample and, for a value wider than
+// 64 bits, the value itself.
+func sampleOf(v logic.Vector) (traceSample, *logic.Vector) {
 	a, b := v.LowWord()
 	if v.Width() <= 64 {
-		return traceSample{a: a, b: b}
+		return traceSample{a: a, b: b}, nil
 	}
-	wide := v
-	return traceSample{a: a, b: b, wide: &wide}
+	return traceSample{a: a, b: b}, &v
 }
 
-// same reports whether two samples hold the same value (SameValue).
-func (s traceSample) same(o traceSample) bool {
-	if s.a != o.a || s.b != o.b {
+// sameSample reports whether two samples hold the same value
+// (SameValue); sw and ow are their wide values, nil for a sample at
+// most 64 bits wide.
+func sameSample(s traceSample, sw *logic.Vector, o traceSample, ow *logic.Vector) bool {
+	if s != o {
 		return false
 	}
 	switch {
-	case s.wide == nil && o.wide == nil:
+	case sw == nil && ow == nil:
 		return true
-	case s.wide != nil && o.wide != nil:
-		return s.wide.SameValue(*o.wide)
+	case sw != nil && ow != nil:
+		return sw.SameValue(*ow)
 	// A wide value equals a narrow one with the same low word exactly
 	// when its bits above 63 are zero.
-	case s.wide != nil:
-		return s.wide.SameValue(s.wide.Resize(64))
+	case sw != nil:
+		return sw.SameValue(sw.Resize(64))
 	}
-	return o.wide.SameValue(o.wide.Resize(64))
+	return ow.SameValue(ow.Resize(64))
 }
 
 // stimulus is what a run's recordings read from its testbench besides
@@ -241,18 +264,30 @@ func (s *runSpan) close() {
 	}
 }
 
-// sample fills row, lane-major, with every active lane's values of the
-// readable slots.
-func sample(b *sim.BatchInstance, row []traceSample, slots []int, readable []bool) {
+// sample appends a row to st, lane-major, with every active lane's
+// values of the readable slots; the other entries keep the zero the
+// samples' allocation gave them.
+func sample(b *sim.BatchInstance, st *scenarioTrace, slots []int, readable []bool) {
 	w := len(slots)
+	at := len(st.samples)
+	st.samples = st.samples[:at+b.Lanes()*w]
+	st.rows++
 	for lane := 0; lane < b.Lanes(); lane++ {
 		if !b.Active(lane) {
 			continue
 		}
 		for o, slot := range slots {
-			if readable[o] {
-				row[lane*w+o] = sampleOf(b.GetSlot(slot, lane))
+			if !readable[o] {
+				continue
 			}
+			i := at + lane*w + o
+			if a, bv, ok := b.SlotWord(slot, lane); ok {
+				st.samples[i] = traceSample{a: a, b: bv}
+				continue
+			}
+			v := b.GetSlot(slot, lane)
+			st.samples[i], _ = sampleOf(v)
+			st.wide = append(st.wide, wideSample{at: int32(i), v: v})
 		}
 	}
 }
@@ -392,11 +427,7 @@ func (tb *Testbench) simulate(ctx context.Context, b *sim.BatchInstance, sc Scen
 		}
 		return b.ActiveCount() > 0, nil
 	}
-	row := func() {
-		sample(b, pc.samples[len(pc.samples):len(pc.samples)+n*w], slots, readable)
-		pc.samples = pc.samples[:len(pc.samples)+n*w]
-		pc.rows++
-	}
+	row := func() { sample(b, &pc.scenarioTrace, slots, readable) }
 	more, err := end(-1, phaseInit, tb.initLanes(b))
 	for si := 0; more && err == nil && si < len(sc.Steps); si++ {
 		if more, err = end(si, phaseStep, driveStep(b, sc.Steps[si])); !more || err != nil {
@@ -451,11 +482,16 @@ func lanePass(dut, chk *trace, lane, s int) bool {
 			return false
 		}
 	}
-	ds, cs := dut.scenarios[s].samples, chk.scenarios[s].samples
+	dt, ct := &dut.scenarios[s], &chk.scenarios[s]
+	wide := len(dt.wide) > 0 || len(ct.wide) > 0
 	for r := 0; r < rows; r++ {
-		drow := ds[(r*len(dut.fails)+lane)*w:][:w]
-		for o, c := range cs[r*w : (r+1)*w] {
-			if !drow[o].same(c) {
+		di := (r*len(dut.fails) + lane) * w
+		for o, c := range ct.samples[r*w : (r+1)*w] {
+			d := dt.samples[di+o]
+			if d != c {
+				return false
+			}
+			if wide && !sameSample(d, dt.wideAt(di+o), c, ct.wideAt(r*w+o)) {
 				return false
 			}
 		}

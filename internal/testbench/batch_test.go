@@ -216,10 +216,80 @@ func TestBatchTraceSampleSameValue(t *testing.T) {
 	}
 	for _, x := range vals {
 		for _, y := range vals {
-			if got, want := sampleOf(x).same(sampleOf(y)), x.SameValue(y); got != want {
+			xs, xw := sampleOf(x)
+			ys, yw := sampleOf(y)
+			if got, want := sameSample(xs, xw, ys, yw), x.SameValue(y); got != want {
 				t.Errorf("%d'b%s vs %d'b%s: same=%v, SameValue=%v", x.Width(), x, y.Width(), y, got, want)
 			}
 		}
+	}
+}
+
+// TestBatchWideOutputsCompare runs concat_repl_widths, whose outputs
+// big and rw are 72 and 96 bits wide, through the recorder and the
+// compare: DUTs that differ from the checker only above bit 63 fail,
+// the golden passes, and when the checker declares big as 64 bits, a
+// 72-bit value matches it exactly when its bits above 63 are zero
+// (SameValue).
+func TestBatchWideOutputsCompare(t *testing.T) {
+	const src = `module m(input [3:0] a, input [6:0] b, input c, input [31:0] w,
+         output [11:0] y, output [15:0] z, output [5:0] t, output [63:0] full,
+         output [71:0] big, output [19:0] r, output [95:0] rw);
+    assign y = {a, b, c};
+    assign z = {a, b, c};
+    assign t = {a, b, c};
+    assign full = {w, w};
+    assign big = {w, w, a, a};
+    assign r = {{2{a}}, {3{c}}, {3{b[1:0]}}};
+    assign rw = {3{w}};
+endmodule
+`
+	p := &dataset.Problem{Name: "concat_repl_widths", Kind: dataset.CMB, Source: src, Top: "m"}
+	tb, err := Golden(p, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant := func(from, to string) *sim.Design {
+		t.Helper()
+		d, err := sim.ElaborateSourceContext(context.Background(), strings.Replace(src, from, to, 1), "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	base, err := p.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(tb *Testbench, duts []*sim.Design) []bool {
+		t.Helper()
+		outs, err := tb.RunBatchContext(context.Background(), NewDUTSet(base, duts), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := make([]bool, len(outs))
+		for i, o := range outs {
+			if o.Err != nil {
+				t.Fatalf("DUT %d: %v", i, o.Err)
+			}
+			pass[i] = o.Res.Pass()
+		}
+		return pass
+	}
+	duts := []*sim.Design{
+		base,
+		variant("{w, w, a, a}", "{w ^ 32'h01000000, w, a, a}"), // big differs at bit 64 only
+		variant("{3{w}}", "{w ^ 32'h1, w, w}"),                 // rw differs at bit 64 only
+		variant("{w, w, a, a}", "{8'd0, w[23:0], w, a, a}"),    // big's bits above 63 cleared
+	}
+	if got, want := run(tb, duts), []bool{true, false, false, false}; !slices.Equal(got, want) {
+		t.Errorf("against the golden checker: pass %v, want %v", got, want)
+	}
+	narrow := &Testbench{Problem: p, Scenarios: tb.Scenarios, CheckerTop: "m", CheckerSticky: -1,
+		CheckerSource: strings.Replace(strings.Replace(src, "output [71:0] big", "output [63:0] big", 1),
+			"{w, w, a, a}", "{w[23:0], w, a, a}", 1)}
+	if got, want := run(narrow, duts), []bool{false, false, false, true}; !slices.Equal(got, want) {
+		t.Errorf("against a checker with a 64-bit big: pass %v, want %v", got, want)
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 )
 
 // samePiece reports how two pieces of one key differ: their rows,
-// samples and each lane's first error (lane, step, phase and text), or
-// "" when they are equal.
+// samples (wide values included) and each lane's first error (lane,
+// step, phase and text), or "" when they are equal.
 func samePiece(a, b *piece) string {
-	if a.rows != b.rows || !reflect.DeepEqual(a.samples, b.samples) {
+	if a.rows != b.rows || !reflect.DeepEqual(a.samples, b.samples) || !reflect.DeepEqual(a.wide, b.wide) {
 		return fmt.Sprintf("rows %d and %d, or their samples, differ", a.rows, b.rows)
 	}
 	if len(a.fails) != len(b.fails) {

@@ -143,6 +143,21 @@ func CaseMatch(kind CaseKind) func(sel, label logic.Vector) bool {
 	return logic.Vector.SameValue
 }
 
+// CaseMatchWord is CaseMatch for a selector and label both at most 64
+// bits wide, given as their plane words: equal words are the same
+// value (SameValue) at any pair of such widths.
+func CaseMatchWord(kind CaseKind) func(sa, sb, la, lb uint64) bool {
+	switch kind {
+	case CaseZ:
+		return logic.CaseZMatchWord
+	case CaseX:
+		return logic.CaseXMatchWord
+	}
+	return sameWord
+}
+
+func sameWord(sa, sb, la, lb uint64) bool { return sa == la && sb == lb }
+
 // SelfWidth computes the self-determined width of an expression,
 // following IEEE 1364 table 5-22. Unknown identifiers report width 1;
 // evaluation will fail on them with a proper error. static reports
@@ -152,6 +167,51 @@ func CaseMatch(kind CaseKind) func(sel, label logic.Vector) bool {
 // one that is not counts as 1 bit, and evaluating it fails. So a width
 // that is not static is unknown.
 func SelfWidth(e Expr, en Env) (w int, static bool) {
+	ev := evaluator{en: en}
+	return ev.selfWidth(e)
+}
+
+// evaluator sizes and evaluates the expressions of one SelfWidth or
+// Eval call. It remembers the value of each compound replication count
+// and part-select bound it evaluates, so sizing a node and then
+// evaluating it — at every level of a count nested in a count —
+// evaluates each such count once: the work is linear in the nesting
+// depth, not exponential. Within one call no signal changes, so a
+// remembered value stays right.
+type evaluator struct {
+	en     Env
+	counts map[Expr]countVal
+}
+
+// countVal is a remembered count or bound: its value or its error.
+type countVal struct {
+	v   logic.Vector
+	err error
+}
+
+// count evaluates a replication count or part-select bound, self-
+// determined, remembering it when it is compound (a literal or a name
+// costs no more to evaluate again).
+func (ev *evaluator) count(e Expr) (logic.Vector, error) {
+	switch e.(type) {
+	case *Number, *Ident:
+		return ev.eval(e, 0)
+	}
+	if c, ok := ev.counts[e]; ok {
+		return c.v, c.err
+	}
+	v, err := ev.eval(e, 0)
+	if ev.counts == nil {
+		ev.counts = make(map[Expr]countVal)
+	}
+	ev.counts[e] = countVal{v, err}
+	return v, err
+}
+
+// partWidth is selfWidth in ConcatWidth's callback form.
+func (ev *evaluator) partWidth(e Expr, _ Env) (int, bool) { return ev.selfWidth(e) }
+
+func (ev *evaluator) selfWidth(e Expr) (w int, static bool) {
 	switch x := e.(type) {
 	case *Number:
 		if x.Width == 0 {
@@ -161,37 +221,37 @@ func SelfWidth(e Expr, en Env) (w int, static bool) {
 	case *StringLit:
 		return 8 * len(x.Value), true
 	case *Ident:
-		if w, ok := en.SignalWidth(x.Name); ok {
+		if w, ok := ev.en.SignalWidth(x.Name); ok {
 			return w, true
 		}
 		return 1, true
 	case *Unary:
-		if _, sz, _ := logic.UnaryOp(x.Op); sz == logic.SizeContext {
-			return SelfWidth(x.X, en)
+		if _, _, sz, _ := logic.UnaryOp(x.Op); sz == logic.SizeContext {
+			return ev.selfWidth(x.X)
 		}
 		return 1, true // reductions, ! and unknown operators
 	case *Binary:
-		switch _, sz, _ := logic.BinaryOp(x.Op); sz {
+		switch _, _, sz, _ := logic.BinaryOp(x.Op); sz {
 		case logic.SizeContext:
-			return maxWidth(x.X, x.Y, en)
+			return ev.maxWidth(x.X, x.Y)
 		case logic.SizeLeftContext:
-			return SelfWidth(x.X, en)
+			return ev.selfWidth(x.X)
 		}
 		return 1, true // comparisons, logical and unknown operators
 	case *Ternary:
-		return maxWidth(x.Then, x.Else, en)
+		return ev.maxWidth(x.Then, x.Else)
 	case *Concat:
-		total, static, err := ConcatWidth(x.Parts, en, SelfWidth)
+		total, static, err := ConcatWidth(x.Parts, ev.en, ev.partWidth)
 		if err != nil {
 			return 1, false
 		}
 		return max(total, 1), static
 	case *Repl:
-		n, ok1 := constUint(x.Count, en)
+		n, ok1 := ev.constUint(x.Count)
 		if n < 1 {
 			n = 1
 		}
-		w, ok2 := SelfWidth(x.Value, en)
+		w, ok2 := ev.selfWidth(x.Value)
 		if replTooWide(n, w) {
 			return 1, false
 		}
@@ -199,8 +259,8 @@ func SelfWidth(e Expr, en Env) (w int, static bool) {
 	case *Index:
 		return 1, true
 	case *PartSelect:
-		msb, ok1 := constUint(x.MSB, en)
-		lsb, ok2 := constUint(x.LSB, en)
+		msb, ok1 := ev.constUint(x.MSB)
+		lsb, ok2 := ev.constUint(x.LSB)
 		hi, lo, err := SelectSpan(msb, lsb)
 		if err != nil {
 			return 1, false
@@ -212,9 +272,9 @@ func SelfWidth(e Expr, en Env) (w int, static bool) {
 }
 
 // maxWidth is the wider of two operands' self-determined widths.
-func maxWidth(a, b Expr, en Env) (int, bool) {
-	l, ok1 := SelfWidth(a, en)
-	r, ok2 := SelfWidth(b, en)
+func (ev *evaluator) maxWidth(a, b Expr) (int, bool) {
+	l, ok1 := ev.selfWidth(a)
+	r, ok2 := ev.selfWidth(b)
 	if r > l {
 		l = r
 	}
@@ -242,8 +302,8 @@ func LHSWidth(lhs Expr, en Env) (w int, static bool) {
 // (replication counts, part-select bounds); 0 on failure — the caller
 // reports the error during real evaluation. ok reports whether the
 // evaluation succeeded; an unknown value is 0 but still ok.
-func constUint(e Expr, en Env) (u uint64, ok bool) {
-	v, err := Eval(e, en, 0)
+func (ev *evaluator) constUint(e Expr) (u uint64, ok bool) {
+	v, err := ev.count(e)
 	if err != nil {
 		return 0, false
 	}
@@ -257,7 +317,12 @@ func constUint(e Expr, en Env) (u uint64, ok bool) {
 // surrounding assignment or operation; 0 means self-determined. The
 // result always has width max(ctx, SelfWidth).
 func Eval(e Expr, en Env, ctx int) (logic.Vector, error) {
-	want, _ := SelfWidth(e, en)
+	ev := evaluator{en: en}
+	return ev.eval(e, ctx)
+}
+
+func (ev *evaluator) eval(e Expr, ctx int) (logic.Vector, error) {
+	want, _ := ev.selfWidth(e)
 	if ctx > want {
 		want = ctx
 	}
@@ -269,62 +334,62 @@ func Eval(e Expr, en Env, ctx int) (logic.Vector, error) {
 		return logic.Vector{}, fmt.Errorf("string literal in value context")
 
 	case *Ident:
-		v, err := en.Get(x.Name)
+		v, err := ev.en.Get(x.Name)
 		if err != nil {
 			return logic.Vector{}, err
 		}
 		return v.Resize(want), nil
 
 	case *Unary:
-		fn, sz, ok := logic.UnaryOp(x.Op)
+		fn, _, sz, ok := logic.UnaryOp(x.Op)
 		if !ok {
 			return logic.Vector{}, fmt.Errorf("unsupported unary operator %q", x.Op)
 		}
 		operand, _ := sz.Operands(want)
-		v, err := Eval(x.X, en, operand)
+		v, err := ev.eval(x.X, operand)
 		if err != nil {
 			return logic.Vector{}, err
 		}
 		return fn(v).Resize(want), nil
 
 	case *Binary:
-		fn, sz, ok := logic.BinaryOp(x.Op)
+		fn, _, sz, ok := logic.BinaryOp(x.Op)
 		if !ok {
 			return logic.Vector{}, fmt.Errorf("unsupported binary operator %q", x.Op)
 		}
 		lctx, rctx := sz.Operands(want)
-		l, err := Eval(x.X, en, lctx)
+		l, err := ev.eval(x.X, lctx)
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		r, err := Eval(x.Y, en, rctx)
+		r, err := ev.eval(x.Y, rctx)
 		if err != nil {
 			return logic.Vector{}, err
 		}
 		return fn(l, r).Resize(want), nil
 
 	case *Ternary:
-		c, err := Eval(x.Cond, en, 0)
+		c, err := ev.eval(x.Cond, 0)
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		t, err := Eval(x.Then, en, want)
+		t, err := ev.eval(x.Then, want)
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		f, err := Eval(x.Else, en, want)
+		f, err := ev.eval(x.Else, want)
 		if err != nil {
 			return logic.Vector{}, err
 		}
 		return logic.Mux(c, t, f).Resize(want), nil
 
 	case *Concat:
-		if _, _, err := ConcatWidth(x.Parts, en, SelfWidth); err != nil {
+		if _, _, err := ConcatWidth(x.Parts, ev.en, ev.partWidth); err != nil {
 			return logic.Vector{}, err
 		}
 		parts := make([]logic.Vector, len(x.Parts))
 		for i, p := range x.Parts {
-			v, err := Eval(p, en, 0)
+			v, err := ev.eval(p, 0)
 			if err != nil {
 				return logic.Vector{}, err
 			}
@@ -333,27 +398,27 @@ func Eval(e Expr, en Env, ctx int) (logic.Vector, error) {
 		return logic.Concat(parts...).Resize(want), nil
 
 	case *Repl:
-		nV, err := Eval(x.Count, en, 0)
+		nV, err := ev.count(x.Count)
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		w, _ := SelfWidth(x.Value, en)
+		w, _ := ev.selfWidth(x.Value)
 		n, err := ReplCount(nV, w)
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		v, err := Eval(x.Value, en, 0)
+		v, err := ev.eval(x.Value, 0)
 		if err != nil {
 			return logic.Vector{}, err
 		}
 		return logic.Replicate(n, v).Resize(want), nil
 
 	case *Index:
-		base, err := Eval(x.X, en, 0)
+		base, err := ev.eval(x.X, 0)
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		idxV, err := Eval(x.Index, en, 0)
+		idxV, err := ev.eval(x.Index, 0)
 		if err != nil {
 			return logic.Vector{}, err
 		}
@@ -364,15 +429,15 @@ func Eval(e Expr, en Env, ctx int) (logic.Vector, error) {
 		return logic.Slice(base, int(idx), int(idx)).Resize(want), nil
 
 	case *PartSelect:
-		base, err := Eval(x.X, en, 0)
+		base, err := ev.eval(x.X, 0)
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		hiV, err := Eval(x.MSB, en, 0)
+		hiV, err := ev.count(x.MSB)
 		if err != nil {
 			return logic.Vector{}, err
 		}
-		loV, err := Eval(x.LSB, en, 0)
+		loV, err := ev.count(x.LSB)
 		if err != nil {
 			return logic.Vector{}, err
 		}

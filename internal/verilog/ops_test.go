@@ -13,7 +13,7 @@ import (
 func TestParsedOperatorsResolve(t *testing.T) {
 	for _, level := range binaryLevels {
 		for _, op := range level {
-			if _, _, ok := logic.BinaryOp(op); !ok {
+			if _, _, _, ok := logic.BinaryOp(op); !ok {
 				t.Errorf("binary operator %q parses but is not in the operator table", op)
 			}
 		}
@@ -22,7 +22,7 @@ func TestParsedOperatorsResolve(t *testing.T) {
 		if op == "+" {
 			continue // parseUnary drops unary +
 		}
-		if _, _, ok := logic.UnaryOp(op); !ok {
+		if _, _, _, ok := logic.UnaryOp(op); !ok {
 			t.Errorf("unary operator %q parses but is not in the operator table", op)
 		}
 	}

@@ -1,7 +1,9 @@
 package vstatic_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"correctbench/internal/dataset"
 	"correctbench/internal/vstatic"
@@ -42,6 +44,8 @@ endmodule`)
 	f.Add(`module m(input a, output reg y);
 always @(*) if ({1048576{{1048576{1'b1}}}} + 1'b1) y = a; else y = 1'b0;
 endmodule`)
+	// A replication count nested 30 deep: linear work, not 2^30.
+	f.Add(nestedCountChecker(30))
 	for i, p := range dataset.All() {
 		if i%13 == 0 { // a spread of real designs without bloating the corpus
 			f.Add(p.Source)
@@ -76,4 +80,33 @@ endmodule`)
 			}
 		}
 	})
+}
+
+// nestedCountChecker is a checker whose if condition is C_depth, where
+// C_0 = 1'b1 and C_k = {C_(k-1){1'b1}}: each replication count is the
+// replication one level down, all of value 1.
+func nestedCountChecker(depth int) string {
+	c := "1'b1"
+	for k := 0; k < depth; k++ {
+		c = "{" + c + "{1'b1}}"
+	}
+	return "module m(input a, output reg y);\nalways @(*) if (" + c + ") y = a; else y = 1'b0;\nendmodule\n"
+}
+
+// TestNestedCountsLinear lints the 30-deep nested count. Each count is
+// evaluated once per node, so this takes well under a second and a few
+// megabytes; evaluating a count again for its value after sizing it
+// would double the work per level.
+func TestNestedCountsLinear(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	if _, err := vstatic.AnalyzeSource(nestedCountChecker(30), "m"); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; took >= 500*time.Millisecond || alloc >= 16<<20 {
+		t.Errorf("AnalyzeSource took %v and allocated %d bytes, want under 500ms and 16 MB", took, alloc)
+	}
 }

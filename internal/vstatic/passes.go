@@ -237,12 +237,12 @@ func (v *modView) effWidth(e verilog.Expr) (int, bool) {
 		w, ok := v.width(x.Name)
 		return w, ok
 	case *verilog.Unary:
-		if _, sz, _ := logic.UnaryOp(x.Op); sz == logic.SizeContext {
+		if _, _, sz, _ := logic.UnaryOp(x.Op); sz == logic.SizeContext {
 			return v.selfW(x.X)
 		}
 		return 1, true
 	case *verilog.Binary:
-		switch _, sz, _ := logic.BinaryOp(x.Op); sz {
+		switch _, _, sz, _ := logic.BinaryOp(x.Op); sz {
 		case logic.SizeContext:
 			l, ok1 := v.effWidth(x.X)
 			r, ok2 := v.effWidth(x.Y)

@@ -101,7 +101,9 @@ type Result struct {
 	StaticCombProcs int `json:"static_comb_procs"`
 	// Levelizable reports whether the whole combinational region is
 	// statically schedulable: every process pure, every bit singly
-	// driven, dependency graph acyclic. It mirrors the batched
+	// driven, dependency graph acyclic, and no width in a process body
+	// that depends on a signal value (the simulator runs such a body on
+	// the interpreter's rules, event-driven). It mirrors the batched
 	// simulator's verdict for the same module exactly.
 	Levelizable bool `json:"levelizable"`
 	// Hierarchical marks modules with instances; their submodule
@@ -211,9 +213,54 @@ func AnalyzeModule(m *verilog.Module) *Result {
 	v.loopPass(combs, region)
 	v.widthPass()
 	v.constPass()
-	v.res.Levelizable = region.Levelizable()
+	v.res.Levelizable = region.Levelizable() && v.widthsStatic()
 	sortDiags(v.res.Diags)
 	return v.res
+}
+
+// widthsStatic reports whether every width in the module's comb and
+// sequential process bodies is known without reading a signal, as the
+// batch compiler needs to fold a body: each expression node the engine
+// evaluates has a static verilog.SelfWidth and each assignment target a
+// static verilog.LHSWidth.
+func (v *modView) widthsStatic() bool {
+	ok := true
+	expr := func(e verilog.Expr) {
+		verilog.WalkExprs(e, func(n verilog.Expr) {
+			if _, static := verilog.SelfWidth(n, v.env); !static {
+				ok = false
+			}
+		})
+	}
+	for _, p := range v.procs {
+		if !p.comb && !p.seq {
+			continue
+		}
+		verilog.WalkStmts(p.body, func(s verilog.Stmt) {
+			switch x := s.(type) {
+			case *verilog.Assign:
+				if _, static := verilog.LHSWidth(x.LHS, v.env); !static {
+					ok = false
+				}
+				expr(x.LHS)
+				expr(x.RHS)
+			case *verilog.If:
+				expr(x.Cond)
+			case *verilog.Case:
+				expr(x.Expr)
+				for _, it := range x.Items {
+					for _, e := range it.Exprs {
+						expr(e)
+					}
+				}
+			case *verilog.For:
+				expr(x.Cond)
+			case *verilog.Repeat:
+				expr(x.Count)
+			}
+		})
+	}
+	return ok
 }
 
 func sortDiags(ds []Diagnostic) {
