@@ -285,7 +285,7 @@ func TestFastPathReplicateMatchesConcat(t *testing.T) {
 					}
 				}
 			}
-			if n*w <= wordBits {
+			if n*w <= WordBits {
 				x := xs[len(xs)-1]
 				if allocs := testing.AllocsPerRun(10, func() { Replicate(n, x) }); allocs != 0 {
 					t.Errorf("Replicate(%d, w=%d) allocates %.0f times, want 0", n, w, allocs)

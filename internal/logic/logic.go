@@ -51,7 +51,10 @@ func (b Bit) String() string {
 	}
 }
 
-const wordBits = 64
+// WordBits is the widest value one uint64 word holds: a narrow Vector's
+// planes, the word kernels' operands (word.go), and the batch
+// simulator's plane slots and compiled closures.
+const WordBits = 64
 
 // Vector is a fixed-width four-state bit vector. The zero value is not
 // usable; construct vectors with New, FromUint64, FromString or AllX.
@@ -68,15 +71,15 @@ type Vector struct {
 	wa, wb []uint64 // planes when width > 64
 }
 
-func words(width int) int { return (width + wordBits - 1) / wordBits }
+func words(width int) int { return (width + WordBits - 1) / WordBits }
 
 // small reports whether v uses the inline single-word representation.
-func (v Vector) small() bool { return v.width <= wordBits }
+func (v Vector) small() bool { return v.width <= WordBits }
 
 // wmask returns the valid-bit mask of the top (or only) word of a
 // vector of the given width.
 func wmask(width int) uint64 {
-	if r := width % wordBits; r != 0 {
+	if r := width % WordBits; r != 0 {
 		return (uint64(1) << uint(r)) - 1
 	}
 	return ^uint64(0)
@@ -88,7 +91,7 @@ func New(width int) Vector {
 	if width < 1 {
 		panic(fmt.Sprintf("logic: invalid vector width %d", width))
 	}
-	if width <= wordBits {
+	if width <= WordBits {
 		return Vector{width: width}
 	}
 	n := words(width)
@@ -265,7 +268,7 @@ func (v Vector) Bit(i int) Bit {
 		a = (v.a0 >> uint(i)) & 1
 		b = (v.b0 >> uint(i)) & 1
 	} else {
-		w, o := i/wordBits, uint(i%wordBits)
+		w, o := i/WordBits, uint(i%WordBits)
 		a = (v.wa[w] >> o) & 1
 		b = (v.wb[w] >> o) & 1
 	}
@@ -301,7 +304,7 @@ func (v *Vector) SetBit(i int, b Bit) {
 		v.b0 = v.b0&^(1<<o) | bm<<o
 		return
 	}
-	w, o := i/wordBits, uint(i%wordBits)
+	w, o := i/WordBits, uint(i%WordBits)
 	v.wa[w] = v.wa[w]&^(1<<o) | am<<o
 	v.wb[w] = v.wb[w]&^(1<<o) | bm<<o
 }
@@ -411,7 +414,7 @@ func (v Vector) Resize(width int) Vector {
 	if width == v.width {
 		return v.clone()
 	}
-	if width <= wordBits && v.small() {
+	if width <= WordBits && v.small() {
 		m := wmask(width)
 		return Vector{width: width, a0: v.a0 & m, b0: v.b0 & m}
 	}

@@ -644,7 +644,7 @@ func Concat(parts ...Vector) Vector {
 	for _, p := range parts {
 		total += p.width
 	}
-	if total <= wordBits {
+	if total <= WordBits {
 		// Every part is narrow when the total fits one word.
 		r := Vector{width: total}
 		pos := uint(0)
@@ -674,7 +674,7 @@ func Replicate(n int, x Vector) Vector {
 	if n < 1 {
 		panic("logic: replication count must be >= 1")
 	}
-	if n <= wordBits && n*x.width <= wordBits {
+	if n <= WordBits && n*x.width <= WordBits {
 		// The result fits one word: shift copies in, as Concat would.
 		ra, rb := ReplicateWord(n, x.width, x.a0, x.b0)
 		return Vector{width: n * x.width, a0: ra, b0: rb}
@@ -695,7 +695,7 @@ func Slice(x Vector, hi, lo int) Vector {
 	if x.small() && lo >= 0 {
 		// hi < x.width <= 64 would make this a plain shift; out-of-range
 		// high bits are filled with X.
-		if w := hi - lo + 1; w <= wordBits {
+		if w := hi - lo + 1; w <= WordBits {
 			ra, rb := SliceWord(x.width, x.a0, x.b0, hi, lo)
 			return Vector{width: w, a0: ra, b0: rb}
 		}

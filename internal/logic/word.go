@@ -172,7 +172,7 @@ func ShlWord(w int, xa, xb, ya, yb uint64) (uint64, uint64) {
 	if !ok {
 		return allXWord(w)
 	}
-	if n >= wordBits {
+	if n >= WordBits {
 		return 0, 0
 	}
 	m := wmask(w)
@@ -185,7 +185,7 @@ func ShrWord(w int, xa, xb, ya, yb uint64) (uint64, uint64) {
 	if !ok {
 		return allXWord(w)
 	}
-	if n >= wordBits {
+	if n >= WordBits {
 		return 0, 0
 	}
 	return xa >> n, xb >> n

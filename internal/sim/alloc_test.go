@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"correctbench/internal/dataset"
@@ -17,13 +18,23 @@ import (
 // (CMB) or ticking the clock (SEQ) — allocates nothing. Two placements
 // per golden: the golden alone on a one-lane program, and the golden
 // plus three seeded mutants on the programs CompileBatch places them
-// on.
+// on. Two constructed modules join the goldens, since no golden has a
+// body that runs on the interpreter's rules: a display task, whose
+// output a batch discards, beside an assignment, and a part-select
+// target whose bounds are signal values.
 func TestBatchSteadyStateAllocatesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full dataset sweep")
 	}
+	const ports = "module m(input [3:0] a, input [1:0] s, output reg [3:0] y);\n    "
+	constructed := []*dataset.Problem{
+		{Name: "display_body", Kind: dataset.CMB, Top: "m",
+			Source: ports + "always @(*) begin $display(\"%d\", a); y = a; end\nendmodule\n"},
+		{Name: "dynamic_target", Kind: dataset.CMB, Top: "m",
+			Source: ports + "always @(*) begin y = 4'd0; y[s:0] = a[s:0]; end\nendmodule\n"},
+	}
 	rng := rand.New(rand.NewSource(35))
-	for _, p := range dataset.All() {
+	for _, p := range slices.Concat(dataset.All(), constructed) {
 		d, err := p.Elaborate()
 		if err != nil {
 			t.Fatalf("%s: elaborate: %v", p.Name, err)

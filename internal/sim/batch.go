@@ -16,7 +16,9 @@ package sim
 // never scans simulator state and a step moves words, not vectors. A
 // rare wider slot lives in a side []logic.Vector. Get, GetSlot and
 // SetInput keep their logic.Vector signatures and convert at the
-// boundary; SlotWord reads a narrow slot's words directly.
+// boundary; SlotWord reads a narrow slot's words directly. The compiled
+// closures work on words only: a body that touches a wide slot or
+// computes a wide value runs on the interpreter's rules (laneState).
 //
 // Scheduling is levelized when the whole batch's combinational region
 // is provably static (see batch_sched.go): one topological pass per
@@ -330,8 +332,9 @@ func (p *BatchProgram) Levelized() bool { return p.levelized }
 
 // Interpreted reports whether some lane runs a process body on the
 // interpreter's rules rather than as a folded closure: a display task,
-// $finish, a delay control, or a width or span that depends on a
-// signal value. Such a body's $display output is discarded.
+// $finish, a delay control, a value wider than 64 bits, or a width or
+// span that depends on a signal value. Such a body's $display output
+// is discarded.
 func (p *BatchProgram) Interpreted() bool { return p.interpreted }
 
 // BatchInstance simulates every lane of a BatchProgram in lockstep
@@ -359,7 +362,8 @@ type BatchInstance struct {
 	ranAny    []bool    // per lane: some process ran (Instance.ranAny)
 	boot      []bool    // scratch: bootstrap flag per lane
 
-	nba [][]resolvedWrite // per lane
+	nba    [][]resolvedWrite // per lane
+	writes []resolvedWrite   // scratch: laneState.writeBuf, every lane's
 
 	active  []bool
 	laneErr []error
@@ -577,7 +581,7 @@ func (b *BatchInstance) writeInput(name string, v logic.Vector) error {
 		return fmt.Errorf("sim: %q is not an input port", name)
 	}
 	slot := int32(b.prog.base.slotOf[name])
-	if p.Width > wordBits {
+	if p.Width > logic.WordBits {
 		w := resolvedWrite{slot: slot, val: v.Resize(p.Width), whole: true}
 		for lane := int32(0); lane < int32(b.n); lane++ {
 			if b.active[lane] {
@@ -693,6 +697,9 @@ func (b *BatchInstance) applyWrite(lane int32, w resolvedWrite) {
 	}
 }
 
+// queueNBA queues a nonblocking write on a lane's NBA list.
+func (b *BatchInstance) queueNBA(lane int32, w resolvedWrite) { b.nba[lane] = append(b.nba[lane], w) }
+
 // writeWord is a whole write of a narrow slot: va and vb are the new
 // value's planes, already cut to the slot's width.
 func (b *BatchInstance) writeWord(lane, slot int32, va, vb uint64) {
@@ -734,9 +741,11 @@ func (v *laneState) layout() *Design { return v.b.prog.base }
 
 func (v *laneState) applyWrite(w resolvedWrite) { v.b.applyWrite(v.lane, w) }
 
-func (v *laneState) queueNBA(w resolvedWrite) { v.b.nba[v.lane] = append(v.b.nba[v.lane], w) }
+func (v *laneState) queueNBA(w resolvedWrite) { v.b.queueNBA(v.lane, w) }
 
 func (v *laneState) sys() *sysState { return &v.b.sys }
+
+func (v *laneState) writeBuf() *[]resolvedWrite { return &v.b.writes }
 
 // propagate advances every active lane to quiescence.
 func (b *BatchInstance) propagate() error {

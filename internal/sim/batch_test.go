@@ -56,7 +56,9 @@ endmodule`,
 		wantLevelized: true,
 	},
 	{
-		// Wide (>64 bit) vectors cross the word-parallel plane boundary.
+		// Wide (>64 bit) vectors live beside the word planes; their
+		// bodies run on the interpreter's rules, so the program runs
+		// event-driven.
 		name: "wide_vectors",
 		src: `
 module m(input [99:0] a, input [99:0] b, output [99:0] y, output [99:0] z, output [49:0] hi);
@@ -65,7 +67,7 @@ module m(input [99:0] a, input [99:0] b, output [99:0] y, output [99:0] z, outpu
     assign hi = a[99:50];
 endmodule`,
 		top:           "m",
-		wantLevelized: true,
+		wantLevelized: false,
 	},
 	{
 		// Multi-level comb chain: levelized order must follow the data
@@ -141,8 +143,8 @@ endmodule`,
 	{
 		// Concatenation and replication on both sides of the one-word
 		// result: a narrow concat is folded pairwise, a wider one
-		// (72, 96 bits) takes the operand slice; each in a wider and a
-		// narrower context.
+		// (72, 96 bits) runs on the interpreter's rules; each in a wider
+		// and a narrower context.
 		name: "concat_repl_widths",
 		src: `
 module m(input [3:0] a, input [6:0] b, input c, input [31:0] w,
@@ -157,15 +159,16 @@ module m(input [3:0] a, input [6:0] b, input c, input [31:0] w,
     assign rw = {3{w}};
 endmodule`,
 		top:           "m",
-		wantLevelized: true,
+		wantLevelized: false,
 	},
 	{
-		// Where word and Vector closures meet: wide slots written whole,
-		// by bit and by part-select, blocking and nonblocking; an edge on
-		// a wide signal; a case on a wide selector; narrow results of
-		// wide comparisons, selects and shift amounts; a narrow
-		// concatenation target fed from a wide value and a wide one
-		// split into narrow targets.
+		// Where folded word bodies meet bodies with wide values, which
+		// run on the interpreter's rules: wide slots written whole, by
+		// bit and by part-select, blocking and nonblocking; an edge on a
+		// wide signal; a case on a wide selector; narrow results of wide
+		// comparisons, selects and shift amounts; a narrow concatenation
+		// target fed from a wide value and a wide one split into narrow
+		// targets.
 		name: "word_vector_edges",
 		src: `
 module m(input clk, input [3:0] a, input [71:0] d,
@@ -193,7 +196,7 @@ module m(input clk, input [3:0] a, input [71:0] d,
 endmodule`,
 		top:           "m",
 		clock:         "clk",
-		wantLevelized: true,
+		wantLevelized: false,
 	},
 	{
 		// Constant-only process: runs solely via the bootstrap pass.
@@ -610,8 +613,10 @@ endmodule`, "m")
 // when such a design fell back to the interpreter wholesale): display tasks
 // (arguments evaluated, text discarded), $finish/$stop in a sequential
 // block, delay controls in always bodies, a string literal as a
-// $display value, replications of count zero or of a signal value, and
-// part-selects whose bounds are signal values, read and written. Each
+// $display value, replications of count zero or of a signal value,
+// part-selects whose bounds are signal values, read and written, and
+// values wider than 64 bits, a shifted concatenation and a comparison
+// of two. Each
 // such design runs as the base of a two-lane program and as a patched
 // lane beside a same-layout base whose bodies fold. The program must
 // run event-driven, and every lane must equal an Instance of its design
@@ -637,6 +642,9 @@ func TestBatchDisplayFallsBackWholesale(t *testing.T) {
 		{"part_select_bound", `always @(*) y = k[s:0] + k[3:s];`, `always @(*) y = k[2:0] + k[3:1];`, false},
 		{"part_select_target", `always @(*) begin y = 8'd0; y[s+3'd4:s] = k; end`,
 			`always @(*) begin y = 8'd0; y[5:1] = k; end`, false},
+		{"wide_concat", `always @(*) y = {k, 64'd0, s} >> 66;`, `always @(*) y = {k, 2'd0, s} >> 4;`, false},
+		{"wide_compare", `always @(*) y = {k, 64'd0, s} > {s, 64'd1, k} ? {4'd0, k} : {6'd0, s};`,
+			`always @(*) y = {k, s} > {s, k} ? {4'd0, k} : {6'd0, s};`, false},
 	}
 	elab := func(t *testing.T, body string, key int) *Design {
 		t.Helper()

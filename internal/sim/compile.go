@@ -18,6 +18,7 @@ package sim
 import (
 	"errors"
 
+	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
 )
 
@@ -38,7 +39,7 @@ func (d *Design) finalize() {
 		d.slotOf[name] = i
 		d.slotWidths[i] = d.Signals[name].Width
 		d.wideOf[i] = -1
-		if d.slotWidths[i] > wordBits {
+		if d.slotWidths[i] > logic.WordBits {
 			d.wideOf[i] = int32(d.nWide)
 			d.nWide++
 		}

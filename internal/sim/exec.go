@@ -30,6 +30,9 @@ type state interface {
 	queueNBA(w resolvedWrite)
 	// sys is the state system tasks and delay controls act on.
 	sys() *sysState
+	// writeBuf is scratch that exec resolves an assignment's writes
+	// into; they are applied or queued before the next one resolves.
+	writeBuf() *[]resolvedWrite
 }
 
 // sysState is what system tasks and delay controls act on.
@@ -69,10 +72,12 @@ func exec(st state, s verilog.Stmt) error {
 		if err != nil {
 			return fmt.Errorf("%s: %v", x.Pos, err)
 		}
-		writes, err := resolveLValue(st, x.LHS, val, x.Pos)
+		buf := st.writeBuf()
+		writes, err := resolveLValue(st, x.LHS, val, x.Pos, (*buf)[:0])
 		if err != nil {
 			return err
 		}
+		*buf = writes
 		for _, w := range writes {
 			if x.NonBlocking {
 				st.queueNBA(w)
@@ -194,11 +199,11 @@ type resolvedWrite struct {
 	whole  bool
 }
 
-// resolveLValue flattens an lvalue expression into concrete writes.
-// Dynamic bit selects are resolved now (so NBA targets use the index at
-// assignment time, per Verilog). Writes through unknown indexes are
-// dropped.
-func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos) ([]resolvedWrite, error) {
+// resolveLValue flattens an lvalue expression into concrete writes,
+// appended to out. Dynamic bit selects are resolved now (so NBA targets
+// use the index at assignment time, per Verilog). Writes through
+// unknown indexes are dropped.
+func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos, out []resolvedWrite) ([]resolvedWrite, error) {
 	d := st.layout()
 	switch x := lhs.(type) {
 	case *verilog.Ident:
@@ -206,7 +211,7 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 		if !ok {
 			return nil, fmt.Errorf("%s: assignment to unknown signal %q", pos, x.Name)
 		}
-		return []resolvedWrite{{slot: int32(slot), val: val.Resize(d.slotWidths[slot]), whole: true}}, nil
+		return append(out, resolvedWrite{slot: int32(slot), val: val.Resize(d.slotWidths[slot]), whole: true}), nil
 
 	case *verilog.Index:
 		id, ok := x.X.(*verilog.Ident)
@@ -223,9 +228,9 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 		}
 		idx, ok3 := idxV.Uint64()
 		if !ok3 || idx >= uint64(d.slotWidths[slot]) {
-			return nil, nil // write through unknown/out-of-range index: no-op
+			return out, nil // write through unknown/out-of-range index: no-op
 		}
-		return []resolvedWrite{{slot: int32(slot), hi: int(idx), lo: int(idx), val: val.Resize(1)}}, nil
+		return append(out, resolvedWrite{slot: int32(slot), hi: int(idx), lo: int(idx), val: val.Resize(1)}), nil
 
 	case *verilog.PartSelect:
 		id, ok := x.X.(*verilog.Ident)
@@ -247,7 +252,7 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 		msb, ok3 := hiV.Uint64()
 		lsb, ok4 := loV.Uint64()
 		if !ok3 || !ok4 {
-			return nil, nil
+			return out, nil
 		}
 		hi, lo, err := verilog.SelectSpan(msb, lsb)
 		if err != nil {
@@ -255,13 +260,12 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 		}
 		h, l, ok5 := verilog.WriteSpan(hi, lo, d.slotWidths[slot])
 		if !ok5 {
-			return nil, nil
+			return out, nil
 		}
-		return []resolvedWrite{{slot: int32(slot), hi: h, lo: l, val: val.Resize(h - l + 1)}}, nil
+		return append(out, resolvedWrite{slot: int32(slot), hi: h, lo: l, val: val.Resize(h - l + 1)}), nil
 
 	case *verilog.Concat:
 		// {a, b} = val assigns the top bits to a, the low bits to b.
-		var out []resolvedWrite
 		offset, _, err := verilog.ConcatWidth(x.Parts, st, verilog.LHSWidth)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", pos, err)
@@ -271,11 +275,9 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 			w, _ := verilog.LHSWidth(p, st)
 			offset -= w
 			part := logic.Slice(val, offset+w-1, offset)
-			ws, err := resolveLValue(st, p, part, pos)
-			if err != nil {
+			if out, err = resolveLValue(st, p, part, pos, out); err != nil {
 				return nil, err
 			}
-			out = append(out, ws...)
 		}
 		return out, nil
 
@@ -298,6 +300,21 @@ func sysCall(st state, x *verilog.SysCall) error {
 		args := x.Args
 		if (x.Name == "$fdisplay" || x.Name == "$fwrite") && len(args) > 0 {
 			args = args[1:] // drop file descriptor
+		}
+		if sys.Stdout == io.Discard {
+			// Nothing reads the text, so build none: evaluate the values
+			// formatArgs would, in its order, for its errors.
+			if len(args) > 0 {
+				if _, ok := args[0].(*verilog.StringLit); ok {
+					args = args[1:]
+				}
+			}
+			for _, a := range args {
+				if _, err := verilog.Eval(a, st, 0); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 		text, err := formatArgs(st, args)
 		if err != nil {

@@ -254,16 +254,15 @@ func fuzzDesign(t *testing.T, p *dataset.Problem, count, extra int, seed int64) 
 }
 
 // fuzzExtra is a process appended to the mutant and, usually, the
-// golden too. Processes 1 and 2 have bodies the batch compiler leaves
-// to the interpreter's rules, so such bodies run beside folded ones in
-// the same lanes: 1 a $display comb process, 2 a comb process reading
-// and writing part-selects whose bounds are signal values. Process 3
-// folds, and crosses between word and Vector closures both ways: it
-// builds values wider than 64 bits from narrow signals (a wide slot
-// and wide intermediates) and cuts them back to narrow ones through a
-// part-select, a bit-select, a shift and an assignment. All read p's
-// first output, which a mutant's lane may hold differently, and its
-// last data input (the output again when it has none).
+// golden too. Each has a body the batch compiler leaves to the
+// interpreter's rules, so such bodies run beside folded ones in the
+// same lanes: 1 a $display comb process, 2 a comb process reading and
+// writing part-selects whose bounds are signal values, and 3 a comb
+// process that builds values wider than 64 bits from narrow signals (a
+// wide slot and wide intermediates) and cuts them back to narrow ones
+// through a part-select, a bit-select, a shift and an assignment. All
+// read p's first output, which a mutant's lane may hold differently,
+// and its last data input (the output again when it has none).
 func fuzzExtra(p *dataset.Problem, ports []sim.Port, extra int) string {
 	var out, in string
 	for _, port := range ports {

@@ -34,7 +34,8 @@ type Instance struct {
 	edgePos []bool
 	edgeNeg []bool
 
-	nba []resolvedWrite
+	nba    []resolvedWrite
+	writes []resolvedWrite // scratch: writeBuf
 
 	// sysState holds Stdout, Now and Finished.
 	sysState
@@ -137,6 +138,8 @@ func (in *Instance) applyWrite(w resolvedWrite) {
 func (in *Instance) queueNBA(w resolvedWrite) { in.nba = append(in.nba, w) }
 
 func (in *Instance) sys() *sysState { return &in.sysState }
+
+func (in *Instance) writeBuf() *[]resolvedWrite { return &in.writes }
 
 // ------------------------------------------------------------------------
 

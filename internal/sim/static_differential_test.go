@@ -39,21 +39,31 @@ func levelized(d *sim.Design) bool {
 }
 
 // TestStaticClassificationAgreesOnDynamicWidths: a body whose width
-// depends on a signal value runs on the interpreter's rules, so the
-// engine runs its design event-driven, and the lint says so too.
+// depends on a signal value, or that holds a value wider than 64 bits,
+// runs on the interpreter's rules, so the engine runs its design
+// event-driven, and the lint says so too. A part-select bound is folded,
+// not compiled, so a wide bound still levelizes; a wide index does not.
 func TestStaticClassificationAgreesOnDynamicWidths(t *testing.T) {
-	for _, src := range []string{
-		"module m(input [3:0] a, input [1:0] s, output reg [3:0] y);\n  always @(*) y = a[s:0];\nendmodule\n",
-		"module m(input [3:0] a, input [1:0] s, output [3:0] y);\n  assign y = {s{a[0]}};\nendmodule\n",
-		"module m(input [3:0] a, input [1:0] s, output reg [3:0] y);\n  always @(*) if (a[s:0] == 0) y = a; else y = 4'd0;\nendmodule\n",
+	const ports = "module m(input [3:0] a, input [1:0] s, output reg [3:0] y);\n"
+	for _, tc := range []struct {
+		src  string
+		want bool
+	}{
+		{ports + "  always @(*) y = a[s:0];\nendmodule\n", false},
+		{"module m(input [3:0] a, input [1:0] s, output [3:0] y);\n  assign y = {s{a[0]}};\nendmodule\n", false},
+		{ports + "  always @(*) if (a[s:0] == 0) y = a; else y = 4'd0;\nendmodule\n", false},
+		{ports + "  always @(*) y = {a, 64'd0, a} >> 68;\nendmodule\n", false},
+		{ports + "  reg [71:0] w;\n  always @(*) w = {68'd0, a};\n  always @(*) y = a;\nendmodule\n", false},
+		{ports + "  always @(*) y = a[72'd3];\nendmodule\n", false},
+		{ports + "  always @(*) y = a[72'd3:0];\nendmodule\n", true},
 	} {
-		mr := classifyModule(t, src, "m")
-		d, err := sim.ElaborateSourceContext(context.Background(), src, "m")
+		mr := classifyModule(t, tc.src, "m")
+		d, err := sim.ElaborateSourceContext(context.Background(), tc.src, "m")
 		if err != nil {
-			t.Fatalf("elaborate %q: %v", src, err)
+			t.Fatalf("elaborate %q: %v", tc.src, err)
 		}
-		if lev := levelized(d); mr.Levelizable != lev || lev {
-			t.Errorf("%q: lint levelizable=%v, engine levelized=%v; want both false", src, mr.Levelizable, lev)
+		if lev := levelized(d); mr.Levelizable != lev || lev != tc.want {
+			t.Errorf("%q: lint levelizable=%v, engine levelized=%v; want both %v", tc.src, mr.Levelizable, lev, tc.want)
 		}
 	}
 }
@@ -94,7 +104,11 @@ func TestStaticClassificationAgreesOnAllGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: elaborate: %v", p.Name, err)
 		}
-		lev1 := levelized(d)
+		prog := sim.CompileBatch(d, []*sim.Design{d})[0]
+		if prog.Interpreted() {
+			t.Errorf("%s: some body runs on the interpreter's rules, want every body folded", p.Name)
+		}
+		lev1 := prog.Levelized()
 		if mr.Levelizable != lev1 {
 			t.Errorf("%s: module lint says levelizable=%v, engine levelized=%v", p.Name, mr.Levelizable, lev1)
 		}

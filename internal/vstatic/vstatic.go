@@ -218,20 +218,14 @@ func AnalyzeModule(m *verilog.Module) *Result {
 	return v.res
 }
 
-// widthsStatic reports whether every width in the module's comb and
-// sequential process bodies is known without reading a signal, as the
-// batch compiler needs to fold a body: each expression node the engine
-// evaluates has a static verilog.SelfWidth and each assignment target a
-// static verilog.LHSWidth.
+// widthsStatic reports whether the batch compiler folds every comb and
+// sequential process body of the module as far as widths go: each
+// expression node it compiles has a static verilog.SelfWidth and, with
+// its context, a width of at most logic.WordBits, and each assignment
+// target writes a slot at most that wide (wordExpr, wordTarget).
 func (v *modView) widthsStatic() bool {
 	ok := true
-	expr := func(e verilog.Expr) {
-		verilog.WalkExprs(e, func(n verilog.Expr) {
-			if _, static := verilog.SelfWidth(n, v.env); !static {
-				ok = false
-			}
-		})
-	}
+	expr := func(e verilog.Expr) { ok = ok && v.wordExpr(e, 0) }
 	for _, p := range v.procs {
 		if !p.comb && !p.seq {
 			continue
@@ -239,11 +233,8 @@ func (v *modView) widthsStatic() bool {
 		verilog.WalkStmts(p.body, func(s verilog.Stmt) {
 			switch x := s.(type) {
 			case *verilog.Assign:
-				if _, static := verilog.LHSWidth(x.LHS, v.env); !static {
-					ok = false
-				}
-				expr(x.LHS)
-				expr(x.RHS)
+				ctx, static := verilog.LHSWidth(x.LHS, v.env)
+				ok = ok && static && v.wordTarget(x.LHS) && v.wordExpr(x.RHS, ctx)
 			case *verilog.If:
 				expr(x.Cond)
 			case *verilog.Case:
@@ -261,6 +252,72 @@ func (v *modView) widthsStatic() bool {
 		})
 	}
 	return ok
+}
+
+// wordExpr mirrors the batch compiler's expression recursion
+// (batchCompiler.expr) node for node: e under context width ctx has a
+// static width of at most logic.WordBits, and so does every operand the
+// compiler compiles. Part-select bounds and replication counts are
+// folded by verilog.Eval, not compiled, so their widths do not count.
+func (v *modView) wordExpr(e verilog.Expr, ctx int) bool {
+	self, static := verilog.SelfWidth(e, v.env)
+	want := max(self, ctx)
+	if !static || want > logic.WordBits {
+		return false
+	}
+	switch x := e.(type) {
+	case *verilog.Unary:
+		_, _, sz, _ := logic.UnaryOp(x.Op)
+		operand, _ := sz.Operands(want)
+		return v.wordExpr(x.X, operand)
+	case *verilog.Binary:
+		_, _, sz, _ := logic.BinaryOp(x.Op)
+		l, r := sz.Operands(want)
+		return v.wordExpr(x.X, l) && v.wordExpr(x.Y, r)
+	case *verilog.Ternary:
+		return v.wordExpr(x.Cond, 0) && v.wordExpr(x.Then, want) && v.wordExpr(x.Else, want)
+	case *verilog.Concat:
+		for _, p := range x.Parts {
+			if !v.wordExpr(p, 0) {
+				return false
+			}
+		}
+	case *verilog.Repl:
+		return v.wordExpr(x.Value, 0)
+	case *verilog.Index:
+		return v.wordExpr(x.X, 0) && v.wordExpr(x.Index, 0)
+	case *verilog.PartSelect:
+		return v.wordExpr(x.X, 0)
+	}
+	return true
+}
+
+// wordTarget mirrors batchCompiler.lvalue: every slot lhs writes
+// through an identifier is at most logic.WordBits wide, as is a
+// concatenation target, and a bit-select's index is a word expression.
+func (v *modView) wordTarget(lhs verilog.Expr) bool {
+	switch x := lhs.(type) {
+	case *verilog.Ident:
+		w, _ := v.width(x.Name)
+		return w <= logic.WordBits
+	case *verilog.Index:
+		_, id := x.X.(*verilog.Ident)
+		return id && v.wordTarget(x.X) && v.wordExpr(x.Index, 0)
+	case *verilog.PartSelect:
+		_, id := x.X.(*verilog.Ident)
+		return id && v.wordTarget(x.X)
+	case *verilog.Concat:
+		if w, _ := verilog.LHSWidth(lhs, v.env); w > logic.WordBits {
+			return false
+		}
+		for _, p := range x.Parts {
+			if !v.wordTarget(p) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func sortDiags(ds []Diagnostic) {
