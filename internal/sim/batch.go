@@ -38,7 +38,7 @@ package sim
 // Either way each lane is bit-identical to a scalar Instance of the
 // same design: per-lane dirty sets, per-lane bootstrap, per-lane NBA
 // queues (including the queue surviving a no-edge propagate) all
-// replicate instance.go exactly. A body the compiler cannot fold (see
+// replicate instance.go exactly. A body vstatic.Folds rejects (see
 // batch_compile.go) runs the interpreter's own exec on its lane
 // (laneState, which converts between the planes and vectors at its
 // boundary), so every design compiles; such a program runs
@@ -331,10 +331,8 @@ func (p *BatchProgram) LaneDesign(lane int) *Design { return p.laneDesign[lane] 
 func (p *BatchProgram) Levelized() bool { return p.levelized }
 
 // Interpreted reports whether some lane runs a process body on the
-// interpreter's rules rather than as a folded closure: a display task,
-// $finish, a delay control, a value wider than 64 bits, or a width or
-// span that depends on a signal value. Such a body's $display output
-// is discarded.
+// interpreter's rules rather than as a folded closure: a body
+// vstatic.Folds rejects. Such a body's $display output is discarded.
 func (p *BatchProgram) Interpreted() bool { return p.interpreted }
 
 // BatchInstance simulates every lane of a BatchProgram in lockstep

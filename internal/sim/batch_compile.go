@@ -21,20 +21,23 @@ package sim
 // and the testbench-level differentials assert this across the
 // dataset).
 //
-// A body the closures cannot express — a value or target wider than
-// logic.WordBits, which no golden has, a width or span that depends on
-// a signal value (errDynamic), a part-select, replication or
-// concatenation wider than verilog.MaxVectorWidth, a display task,
-// $finish/$stop or a delay control — is not folded at all: body
-// compiles it to a closure that runs the interpreter's own exec on the
-// lane (laneState), so one copy of each rule serves both engines and
-// every design compiles.
+// Which bodies fold is decided in one place, vstatic.Folds, which the
+// module-level lint reads too. body asks it first. A body it rejects —
+// a value or target wider than logic.WordBits, which no golden has, a
+// width or span that depends on a signal value, a display task,
+// $finish/$stop or a delay control — compiles to a closure that runs
+// the interpreter's own exec on the lane (laneState), so one copy of
+// each rule serves both engines and every design compiles. A body it
+// accepts compiles with no error path: a construct the rule excludes
+// panics (unfoldable), since reaching one is a broken contract, not an
+// input error.
 
 import (
 	"fmt"
 
 	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
+	"correctbench/internal/vstatic"
 )
 
 // bStmt executes a statement for one lane of a batch instance.
@@ -88,91 +91,103 @@ var lvNoop wLV = func(*BatchInstance, int32, uint64, uint64, bool) {}
 // batchCompiler compiles process bodies into per-lane closures against
 // one base design. env folds the interpreter's width rules and constant
 // bounds at compile time: it knows base's signal widths and reads no
-// signal, so where they depend on a signal value the body is
-// errDynamic.
+// signal, so where they depend on a signal value vstatic.Folds rejects
+// the body.
 type batchCompiler struct {
 	d   *Design
-	env verilog.Env
+	env verilog.ConstEnv
+}
+
+// unfoldable is the panic value for a construct vstatic.Folds rejects:
+// the compiler only compiles bodies the rule accepted.
+func unfoldable(construct any) string {
+	return fmt.Sprintf("sim: batch compiler: vstatic.Folds accepted a body holding an unfoldable %T", construct)
+}
+
+// fold evaluates a replication count or part-select bound at compile
+// time.
+func (bc *batchCompiler) fold(e verilog.Expr) logic.Vector {
+	v, err := verilog.Eval(e, &bc.env, 0)
+	if err != nil {
+		panic(unfoldable(e))
+	}
+	return v
+}
+
+// bounds folds a part-select's bounds to its span [hi:lo], as
+// verilog.SelectSpan orders it; known is false when a bound is X or Z.
+func (bc *batchCompiler) bounds(x *verilog.PartSelect) (hi, lo uint64, known bool) {
+	msb, ok1 := bc.fold(x.MSB).Uint64()
+	lsb, ok2 := bc.fold(x.LSB).Uint64()
+	if !ok1 || !ok2 {
+		return 0, 0, false
+	}
+	hi, lo, err := verilog.SelectSpan(msb, lsb)
+	if err != nil {
+		panic(unfoldable(x))
+	}
+	return hi, lo, true
+}
+
+// slot is the slot of a signal a body names.
+func (bc *batchCompiler) slot(id *verilog.Ident) int32 {
+	i, ok := bc.d.slotOf[id.Name]
+	if !ok {
+		panic(unfoldable(id))
+	}
+	return int32(i)
 }
 
 // expr compiles e under context width ctx. The compiled closure always
 // yields a value of width max(ctx, verilog.SelfWidth(e)), exactly as
-// verilog.Eval does; where that width is past logic.WordBits, e is
-// errDynamic.
-func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (cexpr, error) {
-	self, static := verilog.SelfWidth(e, bc.env)
+// verilog.Eval does; vstatic.Folds has checked that width is static and
+// at most logic.WordBits.
+func (bc *batchCompiler) expr(e verilog.Expr, ctx int) cexpr {
+	self, static := verilog.SelfWidth(e, &bc.env)
 	want := max(self, ctx)
 	if !static || want > logic.WordBits {
-		return cexpr{}, errDynamic
+		panic(unfoldable(e))
 	}
 	switch x := e.(type) {
 	case *verilog.Number:
-		return constOf(x.Val.Resize(want)), nil
-
-	case *verilog.StringLit:
-		return cexpr{}, errDynamic
+		return constOf(x.Val.Resize(want))
 
 	case *verilog.Ident:
-		slot, ok := bc.d.slotOf[x.Name]
-		if !ok {
-			return cexpr{}, errDynamic
-		}
-		s := int32(slot) // narrow: its width is at most want
+		s := bc.slot(x) // narrow: its width is at most want
 		return cexpr{w: func(b *BatchInstance, lane int32) (uint64, uint64) {
 			i := int(s)*b.n + int(lane)
 			return b.wa[i], b.wb[i]
-		}, width: want}, nil
+		}, width: want}
 
 	case *verilog.Unary:
 		_, wfn, sz, ok := logic.UnaryOp(x.Op)
 		if !ok {
-			return cexpr{}, errDynamic
+			panic(unfoldable(x))
 		}
 		operand, _ := sz.Operands(want)
-		c, err := bc.expr(x.X, operand)
-		if err != nil {
-			return cexpr{}, err
-		}
+		c := bc.expr(x.X, operand)
 		v, ow := c.w, c.width
 		return cexpr{w: func(b *BatchInstance, lane int32) (uint64, uint64) {
 			va, vb := v(b, lane)
 			return wfn(ow, va, vb)
-		}, width: want}, nil
+		}, width: want}
 
 	case *verilog.Binary:
 		_, wfn, sz, ok := logic.BinaryOp(x.Op)
 		if !ok {
-			return cexpr{}, errDynamic
+			panic(unfoldable(x))
 		}
 		lctx, rctx := sz.Operands(want)
-		l, err := bc.expr(x.X, lctx)
-		if err != nil {
-			return cexpr{}, err
-		}
-		r, err := bc.expr(x.Y, rctx)
-		if err != nil {
-			return cexpr{}, err
-		}
+		l, r := bc.expr(x.X, lctx), bc.expr(x.Y, rctx)
 		kw := l.width // the width the kernel computes at (logic.WordBinary)
 		if sz == logic.SizeSelf {
 			kw = max(l.width, r.width)
 		}
-		return cexpr{w: binaryWord(wfn, kw, l.w, r.w), width: want}, nil
+		return cexpr{w: binaryWord(wfn, kw, l.w, r.w), width: want}
 
 	case *verilog.Ternary:
-		cond, err := bc.expr(x.Cond, 0)
-		if err != nil {
-			return cexpr{}, err
-		}
-		th, err := bc.expr(x.Then, want)
-		if err != nil {
-			return cexpr{}, err
-		}
-		el, err := bc.expr(x.Else, want)
-		if err != nil {
-			return cexpr{}, err
-		}
-		truth, tw, ew := cond.truth(), th.w, el.w
+		truth := bc.expr(x.Cond, 0).truth()
+		tw, ew := bc.expr(x.Then, want).w, bc.expr(x.Else, want).w
 		return cexpr{w: func(b *BatchInstance, lane int32) (uint64, uint64) {
 			switch t := truth(b, lane); t {
 			case logic.L1:
@@ -184,17 +199,14 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (cexpr, error) {
 				ea, eb := ew(b, lane)
 				return logic.MuxWord(want, t, ta, tb, ea, eb)
 			}
-		}, width: want}, nil
+		}, width: want}
 
 	case *verilog.Concat:
 		// Shift each part in below the ones before.
 		ws := make([]wExpr, len(x.Parts))
 		shifts := make([]uint, len(x.Parts))
 		for i, p := range x.Parts {
-			pc, err := bc.expr(p, 0)
-			if err != nil {
-				return cexpr{}, err
-			}
+			pc := bc.expr(p, 0)
 			ws[i], shifts[i] = pc.w, uint(pc.width)
 		}
 		return cexpr{w: func(b *BatchInstance, lane int32) (uint64, uint64) {
@@ -204,37 +216,23 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (cexpr, error) {
 				ra, rb = ra<<shifts[i]|va, rb<<shifts[i]|vb
 			}
 			return ra, rb
-		}, width: want}, nil
+		}, width: want}
 
 	case *verilog.Repl:
-		nV, err := verilog.Eval(x.Count, bc.env, 0)
+		c := bc.expr(x.Value, 0)
+		n, err := verilog.ReplCount(bc.fold(x.Count), c.width)
 		if err != nil {
-			return cexpr{}, errDynamic
-		}
-		c, err := bc.expr(x.Value, 0)
-		if err != nil {
-			return cexpr{}, err
-		}
-		n, err := verilog.ReplCount(nV, c.width)
-		if err != nil {
-			return cexpr{}, errDynamic // verilog.Eval reports it
+			panic(unfoldable(x))
 		}
 		v, vw := c.w, c.width
 		return cexpr{w: func(b *BatchInstance, lane int32) (uint64, uint64) {
 			va, vb := v(b, lane)
 			return logic.ReplicateWord(n, vw, va, vb)
-		}, width: want}, nil
+		}, width: want}
 
 	case *verilog.Index:
-		base, err := bc.expr(x.X, 0)
-		if err != nil {
-			return cexpr{}, err
-		}
-		idx, err := bc.expr(x.Index, 0)
-		if err != nil {
-			return cexpr{}, err
-		}
-		bs, iv, bw := base.w, idx.uint64(), uint64(base.width)
+		base := bc.expr(x.X, 0)
+		bs, iv, bw := base.w, bc.expr(x.Index, 0).uint64(), uint64(base.width)
 		// An unknown or out-of-range index reads 1'bx.
 		return cexpr{w: func(b *BatchInstance, lane int32) (uint64, uint64) {
 			i, ok := iv(b, lane)
@@ -243,40 +241,27 @@ func (bc *batchCompiler) expr(e verilog.Expr, ctx int) (cexpr, error) {
 			}
 			va, vb := bs(b, lane)
 			return va >> i & 1, vb >> i & 1
-		}, width: want}, nil
+		}, width: want}
 
 	case *verilog.PartSelect:
-		base, err := bc.expr(x.X, 0)
-		if err != nil {
-			return cexpr{}, err
-		}
+		base := bc.expr(x.X, 0)
 		bw := base.width
-		hiV, errHi := verilog.Eval(x.MSB, bc.env, 0)
-		loV, errLo := verilog.Eval(x.LSB, bc.env, 0)
-		if errHi != nil || errLo != nil {
-			return cexpr{}, errDynamic
-		}
-		msb, ok1 := hiV.Uint64()
-		lsb, ok2 := loV.Uint64()
-		if !ok1 || !ok2 {
-			return constOf(logic.AllX(want)), nil
-		}
-		hi, lo, err := verilog.SelectSpan(msb, lsb)
-		if err != nil {
-			return cexpr{}, errDynamic // verilog.Eval reports it
+		hi, lo, known := bc.bounds(x)
+		if !known {
+			return constOf(logic.AllX(want))
 		}
 		// verilog.SelectBits's two cases, told apart here by base's static width.
 		if lo >= uint64(bw) {
-			return constOf(verilog.SelectBits(logic.New(bw), hi, lo).Resize(want)), nil
+			return constOf(verilog.SelectBits(logic.New(bw), hi, lo).Resize(want))
 		}
 		bs, h, l := base.w, int(hi), int(lo)
 		return cexpr{w: func(b *BatchInstance, lane int32) (uint64, uint64) {
 			va, vb := bs(b, lane)
 			return logic.SliceWord(bw, va, vb, h, l)
-		}, width: want}, nil
+		}, width: want}
 
 	default:
-		return cexpr{}, errDynamic
+		panic(unfoldable(x))
 	}
 }
 
@@ -291,15 +276,11 @@ func binaryWord(f logic.WordBinary, kw int, l, r wExpr) wExpr {
 }
 
 // lvalue compiles an assignment target. The spans and clamping
-// mirror resolveLValue. A target in a slot wider than logic.WordBits,
-// or a concatenation wider than that, is errDynamic.
-func (bc *batchCompiler) lvalue(lhs verilog.Expr) (wLV, error) {
+// mirror resolveLValue.
+func (bc *batchCompiler) lvalue(lhs verilog.Expr) wLV {
 	switch x := lhs.(type) {
 	case *verilog.Ident:
-		s, width, err := bc.narrowSlot(x)
-		if err != nil {
-			return nil, err
-		}
+		s, width := bc.narrowSlot(x)
 		m := logic.Mask(width)
 		return func(b *BatchInstance, lane int32, va, vb uint64, nb bool) {
 			va, vb = va&m, vb&m
@@ -308,18 +289,11 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (wLV, error) {
 			} else {
 				b.writeWord(lane, s, va, vb)
 			}
-		}, nil
+		}
 
 	case *verilog.Index:
-		s, width, err := bc.narrowSlot(x.X)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := bc.expr(x.Index, 0)
-		if err != nil {
-			return nil, err
-		}
-		iv, w := idx.uint64(), uint64(width)
+		s, width := bc.narrowSlot(x.X)
+		iv, w := bc.expr(x.Index, 0).uint64(), uint64(width)
 		// A write through an unknown or out-of-range index is a no-op.
 		return func(b *BatchInstance, lane int32, va, vb uint64, nb bool) {
 			i, ok := iv(b, lane)
@@ -331,30 +305,14 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (wLV, error) {
 			} else {
 				b.writeSpan(lane, s, int(i), int(i), va&1, vb&1)
 			}
-		}, nil
+		}
 
 	case *verilog.PartSelect:
-		s, width, err := bc.narrowSlot(x.X)
-		if err != nil {
-			return nil, err
-		}
-		hiV, errHi := verilog.Eval(x.MSB, bc.env, 0)
-		loV, errLo := verilog.Eval(x.LSB, bc.env, 0)
-		if errHi != nil || errLo != nil {
-			return nil, errDynamic
-		}
-		msb, ok3 := hiV.Uint64()
-		lsb, ok4 := loV.Uint64()
-		if !ok3 || !ok4 {
-			return lvNoop, nil
-		}
-		hi, lo, err := verilog.SelectSpan(msb, lsb)
-		if err != nil {
-			return nil, errDynamic // resolveLValue reports it
-		}
+		s, width := bc.narrowSlot(x.X)
+		hi, lo, known := bc.bounds(x)
 		h, l, inRange := verilog.WriteSpan(hi, lo, width)
-		if !inRange {
-			return lvNoop, nil
+		if !known || !inRange {
+			return lvNoop
 		}
 		span := h - l + 1
 		m := logic.Mask(span)
@@ -365,12 +323,12 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (wLV, error) {
 			} else {
 				b.writeSpan(lane, s, h, l, va, vb)
 			}
-		}, nil
+		}
 
 	case *verilog.Concat:
-		total, static := verilog.LHSWidth(lhs, bc.env)
+		total, static := verilog.LHSWidth(lhs, &bc.env)
 		if !static || total > logic.WordBits {
-			return nil, errDynamic
+			panic(unfoldable(x))
 		}
 		type part struct {
 			lv wLV
@@ -380,13 +338,9 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (wLV, error) {
 		parts := make([]part, len(x.Parts))
 		offset := total
 		for i, p := range x.Parts {
-			w, _ := verilog.LHSWidth(p, bc.env) // static, since total is
+			w, _ := verilog.LHSWidth(p, &bc.env) // static, since total is
 			offset -= w
-			lv, err := bc.lvalue(p)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = part{lv: lv, lo: uint(offset), m: logic.Mask(w)}
+			parts[i] = part{lv: bc.lvalue(p), lo: uint(offset), m: logic.Mask(w)}
 		}
 		m := logic.Mask(total)
 		return func(b *BatchInstance, lane int32, va, vb uint64, nb bool) {
@@ -394,51 +348,47 @@ func (bc *batchCompiler) lvalue(lhs verilog.Expr) (wLV, error) {
 			for _, p := range parts {
 				p.lv(b, lane, va>>p.lo&p.m, vb>>p.lo&p.m, nb)
 			}
-		}, nil
+		}
 
 	default:
-		return nil, errDynamic
+		panic(unfoldable(x))
 	}
 }
 
 // narrowSlot resolves the identifier an assignment target writes
-// through to its slot and width; a slot wider than logic.WordBits, or a
-// target that is not an identifier, is errDynamic.
-func (bc *batchCompiler) narrowSlot(e verilog.Expr) (slot int32, width int, err error) {
+// through to its slot and width, at most logic.WordBits.
+func (bc *batchCompiler) narrowSlot(e verilog.Expr) (slot int32, width int) {
 	id, ok := e.(*verilog.Ident)
 	if !ok {
-		return 0, 0, errDynamic
+		panic(unfoldable(e))
 	}
-	i, ok := bc.d.slotOf[id.Name]
-	if !ok || bc.d.wideOf[i] >= 0 {
-		return 0, 0, errDynamic
+	s := bc.slot(id)
+	if bc.d.wideOf[s] >= 0 {
+		panic(unfoldable(e))
 	}
-	return int32(i), bc.d.slotWidths[i], nil
+	return s, bc.d.slotWidths[s]
 }
 
-// body compiles a process body. A body stmt rejects runs exec on the
-// lane instead; folded reports which one the closure does.
+// body compiles a process body: into folded closures when vstatic.Folds
+// accepts it, else into a closure that runs exec on the lane. folded
+// reports which.
 func (bc *batchCompiler) body(s verilog.Stmt) (code bStmt, folded bool) {
-	if code, err := bc.stmt(s); err == nil {
-		return code, true
+	if vstatic.Folds(s, bc.env) {
+		return bc.stmt(s), true
 	}
 	return func(b *BatchInstance, lane int32) error { return exec(&b.views[lane], s) }, false
 }
 
-// stmt compiles a statement, mirroring exec.
-func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
+// stmt compiles a statement vstatic.Folds accepts, mirroring exec.
+func (bc *batchCompiler) stmt(s verilog.Stmt) bStmt {
 	switch x := s.(type) {
 	case nil, *verilog.Null:
-		return bNoop, nil
+		return bNoop
 
 	case *verilog.Block:
 		stmts := make([]bStmt, len(x.Stmts))
 		for i, sub := range x.Stmts {
-			cs, err := bc.stmt(sub)
-			if err != nil {
-				return nil, err
-			}
-			stmts[i] = cs
+			stmts[i] = bc.stmt(sub)
 		}
 		return func(b *BatchInstance, lane int32) error {
 			for _, st := range stmts {
@@ -447,45 +397,23 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 				}
 			}
 			return nil
-		}, nil
+		}
 
 	case *verilog.Assign:
-		ctx, static := verilog.LHSWidth(x.LHS, bc.env)
-		if !static {
-			return nil, errDynamic
-		}
-		rhs, err := bc.expr(x.RHS, ctx)
-		if err != nil {
-			return nil, err
-		}
-		lv, err := bc.lvalue(x.LHS)
-		if err != nil {
-			return nil, err
-		}
-		rw, nb := rhs.w, x.NonBlocking
+		ctx, _ := verilog.LHSWidth(x.LHS, &bc.env) // static: lvalue panics otherwise
+		rw, lv, nb := bc.expr(x.RHS, ctx).w, bc.lvalue(x.LHS), x.NonBlocking
 		return func(b *BatchInstance, lane int32) error {
 			va, vb := rw(b, lane)
 			lv(b, lane, va, vb, nb)
 			return nil
-		}, nil
+		}
 
 	case *verilog.If:
-		cond, err := bc.expr(x.Cond, 0)
-		if err != nil {
-			return nil, err
-		}
-		th, err := bc.stmt(x.Then)
-		if err != nil {
-			return nil, err
-		}
+		truth, th := bc.expr(x.Cond, 0).truth(), bc.stmt(x.Then)
 		var el bStmt
 		if x.Else != nil {
-			el, err = bc.stmt(x.Else)
-			if err != nil {
-				return nil, err
-			}
+			el = bc.stmt(x.Else)
 		}
-		truth := cond.truth()
 		return func(b *BatchInstance, lane int32) error {
 			if truth(b, lane) == logic.L1 {
 				return th(b, lane)
@@ -494,13 +422,10 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 				return el(b, lane)
 			}
 			return nil
-		}, nil
+		}
 
 	case *verilog.Case:
-		sel, err := bc.expr(x.Expr, 0)
-		if err != nil {
-			return nil, err
-		}
+		sel := bc.expr(x.Expr, 0)
 		type caseArm struct {
 			labels []wExpr
 			body   bStmt
@@ -508,21 +433,14 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 		var arms []caseArm
 		var deflt bStmt
 		for _, item := range x.Items {
-			body, err := bc.stmt(item.Body)
-			if err != nil {
-				return nil, err
-			}
+			body := bc.stmt(item.Body)
 			if item.Exprs == nil {
 				deflt = body
 				continue
 			}
 			arm := caseArm{body: body}
 			for _, e := range item.Exprs {
-				ce, err := bc.expr(e, 0)
-				if err != nil {
-					return nil, err
-				}
-				arm.labels = append(arm.labels, ce.w)
+				arm.labels = append(arm.labels, bc.expr(e, 0).w)
 			}
 			arms = append(arms, arm)
 		}
@@ -540,26 +458,11 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 				return deflt(b, lane)
 			}
 			return nil
-		}, nil
+		}
 
 	case *verilog.For:
-		init, err := bc.stmt(x.Init)
-		if err != nil {
-			return nil, err
-		}
-		c, err := bc.expr(x.Cond, 0)
-		if err != nil {
-			return nil, err
-		}
-		cond := c.truth()
-		step, err := bc.stmt(x.Step)
-		if err != nil {
-			return nil, err
-		}
-		body, err := bc.stmt(x.Body)
-		if err != nil {
-			return nil, err
-		}
+		init, cond := bc.stmt(x.Init), bc.expr(x.Cond, 0).truth()
+		step, body := bc.stmt(x.Step), bc.stmt(x.Body)
 		return func(b *BatchInstance, lane int32) error {
 			if err := init(b, lane); err != nil {
 				return err
@@ -578,18 +481,10 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 					return err
 				}
 			}
-		}, nil
+		}
 
 	case *verilog.Repeat:
-		c, err := bc.expr(x.Count, 0)
-		if err != nil {
-			return nil, err
-		}
-		cnt := c.uint64()
-		body, err := bc.stmt(x.Body)
-		if err != nil {
-			return nil, err
-		}
+		cnt, body := bc.expr(x.Count, 0).uint64(), bc.stmt(x.Body)
 		return func(b *BatchInstance, lane int32) error {
 			n, ok := cnt(b, lane)
 			if !ok {
@@ -604,25 +499,16 @@ func (bc *batchCompiler) stmt(s verilog.Stmt) (bStmt, error) {
 				}
 			}
 			return nil
-		}, nil
-
-	case *verilog.SysCall:
-		switch x.Name {
-		case "$time", "$random", "$dumpfile", "$dumpvars", "$timeformat":
-			// Accepted, no effect — exactly the interpreter's no-op list, and
-			// those calls never evaluate their arguments.
-			return bNoop, nil
-		default:
-			// Display tasks and $finish/$stop act on the lane's system
-			// state; the body runs on exec.
-			return nil, errDynamic
 		}
 
-	case *verilog.Delay:
-		// A delay control errors under the cycle API; exec reports it.
-		return nil, errDynamic
+	case *verilog.SysCall:
+		// A no-op task never evaluates its arguments.
+		if !verilog.NoOpTask(x.Name) {
+			panic(unfoldable(x))
+		}
+		return bNoop
 
 	default:
-		return nil, errDynamic
+		panic(unfoldable(x))
 	}
 }

@@ -11,9 +11,11 @@ package sim
 // single topologically ordered pass computes the identical fixpoint,
 // with each process running at most once per settle.
 //
-// The proof obligations live in internal/vstatic (AnalyzeProc and
-// Region), shared with the module-level lint so the two fronts cannot
-// drift: analyzeStatic adapts a design's comb processes into a
+// The proof obligations live in internal/vstatic (AnalyzeProc, Region
+// and Folds), shared with the module-level lint so the two fronts
+// cannot drift: the compiler folds only the bodies vstatic.Folds
+// accepts, and a program with any other body runs event-driven;
+// analyzeStatic adapts a design's comb processes into a
 // vstatic.Region and converts its findings into errNotStatic errors;
 // levelize builds the schedule over the union edge set of the whole
 // batch (base plus every accepted variant), so one order is valid for

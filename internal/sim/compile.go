@@ -12,12 +12,11 @@ package sim
 // interpreter's own rules (verilog.SelfWidth, verilog.LHSWidth and
 // verilog.Eval) over a verilog.ConstEnv that knows the design's signal
 // widths and reads no signal. Where the answer depends on signal values
-// those rules report not static and the compiler returns errDynamic;
-// the body then runs on those rules at run time (batchCompiler.body).
+// those rules report not static, vstatic.Folds rejects the body over
+// the same env, and the body runs on those rules at run time
+// (batchCompiler.body).
 
 import (
-	"errors"
-
 	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
 )
@@ -90,7 +89,3 @@ func (d *Design) signalWidth(name string) (w int, ok bool) {
 	}
 	return s.Width, true
 }
-
-// errDynamic marks constructs whose widths or spans depend on runtime
-// signal values; the batch compiler rejects them.
-var errDynamic = errors.New("not statically compilable")

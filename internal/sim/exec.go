@@ -288,6 +288,9 @@ func resolveLValue(st state, lhs verilog.Expr, val logic.Vector, pos verilog.Pos
 
 // sysCall implements the supported system tasks.
 func sysCall(st state, x *verilog.SysCall) error {
+	if verilog.NoOpTask(x.Name) {
+		return nil // accepted, no effect in this simulator
+	}
 	sys := st.sys()
 	switch x.Name {
 	case "$finish", "$stop":
@@ -326,8 +329,6 @@ func sysCall(st state, x *verilog.SysCall) error {
 			fmt.Fprintln(sys.Stdout, text)
 		}
 		return nil
-	case "$time", "$random", "$dumpfile", "$dumpvars", "$timeformat":
-		return nil // accepted, no effect in this simulator
 	default:
 		return fmt.Errorf("%s: unsupported system task %s", x.Pos, x.Name)
 	}

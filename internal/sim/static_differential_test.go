@@ -38,13 +38,16 @@ func levelized(d *sim.Design) bool {
 	return sim.CompileBatch(d, []*sim.Design{d})[0].Levelized()
 }
 
-// TestStaticClassificationAgreesOnDynamicWidths: a body whose width
-// depends on a signal value, or that holds a value wider than 64 bits,
-// runs on the interpreter's rules, so the engine runs its design
-// event-driven, and the lint says so too. A part-select bound is folded,
-// not compiled, so a wide bound still levelizes; a wide index does not.
-func TestStaticClassificationAgreesOnDynamicWidths(t *testing.T) {
+// TestStaticClassificationAgreesOnUnfoldedBodies: a body whose width
+// depends on a signal value, that holds a value wider than 64 bits, or
+// that calls a display task, $finish, or waits on a delay runs on the
+// interpreter's rules, so the engine runs its design event-driven, and
+// the lint says so too. A part-select bound is folded, not compiled, so
+// a wide bound still levelizes; a wide index does not. A no-op task
+// ($dumpvars) folds.
+func TestStaticClassificationAgreesOnUnfoldedBodies(t *testing.T) {
 	const ports = "module m(input [3:0] a, input [1:0] s, output reg [3:0] y);\n"
+	const seqPorts = "module m(input clk, input [3:0] a, output reg [3:0] y);\n"
 	for _, tc := range []struct {
 		src  string
 		want bool
@@ -56,6 +59,11 @@ func TestStaticClassificationAgreesOnDynamicWidths(t *testing.T) {
 		{ports + "  reg [71:0] w;\n  always @(*) w = {68'd0, a};\n  always @(*) y = a;\nendmodule\n", false},
 		{ports + "  always @(*) y = a[72'd3];\nendmodule\n", false},
 		{ports + "  always @(*) y = a[72'd3:0];\nendmodule\n", true},
+		{ports + "  always @(*) begin y = a; $display(\"%d\", a); end\nendmodule\n", false},
+		{seqPorts + "  always @(posedge clk) begin y <= a; if (a == 4'd3) $finish; end\nendmodule\n", false},
+		{seqPorts + "  always @(posedge clk) begin y <= a; $display(\"x\"); end\nendmodule\n", false},
+		{seqPorts + "  always @(posedge clk) #1 y <= a;\nendmodule\n", false},
+		{ports + "  always @(*) begin y = a; $dumpvars; end\nendmodule\n", true},
 	} {
 		mr := classifyModule(t, tc.src, "m")
 		d, err := sim.ElaborateSourceContext(context.Background(), tc.src, "m")

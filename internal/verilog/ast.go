@@ -300,6 +300,16 @@ type SysCall struct {
 
 func (*SysCall) stmt() {}
 
+// NoOpTask reports whether the system task name is accepted with no
+// effect: a call to it does nothing and evaluates no argument.
+func NoOpTask(name string) bool {
+	switch name {
+	case "$time", "$random", "$dumpfile", "$dumpvars", "$timeformat":
+		return true
+	}
+	return false
+}
+
 // Null is the empty statement ";".
 type Null struct{}
 

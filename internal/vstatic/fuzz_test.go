@@ -1,11 +1,14 @@
 package vstatic_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
 
 	"correctbench/internal/dataset"
+	"correctbench/internal/sim"
+	"correctbench/internal/verilog"
 	"correctbench/internal/vstatic"
 )
 
@@ -14,7 +17,10 @@ import (
 // accepts must analyze without panicking, and two runs over the same
 // input must produce identical diagnostics (the analyzer is consulted
 // by the batch scheduler, so nondeterminism here would leak into
-// schedules).
+// schedules). Each module without instances that elaborates as top is
+// also compiled by the batch engine, which must not panic (it compiles
+// only bodies vstatic.Folds accepts), and must run it levelized exactly
+// when the lint calls it levelizable.
 func FuzzAnalyze(f *testing.F) {
 	f.Add(`module m(input a, output y);
 assign y = a;
@@ -46,6 +52,18 @@ always @(*) if ({1048576{{1048576{1'b1}}}} + 1'b1) y = a; else y = 1'b0;
 endmodule`)
 	// A replication count nested 30 deep: linear work, not 2^30.
 	f.Add(nestedCountChecker(30))
+	// Bodies the engine runs on the interpreter's rules, and one no-op
+	// task that folds.
+	const ports = "module m(input clk, input [3:0] a, output reg [3:0] y);\n"
+	for _, body := range []string{
+		`always @(*) begin y = a; $display("%d", a); end`,
+		`always @(posedge clk) begin y <= a; if (a == 4'd3) $finish; end`,
+		`always @(posedge clk) begin y <= a; $display("x"); end`,
+		`always @(posedge clk) #1 y <= a;`,
+		`always @(*) begin y = a; $dumpvars; end`,
+	} {
+		f.Add(ports + body + "\nendmodule\n")
+	}
 	for i, p := range dataset.All() {
 		if i%13 == 0 { // a spread of real designs without bloating the corpus
 			f.Add(p.Source)
@@ -77,6 +95,23 @@ endmodule`)
 				if a.Diags[j] != b.Diags[j] {
 					t.Fatalf("module %q diag %d varies: %v vs %v", a.Module, j, a.Diags[j], b.Diags[j])
 				}
+			}
+		}
+		file, err := verilog.Parse(src)
+		if err != nil {
+			t.Fatalf("parse errored where analysis succeeded: %v", err)
+		}
+		for i, m := range file.Modules {
+			r := first[i]
+			if r.Hierarchical || file.Module(m.Name) != m {
+				continue // a module with instances, or one an earlier namesake shadows
+			}
+			d, err := sim.ElaborateContext(context.Background(), file, m.Name)
+			if err != nil {
+				continue
+			}
+			if lev := sim.CompileBatch(d, []*sim.Design{d})[0].Levelized(); lev != r.Levelizable {
+				t.Fatalf("module %q: lint levelizable=%v, engine levelized=%v", m.Name, r.Levelizable, lev)
 			}
 		}
 	})

@@ -21,10 +21,11 @@
 // Every finding is a position-carrying Diagnostic. The analyses are
 // advisory: elaboration and grading semantics never depend on them,
 // so a lint can be sharpened without shifting any recorded result.
-// The one load-bearing consumer is internal/sim's batch scheduler,
-// whose run-once levelized mode is valid exactly for processes
-// AnalyzeProc proves pure — kept honest by differential tests against
-// engine behavior over the whole dataset.
+// Two rules are load-bearing for internal/sim's batch engine: its
+// run-once levelized mode is valid exactly for processes AnalyzeProc
+// proves pure, and its compiler folds exactly the bodies Folds accepts
+// (folds.go). Result.Levelizable reads both, and differential tests and
+// FuzzAnalyze hold it equal to the engine's verdict.
 package vstatic
 
 import (
@@ -101,10 +102,10 @@ type Result struct {
 	StaticCombProcs int `json:"static_comb_procs"`
 	// Levelizable reports whether the whole combinational region is
 	// statically schedulable: every process pure, every bit singly
-	// driven, dependency graph acyclic, and no width in a process body
-	// that depends on a signal value (the simulator runs such a body on
-	// the interpreter's rules, event-driven). It mirrors the batched
-	// simulator's verdict for the same module exactly.
+	// driven, dependency graph acyclic, and every comb and sequential
+	// body one Folds accepts (the simulator runs any other body on the
+	// interpreter's rules, event-driven). It equals the batched
+	// simulator's verdict for the same module.
 	Levelizable bool `json:"levelizable"`
 	// Hierarchical marks modules with instances; their submodule
 	// regions are not analyzed here (the simulator flattens them), so
@@ -213,111 +214,14 @@ func AnalyzeModule(m *verilog.Module) *Result {
 	v.loopPass(combs, region)
 	v.widthPass()
 	v.constPass()
-	v.res.Levelizable = region.Levelizable() && v.widthsStatic()
+	v.res.Levelizable = region.Levelizable()
+	for _, p := range v.procs {
+		if (p.comb || p.seq) && !Folds(p.body, v.env) {
+			v.res.Levelizable = false // the engine runs p's body event-driven
+		}
+	}
 	sortDiags(v.res.Diags)
 	return v.res
-}
-
-// widthsStatic reports whether the batch compiler folds every comb and
-// sequential process body of the module as far as widths go: each
-// expression node it compiles has a static verilog.SelfWidth and, with
-// its context, a width of at most logic.WordBits, and each assignment
-// target writes a slot at most that wide (wordExpr, wordTarget).
-func (v *modView) widthsStatic() bool {
-	ok := true
-	expr := func(e verilog.Expr) { ok = ok && v.wordExpr(e, 0) }
-	for _, p := range v.procs {
-		if !p.comb && !p.seq {
-			continue
-		}
-		verilog.WalkStmts(p.body, func(s verilog.Stmt) {
-			switch x := s.(type) {
-			case *verilog.Assign:
-				ctx, static := verilog.LHSWidth(x.LHS, v.env)
-				ok = ok && static && v.wordTarget(x.LHS) && v.wordExpr(x.RHS, ctx)
-			case *verilog.If:
-				expr(x.Cond)
-			case *verilog.Case:
-				expr(x.Expr)
-				for _, it := range x.Items {
-					for _, e := range it.Exprs {
-						expr(e)
-					}
-				}
-			case *verilog.For:
-				expr(x.Cond)
-			case *verilog.Repeat:
-				expr(x.Count)
-			}
-		})
-	}
-	return ok
-}
-
-// wordExpr mirrors the batch compiler's expression recursion
-// (batchCompiler.expr) node for node: e under context width ctx has a
-// static width of at most logic.WordBits, and so does every operand the
-// compiler compiles. Part-select bounds and replication counts are
-// folded by verilog.Eval, not compiled, so their widths do not count.
-func (v *modView) wordExpr(e verilog.Expr, ctx int) bool {
-	self, static := verilog.SelfWidth(e, v.env)
-	want := max(self, ctx)
-	if !static || want > logic.WordBits {
-		return false
-	}
-	switch x := e.(type) {
-	case *verilog.Unary:
-		_, _, sz, _ := logic.UnaryOp(x.Op)
-		operand, _ := sz.Operands(want)
-		return v.wordExpr(x.X, operand)
-	case *verilog.Binary:
-		_, _, sz, _ := logic.BinaryOp(x.Op)
-		l, r := sz.Operands(want)
-		return v.wordExpr(x.X, l) && v.wordExpr(x.Y, r)
-	case *verilog.Ternary:
-		return v.wordExpr(x.Cond, 0) && v.wordExpr(x.Then, want) && v.wordExpr(x.Else, want)
-	case *verilog.Concat:
-		for _, p := range x.Parts {
-			if !v.wordExpr(p, 0) {
-				return false
-			}
-		}
-	case *verilog.Repl:
-		return v.wordExpr(x.Value, 0)
-	case *verilog.Index:
-		return v.wordExpr(x.X, 0) && v.wordExpr(x.Index, 0)
-	case *verilog.PartSelect:
-		return v.wordExpr(x.X, 0)
-	}
-	return true
-}
-
-// wordTarget mirrors batchCompiler.lvalue: every slot lhs writes
-// through an identifier is at most logic.WordBits wide, as is a
-// concatenation target, and a bit-select's index is a word expression.
-func (v *modView) wordTarget(lhs verilog.Expr) bool {
-	switch x := lhs.(type) {
-	case *verilog.Ident:
-		w, _ := v.width(x.Name)
-		return w <= logic.WordBits
-	case *verilog.Index:
-		_, id := x.X.(*verilog.Ident)
-		return id && v.wordTarget(x.X) && v.wordExpr(x.Index, 0)
-	case *verilog.PartSelect:
-		_, id := x.X.(*verilog.Ident)
-		return id && v.wordTarget(x.X)
-	case *verilog.Concat:
-		if w, _ := verilog.LHSWidth(lhs, v.env); w > logic.WordBits {
-			return false
-		}
-		for _, p := range x.Parts {
-			if !v.wordTarget(p) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }
 
 func sortDiags(ds []Diagnostic) {
