@@ -51,6 +51,7 @@ import (
 
 	"correctbench/internal/logic"
 	"correctbench/internal/verilog"
+	"correctbench/internal/vstatic"
 )
 
 // BatchProgram is the compiled form of a base design plus the designs
@@ -184,11 +185,17 @@ func compileBatch(base *Design, designs []*Design, strict bool) (*BatchProgram, 
 		}
 	}
 
-	baseStatic, baseErr := analyzeStatic(base)
-	allStatic := baseErr == nil && !prog.interpreted
-	var statics []*combStatic
-	if allStatic {
-		statics = append(statics, baseStatic)
+	// edgeSets holds the dependency edges of every static lane's
+	// region; one order over their union is valid for all lanes.
+	var baseEdges [][2]int
+	var edgeSets [][][2]int
+	allStatic := false
+	if !prog.interpreted {
+		if r := designRegion(base); r.Static() {
+			allStatic = true
+			baseEdges = r.Edges()
+			edgeSets = append(edgeSets, baseEdges)
+		}
 	}
 
 	type patch struct {
@@ -227,13 +234,16 @@ func compileBatch(base *Design, designs []*Design, strict bool) (*BatchProgram, 
 			}
 			patches = append(patches, pt)
 		}
-		vs := baseStatic
+		edges := baseEdges
 		if allStatic && v != base {
-			var serr error
+			static := false
 			if !interp {
-				vs, serr = analyzeStatic(v)
+				r := designRegion(v)
+				if static = r.Static(); static {
+					edges = r.Edges()
+				}
 			}
-			if interp || serr != nil {
+			if !static {
 				if strict {
 					// Keep the program levelized: this design belongs
 					// in an event-driven program of its own.
@@ -249,7 +259,7 @@ func compileBatch(base *Design, designs []*Design, strict bool) (*BatchProgram, 
 		prog.laneDesign = append(prog.laneDesign, v)
 		lanePatches = append(lanePatches, patches)
 		if allStatic {
-			statics = append(statics, vs)
+			edgeSets = append(edgeSets, edges)
 		}
 	}
 	prog.n = len(prog.laneDesign)
@@ -276,7 +286,7 @@ func compileBatch(base *Design, designs []*Design, strict bool) (*BatchProgram, 
 	}
 
 	if allStatic {
-		if order, ok := levelize(nComb, statics); ok {
+		if order, ok := vstatic.Levelize(nComb, edgeSets...); ok {
 			prog.levelized = true
 			prog.levelOrder = order
 		}

@@ -20,7 +20,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -226,22 +225,15 @@ func (e *elaborator) module(m *verilog.Module, prefix string, paramOverrides map
 	}
 
 	// Pass 2: declare signals.
-	declared := map[string]bool{}
+	penv := &verilog.ConstEnv{Params: params}
 	for _, it := range m.Items {
 		d, ok := it.(*verilog.Decl)
 		if !ok || d.Kind == verilog.DeclParameter || d.Kind == verilog.DeclLocalparam {
 			continue
 		}
-		width := 1
-		if d.Kind == verilog.DeclInteger {
-			width = 32
-		}
-		if d.Range != nil {
-			w, err := e.rangeWidth(d.Range, params, d.Pos)
-			if err != nil {
-				return err
-			}
-			width = w
+		width, err := verilog.DeclWidth(d, penv)
+		if err != nil {
+			return &ElabError{Pos: d.Pos, Msg: err.Error()}
 		}
 		isVar := d.Kind == verilog.DeclReg || d.Kind == verilog.DeclInteger || d.IsReg
 		for _, n := range d.Names {
@@ -255,9 +247,6 @@ func (e *elaborator) module(m *verilog.Module, prefix string, paramOverrides map
 				}
 				prev.IsVar = prev.IsVar || isVar
 				continue
-			}
-			if declared[n] {
-				return elabErrf(d.Pos, "duplicate declaration of %s", n)
 			}
 			e.design.Signals[full] = &Signal{Name: full, Width: width, IsVar: isVar}
 			e.design.Order = append(e.design.Order, full)
@@ -335,7 +324,7 @@ func (s *scopedElab) contAssign(ca *verilog.ContAssign) error {
 	body := &verilog.Assign{LHS: lhs, RHS: rhs, Pos: ca.Pos}
 	s.e.design.Procs = append(s.e.design.Procs, &Process{
 		Kind: ProcComb,
-		Sens: readSet(body),
+		Sens: levelSens(verilog.AutoSens(body, false)),
 		Body: body,
 		Name: s.prefix + "assign " + verilog.ExprString(lhs),
 	})
@@ -348,10 +337,10 @@ func (s *scopedElab) always(a *verilog.Always) error {
 		return err
 	}
 	switch {
-	case a.Star || allLevel(a.Sens):
+	case a.Level():
 		p := &Process{Kind: ProcComb, Body: body, Name: s.prefix + "always@*"}
 		if a.Star {
-			p.Sens = readSetExcludingTargets(body)
+			p.Sens = levelSens(verilog.AutoSens(body, true))
 		} else {
 			for _, se := range a.Sens {
 				p.Sens = append(p.Sens, SensEntry{Edge: verilog.EdgeNone, Sig: s.prefix + se.Sig})
@@ -384,16 +373,13 @@ func (s *scopedElab) always(a *verilog.Always) error {
 	return nil
 }
 
-func allLevel(sens []verilog.SensItem) bool {
-	if len(sens) == 0 {
-		return false
+// levelSens is the sensitivity list of level entries on names.
+func levelSens(names []string) []SensEntry {
+	out := make([]SensEntry, len(names))
+	for i, n := range names {
+		out[i] = SensEntry{Edge: verilog.EdgeNone, Sig: n}
 	}
-	for _, s := range sens {
-		if s.Edge != verilog.EdgeNone {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 func firstDelay(s verilog.Stmt) (*verilog.Delay, bool) {
@@ -489,7 +475,7 @@ func (s *scopedElab) instance(inst *verilog.Instance) error {
 		case verilog.DeclInput:
 			body := &verilog.Assign{LHS: &verilog.Ident{Name: childSig}, RHS: parentExpr, Pos: inst.Pos}
 			s.e.design.Procs = append(s.e.design.Procs, &Process{
-				Kind: ProcComb, Sens: readSet(body), Body: body,
+				Kind: ProcComb, Sens: levelSens(verilog.AutoSens(body, false)), Body: body,
 				Name: childSig + " (port input)",
 			})
 		case verilog.DeclOutput:
@@ -498,7 +484,7 @@ func (s *scopedElab) instance(inst *verilog.Instance) error {
 			}
 			body := &verilog.Assign{LHS: parentExpr, RHS: &verilog.Ident{Name: childSig}, Pos: inst.Pos}
 			s.e.design.Procs = append(s.e.design.Procs, &Process{
-				Kind: ProcComb, Sens: readSet(body), Body: body,
+				Kind: ProcComb, Sens: levelSens(verilog.AutoSens(body, false)), Body: body,
 				Name: childSig + " (port output)",
 			})
 		default:
@@ -777,136 +763,11 @@ func (s *scopedElab) checkLValue(lhs verilog.Expr, pos verilog.Pos, procedural b
 	}
 }
 
-// readSet computes the level-sensitivity set of a statement: every
-// identifier read anywhere in it (conservative: includes LHS index
-// expressions; excludes pure LHS targets).
-func readSet(body verilog.Stmt) []SensEntry {
-	seen := map[string]bool{}
-	var addExpr func(e verilog.Expr)
-	addExpr = func(e verilog.Expr) {
-		verilog.WalkExprs(e, func(x verilog.Expr) {
-			if id, ok := x.(*verilog.Ident); ok {
-				seen[id.Name] = true
-			}
-		})
-	}
-	var addLHSIndexes func(e verilog.Expr)
-	addLHSIndexes = func(e verilog.Expr) {
-		switch x := e.(type) {
-		case *verilog.Index:
-			addLHSIndexes(x.X)
-			addExpr(x.Index)
-		case *verilog.PartSelect:
-			addLHSIndexes(x.X)
-			addExpr(x.MSB)
-			addExpr(x.LSB)
-		case *verilog.Concat:
-			for _, p := range x.Parts {
-				addLHSIndexes(p)
-			}
-		}
-	}
-	verilog.WalkStmts(body, func(s verilog.Stmt) {
-		switch x := s.(type) {
-		case *verilog.Assign:
-			addExpr(x.RHS)
-			addLHSIndexes(x.LHS)
-		case *verilog.If:
-			addExpr(x.Cond)
-		case *verilog.Case:
-			addExpr(x.Expr)
-			for _, item := range x.Items {
-				for _, e := range item.Exprs {
-					addExpr(e)
-				}
-			}
-		case *verilog.For:
-			addExpr(x.Cond)
-		case *verilog.Repeat:
-			addExpr(x.Count)
-		case *verilog.SysCall:
-			for _, a := range x.Args {
-				addExpr(a)
-			}
-		}
-	})
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]SensEntry, len(names))
-	for i, n := range names {
-		out[i] = SensEntry{Edge: verilog.EdgeNone, Sig: n}
-	}
-	return out
-}
-
-// readSetExcludingTargets is readSet minus the signals the statement
-// itself assigns. An always @(*) process that reads a signal it also
-// writes (loop counters, read-modify-write outputs, latch holds) must
-// not re-trigger on its own writes, or combinational settling would
-// never reach a fixpoint.
-func readSetExcludingTargets(body verilog.Stmt) []SensEntry {
-	targets := map[string]bool{}
-	verilog.WalkStmts(body, func(s verilog.Stmt) {
-		if a, ok := s.(*verilog.Assign); ok {
-			for _, n := range verilog.LHSTargets(a.LHS) {
-				targets[n] = true
-			}
-		}
-	})
-	var out []SensEntry
-	for _, se := range readSet(body) {
-		if !targets[se.Sig] {
-			out = append(out, se)
-		}
-	}
-	return out
-}
-
 // constEval evaluates a constant expression during elaboration.
 func (e *elaborator) constEval(expr verilog.Expr, params map[string]logic.Vector, pos verilog.Pos) (logic.Vector, error) {
-	if expr == nil {
-		return logic.Vector{}, elabErrf(pos, "missing constant expression")
-	}
-	v, err := verilog.Eval(expr, verilog.ConstEnv{Params: params}, 0)
-	if errors.Is(err, verilog.ErrNotConstant) {
-		// Name the read that failed: the first identifier, in
-		// evaluation order, that is not a parameter.
-		verilog.WalkExprs(expr, func(x verilog.Expr) {
-			if id, ok := x.(*verilog.Ident); ok && err == verilog.ErrNotConstant {
-				if _, param := params[id.Name]; !param {
-					err = fmt.Errorf("%q is not a constant", id.Name)
-				}
-			}
-		})
-	}
+	v, err := verilog.ConstValue(expr, &verilog.ConstEnv{Params: params})
 	if err != nil {
-		return logic.Vector{}, elabErrf(pos, "constant expression: %v", err)
+		return logic.Vector{}, &ElabError{Pos: pos, Msg: err.Error()}
 	}
 	return v, nil
-}
-
-func (e *elaborator) rangeWidth(r *verilog.Range, params map[string]logic.Vector, pos verilog.Pos) (int, error) {
-	msbV, err := e.constEval(r.MSB, params, pos)
-	if err != nil {
-		return 0, err
-	}
-	lsbV, err := e.constEval(r.LSB, params, pos)
-	if err != nil {
-		return 0, err
-	}
-	msb, ok1 := msbV.Uint64()
-	lsb, ok2 := lsbV.Uint64()
-	if !ok1 || !ok2 {
-		return 0, elabErrf(pos, "range bounds must be fully defined")
-	}
-	if lsb != 0 {
-		return 0, elabErrf(pos, "only [msb:0] ranges are supported (got lsb=%d)", lsb)
-	}
-	if msb >= verilog.MaxVectorWidth {
-		return 0, elabErrf(pos, "vector too wide (%d bits)", msb+1)
-	}
-	return int(msb) + 1, nil
 }

@@ -40,6 +40,7 @@ package testbench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -56,6 +57,15 @@ type BatchOutcome struct {
 	Res *RunResult
 	Err error
 }
+
+// ErrChecker marks an outcome's error as the testbench's own: its
+// checker did not elaborate, or failed while simulating. errors.Is
+// finds it, and the error's text starts "checker: ". A DUT's own error
+// (errDUT) starts "dut: ".
+var (
+	ErrChecker = errors.New("checker")
+	errDUT     = errors.New("dut")
+)
 
 // trace is a run's view of one unit's recording over its scenarios:
 // every lane's output samples at the points where a run compares them,
@@ -240,7 +250,7 @@ func NewDUTSet(base *sim.Design, duts []*sim.Design) *DUTSet {
 // cancellation.
 func (tb *Testbench) checkerTrace(ctx context.Context, st *TraceStore, cd *sim.Design, stim *stimulus, outs []string) *trace {
 	// Never cancelled, so the recording cannot fail.
-	rec, _ := tb.recordSet(context.WithoutCancel(ctx), st, st.single(cd), stim, [][]string{outs}, "checker", nil, false)
+	rec, _ := tb.recordSet(context.WithoutCancel(ctx), st, st.single(cd), stim, [][]string{outs}, ErrChecker, nil, false)
 	return rec[0]
 }
 
@@ -316,7 +326,7 @@ func sample(b *sim.BatchInstance, st *scenarioTrace, slots []int, readable []boo
 // lanes still running are simulated and nothing is kept. The returned
 // error is non-nil only on cancellation of ctx, and then no trace is
 // returned.
-func (tb *Testbench) record(ctx context.Context, st *TraceStore, unit any, prog *sim.BatchProgram, stim *stimulus, outs []string, side string, span *runSpan, settled func(tr *trace, lane, s int) bool, recorded map[pieceKey]*piece) (*trace, error) {
+func (tb *Testbench) record(ctx context.Context, st *TraceStore, unit any, prog *sim.BatchProgram, stim *stimulus, outs []string, side error, span *runSpan, settled func(tr *trace, lane, s int) bool, recorded map[pieceKey]*piece) (*trace, error) {
 	n, w := prog.Lanes(), len(outs)
 	tr := &trace{readable: make([]bool, w), fails: make([]*traceFail, n)}
 	slots := make([]int, w)
@@ -368,7 +378,7 @@ func (tb *Testbench) record(ctx context.Context, st *TraceStore, unit any, prog 
 		tr.scenarios = append(tr.scenarios, pc.scenarioTrace)
 		for _, f := range pc.fails {
 			if active[f.lane] {
-				tr.fails[f.lane] = &traceFail{s, f.step, f.phase, fmt.Errorf("%s: %w", failSite(side, sc.Index, f.step, f.phase), f.err)}
+				tr.fails[f.lane] = &traceFail{s, f.step, f.phase, failErr(side, sc.Index, f.step, f.phase, f.err)}
 				active[f.lane] = false
 				running--
 			}
@@ -449,15 +459,16 @@ func (tb *Testbench) simulate(ctx context.Context, b *sim.BatchInstance, sc Scen
 	return pc, nil
 }
 
-// failSite names where a run stopped: side, scenario, step and phase.
-func failSite(side string, scenario, step, phase int) string {
+// failErr is err marked with side and prefixed with where the run
+// stopped: side, scenario, step and phase.
+func failErr(side error, scenario, step, phase int, err error) error {
 	switch phase {
 	case phaseInit:
-		return fmt.Sprintf("%s: scenario %d init", side, scenario)
+		return fmt.Errorf("%w: scenario %d init: %w", side, scenario, err)
 	case phaseStep:
-		return fmt.Sprintf("%s: scenario %d step %d", side, scenario, step)
+		return fmt.Errorf("%w: scenario %d step %d: %w", side, scenario, step, err)
 	}
-	return fmt.Sprintf("%s: scenario %d step %d tick", side, scenario, step)
+	return fmt.Errorf("%w: scenario %d step %d tick: %w", side, scenario, step, err)
 }
 
 // laneFail returns the error that ends a DUT lane's run against the
@@ -523,7 +534,7 @@ func compareLane(dut, chk *trace, lane, ns int, earlyExit bool) BatchOutcome {
 // checker is recorded once per output port list (checkerTrace); each
 // distinct DUT design is recorded once, as a program lane, and compared
 // on its program's output ports. A checker that does not elaborate is
-// every DUT's "checker:" error. Every scenario tb's trace store already
+// every DUT's ErrChecker error. Every scenario tb's trace store already
 // holds for a unit is read, not simulated.
 //
 // With earlyExit=false every lane is recorded through every scenario,
@@ -539,7 +550,7 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 	}
 	cd, err := tb.checkerDesignContext(ctx)
 	if err != nil {
-		err = fmt.Errorf("checker: %w", err)
+		err = fmt.Errorf("%w: %w", ErrChecker, err)
 		for i := range out {
 			out[i].Err = err
 		}
@@ -556,7 +567,7 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 			chks[k] = tb.checkerTrace(ctx, st, cd, stim, outs)
 		}
 	}
-	rec, err := tb.recordSet(ctx, st, set, stim, set.outs, "dut", chks, earlyExit)
+	rec, err := tb.recordSet(ctx, st, set, stim, set.outs, errDUT, chks, earlyExit)
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +586,7 @@ func (tb *Testbench) RunBatchContext(ctx context.Context, set *DUTSet, earlyExit
 // pieces simulated are stored once every program is recorded. The
 // returned error is non-nil only on cancellation of ctx, and then
 // nothing is stored.
-func (tb *Testbench) recordSet(ctx context.Context, st *TraceStore, set *DUTSet, stim *stimulus, outs [][]string, side string, chks []*trace, earlyExit bool) ([]*trace, error) {
+func (tb *Testbench) recordSet(ctx context.Context, st *TraceStore, set *DUTSet, stim *stimulus, outs [][]string, side error, chks []*trace, earlyExit bool) ([]*trace, error) {
 	span := &runSpan{ctx: ctx}
 	defer span.close()
 	rec := make([]*trace, len(set.progs))

@@ -427,6 +427,46 @@ func TestBatchLaneFailOrder(t *testing.T) {
 	}
 }
 
+// TestBatchCheckerErrorsMarked: an outcome whose error is the
+// testbench's own — a checker that does not elaborate, or one that
+// fails mid-scenario — carries ErrChecker, and a DUT's own error does
+// not; the texts keep their "checker: " and "dut: " prefixes.
+func TestBatchCheckerErrorsMarked(t *testing.T) {
+	ctx := context.Background()
+	p := dataset.ByName("mux2_w4")
+	trigger := firstDataInput(t, p)
+	golden, err := p.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	osc, err := sim.ElaborateSourceContext(ctx, oscillating(p, trigger, true), p.Top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, checker, top string
+		dut                *sim.Design
+		prefix             string
+	}{
+		{"checker does not elaborate", p.Source, "no_such_top", golden, "checker: 1:1: "},
+		{"checker fails mid-scenario", oscillating(p, trigger, true), p.Top, golden, "checker: scenario 1 step 0: "},
+		{"DUT fails mid-scenario", p.Source, p.Top, osc, "dut: scenario 1 step 0: "},
+	} {
+		tb := &Testbench{Problem: p, Scenarios: []Scenario{driving(p, 1, 2, trigger, 1, 0)}, CheckerSource: tc.checker, CheckerTop: tc.top, CheckerSticky: -1}
+		outs, err := tb.RunBatchContext(ctx, NewDUTSet(tc.dut, []*sim.Design{tc.dut}), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := outs[0].Err
+		if got == nil || !strings.HasPrefix(got.Error(), tc.prefix) {
+			t.Fatalf("%s: outcome error %v, want one starting %q", tc.name, got, tc.prefix)
+		}
+		if marked, want := errors.Is(got, ErrChecker), strings.HasPrefix(tc.prefix, "checker"); marked != want {
+			t.Errorf("%s: errors.Is(%q, ErrChecker) = %v, want %v", tc.name, got, marked, want)
+		}
+	}
+}
+
 // laneCount is the number of lanes a run of set records.
 func laneCount(set *DUTSet) int {
 	n := 0

@@ -83,7 +83,7 @@ func TestScenarioRecordingIsIndependent(t *testing.T) {
 		}
 		set := NewDUTSet(base, duts)
 		whole := &TraceStore{}
-		rec, err := tb.recordSet(ctx, whole, set, newStimulus(tb), set.outs, "dut", nil, false)
+		rec, err := tb.recordSet(ctx, whole, set, newStimulus(tb), set.outs, errDUT, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestScenarioRecordingIsIndependent(t *testing.T) {
 		for s, sc := range tb.Scenarios {
 			one := &Testbench{Problem: p, Scenarios: []Scenario{sc}, CheckerSource: p.Source, CheckerTop: p.Top, CheckerSticky: -1}
 			alone := &TraceStore{}
-			rec, err := one.recordSet(ctx, alone, set, newStimulus(one), set.outs, "dut", nil, false)
+			rec, err := one.recordSet(ctx, alone, set, newStimulus(one), set.outs, errDUT, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}

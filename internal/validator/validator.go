@@ -27,6 +27,7 @@ package validator
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -316,7 +317,7 @@ func BuildMatrix(ctx context.Context, tb *testbench.Testbench, g *Group) (*Matri
 		o := outs[0]
 		outs = outs[1:]
 		if o.Err != nil {
-			if strings.HasPrefix(o.Err.Error(), "checker:") {
+			if errors.Is(o.Err, testbench.ErrChecker) {
 				// The testbench's own checker is broken.
 				return nil, false, nil
 			}

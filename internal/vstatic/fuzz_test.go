@@ -17,10 +17,11 @@ import (
 // accepts must analyze without panicking, and two runs over the same
 // input must produce identical diagnostics (the analyzer is consulted
 // by the batch scheduler, so nondeterminism here would leak into
-// schedules). Each module without instances that elaborates as top is
-// also compiled by the batch engine, which must not panic (it compiles
-// only bodies vstatic.Folds accepts), and must run it levelized exactly
-// when the lint calls it levelizable.
+// schedules). Each module without instances that elaborates as top
+// must have no bad-range diagnostic (the lint declares signals by the
+// elaborator's rules), and is also compiled by the batch engine, which
+// must not panic (it compiles only bodies vstatic.Folds accepts), and
+// must run it levelized exactly when the lint calls it levelizable.
 func FuzzAnalyze(f *testing.F) {
 	f.Add(`module m(input a, output y);
 assign y = a;
@@ -64,6 +65,11 @@ endmodule`)
 	} {
 		f.Add(ports + body + "\nendmodule\n")
 	}
+	// Declarations: a conflicting re-declaration, a vector past the cap,
+	// and a parameter declared after its use.
+	f.Add("module m(input [3:0] a, output [3:0] q); reg [7:0] q; always @(*) q = {a, a}; endmodule\n")
+	f.Add("module m(input a, output y); wire [2000000:0] big; assign y = a; endmodule\n")
+	f.Add("module m(input a, output [W-1:0] y); assign y = {W{a}}; parameter W = 4; endmodule\n")
 	for i, p := range dataset.All() {
 		if i%13 == 0 { // a spread of real designs without bloating the corpus
 			f.Add(p.Source)
@@ -109,6 +115,11 @@ endmodule`)
 			d, err := sim.ElaborateContext(context.Background(), file, m.Name)
 			if err != nil {
 				continue
+			}
+			for _, dg := range r.Diags {
+				if dg.Code == vstatic.CodeBadRange {
+					t.Fatalf("module %q elaborates, but the lint reports %v", m.Name, dg)
+				}
 			}
 			if lev := sim.CompileBatch(d, []*sim.Design{d})[0].Levelized(); lev != r.Levelizable {
 				t.Fatalf("module %q: lint levelizable=%v, engine levelized=%v", m.Name, r.Levelizable, lev)

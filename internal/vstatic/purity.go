@@ -52,8 +52,8 @@ type ProcFacts struct {
 
 // AnalyzeProc proves a combinational process body a pure function of
 // its level sensitivity list. sens reports sensitivity-list
-// membership (for an @(*) process pass the elaborated auto-list:
-// reads minus assign targets). env.Width, which must be set, resolves a
+// membership (for a process without an explicit list, membership in
+// verilog.AutoSens). env.Width, which must be set, resolves a
 // declared signal's width; false marks the name unknown, which excludes
 // it from every check (mirroring the simulator's slot-table lookups).
 // env.Params are the parameters constants fold with; nil is fine, since

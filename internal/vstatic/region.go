@@ -1,6 +1,7 @@
 package vstatic
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"sort"
@@ -110,28 +111,85 @@ func (r *Region) Edges() [][2]int {
 	return out
 }
 
-// Levelizable reports whether the region admits a run-once static
-// schedule: every process pure, no writer conflicts, dependency graph
-// acyclic.
-func (r *Region) Levelizable() bool {
+// Static reports whether every process of the region is pure and no
+// two processes write the same bits.
+func (r *Region) Static() bool {
 	for _, f := range r.Facts {
 		if f.Err != nil {
 			return false
 		}
 	}
-	if len(r.Conflicts()) != 0 {
+	return len(r.Conflicts()) == 0
+}
+
+// Levelizable reports whether the region admits a run-once static
+// schedule: it is Static and Levelize orders its dependency graph.
+func (r *Region) Levelizable() bool {
+	if !r.Static() {
 		return false
 	}
-	for _, scc := range SCCs(len(r.Facts), r.Edges()) {
-		if len(scc) > 1 {
-			return false
+	_, ok := Levelize(len(r.Facts), r.Edges())
+	return ok
+}
+
+// Levelize builds one run-once schedule of n processes over the union
+// of the given dependency edge sets (each edge a writer->reader pair of
+// ordinals below n), so a batch of designs that share processes shares
+// one order valid for every design's edges. It returns the ordinals
+// sorted by (level, ordinal), a process's level being the length of the
+// longest path to it (Kahn's algorithm), and false when the union graph
+// has a cycle.
+func Levelize(n int, edgeSets ...[][2]int) ([]int32, bool) {
+	adj := make([][]int32, n)
+	indeg := make([]int, n)
+	seen := make(map[[2]int]bool)
+	for _, edges := range edgeSets {
+		for _, e := range edges {
+			if seen[e] {
+				continue
+			}
+			seen[e] = true
+			adj[e[0]] = append(adj[e[0]], int32(e[1]))
+			indeg[e[1]]++
 		}
 	}
-	return true
+	level := make([]int, n)
+	queue := make([]int32, 0, n)
+	for k := range n {
+		if indeg[k] == 0 {
+			queue = append(queue, int32(k))
+		}
+	}
+	done := 0
+	for len(queue) > 0 {
+		u := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		done++
+		for _, v := range adj[u] {
+			level[v] = max(level[v], level[u]+1)
+			indeg[v]--
+			if indeg[v] == 0 {
+				queue = append(queue, v)
+			}
+		}
+	}
+	if done < n {
+		return nil, false
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(level[a], level[b]), cmp.Compare(a, b))
+	})
+	return order, true
 }
 
 // SCCs computes the strongly connected components of a graph with n
-// nodes and the given directed edges (Tarjan, iterative). Components
+// nodes and the given directed edges (Tarjan, iterative). The lint
+// names the members of each combinational loop by them; whether a
+// region is acyclic is Levelize's verdict. Components
 // are returned with members sorted, ordered by smallest member.
 // Self-edges do not arise from Edges (a process is never its own
 // dependency), so a component is cyclic iff it has more than one

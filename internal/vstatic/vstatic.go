@@ -3,14 +3,19 @@
 //
 //   - driver analysis: multiple combinational drivers of one bit,
 //     mixed combinational/sequential drivers, driven inputs;
-//   - signal-dependency graph with SCC-based combinational-loop
-//     detection;
+//   - signal-dependency graph with combinational-loop detection: the
+//     levelizer the batch engine schedules by (Levelize) decides whether
+//     the graph is acyclic, and SCCs only name the members of a loop;
 //   - width inference with truncation/extension lints;
 //   - all-paths definite-assignment analysis at bit granularity
 //     (latch inference), which is also the purity check the batched
 //     simulator's levelized scheduler consumes;
 //   - unreachable case/if branch detection via constant propagation.
 //
+// The module view is built by the elaborator's own module rules in
+// internal/verilog: declaration widths (DeclWidth), the split of always
+// blocks into combinational and sequential ((*Always).Level), and the
+// sensitivity of every comb process (AutoSens, or its explicit list).
 // Constants fold, and widths are taken, with the engine's own
 // expression rules in internal/verilog (Eval, SelfWidth, LHSWidth,
 // CaseMatch) over one verilog.ConstEnv of the module's parameters and
@@ -165,17 +170,20 @@ type signal struct {
 	pos   verilog.Pos
 }
 
-// proc is one process of the module view: continuous assigns and
-// always blocks, normalized the way elaboration normalizes them.
+// proc is one process of the module view: a continuous assign or an
+// always block, classified and given its sensitivity by the same
+// verilog rules elaboration applies.
 type proc struct {
 	name string
 	body verilog.Stmt
 	pos  verilog.Pos
 	comb bool            // level-sensitive (cont assign or always @*/@(levels))
 	seq  bool            // edge-sensitive always
-	sens map[string]bool // nil for auto sensitivity (@(*) and cont assigns)
-	star bool            // auto sensitivity: reads minus assign targets
+	sens map[string]bool // comb: the names the process wakes on
 }
+
+// hears reports whether a comb process wakes on name.
+func (p *proc) hears(name string) bool { return p.sens[name] }
 
 // modView is the elaboration-shaped view of a module the passes run
 // over.
@@ -240,56 +248,48 @@ func sortDiags(ds []Diagnostic) {
 	})
 }
 
-// collectDecls resolves parameters in declaration order and records
-// every signal's width, mirroring the elaborator's rules ([msb:0]
-// ranges, integers as 32-bit).
+// collectDecls resolves the parameters in declaration order, then
+// declares every signal with verilog.DeclWidth, folding its range over
+// those parameters alone, as elaboration does. A name declared again
+// (an "output q" re-declared "reg q" in the body) takes the port kind
+// and must keep its width; a conflict keeps the first.
 func (v *modView) collectDecls() {
+	penv := &verilog.ConstEnv{Params: v.env.Params}
 	for _, it := range v.m.Items {
 		d, ok := it.(*verilog.Decl)
-		if !ok {
+		if !ok || (d.Kind != verilog.DeclParameter && d.Kind != verilog.DeclLocalparam) {
 			continue
-		}
-		if d.Kind == verilog.DeclParameter || d.Kind == verilog.DeclLocalparam {
-			for _, n := range d.Names {
-				if val, err := verilog.Eval(d.Init, &v.env, 0); err == nil {
-					v.env.Params[n] = val
-				} else {
-					v.res.add(d.Pos, SevError, CodeBadRange, n, "parameter %q is not a constant", n)
-				}
-			}
-			continue
-		}
-		w := 1
-		if d.Kind == verilog.DeclInteger {
-			w = 32
-		}
-		if d.Range != nil {
-			msb, ok1 := constIndex(d.Range.MSB, &v.env)
-			lsb, ok2 := constIndex(d.Range.LSB, &v.env)
-			switch {
-			case !ok1 || !ok2:
-				v.res.add(d.Pos, SevError, CodeBadRange, d.Names[0], "non-constant range bounds")
-			case lsb != 0:
-				v.res.add(d.Pos, SevError, CodeBadRange, d.Names[0], "only [msb:0] ranges are supported (got lsb=%d)", lsb)
-			case msb >= verilog.MaxVectorWidth:
-				v.res.add(d.Pos, SevError, CodeBadRange, d.Names[0], "vector too wide (%d bits)", msb+1)
-			default:
-				w = msb + 1
-			}
 		}
 		for _, n := range d.Names {
-			if prev, dup := v.signals[n]; dup {
-				// "output reg q" style re-declarations share a name;
-				// keep the port kind, widen to the wider range.
-				if w > prev.width {
-					prev.width = w
-				}
-				if d.Kind.IsPort() {
-					prev.kind = d.Kind
-				}
+			if val, err := verilog.Eval(d.Init, penv, 0); err == nil {
+				v.env.Params[n] = val
+			} else {
+				v.res.add(d.Pos, SevError, CodeBadRange, n, "parameter %q is not a constant", n)
+			}
+		}
+	}
+	for _, it := range v.m.Items {
+		d, ok := it.(*verilog.Decl)
+		if !ok || d.Kind == verilog.DeclParameter || d.Kind == verilog.DeclLocalparam {
+			continue
+		}
+		w, err := verilog.DeclWidth(d, penv)
+		if err != nil {
+			v.res.add(d.Pos, SevError, CodeBadRange, d.Names[0], "%v", err)
+			w = 1
+		}
+		for _, n := range d.Names {
+			prev, dup := v.signals[n]
+			if !dup {
+				v.signals[n] = &signal{width: w, kind: d.Kind, pos: d.Pos}
 				continue
 			}
-			v.signals[n] = &signal{width: w, kind: d.Kind, pos: d.Pos}
+			if prev.width != w {
+				v.res.add(d.Pos, SevError, CodeBadRange, n, "conflicting widths for %s: %d vs %d", n, prev.width, w)
+			}
+			if d.Kind.IsPort() {
+				prev.kind = d.Kind
+			}
 		}
 	}
 }
@@ -301,15 +301,15 @@ func (v *modView) collectProcs() {
 			body := &verilog.Assign{LHS: x.LHS, RHS: x.RHS, Pos: x.Pos}
 			v.procs = append(v.procs, &proc{
 				name: "assign " + verilog.ExprString(x.LHS),
-				body: body, pos: x.Pos, comb: true, star: false,
-				sens: nil, // continuous assigns are sensitive to every read
+				body: body, pos: x.Pos, comb: true,
+				sens: nameSet(verilog.AutoSens(body, false)),
 			})
 		case *verilog.Always:
 			switch {
-			case x.Star || allLevelSens(x.Sens):
+			case x.Level():
 				p := &proc{name: "always@*", body: x.Body, pos: x.Pos, comb: true}
 				if x.Star {
-					p.star = true
+					p.sens = nameSet(verilog.AutoSens(x.Body, true))
 				} else {
 					p.sens = map[string]bool{}
 					for _, se := range x.Sens {
@@ -328,37 +328,12 @@ func (v *modView) collectProcs() {
 	}
 }
 
-func allLevelSens(sens []verilog.SensItem) bool {
-	if len(sens) == 0 {
-		return false
+func nameSet(names []string) map[string]bool {
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
 	}
-	for _, s := range sens {
-		if s.Edge != verilog.EdgeNone {
-			return false
-		}
-	}
-	return true
-}
-
-// sensFunc builds the sensitivity predicate elaboration would give
-// the process: continuous assigns hear every read; @(*) hears reads
-// minus assign targets; explicit lists hear exactly the listed names.
-func (v *modView) sensFunc(p *proc) func(string) bool {
-	if p.sens != nil {
-		return func(n string) bool { return p.sens[n] }
-	}
-	if !p.star {
-		return func(string) bool { return true }
-	}
-	targets := map[string]bool{}
-	verilog.WalkStmts(p.body, func(s verilog.Stmt) {
-		if a, ok := s.(*verilog.Assign); ok {
-			for _, n := range verilog.LHSTargets(a.LHS) {
-				targets[n] = true
-			}
-		}
-	})
-	return func(n string) bool { return !targets[n] }
+	return set
 }
 
 // analyzeCombProcs runs the purity analysis over every combinational
@@ -373,10 +348,10 @@ func (v *modView) analyzeCombProcs() ([]*proc, Region) {
 			continue
 		}
 		v.res.CombProcs++
-		f := AnalyzeProc(p.body, v.sensFunc(p), v.env)
+		f := AnalyzeProc(p.body, p.hears, v.env)
 		combs = append(combs, p)
 		region.Facts = append(region.Facts, f)
-		region.Sens = append(region.Sens, v.sensFunc(p))
+		region.Sens = append(region.Sens, p.hears)
 		if f.Err == nil {
 			v.res.StaticCombProcs++
 			continue
@@ -451,6 +426,8 @@ func (v *modView) checkUndeclared() {
 	}
 	for _, p := range v.procs {
 		walkAllExprs(p.body, checkExpr)
+		// An explicit list's names; an automatic list's names were all
+		// met in the body.
 		if p.sens != nil {
 			for n := range p.sens { //detlint:allow each name is flagged at p.pos once, and the diagnostics are sorted
 				flag(p.pos, n)

@@ -1,9 +1,11 @@
 package vstatic_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"correctbench/internal/sim"
 	"correctbench/internal/vstatic"
 )
 
@@ -247,6 +249,44 @@ assign y = t;
 endmodule`)
 	if len(r.Diags) != 0 || !r.Levelizable {
 		t.Fatalf("parameterized widths must resolve cleanly, got %v", r.Diags)
+	}
+}
+
+// TestDeclsFollowTheElaborator lints declarations by the elaborator's
+// own rules: a module the elaborator rejects for a declaration gets one
+// bad-range diagnostic carrying the elaborator's text, and a module it
+// accepts gets none.
+func TestDeclsFollowTheElaborator(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		// A port re-declared with another width.
+		{"module m(input [3:0] a, output [3:0] q); reg [7:0] q; always @(*) q = {a, a}; endmodule", "conflicting widths for q: 4 vs 8"},
+		// Past the width cap: too wide, not non-constant.
+		{"module m(input a, output y); wire [2000000:0] big; assign y = a; endmodule", "vector too wide (2000001 bits)"},
+		{"module m(input a, output y); wire [3:1] t; assign y = a; endmodule", "only [msb:0] ranges are supported (got lsb=1)"},
+		{"module m(input a, output y); parameter W = 2; wire [W+a:0] t; assign y = a; endmodule", `constant expression: "a" is not a constant`},
+		{"module m(input a, output y); wire [1'bz:0] t; assign y = a; endmodule", "range bounds must be fully defined"},
+		// Parameters resolve before any declaration.
+		{"module m(input a, output [W-1:0] y); assign y = {W{a}}; parameter W = 4; endmodule", ""},
+	} {
+		_, elabErr := sim.ElaborateSourceContext(context.Background(), tc.src, "m")
+		var lint []string
+		for _, d := range analyze(t, tc.src).Diags {
+			if d.Code == vstatic.CodeBadRange {
+				lint = append(lint, d.Msg)
+			}
+		}
+		if tc.want == "" {
+			if elabErr != nil || len(lint) != 0 {
+				t.Errorf("%s: elaboration error %v, bad-range diagnostics %q; want neither", tc.src, elabErr, lint)
+			}
+			continue
+		}
+		if elabErr == nil || !strings.HasSuffix(elabErr.Error(), ": "+tc.want) {
+			t.Errorf("%s: elaboration error %v, want one ending %q", tc.src, elabErr, tc.want)
+		}
+		if len(lint) != 1 || lint[0] != tc.want {
+			t.Errorf("%s: bad-range diagnostics %q, want exactly %q", tc.src, lint, tc.want)
+		}
 	}
 }
 
